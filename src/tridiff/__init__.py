@@ -21,10 +21,11 @@ from .dgp import (DgpSpec, EffectCase, MonteCarloResult, OracleValues,
 from .estimators import (BootstrapConfig, EstimandLabel,
                          EstimateResult, Method, ResamplingScheme, SeKind,
                          bias_diagnostic, bootstrap_replicates, bootstrap_se,
+                         bootstrap_ses, estimate_doubly_robust,
                          estimate_naive_difference,
                          estimate_reweighted_difference, influence_variance,
                          ols_did, ols_tdid, or_did, or_differences, or_table,
-                         or_wdid_b, refit_estimator)
+                         or_wdid_b, refit_estimates, refit_estimator)
 from .exceptions import (ConvergenceError, EstimationError, FittingError,
                          IngestionError, InsufficientDataError,
                          MissingNuisanceError, ParseError,
@@ -36,8 +37,8 @@ from .nuisance import (LinearModel, NuisanceMode, NuisanceSet, PropensityKind,
                        fit_nuisances, fit_ols, fit_separate_binary,
                        predict_propensity)
 from .scores import (ScoreKind, ScoreVector, dump_scores, score, score_mean,
-                     score_vector, weight_c, weight_c_values, weight_t,
-                     weight_t_values)
+                     score_vector, score_vectors, weight_c, weight_c_values,
+                     weight_t, weight_t_values)
 
 __version__ = "0.1.0"
 
@@ -53,15 +54,17 @@ __all__ = [
     "ResamplingScheme", "Schema", "SchemaError", "ScoreKind", "ScoreVector",
     "SeKind", "SeparationError", "SingularDesignError", "TridiffError",
     "TrimmingError", "UnsupportedMechanismError", "ValidationReport",
-    "bias_diagnostic", "bootstrap_replicates", "bootstrap_se", "cell_index",
-    "cell_name", "cell_table", "closed_form_oracle", "delta_y",
-    "dump_scores", "estimate_naive_difference",
+    "bias_diagnostic", "bootstrap_replicates", "bootstrap_se",
+    "bootstrap_ses", "cell_index", "cell_name", "cell_table",
+    "closed_form_oracle", "delta_y", "dump_scores", "estimate_doubly_robust",
+    "estimate_naive_difference",
     "estimate_reweighted_difference", "export_histogram", "fit_linear",
     "fit_logistic_multinomial", "fit_nuisances", "fit_ols",
     "fit_separate_binary", "influence_variance", "load_csv", "ols_did",
     "ols_tdid", "or_did", "or_differences", "or_table", "or_wdid_b",
-    "predict_propensity", "refit_estimator", "run_monte_carlo", "save_csv",
-    "score", "score_mean", "score_vector", "simulate_replicate",
+    "predict_propensity", "refit_estimates", "refit_estimator",
+    "run_monte_carlo", "save_csv", "score", "score_mean", "score_vector",
+    "score_vectors", "simulate_replicate",
     "simulate_sample", "validate", "weight_c", "weight_c_values", "weight_t",
     "weight_t_values",
 ]

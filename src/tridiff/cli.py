@@ -24,11 +24,10 @@ from .data import (AssignmentMechanism, Group, MissingPolicy, PanelDataset,
                    Schema, cell_table, load_csv, validate)
 from .dgp import (DgpSpec, EffectCase, MonteCarloResult, closed_form_oracle,
                   export_histogram, run_monte_carlo)
-from .estimators import (BootstrapConfig, EstimateResult, SeKind,
-                         bias_diagnostic, bootstrap_se,
-                         estimate_naive_difference,
-                         estimate_reweighted_difference, ols_did, ols_tdid,
-                         or_table, refit_estimator)
+from .estimators import (BootstrapConfig, EstimateResult, Method, SeKind,
+                         bias_diagnostic, bootstrap_ses,
+                         estimate_doubly_robust, ols_did, ols_tdid, or_table,
+                         refit_estimates)
 from .exceptions import (EstimationError, FittingError, IngestionError,
                          SchemaError, TridiffError, TrimmingError)
 from .nuisance import (DEFAULT_TRIM_EPSILON, NuisanceMode, fit_nuisances)
@@ -198,6 +197,8 @@ def _echo_config(ns, out: Path, command: str) -> dict:
 
 METHOD_CHOICES = ("dr", "naive", "bias", "ols-did-a", "ols-did-b", "ols-tdid",
                   "or-did-a", "or-did-b", "or-wdid-b", "or-diffs")
+DR_METHOD_KEYS = {"dr": Method.DR_REWEIGHTED,
+                  "naive": Method.DR_NAIVE_DIFFERENCE}
 
 
 def _parse_methods(raw: str) -> list:
@@ -246,24 +247,24 @@ def cmd_estimate(ns: argparse.Namespace) -> int:
                   if need_eight else None)
     or_block = or_table(dataset, eight_nuis, boot) if need_eight else None
 
+    # dr and naive come from one evaluation of the fit and, with a
+    # bootstrap, from one refit per resample, at the first of the two
+    dr_keys = [key for key in DR_METHOD_KEYS if key in methods]
+    dr_methods = tuple(DR_METHOD_KEYS[key] for key in dr_keys)
     results = {}
     extras = {}
     for method in methods:
-        if method == "dr":
-            res = estimate_reweighted_difference(dataset, score_nuis, normalize)
+        if method in DR_METHOD_KEYS:
+            if method in results:
+                continue
+            results.update(zip(dr_keys, estimate_doubly_robust(
+                dataset, score_nuis, normalize, methods=dr_methods)))
             if boot is not None:
-                extras["dr"] = {"bootstrap_se": bootstrap_se(
-                    dataset, refit_estimator(score_nuis.fit_options,
-                                             normalize=normalize), boot)}
-            results["dr"] = res
-        elif method == "naive":
-            res = estimate_naive_difference(dataset, score_nuis, normalize)
-            if boot is not None:
-                extras["naive"] = {"bootstrap_se": bootstrap_se(
-                    dataset, refit_estimator(score_nuis.fit_options,
-                                             normalize=normalize, naive=True),
-                    boot)}
-            results["naive"] = res
+                ses = bootstrap_ses(dataset, refit_estimates(
+                    score_nuis.fit_options, normalize=normalize,
+                    methods=dr_methods), boot)
+                extras.update((key, {"bootstrap_se": se})
+                              for key, se in zip(dr_keys, ses))
         elif method == "bias":
             bias_hat, bias_se = bias_diagnostic(dataset, score_nuis, normalize)
             extras["bias"] = {"bias_hat": bias_hat, "se": bias_se}

@@ -27,8 +27,7 @@ from scipy.special import ndtri
 
 from .data import AssignmentMechanism, PanelDataset
 from .exceptions import EstimationError, TridiffError
-from .estimators import (estimate_naive_difference,
-                         estimate_reweighted_difference)
+from .estimators import estimate_doubly_robust
 from .nuisance import NuisanceMode, fit_nuisances
 
 BETA_A_CONSTANT = 4.0
@@ -239,10 +238,8 @@ def _run_one(spec: DgpSpec, replication: int, fit_options: dict,
     sample = simulate_replicate(spec, replication)
     try:
         nuisances = fit_nuisances(sample, NuisanceMode.SCORE_SET, **fit_options)
-        rew = estimate_reweighted_difference(sample, nuisances, normalize,
-                                             trim_epsilon)
-        naive = estimate_naive_difference(sample, nuisances, normalize,
-                                          trim_epsilon)
+        rew, naive = estimate_doubly_robust(sample, nuisances, normalize,
+                                            trim_epsilon)
     except TridiffError as exc:
         return (math.nan, math.nan, math.nan, math.nan, False,
                 f"{type(exc).__name__}: {exc}")

@@ -14,7 +14,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .exceptions import (EstimationError, MissingNuisanceError,
                          ResamplingError, UnsupportedMechanismError)
 from .nuisance import (LinearModel, NuisanceMode, NuisanceSet, fit_nuisances,
                        fit_ols)
-from .scores import A2, B2, ScoreKind, score_vector, weight_t_values
+from .scores import A2, B2, ScoreKind, score_vectors, weight_t_values
 
 DEFAULT_BOOTSTRAP_REPS = 999
 
@@ -103,6 +103,71 @@ def influence_variance(score_differences, treat_weights, tau_hat):
     return v_hat, se, eta
 
 
+def _reweighted_result(dataset: PanelDataset, cells: CellTable,
+                       psi: dict) -> EstimateResult:
+    diff = psi[ScoreKind.DR_A].values - psi[ScoreKind.WDR].values
+    tau_hat = float(np.mean(diff))
+    w_treat = weight_t_values(dataset, A2, cells)
+    _, se, eta = influence_variance(diff, w_treat, tau_hat)
+    return EstimateResult(estimate=tau_hat, se=se, n=dataset.n,
+                          estimand_label=_reweighted_label(dataset.mechanism),
+                          method=Method.DR_REWEIGHTED, influence_values=eta)
+
+
+def _difference_of_means(dataset: PanelDataset, cells: CellTable,
+                         psi_first: np.ndarray, psi_b: np.ndarray):
+    """Mean of a group-A-targeted score minus mean of group B's DR
+    score, with its influence-function SE. Returns (estimate, se, eta)."""
+    mean_first = float(np.mean(psi_first))
+    mean_b = float(np.mean(psi_b))
+    w_a = weight_t_values(dataset, A2, cells)
+    w_b = weight_t_values(dataset, B2, cells)
+    # each component's mean is recentred by its own treatment weight
+    eta = (psi_first - w_a * mean_first) - (psi_b - w_b * mean_b)
+    se = math.sqrt(float(np.mean(eta * eta)) / dataset.n)
+    return mean_first - mean_b, se, eta
+
+
+def _naive_result(dataset: PanelDataset, cells: CellTable,
+                  psi: dict) -> EstimateResult:
+    estimate, se, eta = _difference_of_means(
+        dataset, cells, psi[ScoreKind.DR_A].values, psi[ScoreKind.DR_B].values)
+    return EstimateResult(estimate=estimate, se=se, n=dataset.n,
+                          estimand_label=EstimandLabel.DESCRIPTIVE,
+                          method=Method.DR_NAIVE_DIFFERENCE,
+                          influence_values=eta)
+
+
+# score kinds each doubly robust estimator needs, in the order they are
+# built, and the function turning their values into its result
+_DR_ESTIMATORS = {
+    Method.DR_REWEIGHTED: ((ScoreKind.DR_A, ScoreKind.WDR), _reweighted_result),
+    Method.DR_NAIVE_DIFFERENCE: ((ScoreKind.DR_A, ScoreKind.DR_B),
+                                 _naive_result),
+}
+DR_METHODS = tuple(_DR_ESTIMATORS)  # (reweighted, naive)
+
+
+def estimate_doubly_robust(dataset: PanelDataset, nuisances: NuisanceSet,
+                           normalize: bool = False,
+                           trim_epsilon: Optional[float] = None,
+                           methods: Tuple[Method, ...] = DR_METHODS
+                           ) -> Tuple[EstimateResult, ...]:
+    """Results of the requested doubly robust estimators, in the order
+    given, from one evaluation of the fit: the propensity matrix is
+    predicted once and each score kind the methods need is built once,
+    in the order they list them (DR_A, WDR, DR_B by default). No other
+    kind is built. The default returns (reweighted, naive), exactly equal
+    to the two separate estimators."""
+    kinds = tuple(dict.fromkeys(
+        kind for method in methods for kind in _DR_ESTIMATORS[method][0]))
+    cells = cell_table(dataset)
+    psi = score_vectors(kinds, dataset, cells, nuisances, normalize,
+                        trim_epsilon)
+    return tuple(_DR_ESTIMATORS[method][1](dataset, cells, psi)
+                 for method in methods)
+
+
 def estimate_reweighted_difference(dataset: PanelDataset,
                                    nuisances: NuisanceSet,
                                    normalize: bool = False,
@@ -113,18 +178,8 @@ def estimate_reweighted_difference(dataset: PanelDataset,
     group A's eligible units are treated, and as the average difference
     in conditional ATTs over group A's covariate distribution when both
     groups' eligible units are treated."""
-    cells = cell_table(dataset)
-    psi_a = score_vector(ScoreKind.DR_A, dataset, cells, nuisances,
-                         normalize, trim_epsilon).values
-    psi_w = score_vector(ScoreKind.WDR, dataset, cells, nuisances,
-                         normalize, trim_epsilon).values
-    diff = psi_a - psi_w
-    tau_hat = float(np.mean(diff))
-    w_treat = weight_t_values(dataset, A2, cells)
-    _, se, eta = influence_variance(diff, w_treat, tau_hat)
-    return EstimateResult(estimate=tau_hat, se=se, n=dataset.n,
-                          estimand_label=_reweighted_label(dataset.mechanism),
-                          method=Method.DR_REWEIGHTED, influence_values=eta)
+    return estimate_doubly_robust(dataset, nuisances, normalize, trim_epsilon,
+                                  (Method.DR_REWEIGHTED,))[0]
 
 
 def estimate_naive_difference(dataset: PanelDataset,
@@ -135,23 +190,8 @@ def estimate_naive_difference(dataset: PanelDataset,
     """Mean DR score of group A minus mean DR score of group B: the
     conventional contrast. Descriptive only; it subtracts contrasts
     evaluated under two different covariate distributions."""
-    cells = cell_table(dataset)
-    psi_a = score_vector(ScoreKind.DR_A, dataset, cells, nuisances,
-                         normalize, trim_epsilon).values
-    psi_b = score_vector(ScoreKind.DR_B, dataset, cells, nuisances,
-                         normalize, trim_epsilon).values
-    mean_a = float(np.mean(psi_a))
-    mean_b = float(np.mean(psi_b))
-    w_a = weight_t_values(dataset, A2, cells)
-    w_b = weight_t_values(dataset, B2, cells)
-    # each component's mean is recentred by its own treatment weight
-    eta = (psi_a - w_a * mean_a) - (psi_b - w_b * mean_b)
-    v_hat = float(np.mean(eta * eta))
-    se = math.sqrt(v_hat / dataset.n)
-    return EstimateResult(estimate=mean_a - mean_b, se=se, n=dataset.n,
-                          estimand_label=EstimandLabel.DESCRIPTIVE,
-                          method=Method.DR_NAIVE_DIFFERENCE,
-                          influence_values=eta)
+    return estimate_doubly_robust(dataset, nuisances, normalize, trim_epsilon,
+                                  (Method.DR_NAIVE_DIFFERENCE,))[0]
 
 
 def bias_diagnostic(dataset: PanelDataset, nuisances: NuisanceSet,
@@ -170,17 +210,11 @@ def bias_diagnostic(dataset: PanelDataset, nuisances: NuisanceSet,
             "when both groups are treated, group B's contrast mixes its "
             "treatment effect with the trend gap")
     cells = cell_table(dataset)
-    psi_w = score_vector(ScoreKind.WDR, dataset, cells, nuisances,
-                         normalize, trim_epsilon).values
-    psi_b = score_vector(ScoreKind.DR_B, dataset, cells, nuisances,
-                         normalize, trim_epsilon).values
-    mean_w = float(np.mean(psi_w))
-    mean_b = float(np.mean(psi_b))
-    w_a = weight_t_values(dataset, A2, cells)
-    w_b = weight_t_values(dataset, B2, cells)
-    eta = (psi_w - w_a * mean_w) - (psi_b - w_b * mean_b)
-    se = math.sqrt(float(np.mean(eta * eta)) / dataset.n)
-    return mean_w - mean_b, se
+    psi = score_vectors((ScoreKind.WDR, ScoreKind.DR_B), dataset, cells,
+                        nuisances, normalize, trim_epsilon)
+    bias_hat, se, _ = _difference_of_means(
+        dataset, cells, psi[ScoreKind.WDR].values, psi[ScoreKind.DR_B].values)
+    return bias_hat, se
 
 
 # ---------------------------------------------------------------------------
@@ -242,31 +276,54 @@ def bootstrap_replicates(dataset: PanelDataset,
                      for resample in _resamples(dataset, config)])
 
 
+def _sd(values: np.ndarray) -> float:
+    return float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
+
+
 def bootstrap_se(dataset: PanelDataset,
                  estimator: Callable[[PanelDataset], float],
                  config: BootstrapConfig) -> float:
     """Standard deviation of the estimator over pairs resamples."""
-    values = bootstrap_replicates(dataset, estimator, config)
-    if len(values) < 2:
-        return 0.0
-    return float(np.std(values, ddof=1))
+    return _sd(bootstrap_replicates(dataset, estimator, config))
+
+
+def bootstrap_ses(dataset: PanelDataset,
+                  estimator: Callable[[PanelDataset], Tuple[float, ...]],
+                  config: BootstrapConfig) -> Tuple[float, ...]:
+    """Standard deviation of each of the estimator's values over one
+    stream of pairs resamples, so the values of a draw are paired. Each
+    equals bootstrap_se of that value alone."""
+    draws = bootstrap_replicates(dataset, estimator, config)
+    return tuple(_sd(np.ascontiguousarray(column)) for column in draws.T)
+
+
+def refit_estimates(fit_options: Optional[dict] = None,
+                    normalize: bool = False,
+                    trim_epsilon: Optional[float] = None,
+                    methods: Tuple[Method, ...] = DR_METHODS
+                    ) -> Callable[[PanelDataset], Tuple[float, ...]]:
+    """Estimator callable for bootstrap_ses: refits the nuisances once per
+    resample with the given fit_nuisances keyword arguments and returns
+    the point estimates of estimate_doubly_robust's `methods`."""
+    options = dict(fit_options or {})
+
+    def run(ds: PanelDataset) -> Tuple[float, ...]:
+        nuis = fit_nuisances(ds, NuisanceMode.SCORE_SET, **options)
+        return tuple(res.estimate for res in estimate_doubly_robust(
+            ds, nuis, normalize, trim_epsilon, methods))
+
+    return run
 
 
 def refit_estimator(fit_options: Optional[dict] = None,
                     normalize: bool = False,
                     trim_epsilon: Optional[float] = None,
                     naive: bool = False) -> Callable[[PanelDataset], float]:
-    """Estimator callable for bootstrap_se that refits nuisances on each
-    resample with the given fit_nuisances keyword arguments."""
-    options = dict(fit_options or {})
-
-    def run(ds: PanelDataset) -> float:
-        nuis = fit_nuisances(ds, NuisanceMode.SCORE_SET, **options)
-        fn = estimate_naive_difference if naive else estimate_reweighted_difference
-        return fn(ds, nuis, normalize=normalize,
-                  trim_epsilon=trim_epsilon).estimate
-
-    return run
+    """Estimator callable for bootstrap_se: refit_estimates for the
+    reweighted estimator alone, or the naive one when naive=True."""
+    method = Method.DR_NAIVE_DIFFERENCE if naive else Method.DR_REWEIGHTED
+    refit = refit_estimates(fit_options, normalize, trim_epsilon, (method,))
+    return lambda ds: refit(ds)[0]
 
 
 # ---------------------------------------------------------------------------

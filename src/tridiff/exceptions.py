@@ -1,6 +1,7 @@
 """Exception hierarchy shared across the package.
 
-Each family maps to one CLI exit code (see cli.EXIT_CODES).
+Each family maps to one CLI exit code (see cli.exit_code_for and the
+cli.EXIT_* constants).
 """
 
 

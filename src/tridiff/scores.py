@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import csv
 import enum
+import functools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence
 
 import numpy as np
 
@@ -107,16 +108,27 @@ def _trim_epsilon_of(ps, override: Optional[float]) -> float:
     return ps.trim_epsilon
 
 
+def _propensity_memo(ps, x) -> Callable[[], np.ndarray]:
+    """Zero-argument callable returning the propensity matrix of `ps` at
+    rows x. It predicts on its first call only, so every weight built
+    through one memo shares a single prediction, and a kind that never
+    asks for the matrix never triggers one."""
+    return functools.cache(lambda: _propensity_matrix(ps, x))
+
+
 def weight_c_values(dataset: PanelDataset, numerator_cell: Cell,
                     source_cell: Cell, cells: CellTable, ps,
-                    trim_epsilon: Optional[float] = None) -> np.ndarray:
+                    trim_epsilon: Optional[float] = None,
+                    propensities: Optional[Callable[[], np.ndarray]] = None
+                    ) -> np.ndarray:
     """Control weights: [1{unit in source} / share(numerator)] times the
     propensity ratio p(numerator, x) / p(source, x).
 
     Source-cell units whose source-cell propensity falls below the trim
     threshold raise TrimmingError listing the unit ids. When numerator
     and source coincide the ratio is exactly one and the weight equals
-    the treatment weight bit-for-bit.
+    the treatment weight bit-for-bit. `propensities`, when given, is a
+    memo of `ps`'s matrix at dataset.x (see score_vectors).
     """
     share = cells.share(numerator_cell)
     if share == 0:
@@ -127,7 +139,8 @@ def weight_c_values(dataset: PanelDataset, numerator_cell: Cell,
     if not np.any(mask):
         return out
 
-    probs = _propensity_matrix(ps, dataset.x)
+    probs = (propensities() if propensities
+             else _propensity_matrix(ps, dataset.x))
     p_num = probs[:, cell_index(numerator_cell)]
     p_src = probs[:, cell_index(source_cell)]
     eps = _trim_epsilon_of(ps, trim_epsilon)
@@ -180,7 +193,10 @@ def _augmentation(multiplier: np.ndarray, nuisances: NuisanceSet,
     regression for `cell` need not be fitted. Normalizing breaks the
     identity, making the model mandatory."""
     if structurally_zero:
-        assert not np.any(multiplier)
+        if np.any(multiplier):
+            raise EstimationError(
+                f"augmentation multiplier for m{cell_name(cell)} should be "
+                "identically zero with unnormalized weights but is not")
         return np.zeros(len(multiplier))
     if not nuisances.has_outcome(cell):
         raise MissingNuisanceError(
@@ -191,22 +207,28 @@ def _augmentation(multiplier: np.ndarray, nuisances: NuisanceSet,
 
 def score_vector(kind: ScoreKind, dataset: PanelDataset, cells: CellTable,
                  nuisances: NuisanceSet, normalize: bool = False,
-                 trim_epsilon: Optional[float] = None) -> ScoreVector:
+                 trim_epsilon: Optional[float] = None,
+                 propensities: Optional[Callable[[], np.ndarray]] = None
+                 ) -> ScoreVector:
     """All units' values of one score function.
 
     normalize=True rescales each control weight by its full-sample mean
     (the treatment weight already averages to one by construction). The
-    default leaves the weights exactly as defined.
+    default leaves the weights exactly as defined. The propensity matrix
+    is predicted at most once, or taken from the `propensities` memo that
+    score_vectors shares across kinds.
     """
     x = dataset.x
     delta = dataset.delta_y()
+    if propensities is None:
+        propensities = _propensity_memo(nuisances, x)
 
     def wt(cell):
         return weight_t_values(dataset, cell, cells)
 
     def wc(numerator, source):
         w = weight_c_values(dataset, numerator, source, cells, nuisances,
-                            trim_epsilon)
+                            trim_epsilon, propensities)
         if normalize:
             mean = float(np.mean(w))
             if mean <= 0:
@@ -258,6 +280,20 @@ def score_vector(kind: ScoreKind, dataset: PanelDataset, cells: CellTable,
     return ScoreVector(values=values, kind=kind)
 
 
+def score_vectors(kinds: Sequence[ScoreKind], dataset: PanelDataset,
+                  cells: CellTable, nuisances: NuisanceSet,
+                  normalize: bool = False,
+                  trim_epsilon: Optional[float] = None
+                  ) -> Dict[ScoreKind, ScoreVector]:
+    """Several score functions of one fit on one dataset, sharing a single
+    propensity prediction. Kinds are built in the order given, so the
+    first failing kind raises exactly what score_vector would."""
+    propensities = _propensity_memo(nuisances, dataset.x)
+    return {kind: score_vector(kind, dataset, cells, nuisances, normalize,
+                               trim_epsilon, propensities)
+            for kind in kinds}
+
+
 def score(kind: ScoreKind, unit: PanelUnit, cells: CellTable,
           nuisances: NuisanceSet, normalize: bool = False,
           trim_epsilon: Optional[float] = None) -> float:
@@ -291,8 +327,7 @@ def dump_scores(dataset: PanelDataset, cells: CellTable,
                 nuisances: NuisanceSet, kinds: Sequence[ScoreKind],
                 path, normalize: bool = False) -> None:
     """Write per-unit score values (one column per kind) for audit."""
-    columns = {kind: score_vector(kind, dataset, cells, nuisances, normalize)
-               for kind in kinds}
+    columns = score_vectors(kinds, dataset, cells, nuisances, normalize)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["unit_id", *(f"score_{k.value}" for k in kinds)])

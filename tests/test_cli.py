@@ -162,6 +162,64 @@ def test_estimate_aggressive_trim_is_exit_4(panel_csv, tmp_path):
     assert code == 4
 
 
+def test_estimate_paired_bootstrap_equals_separate_passes(panel_csv,
+                                                          tmp_path):
+    # dr and naive share one resample pass; each SE must still equal the
+    # one its own bootstrap pass gives
+    out = tmp_path / "o"
+    assert run(["estimate", "--input", panel_csv, "--schema", SCHEMA,
+                "--methods", "naive,dr", "--trim", "0",
+                "--bootstrap-reps", "8", "--seed", "5", "--out", out]) == 0
+    extras = json.loads((out / "results.json").read_text())["extras"]
+
+    from tridiff.data import AssignmentMechanism, Schema, load_csv
+    from tridiff.estimators import (BootstrapConfig, bootstrap_se,
+                                    refit_estimator)
+    from tridiff.nuisance import NuisanceMode, fit_nuisances
+    ds = load_csv(panel_csv, Schema.from_dict(json.loads(SCHEMA)),
+                  AssignmentMechanism.BOTH_GROUPS)
+    options = fit_nuisances(ds, NuisanceMode.SCORE_SET,
+                            trim_epsilon=0.0).fit_options
+    config = BootstrapConfig(replications=8, seed=5)
+    assert extras["dr"]["bootstrap_se"] == bootstrap_se(
+        ds, refit_estimator(options), config)
+    assert extras["naive"]["bootstrap_se"] == bootstrap_se(
+        ds, refit_estimator(options, naive=True), config)
+
+
+@pytest.fixture(scope="module")
+def thin_b2_csv(tmp_path_factory):
+    # 20 of 400 units in (B, Eligible) and a covariate unrelated to the
+    # cells: every p(B, Eligible) sits near 0.05, the other cells' well
+    # above 0.1
+    rng = np.random.default_rng(12)
+    path = tmp_path_factory.mktemp("thin") / "thin.csv"
+    counts = [("a", 2, 150), ("a", 0, 150), ("b", 2, 20), ("b", 0, 80)]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["id", "group", "eligibility", "y1", "y2", "x"])
+        i = 0
+        for group, elig, count in counts:
+            for _ in range(count):
+                writer.writerow([f"u{i}", group, elig, rng.normal(),
+                                 rng.normal(), rng.normal()])
+                i += 1
+    return path
+
+
+@pytest.mark.parametrize("methods", ["naive", "dr", "dr,naive"])
+def test_estimate_trimmed_b2_is_exit_4(thin_b2_csv, tmp_path, methods):
+    out = tmp_path / "o"
+    code = run(["estimate", "--input", thin_b2_csv, "--schema", SCHEMA,
+                "--methods", methods, "--trim", "0.1", "--out", out])
+    assert code == 4
+    err = json.loads((out / "error.json").read_text())
+    ids = ", ".join(repr(f"u{i}") for i in range(300, 310))
+    assert err["message"] == (
+        "20 unit(s) in (B, Eligible) have p(B, Eligible) below trim "
+        f"threshold 0.1: {ids}…")
+
+
 def test_estimate_constant_covariate_is_exit_3(tmp_path):
     path = tmp_path / "flat.csv"
     with open(path, "w", newline="") as fh:

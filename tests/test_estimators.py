@@ -14,20 +14,23 @@ import numpy as np
 import pytest
 
 import tridiff.estimators as est_mod
+import tridiff.scores as scores_mod
 from tridiff.data import (AssignmentMechanism, Group, PanelDataset,
                           cell_table)
 from tridiff.dgp import DgpSpec, closed_form_oracle, simulate_sample
 from tridiff.estimators import (BootstrapConfig, EstimandLabel,
                                 EstimateResult, Method, SeKind,
                                 bias_diagnostic, bootstrap_replicates,
-                                bootstrap_se, estimate_naive_difference,
+                                bootstrap_se, bootstrap_ses,
+                                estimate_doubly_robust,
+                                estimate_naive_difference,
                                 estimate_reweighted_difference,
                                 influence_variance, ols_did, ols_tdid,
                                 or_did, or_differences, or_table, or_wdid_b,
-                                refit_estimator)
+                                refit_estimates, refit_estimator)
 from tridiff.exceptions import (EstimationError, ResamplingError,
                                 UnsupportedMechanismError)
-from tridiff.nuisance import NuisanceMode, fit_nuisances
+from tridiff.nuisance import NuisanceMode, PropensityModel, fit_nuisances
 from tridiff.scores import (A2, B2, ScoreKind, score_vector, weight_t_values)
 
 
@@ -155,6 +158,77 @@ def test_bias_diagnostic_rejects_both_groups_mechanism(small_sample):
     ds, nuis = small_sample
     with pytest.raises(UnsupportedMechanismError):
         bias_diagnostic(ds, nuis)
+
+
+# ---------------------------------------------------------------------------
+# One evaluation of the fit for both doubly robust estimators
+# ---------------------------------------------------------------------------
+
+def _assert_same_result(got: EstimateResult, want: EstimateResult):
+    assert got.estimate == want.estimate
+    assert got.se == want.se
+    assert (got.n, got.estimand_label, got.method) == (
+        want.n, want.estimand_label, want.method)
+    np.testing.assert_array_equal(got.influence_values, want.influence_values)
+
+
+@pytest.mark.parametrize("normalize, trim_epsilon", [
+    (False, None), (True, None), (False, 1e-4)])
+def test_joint_estimator_equals_separate_estimators(small_sample, normalize,
+                                                    trim_epsilon):
+    ds, nuis = small_sample
+    if normalize:
+        nuis = fit_nuisances(ds, NuisanceMode.SCORE_SET, trim_epsilon=0.0,
+                             include_a2=True)
+    rew, naive = estimate_doubly_robust(ds, nuis, normalize, trim_epsilon)
+    _assert_same_result(rew, estimate_reweighted_difference(
+        ds, nuis, normalize, trim_epsilon))
+    _assert_same_result(naive, estimate_naive_difference(
+        ds, nuis, normalize, trim_epsilon))
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """Records PropensityModel.predict calls and the score kinds built."""
+    calls = {"predict": 0, "kinds": []}
+    predict = PropensityModel.predict
+    build = scores_mod.score_vector
+
+    def counted_predict(self, x):
+        calls["predict"] += 1
+        return predict(self, x)
+
+    def recorded_build(kind, *args, **kwargs):
+        calls["kinds"].append(kind)
+        return build(kind, *args, **kwargs)
+
+    monkeypatch.setattr(PropensityModel, "predict", counted_predict)
+    monkeypatch.setattr(scores_mod, "score_vector", recorded_build)
+    return calls
+
+
+@pytest.mark.parametrize("estimator, kinds", [
+    (estimate_doubly_robust,
+     [ScoreKind.DR_A, ScoreKind.WDR, ScoreKind.DR_B]),
+    (estimate_reweighted_difference, [ScoreKind.DR_A, ScoreKind.WDR]),
+    (estimate_naive_difference, [ScoreKind.DR_A, ScoreKind.DR_B]),
+])
+def test_one_propensity_prediction_per_estimate(small_sample, counted,
+                                                estimator, kinds):
+    ds, nuis = small_sample
+    estimator(ds, nuis)
+    assert counted["predict"] == 1
+    # each kind once, and only the kinds the estimator needs
+    assert counted["kinds"] == kinds
+
+
+def test_bias_diagnostic_builds_only_its_kinds(counted):
+    ds = simulate_sample(DgpSpec(n=600, seed=5,
+                                 mechanism=AssignmentMechanism.ONLY_GROUP_A))
+    nuis = fit_nuisances(ds, NuisanceMode.SCORE_SET, trim_epsilon=0.0)
+    bias_diagnostic(ds, nuis)
+    assert counted["predict"] == 1
+    assert counted["kinds"] == [ScoreKind.WDR, ScoreKind.DR_B]
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +418,30 @@ def test_naive_refit_runner_differs(small_sample):
     assert naive == pytest.approx(
         estimate_naive_difference(ds, nuis).estimate, abs=1e-12)
     assert rew != naive
+
+
+def test_refit_estimator_is_a_view_on_the_joint_refit(small_sample, counted):
+    ds, nuis = small_sample
+    naive = refit_estimator(nuis.fit_options, naive=True)(ds)
+    # one refit, one prediction, and no WDR score for a naive-only view
+    assert counted["predict"] == 1
+    assert counted["kinds"] == [ScoreKind.DR_A, ScoreKind.DR_B]
+    both = refit_estimates(nuis.fit_options)(ds)
+    assert both == (refit_estimator(nuis.fit_options)(ds), naive)
+
+
+@pytest.mark.parametrize("normalize", [False, True])
+def test_paired_bootstrap_ses_equal_separate_passes(small_sample, normalize):
+    ds, nuis = small_sample
+    options = dict(nuis.fit_options, include_a2=normalize)
+    # with this many draws, np.std(draws, axis=0) on the 2-D draws would
+    # differ from the 1-D sd in the last bit
+    config = BootstrapConfig(replications=99, seed=8)
+    paired = bootstrap_ses(ds, refit_estimates(options, normalize), config)
+    assert paired == (
+        bootstrap_se(ds, refit_estimator(options, normalize), config),
+        bootstrap_se(ds, refit_estimator(options, normalize, naive=True),
+                     config))
 
 
 def test_degenerate_resamples_redrawn_then_capped(small_sample, monkeypatch):

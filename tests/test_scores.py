@@ -22,9 +22,10 @@ from tridiff.data import (AssignmentMechanism, Eligibility, Group,
 from tridiff.exceptions import (EstimationError, MissingNuisanceError,
                                 TrimmingError)
 from tridiff.nuisance import LinearModel, NuisanceMode, fit_nuisances
-from tridiff.scores import (A2, A_NEVER, B2, B_NEVER, ScoreKind, dump_scores,
-                            score, score_mean, score_vector, weight_c,
-                            weight_c_values, weight_t, weight_t_values)
+from tridiff.scores import (A2, A_NEVER, B2, B_NEVER, ScoreKind, _augmentation,
+                            dump_scores, score, score_mean, score_vector,
+                            score_vectors, weight_c, weight_c_values, weight_t,
+                            weight_t_values)
 
 
 @pytest.fixture(scope="module")
@@ -164,6 +165,27 @@ def test_zeroed_outcome_models_collapse_dr_to_ipw(fixture):
         np.testing.assert_array_equal(
             score_vector(dr, ds, cells, zeroed).values,
             score_vector(ipw, ds, cells, zeroed).values)
+
+
+def test_score_vectors_equal_score_vector(fixture):
+    ds, cells, nuis = fixture
+    kinds = list(ScoreKind)
+    built = score_vectors(kinds, ds, cells, nuis)
+    assert list(built) == kinds
+    for kind in kinds:
+        np.testing.assert_array_equal(
+            built[kind].values, score_vector(kind, ds, cells, nuis).values)
+
+
+def test_structural_zero_augmentation_rejects_nonzero_multiplier(fixture):
+    # an explicit check, not an assert, so it also holds under python -O
+    ds, _, nuis = fixture
+    with pytest.raises(EstimationError, match=r"\(A, Eligible\)"):
+        _augmentation(np.array([0.0, 1e-300, 0.0, 0.0]), nuis, A2, ds.x,
+                      structurally_zero=True)
+    np.testing.assert_array_equal(
+        _augmentation(np.zeros(4), nuis, A2, ds.x, structurally_zero=True),
+        np.zeros(4))
 
 
 def test_trimming_error_names_offending_units(fixture):
