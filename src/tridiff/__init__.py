@@ -11,21 +11,19 @@ truths, and a command line driver.
 """
 
 from .data import (AssignmentMechanism, CELL_ORDER, Cell, CellTable,
-                   Eligibility, Group, MissingPolicy, PanelDataset, PanelUnit,
+                   Eligibility, Group, MissingPolicy, PanelDataset,
                    REFERENCE_CELL, Schema, ValidationReport, cell_index,
-                   cell_name, cell_table, delta_y, load_csv, save_csv,
-                   validate)
+                   cell_name, cell_table, load_csv, save_csv, validate)
 from .dgp import (DgpSpec, EffectCase, MonteCarloResult, OracleValues,
                   closed_form_oracle, export_histogram, run_monte_carlo,
                   simulate_replicate, simulate_sample)
-from .estimators import (BootstrapConfig, EstimandLabel,
-                         EstimateResult, Method, ResamplingScheme, SeKind,
-                         bias_diagnostic, bootstrap_replicates, bootstrap_se,
-                         bootstrap_ses, estimate_doubly_robust,
-                         estimate_naive_difference,
+from .estimators import (BootstrapConfig, EstimandLabel, EstimateResult,
+                         Method, SeKind, bias_diagnostic,
+                         bootstrap_replicates, bootstrap_se, bootstrap_ses,
+                         estimate_doubly_robust, estimate_naive_difference,
                          estimate_reweighted_difference, influence_variance,
-                         ols_did, ols_tdid, or_did, or_differences, or_table,
-                         or_wdid_b, refit_estimates, refit_estimator)
+                         ols_did, ols_tdid, or_table, refit_estimates,
+                         refit_estimator)
 from .exceptions import (ConvergenceError, EstimationError, FittingError,
                          IngestionError, InsufficientDataError,
                          MissingNuisanceError, ParseError,
@@ -34,11 +32,9 @@ from .exceptions import (ConvergenceError, EstimationError, FittingError,
                          TrimmingError, UnsupportedMechanismError)
 from .nuisance import (LinearModel, NuisanceMode, NuisanceSet, PropensityKind,
                        PropensityModel, fit_linear, fit_logistic_multinomial,
-                       fit_nuisances, fit_ols, fit_separate_binary,
-                       predict_propensity)
-from .scores import (ScoreKind, ScoreVector, dump_scores, score, score_mean,
-                     score_vector, score_vectors, weight_c, weight_c_values,
-                     weight_t, weight_t_values)
+                       fit_nuisances, fit_ols, fit_separate_binary)
+from .scores import (ScoreKind, ScoreVector, dump_scores, score_vector,
+                     score_vectors, weight_c_values, weight_t_values)
 
 __version__ = "0.1.0"
 
@@ -49,22 +45,18 @@ __all__ = [
     "Group", "IngestionError", "InsufficientDataError", "LinearModel",
     "Method", "MissingNuisanceError", "MissingPolicy", "MonteCarloResult",
     "NuisanceMode", "NuisanceSet", "OracleValues", "PanelDataset",
-    "PanelUnit", "PanelValidationError", "ParseError", "PropensityKind",
-    "PropensityModel", "REFERENCE_CELL", "ResamplingError",
-    "ResamplingScheme", "Schema", "SchemaError", "ScoreKind", "ScoreVector",
-    "SeKind", "SeparationError", "SingularDesignError", "TridiffError",
-    "TrimmingError", "UnsupportedMechanismError", "ValidationReport",
-    "bias_diagnostic", "bootstrap_replicates", "bootstrap_se",
-    "bootstrap_ses", "cell_index", "cell_name", "cell_table",
-    "closed_form_oracle", "delta_y", "dump_scores", "estimate_doubly_robust",
-    "estimate_naive_difference",
-    "estimate_reweighted_difference", "export_histogram", "fit_linear",
-    "fit_logistic_multinomial", "fit_nuisances", "fit_ols",
-    "fit_separate_binary", "influence_variance", "load_csv", "ols_did",
-    "ols_tdid", "or_did", "or_differences", "or_table", "or_wdid_b",
-    "predict_propensity", "refit_estimates", "refit_estimator",
-    "run_monte_carlo", "save_csv", "score", "score_mean", "score_vector",
-    "score_vectors", "simulate_replicate",
-    "simulate_sample", "validate", "weight_c", "weight_c_values", "weight_t",
-    "weight_t_values",
+    "PanelValidationError", "ParseError", "PropensityKind", "PropensityModel",
+    "REFERENCE_CELL", "ResamplingError", "Schema", "SchemaError", "ScoreKind",
+    "ScoreVector", "SeKind", "SeparationError", "SingularDesignError",
+    "TridiffError", "TrimmingError", "UnsupportedMechanismError",
+    "ValidationReport", "bias_diagnostic", "bootstrap_replicates",
+    "bootstrap_se", "bootstrap_ses", "cell_index", "cell_name", "cell_table",
+    "closed_form_oracle", "dump_scores", "estimate_doubly_robust",
+    "estimate_naive_difference", "estimate_reweighted_difference",
+    "export_histogram", "fit_linear", "fit_logistic_multinomial",
+    "fit_nuisances", "fit_ols", "fit_separate_binary", "influence_variance",
+    "load_csv", "ols_did", "ols_tdid", "or_table", "refit_estimates",
+    "refit_estimator", "run_monte_carlo", "save_csv", "score_vector",
+    "score_vectors", "simulate_replicate", "simulate_sample", "validate",
+    "weight_c_values", "weight_t_values",
 ]

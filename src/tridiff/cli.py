@@ -20,16 +20,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import (AssignmentMechanism, Group, MissingPolicy, PanelDataset,
-                   Schema, cell_table, load_csv, validate)
-from .dgp import (DgpSpec, EffectCase, MonteCarloResult, closed_form_oracle,
-                  export_histogram, run_monte_carlo)
+from .data import (AssignmentMechanism, Group, MissingPolicy, NA_TOKENS,
+                   PanelDataset, Schema, cell_table, load_csv, validate)
+from .dgp import (DgpSpec, EffectCase, closed_form_oracle, export_histogram,
+                  run_monte_carlo)
 from .estimators import (BootstrapConfig, EstimateResult, Method, SeKind,
                          bias_diagnostic, bootstrap_ses,
                          estimate_doubly_robust, ols_did, ols_tdid, or_table,
                          refit_estimates)
 from .exceptions import (EstimationError, FittingError, IngestionError,
-                         SchemaError, TridiffError, TrimmingError)
+                         ParseError, SchemaError, TridiffError, TrimmingError)
 from .nuisance import (DEFAULT_TRIM_EPSILON, NuisanceMode, fit_nuisances)
 from .scores import ScoreKind, dump_scores
 
@@ -68,9 +68,6 @@ DEFAULT_REPLICATION_SCHEMA = {
     "y2_components": [["EMPFT2", 1.0], ["EMPPT2", 0.5], ["NMGRS2", 1.0]],
     "covariates": ["PSODA", "NMGRS", "HRSOPEN"],
 }
-
-_NA = {"", "na", "n/a", "nan", "null", "none", "."}
-
 
 def exit_code_for(exc: BaseException) -> int:
     if isinstance(exc, TrimmingError):
@@ -380,12 +377,11 @@ def _parse_float(record, column, row_no):
     if raw is None:
         raise SchemaError(f"column {column!r} missing from header")
     value = raw.strip()
-    if value.lower() in _NA:
+    if value.lower() in NA_TOKENS:
         raise _MissingField()
     try:
         return float(value)
     except ValueError:
-        from .exceptions import ParseError
         raise ParseError(f"non-numeric value {value!r} in column {column!r} "
                          f"at data row {row_no}", row=row_no,
                          column=column) from None
@@ -430,7 +426,7 @@ def load_replication_csv(path, overrides=None) -> PanelDataset:
                 if state is None:
                     raise SchemaError(
                         f"column {schema['state']!r} missing from header")
-                if state.strip().lower() in _NA:
+                if state.strip().lower() in NA_TOKENS:
                     raise _MissingField()
             except _MissingField:
                 n_dropped += 1

@@ -12,7 +12,7 @@ import csv
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -74,28 +74,6 @@ def cell_name(cell: Cell) -> str:
 
 def cell_index(cell: Cell) -> int:
     return CELL_ORDER.index(cell)
-
-
-@dataclass(frozen=True)
-class PanelUnit:
-    """One unit's observed tuple: outcomes in both periods, group,
-    eligibility cohort, and time-invariant covariates."""
-
-    id: object
-    y1: float
-    y2: float
-    group: Group
-    eligibility: Eligibility
-    covariates: tuple[float, ...] = ()
-
-    @property
-    def cell(self) -> Cell:
-        return (self.group, self.eligibility)
-
-
-def delta_y(unit: PanelUnit) -> float:
-    """Outcome change y2 - y1 for one unit."""
-    return unit.y2 - unit.y1
 
 
 class PanelDataset:
@@ -186,31 +164,6 @@ class PanelDataset:
 
     # -- views --------------------------------------------------------------
 
-    @property
-    def units(self) -> list[PanelUnit]:
-        out = []
-        for i in range(self.n):
-            out.append(PanelUnit(
-                id=self.ids[i],
-                y1=float(self.y1[i]),
-                y2=float(self.y2[i]),
-                group=Group.A if self.group_is_a[i] else Group.B,
-                eligibility=(Eligibility.ELIGIBLE if self.eligible[i]
-                             else Eligibility.NEVER),
-                covariates=tuple(float(v) for v in self.x[i]),
-            ))
-        return out
-
-    def unit(self, i: int) -> PanelUnit:
-        return PanelUnit(
-            id=self.ids[i],
-            y1=float(self.y1[i]),
-            y2=float(self.y2[i]),
-            group=Group.A if self.group_is_a[i] else Group.B,
-            eligibility=Eligibility.ELIGIBLE if self.eligible[i] else Eligibility.NEVER,
-            covariates=tuple(float(v) for v in self.x[i]),
-        )
-
     def without_covariates(self) -> "PanelDataset":
         """Copy of the dataset with d=0: estimators on it use intercept-only
         nuisance models, which is how 'no controls' variants are produced."""
@@ -227,27 +180,6 @@ class PanelDataset:
                             self.group_is_a[idx], self.eligible[idx],
                             self.x[idx], self.covariate_names,
                             self.mechanism, 0, obs)
-
-    @classmethod
-    def from_units(cls, units: Iterable[PanelUnit],
-                   covariate_names: Sequence[str],
-                   mechanism: AssignmentMechanism) -> "PanelDataset":
-        units = list(units)
-        d = len(covariate_names)
-        for u in units:
-            if len(u.covariates) != d:
-                raise PanelValidationError(
-                    f"unit {u.id!r} has {len(u.covariates)} covariates, expected {d}")
-        return cls(
-            ids=[u.id for u in units],
-            y1=[u.y1 for u in units],
-            y2=[u.y2 for u in units],
-            group_is_a=[u.group is Group.A for u in units],
-            eligible=[u.eligibility is Eligibility.ELIGIBLE for u in units],
-            x=np.array([u.covariates for u in units], dtype=float).reshape(len(units), d),
-            covariate_names=covariate_names,
-            mechanism=mechanism,
-        )
 
 
 @dataclass(frozen=True)

@@ -221,15 +221,12 @@ def bias_diagnostic(dataset: PanelDataset, nuisances: NuisanceSet,
 # Bootstrap
 # ---------------------------------------------------------------------------
 
-class ResamplingScheme(enum.Enum):
-    PAIRS_NONPARAMETRIC = "pairs"  # units resampled with both periods
-
-
 @dataclass(frozen=True)
 class BootstrapConfig:
+    """Pairs bootstrap: units are resampled with both periods."""
+
     replications: int = DEFAULT_BOOTSTRAP_REPS
     seed: int = 0
-    scheme: ResamplingScheme = ResamplingScheme.PAIRS_NONPARAMETRIC
 
     def __post_init__(self):
         if self.replications < 1:
@@ -454,83 +451,6 @@ def _or_wdid_value(dataset: PanelDataset, nuisances: NuisanceSet) -> float:
     return float(np.mean(_model_did_on(nuisances, Group.B, dataset.x[mask])))
 
 
-def _or_bootstrap(dataset: PanelDataset, nuisances: NuisanceSet,
-                  value: Callable[[PanelDataset, NuisanceSet], float],
-                  config: Optional[BootstrapConfig]) -> Optional[float]:
-    if config is None:
-        return None
-    options = dict(nuisances.fit_options)
-
-    def est(ds: PanelDataset) -> float:
-        refit = fit_nuisances(ds, NuisanceMode.EIGHT_MODEL_OR, **options)
-        return value(ds, refit)
-
-    return bootstrap_se(dataset, est, config)
-
-
-def or_did(dataset: PanelDataset, nuisances: NuisanceSet, group: Group,
-           bootstrap: Optional[BootstrapConfig] = None) -> EstimateResult:
-    """Average unit-level DID contrast for the group's eligible units,
-    predicted from the group's own four level models."""
-    _require_eight(nuisances)
-    point = _or_did_value(dataset, nuisances, group)
-    se = _or_bootstrap(dataset, nuisances,
-                       lambda ds, nu: _or_did_value(ds, nu, group), bootstrap)
-    return EstimateResult(
-        estimate=point, se=se, n=dataset.n,
-        estimand_label=EstimandLabel.DESCRIPTIVE,
-        method=Method.OR_DID_A if group is Group.A else Method.OR_DID_B)
-
-
-def or_wdid_b(dataset: PanelDataset, nuisances: NuisanceSet,
-              bootstrap: Optional[BootstrapConfig] = None) -> EstimateResult:
-    """Group B's level models evaluated on group A's eligible units:
-    the covariate-reweighted counterpart of group B's DID."""
-    _require_eight(nuisances)
-    point = _or_wdid_value(dataset, nuisances)
-    se = _or_bootstrap(dataset, nuisances, _or_wdid_value, bootstrap)
-    return EstimateResult(estimate=point, se=se, n=dataset.n,
-                          estimand_label=EstimandLabel.DESCRIPTIVE,
-                          method=Method.OR_WDID_B)
-
-
-def or_differences(dataset: PanelDataset, nuisances: NuisanceSet,
-                   bootstrap: Optional[BootstrapConfig] = None):
-    """(A minus B, A minus weighted-B) from the eight-model components.
-
-    The first difference compares contrasts under two covariate
-    distributions and is descriptive; the second is the regression-
-    adjustment analog of the reweighted estimator.
-    """
-    _require_eight(nuisances)
-    a = _or_did_value(dataset, nuisances, Group.A)
-    b = _or_did_value(dataset, nuisances, Group.B)
-    wb = _or_wdid_value(dataset, nuisances)
-
-    se_ab = se_awb = None
-    if bootstrap is not None:
-        options = dict(nuisances.fit_options)
-
-        def est_pair(ds: PanelDataset):
-            refit = fit_nuisances(ds, NuisanceMode.EIGHT_MODEL_OR, **options)
-            return (_or_did_value(ds, refit, Group.A)
-                    - _or_did_value(ds, refit, Group.B),
-                    _or_did_value(ds, refit, Group.A)
-                    - _or_wdid_value(ds, refit))
-
-        pairs = np.array([est_pair(ds) for ds in _resamples(dataset, bootstrap)])
-        se_ab = float(np.std(pairs[:, 0], ddof=1)) if len(pairs) > 1 else 0.0
-        se_awb = float(np.std(pairs[:, 1], ddof=1)) if len(pairs) > 1 else 0.0
-
-    diff_ab = EstimateResult(estimate=a - b, se=se_ab, n=dataset.n,
-                             estimand_label=EstimandLabel.DESCRIPTIVE,
-                             method=Method.OR_DIFFERENCE)
-    diff_awb = EstimateResult(estimate=a - wb, se=se_awb, n=dataset.n,
-                              estimand_label=_reweighted_label(dataset.mechanism),
-                              method=Method.OR_REWEIGHTED_DIFFERENCE)
-    return diff_ab, diff_awb
-
-
 def or_table(dataset: PanelDataset, nuisances: NuisanceSet,
              bootstrap: Optional[BootstrapConfig] = None) -> dict:
     """All five eight-model quantities (DID A, DID B, weighted DID B and
@@ -548,9 +468,11 @@ def or_table(dataset: PanelDataset, nuisances: NuisanceSet,
     ses = [None] * 5
     if bootstrap is not None:
         options = dict(nuisances.fit_options)
-        draws = np.array([
-            block(ds, fit_nuisances(ds, NuisanceMode.EIGHT_MODEL_OR, **options))
-            for ds in _resamples(dataset, bootstrap)])
+        draws = bootstrap_replicates(
+            dataset,
+            lambda ds: block(ds, fit_nuisances(
+                ds, NuisanceMode.EIGHT_MODEL_OR, **options)),
+            bootstrap)
         if len(draws) > 1:
             ses = [float(s) for s in np.std(draws, axis=0, ddof=1)]
         else:

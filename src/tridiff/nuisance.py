@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import enum
 import json
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -168,17 +167,11 @@ def fit_linear(x, y, covariate_names: Optional[Sequence[str]] = None,
     if d == 0:
         return fit_ols(np.ones((n, 1)), y, names, fitted_on=fitted_on)
 
-    center = x.mean(axis=0)
-    scale = x.std(axis=0)
-    scale = np.where(scale > 0, scale, 1.0)
-    z = (x - center) / scale
+    z, center, scale = _standardize(x)
     design = np.hstack([np.ones((n, 1)), z])
     std_model = fit_ols(design, y, names, fitted_on=fitted_on)
 
-    # back-transform: beta_raw = T beta_std with T undoing (x-c)/s
-    t = np.eye(d + 1)
-    t[0, 1:] = -center / scale
-    t[1:, 1:] = np.diag(1.0 / scale)
+    t = _raw_transform_matrix(center, scale)
     coef = t @ std_model.coefficients
     gram = t @ std_model.gram_inverse @ t.T
 
@@ -262,11 +255,6 @@ class PropensityModel:
         }
 
 
-def predict_propensity(model: PropensityModel, x) -> np.ndarray:
-    """Four cell probabilities for a single covariate vector."""
-    return model.predict(np.asarray(x, dtype=float).reshape(1, -1))[0]
-
-
 def _softmax_loglik(z, labels_onehot, beta):
     """Log-likelihood, probabilities for coefficient matrix beta (K-1, p)."""
     eta = z @ beta.T
@@ -282,7 +270,8 @@ def _softmax_loglik(z, labels_onehot, beta):
 def _newton_multinomial(z, labels, n_categories, max_iter, tol,
                         raw_transform, column_names):
     """Damped Newton ascent for a softmax model with the last category as
-    reference. Returns (beta, cov, trace, n_iter). z includes the
+    reference. Returns (beta, cov, trace, n_iter); cov is the inverse
+    observed information, None when it is singular. z includes the
     intercept column and is already standardized; raw_transform maps a
     standardized coefficient matrix to the raw scale (used only for the
     separation check, which the spec of the method keys to the raw norm).
@@ -301,18 +290,12 @@ def _newton_multinomial(z, labels, n_categories, max_iter, tol,
         for k in range(k1):
             grad[k * p:(k + 1) * p] = z.T @ (onehot[:, k] - probs[:, k])
         if np.max(np.abs(grad)) < GRADIENT_TOL:
-            return beta, _observed_info_inverse(z, probs, k1, column_names), \
-                tuple(trace), it - 1, True
+            return beta, _observed_info_inverse(z, probs, k1), \
+                tuple(trace), it - 1
 
-        hess = np.empty((k1 * p, k1 * p))
-        for k in range(k1):
-            for l in range(k, k1):
-                w = probs[:, k] * ((1.0 if k == l else 0.0) - probs[:, l])
-                block = z.T @ (z * w[:, None])
-                hess[k * p:(k + 1) * p, l * p:(l + 1) * p] = block
-                hess[l * p:(l + 1) * p, k * p:(k + 1) * p] = block.T
         try:
-            step = scipy.linalg.solve(hess, grad, assume_a="sym")
+            step = scipy.linalg.solve(_softmax_information(z, probs, k1),
+                                      grad, assume_a="sym")
         except scipy.linalg.LinAlgError:
             raise SingularDesignError(
                 "singular information matrix in logit fit; columns: "
@@ -345,25 +328,32 @@ def _newton_multinomial(z, labels, n_categories, max_iter, tol,
                 "with rising likelihood: data are (near-)separated; trim the "
                 "sample or drop covariates")
         if gain < tol:
-            return beta, _observed_info_inverse(z, probs, k1, column_names), \
-                tuple(trace), it, True
+            return beta, _observed_info_inverse(z, probs, k1), \
+                tuple(trace), it
 
     raise ConvergenceError(
         f"logit fit did not converge in {max_iter} iterations",
         trace=tuple(trace))
 
 
-def _observed_info_inverse(z, probs, k1, column_names):
-    n, p = z.shape
-    hess = np.empty((k1 * p, k1 * p))
+def _softmax_information(z, probs, k1):
+    """Observed information (negative Hessian) of the softmax
+    log-likelihood over the k1 non-reference categories' stacked
+    coefficients, built one (p, p) block per category pair."""
+    p = z.shape[1]
+    info = np.empty((k1 * p, k1 * p))
     for k in range(k1):
         for l in range(k, k1):
             w = probs[:, k] * ((1.0 if k == l else 0.0) - probs[:, l])
             block = z.T @ (z * w[:, None])
-            hess[k * p:(k + 1) * p, l * p:(l + 1) * p] = block
-            hess[l * p:(l + 1) * p, k * p:(k + 1) * p] = block.T
+            info[k * p:(k + 1) * p, l * p:(l + 1) * p] = block
+            info[l * p:(l + 1) * p, k * p:(k + 1) * p] = block.T
+    return info
+
+
+def _observed_info_inverse(z, probs, k1):
     try:
-        return scipy.linalg.inv(hess)
+        return scipy.linalg.inv(_softmax_information(z, probs, k1))
     except scipy.linalg.LinAlgError:
         return None
 
@@ -375,6 +365,15 @@ def _standardize(x):
     scale = x.std(axis=0) if x.size else np.ones(x.shape[1])
     scale = np.where(scale > 0, scale, 1.0)
     return (x - center) / scale, center, scale
+
+
+def _raw_transform_matrix(center, scale):
+    """T with beta_raw = T beta_std for one intercept-first coefficient
+    vector fitted on (x - center) / scale."""
+    t = np.eye(len(center) + 1)
+    t[0, 1:] = -center / scale
+    t[1:, 1:] = np.diag(1.0 / scale)
+    return t
 
 
 def _raw_coef_transform(center, scale):
@@ -401,6 +400,34 @@ def _check_design_rank(z, column_names):
             f"{', '.join(dep)}", dependent_columns=dep)
 
 
+def _logit_design(covariates, cell_labels, covariate_names):
+    """Preamble shared by the logit fitters: coerces the inputs, requires
+    d+1 units in every cell, and builds the standardized intercept-first
+    design, whose rank it checks. Returns (z, labels, covariate_names,
+    names, center, scale); names label z's columns."""
+    x = np.asarray(covariates, dtype=float)
+    if x.ndim == 1:
+        x = x.reshape(-1, 1)
+    labels = np.asarray(cell_labels, dtype=int)
+    n, d = x.shape
+    if covariate_names is None:
+        covariate_names = tuple(f"x{j}" for j in range(d))
+    else:
+        covariate_names = tuple(covariate_names)
+
+    counts = np.bincount(labels, minlength=4)
+    for k, cell in enumerate(CELL_ORDER):
+        if counts[k] < d + 1:
+            raise InsufficientDataError(
+                f"cell {cell_name(cell)} has {counts[k]} units, needs ≥ {d + 1}")
+
+    zx, center, scale = _standardize(x)
+    z = np.hstack([np.ones((n, 1)), zx])
+    names = ("intercept", *covariate_names)
+    _check_design_rank(z, names)
+    return z, labels, covariate_names, names, center, scale
+
+
 def fit_logistic_multinomial(covariates, cell_labels,
                              max_iter: int = DEFAULT_MAX_ITER,
                              tol: float = DEFAULT_LL_TOL,
@@ -415,46 +442,24 @@ def fit_logistic_multinomial(covariates, cell_labels,
     SeparationError; exhausting max_iter raises ConvergenceError with
     the likelihood trace attached.
     """
-    x = np.asarray(covariates, dtype=float)
-    if x.ndim == 1:
-        x = x.reshape(-1, 1)
-    labels = np.asarray(cell_labels, dtype=int)
-    n, d = x.shape
-    if covariate_names is None:
-        covariate_names = tuple(f"x{j}" for j in range(d))
-    else:
-        covariate_names = tuple(covariate_names)
-
-    counts = np.bincount(labels, minlength=4)
-    for k, cell in enumerate(CELL_ORDER):
-        if counts[k] < d + 1:
-            raise InsufficientDataError(
-                f"cell {cell_name(cell)} has {counts[k]} units, needs ≥ {d + 1}")
-
-    zx, center, scale = _standardize(x)
-    z = np.hstack([np.ones((n, 1)), zx])
-    names = ("intercept", *covariate_names)
-    _check_design_rank(z, names)
+    z, labels, covariate_names, names, center, scale = _logit_design(
+        covariates, cell_labels, covariate_names)
     convert = _raw_coef_transform(center, scale)
 
-    beta_std, cov_std, trace, n_iter, converged = _newton_multinomial(
+    beta_std, cov_std, trace, n_iter = _newton_multinomial(
         z, labels, 4, max_iter, tol, convert, names)
 
     coef = convert(beta_std)
     cov = None
     if cov_std is not None:
-        p = d + 1
-        t_block = np.eye(p)
-        if d:
-            t_block[0, 1:] = -center / scale
-            t_block[1:, 1:] = np.diag(1.0 / scale)
-        t_full = scipy.linalg.block_diag(*([t_block] * 3))
+        t_full = scipy.linalg.block_diag(
+            *([_raw_transform_matrix(center, scale)] * 3))
         cov = t_full @ cov_std @ t_full.T
 
     return PropensityModel(kind=PropensityKind.MULTINOMIAL4, coefficients=coef,
                            covariate_names=covariate_names,
-                           trim_epsilon=trim_epsilon, n_obs=n,
-                           converged=converged, n_iter=n_iter,
+                           trim_epsilon=trim_epsilon, n_obs=len(z),
+                           converged=True, n_iter=n_iter,
                            loglik_trace=trace, coef_cov=cov)
 
 
@@ -467,26 +472,8 @@ def fit_separate_binary(covariates, cell_labels,
     """One-vs-rest binary logit per cell; predictions renormalized to sum
     to one. Offered for parity with common practice; the softmax model is
     the default."""
-    x = np.asarray(covariates, dtype=float)
-    if x.ndim == 1:
-        x = x.reshape(-1, 1)
-    labels = np.asarray(cell_labels, dtype=int)
-    n, d = x.shape
-    if covariate_names is None:
-        covariate_names = tuple(f"x{j}" for j in range(d))
-    else:
-        covariate_names = tuple(covariate_names)
-
-    counts = np.bincount(labels, minlength=4)
-    for k, cell in enumerate(CELL_ORDER):
-        if counts[k] < d + 1:
-            raise InsufficientDataError(
-                f"cell {cell_name(cell)} has {counts[k]} units, needs ≥ {d + 1}")
-
-    zx, center, scale = _standardize(x)
-    z = np.hstack([np.ones((n, 1)), zx])
-    names = ("intercept", *covariate_names)
-    _check_design_rank(z, names)
+    z, labels, covariate_names, names, center, scale = _logit_design(
+        covariates, cell_labels, covariate_names)
     convert = _raw_coef_transform(center, scale)
 
     rows = []
@@ -494,7 +481,7 @@ def fit_separate_binary(covariates, cell_labels,
     iters = 0
     for k in range(4):
         binary = np.where(labels == k, 0, 1)
-        beta_std, _, trace, n_iter, _ = _newton_multinomial(
+        beta_std, _, trace, n_iter = _newton_multinomial(
             z, binary, 2, max_iter, tol, convert, names)
         rows.append(convert(beta_std)[0])
         traces.append(trace[-1])
@@ -503,7 +490,7 @@ def fit_separate_binary(covariates, cell_labels,
     return PropensityModel(kind=PropensityKind.SEPARATE_BINARY,
                            coefficients=np.array(rows),
                            covariate_names=covariate_names,
-                           trim_epsilon=trim_epsilon, n_obs=n,
+                           trim_epsilon=trim_epsilon, n_obs=len(z),
                            converged=True, n_iter=iters,
                            loglik_trace=tuple(traces), coef_cov=None)
 

@@ -1,12 +1,13 @@
 """Per-unit weights and score functions for the reweighted estimators.
 
-Everything here is a pure function of (unit, cell table, fitted
-nuisances). The treatment weight targets one cell; the control weight
-carries a propensity ratio that moves a source cell's units to the
-covariate distribution of a numerator cell. Scores combine the two with
-outcome-change regressions into OR, IPW and doubly robust forms, plus
-the reweighted (W-prefixed) forms that evaluate group-B models under
-group A's covariate distribution.
+Everything here is a pure function of (dataset, cell table, fitted
+nuisances), evaluated for all units at once. The treatment weight
+targets one cell; the control weight carries a propensity ratio that
+moves a source cell's units to the covariate distribution of a
+numerator cell. Scores combine the two with outcome-change regressions
+into OR, IPW and doubly robust forms, plus the reweighted (W-prefixed)
+forms that evaluate group-B models under group A's covariate
+distribution.
 """
 
 from __future__ import annotations
@@ -19,10 +20,10 @@ from typing import Callable, Dict, Optional, Sequence
 
 import numpy as np
 
-from .data import (CELL_ORDER, Cell, CellTable, Eligibility, Group,
-                   PanelDataset, PanelUnit, cell_index, cell_name)
+from .data import (Cell, CellTable, Eligibility, Group, PanelDataset,
+                   cell_index, cell_name)
 from .exceptions import EstimationError, MissingNuisanceError, TrimmingError
-from .nuisance import NuisanceSet, PropensityModel
+from .nuisance import NuisanceSet
 
 A2: Cell = (Group.A, Eligibility.ELIGIBLE)
 A_NEVER: Cell = (Group.A, Eligibility.NEVER)
@@ -43,14 +44,6 @@ class ScoreKind(enum.Enum):
     WOR = "weighted_or"
     WIPW = "weighted_ipw"
     WDR = "weighted_dr"
-
-    @property
-    def group(self) -> Optional[Group]:
-        if self.name.endswith("_A"):
-            return Group.A
-        if self.name.endswith("_B"):
-            return Group.B
-        return None
 
 
 @dataclass(frozen=True)
@@ -83,41 +76,26 @@ def weight_t_values(dataset: PanelDataset, target_cell: Cell,
     return out
 
 
-def weight_t(unit: PanelUnit, target_cell: Cell, cells: CellTable) -> float:
-    share = cells.share(target_cell)
-    if share == 0:
-        raise EstimationError(
-            f"cell {cell_name(target_cell)} is empty; treatment weight undefined")
-    return 1.0 / share if unit.cell == target_cell else 0.0
-
-
-def _propensity_matrix(ps, x) -> np.ndarray:
-    # accept either a bare PropensityModel or a full NuisanceSet
-    if isinstance(ps, NuisanceSet):
-        return ps.propensities(x)
-    return ps.predict(x)
-
-
-def _trim_epsilon_of(ps, override: Optional[float]) -> float:
+def _trim_epsilon_of(nuisances: NuisanceSet,
+                    override: Optional[float]) -> float:
     if override is not None:
         return override
-    if isinstance(ps, NuisanceSet):
-        if ps.propensity is None:
-            raise MissingNuisanceError("no propensity model fitted")
-        return ps.propensity.trim_epsilon
-    return ps.trim_epsilon
+    if nuisances.propensity is None:
+        raise MissingNuisanceError("no propensity model fitted")
+    return nuisances.propensity.trim_epsilon
 
 
-def _propensity_memo(ps, x) -> Callable[[], np.ndarray]:
-    """Zero-argument callable returning the propensity matrix of `ps` at
-    rows x. It predicts on its first call only, so every weight built
-    through one memo shares a single prediction, and a kind that never
-    asks for the matrix never triggers one."""
-    return functools.cache(lambda: _propensity_matrix(ps, x))
+def _propensity_memo(nuisances: NuisanceSet, x) -> Callable[[], np.ndarray]:
+    """Zero-argument callable returning the propensity matrix of
+    `nuisances` at rows x. It predicts on its first call only, so every
+    weight built through one memo shares a single prediction, and a kind
+    that never asks for the matrix never triggers one."""
+    return functools.cache(lambda: nuisances.propensities(x))
 
 
 def weight_c_values(dataset: PanelDataset, numerator_cell: Cell,
-                    source_cell: Cell, cells: CellTable, ps,
+                    source_cell: Cell, cells: CellTable,
+                    nuisances: NuisanceSet,
                     trim_epsilon: Optional[float] = None,
                     propensities: Optional[Callable[[], np.ndarray]] = None
                     ) -> np.ndarray:
@@ -128,7 +106,7 @@ def weight_c_values(dataset: PanelDataset, numerator_cell: Cell,
     threshold raise TrimmingError listing the unit ids. When numerator
     and source coincide the ratio is exactly one and the weight equals
     the treatment weight bit-for-bit. `propensities`, when given, is a
-    memo of `ps`'s matrix at dataset.x (see score_vectors).
+    memo of the nuisances' matrix at dataset.x (see score_vectors).
     """
     share = cells.share(numerator_cell)
     if share == 0:
@@ -140,10 +118,10 @@ def weight_c_values(dataset: PanelDataset, numerator_cell: Cell,
         return out
 
     probs = (propensities() if propensities
-             else _propensity_matrix(ps, dataset.x))
+             else nuisances.propensities(dataset.x))
     p_num = probs[:, cell_index(numerator_cell)]
     p_src = probs[:, cell_index(source_cell)]
-    eps = _trim_epsilon_of(ps, trim_epsilon)
+    eps = _trim_epsilon_of(nuisances, trim_epsilon)
     low = mask & (p_src < eps)
     if np.any(low):
         ids = tuple(dataset.ids[low])
@@ -155,26 +133,6 @@ def weight_c_values(dataset: PanelDataset, numerator_cell: Cell,
             unit_ids=ids)
     out[mask] = (1.0 / share) * (p_num[mask] / p_src[mask])
     return out
-
-
-def weight_c(unit: PanelUnit, numerator_cell: Cell, source_cell: Cell,
-             cells: CellTable, ps,
-             trim_epsilon: Optional[float] = None) -> float:
-    share = cells.share(numerator_cell)
-    if share == 0:
-        raise EstimationError(
-            f"cell {cell_name(numerator_cell)} is empty; control weight undefined")
-    if unit.cell != source_cell:
-        return 0.0
-    probs = _propensity_matrix(ps, np.asarray(unit.covariates).reshape(1, -1))[0]
-    p_num = probs[cell_index(numerator_cell)]
-    p_src = probs[cell_index(source_cell)]
-    eps = _trim_epsilon_of(ps, trim_epsilon)
-    if p_src < eps:
-        raise TrimmingError(
-            f"unit {unit.id!r} in {cell_name(source_cell)} has propensity "
-            f"{p_src:.3g} below trim threshold {eps:g}", unit_ids=(unit.id,))
-    return (1.0 / share) * (p_num / p_src)
 
 
 # ---------------------------------------------------------------------------
@@ -292,35 +250,6 @@ def score_vectors(kinds: Sequence[ScoreKind], dataset: PanelDataset,
     return {kind: score_vector(kind, dataset, cells, nuisances, normalize,
                                trim_epsilon, propensities)
             for kind in kinds}
-
-
-def score(kind: ScoreKind, unit: PanelUnit, cells: CellTable,
-          nuisances: NuisanceSet, normalize: bool = False,
-          trim_epsilon: Optional[float] = None) -> float:
-    """Score value for a single unit, sharing the vector implementation
-    through a one-row dataset (shares still come from `cells`).
-
-    normalize is only meaningful on a full dataset; pointwise evaluation
-    with normalize=True is rejected.
-    """
-    if normalize:
-        raise ValueError("normalized weights are sample-level; "
-                         "use score_vector on the full dataset")
-    from .data import AssignmentMechanism
-    # scores never consult the mechanism; any tag will do for the wrapper
-    singleton = PanelDataset.from_units(
-        [unit], [f"x{j}" for j in range(len(unit.covariates))],
-        mechanism=AssignmentMechanism.BOTH_GROUPS)
-    vec = score_vector(kind, singleton, cells, nuisances,
-                       trim_epsilon=trim_epsilon)
-    return float(vec.values[0])
-
-
-def score_mean(kind: ScoreKind, dataset: PanelDataset, cells: CellTable,
-               nuisances: NuisanceSet, normalize: bool = False,
-               trim_epsilon: Optional[float] = None) -> float:
-    return score_vector(kind, dataset, cells, nuisances, normalize,
-                        trim_epsilon).mean()
 
 
 def dump_scores(dataset: PanelDataset, cells: CellTable,

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from tridiff.data import (AssignmentMechanism, CELL_ORDER, Eligibility, Group,
-                          MissingPolicy, PanelDataset, PanelUnit,
-                          REFERENCE_CELL, Schema, cell_index, cell_name,
-                          cell_table, delta_y, load_csv, save_csv, validate)
+                          MissingPolicy, PanelDataset, REFERENCE_CELL, Schema,
+                          cell_index, cell_name, cell_table, load_csv,
+                          save_csv, validate)
 from tridiff.exceptions import (PanelValidationError, ParseError, SchemaError)
 
 WIDE_SCHEMA = {
@@ -83,11 +83,11 @@ def test_load_wide(wide_csv):
     assert ds.n == 5
     assert ds.covariate_names == ("soda", "hours")
     assert ds.d == 2
-    unit = ds.unit(0)
-    assert unit.id == "s1"
-    assert unit.group is Group.A
-    assert unit.eligibility is Eligibility.ELIGIBLE
-    assert delta_y(unit) == pytest.approx(4.0)
+    assert ds.ids[0] == "s1"
+    assert ds.group_is_a[0]
+    assert ds.eligible[0]
+    assert ds.cell_codes()[0] == cell_index((Group.A, Eligibility.ELIGIBLE))
+    assert ds.delta_y()[0] == pytest.approx(4.0)
     np.testing.assert_allclose(ds.delta_y(), [4.0, 1.0, 5.0, 1.0, 5.0])
     table = cell_table(ds)
     assert table.count((Group.A, Eligibility.ELIGIBLE)) == 2
@@ -139,9 +139,9 @@ def test_load_long_pivots_to_wide(tmp_path):
     ds = load_csv(path, Schema.from_dict(LONG_SCHEMA),
                   AssignmentMechanism.BOTH_GROUPS)
     assert ds.n == 4
-    by_id = {u.id: u for u in ds.units}
-    assert by_id["s2"].y1 == pytest.approx(11.0)  # order within unit irrelevant
-    assert by_id["s2"].y2 == pytest.approx(12.0)
+    s2 = list(ds.ids).index("s2")
+    assert ds.y1[s2] == pytest.approx(11.0)  # order within unit irrelevant
+    assert ds.y2[s2] == pytest.approx(12.0)
     np.testing.assert_allclose(sorted(ds.delta_y()), [1.0, 1.0, 4.0, 5.0])
 
 
@@ -268,22 +268,13 @@ def test_validate_warns_without_covariates(wide_csv):
     assert any("coincide" in w for w in report.warnings)
 
 
-def test_subset_and_from_units(wide_csv):
+def test_subset(wide_csv):
     ds = load_csv(wide_csv, Schema.from_dict(WIDE_SCHEMA),
                   AssignmentMechanism.BOTH_GROUPS)
     sub = ds.subset([0, 2, 4])
     assert sub.n == 3
-    assert [u.id for u in sub.units] == ["s1", "s3", "s5"]
-    rebuilt = PanelDataset.from_units(ds.units, ds.covariate_names,
-                                      ds.mechanism)
-    np.testing.assert_array_equal(rebuilt.x, ds.x)
-
-
-def test_panel_unit_cell():
-    unit = PanelUnit(id="u", y1=0.0, y2=1.0, group=Group.B,
-                     eligibility=Eligibility.ELIGIBLE, covariates=(1.0,))
-    assert unit.cell == (Group.B, Eligibility.ELIGIBLE)
-    assert cell_index(unit.cell) == 2
+    assert list(sub.ids) == ["s1", "s3", "s5"]
+    np.testing.assert_array_equal(sub.x, ds.x[[0, 2, 4]])
 
 
 def test_arrays_are_read_only(wide_csv):

@@ -26,8 +26,7 @@ from tridiff.estimators import (BootstrapConfig, EstimandLabel,
                                 estimate_naive_difference,
                                 estimate_reweighted_difference,
                                 influence_variance, ols_did, ols_tdid,
-                                or_did, or_differences, or_table, or_wdid_b,
-                                refit_estimates, refit_estimator)
+                                or_table, refit_estimates, refit_estimator)
 from tridiff.exceptions import (EstimationError, ResamplingError,
                                 UnsupportedMechanismError)
 from tridiff.nuisance import NuisanceMode, PropensityModel, fit_nuisances
@@ -270,7 +269,7 @@ def test_row_permutation_invariance(small_sample):
             (NuisanceMode.SCORE_SET,
              lambda d, nu: estimate_naive_difference(d, nu).estimate),
             (NuisanceMode.EIGHT_MODEL_OR,
-             lambda d, nu: or_did(d, nu, Group.A).estimate)):
+             lambda d, nu: or_table(d, nu)["did_a"].estimate)):
         base = run(ds, fit_nuisances(ds, build, trim_epsilon=0.0))
         moved = run(shuffled, fit_nuisances(shuffled, build,
                                             trim_epsilon=0.0))
@@ -353,13 +352,14 @@ def eight_sample():
 
 def test_or_quantities_recover_closed_forms(eight_sample):
     ds, nuis = eight_sample
-    assert or_did(ds, nuis, Group.A).estimate == pytest.approx(5.0, abs=0.2)
-    assert or_did(ds, nuis, Group.B).estimate == pytest.approx(6.0, abs=0.2)
-    assert or_wdid_b(ds, nuis).estimate == pytest.approx(2.0, abs=0.2)
-    diff_ab, diff_awb = or_differences(ds, nuis)
-    assert diff_ab.estimate == pytest.approx(-1.0, abs=0.3)
-    assert diff_awb.estimate == pytest.approx(3.0, abs=0.3)
-    assert diff_awb.method is Method.OR_REWEIGHTED_DIFFERENCE
+    table = or_table(ds, nuis)
+    assert table["did_a"].estimate == pytest.approx(5.0, abs=0.2)
+    assert table["did_b"].estimate == pytest.approx(6.0, abs=0.2)
+    assert table["wdid_b"].estimate == pytest.approx(2.0, abs=0.2)
+    assert table["diff_ab"].estimate == pytest.approx(-1.0, abs=0.3)
+    assert table["diff_awb"].estimate == pytest.approx(3.0, abs=0.3)
+    assert table["diff_awb"].method is Method.OR_REWEIGHTED_DIFFERENCE
+    assert all(r.se is None for r in table.values())
 
 
 def test_or_table_consistency(small_sample):
@@ -373,8 +373,9 @@ def test_or_table_consistency(small_sample):
     assert table["diff_awb"].estimate == pytest.approx(
         table["did_a"].estimate - table["wdid_b"].estimate, abs=1e-12)
     assert all(r.se > 0 for r in table.values())
-    # single components agree with the jointly computed table
-    assert or_did(ds, nuis, Group.A).estimate == table["did_a"].estimate
+    # the bootstrap leaves the point estimates untouched
+    for key, res in or_table(ds, nuis).items():
+        assert res.estimate == table[key].estimate
 
 
 # ---------------------------------------------------------------------------

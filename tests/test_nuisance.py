@@ -12,10 +12,9 @@ from tridiff.data import (AssignmentMechanism, CELL_ORDER, Eligibility, Group,
                           PanelDataset)
 from tridiff.exceptions import (ConvergenceError, InsufficientDataError,
                                 SeparationError, SingularDesignError)
-from tridiff.nuisance import (LinearModel, NuisanceMode, PropensityKind,
-                              fit_linear, fit_logistic_multinomial,
-                              fit_nuisances, fit_ols, fit_separate_binary,
-                              predict_propensity)
+from tridiff.nuisance import (NuisanceMode, PropensityKind, fit_linear,
+                              fit_logistic_multinomial, fit_nuisances,
+                              fit_ols, fit_separate_binary)
 
 
 def rng(seed=0):
@@ -166,7 +165,7 @@ def test_logit_probabilities_sum_to_one_and_match_pointwise():
     model = fit_logistic_multinomial(x, labels)
     probs = model.predict(x)
     np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
-    single = predict_propensity(model, x[5])
+    single = model.predict(x[5])[0]
     np.testing.assert_allclose(single, probs[5], atol=1e-12)
 
 
@@ -221,10 +220,26 @@ def test_logit_max_iter_exhaustion_raises_with_trace():
 
 
 def test_logit_insufficient_cell_count():
+    # both fitters share one design preamble; each must run its check
     x = rng(12).normal(size=(40, 5))
     labels = np.array([0] * 37 + [1, 2, 3])  # three cells below d+1 = 6
-    with pytest.raises(InsufficientDataError):
-        fit_logistic_multinomial(x, labels)
+    for fitter in (fit_logistic_multinomial, fit_separate_binary):
+        with pytest.raises(InsufficientDataError, match=r"\(A, Never\)"):
+            fitter(x, labels)
+
+
+@pytest.mark.parametrize("fitter",
+                         [fit_logistic_multinomial, fit_separate_binary])
+def test_logit_rank_deficient_design_names_column(fitter):
+    r = rng(16)
+    a = r.normal(size=200)
+    x = np.column_stack([a, r.normal(size=200), a])
+    labels = cells_from_probs(r, 200, [0.25, 0.25, 0.25, 0.25])
+    with pytest.raises(SingularDesignError, match="logit design") as err:
+        fitter(x, labels, covariate_names=["a", "b", "a_copy"])
+    assert len(err.value.dependent_columns) == 1
+    assert err.value.dependent_columns[0] in ("a", "a_copy")
+    assert err.value.dependent_columns[0] in str(err.value)
 
 
 def test_logit_standardization_is_invisible():

@@ -17,15 +17,13 @@ import dataclasses
 import numpy as np
 import pytest
 
-from tridiff.data import (AssignmentMechanism, Eligibility, Group,
-                          PanelDataset, cell_table)
+from tridiff.data import AssignmentMechanism, PanelDataset, cell_table
 from tridiff.exceptions import (EstimationError, MissingNuisanceError,
                                 TrimmingError)
 from tridiff.nuisance import LinearModel, NuisanceMode, fit_nuisances
 from tridiff.scores import (A2, A_NEVER, B2, B_NEVER, ScoreKind, _augmentation,
-                            dump_scores, score, score_mean, score_vector,
-                            score_vectors, weight_c, weight_c_values, weight_t,
-                            weight_t_values)
+                            dump_scores, score_vector, score_vectors,
+                            weight_c_values, weight_t_values)
 
 
 @pytest.fixture(scope="module")
@@ -79,13 +77,6 @@ def test_weight_t_values(fixture):
     assert abs(np.mean(w_b) - 1.0) <= 1e-12
 
 
-def test_weight_t_pointwise_matches_vector(fixture):
-    ds, cells, _ = fixture
-    w = weight_t_values(ds, A2, cells)
-    for i, unit in enumerate(ds.units):
-        assert weight_t(unit, A2, cells) == w[i]
-
-
 def test_same_cell_control_weight_equals_treatment_weight(fixture):
     # identical floating-point operations: p/p is exactly 1, the share
     # division is the same division
@@ -101,9 +92,6 @@ def test_cross_cell_control_weights(fixture):
     np.testing.assert_allclose(wc, [0.0, 4.0, 0.0, 0.0], atol=1e-8)
     wcb = weight_c_values(ds, A2, B_NEVER, cells, nuis)
     np.testing.assert_allclose(wcb, [0.0, 0.0, 0.0, 4.0], atol=1e-8)
-    for i, unit in enumerate(ds.units):
-        assert weight_c(unit, A2, A_NEVER, cells, nuis) == pytest.approx(
-            wc[i], abs=1e-12)
 
 
 @pytest.mark.parametrize("kind", list(ScoreKind))
@@ -113,8 +101,6 @@ def test_score_vectors_match_hand_computation(fixture, kind):
     vec = score_vector(kind, ds, cells, nuis)
     np.testing.assert_allclose(vec.values, expected_values, atol=1e-8)
     assert vec.mean() == pytest.approx(expected_mean, abs=1e-8)
-    assert score_mean(kind, ds, cells, nuis) == pytest.approx(expected_mean,
-                                                             abs=1e-8)
     assert vec.kind is kind
     assert len(vec) == 4
 
@@ -122,24 +108,9 @@ def test_score_vectors_match_hand_computation(fixture, kind):
 def test_reweighting_changes_only_the_counterfactual_term(fixture):
     # headline contrast: mean DR(a) - mean WDR = 2 - 3.5
     ds, cells, nuis = fixture
-    tau = score_mean(ScoreKind.DR_A, ds, cells, nuis) - score_mean(
-        ScoreKind.WDR, ds, cells, nuis)
+    tau = (score_vector(ScoreKind.DR_A, ds, cells, nuis).mean()
+           - score_vector(ScoreKind.WDR, ds, cells, nuis).mean())
     assert tau == pytest.approx(-1.5, abs=1e-8)
-
-
-def test_pointwise_score_matches_vector(fixture):
-    ds, cells, nuis = fixture
-    for kind in (ScoreKind.DR_A, ScoreKind.WDR, ScoreKind.IPW_B):
-        vec = score_vector(kind, ds, cells, nuis)
-        for i, unit in enumerate(ds.units):
-            assert score(kind, unit, cells, nuis) == pytest.approx(
-                vec.values[i], abs=1e-10)
-
-
-def test_pointwise_score_rejects_normalization(fixture):
-    ds, cells, nuis = fixture
-    with pytest.raises(ValueError):
-        score(ScoreKind.DR_A, ds.unit(0), cells, nuis, normalize=True)
 
 
 def test_or_scores_vanish_outside_their_cells(fixture):
