@@ -10,9 +10,8 @@ answer to 3, the effect difference the design identifies.
 """
 
 from tridiff import (DgpSpec, Group, NuisanceMode, closed_form_oracle,
-                     estimate_naive_difference,
-                     estimate_reweighted_difference, fit_nuisances, ols_did,
-                     ols_tdid, or_table, simulate_sample)
+                     estimate_doubly_robust, fit_nuisances, ols_did, ols_tdid,
+                     or_table, simulate_sample)
 
 spec = DgpSpec(n=20000, seed=42)
 oracle = closed_form_oracle(spec)
@@ -26,8 +25,7 @@ print()
 # score-based estimators: multinomial propensity plus three outcome
 # regressions, all linear in x and hence correctly specified here
 nuis = fit_nuisances(sample, NuisanceMode.SCORE_SET, trim_epsilon=0.0)
-reweighted = estimate_reweighted_difference(sample, nuis)
-naive = estimate_naive_difference(sample, nuis)
+reweighted, naive = estimate_doubly_robust(sample, nuis)
 
 did_a = ols_did(sample, Group.A, with_controls=True)
 did_b = ols_did(sample, Group.B, with_controls=True)

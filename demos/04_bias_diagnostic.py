@@ -10,17 +10,14 @@ observed. Here the truth is 1 - 3 = -2 (the covariate means).
 
 from tridiff import (AssignmentMechanism, DgpSpec, NuisanceMode,
                      bias_diagnostic, closed_form_oracle,
-                     estimate_naive_difference,
-                     estimate_reweighted_difference, fit_nuisances,
-                     simulate_sample)
+                     estimate_doubly_robust, fit_nuisances, simulate_sample)
 
 spec = DgpSpec(n=20000, seed=77, mechanism=AssignmentMechanism.ONLY_GROUP_A)
 oracle = closed_form_oracle(spec)
 sample = simulate_sample(spec)
 nuis = fit_nuisances(sample, NuisanceMode.SCORE_SET, trim_epsilon=0.0)
 
-reweighted = estimate_reweighted_difference(sample, nuis)
-naive = estimate_naive_difference(sample, nuis)
+reweighted, naive = estimate_doubly_robust(sample, nuis)
 bias_hat, bias_se = bias_diagnostic(sample, nuis)
 
 print(f"target (effect on A's treated): {oracle.target:.0f}")

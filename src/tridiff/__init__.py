@@ -19,11 +19,9 @@ from .dgp import (DgpSpec, EffectCase, MonteCarloResult, OracleValues,
                   simulate_replicate, simulate_sample)
 from .estimators import (BootstrapConfig, EstimandLabel, EstimateResult,
                          Method, SeKind, bias_diagnostic,
-                         bootstrap_replicates, bootstrap_se, bootstrap_ses,
-                         estimate_doubly_robust, estimate_naive_difference,
-                         estimate_reweighted_difference, influence_variance,
-                         ols_did, ols_tdid, or_table, refit_estimates,
-                         refit_estimator)
+                         bootstrap_replicates, bootstrap_ses,
+                         estimate_doubly_robust, influence_variance, ols_did,
+                         ols_tdid, or_table, refit_estimates)
 from .exceptions import (ConvergenceError, EstimationError, FittingError,
                          IngestionError, InsufficientDataError,
                          MissingNuisanceError, ParseError,
@@ -33,30 +31,29 @@ from .exceptions import (ConvergenceError, EstimationError, FittingError,
 from .nuisance import (LinearModel, NuisanceMode, NuisanceSet, PropensityKind,
                        PropensityModel, fit_linear, fit_logistic_multinomial,
                        fit_nuisances, fit_ols, fit_separate_binary)
-from .scores import (ScoreKind, ScoreVector, dump_scores, score_vector,
-                     score_vectors, weight_c_values, weight_t_values)
+from .scores import (FitEvaluation, ScoreKind, ScoreVector, dump_scores,
+                     score_vector, score_vectors)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AssignmentMechanism", "BootstrapConfig", "CELL_ORDER", "Cell",
     "CellTable", "ConvergenceError", "DgpSpec", "EffectCase", "Eligibility",
-    "EstimandLabel", "EstimateResult", "EstimationError", "FittingError",
-    "Group", "IngestionError", "InsufficientDataError", "LinearModel",
-    "Method", "MissingNuisanceError", "MissingPolicy", "MonteCarloResult",
-    "NuisanceMode", "NuisanceSet", "OracleValues", "PanelDataset",
-    "PanelValidationError", "ParseError", "PropensityKind", "PropensityModel",
-    "REFERENCE_CELL", "ResamplingError", "Schema", "SchemaError", "ScoreKind",
-    "ScoreVector", "SeKind", "SeparationError", "SingularDesignError",
-    "TridiffError", "TrimmingError", "UnsupportedMechanismError",
-    "ValidationReport", "bias_diagnostic", "bootstrap_replicates",
-    "bootstrap_se", "bootstrap_ses", "cell_index", "cell_name", "cell_table",
-    "closed_form_oracle", "dump_scores", "estimate_doubly_robust",
-    "estimate_naive_difference", "estimate_reweighted_difference",
-    "export_histogram", "fit_linear", "fit_logistic_multinomial",
-    "fit_nuisances", "fit_ols", "fit_separate_binary", "influence_variance",
-    "load_csv", "ols_did", "ols_tdid", "or_table", "refit_estimates",
-    "refit_estimator", "run_monte_carlo", "save_csv", "score_vector",
-    "score_vectors", "simulate_replicate", "simulate_sample", "validate",
-    "weight_c_values", "weight_t_values",
+    "EstimandLabel", "EstimateResult", "EstimationError", "FitEvaluation",
+    "FittingError", "Group", "IngestionError", "InsufficientDataError",
+    "LinearModel", "Method", "MissingNuisanceError", "MissingPolicy",
+    "MonteCarloResult", "NuisanceMode", "NuisanceSet", "OracleValues",
+    "PanelDataset", "PanelValidationError", "ParseError", "PropensityKind",
+    "PropensityModel", "REFERENCE_CELL", "ResamplingError", "Schema",
+    "SchemaError", "ScoreKind", "ScoreVector", "SeKind", "SeparationError",
+    "SingularDesignError", "TridiffError", "TrimmingError",
+    "UnsupportedMechanismError", "ValidationReport", "bias_diagnostic",
+    "bootstrap_replicates", "bootstrap_ses", "cell_index", "cell_name",
+    "cell_table", "closed_form_oracle", "dump_scores",
+    "estimate_doubly_robust", "export_histogram", "fit_linear",
+    "fit_logistic_multinomial", "fit_nuisances", "fit_ols",
+    "fit_separate_binary", "influence_variance", "load_csv", "ols_did",
+    "ols_tdid", "or_table", "refit_estimates", "run_monte_carlo", "save_csv",
+    "score_vector", "score_vectors", "simulate_replicate", "simulate_sample",
+    "validate",
 ]

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import (AssignmentMechanism, Group, MissingPolicy, NA_TOKENS,
-                   PanelDataset, Schema, cell_table, load_csv, validate)
+                   PanelDataset, Schema, load_csv, validate)
 from .dgp import (DgpSpec, EffectCase, closed_form_oracle, export_histogram,
                   run_monte_carlo)
 from .estimators import (BootstrapConfig, EstimateResult, Method, SeKind,
@@ -294,8 +294,8 @@ def cmd_estimate(ns: argparse.Namespace) -> int:
     _write_json(out / "results.json", payload)
 
     if ns.dump_scores and score_nuis is not None:
-        dump_scores(dataset, cell_table(dataset), score_nuis,
-                    list(ScoreKind), out / "scores.csv", normalize)
+        dump_scores(dataset, score_nuis, list(ScoreKind), out / "scores.csv",
+                    normalize)
     if ns.dump_nuisances:
         if score_nuis is not None:
             score_nuis.save_json(out / "nuisances_scores.json")

@@ -198,12 +198,11 @@ class CellTable:
 
 
 def cell_table(dataset: PanelDataset) -> CellTable:
-    """Exact cell counts and shares (share = count / n)."""
-    counts = {}
-    for cell in CELL_ORDER:
-        counts[cell] = int(np.count_nonzero(dataset.cell_mask(cell)))
+    """Exact cell counts and shares (share = count / n; 0 when n = 0)."""
+    counts = {cell: int(np.count_nonzero(dataset.cell_mask(cell)))
+              for cell in CELL_ORDER}
     n = dataset.n
-    shares = {cell: counts[cell] / n for cell in CELL_ORDER}
+    shares = {cell: counts[cell] / n if n else 0.0 for cell in CELL_ORDER}
     return CellTable(counts=counts, shares=shares, n=n)
 
 
@@ -248,8 +247,7 @@ class ValidationReport:
 
 def validate(dataset: PanelDataset) -> ValidationReport:
     """Report-only structural checks; never mutates or raises."""
-    counts = {cell: int(np.count_nonzero(dataset.cell_mask(cell)))
-              for cell in CELL_ORDER}
+    counts = cell_table(dataset).counts
     stats: dict = {}
     for cell in CELL_ORDER:
         mask = dataset.cell_mask(cell)

@@ -234,12 +234,11 @@ class MonteCarloResult:
 
 
 def _run_one(spec: DgpSpec, replication: int, fit_options: dict,
-             normalize: bool, trim_epsilon: Optional[float]):
+             normalize: bool):
     sample = simulate_replicate(spec, replication)
     try:
         nuisances = fit_nuisances(sample, NuisanceMode.SCORE_SET, **fit_options)
-        rew, naive = estimate_doubly_robust(sample, nuisances, normalize,
-                                            trim_epsilon)
+        rew, naive = estimate_doubly_robust(sample, nuisances, normalize)
     except TridiffError as exc:
         return (math.nan, math.nan, math.nan, math.nan, False,
                 f"{type(exc).__name__}: {exc}")
@@ -249,7 +248,6 @@ def _run_one(spec: DgpSpec, replication: int, fit_options: dict,
 def run_monte_carlo(spec: DgpSpec, replications: int,
                     fit_options: Optional[dict] = None,
                     normalize: bool = False,
-                    trim_epsilon: Optional[float] = None,
                     n_jobs: int = 1) -> MonteCarloResult:
     """Repeatedly simulate and estimate.
 
@@ -268,8 +266,7 @@ def run_monte_carlo(spec: DgpSpec, replications: int,
         raise ValueError("replications must be ≥ 1")
     options = dict(fit_options or {})
     options.setdefault("trim_epsilon", 0.0)
-    args = [(spec, r, options, normalize, trim_epsilon)
-            for r in range(replications)]
+    args = [(spec, r, options, normalize) for r in range(replications)]
 
     if n_jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=n_jobs) as pool:

@@ -18,13 +18,13 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .data import (AssignmentMechanism, Cell, CellTable, Eligibility, Group,
-                   PanelDataset, cell_name, cell_table)
+from .data import (AssignmentMechanism, Cell, Eligibility, Group,
+                   PanelDataset, cell_name)
 from .exceptions import (EstimationError, MissingNuisanceError,
                          ResamplingError, UnsupportedMechanismError)
 from .nuisance import (LinearModel, NuisanceMode, NuisanceSet, fit_nuisances,
                        fit_ols)
-from .scores import A2, B2, ScoreKind, score_vectors, weight_t_values
+from .scores import A2, B2, FitEvaluation, ScoreKind, score_vectors
 
 DEFAULT_BOOTSTRAP_REPS = 999
 
@@ -103,36 +103,33 @@ def influence_variance(score_differences, treat_weights, tau_hat):
     return v_hat, se, eta
 
 
-def _reweighted_result(dataset: PanelDataset, cells: CellTable,
-                       psi: dict) -> EstimateResult:
+def _reweighted_result(ev: FitEvaluation, psi: dict) -> EstimateResult:
     diff = psi[ScoreKind.DR_A].values - psi[ScoreKind.WDR].values
     tau_hat = float(np.mean(diff))
-    w_treat = weight_t_values(dataset, A2, cells)
-    _, se, eta = influence_variance(diff, w_treat, tau_hat)
-    return EstimateResult(estimate=tau_hat, se=se, n=dataset.n,
-                          estimand_label=_reweighted_label(dataset.mechanism),
+    _, se, eta = influence_variance(diff, ev.weight_t(A2), tau_hat)
+    return EstimateResult(estimate=tau_hat, se=se, n=ev.dataset.n,
+                          estimand_label=_reweighted_label(
+                              ev.dataset.mechanism),
                           method=Method.DR_REWEIGHTED, influence_values=eta)
 
 
-def _difference_of_means(dataset: PanelDataset, cells: CellTable,
-                         psi_first: np.ndarray, psi_b: np.ndarray):
+def _difference_of_means(ev: FitEvaluation, psi_first: np.ndarray,
+                         psi_b: np.ndarray):
     """Mean of a group-A-targeted score minus mean of group B's DR
     score, with its influence-function SE. Returns (estimate, se, eta)."""
     mean_first = float(np.mean(psi_first))
     mean_b = float(np.mean(psi_b))
-    w_a = weight_t_values(dataset, A2, cells)
-    w_b = weight_t_values(dataset, B2, cells)
     # each component's mean is recentred by its own treatment weight
-    eta = (psi_first - w_a * mean_first) - (psi_b - w_b * mean_b)
-    se = math.sqrt(float(np.mean(eta * eta)) / dataset.n)
+    eta = ((psi_first - ev.weight_t(A2) * mean_first)
+           - (psi_b - ev.weight_t(B2) * mean_b))
+    se = math.sqrt(float(np.mean(eta * eta)) / ev.dataset.n)
     return mean_first - mean_b, se, eta
 
 
-def _naive_result(dataset: PanelDataset, cells: CellTable,
-                  psi: dict) -> EstimateResult:
+def _naive_result(ev: FitEvaluation, psi: dict) -> EstimateResult:
     estimate, se, eta = _difference_of_means(
-        dataset, cells, psi[ScoreKind.DR_A].values, psi[ScoreKind.DR_B].values)
-    return EstimateResult(estimate=estimate, se=se, n=dataset.n,
+        ev, psi[ScoreKind.DR_A].values, psi[ScoreKind.DR_B].values)
+    return EstimateResult(estimate=estimate, se=se, n=ev.dataset.n,
                           estimand_label=EstimandLabel.DESCRIPTIVE,
                           method=Method.DR_NAIVE_DIFFERENCE,
                           influence_values=eta)
@@ -150,53 +147,26 @@ DR_METHODS = tuple(_DR_ESTIMATORS)  # (reweighted, naive)
 
 def estimate_doubly_robust(dataset: PanelDataset, nuisances: NuisanceSet,
                            normalize: bool = False,
-                           trim_epsilon: Optional[float] = None,
                            methods: Tuple[Method, ...] = DR_METHODS
                            ) -> Tuple[EstimateResult, ...]:
     """Results of the requested doubly robust estimators, in the order
-    given, from one evaluation of the fit: the propensity matrix is
-    predicted once and each score kind the methods need is built once,
-    in the order they list them (DR_A, WDR, DR_B by default). No other
-    kind is built. The default returns (reweighted, naive), exactly equal
-    to the two separate estimators."""
+    given, from one FitEvaluation: each score kind the methods need is
+    built once (DR_A, WDR, DR_B by default) and no other kind is built.
+
+    DR_REWEIGHTED, mean DR_A minus WDR, is the identification-correct
+    contrast: ATT(A) when only group A's eligible units are treated,
+    else the average CATT difference over group A's covariates.
+    DR_NAIVE_DIFFERENCE, mean DR_A minus mean DR_B, is the conventional
+    contrast; descriptive only, it mixes two covariate distributions."""
     kinds = tuple(dict.fromkeys(
         kind for method in methods for kind in _DR_ESTIMATORS[method][0]))
-    cells = cell_table(dataset)
-    psi = score_vectors(kinds, dataset, cells, nuisances, normalize,
-                        trim_epsilon)
-    return tuple(_DR_ESTIMATORS[method][1](dataset, cells, psi)
-                 for method in methods)
-
-
-def estimate_reweighted_difference(dataset: PanelDataset,
-                                   nuisances: NuisanceSet,
-                                   normalize: bool = False,
-                                   trim_epsilon: Optional[float] = None
-                                   ) -> EstimateResult:
-    """Mean of (DR score for group A minus weighted DR score), the
-    identification-correct contrast. Interpreted as ATT(A) when only
-    group A's eligible units are treated, and as the average difference
-    in conditional ATTs over group A's covariate distribution when both
-    groups' eligible units are treated."""
-    return estimate_doubly_robust(dataset, nuisances, normalize, trim_epsilon,
-                                  (Method.DR_REWEIGHTED,))[0]
-
-
-def estimate_naive_difference(dataset: PanelDataset,
-                              nuisances: NuisanceSet,
-                              normalize: bool = False,
-                              trim_epsilon: Optional[float] = None
-                              ) -> EstimateResult:
-    """Mean DR score of group A minus mean DR score of group B: the
-    conventional contrast. Descriptive only; it subtracts contrasts
-    evaluated under two different covariate distributions."""
-    return estimate_doubly_robust(dataset, nuisances, normalize, trim_epsilon,
-                                  (Method.DR_NAIVE_DIFFERENCE,))[0]
+    ev = FitEvaluation(dataset, nuisances, normalize)
+    psi = score_vectors(kinds, ev)
+    return tuple(_DR_ESTIMATORS[method][1](ev, psi) for method in methods)
 
 
 def bias_diagnostic(dataset: PanelDataset, nuisances: NuisanceSet,
-                    normalize: bool = False,
-                    trim_epsilon: Optional[float] = None):
+                    normalize: bool = False):
     """Estimated gap between group B's change contrast under group A's
     covariate distribution and under its own: the bias the naive
     difference absorbs. Meaningful only when treatment is restricted to
@@ -209,11 +179,10 @@ def bias_diagnostic(dataset: PanelDataset, nuisances: NuisanceSet,
             "bias diagnostic requires treatment restricted to group A; "
             "when both groups are treated, group B's contrast mixes its "
             "treatment effect with the trend gap")
-    cells = cell_table(dataset)
-    psi = score_vectors((ScoreKind.WDR, ScoreKind.DR_B), dataset, cells,
-                        nuisances, normalize, trim_epsilon)
+    ev = FitEvaluation(dataset, nuisances, normalize)
+    psi = score_vectors((ScoreKind.WDR, ScoreKind.DR_B), ev)
     bias_hat, se, _ = _difference_of_means(
-        dataset, cells, psi[ScoreKind.WDR].values, psi[ScoreKind.DR_B].values)
+        ev, psi[ScoreKind.WDR].values, psi[ScoreKind.DR_B].values)
     return bias_hat, se
 
 
@@ -273,30 +242,20 @@ def bootstrap_replicates(dataset: PanelDataset,
                      for resample in _resamples(dataset, config)])
 
 
-def _sd(values: np.ndarray) -> float:
-    return float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
-
-
-def bootstrap_se(dataset: PanelDataset,
-                 estimator: Callable[[PanelDataset], float],
-                 config: BootstrapConfig) -> float:
-    """Standard deviation of the estimator over pairs resamples."""
-    return _sd(bootstrap_replicates(dataset, estimator, config))
-
-
 def bootstrap_ses(dataset: PanelDataset,
                   estimator: Callable[[PanelDataset], Tuple[float, ...]],
                   config: BootstrapConfig) -> Tuple[float, ...]:
     """Standard deviation of each of the estimator's values over one
     stream of pairs resamples, so the values of a draw are paired. Each
-    equals bootstrap_se of that value alone."""
+    column's sd is taken on its own, so it equals the sd of a pass that
+    returned that value alone."""
     draws = bootstrap_replicates(dataset, estimator, config)
-    return tuple(_sd(np.ascontiguousarray(column)) for column in draws.T)
+    return tuple(float(np.std(np.ascontiguousarray(column), ddof=1))
+                 if len(column) > 1 else 0.0 for column in draws.T)
 
 
 def refit_estimates(fit_options: Optional[dict] = None,
                     normalize: bool = False,
-                    trim_epsilon: Optional[float] = None,
                     methods: Tuple[Method, ...] = DR_METHODS
                     ) -> Callable[[PanelDataset], Tuple[float, ...]]:
     """Estimator callable for bootstrap_ses: refits the nuisances once per
@@ -307,20 +266,9 @@ def refit_estimates(fit_options: Optional[dict] = None,
     def run(ds: PanelDataset) -> Tuple[float, ...]:
         nuis = fit_nuisances(ds, NuisanceMode.SCORE_SET, **options)
         return tuple(res.estimate for res in estimate_doubly_robust(
-            ds, nuis, normalize, trim_epsilon, methods))
+            ds, nuis, normalize, methods))
 
     return run
-
-
-def refit_estimator(fit_options: Optional[dict] = None,
-                    normalize: bool = False,
-                    trim_epsilon: Optional[float] = None,
-                    naive: bool = False) -> Callable[[PanelDataset], float]:
-    """Estimator callable for bootstrap_se: refit_estimates for the
-    reweighted estimator alone, or the naive one when naive=True."""
-    method = Method.DR_NAIVE_DIFFERENCE if naive else Method.DR_REWEIGHTED
-    refit = refit_estimates(fit_options, normalize, trim_epsilon, (method,))
-    return lambda ds: refit(ds)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -270,11 +270,11 @@ def _softmax_loglik(z, labels_onehot, beta):
 def _newton_multinomial(z, labels, n_categories, max_iter, tol,
                         raw_transform, column_names):
     """Damped Newton ascent for a softmax model with the last category as
-    reference. Returns (beta, cov, trace, n_iter); cov is the inverse
-    observed information, None when it is singular. z includes the
-    intercept column and is already standardized; raw_transform maps a
-    standardized coefficient matrix to the raw scale (used only for the
-    separation check, which the spec of the method keys to the raw norm).
+    reference. Returns (beta, probs, trace, n_iter); probs are the fitted
+    category probabilities at beta. z includes the intercept column and
+    is already standardized; raw_transform maps a standardized
+    coefficient matrix to the raw scale (used only for the separation
+    check, which the spec of the method keys to the raw norm).
     """
     n, p = z.shape
     k1 = n_categories - 1
@@ -290,8 +290,7 @@ def _newton_multinomial(z, labels, n_categories, max_iter, tol,
         for k in range(k1):
             grad[k * p:(k + 1) * p] = z.T @ (onehot[:, k] - probs[:, k])
         if np.max(np.abs(grad)) < GRADIENT_TOL:
-            return beta, _observed_info_inverse(z, probs, k1), \
-                tuple(trace), it - 1
+            return beta, probs, tuple(trace), it - 1
 
         try:
             step = scipy.linalg.solve(_softmax_information(z, probs, k1),
@@ -328,8 +327,7 @@ def _newton_multinomial(z, labels, n_categories, max_iter, tol,
                 "with rising likelihood: data are (near-)separated; trim the "
                 "sample or drop covariates")
         if gain < tol:
-            return beta, _observed_info_inverse(z, probs, k1), \
-                tuple(trace), it
+            return beta, probs, tuple(trace), it
 
     raise ConvergenceError(
         f"logit fit did not converge in {max_iter} iterations",
@@ -352,6 +350,7 @@ def _softmax_information(z, probs, k1):
 
 
 def _observed_info_inverse(z, probs, k1):
+    """Inverse observed information, None when it is singular."""
     try:
         return scipy.linalg.inv(_softmax_information(z, probs, k1))
     except scipy.linalg.LinAlgError:
@@ -446,10 +445,11 @@ def fit_logistic_multinomial(covariates, cell_labels,
         covariates, cell_labels, covariate_names)
     convert = _raw_coef_transform(center, scale)
 
-    beta_std, cov_std, trace, n_iter = _newton_multinomial(
+    beta_std, probs, trace, n_iter = _newton_multinomial(
         z, labels, 4, max_iter, tol, convert, names)
 
     coef = convert(beta_std)
+    cov_std = _observed_info_inverse(z, probs, 3)
     cov = None
     if cov_std is not None:
         t_full = scipy.linalg.block_diag(

@@ -1,13 +1,13 @@
 """Per-unit weights and score functions for the reweighted estimators.
 
-Everything here is a pure function of (dataset, cell table, fitted
-nuisances), evaluated for all units at once. The treatment weight
-targets one cell; the control weight carries a propensity ratio that
-moves a source cell's units to the covariate distribution of a
-numerator cell. Scores combine the two with outcome-change regressions
-into OR, IPW and doubly robust forms, plus the reweighted (W-prefixed)
-forms that evaluate group-B models under group A's covariate
-distribution.
+Everything here is a pure function of (dataset, fitted nuisances),
+evaluated for all units at once through one FitEvaluation. The
+treatment weight targets one cell; the control weight carries a
+propensity ratio that moves a source cell's units to the covariate
+distribution of a numerator cell. Scores combine the two with
+outcome-change regressions into OR, IPW and doubly robust forms, plus
+the reweighted (W-prefixed) forms that evaluate group-B models under
+group A's covariate distribution.
 """
 
 from __future__ import annotations
@@ -16,12 +16,12 @@ import csv
 import enum
 import functools
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence
+from typing import Dict, Sequence
 
 import numpy as np
 
-from .data import (Cell, CellTable, Eligibility, Group, PanelDataset,
-                   cell_index, cell_name)
+from .data import (Cell, Eligibility, Group, PanelDataset, cell_index,
+                   cell_name, cell_table)
 from .exceptions import EstimationError, MissingNuisanceError, TrimmingError
 from .nuisance import NuisanceSet
 
@@ -61,145 +61,142 @@ class ScoreVector:
 
 
 # ---------------------------------------------------------------------------
-# Weights
+# One fit evaluated on one dataset
 # ---------------------------------------------------------------------------
 
-def weight_t_values(dataset: PanelDataset, target_cell: Cell,
-                    cells: CellTable) -> np.ndarray:
-    """Treatment weights 1{unit in cell} / share(cell) for all units."""
-    share = cells.share(target_cell)
-    if share == 0:
-        raise EstimationError(
-            f"cell {cell_name(target_cell)} is empty; treatment weight undefined")
-    out = np.zeros(dataset.n)
-    out[dataset.cell_mask(target_cell)] = 1.0 / share
-    return out
+def _per_evaluation(method):
+    """Compute a FitEvaluation array on its first request for given
+    arguments, then return the stored array, read-only because every
+    later caller shares it."""
+    @functools.wraps(method)
+    def cached(self, *args):
+        key = (method.__name__, *args)
+        if key not in self._memo:
+            value = method(self, *args)
+            value.setflags(write=False)
+            self._memo[key] = value
+        return self._memo[key]
+    return cached
 
 
-def _trim_epsilon_of(nuisances: NuisanceSet,
-                    override: Optional[float]) -> float:
-    if override is not None:
-        return override
-    if nuisances.propensity is None:
-        raise MissingNuisanceError("no propensity model fitted")
-    return nuisances.propensity.trim_epsilon
+class FitEvaluation:
+    """A fitted NuisanceSet evaluated on one dataset's units.
 
-
-def _propensity_memo(nuisances: NuisanceSet, x) -> Callable[[], np.ndarray]:
-    """Zero-argument callable returning the propensity matrix of
-    `nuisances` at rows x. It predicts on its first call only, so every
-    weight built through one memo shares a single prediction, and a kind
-    that never asks for the matrix never triggers one."""
-    return functools.cache(lambda: nuisances.propensities(x))
-
-
-def weight_c_values(dataset: PanelDataset, numerator_cell: Cell,
-                    source_cell: Cell, cells: CellTable,
-                    nuisances: NuisanceSet,
-                    trim_epsilon: Optional[float] = None,
-                    propensities: Optional[Callable[[], np.ndarray]] = None
-                    ) -> np.ndarray:
-    """Control weights: [1{unit in source} / share(numerator)] times the
-    propensity ratio p(numerator, x) / p(source, x).
-
-    Source-cell units whose source-cell propensity falls below the trim
-    threshold raise TrimmingError listing the unit ids. When numerator
-    and source coincide the ratio is exactly one and the weight equals
-    the treatment weight bit-for-bit. `propensities`, when given, is a
-    memo of the nuisances' matrix at dataset.x (see score_vectors).
+    Holds the cell table and the outcome changes, and computes the
+    propensity matrix, each outcome-change prediction, each treatment
+    weight and each control weight once, on first request. Every score
+    kind, estimator and bias diagnostic built from one evaluation thus
+    shares a single prediction per model. normalize=True rescales each
+    control weight by its full-sample mean (the treatment weight already
+    averages to one by construction); the default leaves the weights
+    exactly as defined.
     """
-    share = cells.share(numerator_cell)
-    if share == 0:
-        raise EstimationError(
-            f"cell {cell_name(numerator_cell)} is empty; control weight undefined")
-    mask = dataset.cell_mask(source_cell)
-    out = np.zeros(dataset.n)
-    if not np.any(mask):
+
+    def __init__(self, dataset: PanelDataset, nuisances: NuisanceSet,
+                 normalize: bool = False):
+        self.dataset = dataset
+        self.nuisances = nuisances
+        self.normalize = normalize
+        self.cells = cell_table(dataset)
+        self.delta = dataset.delta_y()
+        self._memo: dict = {}
+
+    @_per_evaluation
+    def propensities(self) -> np.ndarray:
+        """Cell probabilities of every unit, shape (n, 4)."""
+        return self.nuisances.propensities(self.dataset.x)
+
+    @_per_evaluation
+    def outcome(self, cell: Cell) -> np.ndarray:
+        """Outcome-change regression of `cell` at every unit's covariates."""
+        return np.asarray(self.nuisances.outcome_mean(cell, self.dataset.x),
+                          dtype=float)
+
+    @_per_evaluation
+    def weight_t(self, target_cell: Cell) -> np.ndarray:
+        """Treatment weights 1{unit in cell} / share(cell) for all units."""
+        share = self.cells.share(target_cell)
+        if share == 0:
+            raise EstimationError(f"cell {cell_name(target_cell)} is empty; "
+                                  "treatment weight undefined")
+        out = np.zeros(self.dataset.n)
+        out[self.dataset.cell_mask(target_cell)] = 1.0 / share
         return out
 
-    probs = (propensities() if propensities
-             else nuisances.propensities(dataset.x))
-    p_num = probs[:, cell_index(numerator_cell)]
-    p_src = probs[:, cell_index(source_cell)]
-    eps = _trim_epsilon_of(nuisances, trim_epsilon)
-    low = mask & (p_src < eps)
-    if np.any(low):
-        ids = tuple(dataset.ids[low])
-        raise TrimmingError(
-            f"{len(ids)} unit(s) in {cell_name(source_cell)} have "
-            f"p{cell_name(source_cell)} below trim threshold {eps:g}: "
-            f"{', '.join(repr(i) for i in ids[:10])}"
-            + ("…" if len(ids) > 10 else ""),
-            unit_ids=ids)
-    out[mask] = (1.0 / share) * (p_num[mask] / p_src[mask])
-    return out
+    @_per_evaluation
+    def weight_c(self, numerator_cell: Cell, source_cell: Cell) -> np.ndarray:
+        """Control weights: [1{unit in source} / share(numerator)] times the
+        propensity ratio p(numerator, x) / p(source, x), normalized when
+        the evaluation normalizes.
+
+        Source-cell units whose source-cell propensity falls below the
+        fit's trim threshold raise TrimmingError listing the unit ids.
+        When numerator and source coincide the ratio is exactly one and
+        the unnormalized weight equals the treatment weight bit-for-bit.
+        """
+        dataset = self.dataset
+        share = self.cells.share(numerator_cell)
+        if share == 0:
+            raise EstimationError(f"cell {cell_name(numerator_cell)} is "
+                                  "empty; control weight undefined")
+        mask = dataset.cell_mask(source_cell)
+        out = np.zeros(dataset.n)
+        if np.any(mask):
+            probs = self.propensities()
+            p_num = probs[:, cell_index(numerator_cell)]
+            p_src = probs[:, cell_index(source_cell)]
+            eps = self.nuisances.propensity.trim_epsilon
+            low = mask & (p_src < eps)
+            if np.any(low):
+                ids = tuple(dataset.ids[low])
+                raise TrimmingError(
+                    f"{len(ids)} unit(s) in {cell_name(source_cell)} have "
+                    f"p{cell_name(source_cell)} below trim threshold {eps:g}: "
+                    f"{', '.join(repr(i) for i in ids[:10])}"
+                    + ("…" if len(ids) > 10 else ""),
+                    unit_ids=ids)
+            out[mask] = (1.0 / share) * (p_num[mask] / p_src[mask])
+        if self.normalize:
+            mean = float(np.mean(out))
+            if mean <= 0:
+                raise EstimationError(
+                    f"control weight for source {cell_name(source_cell)} has "
+                    f"non-positive mean {mean:g}; cannot normalize")
+            out = out / mean
+        return out
+
+    def augmentation(self, multiplier: np.ndarray, cell: Cell) -> np.ndarray:
+        """(w_T - w_C) * m(cell, x). With unnormalized weights the same-cell
+        control weight repeats the treatment weight's arithmetic operation
+        for operation, so this multiplier is identically zero and the
+        regression for `cell` need not be fitted. Normalizing breaks the
+        identity, making the model mandatory."""
+        if not self.normalize:
+            if np.any(multiplier):
+                raise EstimationError(
+                    f"augmentation multiplier for m{cell_name(cell)} should "
+                    "be identically zero with unnormalized weights but is not")
+            return np.zeros(len(multiplier))
+        if not self.nuisances.has_outcome(cell):
+            raise MissingNuisanceError(
+                f"score needs outcome model m{cell_name(cell)} because "
+                "normalized weights give it a nonzero multiplier")
+        return multiplier * self.outcome(cell)
 
 
 # ---------------------------------------------------------------------------
 # Scores
 # ---------------------------------------------------------------------------
 
-def _outcome(nuisances: NuisanceSet, cell: Cell, x) -> np.ndarray:
-    return np.asarray(nuisances.outcome_mean(cell, x), dtype=float)
-
-
-def _augmentation(multiplier: np.ndarray, nuisances: NuisanceSet,
-                  cell: Cell, x, structurally_zero: bool) -> np.ndarray:
-    """(w_T - w_C) * m(cell, x). With unnormalized weights the same-cell
-    control weight repeats the treatment weight's arithmetic operation
-    for operation, so this multiplier is identically zero and the
-    regression for `cell` need not be fitted. Normalizing breaks the
-    identity, making the model mandatory."""
-    if structurally_zero:
-        if np.any(multiplier):
-            raise EstimationError(
-                f"augmentation multiplier for m{cell_name(cell)} should be "
-                "identically zero with unnormalized weights but is not")
-        return np.zeros(len(multiplier))
-    if not nuisances.has_outcome(cell):
-        raise MissingNuisanceError(
-            f"score needs outcome model m{cell_name(cell)} because "
-            "normalized weights give it a nonzero multiplier")
-    return multiplier * _outcome(nuisances, cell, x)
-
-
-def score_vector(kind: ScoreKind, dataset: PanelDataset, cells: CellTable,
-                 nuisances: NuisanceSet, normalize: bool = False,
-                 trim_epsilon: Optional[float] = None,
-                 propensities: Optional[Callable[[], np.ndarray]] = None
-                 ) -> ScoreVector:
-    """All units' values of one score function.
-
-    normalize=True rescales each control weight by its full-sample mean
-    (the treatment weight already averages to one by construction). The
-    default leaves the weights exactly as defined. The propensity matrix
-    is predicted at most once, or taken from the `propensities` memo that
-    score_vectors shares across kinds.
-    """
-    x = dataset.x
-    delta = dataset.delta_y()
-    if propensities is None:
-        propensities = _propensity_memo(nuisances, x)
-
-    def wt(cell):
-        return weight_t_values(dataset, cell, cells)
-
-    def wc(numerator, source):
-        w = weight_c_values(dataset, numerator, source, cells, nuisances,
-                            trim_epsilon, propensities)
-        if normalize:
-            mean = float(np.mean(w))
-            if mean <= 0:
-                raise EstimationError(
-                    f"control weight for source {cell_name(source)} has "
-                    f"non-positive mean {mean:g}; cannot normalize")
-            w = w / mean
-        return w
+def score_vector(kind: ScoreKind, ev: FitEvaluation) -> ScoreVector:
+    """All units' values of one score function of an evaluated fit."""
+    delta = ev.delta
+    wt, wc, m = ev.weight_t, ev.weight_c, ev.outcome
 
     if kind in (ScoreKind.OR_A, ScoreKind.OR_B):
         g = Group.A if kind is ScoreKind.OR_A else Group.B
-        w = wt((g, Eligibility.ELIGIBLE))
-        values = w * (delta - _outcome(nuisances, (g, Eligibility.NEVER), x))
+        values = wt((g, Eligibility.ELIGIBLE)) * (
+            delta - m((g, Eligibility.NEVER)))
     elif kind in (ScoreKind.IPW_A, ScoreKind.IPW_B):
         g = Group.A if kind is ScoreKind.IPW_A else Group.B
         eligible = (g, Eligibility.ELIGIBLE)
@@ -213,12 +210,10 @@ def score_vector(kind: ScoreKind, dataset: PanelDataset, cells: CellTable,
         w_same = wc(eligible, eligible)
         w_cross = wc(eligible, never)
         values = (w_same - w_cross) * delta
-        values = values + _augmentation(w_treat - w_same, nuisances, eligible,
-                                        x, structurally_zero=not normalize)
-        values = values - (w_treat - w_cross) * _outcome(nuisances, never, x)
+        values = values + ev.augmentation(w_treat - w_same, eligible)
+        values = values - (w_treat - w_cross) * m(never)
     elif kind is ScoreKind.WOR:
-        w = wt(A2)
-        values = w * (_outcome(nuisances, B2, x) - _outcome(nuisances, B_NEVER, x))
+        values = wt(A2) * (m(B2) - m(B_NEVER))
     elif kind is ScoreKind.WIPW:
         values = (wc(A2, B2) - wc(A2, B_NEVER)) * delta
     elif kind is ScoreKind.WDR:
@@ -226,8 +221,8 @@ def score_vector(kind: ScoreKind, dataset: PanelDataset, cells: CellTable,
         w_b2 = wc(A2, B2)
         w_bnever = wc(A2, B_NEVER)
         values = (w_b2 - w_bnever) * delta
-        values = values + (w_treat - w_b2) * _outcome(nuisances, B2, x)
-        values = values - (w_treat - w_bnever) * _outcome(nuisances, B_NEVER, x)
+        values = values + (w_treat - w_b2) * m(B2)
+        values = values - (w_treat - w_bnever) * m(B_NEVER)
     else:
         raise ValueError(f"unknown score kind {kind!r}")
 
@@ -238,25 +233,20 @@ def score_vector(kind: ScoreKind, dataset: PanelDataset, cells: CellTable,
     return ScoreVector(values=values, kind=kind)
 
 
-def score_vectors(kinds: Sequence[ScoreKind], dataset: PanelDataset,
-                  cells: CellTable, nuisances: NuisanceSet,
-                  normalize: bool = False,
-                  trim_epsilon: Optional[float] = None
+def score_vectors(kinds: Sequence[ScoreKind], ev: FitEvaluation
                   ) -> Dict[ScoreKind, ScoreVector]:
-    """Several score functions of one fit on one dataset, sharing a single
-    propensity prediction. Kinds are built in the order given, so the
-    first failing kind raises exactly what score_vector would."""
-    propensities = _propensity_memo(nuisances, dataset.x)
-    return {kind: score_vector(kind, dataset, cells, nuisances, normalize,
-                               trim_epsilon, propensities)
-            for kind in kinds}
+    """Several score functions of one evaluated fit. Kinds are built in
+    the order given, so the first failing kind raises exactly what
+    score_vector would."""
+    return {kind: score_vector(kind, ev) for kind in kinds}
 
 
-def dump_scores(dataset: PanelDataset, cells: CellTable,
-                nuisances: NuisanceSet, kinds: Sequence[ScoreKind],
-                path, normalize: bool = False) -> None:
+def dump_scores(dataset: PanelDataset, nuisances: NuisanceSet,
+                kinds: Sequence[ScoreKind], path,
+                normalize: bool = False) -> None:
     """Write per-unit score values (one column per kind) for audit."""
-    columns = score_vectors(kinds, dataset, cells, nuisances, normalize)
+    columns = score_vectors(kinds, FitEvaluation(dataset, nuisances,
+                                                 normalize))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["unit_id", *(f"score_{k.value}" for k in kinds)])

@@ -17,16 +17,14 @@ import pytest
 
 from tridiff.cli import (POINT_TOLERANCE, REFERENCE_TABLE,
                          SE_RELATIVE_TOLERANCE, load_replication_csv, main)
-from tridiff.data import (Eligibility, Group, PanelDataset, cell_table,
-                          save_csv)
+from tridiff.data import Eligibility, Group, PanelDataset, save_csv
 from tridiff.dgp import (DgpSpec, EffectCase, closed_form_oracle,
                          run_monte_carlo, simulate_sample)
 from tridiff.estimators import (BootstrapConfig, SeKind,
-                                estimate_naive_difference,
-                                estimate_reweighted_difference, ols_did,
-                                ols_tdid, or_table)
+                                estimate_doubly_robust, ols_did, ols_tdid,
+                                or_table)
 from tridiff.nuisance import LinearModel, NuisanceMode, fit_nuisances
-from tridiff.scores import ScoreKind, score_vector, weight_t_values
+from tridiff.scores import FitEvaluation, ScoreKind, score_vector
 
 
 def report(num, name, failures):
@@ -93,8 +91,7 @@ def test_criterion_2_closed_form_recovery(big_sample):
             failures.append(f"{name} = {got!r}, want {want} exactly")
 
     ds, nuis = big_sample
-    reweighted = estimate_reweighted_difference(ds, nuis)
-    naive = estimate_naive_difference(ds, nuis)
+    reweighted, naive = estimate_doubly_robust(ds, nuis)
     if abs(reweighted.estimate - 3.0) > 3 * reweighted.se:
         failures.append(f"reweighted {reweighted.estimate:.3f} "
                         f"not within 3 se of 3.0")
@@ -118,7 +115,7 @@ def test_criterion_2_closed_form_recovery(big_sample):
 
 def test_criterion_3_score_agreement(big_sample):
     ds, nuis = big_sample
-    cells = cell_table(ds)
+    ev = FitEvaluation(ds, nuis)
     failures = []
     pairs = [
         (ScoreKind.OR_A, ScoreKind.IPW_A, "group A regression vs weighting"),
@@ -127,8 +124,8 @@ def test_criterion_3_score_agreement(big_sample):
         (ScoreKind.WOR, ScoreKind.WDR, "reweighted regression vs combined"),
     ]
     for first, second, label in pairs:
-        a = score_vector(first, ds, cells, nuis).values
-        b = score_vector(second, ds, cells, nuis).values
+        a = score_vector(first, ev).values
+        b = score_vector(second, ev).values
         gap = abs(float(np.mean(a)) - float(np.mean(b)))
         band = 3.0 * float(np.std(a - b, ddof=1)) / math.sqrt(ds.n)
         if gap > band:
@@ -143,7 +140,7 @@ def test_criterion_3_score_agreement(big_sample):
 def test_criterion_4_double_robustness():
     failures = []
     flat_prop_ds = simulate_sample(DgpSpec(n=20000, seed=211))
-    flat_prop = estimate_reweighted_difference(
+    flat_prop, _ = estimate_doubly_robust(
         flat_prop_ds,
         fit_nuisances(flat_prop_ds, NuisanceMode.SCORE_SET, trim_epsilon=0.0,
                       propensity_covariates=[]))
@@ -151,7 +148,7 @@ def test_criterion_4_double_robustness():
         failures.append(f"intercept-only propensity: {flat_prop.estimate:.3f} "
                         f"not within 3 se of 3.0")
     flat_out_ds = simulate_sample(DgpSpec(n=20000, seed=223))
-    flat_out = estimate_reweighted_difference(
+    flat_out, _ = estimate_doubly_robust(
         flat_out_ds,
         fit_nuisances(flat_out_ds, NuisanceMode.SCORE_SET, trim_epsilon=0.0,
                       outcome_covariates=[]))
@@ -215,12 +212,12 @@ def test_criterion_5_reference_table_replication():
 
 def test_criterion_6_exact_identities(big_sample):
     ds, nuis = big_sample
-    cells = cell_table(ds)
     failures = []
 
     for cell in ((Group.A, Eligibility.ELIGIBLE),
                  (Group.B, Eligibility.ELIGIBLE)):
-        gap = abs(float(np.mean(weight_t_values(ds, cell, cells))) - 1.0)
+        gap = abs(float(np.mean(FitEvaluation(ds, nuis).weight_t(cell)))
+                  - 1.0)
         if gap > 1e-12:
             failures.append(f"treatment weight mean off one by {gap:.2e}")
 
@@ -243,12 +240,13 @@ def test_criterion_6_exact_identities(big_sample):
                        residual_variance=0.0, n_obs=1, gram_inverse=np.eye(2))
     zeroed = dataclasses.replace(
         nuis, outcome_models={c: zero for c in nuis.outcome_models})
+    zeroed_ev = FitEvaluation(ds, zeroed)
     for combined, weighting in ((ScoreKind.DR_A, ScoreKind.IPW_A),
                                 (ScoreKind.DR_B, ScoreKind.IPW_B),
                                 (ScoreKind.WDR, ScoreKind.WIPW)):
         same = np.array_equal(
-            score_vector(combined, ds, cells, zeroed).values,
-            score_vector(weighting, ds, cells, zeroed).values)
+            score_vector(combined, zeroed_ev).values,
+            score_vector(weighting, zeroed_ev).values)
         if not same:
             failures.append(f"zero regressions: {combined.value} differs "
                             f"from {weighting.value} pointwise")
@@ -257,9 +255,9 @@ def test_criterion_6_exact_identities(big_sample):
         ids=small.ids, y1=small.y1 + 1000.0, y2=small.y2 + 1000.0,
         group_is_a=small.group_is_a, eligible=small.eligible, x=small.x,
         covariate_names=small.covariate_names, mechanism=small.mechanism)
-    base = estimate_reweighted_difference(
+    base, _ = estimate_doubly_robust(
         small, fit_nuisances(small, NuisanceMode.SCORE_SET, trim_epsilon=0.0))
-    moved = estimate_reweighted_difference(
+    moved, _ = estimate_doubly_robust(
         shifted,
         fit_nuisances(shifted, NuisanceMode.SCORE_SET, trim_epsilon=0.0))
     if abs(moved.estimate - base.estimate) > 1e-10:

@@ -173,18 +173,20 @@ def test_estimate_paired_bootstrap_equals_separate_passes(panel_csv,
     extras = json.loads((out / "results.json").read_text())["extras"]
 
     from tridiff.data import AssignmentMechanism, Schema, load_csv
-    from tridiff.estimators import (BootstrapConfig, bootstrap_se,
-                                    refit_estimator)
+    from tridiff.estimators import (BootstrapConfig, Method, bootstrap_ses,
+                                    refit_estimates)
     from tridiff.nuisance import NuisanceMode, fit_nuisances
     ds = load_csv(panel_csv, Schema.from_dict(json.loads(SCHEMA)),
                   AssignmentMechanism.BOTH_GROUPS)
     options = fit_nuisances(ds, NuisanceMode.SCORE_SET,
                             trim_epsilon=0.0).fit_options
     config = BootstrapConfig(replications=8, seed=5)
-    assert extras["dr"]["bootstrap_se"] == bootstrap_se(
-        ds, refit_estimator(options), config)
-    assert extras["naive"]["bootstrap_se"] == bootstrap_se(
-        ds, refit_estimator(options, naive=True), config)
+    assert extras["dr"]["bootstrap_se"] == bootstrap_ses(
+        ds, refit_estimates(options, methods=(Method.DR_REWEIGHTED,)),
+        config)[0]
+    assert extras["naive"]["bootstrap_se"] == bootstrap_ses(
+        ds, refit_estimates(options, methods=(Method.DR_NAIVE_DIFFERENCE,)),
+        config)[0]
 
 
 @pytest.fixture(scope="module")

@@ -261,6 +261,17 @@ def test_validate_flags_small_sample(wide_csv):
     assert "FAIL" in report.render()
 
 
+def test_validate_reports_an_empty_panel():
+    # report-only: an empty panel fails every cell check without raising
+    ds = PanelDataset(ids=[], y1=[], y2=[], group_is_a=[], eligible=[],
+                      x=np.empty((0, 1)), covariate_names=("x",),
+                      mechanism=AssignmentMechanism.BOTH_GROUPS)
+    report = validate(ds)
+    assert not report.passed
+    assert set(report.cell_counts.values()) == {0}
+    assert sum("empty cell" in f for f in report.failures) == 4
+
+
 def test_validate_warns_without_covariates(wide_csv):
     ds = load_csv(wide_csv, Schema.from_dict(WIDE_SCHEMA),
                   AssignmentMechanism.BOTH_GROUPS)

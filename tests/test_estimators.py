@@ -15,22 +15,31 @@ import pytest
 
 import tridiff.estimators as est_mod
 import tridiff.scores as scores_mod
-from tridiff.data import (AssignmentMechanism, Group, PanelDataset,
-                          cell_table)
+from tridiff.data import AssignmentMechanism, Group, PanelDataset
 from tridiff.dgp import DgpSpec, closed_form_oracle, simulate_sample
 from tridiff.estimators import (BootstrapConfig, EstimandLabel,
                                 EstimateResult, Method, SeKind,
                                 bias_diagnostic, bootstrap_replicates,
-                                bootstrap_se, bootstrap_ses,
-                                estimate_doubly_robust,
-                                estimate_naive_difference,
-                                estimate_reweighted_difference,
+                                bootstrap_ses, estimate_doubly_robust,
                                 influence_variance, ols_did, ols_tdid,
-                                or_table, refit_estimates, refit_estimator)
+                                or_table, refit_estimates)
 from tridiff.exceptions import (EstimationError, ResamplingError,
                                 UnsupportedMechanismError)
-from tridiff.nuisance import NuisanceMode, PropensityModel, fit_nuisances
-from tridiff.scores import (A2, B2, ScoreKind, score_vector, weight_t_values)
+from tridiff.nuisance import (LinearModel, NuisanceMode, PropensityModel,
+                              fit_nuisances)
+from tridiff.scores import (A2, B2, FitEvaluation, ScoreKind, dump_scores,
+                            score_vector)
+
+REWEIGHTED = (Method.DR_REWEIGHTED,)
+NAIVE = (Method.DR_NAIVE_DIFFERENCE,)
+
+
+def dr_reweighted(ds, nuis, normalize=False) -> EstimateResult:
+    return estimate_doubly_robust(ds, nuis, normalize, REWEIGHTED)[0]
+
+
+def dr_naive(ds, nuis, normalize=False) -> EstimateResult:
+    return estimate_doubly_robust(ds, nuis, normalize, NAIVE)[0]
 
 
 @pytest.fixture(scope="module")
@@ -65,11 +74,11 @@ def test_influence_variance_hand_arithmetic():
 
 def test_reweighted_se_is_influence_formula(small_sample):
     ds, nuis = small_sample
-    res = estimate_reweighted_difference(ds, nuis)
-    cells = cell_table(ds)
-    diff = (score_vector(ScoreKind.DR_A, ds, cells, nuis).values
-            - score_vector(ScoreKind.WDR, ds, cells, nuis).values)
-    w = weight_t_values(ds, A2, cells)
+    res = dr_reweighted(ds, nuis)
+    ev = FitEvaluation(ds, nuis)
+    diff = (score_vector(ScoreKind.DR_A, ev).values
+            - score_vector(ScoreKind.WDR, ev).values)
+    w = ev.weight_t(A2)
     eta = diff - w * res.estimate
     assert res.estimate == pytest.approx(float(np.mean(diff)), abs=1e-12)
     assert res.se == pytest.approx(
@@ -81,12 +90,12 @@ def test_reweighted_se_is_influence_formula(small_sample):
 
 def test_naive_se_uses_per_component_centring(small_sample):
     ds, nuis = small_sample
-    res = estimate_naive_difference(ds, nuis)
-    cells = cell_table(ds)
-    psi_a = score_vector(ScoreKind.DR_A, ds, cells, nuis).values
-    psi_b = score_vector(ScoreKind.DR_B, ds, cells, nuis).values
-    eta = ((psi_a - weight_t_values(ds, A2, cells) * psi_a.mean())
-           - (psi_b - weight_t_values(ds, B2, cells) * psi_b.mean()))
+    res = dr_naive(ds, nuis)
+    ev = FitEvaluation(ds, nuis)
+    psi_a = score_vector(ScoreKind.DR_A, ev).values
+    psi_b = score_vector(ScoreKind.DR_B, ev).values
+    eta = ((psi_a - ev.weight_t(A2) * psi_a.mean())
+           - (psi_b - ev.weight_t(B2) * psi_b.mean()))
     assert res.estimate == pytest.approx(psi_a.mean() - psi_b.mean(),
                                          abs=1e-12)
     assert res.se == pytest.approx(
@@ -100,16 +109,14 @@ def test_naive_se_uses_per_component_centring(small_sample):
 def test_estimates_recover_closed_forms(big_sample):
     ds, nuis = big_sample
     oracle = closed_form_oracle(DgpSpec(n=20000, seed=11))
-    rew = estimate_reweighted_difference(ds, nuis)
-    naive = estimate_naive_difference(ds, nuis)
+    rew, nai = estimate_doubly_robust(ds, nuis)
     assert rew.estimate == pytest.approx(oracle.reweighted_diff,
                                          abs=4 * rew.se)
-    assert naive.estimate == pytest.approx(oracle.naive_diff,
-                                           abs=4 * naive.se)
+    assert nai.estimate == pytest.approx(oracle.naive_diff, abs=4 * nai.se)
     # the two contrasts bracket different numbers: -1 vs 3
-    assert naive.estimate < 0.5 < rew.estimate
+    assert nai.estimate < 0.5 < rew.estimate
     assert rew.estimand_label is EstimandLabel.AVG_CATT_DIFF_ON_A
-    assert naive.estimand_label is EstimandLabel.DESCRIPTIVE
+    assert nai.estimand_label is EstimandLabel.DESCRIPTIVE
 
 
 def test_double_robustness_outcome_side():
@@ -117,7 +124,7 @@ def test_double_robustness_outcome_side():
     ds = simulate_sample(DgpSpec(n=20000, seed=17))
     nuis = fit_nuisances(ds, NuisanceMode.SCORE_SET, trim_epsilon=0.0,
                          propensity_covariates=[])
-    res = estimate_reweighted_difference(ds, nuis)
+    res = dr_reweighted(ds, nuis)
     assert res.estimate == pytest.approx(3.0, abs=3 * res.se)
 
 
@@ -126,7 +133,7 @@ def test_double_robustness_propensity_side():
     ds = simulate_sample(DgpSpec(n=20000, seed=19))
     nuis = fit_nuisances(ds, NuisanceMode.SCORE_SET, trim_epsilon=0.0,
                          outcome_covariates=[])
-    res = estimate_reweighted_difference(ds, nuis)
+    res = dr_reweighted(ds, nuis)
     assert res.estimate == pytest.approx(3.0, abs=3 * res.se)
 
 
@@ -135,7 +142,7 @@ def test_mechanism_changes_label_and_target():
                    mechanism=AssignmentMechanism.ONLY_GROUP_A)
     ds = simulate_sample(spec)
     nuis = fit_nuisances(ds, NuisanceMode.SCORE_SET, trim_epsilon=0.0)
-    res = estimate_reweighted_difference(ds, nuis)
+    res = dr_reweighted(ds, nuis)
     oracle = closed_form_oracle(spec)
     assert res.estimand_label is EstimandLabel.ATT_A
     assert oracle.target == pytest.approx(oracle.att_a)
@@ -175,50 +182,72 @@ def _assert_same_result(got: EstimateResult, want: EstimateResult):
     (False, None), (True, None), (False, 1e-4)])
 def test_joint_estimator_equals_separate_estimators(small_sample, normalize,
                                                     trim_epsilon):
+    # trim_epsilon None keeps the fit's own threshold
     ds, nuis = small_sample
     if normalize:
         nuis = fit_nuisances(ds, NuisanceMode.SCORE_SET, trim_epsilon=0.0,
                              include_a2=True)
-    rew, naive = estimate_doubly_robust(ds, nuis, normalize, trim_epsilon)
-    _assert_same_result(rew, estimate_reweighted_difference(
-        ds, nuis, normalize, trim_epsilon))
-    _assert_same_result(naive, estimate_naive_difference(
-        ds, nuis, normalize, trim_epsilon))
+    if trim_epsilon is not None:
+        nuis = dataclasses.replace(nuis, propensity=dataclasses.replace(
+            nuis.propensity, trim_epsilon=trim_epsilon))
+    rew, naive = estimate_doubly_robust(ds, nuis, normalize)
+    _assert_same_result(rew, dr_reweighted(ds, nuis, normalize))
+    _assert_same_result(naive, dr_naive(ds, nuis, normalize))
 
 
 @pytest.fixture
 def counted(monkeypatch):
-    """Records PropensityModel.predict calls and the score kinds built."""
-    calls = {"predict": 0, "kinds": []}
+    """Records PropensityModel.predict and LinearModel.predict calls and
+    the score kinds built."""
+    calls = {"predict": 0, "outcome_predict": 0, "kinds": []}
     predict = PropensityModel.predict
+    outcome_predict = LinearModel.predict
     build = scores_mod.score_vector
 
     def counted_predict(self, x):
         calls["predict"] += 1
         return predict(self, x)
 
+    def counted_outcome_predict(self, x):
+        calls["outcome_predict"] += 1
+        return outcome_predict(self, x)
+
     def recorded_build(kind, *args, **kwargs):
         calls["kinds"].append(kind)
         return build(kind, *args, **kwargs)
 
     monkeypatch.setattr(PropensityModel, "predict", counted_predict)
+    monkeypatch.setattr(LinearModel, "predict", counted_outcome_predict)
     monkeypatch.setattr(scores_mod, "score_vector", recorded_build)
     return calls
 
 
-@pytest.mark.parametrize("estimator, kinds", [
-    (estimate_doubly_robust,
-     [ScoreKind.DR_A, ScoreKind.WDR, ScoreKind.DR_B]),
-    (estimate_reweighted_difference, [ScoreKind.DR_A, ScoreKind.WDR]),
-    (estimate_naive_difference, [ScoreKind.DR_A, ScoreKind.DR_B]),
-])
-def test_one_propensity_prediction_per_estimate(small_sample, counted,
-                                                estimator, kinds):
+@pytest.mark.parametrize("methods, kinds, outcome_predictions", [
+    (REWEIGHTED + NAIVE, [ScoreKind.DR_A, ScoreKind.WDR, ScoreKind.DR_B], 3),
+    (REWEIGHTED, [ScoreKind.DR_A, ScoreKind.WDR], 3),
+    (NAIVE, [ScoreKind.DR_A, ScoreKind.DR_B], 2),
+], ids=["both", "reweighted", "naive"])
+def test_one_prediction_per_evaluation(small_sample, counted, methods,
+                                       kinds, outcome_predictions):
     ds, nuis = small_sample
-    estimator(ds, nuis)
+    estimate_doubly_robust(ds, nuis, methods=methods)
+    # one propensity prediction, one per outcome model the kinds use
+    # (DR_A uses m(A, Never); WDR m(B, Eligible) and m(B, Never); DR_B
+    # m(B, Never))
     assert counted["predict"] == 1
+    assert counted["outcome_predict"] == outcome_predictions
     # each kind once, and only the kinds the estimator needs
     assert counted["kinds"] == kinds
+
+
+def test_dump_scores_predicts_each_model_once(small_sample, counted,
+                                              tmp_path):
+    # all nine kinds together use the three fitted outcome models
+    ds, nuis = small_sample
+    dump_scores(ds, nuis, list(ScoreKind), tmp_path / "scores.csv")
+    assert counted["predict"] == 1
+    assert counted["outcome_predict"] == 3
+    assert counted["kinds"] == list(ScoreKind)
 
 
 def test_bias_diagnostic_builds_only_its_kinds(counted):
@@ -227,6 +256,7 @@ def test_bias_diagnostic_builds_only_its_kinds(counted):
     nuis = fit_nuisances(ds, NuisanceMode.SCORE_SET, trim_epsilon=0.0)
     bias_diagnostic(ds, nuis)
     assert counted["predict"] == 1
+    assert counted["outcome_predict"] == 2
     assert counted["kinds"] == [ScoreKind.WDR, ScoreKind.DR_B]
 
 
@@ -244,9 +274,9 @@ def shift_outcomes(ds, c):
 def test_location_shift_invariance(small_sample):
     ds, _ = small_sample
     shifted = shift_outcomes(ds, 1000.0)
-    base = estimate_reweighted_difference(
+    base = dr_reweighted(
         ds, fit_nuisances(ds, NuisanceMode.SCORE_SET, trim_epsilon=0.0))
-    moved = estimate_reweighted_difference(
+    moved = dr_reweighted(
         shifted, fit_nuisances(shifted, NuisanceMode.SCORE_SET,
                                trim_epsilon=0.0))
     assert moved.estimate == pytest.approx(base.estimate, abs=1e-10)
@@ -265,9 +295,9 @@ def test_row_permutation_invariance(small_sample):
     shuffled = ds.subset(perm)
     for build, run in (
             (NuisanceMode.SCORE_SET,
-             lambda d, nu: estimate_reweighted_difference(d, nu).estimate),
+             lambda d, nu: dr_reweighted(d, nu).estimate),
             (NuisanceMode.SCORE_SET,
-             lambda d, nu: estimate_naive_difference(d, nu).estimate),
+             lambda d, nu: dr_naive(d, nu).estimate),
             (NuisanceMode.EIGHT_MODEL_OR,
              lambda d, nu: or_table(d, nu)["did_a"].estimate)):
         base = run(ds, fit_nuisances(ds, build, trim_epsilon=0.0))
@@ -384,51 +414,51 @@ def test_or_table_consistency(small_sample):
 
 def test_bootstrap_se_deterministic(small_sample):
     ds, nuis = small_sample
-    runner = refit_estimator(nuis.fit_options)
+    runner = refit_estimates(nuis.fit_options, methods=REWEIGHTED)
     config = BootstrapConfig(replications=25, seed=42)
-    first = bootstrap_se(ds, runner, config)
-    second = bootstrap_se(ds, runner, config)
+    (first,) = bootstrap_ses(ds, runner, config)
+    (second,) = bootstrap_ses(ds, runner, config)
     assert first == second
     assert first > 0
-    other = bootstrap_se(ds, runner, BootstrapConfig(replications=25, seed=43))
+    (other,) = bootstrap_ses(ds, runner,
+                             BootstrapConfig(replications=25, seed=43))
     assert other != first
 
 
 def test_bootstrap_se_is_sd_of_replicates(small_sample):
     ds, nuis = small_sample
-    runner = refit_estimator(nuis.fit_options)
+    runner = refit_estimates(nuis.fit_options, methods=REWEIGHTED)
     config = BootstrapConfig(replications=20, seed=4)
     reps = bootstrap_replicates(ds, runner, config)
-    assert len(reps) == 20
-    assert bootstrap_se(ds, runner, config) == pytest.approx(
-        float(np.std(reps, ddof=1)), abs=1e-14)
+    assert reps.shape == (20, 1)
+    assert bootstrap_ses(ds, runner, config)[0] == pytest.approx(
+        float(np.std(reps[:, 0], ddof=1)), abs=1e-14)
 
 
 def test_bootstrap_of_constant_estimator_is_zero(small_sample):
     ds, _ = small_sample
-    assert bootstrap_se(ds, lambda d: 7.25,
-                        BootstrapConfig(replications=12, seed=0)) == 0.0
+    assert bootstrap_ses(ds, lambda d: (7.25,),
+                         BootstrapConfig(replications=12, seed=0)) == (0.0,)
 
 
 def test_naive_refit_runner_differs(small_sample):
     ds, nuis = small_sample
-    rew = refit_estimator(nuis.fit_options)(ds)
-    naive = refit_estimator(nuis.fit_options, naive=True)(ds)
-    assert rew == pytest.approx(
-        estimate_reweighted_difference(ds, nuis).estimate, abs=1e-12)
-    assert naive == pytest.approx(
-        estimate_naive_difference(ds, nuis).estimate, abs=1e-12)
+    (rew,) = refit_estimates(nuis.fit_options, methods=REWEIGHTED)(ds)
+    (naive,) = refit_estimates(nuis.fit_options, methods=NAIVE)(ds)
+    assert rew == pytest.approx(dr_reweighted(ds, nuis).estimate, abs=1e-12)
+    assert naive == pytest.approx(dr_naive(ds, nuis).estimate, abs=1e-12)
     assert rew != naive
 
 
-def test_refit_estimator_is_a_view_on_the_joint_refit(small_sample, counted):
+def test_naive_refit_is_a_view_on_the_joint_refit(small_sample, counted):
     ds, nuis = small_sample
-    naive = refit_estimator(nuis.fit_options, naive=True)(ds)
+    (naive,) = refit_estimates(nuis.fit_options, methods=NAIVE)(ds)
     # one refit, one prediction, and no WDR score for a naive-only view
     assert counted["predict"] == 1
     assert counted["kinds"] == [ScoreKind.DR_A, ScoreKind.DR_B]
     both = refit_estimates(nuis.fit_options)(ds)
-    assert both == (refit_estimator(nuis.fit_options)(ds), naive)
+    assert both == (
+        refit_estimates(nuis.fit_options, methods=REWEIGHTED)(ds)[0], naive)
 
 
 @pytest.mark.parametrize("normalize", [False, True])
@@ -440,17 +470,18 @@ def test_paired_bootstrap_ses_equal_separate_passes(small_sample, normalize):
     config = BootstrapConfig(replications=99, seed=8)
     paired = bootstrap_ses(ds, refit_estimates(options, normalize), config)
     assert paired == (
-        bootstrap_se(ds, refit_estimator(options, normalize), config),
-        bootstrap_se(ds, refit_estimator(options, normalize, naive=True),
-                     config))
+        bootstrap_ses(ds, refit_estimates(options, normalize, REWEIGHTED),
+                      config)[0],
+        bootstrap_ses(ds, refit_estimates(options, normalize, NAIVE),
+                      config)[0])
 
 
 def test_degenerate_resamples_redrawn_then_capped(small_sample, monkeypatch):
     ds, nuis = small_sample
-    runner = refit_estimator(nuis.fit_options)
+    runner = refit_estimates(nuis.fit_options)
     monkeypatch.setattr(est_mod, "_all_cells_present", lambda d: False)
     with pytest.raises(ResamplingError):
-        bootstrap_se(ds, runner, BootstrapConfig(replications=3, seed=0))
+        bootstrap_ses(ds, runner, BootstrapConfig(replications=3, seed=0))
 
 
 def test_bootstrap_empty_cell_redraw_is_deterministic():
@@ -466,12 +497,12 @@ def test_bootstrap_empty_cell_redraw_is_deterministic():
 
     def cell_gap(d):
         dd = d.delta_y()
-        return float(dd[d.group_is_a & d.eligible].mean()
-                     - dd[d.group_is_a & ~d.eligible].mean())
+        return (float(dd[d.group_is_a & d.eligible].mean()
+                      - dd[d.group_is_a & ~d.eligible].mean()),)
 
     config = BootstrapConfig(replications=40, seed=6)
-    assert bootstrap_se(ds, cell_gap, config) == bootstrap_se(ds, cell_gap,
-                                                              config)
+    assert bootstrap_ses(ds, cell_gap, config) == bootstrap_ses(ds, cell_gap,
+                                                                config)
 
 
 def test_bootstrap_config_validation():
@@ -496,7 +527,7 @@ def test_estimate_result_to_dict_handles_missing_se():
 
 def test_estimate_result_to_dict_round_trip(small_sample):
     ds, nuis = small_sample
-    doc = estimate_reweighted_difference(ds, nuis).to_dict()
+    doc = dr_reweighted(ds, nuis).to_dict()
     assert doc["method"] == "dr_reweighted"
     assert doc["estimand"] == "avg_catt_diff_on_a"
     assert doc["n"] == ds.n

@@ -8,6 +8,7 @@ use the fitted standard errors as their own yardstick.
 import numpy as np
 import pytest
 
+import tridiff.nuisance as nuisance_mod
 from tridiff.data import (AssignmentMechanism, CELL_ORDER, Eligibility, Group,
                           PanelDataset)
 from tridiff.exceptions import (ConvergenceError, InsufficientDataError,
@@ -268,6 +269,27 @@ def test_separate_binary_kind():
     flat = fit_separate_binary(np.empty((n, 0)), labels)
     np.testing.assert_allclose(flat.predict(np.empty((1, 0)))[0],
                                np.bincount(labels, minlength=4) / n, atol=1e-6)
+
+
+def test_information_inverse_built_only_for_the_multinomial_fit(monkeypatch):
+    # the separate-binary model stores no covariance, so its four
+    # one-vs-rest fits must not build and invert a Hessian for it
+    r = rng(16)
+    x = r.normal(size=(500, 1))
+    labels = cells_from_probs(r, 500, [0.3, 0.25, 0.25, 0.2])
+    calls = []
+    inverse = nuisance_mod._observed_info_inverse
+
+    def counted_inverse(*args):
+        calls.append(args)
+        return inverse(*args)
+
+    monkeypatch.setattr(nuisance_mod, "_observed_info_inverse",
+                        counted_inverse)
+    assert fit_logistic_multinomial(x, labels).coef_cov is not None
+    assert len(calls) == 1
+    assert fit_separate_binary(x, labels).coef_cov is None
+    assert len(calls) == 1
 
 
 def test_outside_interior_flags():

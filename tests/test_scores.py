@@ -21,9 +21,9 @@ from tridiff.data import AssignmentMechanism, PanelDataset, cell_table
 from tridiff.exceptions import (EstimationError, MissingNuisanceError,
                                 TrimmingError)
 from tridiff.nuisance import LinearModel, NuisanceMode, fit_nuisances
-from tridiff.scores import (A2, A_NEVER, B2, B_NEVER, ScoreKind, _augmentation,
-                            dump_scores, score_vector, score_vectors,
-                            weight_c_values, weight_t_values)
+from tridiff.scores import (A2, A_NEVER, B2, B_NEVER, FitEvaluation,
+                            ScoreKind, dump_scores, score_vector,
+                            score_vectors)
 
 
 @pytest.fixture(scope="module")
@@ -37,10 +37,15 @@ def fixture():
         x=np.array([[1.0], [2.0], [3.0], [4.0]]),
         covariate_names=("x",),
         mechanism=AssignmentMechanism.BOTH_GROUPS)
-    cells = cell_table(ds)
     nuis = fit_nuisances(ds, NuisanceMode.SCORE_SET,
                          propensity_covariates=[], outcome_covariates=[])
-    return ds, cells, nuis
+    return ds, nuis
+
+
+def with_trim(nuis, trim_epsilon):
+    """The same fit with another propensity trim threshold."""
+    return dataclasses.replace(nuis, propensity=dataclasses.replace(
+        nuis.propensity, trim_epsilon=trim_epsilon))
 
 
 HAND_VALUES = {
@@ -57,7 +62,8 @@ HAND_VALUES = {
 
 
 def test_fixture_nuisances_are_as_stated(fixture):
-    ds, cells, nuis = fixture
+    ds, nuis = fixture
+    cells = cell_table(ds)
     probs = nuis.propensities(ds.x)
     np.testing.assert_allclose(probs, 0.25, atol=1e-8)
     assert nuis.outcome_mean(A_NEVER, ds.x)[0] == pytest.approx(1.0)
@@ -68,11 +74,11 @@ def test_fixture_nuisances_are_as_stated(fixture):
 
 
 def test_weight_t_values(fixture):
-    ds, cells, _ = fixture
-    w = weight_t_values(ds, A2, cells)
+    ev = FitEvaluation(*fixture)
+    w = ev.weight_t(A2)
     np.testing.assert_array_equal(w, [4.0, 0.0, 0.0, 0.0])
     assert abs(np.mean(w) - 1.0) <= 1e-12
-    w_b = weight_t_values(ds, B2, cells)
+    w_b = ev.weight_t(B2)
     np.testing.assert_array_equal(w_b, [0.0, 0.0, 4.0, 0.0])
     assert abs(np.mean(w_b) - 1.0) <= 1e-12
 
@@ -80,25 +86,22 @@ def test_weight_t_values(fixture):
 def test_same_cell_control_weight_equals_treatment_weight(fixture):
     # identical floating-point operations: p/p is exactly 1, the share
     # division is the same division
-    ds, cells, nuis = fixture
-    wt = weight_t_values(ds, A2, cells)
-    wc = weight_c_values(ds, A2, A2, cells, nuis)
-    np.testing.assert_array_equal(wc, wt)
+    ev = FitEvaluation(*fixture)
+    np.testing.assert_array_equal(ev.weight_c(A2, A2), ev.weight_t(A2))
 
 
 def test_cross_cell_control_weights(fixture):
-    ds, cells, nuis = fixture
-    wc = weight_c_values(ds, A2, A_NEVER, cells, nuis)
+    ev = FitEvaluation(*fixture)
+    wc = ev.weight_c(A2, A_NEVER)
     np.testing.assert_allclose(wc, [0.0, 4.0, 0.0, 0.0], atol=1e-8)
-    wcb = weight_c_values(ds, A2, B_NEVER, cells, nuis)
+    wcb = ev.weight_c(A2, B_NEVER)
     np.testing.assert_allclose(wcb, [0.0, 0.0, 0.0, 4.0], atol=1e-8)
 
 
 @pytest.mark.parametrize("kind", list(ScoreKind))
 def test_score_vectors_match_hand_computation(fixture, kind):
-    ds, cells, nuis = fixture
     expected_values, expected_mean = HAND_VALUES[kind]
-    vec = score_vector(kind, ds, cells, nuis)
+    vec = score_vector(kind, FitEvaluation(*fixture))
     np.testing.assert_allclose(vec.values, expected_values, atol=1e-8)
     assert vec.mean() == pytest.approx(expected_mean, abs=1e-8)
     assert vec.kind is kind
@@ -107,70 +110,82 @@ def test_score_vectors_match_hand_computation(fixture, kind):
 
 def test_reweighting_changes_only_the_counterfactual_term(fixture):
     # headline contrast: mean DR(a) - mean WDR = 2 - 3.5
-    ds, cells, nuis = fixture
-    tau = (score_vector(ScoreKind.DR_A, ds, cells, nuis).mean()
-           - score_vector(ScoreKind.WDR, ds, cells, nuis).mean())
+    ev = FitEvaluation(*fixture)
+    tau = (score_vector(ScoreKind.DR_A, ev).mean()
+           - score_vector(ScoreKind.WDR, ev).mean())
     assert tau == pytest.approx(-1.5, abs=1e-8)
 
 
 def test_or_scores_vanish_outside_their_cells(fixture):
-    ds, cells, nuis = fixture
-    or_a = score_vector(ScoreKind.OR_A, ds, cells, nuis).values
+    ev = FitEvaluation(*fixture)
+    or_a = score_vector(ScoreKind.OR_A, ev).values
     assert np.all(or_a[1:] == 0.0)
-    ipw_a = score_vector(ScoreKind.IPW_A, ds, cells, nuis).values
+    ipw_a = score_vector(ScoreKind.IPW_A, ev).values
     assert np.all(ipw_a[2:] == 0.0)  # group B never contributes
-    wor = score_vector(ScoreKind.WOR, ds, cells, nuis).values
+    wor = score_vector(ScoreKind.WOR, ev).values
     assert np.all(wor[1:] == 0.0)  # evaluated on (A, Eligible) units only
 
 
 def test_zeroed_outcome_models_collapse_dr_to_ipw(fixture):
-    ds, cells, nuis = fixture
+    ds, nuis = fixture
     zero = LinearModel(coefficients=np.zeros(1), column_names=("intercept",),
                        residual_variance=0.0, n_obs=1,
                        gram_inverse=np.eye(1))
     zeroed = dataclasses.replace(
         nuis, outcome_models={cell: zero for cell in nuis.outcome_models})
+    ev = FitEvaluation(ds, zeroed)
     for dr, ipw in ((ScoreKind.DR_A, ScoreKind.IPW_A),
                     (ScoreKind.DR_B, ScoreKind.IPW_B),
                     (ScoreKind.WDR, ScoreKind.WIPW)):
-        np.testing.assert_array_equal(
-            score_vector(dr, ds, cells, zeroed).values,
-            score_vector(ipw, ds, cells, zeroed).values)
+        np.testing.assert_array_equal(score_vector(dr, ev).values,
+                                      score_vector(ipw, ev).values)
 
 
 def test_score_vectors_equal_score_vector(fixture):
-    ds, cells, nuis = fixture
+    # kinds built from one shared evaluation equal kinds built each from
+    # a fresh one, bit for bit
     kinds = list(ScoreKind)
-    built = score_vectors(kinds, ds, cells, nuis)
+    built = score_vectors(kinds, FitEvaluation(*fixture))
     assert list(built) == kinds
     for kind in kinds:
         np.testing.assert_array_equal(
-            built[kind].values, score_vector(kind, ds, cells, nuis).values)
+            built[kind].values,
+            score_vector(kind, FitEvaluation(*fixture)).values)
+
+
+def test_evaluation_computes_each_weight_once(fixture):
+    ev = FitEvaluation(*fixture)
+    assert ev.weight_t(A2) is ev.weight_t(A2)
+    assert ev.weight_c(A2, B2) is ev.weight_c(A2, B2)
+    assert ev.outcome(B2) is ev.outcome(B2)
+    assert ev.propensities() is ev.propensities()
+    assert ev.weight_c(A2, B2) is not ev.weight_c(A2, B_NEVER)
+    # shared by every score built from the evaluation, so not writable
+    with pytest.raises(ValueError):
+        ev.weight_t(A2)[0] = 0.0
 
 
 def test_structural_zero_augmentation_rejects_nonzero_multiplier(fixture):
     # an explicit check, not an assert, so it also holds under python -O
-    ds, _, nuis = fixture
+    ev = FitEvaluation(*fixture)
     with pytest.raises(EstimationError, match=r"\(A, Eligible\)"):
-        _augmentation(np.array([0.0, 1e-300, 0.0, 0.0]), nuis, A2, ds.x,
-                      structurally_zero=True)
-    np.testing.assert_array_equal(
-        _augmentation(np.zeros(4), nuis, A2, ds.x, structurally_zero=True),
-        np.zeros(4))
+        ev.augmentation(np.array([0.0, 1e-300, 0.0, 0.0]), A2)
+    np.testing.assert_array_equal(ev.augmentation(np.zeros(4), A2),
+                                  np.zeros(4))
 
 
 def test_trimming_error_names_offending_units(fixture):
-    ds, cells, nuis = fixture
+    ds, nuis = fixture
     with pytest.raises(TrimmingError) as err:
-        score_vector(ScoreKind.IPW_A, ds, cells, nuis, trim_epsilon=0.3)
+        score_vector(ScoreKind.IPW_A, FitEvaluation(ds, with_trim(nuis, 0.3)))
     assert "u1" in str(err.value) or "u2" in str(err.value)
     assert err.value.unit_ids
 
 
 def test_trimming_only_inspects_source_cell_units(fixture):
     # OR scores use no propensity ratio, so even an absurd threshold passes
-    ds, cells, nuis = fixture
-    vec = score_vector(ScoreKind.OR_A, ds, cells, nuis, trim_epsilon=0.3)
+    ds, nuis = fixture
+    vec = score_vector(ScoreKind.OR_A, FitEvaluation(ds, with_trim(nuis, 0.3)))
     np.testing.assert_allclose(vec.values, HAND_VALUES[ScoreKind.OR_A][0],
                                atol=1e-8)
 
@@ -191,21 +206,22 @@ def sloped_fixture():
     ds = PanelDataset(ids=np.arange(n), y1=y1, y2=y2, group_is_a=group,
                       eligible=elig, x=x, covariate_names=("x",),
                       mechanism=AssignmentMechanism.BOTH_GROUPS)
-    return ds, cell_table(ds)
+    return ds
 
 
 def test_normalization_requires_treated_cell_outcome_model(sloped_fixture):
-    ds, cells = sloped_fixture
+    ds = sloped_fixture
     nuis = fit_nuisances(ds, NuisanceMode.SCORE_SET)
     with pytest.raises(MissingNuisanceError, match=r"\(A, Eligible\)"):
-        score_vector(ScoreKind.DR_A, ds, cells, nuis, normalize=True)
+        score_vector(ScoreKind.DR_A, FitEvaluation(ds, nuis, normalize=True))
 
 
 def test_normalized_scores_finite_and_close_to_unnormalized(sloped_fixture):
-    ds, cells = sloped_fixture
+    ds = sloped_fixture
     nuis = fit_nuisances(ds, NuisanceMode.SCORE_SET, include_a2=True)
-    plain = score_vector(ScoreKind.WDR, ds, cells, nuis)
-    hajek = score_vector(ScoreKind.WDR, ds, cells, nuis, normalize=True)
+    plain = score_vector(ScoreKind.WDR, FitEvaluation(ds, nuis))
+    hajek = score_vector(ScoreKind.WDR,
+                         FitEvaluation(ds, nuis, normalize=True))
     assert np.all(np.isfinite(hajek.values))
     assert hajek.mean() != plain.mean()
     assert hajek.mean() == pytest.approx(plain.mean(), abs=0.5)
@@ -214,28 +230,28 @@ def test_normalized_scores_finite_and_close_to_unnormalized(sloped_fixture):
 def test_unnormalized_dr_needs_no_treated_cell_model(sloped_fixture):
     # identical same-cell weights null the treated-cell augmentation, so
     # the plain estimator runs on three outcome regressions
-    ds, cells = sloped_fixture
+    ds = sloped_fixture
     nuis = fit_nuisances(ds, NuisanceMode.SCORE_SET)
     assert not nuis.has_outcome(A2)
-    vec = score_vector(ScoreKind.DR_A, ds, cells, nuis)
+    vec = score_vector(ScoreKind.DR_A, FitEvaluation(ds, nuis))
     assert np.all(np.isfinite(vec.values))
 
 
 def test_dump_scores_round_trips_exact_floats(fixture, tmp_path):
-    ds, cells, nuis = fixture
+    ds, nuis = fixture
     path = tmp_path / "scores.csv"
-    dump_scores(ds, cells, nuis, [ScoreKind.DR_A, ScoreKind.WDR], path)
+    dump_scores(ds, nuis, [ScoreKind.DR_A, ScoreKind.WDR], path)
     import csv
     with open(path, newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert [row["unit_id"] for row in rows] == ["u1", "u2", "u3", "u4"]
-    dr = score_vector(ScoreKind.DR_A, ds, cells, nuis).values
+    dr = score_vector(ScoreKind.DR_A, FitEvaluation(ds, nuis)).values
     got = np.array([float(row["score_dr_a"]) for row in rows])
     np.testing.assert_array_equal(got, dr)
 
 
 def test_score_vector_rejects_missing_donor_model(fixture):
-    ds, cells, nuis = fixture
+    ds, nuis = fixture
     stripped = dataclasses.replace(nuis, outcome_models={})
     with pytest.raises(MissingNuisanceError):
-        score_vector(ScoreKind.OR_A, ds, cells, stripped)
+        score_vector(ScoreKind.OR_A, FitEvaluation(ds, stripped))
