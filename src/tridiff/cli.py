@@ -18,10 +18,9 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from .data import (AssignmentMechanism, Group, MissingPolicy, NA_TOKENS,
-                   PanelDataset, Schema, load_csv, validate)
+from .data import (AssignmentMechanism, Group, MissingPolicy,
+                   REPLICATION_FORMAT, Schema, load_csv, load_replication_csv,
+                   validate)
 from .dgp import (DgpSpec, EffectCase, closed_form_oracle, export_histogram,
                   run_monte_carlo)
 from .estimators import (BootstrapConfig, EstimateResult, Method, SeKind,
@@ -29,7 +28,7 @@ from .estimators import (BootstrapConfig, EstimateResult, Method, SeKind,
                          estimate_doubly_robust, ols_did, ols_tdid, or_table,
                          refit_estimates)
 from .exceptions import (EstimationError, FittingError, IngestionError,
-                         ParseError, SchemaError, TridiffError, TrimmingError)
+                         SchemaError, TridiffError, TrimmingError)
 from .nuisance import (DEFAULT_TRIM_EPSILON, NuisanceMode, fit_nuisances)
 from .scores import ScoreKind, dump_scores
 
@@ -58,16 +57,6 @@ REFERENCE_TABLE = {
                    "diff_awb": (4.23, 4.86)},
 }
 
-DEFAULT_REPLICATION_SCHEMA = {
-    "id": "SHEET",
-    "state": "STATE",
-    "eligible_value": "1",
-    "wage": "WAGE_ST",
-    "wage_cutoff": 4.50,
-    "y1_components": [["EMPFT", 1.0], ["EMPPT", 0.5], ["NMGRS", 1.0]],
-    "y2_components": [["EMPFT2", 1.0], ["EMPPT2", 0.5], ["NMGRS2", 1.0]],
-    "covariates": ["PSODA", "NMGRS", "HRSOPEN"],
-}
 
 def exit_code_for(exc: BaseException) -> int:
     if isinstance(exc, TrimmingError):
@@ -354,106 +343,13 @@ def cmd_simulate(ns: argparse.Namespace) -> int:
 # replicate
 # ---------------------------------------------------------------------------
 
-def _replication_schema_text() -> str:
-    return (
-        "expected a CSV with (overridable via --schema JSON) columns: "
-        "SHEET (id), STATE (1 = eligible state), WAGE_ST (starting wage; "
-        "at or below 4.50 forms group A), EMPFT/EMPPT/NMGRS and "
-        "EMPFT2/EMPPT2/NMGRS2 (employment components, periods 1 and 2, "
-        "combined 1/0.5/1), PSODA, NMGRS, HRSOPEN (covariates); rows with "
-        "missing values in any used column are dropped"
-    )
-
-
-def _component_value(record, components, row_no):
-    total = 0.0
-    for column, weight in components:
-        total += weight * _parse_float(record, column, row_no)
-    return total
-
-
-def _parse_float(record, column, row_no):
-    raw = record.get(column)
-    if raw is None:
-        raise SchemaError(f"column {column!r} missing from header")
-    value = raw.strip()
-    if value.lower() in NA_TOKENS:
-        raise _MissingField()
-    try:
-        return float(value)
-    except ValueError:
-        raise ParseError(f"non-numeric value {value!r} in column {column!r} "
-                         f"at data row {row_no}", row=row_no,
-                         column=column) from None
-
-
-class _MissingField(Exception):
-    pass
-
-
-def load_replication_csv(path, overrides=None) -> PanelDataset:
-    """Ingest the minimum-wage panel: group from a starting-wage split,
-    eligibility from the state column, composite employment outcomes."""
-    schema = dict(DEFAULT_REPLICATION_SCHEMA)
-    if overrides:
-        unknown = set(overrides) - set(schema) - {"y1", "y2"}
-        if unknown:
-            raise SchemaError(f"unknown replication schema keys: {sorted(unknown)}")
-        schema.update(overrides)
-
-    y1_components = ([[schema["y1"], 1.0]] if "y1" in schema
-                     else schema["y1_components"])
-    y2_components = ([[schema["y2"], 1.0]] if "y2" in schema
-                     else schema["y2_components"])
-    cutoff = float(schema["wage_cutoff"])
-    eligible_value = str(schema["eligible_value"]).strip()
-
-    ids, y1, y2, group_a, eligible, x = [], [], [], [], [], []
-    n_dropped = 0
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise SchemaError(f"{path}: empty file")
-        reader.fieldnames = [f.strip() for f in reader.fieldnames]
-        for row_no, record in enumerate(reader, start=1):
-            try:
-                wage = _parse_float(record, schema["wage"], row_no)
-                row_y1 = _component_value(record, y1_components, row_no)
-                row_y2 = _component_value(record, y2_components, row_no)
-                covs = [_parse_float(record, c, row_no)
-                        for c in schema["covariates"]]
-                state = record.get(schema["state"])
-                if state is None:
-                    raise SchemaError(
-                        f"column {schema['state']!r} missing from header")
-                if state.strip().lower() in NA_TOKENS:
-                    raise _MissingField()
-            except _MissingField:
-                n_dropped += 1
-                continue
-            ids.append(record.get(schema["id"], row_no))
-            y1.append(row_y1)
-            y2.append(row_y2)
-            group_a.append(wage <= cutoff)
-            eligible.append(state.strip() == eligible_value)
-            x.append(covs)
-
-    if not ids:
-        raise SchemaError(f"{path}: no usable rows; {_replication_schema_text()}")
-    return PanelDataset(
-        ids=ids, y1=y1, y2=y2, group_is_a=group_a, eligible=eligible,
-        x=np.array(x, dtype=float),
-        covariate_names=tuple(schema["covariates"]),
-        mechanism=AssignmentMechanism.BOTH_GROUPS, n_dropped=n_dropped)
-
-
 def cmd_replicate(ns: argparse.Namespace) -> int:
     _fill(ns, schema=None, bootstrap_reps=999, seed=0, out="tridiff-replication",
           se="hc1")
     if ns.input is None:
         raise SchemaError("replicate needs --input pointing at the "
                           "minimum-wage CSV (not distributed with this "
-                          f"package); {_replication_schema_text()}")
+                          f"package); {REPLICATION_FORMAT}")
     overrides = _parse_schema_arg(ns.schema) if ns.schema else None
     dataset = load_replication_csv(ns.input, overrides)
     out = _out_dir(ns)

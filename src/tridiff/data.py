@@ -372,33 +372,32 @@ def _binary_level(value: str, positive: str, column: str, seen: set) -> bool:
     return v == str(positive).strip()
 
 
-def load_csv(path, schema: Schema, mechanism: AssignmentMechanism,
-             missing_policy: MissingPolicy = MissingPolicy.DROP_ROW) -> PanelDataset:
-    """Read a delimited text file into a validated PanelDataset.
+def _read_records(path, delimiter: str, columns,
+                  missing_policy: MissingPolicy):
+    """Read the named columns of a delimited file, returning
+    (records, n_dropped).
 
-    Rows with a missing mapped field are dropped (DROP_ROW, the count is
-    kept on the dataset) or rejected (ERROR). Retained rows keep file
-    order. Raises SchemaError for unmapped columns, ParseError with the
-    offending data row for non-numeric fields, and PanelValidationError
-    if any (group, eligibility) cell ends up empty.
+    Each record maps a column to its raw field and "_row" to its data
+    row (1-based, blank lines counted). Every named column must be in
+    the header. Lines holding nothing but delimiters and whitespace are
+    skipped; a row whose field in a named column is absent (a short row)
+    or an NA token is dropped and counted (DROP_ROW) or rejected (ERROR).
     """
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh, delimiter=schema.delimiter)
+        reader = csv.reader(fh, delimiter=delimiter)
         try:
             header = next(reader)
         except StopIteration:
             raise SchemaError(f"{path}: empty file") from None
         header = [h.strip() for h in header]
         col_idx = {}
-        for col in schema.mapped_columns():
+        for col in columns:
             if col not in header:
                 raise SchemaError(f"column {col!r} not found in header {header}")
             col_idx[col] = header.index(col)
 
-        rows = []
+        records = []
         n_dropped = 0
-        group_seen: set = set()
-        elig_seen: set = set()
         for row_no, raw in enumerate(reader, start=1):
             if not raw or all(not c.strip() for c in raw):
                 continue
@@ -418,22 +417,56 @@ def load_csv(path, schema: Schema, mechanism: AssignmentMechanism,
                 n_dropped += 1
                 continue
             record["_row"] = row_no
-            rows.append(record)
+            records.append(record)
+    return records, n_dropped
+
+
+def load_csv(path, schema: Schema, mechanism: AssignmentMechanism,
+             missing_policy: MissingPolicy = MissingPolicy.DROP_ROW) -> PanelDataset:
+    """Read a delimited text file into a validated PanelDataset.
+
+    Rows with a missing mapped field are dropped (DROP_ROW, the count is
+    kept on the dataset) or rejected (ERROR). Retained rows keep file
+    order. Raises SchemaError for unmapped columns, ParseError with the
+    offending data row for non-numeric fields, and PanelValidationError
+    if any (group, eligibility) cell ends up empty.
+    """
+    rows, n_dropped = _read_records(path, schema.delimiter,
+                                    schema.mapped_columns(), missing_policy)
+    group_seen: set = set()
+    elig_seen: set = set()
+
+    def convert(uid, r1, y1_col, r2, y2_col) -> tuple:
+        """One unit's fields in PanelDataset order: each outcome from its
+        own record; group, eligibility and covariates from the period-1
+        record; the observed treatment from the period-2 record."""
+        return (uid,
+                _to_float(r1[y1_col], r1["_row"], y1_col),
+                _to_float(r2[y2_col], r2["_row"], y2_col),
+                _binary_level(r1[schema.group], schema.group_a_value,
+                              schema.group, group_seen),
+                _binary_level(r1[schema.eligibility], schema.eligible_value,
+                              schema.eligibility, elig_seen),
+                [_to_float(r1[c], r1["_row"], c) for c in schema.covariates],
+                schema.treatment is not None
+                and r2[schema.treatment].strip() == str(schema.treated_value).strip())
 
     if schema.is_long:
-        units = _pivot_long(rows, schema, group_seen, elig_seen, missing_policy)
-        n_dropped += units.pop("_n_dropped")
-        parsed = units
+        units, n_incomplete = _pivot_long(rows, schema, missing_policy, convert)
+        n_dropped += n_incomplete
     else:
-        parsed = _parse_wide(rows, schema, group_seen, elig_seen)
+        units = [convert(rec[schema.id] if schema.id is not None else k,
+                         rec, schema.y1, rec, schema.y2)
+                 for k, rec in enumerate(rows)]
+    ids, y1, y2, group_is_a, eligible, x, observed = (zip(*units) if units
+                                                      else [()] * 7)
 
     dataset = PanelDataset(
-        ids=parsed["ids"], y1=parsed["y1"], y2=parsed["y2"],
-        group_is_a=parsed["group_is_a"], eligible=parsed["eligible"],
-        x=np.array(parsed["x"], dtype=float).reshape(len(parsed["ids"]),
-                                                     len(schema.covariates)),
+        ids=ids, y1=y1, y2=y2, group_is_a=group_is_a, eligible=eligible,
+        x=np.array(x, dtype=float).reshape(len(ids), len(schema.covariates)),
         covariate_names=schema.covariates, mechanism=mechanism,
-        n_dropped=n_dropped, observed_treated=parsed.get("observed_treated"),
+        n_dropped=n_dropped,
+        observed_treated=observed if schema.treatment is not None else None,
     )
     empty = [cell_name(c) for c in CELL_ORDER
              if not np.any(dataset.cell_mask(c))]
@@ -442,34 +475,14 @@ def load_csv(path, schema: Schema, mechanism: AssignmentMechanism,
     return dataset
 
 
-def _parse_wide(rows, schema: Schema, group_seen, elig_seen) -> dict:
-    ids, y1, y2, gA, el, x = [], [], [], [], [], []
-    obs = [] if schema.treatment is not None else None
-    for k, rec in enumerate(rows):
-        row_no = rec["_row"]
-        ids.append(rec[schema.id] if schema.id is not None else k)
-        y1.append(_to_float(rec[schema.y1], row_no, schema.y1))
-        y2.append(_to_float(rec[schema.y2], row_no, schema.y2))
-        gA.append(_binary_level(rec[schema.group], schema.group_a_value,
-                                schema.group, group_seen))
-        el.append(_binary_level(rec[schema.eligibility], schema.eligible_value,
-                                schema.eligibility, elig_seen))
-        x.append([_to_float(rec[c], row_no, c) for c in schema.covariates])
-        if obs is not None:
-            obs.append(rec[schema.treatment].strip() == str(schema.treated_value).strip())
-    out = {"ids": ids, "y1": y1, "y2": y2, "group_is_a": gA, "eligible": el, "x": x}
-    if obs is not None:
-        out["observed_treated"] = obs
-    return out
-
-
-def _pivot_long(rows, schema: Schema, group_seen, elig_seen,
-                missing_policy: MissingPolicy) -> dict:
-    """Two rows per unit (one per period) to one wide record per unit."""
+def _pivot_long(rows, schema: Schema, missing_policy: MissingPolicy,
+                convert) -> tuple[list, int]:
+    """Two rows per unit (one per period) to one converted unit each, in
+    the order of the units' first rows. Returns (units, n_dropped), where
+    n_dropped counts the units that lack a period."""
     p1 = str(schema.period_1_value).strip()
     p2 = str(schema.period_2_value).strip()
     per_unit: dict = {}
-    order: list = []
     for rec in rows:
         row_no = rec["_row"]
         uid = rec[schema.unit].strip()
@@ -477,45 +490,27 @@ def _pivot_long(rows, schema: Schema, group_seen, elig_seen,
         if period not in (p1, p2):
             raise SchemaError(f"unexpected period label {period!r} at data row "
                               f"{row_no}; expected {p1!r} or {p2!r}")
-        entry = per_unit.get(uid)
-        if entry is None:
-            entry = per_unit[uid] = {"rows": {}, "first_row": row_no}
-            order.append(uid)
-        if period in entry["rows"]:
+        periods = per_unit.setdefault(uid, {})
+        if period in periods:
             raise SchemaError(f"duplicate period {period!r} for unit {uid!r} "
                               f"at data row {row_no}")
-        entry["rows"][period] = rec
+        periods[period] = rec
 
-    ids, y1, y2, gA, el, x = [], [], [], [], [], []
-    obs = [] if schema.treatment is not None else None
+    units = []
     n_dropped = 0
-    for uid in order:
-        entry = per_unit[uid]
-        if set(entry["rows"]) != {p1, p2}:
+    for uid, periods in per_unit.items():
+        if set(periods) != {p1, p2}:
             if missing_policy is MissingPolicy.ERROR:
                 raise ParseError(f"unit {uid!r} lacks one of the two periods")
             n_dropped += 1
             continue
-        r1, r2 = entry["rows"][p1], entry["rows"][p2]
+        r1, r2 = periods[p1], periods[p2]
         for col in (schema.group, schema.eligibility, *schema.covariates):
             if r1[col].strip() != r2[col].strip():
                 raise SchemaError(f"unit {uid!r}: column {col!r} differs across "
                                   f"periods ({r1[col]!r} vs {r2[col]!r})")
-        ids.append(uid)
-        y1.append(_to_float(r1[schema.y], r1["_row"], schema.y))
-        y2.append(_to_float(r2[schema.y], r2["_row"], schema.y))
-        gA.append(_binary_level(r1[schema.group], schema.group_a_value,
-                                schema.group, group_seen))
-        el.append(_binary_level(r1[schema.eligibility], schema.eligible_value,
-                                schema.eligibility, elig_seen))
-        x.append([_to_float(r1[c], r1["_row"], c) for c in schema.covariates])
-        if obs is not None:
-            obs.append(r2[schema.treatment].strip() == str(schema.treated_value).strip())
-    out = {"ids": ids, "y1": y1, "y2": y2, "group_is_a": gA, "eligible": el,
-           "x": x, "_n_dropped": n_dropped}
-    if obs is not None:
-        out["observed_treated"] = obs
-    return out
+        units.append(convert(uid, r1, schema.y, r2, schema.y))
+    return units, n_dropped
 
 
 def save_csv(dataset: PanelDataset, path) -> Schema:
@@ -537,3 +532,81 @@ def save_csv(dataset: PanelDataset, path) -> Schema:
     return Schema(group="group", group_a_value="a",
                   eligibility="eligibility", eligible_value="2",
                   covariates=names, id="id", y1="y1", y2="y2")
+
+
+# ---------------------------------------------------------------------------
+# Minimum-wage survey
+# ---------------------------------------------------------------------------
+
+DEFAULT_REPLICATION_SCHEMA = {
+    "id": "SHEET",
+    "state": "STATE",
+    "eligible_value": "1",
+    "wage": "WAGE_ST",
+    "wage_cutoff": 4.50,
+    "y1_components": [["EMPFT", 1.0], ["EMPPT", 0.5], ["NMGRS", 1.0]],
+    "y2_components": [["EMPFT2", 1.0], ["EMPPT2", 0.5], ["NMGRS2", 1.0]],
+    "covariates": ["PSODA", "NMGRS", "HRSOPEN"],
+}
+
+REPLICATION_FORMAT = (
+    "expected a CSV with (overridable via --schema JSON) columns: "
+    "SHEET (id), STATE (1 = eligible state), WAGE_ST (starting wage; "
+    "at or below 4.50 forms group A), EMPFT/EMPPT/NMGRS and "
+    "EMPFT2/EMPPT2/NMGRS2 (employment components, periods 1 and 2, "
+    "combined 1/0.5/1), PSODA, NMGRS, HRSOPEN (covariates); rows with "
+    "missing values in any used column are dropped"
+)
+
+
+def load_replication_csv(path, overrides=None) -> PanelDataset:
+    """Ingest the minimum-wage panel: group from a starting-wage split,
+    eligibility from the state column, composite employment outcomes.
+
+    Rows are read as load_csv reads them with DROP_ROW. `overrides`
+    replaces entries of DEFAULT_REPLICATION_SCHEMA; "y1"/"y2" name
+    single-column outcomes in place of the composites, and "id": None
+    numbers the units by data row.
+    """
+    schema = dict(DEFAULT_REPLICATION_SCHEMA)
+    if overrides:
+        unknown = set(overrides) - set(schema) - {"y1", "y2"}
+        if unknown:
+            raise SchemaError(f"unknown replication schema keys: {sorted(unknown)}")
+        schema.update(overrides)
+
+    y1_components = ([[schema["y1"], 1.0]] if "y1" in schema
+                     else schema["y1_components"])
+    y2_components = ([[schema["y2"], 1.0]] if "y2" in schema
+                     else schema["y2_components"])
+    cutoff = float(schema["wage_cutoff"])
+    eligible_value = str(schema["eligible_value"]).strip()
+    columns = [schema["wage"],
+               *(c for parts in (y1_components, y2_components) for c, _ in parts),
+               *schema["covariates"], schema["state"]]
+    if schema["id"] is not None:
+        columns.append(schema["id"])
+    records, n_dropped = _read_records(path, ",", columns, MissingPolicy.DROP_ROW)
+    if not records:
+        raise SchemaError(f"{path}: no usable rows; {REPLICATION_FORMAT}")
+
+    def composite(rec, components):
+        total = 0.0
+        for column, weight in components:
+            total += weight * _to_float(rec[column], rec["_row"], column)
+        return total
+
+    ids, y1, y2, group_a, eligible, x = [], [], [], [], [], []
+    for rec in records:
+        wage = _to_float(rec[schema["wage"]], rec["_row"], schema["wage"])
+        y1.append(composite(rec, y1_components))
+        y2.append(composite(rec, y2_components))
+        x.append([_to_float(rec[c], rec["_row"], c) for c in schema["covariates"]])
+        ids.append(rec["_row"] if schema["id"] is None else rec[schema["id"]])
+        group_a.append(wage <= cutoff)
+        eligible.append(rec[schema["state"]].strip() == eligible_value)
+    return PanelDataset(
+        ids=ids, y1=y1, y2=y2, group_is_a=group_a, eligible=eligible,
+        x=np.array(x, dtype=float),
+        covariate_names=tuple(schema["covariates"]),
+        mechanism=AssignmentMechanism.BOTH_GROUPS, n_dropped=n_dropped)

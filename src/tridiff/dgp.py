@@ -266,6 +266,10 @@ def run_monte_carlo(spec: DgpSpec, replications: int,
         raise ValueError("replications must be ≥ 1")
     options = dict(fit_options or {})
     options.setdefault("trim_epsilon", 0.0)
+    if normalize:
+        # normalized weights revive the treated-cell outcome term, so the
+        # (A, Eligible) regression must be fitted alongside the usual three
+        options["include_a2"] = True
     args = [(spec, r, options, normalize) for r in range(replications)]
 
     if n_jobs > 1:

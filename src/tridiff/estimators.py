@@ -384,19 +384,12 @@ def _model_did_on(nuisances: NuisanceSet, model_group: Group,
 
 
 def _or_did_value(dataset: PanelDataset, nuisances: NuisanceSet,
-                  group: Group) -> float:
-    mask = dataset.cell_mask((group, Eligibility.ELIGIBLE))
+                  model_group: Group, target: Cell) -> float:
+    """Mean of model_group's DID contrast over the units of cell target."""
+    mask = dataset.cell_mask(target)
     if not np.any(mask):
-        raise EstimationError(
-            f"no units in cell {cell_name((group, Eligibility.ELIGIBLE))}")
-    return float(np.mean(_model_did_on(nuisances, group, dataset.x[mask])))
-
-
-def _or_wdid_value(dataset: PanelDataset, nuisances: NuisanceSet) -> float:
-    mask = dataset.cell_mask(A2)
-    if not np.any(mask):
-        raise EstimationError(f"no units in cell {cell_name(A2)}")
-    return float(np.mean(_model_did_on(nuisances, Group.B, dataset.x[mask])))
+        raise EstimationError(f"no units in cell {cell_name(target)}")
+    return float(np.mean(_model_did_on(nuisances, model_group, dataset.x[mask])))
 
 
 def or_table(dataset: PanelDataset, nuisances: NuisanceSet,
@@ -407,9 +400,9 @@ def or_table(dataset: PanelDataset, nuisances: NuisanceSet,
     _require_eight(nuisances)
 
     def block(ds: PanelDataset, nu: NuisanceSet) -> np.ndarray:
-        a = _or_did_value(ds, nu, Group.A)
-        b = _or_did_value(ds, nu, Group.B)
-        wb = _or_wdid_value(ds, nu)
+        a = _or_did_value(ds, nu, Group.A, A2)
+        b = _or_did_value(ds, nu, Group.B, B2)
+        wb = _or_did_value(ds, nu, Group.B, A2)
         return np.array([a, b, wb, a - b, a - wb])
 
     points = block(dataset, nuisances)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -71,10 +71,6 @@ class LinearModel:
                 f"expected {len(self.coefficients) - 1} covariate columns, "
                 f"got {x.shape[1]}")
         return self.coefficients[0] + x @ self.coefficients[1:]
-
-    def predict_design(self, design) -> np.ndarray:
-        """Evaluate on a full design matrix (no intercept prepended)."""
-        return np.asarray(design, dtype=float) @ self.coefficients
 
     def to_dict(self) -> dict:
         return {
@@ -232,14 +228,6 @@ class PropensityModel:
             raise MissingNuisanceError("no coefficient covariance stored")
         se = np.sqrt(np.maximum(np.diag(self.coef_cov), 0.0))
         return se.reshape(self.coefficients.shape)
-
-    def outside_interior(self, probabilities) -> np.ndarray:
-        """Flag rows with any probability outside
-        [trim_epsilon, 1 - trim_epsilon]. Values are never altered;
-        consumers decide what to do."""
-        p = np.atleast_2d(np.asarray(probabilities, dtype=float))
-        bad = (p < self.trim_epsilon) | (p > 1.0 - self.trim_epsilon)
-        return bad.any(axis=1)
 
     def to_dict(self) -> dict:
         return {
@@ -515,41 +503,32 @@ SCORE_SET_CELLS: tuple[Cell, ...] = (
 
 @dataclass(frozen=True)
 class NuisanceSet:
-    """Container for fitted nuisance models plus the feature pipeline
-    (transform and column subsets) they were trained with, so that
-    prediction always reuses the training features."""
+    """Container for fitted nuisance models plus the column subsets they
+    were trained with, so that prediction always reuses the training
+    features."""
 
     mode: NuisanceMode
     covariate_names: tuple
     propensity: Optional[PropensityModel] = None
     outcome_models: dict = field(default_factory=dict)
     eight_model_or: Optional[dict] = None
-    transform: Optional[Callable] = None
     propensity_columns: Optional[tuple] = None
     outcome_columns: Optional[tuple] = None
     # keyword arguments that reproduce this fit on another dataset
     # (bootstrap replicates refit with exactly these)
     fit_options: dict = field(default_factory=dict)
 
-    def _features(self, x_raw) -> np.ndarray:
+    def _features(self, x_raw, columns) -> np.ndarray:
         x = np.asarray(x_raw, dtype=float)
         if x.ndim == 1:
             x = x.reshape(1, -1)
-        if self.transform is not None:
-            x, _ = self.transform(x, self.covariate_names)
-            x = np.asarray(x, dtype=float)
-        return x
-
-    def _select(self, features, columns):
-        if columns is None:
-            return features
-        return features[:, list(columns)]
+        return x if columns is None else x[:, list(columns)]
 
     def propensities(self, x_raw) -> np.ndarray:
         if self.propensity is None:
             raise MissingNuisanceError("no propensity model fitted")
         return self.propensity.predict(
-            self._select(self._features(x_raw), self.propensity_columns))
+            self._features(x_raw, self.propensity_columns))
 
     def has_outcome(self, cell: Cell) -> bool:
         return cell in self.outcome_models
@@ -559,14 +538,14 @@ class NuisanceSet:
             raise MissingNuisanceError(
                 f"no outcome-change model for cell {cell_name(cell)}")
         return self.outcome_models[cell].predict(
-            self._select(self._features(x_raw), self.outcome_columns))
+            self._features(x_raw, self.outcome_columns))
 
     def level_mean(self, cell: Cell, period: int, x_raw) -> np.ndarray:
         if self.eight_model_or is None or (cell, period) not in self.eight_model_or:
             raise MissingNuisanceError(
                 f"no level-outcome model for {cell_name(cell)}, period {period}")
         return self.eight_model_or[(cell, period)].predict(
-            self._select(self._features(x_raw), self.outcome_columns))
+            self._features(x_raw, self.outcome_columns))
 
     def to_dict(self) -> dict:
         doc = {
@@ -624,7 +603,6 @@ def fit_nuisances(dataset: PanelDataset,
                   include_a2: bool = False,
                   propensity_covariates: Optional[Sequence[str]] = None,
                   outcome_covariates: Optional[Sequence[str]] = None,
-                  transform: Optional[Callable] = None,
                   max_iter: int = DEFAULT_MAX_ITER,
                   tol: float = DEFAULT_LL_TOL) -> NuisanceSet:
     """Fit the nuisance models an estimator needs.
@@ -635,24 +613,17 @@ def fit_nuisances(dataset: PanelDataset,
     each on its own cell only; no propensity model is fitted in that
     mode.
 
-    `transform` is an optional basis-expansion hook: callable
-    (x, names) -> (x_expanded, names_expanded), applied before the
-    per-family column subsets are taken. Covariate subsets name columns
-    of the (possibly transformed) feature matrix; default is all
-    columns for both families.
+    Covariate subsets name columns of the dataset's covariate matrix;
+    default is all columns for both families.
     """
     fit_options = dict(propensity_kind=propensity_kind,
                        trim_epsilon=trim_epsilon, include_a2=include_a2,
                        propensity_covariates=propensity_covariates,
                        outcome_covariates=outcome_covariates,
-                       transform=transform, max_iter=max_iter, tol=tol)
+                       max_iter=max_iter, tol=tol)
 
     features = np.asarray(dataset.x, dtype=float)
     names = dataset.covariate_names
-    if transform is not None:
-        features, names = transform(features, names)
-        features = np.asarray(features, dtype=float)
-        names = tuple(names)
 
     prop_cols = _column_subset(names, propensity_covariates)
     out_cols = _column_subset(names, outcome_covariates)
@@ -673,8 +644,8 @@ def fit_nuisances(dataset: PanelDataset,
                 except Exception as exc:
                     raise _reraise_for_cell(exc, label) from exc
         return NuisanceSet(mode=mode, covariate_names=dataset.covariate_names,
-                           eight_model_or=eight, transform=transform,
-                           propensity_columns=prop_cols, outcome_columns=out_cols,
+                           eight_model_or=eight, propensity_columns=prop_cols,
+                           outcome_columns=out_cols,
                            fit_options=fit_options)
 
     fitter = (fit_logistic_multinomial
@@ -702,5 +673,5 @@ def fit_nuisances(dataset: PanelDataset,
 
     return NuisanceSet(mode=mode, covariate_names=dataset.covariate_names,
                        propensity=propensity, outcome_models=outcome_models,
-                       transform=transform, propensity_columns=prop_cols,
-                       outcome_columns=out_cols, fit_options=fit_options)
+                       propensity_columns=prop_cols, outcome_columns=out_cols,
+                       fit_options=fit_options)

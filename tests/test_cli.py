@@ -373,6 +373,16 @@ def test_simulate_small_run(tmp_path):
     assert (out / "histogram.csv").exists()
 
 
+def test_simulate_normalized_weights(tmp_path):
+    out = tmp_path / "s"
+    code = run(["simulate", "--n", "300", "--replications", "20",
+                "--normalize-weights", "--mechanism", "only-a",
+                "--seed", "11", "--out", out])
+    assert code == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["n_failed"] == 0
+
+
 def test_simulate_parallel_matches_serial(tmp_path):
     base = ["simulate", "--n", "150", "--replications", "6", "--seed", "17"]
     assert run(base + ["--jobs", "1", "--out", tmp_path / "serial"]) == 0

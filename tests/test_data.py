@@ -9,7 +9,7 @@ import pytest
 from tridiff.data import (AssignmentMechanism, CELL_ORDER, Eligibility, Group,
                           MissingPolicy, PanelDataset, REFERENCE_CELL, Schema,
                           cell_index, cell_name, cell_table, load_csv,
-                          save_csv, validate)
+                          load_replication_csv, save_csv, validate)
 from tridiff.exceptions import (PanelValidationError, ParseError, SchemaError)
 
 WIDE_SCHEMA = {
@@ -308,3 +308,119 @@ def test_blank_lines_skipped(tmp_path):
                   AssignmentMechanism.BOTH_GROUPS)
     assert ds.n == 5
     assert ds.n_dropped == 0
+
+
+# ---------------------------------------------------------------------------
+# Replication format (minimum-wage survey)
+# ---------------------------------------------------------------------------
+
+REPLICATION_HEADER = ["SHEET", "STATE", "WAGE_ST", "EMPFT", "EMPPT", "NMGRS",
+                      "EMPFT2", "EMPPT2", "NMGRS2", "PSODA", "HRSOPEN"]
+
+
+def replication_rows():
+    return [
+        ["1", "1", "4.50", "10", "5", "2", "12", "4", "2", "1.05", "16"],
+        ["2", "0", "4.75", "20", "10", "3", "18", "8", "3", "0.95", "12.5"],
+        ["3", " 1 ", "5.00", "8", "2", "1", "9", "3", "1", "1.10", "15"],
+    ]
+
+
+def replication_csv(tmp_path, rows=None, header=REPLICATION_HEADER):
+    path = tmp_path / "survey.csv"
+    write_csv(path, header, replication_rows() if rows is None else rows)
+    return path
+
+
+def test_replication_composite_outcomes_and_groups(tmp_path):
+    ds = load_replication_csv(replication_csv(tmp_path))
+    # EMPFT + 0.5 * EMPPT + NMGRS, per period
+    assert ds.y1.tolist() == [10 + 0.5 * 5 + 2, 20 + 0.5 * 10 + 3, 8 + 0.5 * 2 + 1]
+    assert ds.y2.tolist() == [16.0, 25.0, 11.5]
+    # a starting wage of exactly 4.50 is group A; STATE is compared stripped
+    assert ds.group_is_a.tolist() == [True, False, False]
+    assert ds.eligible.tolist() == [True, False, True]
+    assert list(ds.ids) == ["1", "2", "3"]
+    assert ds.covariate_names == ("PSODA", "NMGRS", "HRSOPEN")
+    assert ds.x[0].tolist() == [1.05, 2.0, 16.0]
+    assert ds.n_dropped == 0
+    assert ds.mechanism is AssignmentMechanism.BOTH_GROUPS
+
+
+@pytest.mark.parametrize("column", ["WAGE_ST", "EMPPT", "NMGRS2", "HRSOPEN",
+                                    "STATE"])
+def test_replication_missing_value_drops_row(tmp_path, column):
+    rows = replication_rows()
+    rows[1][REPLICATION_HEADER.index(column)] = "NA"
+    ds = load_replication_csv(replication_csv(tmp_path, rows))
+    assert list(ds.ids) == ["1", "3"]
+    assert ds.n_dropped == 1
+
+
+def test_replication_non_numeric_value_names_row_and_column(tmp_path):
+    rows = replication_rows()
+    rows[1][REPLICATION_HEADER.index("EMPPT2")] = "lots"
+    with pytest.raises(ParseError, match="EMPPT2") as err:
+        load_replication_csv(replication_csv(tmp_path, rows))
+    assert err.value.row == 2
+    assert err.value.column == "EMPPT2"
+
+
+def test_replication_unknown_override_key(tmp_path):
+    with pytest.raises(SchemaError, match="wages"):
+        load_replication_csv(replication_csv(tmp_path), {"wages": "WAGE_ST"})
+
+
+def test_replication_single_column_outcomes(tmp_path):
+    ds = load_replication_csv(replication_csv(tmp_path),
+                              {"y1": "EMPFT", "y2": "EMPFT2",
+                               "covariates": ["HRSOPEN"]})
+    assert ds.y1.tolist() == [10.0, 20.0, 8.0]
+    assert ds.y2.tolist() == [12.0, 18.0, 9.0]
+    assert ds.x.tolist() == [[16.0], [12.5], [15.0]]
+
+
+def test_replication_without_id_numbers_units(tmp_path):
+    ds = load_replication_csv(replication_csv(tmp_path), {"id": None})
+    assert list(ds.ids) == [1, 2, 3]
+
+
+def test_replication_short_row_dropped(tmp_path):
+    rows = replication_rows() + [["4", "1", "4.30"]]
+    ds = load_replication_csv(replication_csv(tmp_path, rows))
+    assert ds.n == 3
+    assert ds.n_dropped == 1
+
+
+def test_replication_delimiter_only_row_skipped(tmp_path):
+    rows = replication_rows()
+    rows.insert(1, [""] * len(REPLICATION_HEADER))
+    ds = load_replication_csv(replication_csv(tmp_path, rows))
+    assert ds.n == 3
+    assert ds.n_dropped == 0
+
+
+@pytest.mark.parametrize("column", ["SHEET", "STATE", "EMPPT2", "HRSOPEN"])
+def test_replication_column_missing_from_header(tmp_path, column):
+    j = REPLICATION_HEADER.index(column)
+    header = REPLICATION_HEADER[:j] + REPLICATION_HEADER[j + 1:]
+    rows = [row[:j] + row[j + 1:] for row in replication_rows()]
+    with pytest.raises(SchemaError, match=f"column '{column}' not found in header"):
+        load_replication_csv(replication_csv(tmp_path, rows, header))
+
+
+def test_replication_row_with_missing_field_is_not_parsed(tmp_path):
+    rows = replication_rows()
+    rows[1][REPLICATION_HEADER.index("WAGE_ST")] = "cheap"
+    rows[1][REPLICATION_HEADER.index("HRSOPEN")] = ""
+    ds = load_replication_csv(replication_csv(tmp_path, rows))
+    assert list(ds.ids) == ["1", "3"]
+    assert ds.n_dropped == 1
+
+
+def test_replication_missing_id_drops_row(tmp_path):
+    rows = replication_rows()
+    rows[1][REPLICATION_HEADER.index("SHEET")] = "NA"
+    ds = load_replication_csv(replication_csv(tmp_path, rows))
+    assert list(ds.ids) == ["1", "3"]
+    assert ds.n_dropped == 1

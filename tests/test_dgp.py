@@ -15,8 +15,9 @@ from tridiff.data import AssignmentMechanism, Eligibility, Group
 from tridiff.dgp import (DgpSpec, EffectCase, closed_form_oracle,
                          export_histogram, run_monte_carlo,
                          simulate_replicate, simulate_sample)
+from tridiff.estimators import estimate_doubly_robust
 from tridiff.exceptions import EstimationError
-from tridiff.nuisance import fit_linear
+from tridiff.nuisance import NuisanceMode, fit_linear, fit_nuisances
 
 
 def spec(n=20000, seed=101, **kw):
@@ -207,6 +208,19 @@ def test_monte_carlo_parallel_equals_serial():
     np.testing.assert_array_equal(serial.naive, parallel.naive)
     np.testing.assert_array_equal(serial.reweighted, parallel.reweighted)
     np.testing.assert_array_equal(serial.se_naive, parallel.se_naive)
+
+
+def test_monte_carlo_normalized_weights():
+    # normalized weights need the (A, Eligible) outcome regression
+    s = spec(n=500, seed=7)
+    result = run_monte_carlo(s, replications=4, normalize=True)
+    assert result.ok.all()
+    sample = simulate_replicate(s, 2)
+    nuisances = fit_nuisances(sample, NuisanceMode.SCORE_SET,
+                              trim_epsilon=0.0, include_a2=True)
+    rew, naive = estimate_doubly_robust(sample, nuisances, True)
+    assert result.reweighted[2] == rew.estimate
+    assert result.naive[2] == naive.estimate
 
 
 def test_monte_carlo_aborts_when_all_replications_fail():

@@ -102,8 +102,9 @@ def test_fit_linear_equals_raw_design_fit():
     np.testing.assert_allclose(scaled.coefficients, raw.coefficients,
                                rtol=1e-8, atol=1e-8)
     np.testing.assert_allclose(scaled.coef_se, raw.coef_se, rtol=1e-6)
-    np.testing.assert_allclose(scaled.predict(x), raw.predict_design(
-        np.hstack([np.ones((n, 1)), x])), rtol=1e-10)
+    np.testing.assert_allclose(
+        scaled.predict(x), np.hstack([np.ones((n, 1)), x]) @ raw.coefficients,
+        rtol=1e-10)
 
 
 def test_fit_linear_without_covariates_is_the_mean():
@@ -292,18 +293,6 @@ def test_information_inverse_built_only_for_the_multinomial_fit(monkeypatch):
     assert len(calls) == 1
 
 
-def test_outside_interior_flags():
-    r = rng(15)
-    labels = cells_from_probs(r, 400, [0.25, 0.25, 0.25, 0.25])
-    model = fit_logistic_multinomial(np.empty((400, 0)), labels,
-                                     trim_epsilon=0.3)
-    flags = model.outside_interior(np.array([[0.29, 0.31, 0.2, 0.2],
-                                             [0.4, 0.3, 0.0, 0.3]]))
-    assert flags.tolist() == [True, True]
-    ok = model.outside_interior(np.array([[0.3, 0.3, 0.3, 0.1 + 0.3]]))
-    assert ok.tolist() == [False]
-
-
 # ---------------------------------------------------------------------------
 # Nuisance assembly
 # ---------------------------------------------------------------------------
@@ -374,18 +363,6 @@ def test_fit_nuisances_covariate_subsets():
     assert model.column_names == ("intercept", "x0", "x1")
     probs = nuis.propensities(ds.x)  # subset applied internally
     assert probs.shape == (ds.n, 4)
-
-
-def test_fit_nuisances_transform_hook():
-    ds = toy_dataset()
-
-    def square(features, names):
-        return (np.hstack([features, features ** 2]),
-                tuple(names) + tuple(f"{c}_sq" for c in names))
-
-    nuis = fit_nuisances(ds, NuisanceMode.SCORE_SET, transform=square)
-    assert nuis.propensity.covariate_names == ("x0", "x0_sq")
-    assert nuis.propensities(ds.x).shape == (ds.n, 4)
 
 
 def test_fit_nuisances_error_names_cell():
