@@ -21,7 +21,7 @@ from .estimators import (BootstrapConfig, EstimandLabel, EstimateResult,
                          Method, SeKind, bias_diagnostic,
                          bootstrap_replicates, bootstrap_ses,
                          estimate_doubly_robust, influence_variance, ols_did,
-                         ols_tdid, or_table, refit_estimates)
+                         ols_tdid, refit_estimates)
 from .exceptions import (ConvergenceError, EstimationError, FittingError,
                          IngestionError, InsufficientDataError,
                          MissingNuisanceError, ParseError,
@@ -53,7 +53,7 @@ __all__ = [
     "estimate_doubly_robust", "export_histogram", "fit_linear",
     "fit_logistic_multinomial", "fit_nuisances", "fit_ols",
     "fit_separate_binary", "influence_variance", "load_csv", "ols_did",
-    "ols_tdid", "or_table", "refit_estimates", "run_monte_carlo", "save_csv",
+    "ols_tdid", "refit_estimates", "run_monte_carlo", "save_csv",
     "score_vector", "score_vectors", "simulate_replicate", "simulate_sample",
     "validate",
 ]

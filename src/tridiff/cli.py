@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import sys
@@ -23,9 +24,9 @@ from .data import (AssignmentMechanism, Group, MissingPolicy,
                    validate)
 from .dgp import (DgpSpec, EffectCase, closed_form_oracle, export_histogram,
                   run_monte_carlo)
-from .estimators import (BootstrapConfig, EstimateResult, Method, SeKind,
-                         bias_diagnostic, bootstrap_ses,
-                         estimate_doubly_robust, ols_did, ols_tdid, or_table,
+from .estimators import (OR_METHODS, BootstrapConfig, EstimateResult, Method,
+                         SeKind, bias_diagnostic, bootstrap_ses,
+                         estimate_doubly_robust, ols_did, ols_tdid,
                          refit_estimates)
 from .exceptions import (EstimationError, FittingError, IngestionError,
                          SchemaError, TridiffError, TrimmingError)
@@ -104,9 +105,8 @@ def _fmt(value, digits=4) -> str:
     return f"{value:.{digits}f}" if isinstance(value, float) else str(value)
 
 
-def _result_row(name: str, result: EstimateResult, extra_se=None):
-    se = result.se if extra_se is None else extra_se
-    return [name, _fmt(result.estimate), _fmt(se),
+def _result_row(name: str, result: EstimateResult):
+    return [name, _fmt(result.estimate), _fmt(result.se),
             result.estimand_label.value, result.n]
 
 
@@ -183,8 +183,13 @@ def _echo_config(ns, out: Path, command: str) -> dict:
 
 METHOD_CHOICES = ("dr", "naive", "bias", "ols-did-a", "ols-did-b", "ols-tdid",
                   "or-did-a", "or-did-b", "or-wdid-b", "or-diffs")
-DR_METHOD_KEYS = {"dr": Method.DR_REWEIGHTED,
-                  "naive": Method.DR_NAIVE_DIFFERENCE}
+# estimate_doubly_robust's methods by result key: dr, naive and or-*
+SCORE_METHODS = {"dr": Method.DR_REWEIGHTED,
+                 "naive": Method.DR_NAIVE_DIFFERENCE,
+                 "or-did-a": Method.OR_DID_A, "or-did-b": Method.OR_DID_B,
+                 "or-wdid-b": Method.OR_WDID_B,
+                 "or-diff-ab": Method.OR_DIFFERENCE,
+                 "or-diff-awb": Method.OR_REWEIGHTED_DIFFERENCE}
 
 
 def _parse_methods(raw: str) -> list:
@@ -221,38 +226,38 @@ def cmd_estimate(ns: argparse.Namespace) -> int:
     normalize = bool(ns.normalize_weights)
     se_kind = SeKind(ns.se)
 
-    need_scores = {"dr", "naive", "bias"} & set(methods)
-    need_eight = {"or-did-a", "or-did-b", "or-wdid-b", "or-diffs"} & set(methods)
-    # normalized weights revive the treated-cell outcome term, so the
-    # (A, Eligible) regression must be fitted alongside the usual three
-    score_nuis = (fit_nuisances(dataset, NuisanceMode.SCORE_SET,
-                                trim_epsilon=trim, include_a2=normalize)
-                  if need_scores else None)
-    eight_nuis = (fit_nuisances(dataset, NuisanceMode.EIGHT_MODEL_OR,
-                                trim_epsilon=trim)
-                  if need_eight else None)
-    or_block = or_table(dataset, eight_nuis, boot) if need_eight else None
+    keys = [key for method in methods for key in (
+        ("or-diff-ab", "or-diff-awb") if method == "or-diffs" else (method,))]
+    score_keys = {key: SCORE_METHODS[key] for key in keys
+                  if key in SCORE_METHODS}
+    need_logit = bool({"dr", "naive", "bias"} & set(methods))
+    nuis = None
+    if score_keys or need_logit:
+        # OR-only runs fit no logit, which could fail on separation;
+        # normalized weights revive the treated-cell outcome term of the
+        # DR scores, so the (A, Eligible) regression is fitted for them
+        nuis = fit_nuisances(
+            dataset, NuisanceMode.SCORE_SET if need_logit
+            else NuisanceMode.OUTCOME_ONLY,
+            trim_epsilon=trim, include_a2=normalize and need_logit)
 
-    # dr and naive come from one evaluation of the fit and, with a
-    # bootstrap, from one refit per resample, at the first of the two
-    dr_keys = [key for key in DR_METHOD_KEYS if key in methods]
-    dr_methods = tuple(DR_METHOD_KEYS[key] for key in dr_keys)
-    results = {}
+    # every score method comes from one evaluation of the fit and, with a
+    # bootstrap, from one refit per resample; a bootstrap SE is the se of
+    # an OR result, which has no analytic one, and an extra otherwise
+    score_methods = tuple(score_keys.values())
+    results = (dict(zip(score_keys, estimate_doubly_robust(
+        dataset, nuis, normalize, score_methods))) if score_keys else {})
     extras = {}
+    if score_keys and boot is not None:
+        for key, se in zip(score_keys, bootstrap_ses(dataset, refit_estimates(
+                nuis.fit_options, normalize, score_methods), boot)):
+            if results[key].se is None:
+                results[key] = dataclasses.replace(results[key], se=se)
+            else:
+                extras[key] = {"bootstrap_se": se}
     for method in methods:
-        if method in DR_METHOD_KEYS:
-            if method in results:
-                continue
-            results.update(zip(dr_keys, estimate_doubly_robust(
-                dataset, score_nuis, normalize, methods=dr_methods)))
-            if boot is not None:
-                ses = bootstrap_ses(dataset, refit_estimates(
-                    score_nuis.fit_options, normalize=normalize,
-                    methods=dr_methods), boot)
-                extras.update((key, {"bootstrap_se": se})
-                              for key, se in zip(dr_keys, ses))
-        elif method == "bias":
-            bias_hat, bias_se = bias_diagnostic(dataset, score_nuis, normalize)
+        if method == "bias":
+            bias_hat, bias_se = bias_diagnostic(dataset, nuis, normalize)
             extras["bias"] = {"bias_hat": bias_hat, "se": bias_se}
         elif method == "ols-did-a":
             results[method] = ols_did(dataset, Group.A, bool(dataset.d), se_kind)
@@ -260,15 +265,6 @@ def cmd_estimate(ns: argparse.Namespace) -> int:
             results[method] = ols_did(dataset, Group.B, bool(dataset.d), se_kind)
         elif method == "ols-tdid":
             results[method] = ols_tdid(dataset, bool(dataset.d), se_kind)
-        elif method == "or-did-a":
-            results[method] = or_block["did_a"]
-        elif method == "or-did-b":
-            results[method] = or_block["did_b"]
-        elif method == "or-wdid-b":
-            results[method] = or_block["wdid_b"]
-        elif method == "or-diffs":
-            results["or-diff-ab"] = or_block["diff_ab"]
-            results["or-diff-awb"] = or_block["diff_awb"]
 
     payload = {
         "n": dataset.n,
@@ -282,14 +278,11 @@ def cmd_estimate(ns: argparse.Namespace) -> int:
             for k, v in doc.items()}
     _write_json(out / "results.json", payload)
 
-    if ns.dump_scores and score_nuis is not None:
-        dump_scores(dataset, score_nuis, list(ScoreKind), out / "scores.csv",
+    if ns.dump_scores and nuis is not None and nuis.propensity is not None:
+        dump_scores(dataset, nuis, list(ScoreKind), out / "scores.csv",
                     normalize)
-    if ns.dump_nuisances:
-        if score_nuis is not None:
-            score_nuis.save_json(out / "nuisances_scores.json")
-        if eight_nuis is not None:
-            eight_nuis.save_json(out / "nuisances_eight_model.json")
+    if ns.dump_nuisances and nuis is not None:
+        nuis.save_json(out / "nuisances_scores.json")
 
     rows = [_result_row(key, res) for key, res in sorted(results.items())]
     for key, doc in sorted(extras.items()):
@@ -343,6 +336,10 @@ def cmd_simulate(ns: argparse.Namespace) -> int:
 # replicate
 # ---------------------------------------------------------------------------
 
+# reference-table names of the OR_METHODS, in their order
+OR_QUANTITIES = ("did_a", "did_b", "wdid_b", "diff_ab", "diff_awb")
+
+
 def cmd_replicate(ns: argparse.Namespace) -> int:
     _fill(ns, schema=None, bootstrap_reps=999, seed=0, out="tridiff-replication",
           se="hc1")
@@ -371,8 +368,13 @@ def cmd_replicate(ns: argparse.Namespace) -> int:
             "diff_ab": ols_tdid(dataset, with_controls, se_kind),
         }
         ds = dataset if with_controls else dataset.without_covariates()
-        nuis = fit_nuisances(ds, NuisanceMode.EIGHT_MODEL_OR)
-        computed[("or", with_controls)] = or_table(ds, nuis, boot)
+        nuis = fit_nuisances(ds, NuisanceMode.OUTCOME_ONLY)
+        ses = bootstrap_ses(ds, refit_estimates(nuis.fit_options,
+                                                methods=OR_METHODS), boot)
+        computed[("or", with_controls)] = {
+            key: dataclasses.replace(res, se=se) for key, res, se in zip(
+                OR_QUANTITIES, estimate_doubly_robust(
+                    ds, nuis, methods=OR_METHODS), ses)}
 
     rows = []
     comparisons = []

@@ -357,10 +357,22 @@ def _is_missing(value: str) -> bool:
 
 def _to_float(value: str, row: int, column: str) -> float:
     try:
-        return float(value)
+        number = float(value)
     except ValueError:
         raise ParseError(f"non-numeric value {value!r} in column {column!r} "
                          f"at data row {row}", row=row, column=column) from None
+    if not math.isfinite(number):
+        raise ParseError(f"non-finite value {value!r} in column {column!r} "
+                         f"at data row {row}", row=row, column=column)
+    return number
+
+
+def _require_every_cell(dataset: PanelDataset) -> PanelDataset:
+    empty = [cell_name(c) for c in CELL_ORDER
+             if not np.any(dataset.cell_mask(c))]
+    if empty:
+        raise PanelValidationError("empty cell " + ", ".join(empty))
+    return dataset
 
 
 def _binary_level(value: str, positive: str, column: str, seen: set) -> bool:
@@ -461,18 +473,13 @@ def load_csv(path, schema: Schema, mechanism: AssignmentMechanism,
     ids, y1, y2, group_is_a, eligible, x, observed = (zip(*units) if units
                                                       else [()] * 7)
 
-    dataset = PanelDataset(
+    return _require_every_cell(PanelDataset(
         ids=ids, y1=y1, y2=y2, group_is_a=group_is_a, eligible=eligible,
         x=np.array(x, dtype=float).reshape(len(ids), len(schema.covariates)),
         covariate_names=schema.covariates, mechanism=mechanism,
         n_dropped=n_dropped,
         observed_treated=observed if schema.treatment is not None else None,
-    )
-    empty = [cell_name(c) for c in CELL_ORDER
-             if not np.any(dataset.cell_mask(c))]
-    if empty:
-        raise PanelValidationError("empty cell " + ", ".join(empty))
-    return dataset
+    ))
 
 
 def _pivot_long(rows, schema: Schema, missing_policy: MissingPolicy,
@@ -563,7 +570,8 @@ def load_replication_csv(path, overrides=None) -> PanelDataset:
     """Ingest the minimum-wage panel: group from a starting-wage split,
     eligibility from the state column, composite employment outcomes.
 
-    Rows are read as load_csv reads them with DROP_ROW. `overrides`
+    Rows are read, and an empty (group, eligibility) cell rejected, as
+    load_csv does with DROP_ROW. `overrides`
     replaces entries of DEFAULT_REPLICATION_SCHEMA; "y1"/"y2" name
     single-column outcomes in place of the composites, and "id": None
     numbers the units by data row.
@@ -605,8 +613,8 @@ def load_replication_csv(path, overrides=None) -> PanelDataset:
         ids.append(rec["_row"] if schema["id"] is None else rec[schema["id"]])
         group_a.append(wage <= cutoff)
         eligible.append(rec[schema["state"]].strip() == eligible_value)
-    return PanelDataset(
+    return _require_every_cell(PanelDataset(
         ids=ids, y1=y1, y2=y2, group_is_a=group_a, eligible=eligible,
         x=np.array(x, dtype=float),
         covariate_names=tuple(schema["covariates"]),
-        mechanism=AssignmentMechanism.BOTH_GROUPS, n_dropped=n_dropped)
+        mechanism=AssignmentMechanism.BOTH_GROUPS, n_dropped=n_dropped))

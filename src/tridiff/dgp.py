@@ -28,7 +28,7 @@ from scipy.special import ndtri
 from .data import AssignmentMechanism, PanelDataset
 from .exceptions import EstimationError, TridiffError
 from .estimators import estimate_doubly_robust
-from .nuisance import NuisanceMode, fit_nuisances
+from .nuisance import fit_nuisances
 
 BETA_A_CONSTANT = 4.0
 BETA_B_CONSTANT = 1.0
@@ -237,7 +237,7 @@ def _run_one(spec: DgpSpec, replication: int, fit_options: dict,
              normalize: bool):
     sample = simulate_replicate(spec, replication)
     try:
-        nuisances = fit_nuisances(sample, NuisanceMode.SCORE_SET, **fit_options)
+        nuisances = fit_nuisances(sample, **fit_options)
         rew, naive = estimate_doubly_robust(sample, nuisances, normalize)
     except TridiffError as exc:
         return (math.nan, math.nan, math.nan, math.nan, False,

@@ -5,25 +5,26 @@ DR change contrast minus group B's contrast reweighted to group A's
 covariate distribution), with influence-function and bootstrap
 inference. The conventional estimators the framework argues against
 are implemented alongside for contrast: the naive DR difference, the
-two-way and three-way interaction regressions, and the eight-model
-regression-adjustment workflow.
+two-way and three-way interaction regressions, and the
+outcome-regression benchmarks (each group's regression DID and their
+differences), which are means of the regression scores of the same
+fit.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .data import (AssignmentMechanism, Cell, Eligibility, Group,
-                   PanelDataset, cell_name)
-from .exceptions import (EstimationError, MissingNuisanceError,
-                         ResamplingError, UnsupportedMechanismError)
-from .nuisance import (LinearModel, NuisanceMode, NuisanceSet, fit_nuisances,
-                       fit_ols)
+from .data import AssignmentMechanism, Group, PanelDataset
+from .exceptions import (EstimationError, ResamplingError,
+                         UnsupportedMechanismError)
+from .nuisance import LinearModel, NuisanceSet, fit_nuisances, fit_ols
 from .scores import A2, B2, FitEvaluation, ScoreKind, score_vectors
 
 DEFAULT_BOOTSTRAP_REPS = 999
@@ -60,7 +61,7 @@ class SeKind(enum.Enum):
 @dataclass(frozen=True)
 class EstimateResult:
     """One estimator's output. se is None when no variance method was
-    requested (regression-adjustment estimators without a bootstrap)."""
+    requested (outcome-regression estimators without a bootstrap)."""
 
     estimate: float
     se: Optional[float]
@@ -135,21 +136,41 @@ def _naive_result(ev: FitEvaluation, psi: dict) -> EstimateResult:
                           influence_values=eta)
 
 
-# score kinds each doubly robust estimator needs, in the order they are
-# built, and the function turning their values into its result
-_DR_ESTIMATORS = {
+def _or_result(method: Method, kinds: Tuple[ScoreKind, ...],
+               ev: FitEvaluation, psi: dict) -> EstimateResult:
+    """Mean of the first regression score minus the mean of the second,
+    if any. No variance formula: se is None until a bootstrap fills it."""
+    first, *rest = (psi[kind].mean() for kind in kinds)
+    label = (_reweighted_label(ev.dataset.mechanism)
+             if method is Method.OR_REWEIGHTED_DIFFERENCE
+             else EstimandLabel.DESCRIPTIVE)
+    return EstimateResult(estimate=first - sum(rest), se=None,
+                          n=ev.dataset.n, estimand_label=label, method=method)
+
+
+# score kinds each estimator needs, in the order they are built, and the
+# function turning their values into its result
+_SCORE_ESTIMATORS = {
     Method.DR_REWEIGHTED: ((ScoreKind.DR_A, ScoreKind.WDR), _reweighted_result),
     Method.DR_NAIVE_DIFFERENCE: ((ScoreKind.DR_A, ScoreKind.DR_B),
                                  _naive_result),
+    **{method: (kinds, functools.partial(_or_result, method, kinds))
+       for method, kinds in (
+           (Method.OR_DID_A, (ScoreKind.OR_A,)),
+           (Method.OR_DID_B, (ScoreKind.OR_B,)),
+           (Method.OR_WDID_B, (ScoreKind.WOR,)),
+           (Method.OR_DIFFERENCE, (ScoreKind.OR_A, ScoreKind.OR_B)),
+           (Method.OR_REWEIGHTED_DIFFERENCE, (ScoreKind.OR_A, ScoreKind.WOR)))},
 }
-DR_METHODS = tuple(_DR_ESTIMATORS)  # (reweighted, naive)
+DR_METHODS = tuple(_SCORE_ESTIMATORS)[:2]  # (reweighted, naive)
+OR_METHODS = tuple(_SCORE_ESTIMATORS)[2:]  # (A, B, weighted B, A-B, A-wB)
 
 
 def estimate_doubly_robust(dataset: PanelDataset, nuisances: NuisanceSet,
                            normalize: bool = False,
                            methods: Tuple[Method, ...] = DR_METHODS
                            ) -> Tuple[EstimateResult, ...]:
-    """Results of the requested doubly robust estimators, in the order
+    """Results of the requested score-based estimators, in the order
     given, from one FitEvaluation: each score kind the methods need is
     built once (DR_A, WDR, DR_B by default) and no other kind is built.
 
@@ -157,12 +178,19 @@ def estimate_doubly_robust(dataset: PanelDataset, nuisances: NuisanceSet,
     contrast: ATT(A) when only group A's eligible units are treated,
     else the average CATT difference over group A's covariates.
     DR_NAIVE_DIFFERENCE, mean DR_A minus mean DR_B, is the conventional
-    contrast; descriptive only, it mixes two covariate distributions."""
+    contrast; descriptive only, it mixes two covariate distributions.
+
+    The OR_METHODS are the outcome-regression benchmarks, the panel
+    regression DID of Sant'Anna & Zhao (2020, J. Econometrics 219, §2):
+    the mean over each group's eligible cell of the change minus the
+    group's fitted never-eligible change regression (OR_A, OR_B), the
+    mean over group A's eligible cell of group B's fitted DID contrast
+    (WOR), and the two differences. They need no propensity model."""
     kinds = tuple(dict.fromkeys(
-        kind for method in methods for kind in _DR_ESTIMATORS[method][0]))
+        kind for method in methods for kind in _SCORE_ESTIMATORS[method][0]))
     ev = FitEvaluation(dataset, nuisances, normalize)
     psi = score_vectors(kinds, ev)
-    return tuple(_DR_ESTIMATORS[method][1](ev, psi) for method in methods)
+    return tuple(_SCORE_ESTIMATORS[method][1](ev, psi) for method in methods)
 
 
 def bias_diagnostic(dataset: PanelDataset, nuisances: NuisanceSet,
@@ -259,12 +287,13 @@ def refit_estimates(fit_options: Optional[dict] = None,
                     methods: Tuple[Method, ...] = DR_METHODS
                     ) -> Callable[[PanelDataset], Tuple[float, ...]]:
     """Estimator callable for bootstrap_ses: refits the nuisances once per
-    resample with the given fit_nuisances keyword arguments and returns
-    the point estimates of estimate_doubly_robust's `methods`."""
+    resample with the given fit_nuisances keyword arguments (a fit's
+    fit_options, mode included) and returns the point estimates of
+    estimate_doubly_robust's `methods`."""
     options = dict(fit_options or {})
 
     def run(ds: PanelDataset) -> Tuple[float, ...]:
-        nuis = fit_nuisances(ds, NuisanceMode.SCORE_SET, **options)
+        nuis = fit_nuisances(ds, **options)
         return tuple(res.estimate for res in estimate_doubly_robust(
             ds, nuis, normalize, methods))
 
@@ -360,73 +389,3 @@ def ols_tdid(dataset: PanelDataset, with_controls: bool,
     return EstimateResult(
         estimate=float(model.coefficients[7]), se=float(se[7]), n=dataset.n,
         estimand_label=EstimandLabel.DESCRIPTIVE, method=Method.OLS_TDID)
-
-
-# ---------------------------------------------------------------------------
-# Eight-model regression adjustment
-# ---------------------------------------------------------------------------
-
-def _require_eight(nuisances: NuisanceSet):
-    if nuisances.eight_model_or is None:
-        raise MissingNuisanceError(
-            "estimator needs the eight level-outcome models; fit with "
-            "mode=EIGHT_MODEL_OR")
-
-
-def _model_did_on(nuisances: NuisanceSet, model_group: Group,
-                  x: np.ndarray) -> np.ndarray:
-    """Unit-level DID contrast from one group's four level models,
-    evaluated at covariate rows x."""
-    elig: Cell = (model_group, Eligibility.ELIGIBLE)
-    never: Cell = (model_group, Eligibility.NEVER)
-    return ((nuisances.level_mean(elig, 2, x) - nuisances.level_mean(elig, 1, x))
-            - (nuisances.level_mean(never, 2, x) - nuisances.level_mean(never, 1, x)))
-
-
-def _or_did_value(dataset: PanelDataset, nuisances: NuisanceSet,
-                  model_group: Group, target: Cell) -> float:
-    """Mean of model_group's DID contrast over the units of cell target."""
-    mask = dataset.cell_mask(target)
-    if not np.any(mask):
-        raise EstimationError(f"no units in cell {cell_name(target)}")
-    return float(np.mean(_model_did_on(nuisances, model_group, dataset.x[mask])))
-
-
-def or_table(dataset: PanelDataset, nuisances: NuisanceSet,
-             bootstrap: Optional[BootstrapConfig] = None) -> dict:
-    """All five eight-model quantities (DID A, DID B, weighted DID B and
-    the two differences) with standard errors from one shared resample
-    stream, so the difference rows inherit the component correlations."""
-    _require_eight(nuisances)
-
-    def block(ds: PanelDataset, nu: NuisanceSet) -> np.ndarray:
-        a = _or_did_value(ds, nu, Group.A, A2)
-        b = _or_did_value(ds, nu, Group.B, B2)
-        wb = _or_did_value(ds, nu, Group.B, A2)
-        return np.array([a, b, wb, a - b, a - wb])
-
-    points = block(dataset, nuisances)
-    ses = [None] * 5
-    if bootstrap is not None:
-        options = dict(nuisances.fit_options)
-        draws = bootstrap_replicates(
-            dataset,
-            lambda ds: block(ds, fit_nuisances(
-                ds, NuisanceMode.EIGHT_MODEL_OR, **options)),
-            bootstrap)
-        if len(draws) > 1:
-            ses = [float(s) for s in np.std(draws, axis=0, ddof=1)]
-        else:
-            ses = [0.0] * 5
-
-    label = _reweighted_label(dataset.mechanism)
-    spec = [
-        ("did_a", Method.OR_DID_A, EstimandLabel.DESCRIPTIVE),
-        ("did_b", Method.OR_DID_B, EstimandLabel.DESCRIPTIVE),
-        ("wdid_b", Method.OR_WDID_B, EstimandLabel.DESCRIPTIVE),
-        ("diff_ab", Method.OR_DIFFERENCE, EstimandLabel.DESCRIPTIVE),
-        ("diff_awb", Method.OR_REWEIGHTED_DIFFERENCE, label),
-    ]
-    return {key: EstimateResult(estimate=float(points[k]), se=ses[k],
-                                n=dataset.n, estimand_label=lab, method=meth)
-            for k, (key, meth, lab) in enumerate(spec)}

@@ -2,9 +2,9 @@
 maximum-likelihood logit propensity models, implemented in-house.
 
 The estimation engine consumes a NuisanceSet holding a four-cell
-propensity model p(g,e,x) and outcome-change regressions m(g,e,x).
-The eight level-outcome models used by the regression-adjustment
-workflow live in the same container under `eight_model_or`.
+propensity model p(g,e,x) and outcome-change regressions m(g,e,x). The
+outcome-regression benchmarks need the change regressions only, so
+they can be fitted without the propensity model.
 """
 
 from __future__ import annotations
@@ -488,8 +488,8 @@ def fit_separate_binary(covariates, cell_labels,
 # ---------------------------------------------------------------------------
 
 class NuisanceMode(enum.Enum):
-    SCORE_SET = "score-set"          # propensity + change regressions
-    EIGHT_MODEL_OR = "eight-model-or"  # level regressions per (g, e, t)
+    SCORE_SET = "score-set"         # propensity + change regressions
+    OUTCOME_ONLY = "outcome-only"   # the same change regressions, no logit
 
 
 # change regressions the score functions consume; (a,2) never enters any
@@ -511,7 +511,6 @@ class NuisanceSet:
     covariate_names: tuple
     propensity: Optional[PropensityModel] = None
     outcome_models: dict = field(default_factory=dict)
-    eight_model_or: Optional[dict] = None
     propensity_columns: Optional[tuple] = None
     outcome_columns: Optional[tuple] = None
     # keyword arguments that reproduce this fit on another dataset
@@ -540,15 +539,8 @@ class NuisanceSet:
         return self.outcome_models[cell].predict(
             self._features(x_raw, self.outcome_columns))
 
-    def level_mean(self, cell: Cell, period: int, x_raw) -> np.ndarray:
-        if self.eight_model_or is None or (cell, period) not in self.eight_model_or:
-            raise MissingNuisanceError(
-                f"no level-outcome model for {cell_name(cell)}, period {period}")
-        return self.eight_model_or[(cell, period)].predict(
-            self._features(x_raw, self.outcome_columns))
-
     def to_dict(self) -> dict:
-        doc = {
+        return {
             "mode": self.mode.value,
             "covariate_names": list(self.covariate_names),
             "propensity": self.propensity.to_dict() if self.propensity else None,
@@ -558,14 +550,6 @@ class NuisanceSet:
                                           key=lambda kv: cell_index(kv[0]))
             },
         }
-        if self.eight_model_or is not None:
-            doc["eight_model_or"] = {
-                f"{cell_name(cell)} t={t}": model.to_dict()
-                for (cell, t), model in sorted(
-                    self.eight_model_or.items(),
-                    key=lambda kv: (cell_index(kv[0][0]), kv[0][1]))
-            }
-        return doc
 
     def save_json(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -608,15 +592,15 @@ def fit_nuisances(dataset: PanelDataset,
     """Fit the nuisance models an estimator needs.
 
     SCORE_SET fits the four-cell propensity model on all units plus the
-    outcome-change regressions per required cell. EIGHT_MODEL_OR fits
-    level regressions of Y_t on X for every (group, eligibility, period),
-    each on its own cell only; no propensity model is fitted in that
-    mode.
+    outcome-change regressions per required cell, each on its own cell.
+    OUTCOME_ONLY fits the same change regressions and no propensity
+    model: the outcome-regression scores need nothing else, and a logit
+    that separates cannot fail them.
 
     Covariate subsets name columns of the dataset's covariate matrix;
     default is all columns for both families.
     """
-    fit_options = dict(propensity_kind=propensity_kind,
+    fit_options = dict(mode=mode, propensity_kind=propensity_kind,
                        trim_epsilon=trim_epsilon, include_a2=include_a2,
                        propensity_covariates=propensity_covariates,
                        outcome_covariates=outcome_covariates,
@@ -632,31 +616,18 @@ def fit_nuisances(dataset: PanelDataset,
     prop_names = names if prop_cols is None else tuple(names[j] for j in prop_cols)
     out_names = names if out_cols is None else tuple(names[j] for j in out_cols)
 
-    if mode is NuisanceMode.EIGHT_MODEL_OR:
-        eight = {}
-        for cell in CELL_ORDER:
-            mask = dataset.cell_mask(cell)
-            for period, values in ((1, dataset.y1), (2, dataset.y2)):
-                label = f"{cell_name(cell)} t={period}"
-                try:
-                    eight[(cell, period)] = fit_linear(
-                        out_x[mask], values[mask], out_names, fitted_on=label)
-                except Exception as exc:
-                    raise _reraise_for_cell(exc, label) from exc
-        return NuisanceSet(mode=mode, covariate_names=dataset.covariate_names,
-                           eight_model_or=eight, propensity_columns=prop_cols,
-                           outcome_columns=out_cols,
-                           fit_options=fit_options)
-
-    fitter = (fit_logistic_multinomial
-              if propensity_kind is PropensityKind.MULTINOMIAL4
-              else fit_separate_binary)
-    try:
-        propensity = fitter(prop_x, dataset.cell_codes(), max_iter=max_iter,
-                            tol=tol, trim_epsilon=trim_epsilon,
-                            covariate_names=prop_names)
-    except Exception as exc:
-        raise _reraise_for_cell(exc, "propensity model") from exc
+    propensity = None
+    if mode is NuisanceMode.SCORE_SET:
+        fitter = (fit_logistic_multinomial
+                  if propensity_kind is PropensityKind.MULTINOMIAL4
+                  else fit_separate_binary)
+        try:
+            propensity = fitter(prop_x, dataset.cell_codes(),
+                                max_iter=max_iter, tol=tol,
+                                trim_epsilon=trim_epsilon,
+                                covariate_names=prop_names)
+        except Exception as exc:
+            raise _reraise_for_cell(exc, "propensity model") from exc
 
     cells = SCORE_SET_CELLS + (((Group.A, Eligibility.ELIGIBLE),)
                                if include_a2 else ())

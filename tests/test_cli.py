@@ -51,16 +51,19 @@ def wage_rows(n=240, seed=4):
     return rows
 
 
-@pytest.fixture(scope="module")
-def wage_csv(tmp_path_factory):
-    path = tmp_path_factory.mktemp("wage") / "wage.csv"
-    rows = wage_rows()
-    rows[3]["EMPFT"] = ""  # one row dropped for missingness
+def write_rows(path, rows):
     with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
         writer.writeheader()
         writer.writerows(rows)
     return path
+
+
+@pytest.fixture(scope="module")
+def wage_csv(tmp_path_factory):
+    rows = wage_rows()
+    rows[3]["EMPFT"] = ""  # one row dropped for missingness
+    return write_rows(tmp_path_factory.mktemp("wage") / "wage.csv", rows)
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +124,10 @@ def test_estimate_dump_outputs(panel_csv, tmp_path):
     assert "score_dr_a" in rows[0]
     nuis = json.loads((out / "nuisances_scores.json").read_text())
     assert nuis["mode"] == "score-set"
-    assert (out / "nuisances_eight_model.json").exists()
+    # or-did-a comes from the same fit's change regressions
+    assert sorted(out.iterdir()) == sorted(
+        out / name for name in ("config_echo.json", "nuisances_scores.json",
+                                "results.json", "results.txt", "scores.csv"))
 
 
 def test_estimate_missing_input_is_io_error(tmp_path):
@@ -187,6 +193,76 @@ def test_estimate_paired_bootstrap_equals_separate_passes(panel_csv,
     assert extras["naive"]["bootstrap_se"] == bootstrap_ses(
         ds, refit_estimates(options, methods=(Method.DR_NAIVE_DIFFERENCE,)),
         config)[0]
+
+
+def test_estimate_one_refit_per_draw_serves_every_score_method(
+        panel_csv, tmp_path, monkeypatch):
+    import tridiff.cli as cli_mod
+    import tridiff.estimators as est_mod
+    from tridiff.nuisance import fit_nuisances
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:] + tuple(kwargs.items()))
+        return fit_nuisances(*args, **kwargs)
+
+    monkeypatch.setattr(cli_mod, "fit_nuisances", counted)
+    monkeypatch.setattr(est_mod, "fit_nuisances", counted)
+    out = tmp_path / "o"
+    assert run(["estimate", "--input", panel_csv, "--schema", SCHEMA,
+                "--methods", "dr,naive,or-diffs", "--trim", "0",
+                "--bootstrap-reps", "9", "--seed", "4", "--out", out]) == 0
+    # one fit, then one refit per draw for dr, naive and both OR rows
+    assert len(calls) == 10
+    doc = json.loads((out / "results.json").read_text())
+    assert doc["results"]["or-diff-ab"]["se"] > 0
+    assert doc["results"]["or-diff-awb"]["se"] > 0
+
+    from tridiff.data import AssignmentMechanism, Schema, load_csv
+    from tridiff.estimators import (DR_METHODS, BootstrapConfig,
+                                    bootstrap_ses, refit_estimates)
+    from tridiff.nuisance import NuisanceMode
+    ds = load_csv(panel_csv, Schema.from_dict(json.loads(SCHEMA)),
+                  AssignmentMechanism.BOTH_GROUPS)
+    options = fit_nuisances(ds, NuisanceMode.SCORE_SET,
+                            trim_epsilon=0.0).fit_options
+    assert (doc["extras"]["dr"]["bootstrap_se"],
+            doc["extras"]["naive"]["bootstrap_se"]) == bootstrap_ses(
+        ds, refit_estimates(options, methods=DR_METHODS),
+        BootstrapConfig(replications=9, seed=4))
+
+
+def test_estimate_or_only_fits_no_logit(tmp_path, monkeypatch):
+    # each cell holds its own stretch of the covariate, with razor-thin
+    # gaps between them, so the four-cell logit separates
+    rng = np.random.default_rng(8)
+    path = tmp_path / "split.csv"
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["id", "group", "eligibility", "y1", "y2", "x"])
+        cells = [("a", 2), ("a", 0), ("b", 2), ("b", 0)]
+        for k, (group, elig) in enumerate(cells):
+            for j, x in enumerate(np.linspace(0, 1, 50) + 1.01 * k):
+                writer.writerow([f"{k}-{j}", group, elig, rng.normal(),
+                                 x + rng.normal(), x])
+    base = ["estimate", "--input", path, "--schema", SCHEMA]
+    assert run(base + ["--methods", "dr", "--out", tmp_path / "dr"]) == 3
+
+    import tridiff.nuisance as nuisance_mod
+    fitted = []
+    logit = nuisance_mod.fit_logistic_multinomial
+    monkeypatch.setattr(nuisance_mod, "fit_logistic_multinomial",
+                        lambda *a, **k: fitted.append(1) or logit(*a, **k))
+    out = tmp_path / "or"
+    assert run(base + ["--methods", "or-diffs", "--bootstrap-reps", "5",
+                       "--dump-scores", "--dump-nuisances",
+                       "--out", out]) == 0
+    assert fitted == []
+    results = json.loads((out / "results.json").read_text())["results"]
+    assert results["or-diff-awb"]["se"] > 0
+    nuis = json.loads((out / "nuisances_scores.json").read_text())
+    assert nuis["mode"] == "outcome-only" and nuis["propensity"] is None
+    assert not (out / "scores.csv").exists()
 
 
 @pytest.fixture(scope="module")
@@ -347,6 +423,18 @@ def test_replicate_unknown_override_key(wage_csv, tmp_path):
     assert run(["replicate", "--input", wage_csv,
                 "--schema", json.dumps({"wages": "x"}),
                 "--out", tmp_path / "r"]) == 2
+
+
+def test_replicate_empty_cell_is_exit_2(tmp_path):
+    rows = wage_rows(n=60)
+    for row in rows:
+        row["STATE"] = 1
+    out = tmp_path / "r"
+    assert run(["replicate", "--input", write_rows(tmp_path / "w.csv", rows),
+                "--bootstrap-reps", "5", "--out", out]) == 2
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "PanelValidationError"
+    assert err["message"] == "empty cell (A, Never), (B, Never)"
 
 
 def test_replicate_deterministic(wage_csv, tmp_path):

@@ -1,6 +1,7 @@
 """Ingestion, schema handling, and panel validation."""
 
 import csv
+import functools
 import math
 
 import numpy as np
@@ -319,10 +320,14 @@ REPLICATION_HEADER = ["SHEET", "STATE", "WAGE_ST", "EMPFT", "EMPPT", "NMGRS",
 
 
 def replication_rows():
+    # every (group, eligibility) cell holds a store, (B, Never) two, so
+    # dropping store 2 leaves no cell empty
     return [
         ["1", "1", "4.50", "10", "5", "2", "12", "4", "2", "1.05", "16"],
         ["2", "0", "4.75", "20", "10", "3", "18", "8", "3", "0.95", "12.5"],
         ["3", " 1 ", "5.00", "8", "2", "1", "9", "3", "1", "1.10", "15"],
+        ["4", "0", "4.25", "6", "2", "1", "7", "2", "1", "1.00", "10"],
+        ["5", "0", "5.25", "15", "4", "2", "16", "4", "2", "0.90", "11"],
     ]
 
 
@@ -335,12 +340,14 @@ def replication_csv(tmp_path, rows=None, header=REPLICATION_HEADER):
 def test_replication_composite_outcomes_and_groups(tmp_path):
     ds = load_replication_csv(replication_csv(tmp_path))
     # EMPFT + 0.5 * EMPPT + NMGRS, per period
-    assert ds.y1.tolist() == [10 + 0.5 * 5 + 2, 20 + 0.5 * 10 + 3, 8 + 0.5 * 2 + 1]
-    assert ds.y2.tolist() == [16.0, 25.0, 11.5]
+    assert ds.y1.tolist() == [10 + 0.5 * 5 + 2, 20 + 0.5 * 10 + 3,
+                              8 + 0.5 * 2 + 1, 6 + 0.5 * 2 + 1,
+                              15 + 0.5 * 4 + 2]
+    assert ds.y2.tolist() == [16.0, 25.0, 11.5, 9.0, 20.0]
     # a starting wage of exactly 4.50 is group A; STATE is compared stripped
-    assert ds.group_is_a.tolist() == [True, False, False]
-    assert ds.eligible.tolist() == [True, False, True]
-    assert list(ds.ids) == ["1", "2", "3"]
+    assert ds.group_is_a.tolist() == [True, False, False, True, False]
+    assert ds.eligible.tolist() == [True, False, True, False, False]
+    assert list(ds.ids) == ["1", "2", "3", "4", "5"]
     assert ds.covariate_names == ("PSODA", "NMGRS", "HRSOPEN")
     assert ds.x[0].tolist() == [1.05, 2.0, 16.0]
     assert ds.n_dropped == 0
@@ -353,7 +360,7 @@ def test_replication_missing_value_drops_row(tmp_path, column):
     rows = replication_rows()
     rows[1][REPLICATION_HEADER.index(column)] = "NA"
     ds = load_replication_csv(replication_csv(tmp_path, rows))
-    assert list(ds.ids) == ["1", "3"]
+    assert list(ds.ids) == ["1", "3", "4", "5"]
     assert ds.n_dropped == 1
 
 
@@ -366,6 +373,35 @@ def test_replication_non_numeric_value_names_row_and_column(tmp_path):
     assert err.value.column == "EMPPT2"
 
 
+def test_replication_empty_cell_rejected_with_cell_name(tmp_path):
+    rows = [row for row in replication_rows() if row[0] != "4"]
+    with pytest.raises(PanelValidationError, match=r"empty cell \(A, Never\)"):
+        load_replication_csv(replication_csv(tmp_path, rows))
+
+
+@pytest.mark.parametrize("token", ["inf", "-inf", "1e999"])
+@pytest.mark.parametrize("loader, column", [
+    ("wide", "emp_before"), ("wide", "soda"),
+    ("replication", "EMPFT"), ("replication", "HRSOPEN")])
+def test_non_finite_value_reports_row_and_column(tmp_path, token, loader,
+                                                 column):
+    if loader == "wide":
+        rows = wide_rows()
+        rows[2][WIDE_HEADER.index(column)] = token
+        path = tmp_path / "wide.csv"
+        write_csv(path, WIDE_HEADER, rows)
+        load = functools.partial(load_csv, path, Schema.from_dict(WIDE_SCHEMA),
+                                 AssignmentMechanism.BOTH_GROUPS)
+    else:
+        rows = replication_rows()
+        rows[2][REPLICATION_HEADER.index(column)] = token
+        path = replication_csv(tmp_path, rows)
+        load = functools.partial(load_replication_csv, path)
+    with pytest.raises(ParseError, match=f"non-finite value '{token}'") as err:
+        load()
+    assert (err.value.row, err.value.column) == (3, column)
+
+
 def test_replication_unknown_override_key(tmp_path):
     with pytest.raises(SchemaError, match="wages"):
         load_replication_csv(replication_csv(tmp_path), {"wages": "WAGE_ST"})
@@ -375,20 +411,20 @@ def test_replication_single_column_outcomes(tmp_path):
     ds = load_replication_csv(replication_csv(tmp_path),
                               {"y1": "EMPFT", "y2": "EMPFT2",
                                "covariates": ["HRSOPEN"]})
-    assert ds.y1.tolist() == [10.0, 20.0, 8.0]
-    assert ds.y2.tolist() == [12.0, 18.0, 9.0]
-    assert ds.x.tolist() == [[16.0], [12.5], [15.0]]
+    assert ds.y1.tolist() == [10.0, 20.0, 8.0, 6.0, 15.0]
+    assert ds.y2.tolist() == [12.0, 18.0, 9.0, 7.0, 16.0]
+    assert ds.x.tolist() == [[16.0], [12.5], [15.0], [10.0], [11.0]]
 
 
 def test_replication_without_id_numbers_units(tmp_path):
     ds = load_replication_csv(replication_csv(tmp_path), {"id": None})
-    assert list(ds.ids) == [1, 2, 3]
+    assert list(ds.ids) == [1, 2, 3, 4, 5]
 
 
 def test_replication_short_row_dropped(tmp_path):
-    rows = replication_rows() + [["4", "1", "4.30"]]
+    rows = replication_rows() + [["6", "1", "4.30"]]
     ds = load_replication_csv(replication_csv(tmp_path, rows))
-    assert ds.n == 3
+    assert ds.n == 5
     assert ds.n_dropped == 1
 
 
@@ -396,7 +432,7 @@ def test_replication_delimiter_only_row_skipped(tmp_path):
     rows = replication_rows()
     rows.insert(1, [""] * len(REPLICATION_HEADER))
     ds = load_replication_csv(replication_csv(tmp_path, rows))
-    assert ds.n == 3
+    assert ds.n == 5
     assert ds.n_dropped == 0
 
 
@@ -414,7 +450,7 @@ def test_replication_row_with_missing_field_is_not_parsed(tmp_path):
     rows[1][REPLICATION_HEADER.index("WAGE_ST")] = "cheap"
     rows[1][REPLICATION_HEADER.index("HRSOPEN")] = ""
     ds = load_replication_csv(replication_csv(tmp_path, rows))
-    assert list(ds.ids) == ["1", "3"]
+    assert list(ds.ids) == ["1", "3", "4", "5"]
     assert ds.n_dropped == 1
 
 
@@ -422,5 +458,5 @@ def test_replication_missing_id_drops_row(tmp_path):
     rows = replication_rows()
     rows[1][REPLICATION_HEADER.index("SHEET")] = "NA"
     ds = load_replication_csv(replication_csv(tmp_path, rows))
-    assert list(ds.ids) == ["1", "3"]
+    assert list(ds.ids) == ["1", "3", "4", "5"]
     assert ds.n_dropped == 1

@@ -223,6 +223,20 @@ def test_monte_carlo_normalized_weights():
     assert result.naive[2] == naive.estimate
 
 
+def test_monte_carlo_refits_with_a_fits_options():
+    # a fit's options carry its nuisance mode; each replication refits
+    # with them as a bootstrap draw does
+    s = spec(n=300, seed=9)
+    sample = simulate_replicate(s, 1)
+    nuisances = fit_nuisances(sample, NuisanceMode.SCORE_SET,
+                              trim_epsilon=0.0)
+    result = run_monte_carlo(s, replications=2,
+                             fit_options=nuisances.fit_options)
+    rew, naive = estimate_doubly_robust(sample, nuisances)
+    assert (result.reweighted[1], result.naive[1]) == (rew.estimate,
+                                                       naive.estimate)
+
+
 def test_monte_carlo_aborts_when_all_replications_fail():
     # max_iter 0 exhausts the optimizer instantly in every replication
     with pytest.raises(EstimationError, match="replications failed"):

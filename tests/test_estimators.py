@@ -15,18 +15,18 @@ import pytest
 
 import tridiff.estimators as est_mod
 import tridiff.scores as scores_mod
-from tridiff.data import AssignmentMechanism, Group, PanelDataset
+from tridiff.data import AssignmentMechanism, Eligibility, Group, PanelDataset
 from tridiff.dgp import DgpSpec, closed_form_oracle, simulate_sample
-from tridiff.estimators import (BootstrapConfig, EstimandLabel,
+from tridiff.estimators import (OR_METHODS, BootstrapConfig, EstimandLabel,
                                 EstimateResult, Method, SeKind,
                                 bias_diagnostic, bootstrap_replicates,
                                 bootstrap_ses, estimate_doubly_robust,
                                 influence_variance, ols_did, ols_tdid,
-                                or_table, refit_estimates)
+                                refit_estimates)
 from tridiff.exceptions import (EstimationError, ResamplingError,
                                 UnsupportedMechanismError)
 from tridiff.nuisance import (LinearModel, NuisanceMode, PropensityModel,
-                              fit_nuisances)
+                              fit_linear, fit_nuisances)
 from tridiff.scores import (A2, B2, FitEvaluation, ScoreKind, dump_scores,
                             score_vector)
 
@@ -298,7 +298,7 @@ def test_row_permutation_invariance(small_sample):
              lambda d, nu: dr_reweighted(d, nu).estimate),
             (NuisanceMode.SCORE_SET,
              lambda d, nu: dr_naive(d, nu).estimate),
-            (NuisanceMode.EIGHT_MODEL_OR,
+            (NuisanceMode.OUTCOME_ONLY,
              lambda d, nu: or_table(d, nu)["did_a"].estimate)):
         base = run(ds, fit_nuisances(ds, build, trim_epsilon=0.0))
         moved = run(shuffled, fit_nuisances(shuffled, build,
@@ -371,17 +371,29 @@ def test_ols_recovers_simulated_interaction(big_sample):
 
 
 # ---------------------------------------------------------------------------
-# Eight-model regression adjustment
+# Outcome-regression benchmarks
 # ---------------------------------------------------------------------------
 
+OR_KEYS = {"did_a": Method.OR_DID_A, "did_b": Method.OR_DID_B,
+           "wdid_b": Method.OR_WDID_B, "diff_ab": Method.OR_DIFFERENCE,
+           "diff_awb": Method.OR_REWEIGHTED_DIFFERENCE}
+
+
+def or_table(ds, nuis):
+    """The OR_METHODS' results keyed by their reference-table names."""
+    results = estimate_doubly_robust(ds, nuis, methods=OR_METHODS)
+    assert tuple(OR_KEYS.values()) == OR_METHODS
+    return dict(zip(OR_KEYS, results))
+
+
 @pytest.fixture(scope="module")
-def eight_sample():
+def or_sample():
     ds = simulate_sample(DgpSpec(n=20000, seed=37))
-    return ds, fit_nuisances(ds, NuisanceMode.EIGHT_MODEL_OR)
+    return ds, fit_nuisances(ds, NuisanceMode.OUTCOME_ONLY)
 
 
-def test_or_quantities_recover_closed_forms(eight_sample):
-    ds, nuis = eight_sample
+def test_or_quantities_recover_closed_forms(or_sample):
+    ds, nuis = or_sample
     table = or_table(ds, nuis)
     assert table["did_a"].estimate == pytest.approx(5.0, abs=0.2)
     assert table["did_b"].estimate == pytest.approx(6.0, abs=0.2)
@@ -392,20 +404,56 @@ def test_or_quantities_recover_closed_forms(eight_sample):
     assert all(r.se is None for r in table.values())
 
 
+def level_model_or_quantities(ds):
+    """Reference for the five OR quantities, the long way: regress y1 and
+    y2 on the covariates within each cell, then average one group's DID
+    contrast of fitted levels over a target cell."""
+    def did_of(group, target):
+        x_target = ds.x[ds.cell_mask(target)]
+        contrast = np.zeros(len(x_target))
+        for elig, sign in ((Eligibility.ELIGIBLE, 1.0),
+                           (Eligibility.NEVER, -1.0)):
+            mask = ds.cell_mask((group, elig))
+            for y, period_sign in ((ds.y2, 1.0), (ds.y1, -1.0)):
+                model = fit_linear(ds.x[mask], y[mask])
+                contrast += sign * period_sign * model.predict(x_target)
+        return float(np.mean(contrast))
+
+    a, b, wb = did_of(Group.A, A2), did_of(Group.B, B2), did_of(Group.B, A2)
+    return {"did_a": a, "did_b": b, "wdid_b": wb, "diff_ab": a - b,
+            "diff_awb": a - wb}
+
+
+@pytest.mark.parametrize("covariates", [True, False],
+                         ids=["covariates", "intercept-only"])
+@pytest.mark.parametrize("mechanism", list(AssignmentMechanism),
+                         ids=lambda m: m.value)
+def test_or_quantities_equal_level_model_reference(mechanism, covariates):
+    ds = simulate_sample(DgpSpec(n=2000, seed=71, mechanism=mechanism))
+    if not covariates:
+        ds = ds.without_covariates()
+    table = or_table(ds, fit_nuisances(ds, NuisanceMode.OUTCOME_ONLY))
+    for key, want in level_model_or_quantities(ds).items():
+        assert table[key].method is OR_KEYS[key]
+        assert table[key].estimate == pytest.approx(want, abs=1e-12)
+
+
 def test_or_table_consistency(small_sample):
     ds, _ = small_sample
-    nuis = fit_nuisances(ds, NuisanceMode.EIGHT_MODEL_OR)
+    nuis = fit_nuisances(ds, NuisanceMode.OUTCOME_ONLY)
     boot = BootstrapConfig(replications=30, seed=8)
-    table = or_table(ds, nuis, boot)
+    table = or_table(ds, nuis)
     assert set(table) == {"did_a", "did_b", "wdid_b", "diff_ab", "diff_awb"}
     assert table["diff_ab"].estimate == pytest.approx(
         table["did_a"].estimate - table["did_b"].estimate, abs=1e-12)
     assert table["diff_awb"].estimate == pytest.approx(
         table["did_a"].estimate - table["wdid_b"].estimate, abs=1e-12)
-    assert all(r.se > 0 for r in table.values())
-    # the bootstrap leaves the point estimates untouched
-    for key, res in or_table(ds, nuis).items():
-        assert res.estimate == table[key].estimate
+    runner = refit_estimates(nuis.fit_options, methods=OR_METHODS)
+    assert all(se > 0 for se in bootstrap_ses(ds, runner, boot))
+    # a full-sample refit reproduces the points: the fit options carry
+    # the outcome-only mode
+    assert nuis.fit_options["mode"] is NuisanceMode.OUTCOME_ONLY
+    assert runner(ds) == tuple(res.estimate for res in table.values())
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 
 import tridiff.nuisance as nuisance_mod
-from tridiff.data import (AssignmentMechanism, CELL_ORDER, Eligibility, Group,
+from tridiff.data import (AssignmentMechanism, Eligibility, Group,
                           PanelDataset)
 from tridiff.exceptions import (ConvergenceError, InsufficientDataError,
-                                SeparationError, SingularDesignError)
+                                MissingNuisanceError, SeparationError,
+                                SingularDesignError)
 from tridiff.nuisance import (NuisanceMode, PropensityKind, fit_linear,
                               fit_logistic_multinomial, fit_nuisances,
                               fit_ols, fit_separate_binary)
@@ -333,22 +334,28 @@ def test_fit_nuisances_score_set_with_a2():
     assert len(nuis.outcome_models) == 4
 
 
-def test_fit_nuisances_eight_model():
+def test_fit_nuisances_outcome_only():
     ds = toy_dataset()
-    nuis = fit_nuisances(ds, NuisanceMode.EIGHT_MODEL_OR)
+    nuis = fit_nuisances(ds, NuisanceMode.OUTCOME_ONLY)
     assert nuis.propensity is None
-    assert len(nuis.eight_model_or) == 8
-    for cell in CELL_ORDER:
-        for period in (1, 2):
-            vals = nuis.level_mean(cell, period, ds.x[:3])
-            assert vals.shape == (3,)
+    with pytest.raises(MissingNuisanceError):
+        nuis.propensities(ds.x)
+    # the score set's change regressions, bit for bit
+    score_set = fit_nuisances(ds, NuisanceMode.SCORE_SET)
+    assert set(nuis.outcome_models) == set(score_set.outcome_models)
+    for cell, model in nuis.outcome_models.items():
+        np.testing.assert_array_equal(
+            model.coefficients, score_set.outcome_models[cell].coefficients)
+    doc = nuis.to_dict()
+    assert doc["mode"] == "outcome-only" and doc["propensity"] is None
 
 
 def test_fit_nuisances_records_fit_options():
     ds = toy_dataset()
     nuis = fit_nuisances(ds, NuisanceMode.SCORE_SET, trim_epsilon=0.05)
     assert nuis.fit_options["trim_epsilon"] == 0.05
-    refit = fit_nuisances(ds, NuisanceMode.SCORE_SET, **nuis.fit_options)
+    assert nuis.fit_options["mode"] is NuisanceMode.SCORE_SET
+    refit = fit_nuisances(ds, **nuis.fit_options)
     np.testing.assert_array_equal(refit.propensity.coefficients,
                                   nuis.propensity.coefficients)
 
@@ -372,8 +379,8 @@ def test_fit_nuisances_error_names_cell():
                        group_is_a=ds.group_is_a, eligible=ds.eligible,
                        x=np.ones((ds.n, 1)), covariate_names=("flat",),
                        mechanism=ds.mechanism)
-    with pytest.raises(SingularDesignError, match=r"\("):
-        fit_nuisances(bad, NuisanceMode.EIGHT_MODEL_OR)
+    with pytest.raises(SingularDesignError, match=r"^\(A, Never\): "):
+        fit_nuisances(bad, NuisanceMode.OUTCOME_ONLY)
 
 
 def test_nuisance_set_serialization(tmp_path):
