@@ -28,9 +28,9 @@ from .exceptions import (ConvergenceError, EstimationError, FittingError,
                          PanelValidationError, ResamplingError, SchemaError,
                          SeparationError, SingularDesignError, TridiffError,
                          TrimmingError, UnsupportedMechanismError)
-from .nuisance import (LinearModel, NuisanceMode, NuisanceSet, PropensityKind,
+from .nuisance import (LinearModel, NuisanceMode, NuisanceSet,
                        PropensityModel, fit_linear, fit_logistic_multinomial,
-                       fit_nuisances, fit_ols, fit_separate_binary)
+                       fit_nuisances, fit_ols)
 from .scores import (FitEvaluation, ScoreKind, ScoreVector, dump_scores,
                      score_vector, score_vectors)
 
@@ -38,22 +38,22 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AssignmentMechanism", "BootstrapConfig", "CELL_ORDER", "Cell",
-    "CellTable", "ConvergenceError", "DgpSpec", "EffectCase", "Eligibility",
-    "EstimandLabel", "EstimateResult", "EstimationError", "FitEvaluation",
-    "FittingError", "Group", "IngestionError", "InsufficientDataError",
-    "LinearModel", "Method", "MissingNuisanceError", "MissingPolicy",
-    "MonteCarloResult", "NuisanceMode", "NuisanceSet", "OracleValues",
-    "PanelDataset", "PanelValidationError", "ParseError", "PropensityKind",
-    "PropensityModel", "REFERENCE_CELL", "ResamplingError", "Schema",
-    "SchemaError", "ScoreKind", "ScoreVector", "SeKind", "SeparationError",
+    "CellTable", "ConvergenceError", "DgpSpec", "EffectCase",
+    "Eligibility", "EstimandLabel", "EstimateResult", "EstimationError",
+    "FitEvaluation", "FittingError", "Group", "IngestionError",
+    "InsufficientDataError", "LinearModel", "Method",
+    "MissingNuisanceError", "MissingPolicy", "MonteCarloResult",
+    "NuisanceMode", "NuisanceSet", "OracleValues", "PanelDataset",
+    "PanelValidationError", "ParseError", "PropensityModel",
+    "REFERENCE_CELL", "ResamplingError", "Schema", "SchemaError",
+    "ScoreKind", "ScoreVector", "SeKind", "SeparationError",
     "SingularDesignError", "TridiffError", "TrimmingError",
     "UnsupportedMechanismError", "ValidationReport", "bias_diagnostic",
     "bootstrap_replicates", "bootstrap_ses", "cell_index", "cell_name",
     "cell_table", "closed_form_oracle", "dump_scores",
     "estimate_doubly_robust", "export_histogram", "fit_linear",
     "fit_logistic_multinomial", "fit_nuisances", "fit_ols",
-    "fit_separate_binary", "influence_variance", "load_csv", "ols_did",
-    "ols_tdid", "refit_estimates", "run_monte_carlo", "save_csv",
-    "score_vector", "score_vectors", "simulate_replicate", "simulate_sample",
-    "validate",
+    "influence_variance", "load_csv", "ols_did", "ols_tdid",
+    "refit_estimates", "run_monte_carlo", "save_csv", "score_vector",
+    "score_vectors", "simulate_replicate", "simulate_sample", "validate",
 ]

@@ -250,7 +250,7 @@ def cmd_estimate(ns: argparse.Namespace) -> int:
     extras = {}
     if score_keys and boot is not None:
         for key, se in zip(score_keys, bootstrap_ses(dataset, refit_estimates(
-                nuis.fit_options, normalize, score_methods), boot)):
+                nuis, normalize, score_methods), boot)):
             if results[key].se is None:
                 results[key] = dataclasses.replace(results[key], se=se)
             else:
@@ -369,8 +369,8 @@ def cmd_replicate(ns: argparse.Namespace) -> int:
         }
         ds = dataset if with_controls else dataset.without_covariates()
         nuis = fit_nuisances(ds, NuisanceMode.OUTCOME_ONLY)
-        ses = bootstrap_ses(ds, refit_estimates(nuis.fit_options,
-                                                methods=OR_METHODS), boot)
+        ses = bootstrap_ses(ds, refit_estimates(nuis, methods=OR_METHODS),
+                            boot)
         computed[("or", with_controls)] = {
             key: dataclasses.replace(res, se=se) for key, res, se in zip(
                 OR_QUANTITIES, estimate_doubly_robust(
@@ -498,7 +498,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--normalize-weights", action="store_const", const=True,
                        help="rescale control weights by their sample mean")
     p_est.add_argument("--bootstrap-reps", type=int,
-                       help="pairs-bootstrap replications (0 = analytic only)")
+                       help="pairs-bootstrap replications, at least 2 "
+                            "(0 = analytic only)")
     p_est.add_argument("--se", choices=[k.value for k in SeKind],
                        help="regression standard errors (default hc1)")
     p_est.add_argument("--dump-scores", action="store_const", const=True,
@@ -530,7 +531,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--schema", help="replication schema overrides, "
                                         "inline JSON or file")
     p_rep.add_argument("--bootstrap-reps", type=int,
-                       help="bootstrap replications (default 999)")
+                       help="bootstrap replications, at least 2 "
+                            "(default 999)")
     p_rep.add_argument("--se", choices=[k.value for k in SeKind])
     p_rep.set_defaults(func=cmd_replicate)
 

@@ -226,8 +226,10 @@ class BootstrapConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.replications < 1:
-            raise ValueError("replications must be ≥ 1")
+        # one draw has no spread: its standard deviation is undefined
+        if self.replications < 2:
+            raise ValueError(f"bootstrap replications must be ≥ 2, got "
+                             f"{self.replications}")
 
 
 def _all_cells_present(dataset: PanelDataset) -> bool:
@@ -279,18 +281,23 @@ def bootstrap_ses(dataset: PanelDataset,
     returned that value alone."""
     draws = bootstrap_replicates(dataset, estimator, config)
     return tuple(float(np.std(np.ascontiguousarray(column), ddof=1))
-                 if len(column) > 1 else 0.0 for column in draws.T)
+                 for column in draws.T)
 
 
-def refit_estimates(fit_options: Optional[dict] = None,
-                    normalize: bool = False,
+def refit_estimates(nuisances: NuisanceSet, normalize: bool = False,
                     methods: Tuple[Method, ...] = DR_METHODS
                     ) -> Callable[[PanelDataset], Tuple[float, ...]]:
     """Estimator callable for bootstrap_ses: refits the nuisances once per
-    resample with the given fit_nuisances keyword arguments (a fit's
-    fit_options, mode included) and returns the point estimates of
-    estimate_doubly_robust's `methods`."""
-    options = dict(fit_options or {})
+    resample with the full-sample fit's fit_options (mode included) and
+    returns the point estimates of estimate_doubly_robust's `methods`.
+
+    Each refit's logit Newton iteration starts from the full-sample
+    propensity coefficients, near where a resample's optimum lies, so
+    it takes fewer iterations than a start from zero and converges to
+    the same optimum up to the convergence tolerance."""
+    options = dict(nuisances.fit_options)
+    if nuisances.propensity is not None:
+        options["start"] = nuisances.propensity.coefficients
 
     def run(ds: PanelDataset) -> Tuple[float, ...]:
         nuis = fit_nuisances(ds, **options)

@@ -180,23 +180,16 @@ def fit_linear(x, y, covariate_names: Optional[Sequence[str]] = None,
 # Logit propensity models
 # ---------------------------------------------------------------------------
 
-class PropensityKind(enum.Enum):
-    MULTINOMIAL4 = "multinomial4"
-    SEPARATE_BINARY = "separate-binary"
-
-
 @dataclass(frozen=True)
 class PropensityModel:
-    """Fitted cell-probability model over the four (group, eligibility)
+    """Fitted four-cell softmax model over the (group, eligibility)
     cells, in CELL_ORDER with (B, Never) the reference.
 
-    coefficients: (3, d+1) for MULTINOMIAL4 (cells 0..2 against the
-    reference), or (4, d+1) one-vs-rest logits for SEPARATE_BINARY
-    (renormalized at prediction time). Raw covariate scale, intercept
-    first. coef_cov covers the stacked multinomial parameters only.
+    coefficients: (3, d+1), cells 0..2 against the reference, on the
+    raw covariate scale with the intercept first. coef_cov covers the
+    stacked coefficients.
     """
 
-    kind: PropensityKind
     coefficients: np.ndarray
     covariate_names: tuple
     trim_epsilon: float
@@ -211,17 +204,8 @@ class PropensityModel:
         x = np.asarray(x, dtype=float)
         if x.ndim == 1:
             x = x.reshape(1, -1)
-        n = x.shape[0]
-        z = np.hstack([np.ones((n, 1)), x])
-        eta = z @ self.coefficients.T
-        if self.kind is PropensityKind.MULTINOMIAL4:
-            full = np.hstack([eta, np.zeros((n, 1))])
-            full -= full.max(axis=1, keepdims=True)
-            ex = np.exp(full)
-            return ex / ex.sum(axis=1, keepdims=True)
-        # one-vs-rest sigmoids, renormalized to sum to one
-        raw = 1.0 / (1.0 + np.exp(-eta))
-        return raw / raw.sum(axis=1, keepdims=True)
+        z = np.hstack([np.ones((x.shape[0], 1)), x])
+        return _softmax(z, self.coefficients)[1]
 
     def coef_se(self) -> np.ndarray:
         if self.coef_cov is None:
@@ -231,7 +215,7 @@ class PropensityModel:
 
     def to_dict(self) -> dict:
         return {
-            "kind": self.kind.value,
+            "kind": "multinomial4",
             "coefficients": [[float(v) for v in row] for row in self.coefficients],
             "covariate_names": list(self.covariate_names),
             "reference_cell": cell_name(CELL_ORDER[3]),
@@ -243,33 +227,46 @@ class PropensityModel:
         }
 
 
+def _softmax(z, beta):
+    """Softmax over the four cells for the (3, p) coefficients beta, with
+    the reference cell's logit fixed at 0. Returns (logits, probs,
+    log_normalizer), logits and probs (n, 4). The row shift and the
+    denominator are built column by column, np.maximum across the cells
+    and then ((e0 + e1) + e2) + e3: the same numbers as max and sum
+    along axis 1, without the per-row reduction loops."""
+    logits = np.zeros((len(z), 4))
+    logits[:, :3] = z @ beta.T
+    cols = logits.T
+    shift = np.maximum(np.maximum(np.maximum(cols[0], cols[1]), cols[2]),
+                       cols[3])
+    probs = np.exp(logits - shift[:, None])
+    ex = probs.T
+    denom = ((ex[0] + ex[1]) + ex[2]) + ex[3]
+    probs /= denom[:, None]
+    return logits, probs, shift + np.log(denom)
+
+
 def _softmax_loglik(z, labels_onehot, beta):
-    """Log-likelihood, probabilities for coefficient matrix beta (K-1, p)."""
-    eta = z @ beta.T
-    full = np.hstack([eta, np.zeros((len(z), 1))])
-    shift = full.max(axis=1, keepdims=True)
-    ex = np.exp(full - shift)
-    denom = ex.sum(axis=1, keepdims=True)
-    probs = ex / denom
-    ll = float(np.sum(full[labels_onehot] - (shift[:, 0] + np.log(denom[:, 0]))))
-    return ll, probs
+    """Log-likelihood, probabilities for coefficient matrix beta (3, p)."""
+    logits, probs, log_norm = _softmax(z, beta)
+    return float(np.sum(logits[labels_onehot] - log_norm)), probs
 
 
-def _newton_multinomial(z, labels, n_categories, max_iter, tol,
-                        raw_transform, column_names):
-    """Damped Newton ascent for a softmax model with the last category as
-    reference. Returns (beta, probs, trace, n_iter); probs are the fitted
-    category probabilities at beta. z includes the intercept column and
-    is already standardized; raw_transform maps a standardized
-    coefficient matrix to the raw scale (used only for the separation
-    check, which the spec of the method keys to the raw norm).
+def _newton_multinomial(z, labels, beta, max_iter, tol, raw_transform,
+                        column_names):
+    """Damped Newton ascent for the four-cell softmax model with the last
+    cell as reference, starting from the (3, p) coefficients beta.
+    Returns (beta, probs, trace, n_iter); probs are the fitted cell
+    probabilities at beta. z includes the intercept column and is
+    already standardized; raw_transform maps a standardized coefficient
+    matrix to the raw scale (used only for the separation check, which
+    the spec of the method keys to the raw norm).
     """
-    n, p = z.shape
-    k1 = n_categories - 1
-    onehot = np.zeros((n, n_categories), dtype=bool)
+    n = len(z)
+    k1, p = beta.shape
+    onehot = np.zeros((n, k1 + 1), dtype=bool)
     onehot[np.arange(n), labels] = True
 
-    beta = np.zeros((k1, p))
     ll, probs = _softmax_loglik(z, onehot, beta)
     trace = [ll]
 
@@ -281,7 +278,7 @@ def _newton_multinomial(z, labels, n_categories, max_iter, tol,
             return beta, probs, tuple(trace), it - 1
 
         try:
-            step = scipy.linalg.solve(_softmax_information(z, probs, k1),
+            step = scipy.linalg.solve(_softmax_information(z, probs),
                                       grad, assume_a="sym")
         except scipy.linalg.LinAlgError:
             raise SingularDesignError(
@@ -322,11 +319,12 @@ def _newton_multinomial(z, labels, n_categories, max_iter, tol,
         trace=tuple(trace))
 
 
-def _softmax_information(z, probs, k1):
+def _softmax_information(z, probs):
     """Observed information (negative Hessian) of the softmax
-    log-likelihood over the k1 non-reference categories' stacked
+    log-likelihood over the non-reference categories' stacked
     coefficients, built one (p, p) block per category pair."""
     p = z.shape[1]
+    k1 = probs.shape[1] - 1
     info = np.empty((k1 * p, k1 * p))
     for k in range(k1):
         for l in range(k, k1):
@@ -337,10 +335,10 @@ def _softmax_information(z, probs, k1):
     return info
 
 
-def _observed_info_inverse(z, probs, k1):
+def _observed_info_inverse(z, probs):
     """Inverse observed information, None when it is singular."""
     try:
-        return scipy.linalg.inv(_softmax_information(z, probs, k1))
+        return scipy.linalg.inv(_softmax_information(z, probs))
     except scipy.linalg.LinAlgError:
         return None
 
@@ -387,11 +385,23 @@ def _check_design_rank(z, column_names):
             f"{', '.join(dep)}", dependent_columns=dep)
 
 
-def _logit_design(covariates, cell_labels, covariate_names):
-    """Preamble shared by the logit fitters: coerces the inputs, requires
-    d+1 units in every cell, and builds the standardized intercept-first
-    design, whose rank it checks. Returns (z, labels, covariate_names,
-    names, center, scale); names label z's columns."""
+def fit_logistic_multinomial(covariates, cell_labels,
+                             max_iter: int = DEFAULT_MAX_ITER,
+                             tol: float = DEFAULT_LL_TOL,
+                             trim_epsilon: float = DEFAULT_TRIM_EPSILON,
+                             covariate_names: Optional[Sequence[str]] = None,
+                             start=None) -> PropensityModel:
+    """Four-cell softmax model by damped Newton, reference cell (B, Never).
+
+    cell_labels are integer codes following CELL_ORDER. Every cell needs
+    d+1 units and the intercept-first design full rank. Newton starts at
+    zero, or at `start`: raw-scale (3, d+1) coefficients such as another
+    fit's, which a bootstrap refit passes so that it begins near its
+    optimum. Converges when the likelihood gain drops below tol or the
+    gradient max-norm below 1e-8. Diverging coefficients with rising
+    likelihood raise SeparationError; exhausting max_iter raises
+    ConvergenceError with the likelihood trace attached.
+    """
     x = np.asarray(covariates, dtype=float)
     if x.ndim == 1:
         x = x.reshape(-1, 1)
@@ -412,75 +422,34 @@ def _logit_design(covariates, cell_labels, covariate_names):
     z = np.hstack([np.ones((n, 1)), zx])
     names = ("intercept", *covariate_names)
     _check_design_rank(z, names)
-    return z, labels, covariate_names, names, center, scale
-
-
-def fit_logistic_multinomial(covariates, cell_labels,
-                             max_iter: int = DEFAULT_MAX_ITER,
-                             tol: float = DEFAULT_LL_TOL,
-                             trim_epsilon: float = DEFAULT_TRIM_EPSILON,
-                             covariate_names: Optional[Sequence[str]] = None
-                             ) -> PropensityModel:
-    """Four-cell softmax model by damped Newton, reference cell (B, Never).
-
-    cell_labels are integer codes following CELL_ORDER. Converges when
-    the likelihood gain drops below tol or the gradient max-norm below
-    1e-8. Diverging coefficients with rising likelihood raise
-    SeparationError; exhausting max_iter raises ConvergenceError with
-    the likelihood trace attached.
-    """
-    z, labels, covariate_names, names, center, scale = _logit_design(
-        covariates, cell_labels, covariate_names)
     convert = _raw_coef_transform(center, scale)
 
+    if start is None:
+        beta = np.zeros((3, d + 1))
+    else:
+        beta = np.array(start, dtype=float)
+        if beta.shape != (3, d + 1):
+            raise ValueError(f"start has shape {beta.shape}; the model's "
+                             f"coefficients are (3, {d + 1})")
+        # raw to standardized: the inverse of convert
+        beta[:, 0] += beta[:, 1:] @ center
+        beta[:, 1:] *= scale
+
     beta_std, probs, trace, n_iter = _newton_multinomial(
-        z, labels, 4, max_iter, tol, convert, names)
+        z, labels, beta, max_iter, tol, convert, names)
 
     coef = convert(beta_std)
-    cov_std = _observed_info_inverse(z, probs, 3)
+    cov_std = _observed_info_inverse(z, probs)
     cov = None
     if cov_std is not None:
         t_full = scipy.linalg.block_diag(
             *([_raw_transform_matrix(center, scale)] * 3))
         cov = t_full @ cov_std @ t_full.T
 
-    return PropensityModel(kind=PropensityKind.MULTINOMIAL4, coefficients=coef,
-                           covariate_names=covariate_names,
-                           trim_epsilon=trim_epsilon, n_obs=len(z),
+    return PropensityModel(coefficients=coef, covariate_names=covariate_names,
+                           trim_epsilon=trim_epsilon, n_obs=n,
                            converged=True, n_iter=n_iter,
                            loglik_trace=trace, coef_cov=cov)
-
-
-def fit_separate_binary(covariates, cell_labels,
-                        max_iter: int = DEFAULT_MAX_ITER,
-                        tol: float = DEFAULT_LL_TOL,
-                        trim_epsilon: float = DEFAULT_TRIM_EPSILON,
-                        covariate_names: Optional[Sequence[str]] = None
-                        ) -> PropensityModel:
-    """One-vs-rest binary logit per cell; predictions renormalized to sum
-    to one. Offered for parity with common practice; the softmax model is
-    the default."""
-    z, labels, covariate_names, names, center, scale = _logit_design(
-        covariates, cell_labels, covariate_names)
-    convert = _raw_coef_transform(center, scale)
-
-    rows = []
-    traces = []
-    iters = 0
-    for k in range(4):
-        binary = np.where(labels == k, 0, 1)
-        beta_std, _, trace, n_iter = _newton_multinomial(
-            z, binary, 2, max_iter, tol, convert, names)
-        rows.append(convert(beta_std)[0])
-        traces.append(trace[-1])
-        iters = max(iters, n_iter)
-
-    return PropensityModel(kind=PropensityKind.SEPARATE_BINARY,
-                           coefficients=np.array(rows),
-                           covariate_names=covariate_names,
-                           trim_epsilon=trim_epsilon, n_obs=len(z),
-                           converged=True, n_iter=iters,
-                           loglik_trace=tuple(traces), coef_cov=None)
 
 
 # ---------------------------------------------------------------------------
@@ -582,13 +551,13 @@ def _column_subset(names, requested):
 def fit_nuisances(dataset: PanelDataset,
                   mode: NuisanceMode = NuisanceMode.SCORE_SET,
                   *,
-                  propensity_kind: PropensityKind = PropensityKind.MULTINOMIAL4,
                   trim_epsilon: float = DEFAULT_TRIM_EPSILON,
                   include_a2: bool = False,
                   propensity_covariates: Optional[Sequence[str]] = None,
                   outcome_covariates: Optional[Sequence[str]] = None,
                   max_iter: int = DEFAULT_MAX_ITER,
-                  tol: float = DEFAULT_LL_TOL) -> NuisanceSet:
+                  tol: float = DEFAULT_LL_TOL,
+                  start=None) -> NuisanceSet:
     """Fit the nuisance models an estimator needs.
 
     SCORE_SET fits the four-cell propensity model on all units plus the
@@ -598,10 +567,12 @@ def fit_nuisances(dataset: PanelDataset,
     that separates cannot fail them.
 
     Covariate subsets name columns of the dataset's covariate matrix;
-    default is all columns for both families.
+    default is all columns for both families. `start` is passed to
+    fit_logistic_multinomial as its Newton start; it changes where the
+    iteration begins, not the model, so fit_options does not record it.
     """
-    fit_options = dict(mode=mode, propensity_kind=propensity_kind,
-                       trim_epsilon=trim_epsilon, include_a2=include_a2,
+    fit_options = dict(mode=mode, trim_epsilon=trim_epsilon,
+                       include_a2=include_a2,
                        propensity_covariates=propensity_covariates,
                        outcome_covariates=outcome_covariates,
                        max_iter=max_iter, tol=tol)
@@ -618,14 +589,11 @@ def fit_nuisances(dataset: PanelDataset,
 
     propensity = None
     if mode is NuisanceMode.SCORE_SET:
-        fitter = (fit_logistic_multinomial
-                  if propensity_kind is PropensityKind.MULTINOMIAL4
-                  else fit_separate_binary)
         try:
-            propensity = fitter(prop_x, dataset.cell_codes(),
-                                max_iter=max_iter, tol=tol,
-                                trim_epsilon=trim_epsilon,
-                                covariate_names=prop_names)
+            propensity = fit_logistic_multinomial(
+                prop_x, dataset.cell_codes(), max_iter=max_iter, tol=tol,
+                trim_epsilon=trim_epsilon, covariate_names=prop_names,
+                start=start)
         except Exception as exc:
             raise _reraise_for_cell(exc, "propensity model") from exc
 

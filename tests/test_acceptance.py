@@ -33,8 +33,7 @@ def or_table(ds, boot):
     per resample."""
     nuis = fit_nuisances(ds, NuisanceMode.OUTCOME_ONLY)
     points = estimate_doubly_robust(ds, nuis, methods=OR_METHODS)
-    ses = bootstrap_ses(ds, refit_estimates(nuis.fit_options,
-                                            methods=OR_METHODS), boot)
+    ses = bootstrap_ses(ds, refit_estimates(nuis, methods=OR_METHODS), boot)
     return {key: dataclasses.replace(res, se=se) for key, res, se in zip(
         ("did_a", "did_b", "wdid_b", "diff_ab", "diff_awb"), points, ses)}
 

@@ -184,14 +184,13 @@ def test_estimate_paired_bootstrap_equals_separate_passes(panel_csv,
     from tridiff.nuisance import NuisanceMode, fit_nuisances
     ds = load_csv(panel_csv, Schema.from_dict(json.loads(SCHEMA)),
                   AssignmentMechanism.BOTH_GROUPS)
-    options = fit_nuisances(ds, NuisanceMode.SCORE_SET,
-                            trim_epsilon=0.0).fit_options
+    nuis = fit_nuisances(ds, NuisanceMode.SCORE_SET, trim_epsilon=0.0)
     config = BootstrapConfig(replications=8, seed=5)
     assert extras["dr"]["bootstrap_se"] == bootstrap_ses(
-        ds, refit_estimates(options, methods=(Method.DR_REWEIGHTED,)),
+        ds, refit_estimates(nuis, methods=(Method.DR_REWEIGHTED,)),
         config)[0]
     assert extras["naive"]["bootstrap_se"] == bootstrap_ses(
-        ds, refit_estimates(options, methods=(Method.DR_NAIVE_DIFFERENCE,)),
+        ds, refit_estimates(nuis, methods=(Method.DR_NAIVE_DIFFERENCE,)),
         config)[0]
 
 
@@ -224,12 +223,56 @@ def test_estimate_one_refit_per_draw_serves_every_score_method(
     from tridiff.nuisance import NuisanceMode
     ds = load_csv(panel_csv, Schema.from_dict(json.loads(SCHEMA)),
                   AssignmentMechanism.BOTH_GROUPS)
-    options = fit_nuisances(ds, NuisanceMode.SCORE_SET,
-                            trim_epsilon=0.0).fit_options
+    nuis = fit_nuisances(ds, NuisanceMode.SCORE_SET, trim_epsilon=0.0)
     assert (doc["extras"]["dr"]["bootstrap_se"],
             doc["extras"]["naive"]["bootstrap_se"]) == bootstrap_ses(
-        ds, refit_estimates(options, methods=DR_METHODS),
+        ds, refit_estimates(nuis, methods=DR_METHODS),
         BootstrapConfig(replications=9, seed=4))
+
+
+def test_estimate_warm_started_bootstrap_matches_cold_start(
+        panel_csv, tmp_path, monkeypatch):
+    # each refit starts Newton from the full-sample logit; a pass whose
+    # refits start from zero must give the same SEs up to the
+    # convergence tolerance
+    out = tmp_path / "o"
+    args = ["estimate", "--input", panel_csv, "--schema", SCHEMA,
+            "--methods", "dr,naive", "--trim", "0", "--bootstrap-reps", "30",
+            "--seed", "3"]
+    assert run(args + ["--out", out]) == 0
+    warm = json.loads((out / "results.json").read_text())
+
+    import tridiff.estimators as est_mod
+    from tridiff.nuisance import fit_nuisances
+    starts = []
+
+    def cold(*args, **kwargs):
+        starts.append(kwargs.pop("start", None))
+        return fit_nuisances(*args, **kwargs)
+
+    monkeypatch.setattr(est_mod, "fit_nuisances", cold)
+    cold_out = tmp_path / "cold"
+    assert run(args + ["--out", cold_out]) == 0
+    assert len(starts) == 30 and all(s is not None for s in starts)
+    cold_doc = json.loads((cold_out / "results.json").read_text())
+    assert cold_doc["results"] == warm["results"]
+    for key in ("dr", "naive"):
+        assert cold_doc["extras"][key]["bootstrap_se"] == pytest.approx(
+            warm["extras"][key]["bootstrap_se"], rel=1e-9, abs=0)
+
+
+@pytest.mark.parametrize("command", ["estimate", "replicate"])
+def test_one_bootstrap_draw_is_exit_2(command, panel_csv, wage_csv,
+                                      tmp_path):
+    # one draw leaves the bootstrap SE undefined
+    out = tmp_path / "o"
+    args = (["estimate", "--input", panel_csv, "--schema", SCHEMA,
+             "--methods", "dr,or-diffs"] if command == "estimate"
+            else ["replicate", "--input", wage_csv])
+    assert run(args + ["--bootstrap-reps", "1", "--out", out]) == 2
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "ValueError" and "≥ 2" in err["message"]
+    assert not (out / "results.json").exists()
 
 
 def test_estimate_or_only_fits_no_logit(tmp_path, monkeypatch):

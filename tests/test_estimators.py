@@ -448,7 +448,7 @@ def test_or_table_consistency(small_sample):
         table["did_a"].estimate - table["did_b"].estimate, abs=1e-12)
     assert table["diff_awb"].estimate == pytest.approx(
         table["did_a"].estimate - table["wdid_b"].estimate, abs=1e-12)
-    runner = refit_estimates(nuis.fit_options, methods=OR_METHODS)
+    runner = refit_estimates(nuis, methods=OR_METHODS)
     assert all(se > 0 for se in bootstrap_ses(ds, runner, boot))
     # a full-sample refit reproduces the points: the fit options carry
     # the outcome-only mode
@@ -462,7 +462,7 @@ def test_or_table_consistency(small_sample):
 
 def test_bootstrap_se_deterministic(small_sample):
     ds, nuis = small_sample
-    runner = refit_estimates(nuis.fit_options, methods=REWEIGHTED)
+    runner = refit_estimates(nuis, methods=REWEIGHTED)
     config = BootstrapConfig(replications=25, seed=42)
     (first,) = bootstrap_ses(ds, runner, config)
     (second,) = bootstrap_ses(ds, runner, config)
@@ -475,7 +475,7 @@ def test_bootstrap_se_deterministic(small_sample):
 
 def test_bootstrap_se_is_sd_of_replicates(small_sample):
     ds, nuis = small_sample
-    runner = refit_estimates(nuis.fit_options, methods=REWEIGHTED)
+    runner = refit_estimates(nuis, methods=REWEIGHTED)
     config = BootstrapConfig(replications=20, seed=4)
     reps = bootstrap_replicates(ds, runner, config)
     assert reps.shape == (20, 1)
@@ -491,8 +491,8 @@ def test_bootstrap_of_constant_estimator_is_zero(small_sample):
 
 def test_naive_refit_runner_differs(small_sample):
     ds, nuis = small_sample
-    (rew,) = refit_estimates(nuis.fit_options, methods=REWEIGHTED)(ds)
-    (naive,) = refit_estimates(nuis.fit_options, methods=NAIVE)(ds)
+    (rew,) = refit_estimates(nuis, methods=REWEIGHTED)(ds)
+    (naive,) = refit_estimates(nuis, methods=NAIVE)(ds)
     assert rew == pytest.approx(dr_reweighted(ds, nuis).estimate, abs=1e-12)
     assert naive == pytest.approx(dr_naive(ds, nuis).estimate, abs=1e-12)
     assert rew != naive
@@ -500,33 +500,34 @@ def test_naive_refit_runner_differs(small_sample):
 
 def test_naive_refit_is_a_view_on_the_joint_refit(small_sample, counted):
     ds, nuis = small_sample
-    (naive,) = refit_estimates(nuis.fit_options, methods=NAIVE)(ds)
+    (naive,) = refit_estimates(nuis, methods=NAIVE)(ds)
     # one refit, one prediction, and no WDR score for a naive-only view
     assert counted["predict"] == 1
     assert counted["kinds"] == [ScoreKind.DR_A, ScoreKind.DR_B]
-    both = refit_estimates(nuis.fit_options)(ds)
+    both = refit_estimates(nuis)(ds)
     assert both == (
-        refit_estimates(nuis.fit_options, methods=REWEIGHTED)(ds)[0], naive)
+        refit_estimates(nuis, methods=REWEIGHTED)(ds)[0], naive)
 
 
 @pytest.mark.parametrize("normalize", [False, True])
 def test_paired_bootstrap_ses_equal_separate_passes(small_sample, normalize):
-    ds, nuis = small_sample
-    options = dict(nuis.fit_options, include_a2=normalize)
+    ds, _ = small_sample
+    nuis = fit_nuisances(ds, NuisanceMode.SCORE_SET, trim_epsilon=0.0,
+                         include_a2=normalize)
     # with this many draws, np.std(draws, axis=0) on the 2-D draws would
     # differ from the 1-D sd in the last bit
     config = BootstrapConfig(replications=99, seed=8)
-    paired = bootstrap_ses(ds, refit_estimates(options, normalize), config)
+    paired = bootstrap_ses(ds, refit_estimates(nuis, normalize), config)
     assert paired == (
-        bootstrap_ses(ds, refit_estimates(options, normalize, REWEIGHTED),
+        bootstrap_ses(ds, refit_estimates(nuis, normalize, REWEIGHTED),
                       config)[0],
-        bootstrap_ses(ds, refit_estimates(options, normalize, NAIVE),
+        bootstrap_ses(ds, refit_estimates(nuis, normalize, NAIVE),
                       config)[0])
 
 
 def test_degenerate_resamples_redrawn_then_capped(small_sample, monkeypatch):
     ds, nuis = small_sample
-    runner = refit_estimates(nuis.fit_options)
+    runner = refit_estimates(nuis)
     monkeypatch.setattr(est_mod, "_all_cells_present", lambda d: False)
     with pytest.raises(ResamplingError):
         bootstrap_ses(ds, runner, BootstrapConfig(replications=3, seed=0))
@@ -556,6 +557,13 @@ def test_bootstrap_empty_cell_redraw_is_deterministic():
 def test_bootstrap_config_validation():
     with pytest.raises(ValueError):
         BootstrapConfig(replications=0)
+
+
+def test_bootstrap_config_rejects_one_draw():
+    # the sd of a single draw is undefined, not 0
+    with pytest.raises(ValueError, match="≥ 2"):
+        BootstrapConfig(replications=1)
+    assert BootstrapConfig(replications=2).replications == 2
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ use the fitted standard errors as their own yardstick.
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import tridiff.nuisance as nuisance_mod
 from tridiff.data import (AssignmentMechanism, Eligibility, Group,
@@ -14,9 +15,9 @@ from tridiff.data import (AssignmentMechanism, Eligibility, Group,
 from tridiff.exceptions import (ConvergenceError, InsufficientDataError,
                                 MissingNuisanceError, SeparationError,
                                 SingularDesignError)
-from tridiff.nuisance import (NuisanceMode, PropensityKind, fit_linear,
+from tridiff.nuisance import (NuisanceMode, PropensityModel, fit_linear,
                               fit_logistic_multinomial, fit_nuisances,
-                              fit_ols, fit_separate_binary)
+                              fit_ols)
 
 
 def rng(seed=0):
@@ -223,16 +224,13 @@ def test_logit_max_iter_exhaustion_raises_with_trace():
 
 
 def test_logit_insufficient_cell_count():
-    # both fitters share one design preamble; each must run its check
     x = rng(12).normal(size=(40, 5))
     labels = np.array([0] * 37 + [1, 2, 3])  # three cells below d+1 = 6
-    for fitter in (fit_logistic_multinomial, fit_separate_binary):
-        with pytest.raises(InsufficientDataError, match=r"\(A, Never\)"):
-            fitter(x, labels)
+    with pytest.raises(InsufficientDataError, match=r"\(A, Never\)"):
+        fit_logistic_multinomial(x, labels)
 
 
-@pytest.mark.parametrize("fitter",
-                         [fit_logistic_multinomial, fit_separate_binary])
+@pytest.mark.parametrize("fitter", [fit_logistic_multinomial])
 def test_logit_rank_deficient_design_names_column(fitter):
     r = rng(16)
     a = r.normal(size=200)
@@ -257,25 +255,9 @@ def test_logit_standardization_is_invisible():
                                base.predict(x), atol=1e-7)
 
 
-def test_separate_binary_kind():
-    r = rng(14)
-    n = 3000
-    x = r.normal(size=(n, 1))
-    labels = cells_from_probs(r, n, [0.3, 0.25, 0.25, 0.2])
-    model = fit_separate_binary(x, labels)
-    assert model.kind is PropensityKind.SEPARATE_BINARY
-    probs = model.predict(x)
-    np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
-    assert np.all(probs > 0)
-    # intercept-only: renormalized one-vs-rest fits also return shares
-    flat = fit_separate_binary(np.empty((n, 0)), labels)
-    np.testing.assert_allclose(flat.predict(np.empty((1, 0)))[0],
-                               np.bincount(labels, minlength=4) / n, atol=1e-6)
-
-
-def test_information_inverse_built_only_for_the_multinomial_fit(monkeypatch):
-    # the separate-binary model stores no covariance, so its four
-    # one-vs-rest fits must not build and invert a Hessian for it
+def test_information_inverse_built_once_per_fit(monkeypatch):
+    # the stored covariance needs one inverse at convergence; Newton
+    # solves its steps without inverting, from zero or a warm start
     r = rng(16)
     x = r.normal(size=(500, 1))
     labels = cells_from_probs(r, 500, [0.3, 0.25, 0.25, 0.2])
@@ -288,10 +270,134 @@ def test_information_inverse_built_only_for_the_multinomial_fit(monkeypatch):
 
     monkeypatch.setattr(nuisance_mod, "_observed_info_inverse",
                         counted_inverse)
-    assert fit_logistic_multinomial(x, labels).coef_cov is not None
+    cold = fit_logistic_multinomial(x, labels)
+    assert cold.coef_cov is not None
     assert len(calls) == 1
-    assert fit_separate_binary(x, labels).coef_cov is None
-    assert len(calls) == 1
+    warm = fit_logistic_multinomial(x[::-1], labels[::-1],
+                                    start=cold.coefficients)
+    assert warm.coef_cov is not None
+    assert len(calls) == 2
+
+
+# ---------------------------------------------------------------------------
+# Softmax kernels: bit for bit the row-reduction form
+# ---------------------------------------------------------------------------
+
+def reference_softmax(z, labels_onehot, beta):
+    """The (n, 4) logit matrix reduced with max and sum along axis 1,
+    the form the column-wise kernels must reproduce bit for bit.
+    Returns (loglik, probs)."""
+    eta = z @ beta.T
+    full = np.hstack([eta, np.zeros((len(z), 1))])
+    shift = full.max(axis=1, keepdims=True)
+    ex = np.exp(full - shift)
+    denom = ex.sum(axis=1, keepdims=True)
+    probs = ex / denom
+    ll = float(np.sum(full[labels_onehot]
+                      - (shift[:, 0] + np.log(denom[:, 0]))))
+    return ll, probs
+
+
+# logits from the whole range exp() handles after the shift, with
+# repeated values so that rows hold ties, with the zero reference logit
+# too; one to a dozen rows
+LOGIT = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 700.0, -700.0]),
+                  st.floats(-700.0, 700.0))
+LOGIT_ROWS = st.lists(st.tuples(LOGIT, LOGIT, LOGIT, st.integers(0, 3)),
+                      min_size=1, max_size=12)
+
+
+@given(rows=LOGIT_ROWS, scale=st.sampled_from([1e-3, 1.0, 1e3]))
+def test_softmax_loglik_matches_row_reductions(rows, scale):
+    # z @ I gives the drawn logits exactly; z / scale against scale * I
+    # gives logits that rounding in the product moves
+    eta = np.array([row[:3] for row in rows], dtype=float)
+    labels = np.array([row[3] for row in rows])
+    onehot = np.zeros((len(rows), 4), dtype=bool)
+    onehot[np.arange(len(rows)), labels] = True
+    for z, beta in ((eta, np.eye(3)), (eta / scale, scale * np.eye(3))):
+        ll, probs = nuisance_mod._softmax_loglik(z, onehot, beta)
+        want_ll, want_probs = reference_softmax(z, onehot, beta)
+        assert ll == want_ll or (np.isnan(ll) and np.isnan(want_ll))
+        assert np.array_equal(probs, want_probs)
+
+
+@given(rows=LOGIT_ROWS)
+def test_propensity_predict_matches_row_reductions(rows):
+    # coefficients that read cell k's logit off covariate k
+    x = np.array([row[:3] for row in rows], dtype=float)
+    coef = np.hstack([np.zeros((3, 1)), np.eye(3)])
+    model = PropensityModel(coefficients=coef, covariate_names=("a", "b", "c"),
+                            trim_epsilon=0.0, n_obs=len(x), converged=True,
+                            n_iter=0, loglik_trace=())
+    onehot = np.zeros((len(x), 4), dtype=bool)
+    onehot[:, 3] = True
+    z = np.hstack([np.ones((len(x), 1)), x])
+    assert np.array_equal(model.predict(x),
+                          reference_softmax(z, onehot, coef)[1])
+
+
+# ---------------------------------------------------------------------------
+# Warm-started Newton
+# ---------------------------------------------------------------------------
+
+def logit_sample(seed, n=3000):
+    """Two covariates far from zero mean and unit scale, cells drawn
+    from a known softmax model; returns (generator, x, labels)."""
+    r = rng(seed)
+    x = r.normal(size=(n, 2)) * [1.0, 4.0] + [2.0, -5.0]
+    true_b = np.array([[0.4, 0.8, -0.1], [-0.3, -0.6, 0.05],
+                       [0.2, 0.3, 0.1]])
+    logits = np.hstack([np.hstack([np.ones((n, 1)), x]) @ true_b.T,
+                        np.zeros((n, 1))])
+    p = np.exp(logits - logits.max(axis=1, keepdims=True))
+    p /= p.sum(axis=1, keepdims=True)
+    labels = (r.random(n)[:, None] > p.cumsum(axis=1)).sum(axis=1)
+    return r, x, labels
+
+
+def test_warm_start_matches_cold_fit_on_resamples():
+    r, x, labels = logit_sample(31)
+    full = fit_logistic_multinomial(x, labels)
+    warm_iters = cold_iters = 0
+    for _ in range(8):
+        idx = r.integers(0, len(x), size=len(x))
+        cold = fit_logistic_multinomial(x[idx], labels[idx])
+        warm = fit_logistic_multinomial(x[idx], labels[idx],
+                                        start=full.coefficients)
+        np.testing.assert_allclose(warm.coefficients, cold.coefficients,
+                                   rtol=0, atol=1e-8)
+        assert warm.n_iter <= cold.n_iter
+        warm_iters += warm.n_iter
+        cold_iters += cold.n_iter
+    assert warm_iters < cold_iters
+
+
+def test_warm_start_at_the_optimum_stops_at_once():
+    # the raw-scale start must land on the standardized optimum: a
+    # misplaced intercept or slope would cost further Newton steps
+    _, x, labels = logit_sample(32)
+    full = fit_logistic_multinomial(x, labels)
+    again = fit_logistic_multinomial(x, labels, start=full.coefficients)
+    assert full.n_iter > 2 and again.n_iter <= 1
+    np.testing.assert_allclose(again.coefficients, full.coefficients,
+                               rtol=0, atol=1e-10)
+
+
+def test_warm_start_shape_is_checked():
+    _, x, labels = logit_sample(33)
+    with pytest.raises(ValueError, match="shape"):
+        fit_logistic_multinomial(x, labels, start=np.zeros((3, 2)))
+
+
+def test_fit_nuisances_start_is_not_a_fit_option():
+    ds = toy_dataset()
+    cold = fit_nuisances(ds)
+    warm = fit_nuisances(ds, start=cold.propensity.coefficients)
+    assert "start" not in warm.fit_options
+    assert warm.fit_options == cold.fit_options
+    np.testing.assert_allclose(warm.propensity.coefficients,
+                               cold.propensity.coefficients, atol=1e-10)
 
 
 # ---------------------------------------------------------------------------
