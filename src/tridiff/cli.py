@@ -31,6 +31,7 @@ from .estimators import (OR_METHODS, BootstrapConfig, EstimateResult, Method,
 from .exceptions import (EstimationError, FittingError, IngestionError,
                          SchemaError, TridiffError, TrimmingError)
 from .nuisance import (DEFAULT_TRIM_EPSILON, NuisanceMode, fit_nuisances)
+from .parallel import default_jobs
 from .scores import ScoreKind, dump_scores
 
 EXIT_OK = 0
@@ -153,6 +154,15 @@ def _parse_schema_arg(raw) -> dict:
     return mapping
 
 
+def _jobs(ns) -> int:
+    """--jobs, by default the cores this process may use; at least 1."""
+    _fill(ns, jobs=default_jobs())
+    ns.jobs = int(ns.jobs)
+    if ns.jobs < 1:
+        raise ValueError(f"--jobs must be ≥ 1, got {ns.jobs}")
+    return ns.jobs
+
+
 def _mechanism(ns) -> AssignmentMechanism:
     return AssignmentMechanism(ns.mechanism)
 
@@ -208,6 +218,7 @@ def cmd_estimate(ns: argparse.Namespace) -> int:
           trim=DEFAULT_TRIM_EPSILON, normalize_weights=False,
           bootstrap_reps=0, seed=0, out="tridiff-out", se="hc1",
           missing_policy="drop_row", dump_scores=False, dump_nuisances=False)
+    jobs = _jobs(ns)
     if ns.input is None:
         raise SchemaError("estimate needs --input CSV")
     if ns.schema is None:
@@ -250,7 +261,7 @@ def cmd_estimate(ns: argparse.Namespace) -> int:
     extras = {}
     if score_keys and boot is not None:
         for key, se in zip(score_keys, bootstrap_ses(dataset, refit_estimates(
-                nuis, normalize, score_methods), boot)):
+                nuis, normalize, score_methods), boot, jobs)):
             if results[key].se is None:
                 results[key] = dataclasses.replace(results[key], se=se)
             else:
@@ -303,8 +314,9 @@ def cmd_estimate(ns: argparse.Namespace) -> int:
 
 def cmd_simulate(ns: argparse.Namespace) -> int:
     _fill(ns, n=2000, replications=2000, case="heterogeneous", mu_a=1.0,
-          mu_b=3.0, mechanism="both", seed=7, bins=50, jobs=1,
-          trim=0.0, normalize_weights=False, out="tridiff-sim")
+          mu_b=3.0, mechanism="both", seed=7, bins=50, trim=0.0,
+          normalize_weights=False, out="tridiff-sim")
+    jobs = _jobs(ns)
     spec = DgpSpec(n=int(ns.n), seed=int(ns.seed), mu_a=float(ns.mu_a),
                    mu_b=float(ns.mu_b), effect_case=EffectCase(ns.case),
                    mechanism=_mechanism(ns))
@@ -314,7 +326,7 @@ def cmd_simulate(ns: argparse.Namespace) -> int:
     result = run_monte_carlo(spec, int(ns.replications),
                              fit_options={"trim_epsilon": float(ns.trim)},
                              normalize=bool(ns.normalize_weights),
-                             n_jobs=int(ns.jobs))
+                             n_jobs=jobs)
     oracle = closed_form_oracle(spec)
     summary = result.summary()
     summary["oracle"] = oracle.to_dict()
@@ -343,6 +355,7 @@ OR_QUANTITIES = ("did_a", "did_b", "wdid_b", "diff_ab", "diff_awb")
 def cmd_replicate(ns: argparse.Namespace) -> int:
     _fill(ns, schema=None, bootstrap_reps=999, seed=0, out="tridiff-replication",
           se="hc1")
+    jobs = _jobs(ns)
     if ns.input is None:
         raise SchemaError("replicate needs --input pointing at the "
                           "minimum-wage CSV (not distributed with this "
@@ -370,7 +383,7 @@ def cmd_replicate(ns: argparse.Namespace) -> int:
         ds = dataset if with_controls else dataset.without_covariates()
         nuis = fit_nuisances(ds, NuisanceMode.OUTCOME_ONLY)
         ses = bootstrap_ses(ds, refit_estimates(nuis, methods=OR_METHODS),
-                            boot)
+                            boot, jobs)
         computed[("or", with_controls)] = {
             key: dataclasses.replace(res, se=se) for key, res, se in zip(
                 OR_QUANTITIES, estimate_doubly_robust(
@@ -489,7 +502,15 @@ def build_parser() -> argparse.ArgumentParser:
     data_args.add_argument("--missing-policy", choices=["drop_row", "error"],
                            help="handling of rows with missing fields")
 
-    p_est = sub.add_parser("estimate", parents=[common, data_args],
+    jobs_args = argparse.ArgumentParser(add_help=False)
+    jobs_args.add_argument("--jobs", type=int,
+                           help="worker processes for bootstrap draws or "
+                                "Monte Carlo replications, at least 1 "
+                                "(default: the cores this process may use; "
+                                "1 runs in-process); outputs do not depend "
+                                "on it")
+
+    p_est = sub.add_parser("estimate", parents=[common, data_args, jobs_args],
                            help="run estimators on a panel CSV")
     p_est.add_argument("--methods", help="comma list from: "
                                          + ", ".join(METHOD_CHOICES))
@@ -508,7 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write fitted nuisance models as JSON")
     p_est.set_defaults(func=cmd_estimate)
 
-    p_sim = sub.add_parser("simulate", parents=[common],
+    p_sim = sub.add_parser("simulate", parents=[common, jobs_args],
                            help="Monte Carlo study against closed-form truth")
     p_sim.add_argument("--n", type=int, help="sample size per replication")
     p_sim.add_argument("--replications", type=int, help="number of samples")
@@ -518,14 +539,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--mu-b", type=float, help="group B covariate mean")
     p_sim.add_argument("--mechanism", choices=["only-a", "both"])
     p_sim.add_argument("--bins", type=int, help="histogram bins")
-    p_sim.add_argument("--jobs", type=int, help="worker processes")
     p_sim.add_argument("--trim", type=float,
                        help="propensity trimming threshold (default 0: the "
                             "simulated covariate has unbounded support)")
     p_sim.add_argument("--normalize-weights", action="store_const", const=True)
     p_sim.set_defaults(func=cmd_simulate)
 
-    p_rep = sub.add_parser("replicate", parents=[common],
+    p_rep = sub.add_parser("replicate", parents=[common, jobs_args],
                            help="minimum-wage application comparison table")
     p_rep.add_argument("--input", help="replication CSV (user supplied)")
     p_rep.add_argument("--schema", help="replication schema overrides, "

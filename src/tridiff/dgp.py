@@ -15,9 +15,9 @@ against an oracle rather than against the estimators themselves.
 
 from __future__ import annotations
 
-import concurrent.futures
 import csv
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -29,6 +29,7 @@ from .data import AssignmentMechanism, PanelDataset
 from .exceptions import EstimationError, TridiffError
 from .estimators import estimate_doubly_robust
 from .nuisance import fit_nuisances
+from .parallel import map_ordered
 
 BETA_A_CONSTANT = 4.0
 BETA_B_CONSTANT = 1.0
@@ -253,7 +254,8 @@ def run_monte_carlo(spec: DgpSpec, replications: int,
 
     Each replication draws its dataset from a stream derived from
     (spec.seed, replication), so results are identical however the work
-    is scheduled; n_jobs > 1 runs replications in worker processes.
+    is scheduled; up to n_jobs worker processes run the replications
+    (n_jobs=1: this process).
     Failed replications are recorded, not fatal, unless more than 1% of
     them fail.
 
@@ -270,14 +272,9 @@ def run_monte_carlo(spec: DgpSpec, replications: int,
         # normalized weights revive the treated-cell outcome term, so the
         # (A, Eligible) regression must be fitted alongside the usual three
         options["include_a2"] = True
-    args = [(spec, r, options, normalize) for r in range(replications)]
-
-    if n_jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            rows = list(pool.map(_run_one_star, args,
-                                 chunksize=max(1, replications // (8 * n_jobs))))
-    else:
-        rows = [_run_one(*a) for a in args]
+    rows = map_ordered(functools.partial(_run_one, spec, fit_options=options,
+                                         normalize=normalize),
+                       range(replications), n_jobs)
 
     naive = np.array([r[0] for r in rows])
     se_naive = np.array([r[1] for r in rows])
@@ -296,10 +293,6 @@ def run_monte_carlo(spec: DgpSpec, replications: int,
     return MonteCarloResult(spec=spec, naive=naive, reweighted=rew,
                             se_naive=se_naive, se_reweighted=se_rew,
                             ok=ok, failure_reasons=reasons)
-
-
-def _run_one_star(args):
-    return _run_one(*args)
 
 
 def export_histogram(result: MonteCarloResult, path, bins: int = 50) -> None:

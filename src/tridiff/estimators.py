@@ -25,6 +25,7 @@ from .data import AssignmentMechanism, Group, PanelDataset
 from .exceptions import (EstimationError, ResamplingError,
                          UnsupportedMechanismError)
 from .nuisance import LinearModel, NuisanceSet, fit_nuisances, fit_ols
+from .parallel import map_ordered
 from .scores import A2, B2, FitEvaluation, ScoreKind, score_vectors
 
 DEFAULT_BOOTSTRAP_REPS = 999
@@ -232,54 +233,67 @@ class BootstrapConfig:
                              f"{self.replications}")
 
 
-def _all_cells_present(dataset: PanelDataset) -> bool:
-    a, e = dataset.group_is_a, dataset.eligible
-    return bool((a & e).any() and (a & ~e).any()
-                and (~a & e).any() and (~a & ~e).any())
+def _all_cells_present(cells: np.ndarray) -> bool:
+    """True when a resample's cell codes cover all four cells."""
+    return bool(np.bincount(cells, minlength=4).all())
 
 
-def _resamples(dataset: PanelDataset, config: BootstrapConfig):
-    """Yield valid pairs resamples. Each draw uses its own
-    counter-derived stream, so the sequence is reproducible and
-    independent of how redraws interleave. A resample with an empty
-    (group, eligibility) cell is redrawn; after 10 * replications total
-    draws the run aborts."""
-    n = dataset.n
+def _draw_indices(n: int, seed: int, counter: int) -> np.ndarray:
+    """Unit indices of bootstrap draw `counter`: n draws with replacement
+    from the draw's own counter-derived stream."""
+    rng = np.random.Generator(np.random.Philox(
+        np.random.SeedSequence(seed, spawn_key=(counter,))))
+    return rng.integers(0, n, size=n)
+
+
+def _usable_draws(dataset: PanelDataset, config: BootstrapConfig) -> list:
+    """Counters of the first config.replications draws whose resample has
+    every (group, eligibility) cell; a draw that empties a cell is
+    redrawn under the next counter. After 10 * replications total draws
+    the run aborts."""
+    cells = dataset.cell_codes()
     cap = 10 * config.replications
-    done = 0
+    usable = []
     draws = 0
-    while done < config.replications:
+    while len(usable) < config.replications:
         if draws >= cap:
             raise ResamplingError(
-                f"exceeded {cap} resampling attempts with only {done} "
-                f"usable replicates; cells are too sparse to bootstrap")
-        rng = np.random.Generator(np.random.Philox(
-            np.random.SeedSequence(config.seed, spawn_key=(draws,))))
-        idx = rng.integers(0, n, size=n)
+                f"exceeded {cap} resampling attempts with only "
+                f"{len(usable)} usable replicates; cells are too sparse to "
+                f"bootstrap")
+        idx = _draw_indices(dataset.n, config.seed, draws)
+        if _all_cells_present(cells[idx]):
+            usable.append(draws)
         draws += 1
-        resample = dataset.subset(idx)
-        if not _all_cells_present(resample):
-            continue
-        done += 1
-        yield resample
+    return usable
+
+
+def _estimate_draw(dataset: PanelDataset, estimator, seed: int,
+                   counter: int):
+    return estimator(dataset.subset(_draw_indices(dataset.n, seed, counter)))
 
 
 def bootstrap_replicates(dataset: PanelDataset,
                          estimator: Callable[[PanelDataset], float],
-                         config: BootstrapConfig) -> np.ndarray:
-    """Estimator values over unit-level resamples with replacement."""
-    return np.array([estimator(resample)
-                     for resample in _resamples(dataset, config)])
+                         config: BootstrapConfig,
+                         n_jobs: int = 1) -> np.ndarray:
+    """Estimator values over unit-level resamples with replacement, in
+    draw order. This process picks the usable draws; the resamples are
+    rebuilt from their counters and estimated by n_jobs worker processes
+    (n_jobs=1: here), so the values are the same for any n_jobs."""
+    task = functools.partial(_estimate_draw, dataset, estimator, config.seed)
+    return np.array(map_ordered(task, _usable_draws(dataset, config), n_jobs))
 
 
 def bootstrap_ses(dataset: PanelDataset,
                   estimator: Callable[[PanelDataset], Tuple[float, ...]],
-                  config: BootstrapConfig) -> Tuple[float, ...]:
+                  config: BootstrapConfig,
+                  n_jobs: int = 1) -> Tuple[float, ...]:
     """Standard deviation of each of the estimator's values over one
     stream of pairs resamples, so the values of a draw are paired. Each
     column's sd is taken on its own, so it equals the sd of a pass that
     returned that value alone."""
-    draws = bootstrap_replicates(dataset, estimator, config)
+    draws = bootstrap_replicates(dataset, estimator, config, n_jobs)
     return tuple(float(np.std(np.ascontiguousarray(column), ddof=1))
                  for column in draws.T)
 
@@ -290,6 +304,7 @@ def refit_estimates(nuisances: NuisanceSet, normalize: bool = False,
     """Estimator callable for bootstrap_ses: refits the nuisances once per
     resample with the full-sample fit's fit_options (mode included) and
     returns the point estimates of estimate_doubly_robust's `methods`.
+    The callable pickles, so it can be sent to worker processes.
 
     Each refit's logit Newton iteration starts from the full-sample
     propensity coefficients, near where a resample's optimum lies, so
@@ -298,13 +313,14 @@ def refit_estimates(nuisances: NuisanceSet, normalize: bool = False,
     options = dict(nuisances.fit_options)
     if nuisances.propensity is not None:
         options["start"] = nuisances.propensity.coefficients
+    return functools.partial(_refit, options, normalize, methods)
 
-    def run(ds: PanelDataset) -> Tuple[float, ...]:
-        nuis = fit_nuisances(ds, **options)
-        return tuple(res.estimate for res in estimate_doubly_robust(
-            ds, nuis, normalize, methods))
 
-    return run
+def _refit(options: dict, normalize: bool, methods: Tuple[Method, ...],
+           ds: PanelDataset) -> Tuple[float, ...]:
+    nuis = fit_nuisances(ds, **options)
+    return tuple(res.estimate for res in estimate_doubly_robust(
+        ds, nuis, normalize, methods))
 
 
 # ---------------------------------------------------------------------------

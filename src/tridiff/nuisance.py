@@ -10,6 +10,7 @@ they can be fitted without the propensity model.
 from __future__ import annotations
 
 import enum
+import functools
 import json
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -187,7 +188,9 @@ class PropensityModel:
 
     coefficients: (3, d+1), cells 0..2 against the reference, on the
     raw covariate scale with the intercept first. coef_cov covers the
-    stacked coefficients.
+    stacked coefficients; it is built from `fit_state` (the standardized
+    design, the fitted probabilities, the covariate center and scale) on
+    first read, so a fit whose covariance nobody reads never builds it.
     """
 
     coefficients: np.ndarray
@@ -197,7 +200,22 @@ class PropensityModel:
     converged: bool
     n_iter: int
     loglik_trace: tuple
-    coef_cov: Optional[np.ndarray] = None
+    fit_state: Optional[tuple] = field(default=None, repr=False,
+                                       compare=False)
+
+    @functools.cached_property
+    def coef_cov(self) -> Optional[np.ndarray]:
+        """Inverse observed information on the raw scale; None when the
+        information is singular or there is no fit_state."""
+        if self.fit_state is None:
+            return None
+        z, probs, center, scale = self.fit_state
+        cov_std = _observed_info_inverse(z, probs)
+        if cov_std is None:
+            return None
+        t_full = scipy.linalg.block_diag(
+            *([_raw_transform_matrix(center, scale)] * 3))
+        return t_full @ cov_std @ t_full.T
 
     def predict(self, x) -> np.ndarray:
         """Probabilities, shape (n, 4), rows summing to one."""
@@ -246,10 +264,13 @@ def _softmax(z, beta):
     return logits, probs, shift + np.log(denom)
 
 
-def _softmax_loglik(z, labels_onehot, beta):
-    """Log-likelihood, probabilities for coefficient matrix beta (3, p)."""
+def _softmax_loglik(z, own_logit, beta):
+    """Log-likelihood, probabilities for coefficient matrix beta (3, p).
+    own_logit holds each unit's flat index into the (n, 4) logits,
+    4 * row + label, so the take gathers the units' own logits in row
+    order."""
     logits, probs, log_norm = _softmax(z, beta)
-    return float(np.sum(logits[labels_onehot] - log_norm)), probs
+    return float(np.sum(logits.ravel().take(own_logit) - log_norm)), probs
 
 
 def _newton_multinomial(z, labels, beta, max_iter, tol, raw_transform,
@@ -266,8 +287,9 @@ def _newton_multinomial(z, labels, beta, max_iter, tol, raw_transform,
     k1, p = beta.shape
     onehot = np.zeros((n, k1 + 1), dtype=bool)
     onehot[np.arange(n), labels] = True
+    own_logit = np.arange(n) * (k1 + 1) + labels
 
-    ll, probs = _softmax_loglik(z, onehot, beta)
+    ll, probs = _softmax_loglik(z, own_logit, beta)
     trace = [ll]
 
     for it in range(1, max_iter + 1):
@@ -293,7 +315,7 @@ def _newton_multinomial(z, labels, beta, max_iter, tol, raw_transform,
         accepted = False
         while scale >= MIN_STEP:
             trial = beta + scale * step.reshape(k1, p)
-            ll_trial, probs_trial = _softmax_loglik(z, onehot, trial)
+            ll_trial, probs_trial = _softmax_loglik(z, own_logit, trial)
             if ll_trial >= ll - 1e-12:
                 accepted = True
                 gain = ll_trial - ll
@@ -438,18 +460,11 @@ def fit_logistic_multinomial(covariates, cell_labels,
     beta_std, probs, trace, n_iter = _newton_multinomial(
         z, labels, beta, max_iter, tol, convert, names)
 
-    coef = convert(beta_std)
-    cov_std = _observed_info_inverse(z, probs)
-    cov = None
-    if cov_std is not None:
-        t_full = scipy.linalg.block_diag(
-            *([_raw_transform_matrix(center, scale)] * 3))
-        cov = t_full @ cov_std @ t_full.T
-
-    return PropensityModel(coefficients=coef, covariate_names=covariate_names,
+    return PropensityModel(coefficients=convert(beta_std),
+                           covariate_names=covariate_names,
                            trim_epsilon=trim_epsilon, n_obs=n,
-                           converged=True, n_iter=n_iter,
-                           loglik_trace=trace, coef_cov=cov)
+                           converged=True, n_iter=n_iter, loglik_trace=trace,
+                           fit_state=(z, probs, center, scale))
 
 
 # ---------------------------------------------------------------------------

@@ -210,8 +210,10 @@ def test_estimate_one_refit_per_draw_serves_every_score_method(
     out = tmp_path / "o"
     assert run(["estimate", "--input", panel_csv, "--schema", SCHEMA,
                 "--methods", "dr,naive,or-diffs", "--trim", "0",
-                "--bootstrap-reps", "9", "--seed", "4", "--out", out]) == 0
-    # one fit, then one refit per draw for dr, naive and both OR rows
+                "--bootstrap-reps", "9", "--seed", "4", "--jobs", "1",
+                "--out", out]) == 0
+    # one fit, then one refit per draw for dr, naive and both OR rows;
+    # --jobs 1 keeps the refits in this process, where they are counted
     assert len(calls) == 10
     doc = json.loads((out / "results.json").read_text())
     assert doc["results"]["or-diff-ab"]["se"] > 0
@@ -238,7 +240,7 @@ def test_estimate_warm_started_bootstrap_matches_cold_start(
     out = tmp_path / "o"
     args = ["estimate", "--input", panel_csv, "--schema", SCHEMA,
             "--methods", "dr,naive", "--trim", "0", "--bootstrap-reps", "30",
-            "--seed", "3"]
+            "--seed", "3", "--jobs", "1"]
     assert run(args + ["--out", out]) == 0
     warm = json.loads((out / "results.json").read_text())
 
@@ -298,7 +300,7 @@ def test_estimate_or_only_fits_no_logit(tmp_path, monkeypatch):
                         lambda *a, **k: fitted.append(1) or logit(*a, **k))
     out = tmp_path / "or"
     assert run(base + ["--methods", "or-diffs", "--bootstrap-reps", "5",
-                       "--dump-scores", "--dump-nuisances",
+                       "--dump-scores", "--dump-nuisances", "--jobs", "1",
                        "--out", out]) == 0
     assert fitted == []
     results = json.loads((out / "results.json").read_text())["results"]
@@ -422,6 +424,42 @@ def test_validate_fail_small_sample(tmp_path):
 
 # ---------------------------------------------------------------------------
 # replicate
+def test_estimate_bootstrap_in_workers_is_byte_identical(panel_csv, tmp_path):
+    args = ["estimate", "--input", panel_csv, "--schema", SCHEMA,
+            "--methods", "dr,naive,ols-tdid,or-diffs", "--trim", "0",
+            "--bootstrap-reps", "19", "--seed", "6"]
+    for jobs in ("1", "2"):
+        assert run(args + ["--jobs", jobs, "--out", tmp_path / jobs]) == 0
+    for name in ("results.json", "results.txt"):
+        assert ((tmp_path / "1" / name).read_bytes()
+                == (tmp_path / "2" / name).read_bytes())
+
+
+@pytest.mark.parametrize("command", ["estimate", "replicate", "simulate"])
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_is_exit_2(command, jobs, panel_csv, wage_csv,
+                                  tmp_path):
+    args = {"estimate": ["estimate", "--input", panel_csv, "--schema",
+                         SCHEMA, "--bootstrap-reps", "5"],
+            "replicate": ["replicate", "--input", wage_csv],
+            "simulate": ["simulate", "--n", "100", "--replications", "2"]}
+    out = tmp_path / "o"
+    assert run(args[command] + ["--jobs", jobs, "--out", out]) == 2
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "ValueError" and "--jobs" in err["message"]
+    assert not (out / "results.json").exists()
+    assert not (out / "summary.json").exists()
+
+
+def test_jobs_defaults_to_the_usable_cores(panel_csv, tmp_path):
+    from tridiff.parallel import default_jobs
+    out = tmp_path / "o"
+    assert run(["estimate", "--input", panel_csv, "--schema", SCHEMA,
+                "--methods", "dr", "--out", out]) == 0
+    echo = json.loads((out / "config_echo.json").read_text())
+    assert echo["jobs"] == default_jobs()
+
+
 # ---------------------------------------------------------------------------
 
 def test_replicate_without_input_explains_schema(tmp_path, capsys):
@@ -478,6 +516,17 @@ def test_replicate_empty_cell_is_exit_2(tmp_path):
     err = json.loads((out / "error.json").read_text())
     assert err["error"] == "PanelValidationError"
     assert err["message"] == "empty cell (A, Never), (B, Never)"
+
+
+def test_replicate_bootstrap_in_workers_is_byte_identical(wage_csv,
+                                                          tmp_path):
+    args = ["replicate", "--input", wage_csv, "--bootstrap-reps", "19",
+            "--seed", "8"]
+    for jobs in ("1", "2"):
+        assert run(args + ["--jobs", jobs, "--out", tmp_path / jobs]) == 0
+    for name in ("results.json", "table_comparison.csv"):
+        assert ((tmp_path / "1" / name).read_bytes()
+                == (tmp_path / "2" / name).read_bytes())
 
 
 def test_replicate_deterministic(wage_csv, tmp_path):

@@ -17,8 +17,8 @@ import tridiff.estimators as est_mod
 import tridiff.scores as scores_mod
 from tridiff.data import AssignmentMechanism, Eligibility, Group, PanelDataset
 from tridiff.dgp import DgpSpec, closed_form_oracle, simulate_sample
-from tridiff.estimators import (OR_METHODS, BootstrapConfig, EstimandLabel,
-                                EstimateResult, Method, SeKind,
+from tridiff.estimators import (DR_METHODS, OR_METHODS, BootstrapConfig,
+                                EstimandLabel, EstimateResult, Method, SeKind,
                                 bias_diagnostic, bootstrap_replicates,
                                 bootstrap_ses, estimate_doubly_robust,
                                 influence_variance, ols_did, ols_tdid,
@@ -533,6 +533,23 @@ def test_degenerate_resamples_redrawn_then_capped(small_sample, monkeypatch):
         bootstrap_ses(ds, runner, BootstrapConfig(replications=3, seed=0))
 
 
+def test_resampling_cap_raises_before_any_worker_starts(small_sample,
+                                                        monkeypatch):
+    # the draws are picked in this process, so the cap holds however
+    # many workers would refit them
+    ds, nuis = small_sample
+    monkeypatch.setattr(est_mod, "_all_cells_present", lambda d: False)
+    with pytest.raises(ResamplingError, match="exceeded 30"):
+        bootstrap_ses(ds, refit_estimates(nuis),
+                      BootstrapConfig(replications=3, seed=0), n_jobs=2)
+
+
+def cell_gap(d):
+    dd = d.delta_y()
+    return (float(dd[d.group_is_a & d.eligible].mean()
+                  - dd[d.group_is_a & ~d.eligible].mean()),)
+
+
 def test_bootstrap_empty_cell_redraw_is_deterministic():
     # tiny cells make degenerate resamples likely, exercising the redraw
     r = np.random.default_rng(55)
@@ -544,14 +561,44 @@ def test_bootstrap_empty_cell_redraw_is_deterministic():
                       x=np.empty((n, 0)), covariate_names=(),
                       mechanism=AssignmentMechanism.BOTH_GROUPS)
 
-    def cell_gap(d):
-        dd = d.delta_y()
-        return (float(dd[d.group_is_a & d.eligible].mean()
-                      - dd[d.group_is_a & ~d.eligible].mean()),)
-
     config = BootstrapConfig(replications=40, seed=6)
-    assert bootstrap_ses(ds, cell_gap, config) == bootstrap_ses(ds, cell_gap,
-                                                                config)
+    assert est_mod._usable_draws(ds, config)[-1] >= 40  # some were redrawn
+    serial = bootstrap_ses(ds, cell_gap, config)
+    assert serial == bootstrap_ses(ds, cell_gap, config)
+    # worker processes get the same draws, redraws included
+    assert serial == bootstrap_ses(ds, cell_gap, config, n_jobs=2)
+
+
+def test_bootstrap_refits_in_workers_equal_serial(small_sample):
+    ds, nuis = small_sample
+    runner = refit_estimates(nuis, methods=DR_METHODS + OR_METHODS)
+    config = BootstrapConfig(replications=20, seed=3)
+    serial = bootstrap_replicates(ds, runner, config, n_jobs=1)
+    assert serial.shape == (20, 7)
+    assert np.array_equal(bootstrap_replicates(ds, runner, config, n_jobs=2),
+                          serial)
+
+
+def test_warm_started_refits_take_fewer_newton_iterations(small_sample,
+                                                          monkeypatch):
+    # every refit starts Newton from the full-sample logit; stripping the
+    # start must cost iterations, so a lost warm start shows here
+    ds, nuis = small_sample
+    config = BootstrapConfig(replications=15, seed=2)
+    iters = {"warm": [], "cold": []}
+
+    def counted(*args, **kwargs):
+        if label == "cold":
+            kwargs.pop("start", None)
+        fit = fit_nuisances(*args, **kwargs)
+        iters[label].append(fit.propensity.n_iter)
+        return fit
+
+    monkeypatch.setattr(est_mod, "fit_nuisances", counted)
+    for label in iters:
+        bootstrap_ses(ds, refit_estimates(nuis), config, n_jobs=1)
+    assert len(iters["warm"]) == len(iters["cold"]) == 15
+    assert sum(iters["warm"]) < sum(iters["cold"])
 
 
 def test_bootstrap_config_validation():

@@ -7,6 +7,7 @@ use the fitted standard errors as their own yardstick.
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, strategies as st
 
 import tridiff.nuisance as nuisance_mod
@@ -279,6 +280,36 @@ def test_information_inverse_built_once_per_fit(monkeypatch):
     assert len(calls) == 2
 
 
+def test_coef_cov_built_on_first_read(monkeypatch):
+    # a fit builds no information inverse until coef_cov is read, and
+    # then the one it built at convergence: the inverse observed
+    # information at the final Newton probabilities, mapped to the raw
+    # scale
+    r = rng(17)
+    x = r.normal(size=(600, 2)) * [1.0, 3.0] + [2.0, -1.0]
+    labels = cells_from_probs(r, 600, [0.3, 0.25, 0.25, 0.2])
+    calls = []
+    inverse = nuisance_mod._observed_info_inverse
+    monkeypatch.setattr(nuisance_mod, "_observed_info_inverse",
+                        lambda *a: calls.append(1) or inverse(*a))
+    model = fit_logistic_multinomial(x, labels)
+    assert calls == []
+
+    zx, center, scale = nuisance_mod._standardize(x)
+    z = np.hstack([np.ones((len(x), 1)), zx])
+    _, probs, _, _ = nuisance_mod._newton_multinomial(
+        z, labels, np.zeros((3, 3)), nuisance_mod.DEFAULT_MAX_ITER,
+        nuisance_mod.DEFAULT_LL_TOL,
+        nuisance_mod._raw_coef_transform(center, scale), ("c",) * 3)
+    t_full = scipy.linalg.block_diag(
+        *([nuisance_mod._raw_transform_matrix(center, scale)] * 3))
+    want = t_full @ scipy.linalg.inv(
+        nuisance_mod._softmax_information(z, probs)) @ t_full.T
+    assert np.array_equal(model.coef_cov, want)
+    assert model.coef_cov is model.coef_cov
+    assert calls == [1]
+
+
 # ---------------------------------------------------------------------------
 # Softmax kernels: bit for bit the row-reduction form
 # ---------------------------------------------------------------------------
@@ -315,8 +346,12 @@ def test_softmax_loglik_matches_row_reductions(rows, scale):
     labels = np.array([row[3] for row in rows])
     onehot = np.zeros((len(rows), 4), dtype=bool)
     onehot[np.arange(len(rows)), labels] = True
+    own_logit = np.arange(len(rows)) * 4 + labels
     for z, beta in ((eta, np.eye(3)), (eta / scale, scale * np.eye(3))):
-        ll, probs = nuisance_mod._softmax_loglik(z, onehot, beta)
+        # the flat take gathers what the boolean mask does, in its order
+        logits = nuisance_mod._softmax(z, beta)[0]
+        assert np.array_equal(logits.ravel().take(own_logit), logits[onehot])
+        ll, probs = nuisance_mod._softmax_loglik(z, own_logit, beta)
         want_ll, want_probs = reference_softmax(z, onehot, beta)
         assert ll == want_ll or (np.isnan(ll) and np.isnan(want_ll))
         assert np.array_equal(probs, want_probs)
