@@ -244,31 +244,29 @@ def cmd_estimate(ns: argparse.Namespace) -> int:
     need_logit = bool({"dr", "naive", "bias"} & set(methods))
     nuis = None
     if score_keys or need_logit:
-        # OR-only runs fit no logit, which could fail on separation;
-        # normalized weights revive the treated-cell outcome term of the
-        # DR scores, so the (A, Eligible) regression is fitted for them
+        # OR-only runs fit no logit, which could fail on separation
         nuis = fit_nuisances(
             dataset, NuisanceMode.SCORE_SET if need_logit
             else NuisanceMode.OUTCOME_ONLY,
-            trim_epsilon=trim, include_a2=normalize and need_logit)
+            trim_epsilon=trim, normalize=normalize)
 
     # every score method comes from one evaluation of the fit and, with a
     # bootstrap, from one refit per resample; a bootstrap SE is the se of
     # an OR result, which has no analytic one, and an extra otherwise
     score_methods = tuple(score_keys.values())
     results = (dict(zip(score_keys, estimate_doubly_robust(
-        dataset, nuis, normalize, score_methods))) if score_keys else {})
+        dataset, nuis, score_methods))) if score_keys else {})
     extras = {}
     if score_keys and boot is not None:
         for key, se in zip(score_keys, bootstrap_ses(dataset, refit_estimates(
-                nuis, normalize, score_methods), boot, jobs)):
+                nuis, score_methods), boot, jobs)):
             if results[key].se is None:
                 results[key] = dataclasses.replace(results[key], se=se)
             else:
                 extras[key] = {"bootstrap_se": se}
     for method in methods:
         if method == "bias":
-            bias_hat, bias_se = bias_diagnostic(dataset, nuis, normalize)
+            bias_hat, bias_se = bias_diagnostic(dataset, nuis)
             extras["bias"] = {"bias_hat": bias_hat, "se": bias_se}
         elif method == "ols-did-a":
             results[method] = ols_did(dataset, Group.A, bool(dataset.d), se_kind)
@@ -290,8 +288,7 @@ def cmd_estimate(ns: argparse.Namespace) -> int:
     _write_json(out / "results.json", payload)
 
     if ns.dump_scores and nuis is not None and nuis.propensity is not None:
-        dump_scores(dataset, nuis, list(ScoreKind), out / "scores.csv",
-                    normalize)
+        dump_scores(dataset, nuis, list(ScoreKind), out / "scores.csv")
     if ns.dump_nuisances and nuis is not None:
         nuis.save_json(out / "nuisances_scores.json")
 
@@ -323,9 +320,9 @@ def cmd_simulate(ns: argparse.Namespace) -> int:
     out = _out_dir(ns)
     _echo_config(ns, out, "simulate")
 
-    result = run_monte_carlo(spec, int(ns.replications),
-                             fit_options={"trim_epsilon": float(ns.trim)},
-                             normalize=bool(ns.normalize_weights),
+    fit_options = {"trim_epsilon": float(ns.trim),
+                   "normalize": bool(ns.normalize_weights)}
+    result = run_monte_carlo(spec, int(ns.replications), fit_options,
                              n_jobs=jobs)
     oracle = closed_form_oracle(spec)
     summary = result.summary()

@@ -234,12 +234,11 @@ class MonteCarloResult:
         return out
 
 
-def _run_one(spec: DgpSpec, replication: int, fit_options: dict,
-             normalize: bool):
+def _run_one(spec: DgpSpec, replication: int, fit_options: dict):
     sample = simulate_replicate(spec, replication)
     try:
         nuisances = fit_nuisances(sample, **fit_options)
-        rew, naive = estimate_doubly_robust(sample, nuisances, normalize)
+        rew, naive = estimate_doubly_robust(sample, nuisances)
     except TridiffError as exc:
         return (math.nan, math.nan, math.nan, math.nan, False,
                 f"{type(exc).__name__}: {exc}")
@@ -248,7 +247,6 @@ def _run_one(spec: DgpSpec, replication: int, fit_options: dict,
 
 def run_monte_carlo(spec: DgpSpec, replications: int,
                     fit_options: Optional[dict] = None,
-                    normalize: bool = False,
                     n_jobs: int = 1) -> MonteCarloResult:
     """Repeatedly simulate and estimate.
 
@@ -259,21 +257,18 @@ def run_monte_carlo(spec: DgpSpec, replications: int,
     Failed replications are recorded, not fatal, unless more than 1% of
     them fail.
 
-    Unless fit_options says otherwise, propensities are left untrimmed:
-    the simulated covariate has unbounded support, so at the usual 1%
-    threshold almost every draw of a few thousand units contains one
-    past the trim boundary and the whole study would abort.
+    fit_options are fit_nuisances' keyword arguments for every
+    replication, normalization included. Unless they say otherwise,
+    propensities are left untrimmed: the simulated covariate has
+    unbounded support, so at the usual 1% threshold almost every draw of
+    a few thousand units contains one past the trim boundary and the
+    whole study would abort.
     """
     if replications < 1:
         raise ValueError("replications must be ≥ 1")
     options = dict(fit_options or {})
     options.setdefault("trim_epsilon", 0.0)
-    if normalize:
-        # normalized weights revive the treated-cell outcome term, so the
-        # (A, Eligible) regression must be fitted alongside the usual three
-        options["include_a2"] = True
-    rows = map_ordered(functools.partial(_run_one, spec, fit_options=options,
-                                         normalize=normalize),
+    rows = map_ordered(functools.partial(_run_one, spec, fit_options=options),
                        range(replications), n_jobs)
 
     naive = np.array([r[0] for r in rows])

@@ -168,7 +168,6 @@ OR_METHODS = tuple(_SCORE_ESTIMATORS)[2:]  # (A, B, weighted B, A-B, A-wB)
 
 
 def estimate_doubly_robust(dataset: PanelDataset, nuisances: NuisanceSet,
-                           normalize: bool = False,
                            methods: Tuple[Method, ...] = DR_METHODS
                            ) -> Tuple[EstimateResult, ...]:
     """Results of the requested score-based estimators, in the order
@@ -189,13 +188,12 @@ def estimate_doubly_robust(dataset: PanelDataset, nuisances: NuisanceSet,
     (WOR), and the two differences. They need no propensity model."""
     kinds = tuple(dict.fromkeys(
         kind for method in methods for kind in _SCORE_ESTIMATORS[method][0]))
-    ev = FitEvaluation(dataset, nuisances, normalize)
+    ev = FitEvaluation(dataset, nuisances)
     psi = score_vectors(kinds, ev)
     return tuple(_SCORE_ESTIMATORS[method][1](ev, psi) for method in methods)
 
 
-def bias_diagnostic(dataset: PanelDataset, nuisances: NuisanceSet,
-                    normalize: bool = False):
+def bias_diagnostic(dataset: PanelDataset, nuisances: NuisanceSet):
     """Estimated gap between group B's change contrast under group A's
     covariate distribution and under its own: the bias the naive
     difference absorbs. Meaningful only when treatment is restricted to
@@ -208,7 +206,7 @@ def bias_diagnostic(dataset: PanelDataset, nuisances: NuisanceSet,
             "bias diagnostic requires treatment restricted to group A; "
             "when both groups are treated, group B's contrast mixes its "
             "treatment effect with the trend gap")
-    ev = FitEvaluation(dataset, nuisances, normalize)
+    ev = FitEvaluation(dataset, nuisances)
     psi = score_vectors((ScoreKind.WDR, ScoreKind.DR_B), ev)
     bias_hat, se, _ = _difference_of_means(
         ev, psi[ScoreKind.WDR].values, psi[ScoreKind.DR_B].values)
@@ -298,12 +296,13 @@ def bootstrap_ses(dataset: PanelDataset,
                  for column in draws.T)
 
 
-def refit_estimates(nuisances: NuisanceSet, normalize: bool = False,
+def refit_estimates(nuisances: NuisanceSet,
                     methods: Tuple[Method, ...] = DR_METHODS
                     ) -> Callable[[PanelDataset], Tuple[float, ...]]:
     """Estimator callable for bootstrap_ses: refits the nuisances once per
-    resample with the full-sample fit's fit_options (mode included) and
-    returns the point estimates of estimate_doubly_robust's `methods`.
+    resample with the full-sample fit's fit_options (mode, trimming and
+    normalization included) and returns the point estimates of
+    estimate_doubly_robust's `methods`.
     The callable pickles, so it can be sent to worker processes.
 
     Each refit's logit Newton iteration starts from the full-sample
@@ -313,14 +312,14 @@ def refit_estimates(nuisances: NuisanceSet, normalize: bool = False,
     options = dict(nuisances.fit_options)
     if nuisances.propensity is not None:
         options["start"] = nuisances.propensity.coefficients
-    return functools.partial(_refit, options, normalize, methods)
+    return functools.partial(_refit, options, methods)
 
 
-def _refit(options: dict, normalize: bool, methods: Tuple[Method, ...],
+def _refit(options: dict, methods: Tuple[Method, ...],
            ds: PanelDataset) -> Tuple[float, ...]:
     nuis = fit_nuisances(ds, **options)
     return tuple(res.estimate for res in estimate_doubly_robust(
-        ds, nuis, normalize, methods))
+        ds, nuis, methods))
 
 
 # ---------------------------------------------------------------------------

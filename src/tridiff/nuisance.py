@@ -83,6 +83,25 @@ class LinearModel:
         }
 
 
+def _full_rank_qr(design, column_names, message):
+    """Column-pivoted QR (q, r, piv) of a design; the rank counts the
+    |diag(r)| above lead * max(n, p) * eps. Below full rank it raises
+    SingularDesignError naming the columns the pivoting leaves dependent,
+    its text opened by `message` formatted with {rank} and {p}."""
+    q, r, piv = scipy.linalg.qr(design, mode="economic", pivoting=True)
+    diag = np.abs(np.diag(r))
+    lead = diag[0] if diag.size else 0.0
+    tol = lead * max(design.shape) * np.finfo(float).eps
+    rank = int(np.count_nonzero(diag > tol))
+    p = design.shape[1]
+    if rank < p:
+        dep = tuple(column_names[j] for j in sorted(piv[rank:]))
+        raise SingularDesignError(
+            f"{message.format(rank=rank, p=p)}; dependent column(s): "
+            f"{', '.join(dep)}", dependent_columns=dep)
+    return q, r, piv
+
+
 def fit_ols(design, response, column_names: Optional[Sequence[str]] = None,
             fitted_on=None) -> LinearModel:
     """Least squares via column-pivoted orthogonal factorization.
@@ -112,16 +131,8 @@ def fit_ols(design, response, column_names: Optional[Sequence[str]] = None,
     safe = np.where(norms > 0, norms, 1.0)
     scaled = design / safe
 
-    q, r, piv = scipy.linalg.qr(scaled, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    lead = diag[0] if diag.size else 0.0
-    tol = lead * max(n, p) * np.finfo(float).eps
-    rank = int(np.count_nonzero(diag > tol))
-    if rank < p:
-        dep = tuple(column_names[j] for j in sorted(piv[rank:]))
-        raise SingularDesignError(
-            f"design is rank deficient (rank {rank} of {p}); dependent "
-            f"column(s): {', '.join(dep)}", dependent_columns=dep)
+    q, r, piv = _full_rank_qr(scaled, column_names,
+                              "design is rank deficient (rank {rank} of {p})")
 
     qty = q.T @ y
     coef_piv = scipy.linalg.solve_triangular(r, qty)
@@ -161,9 +172,6 @@ def fit_linear(x, y, covariate_names: Optional[Sequence[str]] = None,
         covariate_names = tuple(f"x{j}" for j in range(d))
     names = ("intercept", *covariate_names)
 
-    if d == 0:
-        return fit_ols(np.ones((n, 1)), y, names, fitted_on=fitted_on)
-
     z, center, scale = _standardize(x)
     design = np.hstack([np.ones((n, 1)), z])
     std_model = fit_ols(design, y, names, fitted_on=fitted_on)
@@ -187,7 +195,9 @@ class PropensityModel:
     cells, in CELL_ORDER with (B, Never) the reference.
 
     coefficients: (3, d+1), cells 0..2 against the reference, on the
-    raw covariate scale with the intercept first. coef_cov covers the
+    raw covariate scale with the intercept first. n_iter and
+    loglik_trace describe the Newton run; a fit that does not converge
+    raises instead of returning a model. coef_cov covers the
     stacked coefficients; it is built from `fit_state` (the standardized
     design, the fitted probabilities, the covariate center and scale) on
     first read, so a fit whose covariance nobody reads never builds it.
@@ -195,9 +205,7 @@ class PropensityModel:
 
     coefficients: np.ndarray
     covariate_names: tuple
-    trim_epsilon: float
     n_obs: int
-    converged: bool
     n_iter: int
     loglik_trace: tuple
     fit_state: Optional[tuple] = field(default=None, repr=False,
@@ -237,9 +245,7 @@ class PropensityModel:
             "coefficients": [[float(v) for v in row] for row in self.coefficients],
             "covariate_names": list(self.covariate_names),
             "reference_cell": cell_name(CELL_ORDER[3]),
-            "trim_epsilon": float(self.trim_epsilon),
             "n_obs": int(self.n_obs),
-            "converged": bool(self.converged),
             "n_iter": int(self.n_iter),
             "final_loglik": float(self.loglik_trace[-1]) if self.loglik_trace else None,
         }
@@ -394,23 +400,9 @@ def _raw_coef_transform(center, scale):
     return convert
 
 
-def _check_design_rank(z, column_names):
-    _, r, piv = scipy.linalg.qr(z, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    lead = diag[0] if diag.size else 0.0
-    tol = lead * max(z.shape) * np.finfo(float).eps
-    rank = int(np.count_nonzero(diag > tol))
-    if rank < z.shape[1]:
-        dep = tuple(column_names[j] for j in sorted(piv[rank:]))
-        raise SingularDesignError(
-            f"logit design is rank deficient; dependent column(s): "
-            f"{', '.join(dep)}", dependent_columns=dep)
-
-
 def fit_logistic_multinomial(covariates, cell_labels,
                              max_iter: int = DEFAULT_MAX_ITER,
                              tol: float = DEFAULT_LL_TOL,
-                             trim_epsilon: float = DEFAULT_TRIM_EPSILON,
                              covariate_names: Optional[Sequence[str]] = None,
                              start=None) -> PropensityModel:
     """Four-cell softmax model by damped Newton, reference cell (B, Never).
@@ -443,7 +435,7 @@ def fit_logistic_multinomial(covariates, cell_labels,
     zx, center, scale = _standardize(x)
     z = np.hstack([np.ones((n, 1)), zx])
     names = ("intercept", *covariate_names)
-    _check_design_rank(z, names)
+    _full_rank_qr(z, names, "logit design is rank deficient")
     convert = _raw_coef_transform(center, scale)
 
     if start is None:
@@ -461,9 +453,8 @@ def fit_logistic_multinomial(covariates, cell_labels,
         z, labels, beta, max_iter, tol, convert, names)
 
     return PropensityModel(coefficients=convert(beta_std),
-                           covariate_names=covariate_names,
-                           trim_epsilon=trim_epsilon, n_obs=n,
-                           converged=True, n_iter=n_iter, loglik_trace=trace,
+                           covariate_names=covariate_names, n_obs=n,
+                           n_iter=n_iter, loglik_trace=trace,
                            fit_state=(z, probs, center, scale))
 
 
@@ -476,8 +467,9 @@ class NuisanceMode(enum.Enum):
     OUTCOME_ONLY = "outcome-only"   # the same change regressions, no logit
 
 
-# change regressions the score functions consume; (a,2) never enters any
-# score with a nonzero multiplier, so it is optional
+# change regressions the score functions consume; (a,2) enters a score
+# with a nonzero multiplier only under normalized weights, so it is
+# fitted for those alone
 SCORE_SET_CELLS: tuple[Cell, ...] = (
     (Group.A, Eligibility.NEVER),
     (Group.B, Eligibility.ELIGIBLE),
@@ -489,17 +481,19 @@ SCORE_SET_CELLS: tuple[Cell, ...] = (
 class NuisanceSet:
     """Container for fitted nuisance models plus the column subsets they
     were trained with, so that prediction always reuses the training
-    features."""
+    features.
 
-    mode: NuisanceMode
+    fit_options holds fit_nuisances' keyword arguments, which reproduce
+    this fit on another dataset (bootstrap and Monte Carlo refits use
+    exactly these) and say how it is evaluated: its mode, the trim
+    threshold and whether the control weights are normalized."""
+
     covariate_names: tuple
+    fit_options: dict
     propensity: Optional[PropensityModel] = None
     outcome_models: dict = field(default_factory=dict)
     propensity_columns: Optional[tuple] = None
     outcome_columns: Optional[tuple] = None
-    # keyword arguments that reproduce this fit on another dataset
-    # (bootstrap replicates refit with exactly these)
-    fit_options: dict = field(default_factory=dict)
 
     def _features(self, x_raw, columns) -> np.ndarray:
         x = np.asarray(x_raw, dtype=float)
@@ -524,10 +518,14 @@ class NuisanceSet:
             self._features(x_raw, self.outcome_columns))
 
     def to_dict(self) -> dict:
+        propensity = None
+        if self.propensity is not None:
+            propensity = {**self.propensity.to_dict(), "trim_epsilon":
+                          float(self.fit_options["trim_epsilon"])}
         return {
-            "mode": self.mode.value,
+            "mode": self.fit_options["mode"].value,
             "covariate_names": list(self.covariate_names),
-            "propensity": self.propensity.to_dict() if self.propensity else None,
+            "propensity": propensity,
             "outcome_models": {
                 cell_name(cell): model.to_dict()
                 for cell, model in sorted(self.outcome_models.items(),
@@ -567,7 +565,7 @@ def fit_nuisances(dataset: PanelDataset,
                   mode: NuisanceMode = NuisanceMode.SCORE_SET,
                   *,
                   trim_epsilon: float = DEFAULT_TRIM_EPSILON,
-                  include_a2: bool = False,
+                  normalize: bool = False,
                   propensity_covariates: Optional[Sequence[str]] = None,
                   outcome_covariates: Optional[Sequence[str]] = None,
                   max_iter: int = DEFAULT_MAX_ITER,
@@ -581,13 +579,18 @@ def fit_nuisances(dataset: PanelDataset,
     model: the outcome-regression scores need nothing else, and a logit
     that separates cannot fail them.
 
+    trim_epsilon and normalize say how the fit is evaluated (see
+    scores.FitEvaluation). Normalized weights give the (A, Eligible)
+    regression a nonzero multiplier in the DR scores, so SCORE_SET then
+    fits it too.
+
     Covariate subsets name columns of the dataset's covariate matrix;
     default is all columns for both families. `start` is passed to
     fit_logistic_multinomial as its Newton start; it changes where the
     iteration begins, not the model, so fit_options does not record it.
     """
     fit_options = dict(mode=mode, trim_epsilon=trim_epsilon,
-                       include_a2=include_a2,
+                       normalize=normalize,
                        propensity_covariates=propensity_covariates,
                        outcome_covariates=outcome_covariates,
                        max_iter=max_iter, tol=tol)
@@ -607,13 +610,13 @@ def fit_nuisances(dataset: PanelDataset,
         try:
             propensity = fit_logistic_multinomial(
                 prop_x, dataset.cell_codes(), max_iter=max_iter, tol=tol,
-                trim_epsilon=trim_epsilon, covariate_names=prop_names,
-                start=start)
+                covariate_names=prop_names, start=start)
         except Exception as exc:
             raise _reraise_for_cell(exc, "propensity model") from exc
 
     cells = SCORE_SET_CELLS + (((Group.A, Eligibility.ELIGIBLE),)
-                               if include_a2 else ())
+                               if normalize and mode is NuisanceMode.SCORE_SET
+                               else ())
     outcome_models = {}
     delta = dataset.delta_y()
     for cell in cells:
@@ -625,7 +628,7 @@ def fit_nuisances(dataset: PanelDataset,
         except Exception as exc:
             raise _reraise_for_cell(exc, cell_name(cell)) from exc
 
-    return NuisanceSet(mode=mode, covariate_names=dataset.covariate_names,
-                       propensity=propensity, outcome_models=outcome_models,
-                       propensity_columns=prop_cols, outcome_columns=out_cols,
-                       fit_options=fit_options)
+    return NuisanceSet(covariate_names=dataset.covariate_names,
+                       fit_options=fit_options, propensity=propensity,
+                       outcome_models=outcome_models,
+                       propensity_columns=prop_cols, outcome_columns=out_cols)

@@ -86,17 +86,17 @@ class FitEvaluation:
     propensity matrix, each outcome-change prediction, each treatment
     weight and each control weight once, on first request. Every score
     kind, estimator and bias diagnostic built from one evaluation thus
-    shares a single prediction per model. normalize=True rescales each
-    control weight by its full-sample mean (the treatment weight already
-    averages to one by construction); the default leaves the weights
-    exactly as defined.
+    shares a single prediction per model. The fit's options set the
+    trim threshold and the weighting: with "normalize" each control
+    weight is rescaled by its full-sample mean (the treatment weight
+    already averages to one by construction); without it the weights
+    stay exactly as defined.
     """
 
-    def __init__(self, dataset: PanelDataset, nuisances: NuisanceSet,
-                 normalize: bool = False):
+    def __init__(self, dataset: PanelDataset, nuisances: NuisanceSet):
         self.dataset = dataset
         self.nuisances = nuisances
-        self.normalize = normalize
+        self.normalize = nuisances.fit_options["normalize"]
         self.cells = cell_table(dataset)
         self.delta = dataset.delta_y()
         self._memo: dict = {}
@@ -145,7 +145,7 @@ class FitEvaluation:
             probs = self.propensities()
             p_num = probs[:, cell_index(numerator_cell)]
             p_src = probs[:, cell_index(source_cell)]
-            eps = self.nuisances.propensity.trim_epsilon
+            eps = self.nuisances.fit_options["trim_epsilon"]
             low = mask & (p_src < eps)
             if np.any(low):
                 ids = tuple(dataset.ids[low])
@@ -242,11 +242,9 @@ def score_vectors(kinds: Sequence[ScoreKind], ev: FitEvaluation
 
 
 def dump_scores(dataset: PanelDataset, nuisances: NuisanceSet,
-                kinds: Sequence[ScoreKind], path,
-                normalize: bool = False) -> None:
+                kinds: Sequence[ScoreKind], path) -> None:
     """Write per-unit score values (one column per kind) for audit."""
-    columns = score_vectors(kinds, FitEvaluation(dataset, nuisances,
-                                                 normalize))
+    columns = score_vectors(kinds, FitEvaluation(dataset, nuisances))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["unit_id", *(f"score_{k.value}" for k in kinds)])

@@ -213,12 +213,13 @@ def test_monte_carlo_parallel_equals_serial():
 def test_monte_carlo_normalized_weights():
     # normalized weights need the (A, Eligible) outcome regression
     s = spec(n=500, seed=7)
-    result = run_monte_carlo(s, replications=4, normalize=True)
+    result = run_monte_carlo(s, replications=4,
+                             fit_options={"normalize": True})
     assert result.ok.all()
     sample = simulate_replicate(s, 2)
     nuisances = fit_nuisances(sample, NuisanceMode.SCORE_SET,
-                              trim_epsilon=0.0, include_a2=True)
-    rew, naive = estimate_doubly_robust(sample, nuisances, True)
+                              trim_epsilon=0.0, normalize=True)
+    rew, naive = estimate_doubly_robust(sample, nuisances)
     assert result.reweighted[2] == rew.estimate
     assert result.naive[2] == naive.estimate
 

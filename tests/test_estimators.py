@@ -34,12 +34,12 @@ REWEIGHTED = (Method.DR_REWEIGHTED,)
 NAIVE = (Method.DR_NAIVE_DIFFERENCE,)
 
 
-def dr_reweighted(ds, nuis, normalize=False) -> EstimateResult:
-    return estimate_doubly_robust(ds, nuis, normalize, REWEIGHTED)[0]
+def dr_reweighted(ds, nuis) -> EstimateResult:
+    return estimate_doubly_robust(ds, nuis, REWEIGHTED)[0]
 
 
-def dr_naive(ds, nuis, normalize=False) -> EstimateResult:
-    return estimate_doubly_robust(ds, nuis, normalize, NAIVE)[0]
+def dr_naive(ds, nuis) -> EstimateResult:
+    return estimate_doubly_robust(ds, nuis, NAIVE)[0]
 
 
 @pytest.fixture(scope="module")
@@ -186,13 +186,13 @@ def test_joint_estimator_equals_separate_estimators(small_sample, normalize,
     ds, nuis = small_sample
     if normalize:
         nuis = fit_nuisances(ds, NuisanceMode.SCORE_SET, trim_epsilon=0.0,
-                             include_a2=True)
+                             normalize=True)
     if trim_epsilon is not None:
-        nuis = dataclasses.replace(nuis, propensity=dataclasses.replace(
-            nuis.propensity, trim_epsilon=trim_epsilon))
-    rew, naive = estimate_doubly_robust(ds, nuis, normalize)
-    _assert_same_result(rew, dr_reweighted(ds, nuis, normalize))
-    _assert_same_result(naive, dr_naive(ds, nuis, normalize))
+        nuis = dataclasses.replace(nuis, fit_options={
+            **nuis.fit_options, "trim_epsilon": trim_epsilon})
+    rew, naive = estimate_doubly_robust(ds, nuis)
+    _assert_same_result(rew, dr_reweighted(ds, nuis))
+    _assert_same_result(naive, dr_naive(ds, nuis))
 
 
 @pytest.fixture
@@ -513,16 +513,26 @@ def test_naive_refit_is_a_view_on_the_joint_refit(small_sample, counted):
 def test_paired_bootstrap_ses_equal_separate_passes(small_sample, normalize):
     ds, _ = small_sample
     nuis = fit_nuisances(ds, NuisanceMode.SCORE_SET, trim_epsilon=0.0,
-                         include_a2=normalize)
+                         normalize=normalize)
     # with this many draws, np.std(draws, axis=0) on the 2-D draws would
     # differ from the 1-D sd in the last bit
     config = BootstrapConfig(replications=99, seed=8)
-    paired = bootstrap_ses(ds, refit_estimates(nuis, normalize), config)
+    paired = bootstrap_ses(ds, refit_estimates(nuis), config)
     assert paired == (
-        bootstrap_ses(ds, refit_estimates(nuis, normalize, REWEIGHTED),
-                      config)[0],
-        bootstrap_ses(ds, refit_estimates(nuis, normalize, NAIVE),
-                      config)[0])
+        bootstrap_ses(ds, refit_estimates(nuis, REWEIGHTED), config)[0],
+        bootstrap_ses(ds, refit_estimates(nuis, NAIVE), config)[0])
+
+
+def test_normalized_refit_reproduces_the_fit(small_sample):
+    # a refit takes normalization from the fit's options: on the fitted
+    # sample itself it gives the fit's estimates bit for bit, which an
+    # unnormalized refit would miss by a few hundredths
+    ds, _ = small_sample
+    nuis = fit_nuisances(ds, NuisanceMode.SCORE_SET, trim_epsilon=0.0,
+                         normalize=True)
+    methods = DR_METHODS + OR_METHODS
+    assert refit_estimates(nuis, methods)(ds) == tuple(
+        res.estimate for res in estimate_doubly_robust(ds, nuis, methods))
 
 
 def test_degenerate_resamples_redrawn_then_capped(small_sample, monkeypatch):

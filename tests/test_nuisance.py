@@ -152,7 +152,7 @@ def test_intercept_only_logit_reproduces_shares():
     model = fit_logistic_multinomial(np.empty((n, 0)), labels)
     probs = model.predict(np.empty((1, 0)))[0]
     np.testing.assert_allclose(probs, shares, atol=1e-8)
-    assert model.converged
+    assert model.n_iter >= 1
 
 
 def test_logit_probabilities_sum_to_one_and_match_pointwise():
@@ -363,8 +363,7 @@ def test_propensity_predict_matches_row_reductions(rows):
     x = np.array([row[:3] for row in rows], dtype=float)
     coef = np.hstack([np.zeros((3, 1)), np.eye(3)])
     model = PropensityModel(coefficients=coef, covariate_names=("a", "b", "c"),
-                            trim_epsilon=0.0, n_obs=len(x), converged=True,
-                            n_iter=0, loglik_trace=())
+                            n_obs=len(x), n_iter=0, loglik_trace=())
     onehot = np.zeros((len(x), 4), dtype=bool)
     onehot[:, 3] = True
     z = np.hstack([np.ones((len(x), 1)), x])
@@ -470,9 +469,22 @@ def test_fit_nuisances_score_set():
 
 def test_fit_nuisances_score_set_with_a2():
     ds = toy_dataset()
-    nuis = fit_nuisances(ds, NuisanceMode.SCORE_SET, include_a2=True)
+    nuis = fit_nuisances(ds, NuisanceMode.SCORE_SET, normalize=True)
     assert nuis.has_outcome((Group.A, Eligibility.ELIGIBLE))
     assert len(nuis.outcome_models) == 4
+
+
+def test_normalized_fit_needs_a2_only_with_the_logit():
+    # normalized weights revive m(A, Eligible) in the DR scores; the
+    # outcome-regression scores never weight by the propensity
+    ds = toy_dataset()
+    a2 = (Group.A, Eligibility.ELIGIBLE)
+    assert fit_nuisances(ds, NuisanceMode.SCORE_SET,
+                         normalize=True).has_outcome(a2)
+    outcome_only = fit_nuisances(ds, NuisanceMode.OUTCOME_ONLY,
+                                 normalize=True)
+    assert not outcome_only.has_outcome(a2)
+    assert outcome_only.fit_options["normalize"] is True
 
 
 def test_fit_nuisances_outcome_only():

@@ -44,8 +44,8 @@ def fixture():
 
 def with_trim(nuis, trim_epsilon):
     """The same fit with another propensity trim threshold."""
-    return dataclasses.replace(nuis, propensity=dataclasses.replace(
-        nuis.propensity, trim_epsilon=trim_epsilon))
+    return dataclasses.replace(nuis, fit_options={
+        **nuis.fit_options, "trim_epsilon": trim_epsilon})
 
 
 HAND_VALUES = {
@@ -211,17 +211,21 @@ def sloped_fixture():
 
 def test_normalization_requires_treated_cell_outcome_model(sloped_fixture):
     ds = sloped_fixture
-    nuis = fit_nuisances(ds, NuisanceMode.SCORE_SET)
+    nuis = fit_nuisances(ds, NuisanceMode.SCORE_SET, normalize=True)
+    stripped = dataclasses.replace(nuis, outcome_models={
+        cell: model for cell, model in nuis.outcome_models.items()
+        if cell != A2})
     with pytest.raises(MissingNuisanceError, match=r"\(A, Eligible\)"):
-        score_vector(ScoreKind.DR_A, FitEvaluation(ds, nuis, normalize=True))
+        score_vector(ScoreKind.DR_A, FitEvaluation(ds, stripped))
 
 
 def test_normalized_scores_finite_and_close_to_unnormalized(sloped_fixture):
     ds = sloped_fixture
-    nuis = fit_nuisances(ds, NuisanceMode.SCORE_SET, include_a2=True)
-    plain = score_vector(ScoreKind.WDR, FitEvaluation(ds, nuis))
-    hajek = score_vector(ScoreKind.WDR,
-                         FitEvaluation(ds, nuis, normalize=True))
+    nuis = fit_nuisances(ds, NuisanceMode.SCORE_SET, normalize=True)
+    plain = score_vector(ScoreKind.WDR, FitEvaluation(
+        ds, dataclasses.replace(nuis, fit_options={**nuis.fit_options,
+                                                   "normalize": False})))
+    hajek = score_vector(ScoreKind.WDR, FitEvaluation(ds, nuis))
     assert np.all(np.isfinite(hajek.values))
     assert hajek.mean() != plain.mean()
     assert hajek.mean() == pytest.approx(plain.mean(), abs=0.5)
