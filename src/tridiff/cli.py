@@ -32,7 +32,7 @@ from .exceptions import (EstimationError, FittingError, IngestionError,
                          SchemaError, TridiffError, TrimmingError)
 from .nuisance import (DEFAULT_TRIM_EPSILON, NuisanceMode, fit_nuisances)
 from .parallel import default_jobs
-from .scores import ScoreKind, dump_scores
+from .scores import FitEvaluation, ScoreKind, dump_scores
 
 EXIT_OK = 0
 EXIT_INGESTION = 2
@@ -250,12 +250,14 @@ def cmd_estimate(ns: argparse.Namespace) -> int:
             else NuisanceMode.OUTCOME_ONLY,
             trim_epsilon=trim, normalize=normalize)
 
-    # every score method comes from one evaluation of the fit and, with a
-    # bootstrap, from one refit per resample; a bootstrap SE is the se of
-    # an OR result, which has no analytic one, and an extra otherwise
+    # every score method, the bias diagnostic and the score dump come from
+    # one evaluation of the fit and, with a bootstrap, every score method
+    # from one refit per resample; a bootstrap SE is the se of an OR
+    # result, which has no analytic one, and an extra otherwise
+    ev = FitEvaluation(dataset, nuis) if nuis is not None else None
     score_methods = tuple(score_keys.values())
     results = (dict(zip(score_keys, estimate_doubly_robust(
-        dataset, nuis, score_methods))) if score_keys else {})
+        dataset, nuis, score_methods, ev=ev))) if score_keys else {})
     extras = {}
     if score_keys and boot is not None:
         for key, se in zip(score_keys, bootstrap_ses(dataset, refit_estimates(
@@ -266,7 +268,7 @@ def cmd_estimate(ns: argparse.Namespace) -> int:
                 extras[key] = {"bootstrap_se": se}
     for method in methods:
         if method == "bias":
-            bias_hat, bias_se = bias_diagnostic(dataset, nuis)
+            bias_hat, bias_se = bias_diagnostic(dataset, nuis, ev=ev)
             extras["bias"] = {"bias_hat": bias_hat, "se": bias_se}
         elif method == "ols-did-a":
             results[method] = ols_did(dataset, Group.A, bool(dataset.d), se_kind)
@@ -288,7 +290,8 @@ def cmd_estimate(ns: argparse.Namespace) -> int:
     _write_json(out / "results.json", payload)
 
     if ns.dump_scores and nuis is not None and nuis.propensity is not None:
-        dump_scores(dataset, nuis, list(ScoreKind), out / "scores.csv")
+        dump_scores(dataset, nuis, list(ScoreKind), out / "scores.csv",
+                    ev=ev)
     if ns.dump_nuisances and nuis is not None:
         nuis.save_json(out / "nuisances_scores.json")
 

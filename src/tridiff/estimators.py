@@ -168,11 +168,14 @@ OR_METHODS = tuple(_SCORE_ESTIMATORS)[2:]  # (A, B, weighted B, A-B, A-wB)
 
 
 def estimate_doubly_robust(dataset: PanelDataset, nuisances: NuisanceSet,
-                           methods: Tuple[Method, ...] = DR_METHODS
+                           methods: Tuple[Method, ...] = DR_METHODS, *,
+                           ev: Optional[FitEvaluation] = None
                            ) -> Tuple[EstimateResult, ...]:
     """Results of the requested score-based estimators, in the order
     given, from one FitEvaluation: each score kind the methods need is
     built once (DR_A, WDR, DR_B by default) and no other kind is built.
+    `ev`, an evaluation of this fit on this dataset, is reused when
+    given, so that other consumers of the fit share its arrays.
 
     DR_REWEIGHTED, mean DR_A minus WDR, is the identification-correct
     contrast: ATT(A) when only group A's eligible units are treated,
@@ -188,16 +191,19 @@ def estimate_doubly_robust(dataset: PanelDataset, nuisances: NuisanceSet,
     (WOR), and the two differences. They need no propensity model."""
     kinds = tuple(dict.fromkeys(
         kind for method in methods for kind in _SCORE_ESTIMATORS[method][0]))
-    ev = FitEvaluation(dataset, nuisances)
+    if ev is None:
+        ev = FitEvaluation(dataset, nuisances)
     psi = score_vectors(kinds, ev)
     return tuple(_SCORE_ESTIMATORS[method][1](ev, psi) for method in methods)
 
 
-def bias_diagnostic(dataset: PanelDataset, nuisances: NuisanceSet):
+def bias_diagnostic(dataset: PanelDataset, nuisances: NuisanceSet, *,
+                    ev: Optional[FitEvaluation] = None):
     """Estimated gap between group B's change contrast under group A's
     covariate distribution and under its own: the bias the naive
     difference absorbs. Meaningful only when treatment is restricted to
     group A, where group B's contrast is exactly the parallel-trends gap.
+    `ev` is reused as in estimate_doubly_robust.
 
     Returns (bias_hat, se).
     """
@@ -206,7 +212,8 @@ def bias_diagnostic(dataset: PanelDataset, nuisances: NuisanceSet):
             "bias diagnostic requires treatment restricted to group A; "
             "when both groups are treated, group B's contrast mixes its "
             "treatment effect with the trend gap")
-    ev = FitEvaluation(dataset, nuisances)
+    if ev is None:
+        ev = FitEvaluation(dataset, nuisances)
     psi = score_vectors((ScoreKind.WDR, ScoreKind.DR_B), ev)
     bias_hat, se, _ = _difference_of_means(
         ev, psi[ScoreKind.WDR].values, psi[ScoreKind.DR_B].values)

@@ -5,6 +5,13 @@ The estimation engine consumes a NuisanceSet holding a four-cell
 propensity model p(g,e,x) and outcome-change regressions m(g,e,x). The
 outcome-regression benchmarks need the change regressions only, so
 they can be fitted without the propensity model.
+
+The logit kernels work cell-major: the design is held transposed,
+(p, n), and logits and probabilities as (4, n) arrays, so each cell's
+values and each covariate's values are one contiguous row. Predicted
+probabilities for given coefficients are bit for bit those of the
+row-major (n, 4) form reduced with max and sum along its rows;
+PropensityModel.predict returns their (n, 4) transpose.
 """
 
 from __future__ import annotations
@@ -44,15 +51,33 @@ class LinearModel:
     models p = d+1 with the intercept first, and predict() expects the
     raw d-column covariate matrix. `gram_inverse` is (X'X)^{-1} of the
     design actually fitted (after back-transform), so the classical
-    coefficient covariance is residual_variance * gram_inverse.
+    coefficient covariance is residual_variance * gram_inverse. It is
+    built from `fit_state` (the QR factor r, its column pivots, the
+    column norms and, for fit_linear, the raw-scale transform) on first
+    read, so a fit whose covariance nobody reads never builds it.
     """
 
     coefficients: np.ndarray
     column_names: tuple
     residual_variance: float
     n_obs: int
-    gram_inverse: np.ndarray
     fitted_on: object = None
+    fit_state: Optional[tuple] = field(default=None, repr=False,
+                                       compare=False)
+
+    @functools.cached_property
+    def gram_inverse(self) -> Optional[np.ndarray]:
+        """(X'X)^{-1}; None when there is no fit_state."""
+        if self.fit_state is None:
+            return None
+        r, piv, safe, t = self.fit_state
+        p = len(piv)
+        r_inv = scipy.linalg.solve_triangular(r, np.eye(p))
+        gram_piv = r_inv @ r_inv.T                 # (A'A)^{-1} in pivot order
+        gram_scaled = np.empty((p, p))
+        gram_scaled[np.ix_(piv, piv)] = gram_piv
+        gram = gram_scaled / np.outer(safe, safe)
+        return gram if t is None else t @ gram @ t.T
 
     @property
     def coef_cov(self) -> np.ndarray:
@@ -145,15 +170,9 @@ def fit_ols(design, response, column_names: Optional[Sequence[str]] = None,
     rss = float(residuals @ residuals)
     residual_variance = rss / dof if dof > 0 else 0.0
 
-    r_inv = scipy.linalg.solve_triangular(r, np.eye(p))
-    gram_piv = r_inv @ r_inv.T                     # (A'A)^{-1} in pivot order
-    gram_scaled = np.empty((p, p))
-    gram_scaled[np.ix_(piv, piv)] = gram_piv
-    gram = gram_scaled / np.outer(safe, safe)
-
     return LinearModel(coefficients=coef, column_names=column_names,
                        residual_variance=residual_variance, n_obs=n,
-                       gram_inverse=gram, fitted_on=fitted_on)
+                       fitted_on=fitted_on, fit_state=(r, piv, safe, None))
 
 
 def fit_linear(x, y, covariate_names: Optional[Sequence[str]] = None,
@@ -178,11 +197,12 @@ def fit_linear(x, y, covariate_names: Optional[Sequence[str]] = None,
 
     t = _raw_transform_matrix(center, scale)
     coef = t @ std_model.coefficients
-    gram = t @ std_model.gram_inverse @ t.T
+    r, piv, safe, _ = std_model.fit_state
 
     return LinearModel(coefficients=coef, column_names=names,
                        residual_variance=std_model.residual_variance,
-                       n_obs=n, gram_inverse=gram, fitted_on=fitted_on)
+                       n_obs=n, fitted_on=fitted_on,
+                       fit_state=(r, piv, safe, t))
 
 
 # ---------------------------------------------------------------------------
@@ -198,9 +218,10 @@ class PropensityModel:
     raw covariate scale with the intercept first. n_iter and
     loglik_trace describe the Newton run; a fit that does not converge
     raises instead of returning a model. coef_cov covers the
-    stacked coefficients; it is built from `fit_state` (the standardized
-    design, the fitted probabilities, the covariate center and scale) on
-    first read, so a fit whose covariance nobody reads never builds it.
+    stacked coefficients; it is built from `fit_state` (the transposed
+    standardized design, the fitted (4, n) probabilities, the covariate
+    center and scale) on first read, so a fit whose covariance nobody
+    reads never builds it.
     """
 
     coefficients: np.ndarray
@@ -217,8 +238,8 @@ class PropensityModel:
         information is singular or there is no fit_state."""
         if self.fit_state is None:
             return None
-        z, probs, center, scale = self.fit_state
-        cov_std = _observed_info_inverse(z, probs)
+        zt, probs, center, scale = self.fit_state
+        cov_std = _observed_info_inverse(zt, probs)
         if cov_std is None:
             return None
         t_full = scipy.linalg.block_diag(
@@ -226,12 +247,13 @@ class PropensityModel:
         return t_full @ cov_std @ t_full.T
 
     def predict(self, x) -> np.ndarray:
-        """Probabilities, shape (n, 4), rows summing to one."""
+        """Probabilities, shape (n, 4), rows summing to one: the
+        transpose of the cell-major softmax, so each cell's column is
+        contiguous."""
         x = np.asarray(x, dtype=float)
         if x.ndim == 1:
             x = x.reshape(1, -1)
-        z = np.hstack([np.ones((x.shape[0], 1)), x])
-        return _softmax(z, self.coefficients)[1]
+        return _softmax(_transposed_design(x), self.coefficients)[1].T
 
     def coef_se(self) -> np.ndarray:
         if self.coef_cov is None:
@@ -251,62 +273,68 @@ class PropensityModel:
         }
 
 
-def _softmax(z, beta):
-    """Softmax over the four cells for the (3, p) coefficients beta, with
-    the reference cell's logit fixed at 0. Returns (logits, probs,
-    log_normalizer), logits and probs (n, 4). The row shift and the
-    denominator are built column by column, np.maximum across the cells
-    and then ((e0 + e1) + e2) + e3: the same numbers as max and sum
-    along axis 1, without the per-row reduction loops."""
-    logits = np.zeros((len(z), 4))
-    logits[:, :3] = z @ beta.T
-    cols = logits.T
-    shift = np.maximum(np.maximum(np.maximum(cols[0], cols[1]), cols[2]),
-                       cols[3])
-    probs = np.exp(logits - shift[:, None])
-    ex = probs.T
-    denom = ((ex[0] + ex[1]) + ex[2]) + ex[3]
-    probs /= denom[:, None]
+def _softmax(zt, beta):
+    """Softmax over the four cells for the (3, p) coefficients beta and
+    the transposed (p, n) design zt, with the reference cell's logit
+    fixed at 0. Returns (logits, probs, log_normalizer), logits and
+    probs cell-major, (4, n), so that each cell's values are one
+    contiguous row. The row shift and the denominator are built row by
+    row, np.maximum across the cells and then ((e0 + e1) + e2) + e3:
+    bit for bit the numbers of max and sum along axis 1 of the (n, 4)
+    row-major logits z @ beta.T."""
+    logits = np.zeros((4, zt.shape[1]))
+    logits[:3] = beta @ zt
+    shift = np.maximum(np.maximum(np.maximum(logits[0], logits[1]),
+                                  logits[2]), logits[3])
+    probs = np.exp(logits - shift)
+    denom = ((probs[0] + probs[1]) + probs[2]) + probs[3]
+    probs /= denom
     return logits, probs, shift + np.log(denom)
 
 
-def _softmax_loglik(z, own_logit, beta):
+def _softmax_loglik(zt, own_logit, beta):
     """Log-likelihood, probabilities for coefficient matrix beta (3, p).
-    own_logit holds each unit's flat index into the (n, 4) logits,
-    4 * row + label, so the take gathers the units' own logits in row
+    own_logit holds each unit's flat index into the (4, n) logits,
+    label * n + row, so the take gathers the units' own logits in row
     order."""
-    logits, probs, log_norm = _softmax(z, beta)
+    logits, probs, log_norm = _softmax(zt, beta)
     return float(np.sum(logits.ravel().take(own_logit) - log_norm)), probs
 
 
-def _newton_multinomial(z, labels, beta, max_iter, tol, raw_transform,
+def _softmax_gradient(zt, onehot, probs):
+    """Gradient of the softmax log-likelihood over the non-reference
+    cells' stacked coefficients, sum_i (y_i - pi_i) kron z_i: one
+    (3, n) @ (n, p) product. onehot is the (3, n) indicator of each
+    unit's cell among the non-reference cells."""
+    return ((onehot - probs[:3]) @ zt.T).ravel()
+
+
+def _newton_multinomial(zt, labels, beta, max_iter, tol, raw_transform,
                         column_names):
     """Damped Newton ascent for the four-cell softmax model with the last
     cell as reference, starting from the (3, p) coefficients beta.
-    Returns (beta, probs, trace, n_iter); probs are the fitted cell
-    probabilities at beta. z includes the intercept column and is
-    already standardized; raw_transform maps a standardized coefficient
-    matrix to the raw scale (used only for the separation check, which
-    the spec of the method keys to the raw norm).
+    Returns (beta, probs, trace, n_iter); probs are the fitted (4, n)
+    cell probabilities at beta. zt is the transposed design (p, n),
+    intercept row first and already standardized; raw_transform maps a
+    standardized coefficient matrix to the raw scale (used only for the
+    separation check, which the spec of the method keys to the raw
+    norm).
     """
-    n = len(z)
     k1, p = beta.shape
-    onehot = np.zeros((n, k1 + 1), dtype=bool)
-    onehot[np.arange(n), labels] = True
-    own_logit = np.arange(n) * (k1 + 1) + labels
+    n = zt.shape[1]
+    onehot = np.arange(k1)[:, None] == labels
+    own_logit = labels * n + np.arange(n)
 
-    ll, probs = _softmax_loglik(z, own_logit, beta)
+    ll, probs = _softmax_loglik(zt, own_logit, beta)
     trace = [ll]
 
     for it in range(1, max_iter + 1):
-        grad = np.empty(k1 * p)
-        for k in range(k1):
-            grad[k * p:(k + 1) * p] = z.T @ (onehot[:, k] - probs[:, k])
+        grad = _softmax_gradient(zt, onehot, probs)
         if np.max(np.abs(grad)) < GRADIENT_TOL:
             return beta, probs, tuple(trace), it - 1
 
         try:
-            step = scipy.linalg.solve(_softmax_information(z, probs),
+            step = scipy.linalg.solve(_softmax_information(zt, probs),
                                       grad, assume_a="sym")
         except scipy.linalg.LinAlgError:
             raise SingularDesignError(
@@ -321,7 +349,7 @@ def _newton_multinomial(z, labels, beta, max_iter, tol, raw_transform,
         accepted = False
         while scale >= MIN_STEP:
             trial = beta + scale * step.reshape(k1, p)
-            ll_trial, probs_trial = _softmax_loglik(z, own_logit, trial)
+            ll_trial, probs_trial = _softmax_loglik(zt, own_logit, trial)
             if ll_trial >= ll - 1e-12:
                 accepted = True
                 gain = ll_trial - ll
@@ -347,28 +375,39 @@ def _newton_multinomial(z, labels, beta, max_iter, tol, raw_transform,
         trace=tuple(trace))
 
 
-def _softmax_information(z, probs):
+def _softmax_information(zt, probs):
     """Observed information (negative Hessian) of the softmax
     log-likelihood over the non-reference categories' stacked
-    coefficients, built one (p, p) block per category pair."""
-    p = z.shape[1]
-    k1 = probs.shape[1] - 1
+    coefficients, sum_i (diag pi_i - pi_i pi_i') kron z_i z_i', built
+    one (p, p) block (zt * w) @ zt' per category pair from the (4, n)
+    probabilities' contiguous rows."""
+    p = zt.shape[0]
+    k1 = probs.shape[0] - 1
     info = np.empty((k1 * p, k1 * p))
     for k in range(k1):
         for l in range(k, k1):
-            w = probs[:, k] * ((1.0 if k == l else 0.0) - probs[:, l])
-            block = z.T @ (z * w[:, None])
+            w = probs[k] * ((1.0 if k == l else 0.0) - probs[l])
+            block = (zt * w) @ zt.T
             info[k * p:(k + 1) * p, l * p:(l + 1) * p] = block
             info[l * p:(l + 1) * p, k * p:(k + 1) * p] = block.T
     return info
 
 
-def _observed_info_inverse(z, probs):
+def _observed_info_inverse(zt, probs):
     """Inverse observed information, None when it is singular."""
     try:
-        return scipy.linalg.inv(_softmax_information(z, probs))
+        return scipy.linalg.inv(_softmax_information(zt, probs))
     except scipy.linalg.LinAlgError:
         return None
+
+
+def _transposed_design(x):
+    """The (d+1, n) transpose of the intercept-first design of an (n, d)
+    covariate matrix: a row of ones, then one row per covariate."""
+    zt = np.empty((x.shape[1] + 1, x.shape[0]))
+    zt[0] = 1.0
+    zt[1:] = x.T
+    return zt
 
 
 def _standardize(x):
@@ -433,9 +472,9 @@ def fit_logistic_multinomial(covariates, cell_labels,
                 f"cell {cell_name(cell)} has {counts[k]} units, needs ≥ {d + 1}")
 
     zx, center, scale = _standardize(x)
-    z = np.hstack([np.ones((n, 1)), zx])
+    zt = _transposed_design(zx)
     names = ("intercept", *covariate_names)
-    _full_rank_qr(z, names, "logit design is rank deficient")
+    _full_rank_qr(zt.T, names, "logit design is rank deficient")
     convert = _raw_coef_transform(center, scale)
 
     if start is None:
@@ -450,12 +489,12 @@ def fit_logistic_multinomial(covariates, cell_labels,
         beta[:, 1:] *= scale
 
     beta_std, probs, trace, n_iter = _newton_multinomial(
-        z, labels, beta, max_iter, tol, convert, names)
+        zt, labels, beta, max_iter, tol, convert, names)
 
     return PropensityModel(coefficients=convert(beta_std),
                            covariate_names=covariate_names, n_obs=n,
                            n_iter=n_iter, loglik_trace=trace,
-                           fit_state=(z, probs, center, scale))
+                           fit_state=(zt, probs, center, scale))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ import csv
 import enum
 import functools
 from dataclasses import dataclass
-from typing import Dict, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -155,7 +155,8 @@ class FitEvaluation:
                     f"{', '.join(repr(i) for i in ids[:10])}"
                     + ("…" if len(ids) > 10 else ""),
                     unit_ids=ids)
-            out[mask] = (1.0 / share) * (p_num[mask] / p_src[mask])
+            np.divide(p_num, p_src, out=out, where=mask)
+            np.multiply(out, 1.0 / share, out=out, where=mask)
         if self.normalize:
             mean = float(np.mean(out))
             if mean <= 0:
@@ -242,9 +243,14 @@ def score_vectors(kinds: Sequence[ScoreKind], ev: FitEvaluation
 
 
 def dump_scores(dataset: PanelDataset, nuisances: NuisanceSet,
-                kinds: Sequence[ScoreKind], path) -> None:
-    """Write per-unit score values (one column per kind) for audit."""
-    columns = score_vectors(kinds, FitEvaluation(dataset, nuisances))
+                kinds: Sequence[ScoreKind], path, *,
+                ev: Optional[FitEvaluation] = None) -> None:
+    """Write per-unit score values (one column per kind) for audit.
+    `ev`, an evaluation of this fit on this dataset, is reused when
+    given."""
+    if ev is None:
+        ev = FitEvaluation(dataset, nuisances)
+    columns = score_vectors(kinds, ev)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["unit_id", *(f"score_{k.value}" for k in kinds)])

@@ -246,7 +246,7 @@ def test_criterion_6_exact_identities(big_sample):
 
     zero = LinearModel(coefficients=np.zeros(2),
                        column_names=("intercept", "x"),
-                       residual_variance=0.0, n_obs=1, gram_inverse=np.eye(2))
+                       residual_variance=0.0, n_obs=1)
     zeroed = dataclasses.replace(
         nuis, outcome_models={c: zero for c in nuis.outcome_models})
     zeroed_ev = FitEvaluation(ds, zeroed)

@@ -371,6 +371,28 @@ def test_estimate_bias_method_requires_only_a(panel_csv, tmp_path):
     assert not (out / "error.json").exists()  # stale report was removed
 
 
+def test_estimate_evaluates_the_fit_once(panel_csv, tmp_path, monkeypatch):
+    # the estimators, the bias diagnostic and the score dump share one
+    # evaluation of the fit: the propensity model is predicted once
+    from tridiff.nuisance import PropensityModel
+    calls = []
+    predict = PropensityModel.predict
+
+    def counted(self, x):
+        calls.append(len(x))
+        return predict(self, x)
+
+    monkeypatch.setattr(PropensityModel, "predict", counted)
+    out = tmp_path / "o"
+    assert run(["estimate", "--input", panel_csv, "--schema", SCHEMA,
+                "--methods", "dr,naive,bias", "--mechanism", "only-a",
+                "--trim", "0", "--dump-scores", "--jobs", "1",
+                "--out", out]) == 0
+    assert calls == [400]
+    assert "bias" in json.loads((out / "results.json").read_text())["extras"]
+    assert (out / "scores.csv").exists()
+
+
 def test_config_file_fills_only_unset_options(panel_csv, tmp_path):
     conf = tmp_path / "conf.json"
     conf.write_text(json.dumps({"methods": "dr", "seed": 99, "trim": 0.0}))

@@ -110,6 +110,43 @@ def test_fit_linear_equals_raw_design_fit():
         rtol=1e-10)
 
 
+def eager_gram_inverse(design):
+    """(X'X)^{-1} computed eagerly, independently of any fit: the
+    pivoted QR of the unit-norm columns, r's triangular inverse, the
+    scatter back from pivot order and the column-norm rescale."""
+    norms = np.sqrt(np.sum(design * design, axis=0))
+    safe = np.where(norms > 0, norms, 1.0)
+    _, r, piv = scipy.linalg.qr(design / safe, mode="economic",
+                                pivoting=True)
+    p = design.shape[1]
+    r_inv = scipy.linalg.solve_triangular(r, np.eye(p))
+    gram_scaled = np.empty((p, p))
+    gram_scaled[np.ix_(piv, piv)] = r_inv @ r_inv.T
+    return gram_scaled / np.outer(safe, safe)
+
+
+def test_gram_inverse_built_on_first_read():
+    # a fit stores its QR factors and builds no inverse until one is
+    # read; the value is then the eager arithmetic's, bit for bit, and
+    # fit_linear's is mapped to the raw scale by the same products
+    r = rng(19)
+    n = 90
+    x = r.normal(loc=[5.0, -2.0], scale=[3.0, 0.5], size=(n, 2))
+    y = 1.0 + x @ np.array([0.5, 2.0]) + r.normal(size=n)
+    design = np.hstack([np.ones((n, 1)), x])
+    model = fit_ols(design, y)
+    assert "gram_inverse" not in vars(model)
+    assert np.array_equal(model.gram_inverse, eager_gram_inverse(design))
+    assert model.gram_inverse is model.gram_inverse
+
+    linear = fit_linear(x, y)
+    assert "gram_inverse" not in vars(linear)
+    zx, center, scale = nuisance_mod._standardize(x)
+    t = nuisance_mod._raw_transform_matrix(center, scale)
+    want = t @ eager_gram_inverse(np.hstack([np.ones((n, 1)), zx])) @ t.T
+    assert np.array_equal(linear.gram_inverse, want)
+
+
 def test_fit_linear_without_covariates_is_the_mean():
     y = np.array([1.0, 2.0, 3.0, 6.0])
     model = fit_linear(np.empty((4, 0)), y)
@@ -296,15 +333,15 @@ def test_coef_cov_built_on_first_read(monkeypatch):
     assert calls == []
 
     zx, center, scale = nuisance_mod._standardize(x)
-    z = np.hstack([np.ones((len(x), 1)), zx])
+    zt = nuisance_mod._transposed_design(zx)
     _, probs, _, _ = nuisance_mod._newton_multinomial(
-        z, labels, np.zeros((3, 3)), nuisance_mod.DEFAULT_MAX_ITER,
+        zt, labels, np.zeros((3, 3)), nuisance_mod.DEFAULT_MAX_ITER,
         nuisance_mod.DEFAULT_LL_TOL,
         nuisance_mod._raw_coef_transform(center, scale), ("c",) * 3)
     t_full = scipy.linalg.block_diag(
         *([nuisance_mod._raw_transform_matrix(center, scale)] * 3))
     want = t_full @ scipy.linalg.inv(
-        nuisance_mod._softmax_information(z, probs)) @ t_full.T
+        nuisance_mod._softmax_information(zt, probs)) @ t_full.T
     assert np.array_equal(model.coef_cov, want)
     assert model.coef_cov is model.coef_cov
     assert calls == [1]
@@ -344,17 +381,22 @@ def test_softmax_loglik_matches_row_reductions(rows, scale):
     # gives logits that rounding in the product moves
     eta = np.array([row[:3] for row in rows], dtype=float)
     labels = np.array([row[3] for row in rows])
-    onehot = np.zeros((len(rows), 4), dtype=bool)
-    onehot[np.arange(len(rows)), labels] = True
-    own_logit = np.arange(len(rows)) * 4 + labels
+    n = len(rows)
+    onehot = np.zeros((n, 4), dtype=bool)
+    onehot[np.arange(n), labels] = True
+    own_logit = labels * n + np.arange(n)
     for z, beta in ((eta, np.eye(3)), (eta / scale, scale * np.eye(3))):
-        # the flat take gathers what the boolean mask does, in its order
-        logits = nuisance_mod._softmax(z, beta)[0]
-        assert np.array_equal(logits.ravel().take(own_logit), logits[onehot])
-        ll, probs = nuisance_mod._softmax_loglik(z, own_logit, beta)
+        # the kernels take the transposed design and return cell-major
+        # (4, n) arrays; the flat take gathers what the boolean mask on
+        # the row-major transpose does, in its order
+        zt = np.ascontiguousarray(z.T)
+        logits = nuisance_mod._softmax(zt, beta)[0]
+        assert np.array_equal(logits.ravel().take(own_logit),
+                              logits.T[onehot])
+        ll, probs = nuisance_mod._softmax_loglik(zt, own_logit, beta)
         want_ll, want_probs = reference_softmax(z, onehot, beta)
         assert ll == want_ll or (np.isnan(ll) and np.isnan(want_ll))
-        assert np.array_equal(probs, want_probs)
+        assert np.array_equal(probs.T, want_probs)
 
 
 @given(rows=LOGIT_ROWS)
@@ -369,6 +411,37 @@ def test_propensity_predict_matches_row_reductions(rows):
     z = np.hstack([np.ones((len(x), 1)), x])
     assert np.array_equal(model.predict(x),
                           reference_softmax(z, onehot, coef)[1])
+
+
+@given(n=st.integers(5, 300), d=st.integers(0, 3),
+       scale=st.floats(1e-3, 10.0), seed=st.integers(0, 2 ** 32 - 1))
+def test_cell_major_information_and_gradient_are_per_unit_sums(n, d, scale,
+                                                               seed):
+    # sum_i (diag pi_i - pi_i pi_i') kron z_i z_i' and
+    # sum_i (y_i - pi_i) kron z_i over the non-reference cells, one unit
+    # at a time; each entry may differ by rounding of at most 1e-12 of
+    # the sum of the magnitudes of the products it adds up
+    r = rng(seed)
+    zt = nuisance_mod._transposed_design(r.normal(size=(n, d)))
+    beta = scale * r.normal(size=(3, d + 1))
+    labels = r.integers(0, 4, size=n)
+    probs = nuisance_mod._softmax(zt, beta)[1]
+    onehot = np.arange(3)[:, None] == labels
+    info = np.zeros((3 * (d + 1), 3 * (d + 1)))
+    info_abs = np.zeros_like(info)
+    grad = np.zeros(3 * (d + 1))
+    grad_abs = np.zeros_like(grad)
+    for i in range(n):
+        pi, zi = probs[:3, i], zt[:, i]
+        zz = np.outer(zi, zi)
+        info += np.kron(np.diag(pi) - np.outer(pi, pi), zz)
+        info_abs += np.kron(np.diag(pi) + np.outer(pi, pi), np.abs(zz))
+        grad += np.kron(onehot[:, i] - pi, zi)
+        grad_abs += np.kron(onehot[:, i] + pi, np.abs(zi))
+    got_info = nuisance_mod._softmax_information(zt, probs)
+    got_grad = nuisance_mod._softmax_gradient(zt, onehot, probs)
+    assert np.all(np.abs(got_info - info) <= 1e-12 * info_abs)
+    assert np.all(np.abs(got_grad - grad) <= 1e-12 * grad_abs)
 
 
 # ---------------------------------------------------------------------------

@@ -129,8 +129,7 @@ def test_or_scores_vanish_outside_their_cells(fixture):
 def test_zeroed_outcome_models_collapse_dr_to_ipw(fixture):
     ds, nuis = fixture
     zero = LinearModel(coefficients=np.zeros(1), column_names=("intercept",),
-                       residual_variance=0.0, n_obs=1,
-                       gram_inverse=np.eye(1))
+                       residual_variance=0.0, n_obs=1)
     zeroed = dataclasses.replace(
         nuis, outcome_models={cell: zero for cell in nuis.outcome_models})
     ev = FitEvaluation(ds, zeroed)
