@@ -290,8 +290,7 @@ def cmd_estimate(ns: argparse.Namespace) -> int:
     _write_json(out / "results.json", payload)
 
     if ns.dump_scores and nuis is not None and nuis.propensity is not None:
-        dump_scores(dataset, nuis, list(ScoreKind), out / "scores.csv",
-                    ev=ev)
+        dump_scores(ev, list(ScoreKind), out / "scores.csv")
     if ns.dump_nuisances and nuis is not None:
         nuis.save_json(out / "nuisances_scores.json")
 

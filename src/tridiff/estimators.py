@@ -167,6 +167,18 @@ DR_METHODS = tuple(_SCORE_ESTIMATORS)[:2]  # (reweighted, naive)
 OR_METHODS = tuple(_SCORE_ESTIMATORS)[2:]  # (A, B, weighted B, A-B, A-wB)
 
 
+def _evaluation(dataset: PanelDataset, nuisances: NuisanceSet,
+                ev: Optional[FitEvaluation]) -> FitEvaluation:
+    """`ev` when given, which must evaluate these nuisances on this
+    dataset; else a new evaluation of them."""
+    if ev is None:
+        return FitEvaluation(dataset, nuisances)
+    if ev.dataset is not dataset or ev.nuisances is not nuisances:
+        raise ValueError("ev evaluates another dataset or another fit "
+                         "than the one given")
+    return ev
+
+
 def estimate_doubly_robust(dataset: PanelDataset, nuisances: NuisanceSet,
                            methods: Tuple[Method, ...] = DR_METHODS, *,
                            ev: Optional[FitEvaluation] = None
@@ -175,7 +187,8 @@ def estimate_doubly_robust(dataset: PanelDataset, nuisances: NuisanceSet,
     given, from one FitEvaluation: each score kind the methods need is
     built once (DR_A, WDR, DR_B by default) and no other kind is built.
     `ev`, an evaluation of this fit on this dataset, is reused when
-    given, so that other consumers of the fit share its arrays.
+    given, so that other consumers of the fit share its arrays; an
+    evaluation of another dataset or fit raises ValueError.
 
     DR_REWEIGHTED, mean DR_A minus WDR, is the identification-correct
     contrast: ATT(A) when only group A's eligible units are treated,
@@ -191,8 +204,7 @@ def estimate_doubly_robust(dataset: PanelDataset, nuisances: NuisanceSet,
     (WOR), and the two differences. They need no propensity model."""
     kinds = tuple(dict.fromkeys(
         kind for method in methods for kind in _SCORE_ESTIMATORS[method][0]))
-    if ev is None:
-        ev = FitEvaluation(dataset, nuisances)
+    ev = _evaluation(dataset, nuisances, ev)
     psi = score_vectors(kinds, ev)
     return tuple(_SCORE_ESTIMATORS[method][1](ev, psi) for method in methods)
 
@@ -212,8 +224,7 @@ def bias_diagnostic(dataset: PanelDataset, nuisances: NuisanceSet, *,
             "bias diagnostic requires treatment restricted to group A; "
             "when both groups are treated, group B's contrast mixes its "
             "treatment effect with the trend gap")
-    if ev is None:
-        ev = FitEvaluation(dataset, nuisances)
+    ev = _evaluation(dataset, nuisances, ev)
     psi = score_vectors((ScoreKind.WDR, ScoreKind.DR_B), ev)
     bias_hat, se, _ = _difference_of_means(
         ev, psi[ScoreKind.WDR].values, psi[ScoreKind.DR_B].values)

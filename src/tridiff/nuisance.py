@@ -8,10 +8,15 @@ they can be fitted without the propensity model.
 
 The logit kernels work cell-major: the design is held transposed,
 (p, n), and logits and probabilities as (4, n) arrays, so each cell's
-values and each covariate's values are one contiguous row. Predicted
-probabilities for given coefficients are bit for bit those of the
-row-major (n, 4) form reduced with max and sum along its rows;
-PropensityModel.predict returns their (n, 4) transpose.
+values and each covariate's values are one contiguous row. The
+reductions over the cells are done in the order of the row-major
+(n, 4) form reduced with max and sum along its rows, so predicted
+probabilities for given coefficients are bit for bit that form's
+whenever the product beta @ zt has the bits of z @ beta.T. The two
+products take different BLAS GEMM layouts; their bits were equal on
+every shape checked with OpenBLAS on x86-64, but a BLAS build with
+other kernels or blocking may round them differently.
+PropensityModel.predict returns the (n, 4) transpose.
 """
 
 from __future__ import annotations
@@ -280,8 +285,10 @@ def _softmax(zt, beta):
     probs cell-major, (4, n), so that each cell's values are one
     contiguous row. The row shift and the denominator are built row by
     row, np.maximum across the cells and then ((e0 + e1) + e2) + e3:
-    bit for bit the numbers of max and sum along axis 1 of the (n, 4)
-    row-major logits z @ beta.T."""
+    the operations of max and sum along axis 1 of the (n, 4) row-major
+    logits z @ beta.T, so the results are bit for bit equal wherever
+    beta @ zt and z @ beta.T are (see the module docstring: measured on
+    OpenBLAS, not guaranteed by every BLAS)."""
     logits = np.zeros((4, zt.shape[1]))
     logits[:3] = beta @ zt
     shift = np.maximum(np.maximum(np.maximum(logits[0], logits[1]),

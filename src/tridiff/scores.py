@@ -16,7 +16,7 @@ import csv
 import enum
 import functools
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Dict, Sequence
 
 import numpy as np
 
@@ -242,15 +242,12 @@ def score_vectors(kinds: Sequence[ScoreKind], ev: FitEvaluation
     return {kind: score_vector(kind, ev) for kind in kinds}
 
 
-def dump_scores(dataset: PanelDataset, nuisances: NuisanceSet,
-                kinds: Sequence[ScoreKind], path, *,
-                ev: Optional[FitEvaluation] = None) -> None:
-    """Write per-unit score values (one column per kind) for audit.
-    `ev`, an evaluation of this fit on this dataset, is reused when
-    given."""
-    if ev is None:
-        ev = FitEvaluation(dataset, nuisances)
+def dump_scores(ev: FitEvaluation, kinds: Sequence[ScoreKind],
+                path) -> None:
+    """Write the per-unit score values of one evaluated fit (one
+    column per kind) for audit."""
     columns = score_vectors(kinds, ev)
+    dataset = ev.dataset
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["unit_id", *(f"score_{k.value}" for k in kinds)])

@@ -244,7 +244,8 @@ def test_dump_scores_predicts_each_model_once(small_sample, counted,
                                               tmp_path):
     # all nine kinds together use the three fitted outcome models
     ds, nuis = small_sample
-    dump_scores(ds, nuis, list(ScoreKind), tmp_path / "scores.csv")
+    dump_scores(FitEvaluation(ds, nuis), list(ScoreKind),
+                tmp_path / "scores.csv")
     assert counted["predict"] == 1
     assert counted["outcome_predict"] == 3
     assert counted["kinds"] == list(ScoreKind)
@@ -258,6 +259,26 @@ def test_bias_diagnostic_builds_only_its_kinds(counted):
     assert counted["predict"] == 1
     assert counted["outcome_predict"] == 2
     assert counted["kinds"] == [ScoreKind.WDR, ScoreKind.DR_B]
+
+
+def test_evaluation_of_another_fit_or_dataset_is_rejected():
+    spec = DgpSpec(n=600, seed=5, mechanism=AssignmentMechanism.ONLY_GROUP_A)
+    ds = simulate_sample(spec)
+    nuis = fit_nuisances(ds, NuisanceMode.SCORE_SET, trim_epsilon=0.0)
+    ev = FitEvaluation(ds, nuis)
+    # equal in value, but not the objects the evaluation was built from
+    other_fit = dataclasses.replace(nuis)
+    other_data = simulate_sample(spec)
+    for data, fit in ((ds, other_fit), (other_data, nuis)):
+        with pytest.raises(ValueError, match="another dataset or another fit"):
+            estimate_doubly_robust(data, fit, ev=ev)
+        with pytest.raises(ValueError, match="another dataset or another fit"):
+            bias_diagnostic(data, fit, ev=ev)
+    # the evaluation of this fit on this dataset is reused as given
+    for got, want in zip(estimate_doubly_robust(ds, nuis, ev=ev),
+                         estimate_doubly_robust(ds, nuis)):
+        _assert_same_result(got, want)
+    assert bias_diagnostic(ds, nuis, ev=ev) == bias_diagnostic(ds, nuis)
 
 
 # ---------------------------------------------------------------------------

@@ -243,7 +243,8 @@ def test_unnormalized_dr_needs_no_treated_cell_model(sloped_fixture):
 def test_dump_scores_round_trips_exact_floats(fixture, tmp_path):
     ds, nuis = fixture
     path = tmp_path / "scores.csv"
-    dump_scores(ds, nuis, [ScoreKind.DR_A, ScoreKind.WDR], path)
+    dump_scores(FitEvaluation(ds, nuis), [ScoreKind.DR_A, ScoreKind.WDR],
+                path)
     import csv
     with open(path, newline="") as fh:
         rows = list(csv.DictReader(fh))
