@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import ndtri
 
 from .data import AssignmentMechanism, PanelDataset
 from .exceptions import EstimationError, TridiffError
@@ -39,8 +38,40 @@ MIN_SAMPLE_SIZE = 40
 MAX_FAILURE_SHARE = 0.01
 
 # inverse-CDF input clipped to the largest exactly representable open
-# interval so ndtri never sees 0 or 1
+# interval so the quantile never sees 0 or 1
 _UNIFORM_FLOOR = 2.0 ** -53
+
+# Wichura's algorithm AS241 (PPND16, Applied Statistics 37, 1988):
+# rational approximations of the standard normal quantile with a
+# relative error near 1e-16. Coefficients run from the highest power
+# down; each denominator's constant term is 1. The central one holds
+# for |p - 0.5| <= 0.425 in r = 0.180625 - (p - 0.5)^2; the tail ones
+# in r = sqrt(-log(min(p, 1 - p))), shifted by 1.6 up to r = 5 and by
+# 5 beyond.
+_CENTRAL_NUM = (2.5090809287301226727e+3, 3.3430575583588128105e+4,
+                6.7265770927008700853e+4, 4.5921953931549871457e+4,
+                1.3731693765509461125e+4, 1.9715909503065514427e+3,
+                1.3314166789178437745e+2, 3.3871328727963666080e+0)
+_CENTRAL_DEN = (5.2264952788528545610e+3, 2.8729085735721942674e+4,
+                3.9307895800092710610e+4, 2.1213794301586595867e+4,
+                5.3941960214247511077e+3, 6.8718700749205790830e+2,
+                4.2313330701600911252e+1, 1.0)
+_NEAR_NUM = (7.74545014278341407640e-4, 2.27238449892691845833e-2,
+             2.41780725177450611770e-1, 1.27045825245236838258e+0,
+             3.64784832476320460504e+0, 5.76949722146069140550e+0,
+             4.63033784615654529590e+0, 1.42343711074968357734e+0)
+_NEAR_DEN = (1.05075007164441684324e-9, 5.47593808499534494600e-4,
+             1.51986665636164571966e-2, 1.48103976427480074590e-1,
+             6.89767334985100004550e-1, 1.67638483018380384940e+0,
+             2.05319162663775882187e+0, 1.0)
+_FAR_NUM = (2.01033439929228813265e-7, 2.71155556874348757815e-5,
+            1.24266094738807843860e-3, 2.65321895265761230930e-2,
+            2.96560571828504891230e-1, 1.78482653991729133580e+0,
+            5.46378491116411436990e+0, 6.65790464350110377720e+0)
+_FAR_DEN = (2.04426310338993978564e-15, 1.42151175831644588870e-7,
+            1.84631831751005468180e-5, 7.86869131145613259100e-4,
+            1.48753612908506148525e-2, 1.36929880922735805310e-1,
+            5.99832206555887937690e-1, 1.0)
 
 
 class EffectCase(enum.Enum):
@@ -72,9 +103,43 @@ class DgpSpec:
         }
 
 
+def _horner(coefs, r):
+    """The polynomial with coefficients `coefs` (highest power first)
+    at each r, by in-place Horner steps."""
+    out = coefs[0] * r
+    for c in coefs[1:-1]:
+        out += c
+        out *= r
+    out += coefs[-1]
+    return out
+
+
+def _normal_quantile(p: np.ndarray) -> np.ndarray:
+    """Standard normal quantile of each p in (0, 1), by AS241. The
+    central approximation is evaluated for every p and the tail ones
+    then overwrite the values with |p - 0.5| > 0.425."""
+    q = p - 0.5
+    r = 0.180625 - q * q
+    x = _horner(_CENTRAL_NUM, r)
+    x *= q
+    x /= _horner(_CENTRAL_DEN, r)
+    tail = np.flatnonzero(np.abs(q) > 0.425)
+    if tail.size:
+        pt = np.take(p, tail)
+        r = np.sqrt(-np.log(np.minimum(pt, 1.0 - pt)))
+        near = r - 1.6
+        xt = _horner(_NEAR_NUM, near) / _horner(_NEAR_DEN, near)
+        far = np.flatnonzero(r > 5.0)
+        if far.size:
+            rf = r[far] - 5.0
+            xt[far] = _horner(_FAR_NUM, rf) / _horner(_FAR_DEN, rf)
+        np.put(x, tail, np.copysign(xt, np.take(q, tail)))
+    return x
+
+
 def _standard_normal(uniforms: np.ndarray) -> np.ndarray:
     u = np.clip(uniforms, _UNIFORM_FLOOR, 1.0 - _UNIFORM_FLOOR)
-    return ndtri(u)
+    return _normal_quantile(u)
 
 
 def _generate(spec: DgpSpec, seed_sequence: np.random.SeedSequence
@@ -85,9 +150,10 @@ def _generate(spec: DgpSpec, seed_sequence: np.random.SeedSequence
     group_is_a = u[0] < 0.5
     eligible = u[1] < 0.5
     mu = np.where(group_is_a, spec.mu_a, spec.mu_b)
-    x = mu + _standard_normal(u[2])
-    e1 = _standard_normal(u[3])
-    e2 = _standard_normal(u[4])
+    z = _standard_normal(u[2:])
+    x = mu + z[0]
+    e1 = z[1]
+    e2 = z[2]
 
     # untreated outcomes; the trend break rides on eligibility, so it is
     # common to both groups whichever mechanism assigns treatment

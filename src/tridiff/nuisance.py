@@ -24,11 +24,11 @@ from __future__ import annotations
 import enum
 import functools
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .data import (CELL_ORDER, Cell, Eligibility, Group, PanelDataset,
                    cell_index, cell_name)
@@ -42,6 +42,9 @@ DEFAULT_LL_TOL = 1e-10
 GRADIENT_TOL = 1e-8
 SEPARATION_COEF_NORM = 1e4
 MIN_STEP = 2.0 ** -30
+# a pivoted QR recomputes a partial column norm when downdating would
+# have cancelled more than half its digits (LAPACK's tol3z)
+_NORM_RECOMPUTE = math.sqrt(np.finfo(float).eps)
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +80,7 @@ class LinearModel:
             return None
         r, piv, safe, t = self.fit_state
         p = len(piv)
-        r_inv = scipy.linalg.solve_triangular(r, np.eye(p))
+        r_inv = _back_substitute(r, np.eye(p))
         gram_piv = r_inv @ r_inv.T                 # (A'A)^{-1} in pivot order
         gram_scaled = np.empty((p, p))
         gram_scaled[np.ix_(piv, piv)] = gram_piv
@@ -113,23 +116,94 @@ class LinearModel:
         }
 
 
-def _full_rank_qr(design, column_names, message):
-    """Column-pivoted QR (q, r, piv) of a design; the rank counts the
-    |diag(r)| above lead * max(n, p) * eps. Below full rank it raises
-    SingularDesignError naming the columns the pivoting leaves dependent,
-    its text opened by `message` formatted with {rank} and {p}."""
-    q, r, piv = scipy.linalg.qr(design, mode="economic", pivoting=True)
+def _pivoted_qr(at, y=None):
+    """Householder QR with column pivoting of the (n, p) design whose
+    transpose `at` (p, n) is given, so each design column is one
+    contiguous row. Returns (r, piv, qty): the (min(n, p), p) upper
+    triangle r, the column pivots piv, and Q'y for a response y, which
+    rides along as one more row and gets each reflection in turn (None
+    without y); Q itself is never formed. The pivot rule is LAPACK's
+    dgeqp3: the largest partial column norm, downdated after each step
+    and recomputed where downdating would lose too many digits."""
+    p, n = at.shape
+    w = np.empty((p + (y is not None), n))
+    w[:p] = at
+    if y is not None:
+        w[p] = y
+    norms = np.sqrt(np.add.reduce(w[:p] * w[:p], axis=1)).tolist()
+    ref_norms = list(norms)
+    piv = list(range(p))
+    m = min(n, p)
+    buf = np.empty(n)
+    for k in range(m):
+        j = max(range(k, p), key=norms.__getitem__)
+        if j != k:
+            row = w[k].copy()
+            w[k] = w[j]
+            w[j] = row
+            piv[k], piv[j] = piv[j], piv[k]
+            norms[j], ref_norms[j] = norms[k], ref_norms[k]
+        # reflector I - tau v v' with v = (1, v[1:]) taking the pivot
+        # column's w[k, k:] to (beta, 0, ..., 0); none if already there
+        v = w[k, k:]
+        alpha = float(v[0])
+        xnorm = math.sqrt(v[1:] @ v[1:])
+        if xnorm != 0.0:
+            beta = -math.copysign(math.hypot(alpha, xnorm), alpha)
+            v *= 1.0 / (alpha - beta)
+            v[0] = 1.0
+            tau = (beta - alpha) / beta
+            tmp = buf[:len(v)]
+            # row by row: each row's arithmetic is then the same whether
+            # or not the response rides along below it
+            for row in w[k + 1:, k:]:
+                np.multiply(v, tau * (row @ v), out=tmp)
+                row -= tmp
+            v[0] = beta
+        for i in range(k + 1, p):
+            if norms[i] != 0.0:
+                t = max(1.0 - (abs(w[i, k]) / norms[i]) ** 2, 0.0)
+                if t * (norms[i] / ref_norms[i]) ** 2 <= _NORM_RECOMPUTE:
+                    seg = w[i, k + 1:]
+                    norms[i] = ref_norms[i] = math.sqrt(seg @ seg)
+                else:
+                    norms[i] *= math.sqrt(t)
+    r = np.zeros((m, p))
+    for i in range(m):
+        r[i, i:] = w[i:p, i]
+    return r, np.array(piv), (w[p, :m] if y is not None else None)
+
+
+def _full_rank_qr(at, column_names, message, y=None):
+    """_pivoted_qr(at, y) of the design with transpose `at`; the rank
+    counts the |diag(r)| above lead * max(n, p) * eps. Below full rank it
+    raises SingularDesignError naming the columns the pivoting leaves
+    dependent, its text opened by `message` formatted with {rank} and
+    {p}. A design holding an inf or a NaN raises ValueError."""
+    if not np.isfinite(at).all():
+        raise ValueError("array must not contain infs or NaNs")
+    r, piv, qty = _pivoted_qr(at, y)
     diag = np.abs(np.diag(r))
     lead = diag[0] if diag.size else 0.0
-    tol = lead * max(design.shape) * np.finfo(float).eps
+    tol = lead * max(at.shape) * np.finfo(float).eps
     rank = int(np.count_nonzero(diag > tol))
-    p = design.shape[1]
+    p = at.shape[0]
     if rank < p:
         dep = tuple(column_names[j] for j in sorted(piv[rank:]))
         raise SingularDesignError(
             f"{message.format(rank=rank, p=p)}; dependent column(s): "
             f"{', '.join(dep)}", dependent_columns=dep)
-    return q, r, piv
+    return r, piv, qty
+
+
+def _back_substitute(r, b):
+    """Solve r x = b for the upper-triangular r, b a vector or a matrix
+    of right-hand-side columns."""
+    x = np.array(b, dtype=float)
+    for i in range(len(r) - 1, -1, -1):
+        x[i] -= r[i, i + 1:] @ x[i + 1:]
+        x[i] /= r[i, i]
+    return x
 
 
 def fit_ols(design, response, column_names: Optional[Sequence[str]] = None,
@@ -159,13 +233,11 @@ def fit_ols(design, response, column_names: Optional[Sequence[str]] = None,
 
     norms = np.sqrt(np.sum(design * design, axis=0))
     safe = np.where(norms > 0, norms, 1.0)
-    scaled = design / safe
 
-    q, r, piv = _full_rank_qr(scaled, column_names,
-                              "design is rank deficient (rank {rank} of {p})")
-
-    qty = q.T @ y
-    coef_piv = scipy.linalg.solve_triangular(r, qty)
+    r, piv, qty = _full_rank_qr(design.T / safe[:, None], column_names,
+                                "design is rank deficient (rank {rank} of {p})",
+                                y)
+    coef_piv = _back_substitute(r, qty)
     coef_scaled = np.empty(p)
     coef_scaled[piv] = coef_piv
     coef = coef_scaled / safe
@@ -247,8 +319,11 @@ class PropensityModel:
         cov_std = _observed_info_inverse(zt, probs)
         if cov_std is None:
             return None
-        t_full = scipy.linalg.block_diag(
-            *([_raw_transform_matrix(center, scale)] * 3))
+        t = _raw_transform_matrix(center, scale)
+        q = len(t)
+        t_full = np.zeros((3 * q, 3 * q))   # block diagonal, one t per cell
+        for k in range(3):
+            t_full[k * q:(k + 1) * q, k * q:(k + 1) * q] = t
         return t_full @ cov_std @ t_full.T
 
     def predict(self, x) -> np.ndarray:
@@ -341,9 +416,8 @@ def _newton_multinomial(zt, labels, beta, max_iter, tol, raw_transform,
             return beta, probs, tuple(trace), it - 1
 
         try:
-            step = scipy.linalg.solve(_softmax_information(zt, probs),
-                                      grad, assume_a="sym")
-        except scipy.linalg.LinAlgError:
+            step = np.linalg.solve(_softmax_information(zt, probs), grad)
+        except np.linalg.LinAlgError:
             raise SingularDesignError(
                 "singular information matrix in logit fit; columns: "
                 + ", ".join(column_names),
@@ -403,8 +477,8 @@ def _softmax_information(zt, probs):
 def _observed_info_inverse(zt, probs):
     """Inverse observed information, None when it is singular."""
     try:
-        return scipy.linalg.inv(_softmax_information(zt, probs))
-    except scipy.linalg.LinAlgError:
+        return np.linalg.inv(_softmax_information(zt, probs))
+    except np.linalg.LinAlgError:
         return None
 
 
@@ -481,7 +555,7 @@ def fit_logistic_multinomial(covariates, cell_labels,
     zx, center, scale = _standardize(x)
     zt = _transposed_design(zx)
     names = ("intercept", *covariate_names)
-    _full_rank_qr(zt.T, names, "logit design is rank deficient")
+    _full_rank_qr(zt, names, "logit design is rank deficient")
     convert = _raw_coef_transform(center, scale)
 
     if start is None:

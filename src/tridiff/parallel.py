@@ -42,9 +42,10 @@ def map_ordered(task: Callable, items: Sequence, n_jobs: int = 1) -> list:
 
     Workers start by the platform's default method. On Linux up to
     Python 3.13 that is fork: a worker shares the modules and data
-    already loaded, where a spawned one re-imports numpy and scipy
-    first, which cost more than the refits of a 199-draw bootstrap at
-    n=5000 that it takes over. Under spawn the task must be picklable."""
+    already loaded, where a spawned one imports numpy and tridiff
+    first, which costs about as much as the refits of a 199-draw
+    bootstrap at n=5000 that it takes over. Under spawn the task must
+    be picklable."""
     if n_jobs < 1:
         raise ValueError(f"n_jobs must be ≥ 1, got {n_jobs}")
     items = list(items)

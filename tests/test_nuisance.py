@@ -7,7 +7,6 @@ use the fitted standard errors as their own yardstick.
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, strategies as st
 
 import tridiff.nuisance as nuisance_mod
@@ -75,6 +74,18 @@ def test_fit_ols_underdetermined():
         fit_ols(np.ones((2, 3)), np.zeros(2))
 
 
+def test_non_finite_design_is_rejected():
+    design = np.column_stack([np.ones(40), np.arange(40.0)])
+    design[7, 1] = np.nan
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        fit_ols(design, np.ones(40))
+    x = rng(8).normal(size=(40, 1))
+    x[3, 0] = np.inf
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            fit_logistic_multinomial(x, np.arange(40) % 4)
+
+
 def test_fit_ols_ill_conditioned_but_full_rank():
     # two nearly, but not exactly, collinear columns must still fit
     r = rng(3)
@@ -110,29 +121,42 @@ def test_fit_linear_equals_raw_design_fit():
         rtol=1e-10)
 
 
-def eager_gram_inverse(design):
+def eager_gram_inverse(design, lapack=False):
     """(X'X)^{-1} computed eagerly, independently of any fit: the
     pivoted QR of the unit-norm columns, r's triangular inverse, the
-    scatter back from pivot order and the column-norm rescale."""
+    scatter back from pivot order and the column-norm rescale. The
+    factorization and the inverse are the module's kernels, or with
+    lapack=True scipy's."""
     norms = np.sqrt(np.sum(design * design, axis=0))
     safe = np.where(norms > 0, norms, 1.0)
-    _, r, piv = scipy.linalg.qr(design / safe, mode="economic",
-                                pivoting=True)
     p = design.shape[1]
-    r_inv = scipy.linalg.solve_triangular(r, np.eye(p))
+    if lapack:
+        scipy_linalg = pytest.importorskip("scipy.linalg")
+        _, r, piv = scipy_linalg.qr(design / safe, mode="economic",
+                                    pivoting=True)
+        r_inv = scipy_linalg.solve_triangular(r, np.eye(p))
+    else:
+        r, piv, _ = nuisance_mod._pivoted_qr((design / safe).T)
+        r_inv = nuisance_mod._back_substitute(r, np.eye(p))
     gram_scaled = np.empty((p, p))
     gram_scaled[np.ix_(piv, piv)] = r_inv @ r_inv.T
     return gram_scaled / np.outer(safe, safe)
+
+
+def gram_inverse_case():
+    r = rng(19)
+    n = 90
+    x = r.normal(loc=[5.0, -2.0], scale=[3.0, 0.5], size=(n, 2))
+    y = 1.0 + x @ np.array([0.5, 2.0]) + r.normal(size=n)
+    return x, y
 
 
 def test_gram_inverse_built_on_first_read():
     # a fit stores its QR factors and builds no inverse until one is
     # read; the value is then the eager arithmetic's, bit for bit, and
     # fit_linear's is mapped to the raw scale by the same products
-    r = rng(19)
-    n = 90
-    x = r.normal(loc=[5.0, -2.0], scale=[3.0, 0.5], size=(n, 2))
-    y = 1.0 + x @ np.array([0.5, 2.0]) + r.normal(size=n)
+    x, y = gram_inverse_case()
+    n = len(y)
     design = np.hstack([np.ones((n, 1)), x])
     model = fit_ols(design, y)
     assert "gram_inverse" not in vars(model)
@@ -145,6 +169,15 @@ def test_gram_inverse_built_on_first_read():
     t = nuisance_mod._raw_transform_matrix(center, scale)
     want = t @ eager_gram_inverse(np.hstack([np.ones((n, 1)), zx])) @ t.T
     assert np.array_equal(linear.gram_inverse, want)
+
+
+def test_gram_inverse_agrees_with_lapack():
+    # the numpy QR and back substitution against LAPACK's arithmetic
+    x, y = gram_inverse_case()
+    design = np.hstack([np.ones((len(y), 1)), x])
+    np.testing.assert_allclose(fit_ols(design, y).gram_inverse,
+                               eager_gram_inverse(design, lapack=True),
+                               rtol=1e-12)
 
 
 def test_fit_linear_without_covariates_is_the_mean():
@@ -317,14 +350,33 @@ def test_information_inverse_built_once_per_fit(monkeypatch):
     assert len(calls) == 2
 
 
+def coef_cov_case():
+    r = rng(17)
+    x = r.normal(size=(600, 2)) * [1.0, 3.0] + [2.0, -1.0]
+    labels = cells_from_probs(r, 600, [0.3, 0.25, 0.25, 0.2])
+    return x, labels
+
+
+def converged_information(x, labels):
+    """The observed information at a cold fit's final Newton
+    probabilities, and the map of one cell's coefficients to the raw
+    scale."""
+    zx, center, scale = nuisance_mod._standardize(x)
+    zt = nuisance_mod._transposed_design(zx)
+    _, probs, _, _ = nuisance_mod._newton_multinomial(
+        zt, labels, np.zeros((3, 3)), nuisance_mod.DEFAULT_MAX_ITER,
+        nuisance_mod.DEFAULT_LL_TOL,
+        nuisance_mod._raw_coef_transform(center, scale), ("c",) * 3)
+    return (nuisance_mod._softmax_information(zt, probs),
+            nuisance_mod._raw_transform_matrix(center, scale))
+
+
 def test_coef_cov_built_on_first_read(monkeypatch):
     # a fit builds no information inverse until coef_cov is read, and
     # then the one it built at convergence: the inverse observed
     # information at the final Newton probabilities, mapped to the raw
     # scale
-    r = rng(17)
-    x = r.normal(size=(600, 2)) * [1.0, 3.0] + [2.0, -1.0]
-    labels = cells_from_probs(r, 600, [0.3, 0.25, 0.25, 0.2])
+    x, labels = coef_cov_case()
     calls = []
     inverse = nuisance_mod._observed_info_inverse
     monkeypatch.setattr(nuisance_mod, "_observed_info_inverse",
@@ -332,19 +384,23 @@ def test_coef_cov_built_on_first_read(monkeypatch):
     model = fit_logistic_multinomial(x, labels)
     assert calls == []
 
-    zx, center, scale = nuisance_mod._standardize(x)
-    zt = nuisance_mod._transposed_design(zx)
-    _, probs, _, _ = nuisance_mod._newton_multinomial(
-        zt, labels, np.zeros((3, 3)), nuisance_mod.DEFAULT_MAX_ITER,
-        nuisance_mod.DEFAULT_LL_TOL,
-        nuisance_mod._raw_coef_transform(center, scale), ("c",) * 3)
-    t_full = scipy.linalg.block_diag(
-        *([nuisance_mod._raw_transform_matrix(center, scale)] * 3))
-    want = t_full @ scipy.linalg.inv(
-        nuisance_mod._softmax_information(zt, probs)) @ t_full.T
+    info, t = converged_information(x, labels)
+    t_full = np.kron(np.eye(3), t)
+    want = t_full @ np.linalg.inv(info) @ t_full.T
     assert np.array_equal(model.coef_cov, want)
     assert model.coef_cov is model.coef_cov
     assert calls == [1]
+
+
+def test_coef_cov_agrees_with_lapack():
+    # numpy's inverse and the hand-built block diagonal against scipy's
+    scipy_linalg = pytest.importorskip("scipy.linalg")
+    x, labels = coef_cov_case()
+    info, t = converged_information(x, labels)
+    t_full = scipy_linalg.block_diag(t, t, t)
+    want = t_full @ scipy_linalg.inv(info) @ t_full.T
+    np.testing.assert_allclose(fit_logistic_multinomial(x, labels).coef_cov,
+                               want, rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
