@@ -20,8 +20,8 @@ from .dgp import (DgpSpec, EffectCase, MonteCarloResult, OracleValues,
 from .estimators import (BootstrapConfig, EstimandLabel, EstimateResult,
                          Method, SeKind, bias_diagnostic,
                          bootstrap_replicates, bootstrap_ses,
-                         estimate_doubly_robust, influence_variance, ols_did,
-                         ols_tdid, refit_estimates)
+                         estimate_doubly_robust, ols_did, ols_tdid,
+                         refit_estimates)
 from .exceptions import (ConvergenceError, EstimationError, FittingError,
                          IngestionError, InsufficientDataError,
                          MissingNuisanceError, ParseError,
@@ -31,8 +31,8 @@ from .exceptions import (ConvergenceError, EstimationError, FittingError,
 from .nuisance import (LinearModel, NuisanceMode, NuisanceSet,
                        PropensityModel, fit_linear, fit_logistic_multinomial,
                        fit_nuisances, fit_ols)
-from .scores import (FitEvaluation, ScoreKind, ScoreVector, dump_scores,
-                     score_vector, score_vectors)
+from .scores import (FitEvaluation, ScoreKind, dump_scores, score_vector,
+                     score_vectors)
 
 __version__ = "0.1.0"
 
@@ -46,14 +46,14 @@ __all__ = [
     "NuisanceMode", "NuisanceSet", "OracleValues", "PanelDataset",
     "PanelValidationError", "ParseError", "PropensityModel",
     "REFERENCE_CELL", "ResamplingError", "Schema", "SchemaError",
-    "ScoreKind", "ScoreVector", "SeKind", "SeparationError",
-    "SingularDesignError", "TridiffError", "TrimmingError",
-    "UnsupportedMechanismError", "ValidationReport", "bias_diagnostic",
-    "bootstrap_replicates", "bootstrap_ses", "cell_index", "cell_name",
-    "cell_table", "closed_form_oracle", "dump_scores",
-    "estimate_doubly_robust", "export_histogram", "fit_linear",
-    "fit_logistic_multinomial", "fit_nuisances", "fit_ols",
-    "influence_variance", "load_csv", "ols_did", "ols_tdid",
+    "ScoreKind", "SeKind", "SeparationError", "SingularDesignError",
+    "TridiffError", "TrimmingError", "UnsupportedMechanismError",
+    "ValidationReport", "bias_diagnostic", "bootstrap_replicates",
+    "bootstrap_ses", "cell_index", "cell_name", "cell_table",
+    "closed_form_oracle", "dump_scores", "estimate_doubly_robust",
+    "export_histogram", "fit_linear", "fit_logistic_multinomial",
+    "fit_nuisances", "fit_ols", "load_csv", "ols_did", "ols_tdid",
     "refit_estimates", "run_monte_carlo", "save_csv", "score_vector",
-    "score_vectors", "simulate_replicate", "simulate_sample", "validate",
+    "score_vectors", "simulate_replicate", "simulate_sample",
+    "validate",
 ]

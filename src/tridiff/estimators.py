@@ -16,6 +16,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
@@ -26,7 +27,7 @@ from .exceptions import (EstimationError, ResamplingError,
                          UnsupportedMechanismError)
 from .nuisance import LinearModel, NuisanceSet, fit_nuisances, fit_ols
 from .parallel import map_ordered
-from .scores import A2, B2, FitEvaluation, ScoreKind, score_vectors
+from .scores import FitEvaluation, ScoreForm, ScoreKind, score_vectors
 
 DEFAULT_BOOTSTRAP_REPS = 999
 
@@ -35,7 +36,6 @@ class EstimandLabel(enum.Enum):
     """What the number means, resolved from the assignment mechanism."""
 
     ATT_A = "att_a"
-    ATT_A_MINUS_ATT_B = "att_a_minus_att_b"
     AVG_CATT_DIFF_ON_A = "avg_catt_diff_on_a"
     DESCRIPTIVE = "descriptive"
 
@@ -81,90 +81,68 @@ class EstimateResult:
         }
 
 
-def _reweighted_label(mechanism: AssignmentMechanism) -> EstimandLabel:
-    if mechanism is AssignmentMechanism.ONLY_GROUP_A:
-        return EstimandLabel.ATT_A
-    return EstimandLabel.AVG_CATT_DIFF_ON_A
-
-
 # ---------------------------------------------------------------------------
 # Doubly robust estimators and influence-function inference
 # ---------------------------------------------------------------------------
 
-def influence_variance(score_differences, treat_weights, tau_hat):
-    """Variance of a mean-of-scores estimator from its influence values.
-
-    eta_i = diff_i - w_i * tau; V = mean(eta^2); se = sqrt(V / n).
-    Returns (v_hat, se, eta).
-    """
-    diff = np.asarray(score_differences, dtype=float)
-    w = np.asarray(treat_weights, dtype=float)
-    eta = diff - w * tau_hat
-    v_hat = float(np.mean(eta * eta))
-    se = math.sqrt(v_hat / len(eta))
-    return v_hat, se, eta
-
-
-def _reweighted_result(ev: FitEvaluation, psi: dict) -> EstimateResult:
-    diff = psi[ScoreKind.DR_A].values - psi[ScoreKind.WDR].values
-    tau_hat = float(np.mean(diff))
-    _, se, eta = influence_variance(diff, ev.weight_t(A2), tau_hat)
-    return EstimateResult(estimate=tau_hat, se=se, n=ev.dataset.n,
-                          estimand_label=_reweighted_label(
-                              ev.dataset.mechanism),
-                          method=Method.DR_REWEIGHTED, influence_values=eta)
-
-
-def _difference_of_means(ev: FitEvaluation, psi_first: np.ndarray,
-                         psi_b: np.ndarray):
-    """Mean of a group-A-targeted score minus mean of group B's DR
-    score, with its influence-function SE. Returns (estimate, se, eta)."""
-    mean_first = float(np.mean(psi_first))
-    mean_b = float(np.mean(psi_b))
-    # each component's mean is recentred by its own treatment weight
-    eta = ((psi_first - ev.weight_t(A2) * mean_first)
-           - (psi_b - ev.weight_t(B2) * mean_b))
-    se = math.sqrt(float(np.mean(eta * eta)) / ev.dataset.n)
-    return mean_first - mean_b, se, eta
-
-
-def _naive_result(ev: FitEvaluation, psi: dict) -> EstimateResult:
-    estimate, se, eta = _difference_of_means(
-        ev, psi[ScoreKind.DR_A].values, psi[ScoreKind.DR_B].values)
-    return EstimateResult(estimate=estimate, se=se, n=ev.dataset.n,
-                          estimand_label=EstimandLabel.DESCRIPTIVE,
-                          method=Method.DR_NAIVE_DIFFERENCE,
-                          influence_values=eta)
-
-
-def _or_result(method: Method, kinds: Tuple[ScoreKind, ...],
-               ev: FitEvaluation, psi: dict) -> EstimateResult:
-    """Mean of the first regression score minus the mean of the second,
-    if any. No variance formula: se is None until a bootstrap fills it."""
-    first, *rest = (psi[kind].mean() for kind in kinds)
-    label = (_reweighted_label(ev.dataset.mechanism)
-             if method is Method.OR_REWEIGHTED_DIFFERENCE
-             else EstimandLabel.DESCRIPTIVE)
-    return EstimateResult(estimate=first - sum(rest), se=None,
-                          n=ev.dataset.n, estimand_label=label, method=method)
-
-
-# score kinds each estimator needs, in the order they are built, and the
-# function turning their values into its result
-_SCORE_ESTIMATORS = {
-    Method.DR_REWEIGHTED: ((ScoreKind.DR_A, ScoreKind.WDR), _reweighted_result),
-    Method.DR_NAIVE_DIFFERENCE: ((ScoreKind.DR_A, ScoreKind.DR_B),
-                                 _naive_result),
-    **{method: (kinds, functools.partial(_or_result, method, kinds))
-       for method, kinds in (
-           (Method.OR_DID_A, (ScoreKind.OR_A,)),
-           (Method.OR_DID_B, (ScoreKind.OR_B,)),
-           (Method.OR_WDID_B, (ScoreKind.WOR,)),
-           (Method.OR_DIFFERENCE, (ScoreKind.OR_A, ScoreKind.OR_B)),
-           (Method.OR_REWEIGHTED_DIFFERENCE, (ScoreKind.OR_A, ScoreKind.WOR)))},
+# each score method as a row of signed score kinds, in the order they
+# are built; the methods in _REWEIGHTED contrast group A's DID with
+# group B's at group A's covariates, the rest are descriptive
+METHOD_SCORES = {
+    Method.DR_REWEIGHTED: ((1, ScoreKind.DR_A), (-1, ScoreKind.WDR)),
+    Method.DR_NAIVE_DIFFERENCE: ((1, ScoreKind.DR_A), (-1, ScoreKind.DR_B)),
+    Method.OR_DID_A: ((1, ScoreKind.OR_A),),
+    Method.OR_DID_B: ((1, ScoreKind.OR_B),),
+    Method.OR_WDID_B: ((1, ScoreKind.WOR),),
+    Method.OR_DIFFERENCE: ((1, ScoreKind.OR_A), (-1, ScoreKind.OR_B)),
+    Method.OR_REWEIGHTED_DIFFERENCE: ((1, ScoreKind.OR_A), (-1, ScoreKind.WOR)),
 }
-DR_METHODS = tuple(_SCORE_ESTIMATORS)[:2]  # (reweighted, naive)
-OR_METHODS = tuple(_SCORE_ESTIMATORS)[2:]  # (A, B, weighted B, A-B, A-wB)
+DR_METHODS = tuple(METHOD_SCORES)[:2]  # (reweighted, naive)
+OR_METHODS = tuple(METHOD_SCORES)[2:]  # (A, B, weighted B, A-B, A-wB)
+_REWEIGHTED = (Method.DR_REWEIGHTED, Method.OR_REWEIGHTED_DIFFERENCE)
+# group B's DR contrast at group A's covariates minus at its own
+_BIAS_ROW = ((1, ScoreKind.WDR), (-1, ScoreKind.DR_B))
+
+
+def score_contrast(ev: FitEvaluation, psi: dict, row
+                   ) -> Tuple[float, Optional[float], Optional[np.ndarray]]:
+    """(estimate, se, eta) of a row of signed score kinds, from their
+    values `psi`. The signed scores of each target cell sum to that
+    cell's part; the estimate sums the parts' means, and the influence
+    values eta sum each part minus its cell's treatment weight times its
+    mean, so se = sqrt(mean(eta^2) / n). Only a row of doubly robust
+    kinds gets eta and se; for any other row both are None."""
+    parts = {}
+    for sign, kind in row:
+        target, score = kind.target, psi[kind]
+        if target not in parts:
+            parts[target] = score if sign > 0 else -score
+        elif sign > 0:
+            parts[target] = parts[target] + score
+        else:
+            parts[target] = parts[target] - score
+    means = {target: float(np.mean(part)) for target, part in parts.items()}
+    estimate = functools.reduce(operator.add, means.values())
+    if any(kind.form is not ScoreForm.DOUBLY_ROBUST for _, kind in row):
+        return estimate, None, None
+    eta = functools.reduce(operator.add, (
+        part - ev.weight_t(target) * means[target]
+        for target, part in parts.items()))
+    return estimate, math.sqrt(float(np.mean(eta * eta)) / ev.dataset.n), eta
+
+
+def _score_result(ev: FitEvaluation, psi: dict,
+                  method: Method) -> EstimateResult:
+    estimate, se, eta = score_contrast(ev, psi, METHOD_SCORES[method])
+    if method not in _REWEIGHTED:
+        label = EstimandLabel.DESCRIPTIVE
+    elif ev.dataset.mechanism is AssignmentMechanism.ONLY_GROUP_A:
+        label = EstimandLabel.ATT_A
+    else:
+        label = EstimandLabel.AVG_CATT_DIFF_ON_A
+    return EstimateResult(estimate=estimate, se=se, n=ev.dataset.n,
+                          estimand_label=label, method=method,
+                          influence_values=eta)
 
 
 def _evaluation(dataset: PanelDataset, nuisances: NuisanceSet,
@@ -183,30 +161,26 @@ def estimate_doubly_robust(dataset: PanelDataset, nuisances: NuisanceSet,
                            methods: Tuple[Method, ...] = DR_METHODS, *,
                            ev: Optional[FitEvaluation] = None
                            ) -> Tuple[EstimateResult, ...]:
-    """Results of the requested score-based estimators, in the order
-    given, from one FitEvaluation: each score kind the methods need is
-    built once (DR_A, WDR, DR_B by default) and no other kind is built.
-    `ev`, an evaluation of this fit on this dataset, is reused when
-    given, so that other consumers of the fit share its arrays; an
-    evaluation of another dataset or fit raises ValueError.
+    """Results of the requested score methods, in the order given, each
+    the score_contrast of its METHOD_SCORES row over one FitEvaluation:
+    each score kind the methods need is built once (DR_A, WDR, DR_B by
+    default) and no other kind is built. `ev`, an evaluation of this fit
+    on this dataset, is reused when given, so that other consumers of
+    the fit share its arrays; an evaluation of another dataset or fit
+    raises ValueError.
 
-    DR_REWEIGHTED, mean DR_A minus WDR, is the identification-correct
-    contrast: ATT(A) when only group A's eligible units are treated,
-    else the average CATT difference over group A's covariates.
-    DR_NAIVE_DIFFERENCE, mean DR_A minus mean DR_B, is the conventional
-    contrast; descriptive only, it mixes two covariate distributions.
-
-    The OR_METHODS are the outcome-regression benchmarks, the panel
-    regression DID of Sant'Anna & Zhao (2020, J. Econometrics 219, §2):
-    the mean over each group's eligible cell of the change minus the
-    group's fitted never-eligible change regression (OR_A, OR_B), the
-    mean over group A's eligible cell of group B's fitted DID contrast
-    (WOR), and the two differences. They need no propensity model."""
+    DR_REWEIGHTED is the identification-correct contrast: ATT(A) when
+    only group A's eligible units are treated, else the average CATT
+    difference over group A's covariates. DR_NAIVE_DIFFERENCE is the
+    conventional contrast; descriptive only, it mixes two covariate
+    distributions. The OR_METHODS are the outcome-regression benchmarks,
+    the panel regression DID of Sant'Anna & Zhao (2020, J. Econometrics
+    219, §2); they need no propensity model."""
     kinds = tuple(dict.fromkeys(
-        kind for method in methods for kind in _SCORE_ESTIMATORS[method][0]))
+        kind for method in methods for _, kind in METHOD_SCORES[method]))
     ev = _evaluation(dataset, nuisances, ev)
     psi = score_vectors(kinds, ev)
-    return tuple(_SCORE_ESTIMATORS[method][1](ev, psi) for method in methods)
+    return tuple(_score_result(ev, psi, method) for method in methods)
 
 
 def bias_diagnostic(dataset: PanelDataset, nuisances: NuisanceSet, *,
@@ -225,9 +199,8 @@ def bias_diagnostic(dataset: PanelDataset, nuisances: NuisanceSet, *,
             "when both groups are treated, group B's contrast mixes its "
             "treatment effect with the trend gap")
     ev = _evaluation(dataset, nuisances, ev)
-    psi = score_vectors((ScoreKind.WDR, ScoreKind.DR_B), ev)
-    bias_hat, se, _ = _difference_of_means(
-        ev, psi[ScoreKind.WDR].values, psi[ScoreKind.DR_B].values)
+    psi = score_vectors([kind for _, kind in _BIAS_ROW], ev)
+    bias_hat, se, _ = score_contrast(ev, psi, _BIAS_ROW)
     return bias_hat, se
 
 

@@ -391,16 +391,14 @@ def _softmax_gradient(zt, onehot, probs):
     return ((onehot - probs[:3]) @ zt.T).ravel()
 
 
-def _newton_multinomial(zt, labels, beta, max_iter, tol, raw_transform,
-                        column_names):
+def _newton_multinomial(zt, labels, beta, max_iter, tol, column_names):
     """Damped Newton ascent for the four-cell softmax model with the last
     cell as reference, starting from the (3, p) coefficients beta.
     Returns (beta, probs, trace, n_iter); probs are the fitted (4, n)
     cell probabilities at beta. zt is the transposed design (p, n),
-    intercept row first and already standardized; raw_transform maps a
-    standardized coefficient matrix to the raw scale (used only for the
-    separation check, which the spec of the method keys to the raw
-    norm).
+    intercept row first and already standardized. The separation check
+    takes the norm of the standardized coefficients, so a covariate's
+    location and units do not decide whether a fit counts as separated.
     """
     k1, p = beta.shape
     n = zt.shape[1]
@@ -442,12 +440,12 @@ def _newton_multinomial(zt, labels, beta, max_iter, tol, raw_transform,
                 f"no ascent step found at iteration {it}", trace=tuple(trace))
         trace.append(ll)
 
-        raw_norm = float(np.linalg.norm(raw_transform(beta)))
-        if raw_norm > SEPARATION_COEF_NORM:
+        norm = float(np.linalg.norm(beta))
+        if norm > SEPARATION_COEF_NORM:
             raise SeparationError(
-                f"coefficient norm {raw_norm:.3g} exceeds {SEPARATION_COEF_NORM:g} "
-                "with rising likelihood: data are (near-)separated; trim the "
-                "sample or drop covariates")
+                f"standardized coefficient norm {norm:.3g} exceeds "
+                f"{SEPARATION_COEF_NORM:g} with rising likelihood: data are "
+                "(near-)separated; trim the sample or drop covariates")
         if gain < tol:
             return beta, probs, tuple(trace), it
 
@@ -509,15 +507,12 @@ def _raw_transform_matrix(center, scale):
     return t
 
 
-def _raw_coef_transform(center, scale):
-    """Map standardized-space (K-1, d+1) coefficients to raw scale."""
-    def convert(beta_std):
-        raw = beta_std.copy()
-        if raw.shape[1] > 1:
-            raw[:, 0] = beta_std[:, 0] - beta_std[:, 1:] @ (center / scale)
-            raw[:, 1:] = beta_std[:, 1:] / scale
-        return raw
-    return convert
+def _raw_coefficients(beta_std, center, scale):
+    """Standardized-space (K-1, d+1) coefficients on the raw scale."""
+    raw = beta_std.copy()
+    raw[:, 0] = beta_std[:, 0] - beta_std[:, 1:] @ (center / scale)
+    raw[:, 1:] = beta_std[:, 1:] / scale
+    return raw
 
 
 def fit_logistic_multinomial(covariates, cell_labels,
@@ -532,8 +527,9 @@ def fit_logistic_multinomial(covariates, cell_labels,
     zero, or at `start`: raw-scale (3, d+1) coefficients such as another
     fit's, which a bootstrap refit passes so that it begins near its
     optimum. Converges when the likelihood gain drops below tol or the
-    gradient max-norm below 1e-8. Diverging coefficients with rising
-    likelihood raise SeparationError; exhausting max_iter raises
+    gradient max-norm below 1e-8. Standardized coefficients whose norm
+    passes 1e4 with rising likelihood raise SeparationError, whatever
+    the covariates' location and units; exhausting max_iter raises
     ConvergenceError with the likelihood trace attached.
     """
     x = np.asarray(covariates, dtype=float)
@@ -556,7 +552,6 @@ def fit_logistic_multinomial(covariates, cell_labels,
     zt = _transposed_design(zx)
     names = ("intercept", *covariate_names)
     _full_rank_qr(zt, names, "logit design is rank deficient")
-    convert = _raw_coef_transform(center, scale)
 
     if start is None:
         beta = np.zeros((3, d + 1))
@@ -565,14 +560,15 @@ def fit_logistic_multinomial(covariates, cell_labels,
         if beta.shape != (3, d + 1):
             raise ValueError(f"start has shape {beta.shape}; the model's "
                              f"coefficients are (3, {d + 1})")
-        # raw to standardized: the inverse of convert
+        # raw to standardized: the inverse of _raw_coefficients
         beta[:, 0] += beta[:, 1:] @ center
         beta[:, 1:] *= scale
 
     beta_std, probs, trace, n_iter = _newton_multinomial(
-        zt, labels, beta, max_iter, tol, convert, names)
+        zt, labels, beta, max_iter, tol, names)
 
-    return PropensityModel(coefficients=convert(beta_std),
+    return PropensityModel(coefficients=_raw_coefficients(beta_std, center,
+                                                          scale),
                            covariate_names=covariate_names, n_obs=n,
                            n_iter=n_iter, loglik_trace=trace,
                            fit_state=(zt, probs, center, scale))

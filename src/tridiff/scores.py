@@ -15,7 +15,6 @@ from __future__ import annotations
 import csv
 import enum
 import functools
-from dataclasses import dataclass
 from typing import Dict, Sequence
 
 import numpy as np
@@ -31,33 +30,33 @@ B2: Cell = (Group.B, Eligibility.ELIGIBLE)
 B_NEVER: Cell = (Group.B, Eligibility.NEVER)
 
 
+class ScoreForm(enum.Enum):
+    REGRESSION = "regression"          # OR: fitted change regressions
+    WEIGHTING = "weighting"            # IPW: control weights on the change
+    DOUBLY_ROBUST = "doubly_robust"    # DR: weights plus regressions
+
+
 class ScoreKind(enum.Enum):
-    """The nine score functions. OR/IPW/DR come per group; the weighted
-    forms (W prefix) pull group-B quantities to group A's covariates."""
+    """The nine score functions, as a table: value, form, the cell whose
+    covariate distribution the score targets, and the group whose
+    eligible and never-eligible changes it contrasts. The W-prefixed
+    kinds take group B's contrast at group A's covariates."""
 
-    OR_A = "or_a"
-    OR_B = "or_b"
-    IPW_A = "ipw_a"
-    IPW_B = "ipw_b"
-    DR_A = "dr_a"
-    DR_B = "dr_b"
-    WOR = "weighted_or"
-    WIPW = "weighted_ipw"
-    WDR = "weighted_dr"
+    OR_A = ("or_a", ScoreForm.REGRESSION, A2, Group.A)
+    OR_B = ("or_b", ScoreForm.REGRESSION, B2, Group.B)
+    IPW_A = ("ipw_a", ScoreForm.WEIGHTING, A2, Group.A)
+    IPW_B = ("ipw_b", ScoreForm.WEIGHTING, B2, Group.B)
+    DR_A = ("dr_a", ScoreForm.DOUBLY_ROBUST, A2, Group.A)
+    DR_B = ("dr_b", ScoreForm.DOUBLY_ROBUST, B2, Group.B)
+    WOR = ("weighted_or", ScoreForm.REGRESSION, A2, Group.B)
+    WIPW = ("weighted_ipw", ScoreForm.WEIGHTING, A2, Group.B)
+    WDR = ("weighted_dr", ScoreForm.DOUBLY_ROBUST, A2, Group.B)
 
-
-@dataclass(frozen=True)
-class ScoreVector:
-    """Per-unit score values for one kind, aligned with dataset rows."""
-
-    values: np.ndarray
-    kind: ScoreKind
-
-    def mean(self) -> float:
-        return float(np.mean(self.values))
-
-    def __len__(self) -> int:
-        return len(self.values)
+    def __new__(cls, value: str, form: ScoreForm, target: Cell, group: Group):
+        kind = object.__new__(cls)
+        kind._value_ = value
+        kind.form, kind.target, kind.group = form, target, group
+        return kind
 
 
 # ---------------------------------------------------------------------------
@@ -166,19 +165,22 @@ class FitEvaluation:
             out = out / mean
         return out
 
-    def augmentation(self, multiplier: np.ndarray, cell: Cell) -> np.ndarray:
-        """(w_T - w_C) * m(cell, x). With unnormalized weights the same-cell
-        control weight repeats the treatment weight's arithmetic operation
-        for operation, so this multiplier is identically zero and the
-        regression for `cell` need not be fitted. Normalizing breaks the
-        identity, making the model mandatory."""
-        if not self.normalize:
+    def augmentation(self, multiplier: np.ndarray, target: Cell,
+                     cell: Cell) -> np.ndarray:
+        """(w_T - w_C) * m(cell, x) for the treatment weight of `target`
+        and the control weight from `cell`. When the two cells coincide
+        and the weights are unnormalized, the control weight repeats the
+        treatment weight's arithmetic operation for operation, so this
+        multiplier is identically zero and the regression for `cell`
+        need not be fitted. Normalizing breaks the identity, making the
+        model mandatory."""
+        if cell == target and not self.normalize:
             if np.any(multiplier):
                 raise EstimationError(
                     f"augmentation multiplier for m{cell_name(cell)} should "
                     "be identically zero with unnormalized weights but is not")
             return np.zeros(len(multiplier))
-        if not self.nuisances.has_outcome(cell):
+        if cell == target and not self.nuisances.has_outcome(cell):
             raise MissingNuisanceError(
                 f"score needs outcome model m{cell_name(cell)} because "
                 "normalized weights give it a nonzero multiplier")
@@ -189,53 +191,36 @@ class FitEvaluation:
 # Scores
 # ---------------------------------------------------------------------------
 
-def score_vector(kind: ScoreKind, ev: FitEvaluation) -> ScoreVector:
-    """All units' values of one score function of an evaluated fit."""
-    delta = ev.delta
-    wt, wc, m = ev.weight_t, ev.weight_c, ev.outcome
+def score_vector(kind: ScoreKind, ev: FitEvaluation) -> np.ndarray:
+    """All units' values of one score function of an evaluated fit: the
+    contrast of the kind's group's eligible and never-eligible cells at
+    its target cell's covariate distribution, in the kind's form."""
+    target, group = kind.target, kind.group
+    eligible, never = (group, Eligibility.ELIGIBLE), (group, Eligibility.NEVER)
+    delta, wt, wc, m = ev.delta, ev.weight_t, ev.weight_c, ev.outcome
 
-    if kind in (ScoreKind.OR_A, ScoreKind.OR_B):
-        g = Group.A if kind is ScoreKind.OR_A else Group.B
-        values = wt((g, Eligibility.ELIGIBLE)) * (
-            delta - m((g, Eligibility.NEVER)))
-    elif kind in (ScoreKind.IPW_A, ScoreKind.IPW_B):
-        g = Group.A if kind is ScoreKind.IPW_A else Group.B
-        eligible = (g, Eligibility.ELIGIBLE)
-        never = (g, Eligibility.NEVER)
-        values = (wc(eligible, eligible) - wc(eligible, never)) * delta
-    elif kind in (ScoreKind.DR_A, ScoreKind.DR_B):
-        g = Group.A if kind is ScoreKind.DR_A else Group.B
-        eligible = (g, Eligibility.ELIGIBLE)
-        never = (g, Eligibility.NEVER)
-        w_treat = wt(eligible)
-        w_same = wc(eligible, eligible)
-        w_cross = wc(eligible, never)
-        values = (w_same - w_cross) * delta
-        values = values + ev.augmentation(w_treat - w_same, eligible)
-        values = values - (w_treat - w_cross) * m(never)
-    elif kind is ScoreKind.WOR:
-        values = wt(A2) * (m(B2) - m(B_NEVER))
-    elif kind is ScoreKind.WIPW:
-        values = (wc(A2, B2) - wc(A2, B_NEVER)) * delta
-    elif kind is ScoreKind.WDR:
-        w_treat = wt(A2)
-        w_b2 = wc(A2, B2)
-        w_bnever = wc(A2, B_NEVER)
-        values = (w_b2 - w_bnever) * delta
-        values = values + (w_treat - w_b2) * m(B2)
-        values = values - (w_treat - w_bnever) * m(B_NEVER)
+    if kind.form is ScoreForm.REGRESSION:
+        # the observed change on the target's own cell, else the regression
+        values = wt(target) * ((delta if target == eligible
+                                else m(eligible)) - m(never))
+    elif kind.form is ScoreForm.WEIGHTING:
+        values = (wc(target, eligible) - wc(target, never)) * delta
     else:
-        raise ValueError(f"unknown score kind {kind!r}")
+        w_treat = wt(target)  # first, so an empty target cell raises first
+        w_elig, w_never = wc(target, eligible), wc(target, never)
+        values = (w_elig - w_never) * delta
+        values = values + ev.augmentation(w_treat - w_elig, target, eligible)
+        values = values - (w_treat - w_never) * m(never)
 
     if not np.all(np.isfinite(values)):
         raise EstimationError(
             f"non-finite {kind.value} score values; check overlap and "
             "nuisance fits")
-    return ScoreVector(values=values, kind=kind)
+    return values
 
 
 def score_vectors(kinds: Sequence[ScoreKind], ev: FitEvaluation
-                  ) -> Dict[ScoreKind, ScoreVector]:
+                  ) -> Dict[ScoreKind, np.ndarray]:
     """Several score functions of one evaluated fit. Kinds are built in
     the order given, so the first failing kind raises exactly what
     score_vector would."""
@@ -253,4 +238,4 @@ def dump_scores(ev: FitEvaluation, kinds: Sequence[ScoreKind],
         writer.writerow(["unit_id", *(f"score_{k.value}" for k in kinds)])
         for i in range(dataset.n):
             writer.writerow([dataset.ids[i],
-                             *(repr(float(columns[k].values[i])) for k in kinds)])
+                             *(repr(float(columns[k][i])) for k in kinds)])

@@ -134,8 +134,8 @@ def test_criterion_3_score_agreement(big_sample):
         (ScoreKind.WOR, ScoreKind.WDR, "reweighted regression vs combined"),
     ]
     for first, second, label in pairs:
-        a = score_vector(first, ev).values
-        b = score_vector(second, ev).values
+        a = score_vector(first, ev)
+        b = score_vector(second, ev)
         gap = abs(float(np.mean(a)) - float(np.mean(b)))
         band = 3.0 * float(np.std(a - b, ddof=1)) / math.sqrt(ds.n)
         if gap > band:
@@ -254,8 +254,8 @@ def test_criterion_6_exact_identities(big_sample):
                                 (ScoreKind.DR_B, ScoreKind.IPW_B),
                                 (ScoreKind.WDR, ScoreKind.WIPW)):
         same = np.array_equal(
-            score_vector(combined, zeroed_ev).values,
-            score_vector(weighting, zeroed_ev).values)
+            score_vector(combined, zeroed_ev),
+            score_vector(weighting, zeroed_ev))
         if not same:
             failures.append(f"zero regressions: {combined.value} differs "
                             f"from {weighting.value} pointwise")

@@ -21,8 +21,7 @@ from tridiff.estimators import (DR_METHODS, OR_METHODS, BootstrapConfig,
                                 EstimandLabel, EstimateResult, Method, SeKind,
                                 bias_diagnostic, bootstrap_replicates,
                                 bootstrap_ses, estimate_doubly_robust,
-                                influence_variance, ols_did, ols_tdid,
-                                refit_estimates)
+                                ols_did, ols_tdid, refit_estimates)
 from tridiff.exceptions import (EstimationError, ResamplingError,
                                 UnsupportedMechanismError)
 from tridiff.nuisance import (LinearModel, NuisanceMode, PropensityModel,
@@ -57,49 +56,51 @@ def small_sample():
 
 
 # ---------------------------------------------------------------------------
-# Influence variance arithmetic
+# Influence-function SEs, bit for bit against the hand-built formulas
 # ---------------------------------------------------------------------------
-
-def test_influence_variance_hand_arithmetic():
-    v, se, eta = influence_variance([1.0, -1.0], [1.0, 1.0], 0.0)
-    assert v == pytest.approx(1.0)
-    assert se == pytest.approx(math.sqrt(0.5))
-    np.testing.assert_array_equal(eta, [1.0, -1.0])
-
-    # nonzero tau recentres by the treatment weight
-    v2, se2, eta2 = influence_variance([4.0, 0.0], [2.0, 0.0], 2.0)
-    np.testing.assert_array_equal(eta2, [0.0, 0.0])
-    assert v2 == 0.0 and se2 == 0.0
-
 
 def test_reweighted_se_is_influence_formula(small_sample):
     ds, nuis = small_sample
     res = dr_reweighted(ds, nuis)
     ev = FitEvaluation(ds, nuis)
-    diff = (score_vector(ScoreKind.DR_A, ev).values
-            - score_vector(ScoreKind.WDR, ev).values)
-    w = ev.weight_t(A2)
-    eta = diff - w * res.estimate
-    assert res.estimate == pytest.approx(float(np.mean(diff)), abs=1e-12)
-    assert res.se == pytest.approx(
-        math.sqrt(float(np.mean(eta ** 2)) / ds.n), abs=1e-12)
-    np.testing.assert_allclose(res.influence_values, eta, atol=1e-12)
+    diff = score_vector(ScoreKind.DR_A, ev) - score_vector(ScoreKind.WDR, ev)
+    tau = float(np.mean(diff))
+    eta = diff - ev.weight_t(A2) * tau
+    assert res.estimate == tau
+    assert res.se == math.sqrt(float(np.mean(eta * eta)) / ds.n)
+    assert np.array_equal(res.influence_values, eta)
     # the influence values average to zero by construction
     assert abs(np.mean(res.influence_values)) < 1e-10
+
+
+def difference_of_means(ev, first, second):
+    """Mean of the `first` score minus mean of group B's `second`, each
+    recentred by its own target cell's treatment weight: (estimate, se,
+    eta)."""
+    psi_a, psi_b = score_vector(first, ev), score_vector(second, ev)
+    mean_a, mean_b = float(np.mean(psi_a)), float(np.mean(psi_b))
+    eta = ((psi_a - ev.weight_t(A2) * mean_a)
+           - (psi_b - ev.weight_t(B2) * mean_b))
+    se = math.sqrt(float(np.mean(eta * eta)) / ev.dataset.n)
+    return mean_a - mean_b, se, eta
 
 
 def test_naive_se_uses_per_component_centring(small_sample):
     ds, nuis = small_sample
     res = dr_naive(ds, nuis)
-    ev = FitEvaluation(ds, nuis)
-    psi_a = score_vector(ScoreKind.DR_A, ev).values
-    psi_b = score_vector(ScoreKind.DR_B, ev).values
-    eta = ((psi_a - ev.weight_t(A2) * psi_a.mean())
-           - (psi_b - ev.weight_t(B2) * psi_b.mean()))
-    assert res.estimate == pytest.approx(psi_a.mean() - psi_b.mean(),
-                                         abs=1e-12)
-    assert res.se == pytest.approx(
-        math.sqrt(float(np.mean(eta ** 2)) / ds.n), abs=1e-12)
+    estimate, se, eta = difference_of_means(
+        FitEvaluation(ds, nuis), ScoreKind.DR_A, ScoreKind.DR_B)
+    assert (res.estimate, res.se) == (estimate, se)
+    assert np.array_equal(res.influence_values, eta)
+
+
+def test_bias_diagnostic_is_influence_formula():
+    ds = simulate_sample(DgpSpec(n=600, seed=5,
+                                 mechanism=AssignmentMechanism.ONLY_GROUP_A))
+    nuis = fit_nuisances(ds, NuisanceMode.SCORE_SET, trim_epsilon=0.0)
+    estimate, se, _ = difference_of_means(
+        FitEvaluation(ds, nuis), ScoreKind.WDR, ScoreKind.DR_B)
+    assert bias_diagnostic(ds, nuis) == (estimate, se)
 
 
 # ---------------------------------------------------------------------------
@@ -457,6 +458,21 @@ def test_or_quantities_equal_level_model_reference(mechanism, covariates):
     for key, want in level_model_or_quantities(ds).items():
         assert table[key].method is OR_KEYS[key]
         assert table[key].estimate == pytest.approx(want, abs=1e-12)
+
+
+def test_or_results_are_score_means_without_se(small_sample):
+    # a row mixing regression scores gets no influence-function SE; the
+    # A-minus-weighted-B contrast is the mean of one per-unit difference,
+    # since both of its scores target (A, Eligible)
+    ds, nuis = small_sample
+    table = or_table(ds, nuis)
+    assert all(r.se is None and r.influence_values is None
+               for r in table.values())
+    ev = FitEvaluation(ds, nuis)
+    assert table["diff_awb"].estimate == float(np.mean(
+        score_vector(ScoreKind.OR_A, ev) - score_vector(ScoreKind.WOR, ev)))
+    assert table["did_a"].estimate == float(np.mean(
+        score_vector(ScoreKind.OR_A, ev)))
 
 
 def test_or_table_consistency(small_sample):

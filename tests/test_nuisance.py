@@ -12,6 +12,8 @@ from hypothesis import given, strategies as st
 import tridiff.nuisance as nuisance_mod
 from tridiff.data import (AssignmentMechanism, Eligibility, Group,
                           PanelDataset)
+from tridiff.dgp import DgpSpec, simulate_sample
+from tridiff.estimators import estimate_doubly_robust
 from tridiff.exceptions import (ConvergenceError, InsufficientDataError,
                                 MissingNuisanceError, SeparationError,
                                 SingularDesignError)
@@ -280,8 +282,26 @@ def test_logit_separation_detected():
                         np.linspace(2 + 2 * gap, 3 + 2 * gap, 50),
                         np.linspace(3 + 3 * gap, 4 + 3 * gap, 50)])
     labels = np.repeat([0, 1, 2, 3], 50)
-    with pytest.raises(SeparationError):
+    with pytest.raises(SeparationError, match="standardized coefficient"):
         fit_logistic_multinomial(x.reshape(-1, 1), labels)
+
+
+def test_separation_guard_ignores_covariate_location():
+    # shifting x by 2e4 leaves the standardized fit as it was, though its
+    # raw intercepts grow past the guard's 1e4 norm; the guard keys to
+    # the standardized coefficients, so the shifted panel fits and gives
+    # the same estimate
+    ds = simulate_sample(DgpSpec(n=2000, seed=1, mu_b=1.5))
+    shifted = PanelDataset(ids=ds.ids, y1=ds.y1, y2=ds.y2,
+                           group_is_a=ds.group_is_a, eligible=ds.eligible,
+                           x=ds.x + 2e4, covariate_names=ds.covariate_names,
+                           mechanism=ds.mechanism)
+    fits = [fit_nuisances(d, NuisanceMode.SCORE_SET, trim_epsilon=0.0)
+            for d in (ds, shifted)]
+    assert np.linalg.norm(fits[1].propensity.coefficients) > 1e4
+    base, moved = (estimate_doubly_robust(d, fit)[0]
+                   for d, fit in zip((ds, shifted), fits))
+    assert moved.estimate == pytest.approx(base.estimate, rel=1e-10)
 
 
 def test_logit_max_iter_exhaustion_raises_with_trace():
@@ -365,8 +385,7 @@ def converged_information(x, labels):
     zt = nuisance_mod._transposed_design(zx)
     _, probs, _, _ = nuisance_mod._newton_multinomial(
         zt, labels, np.zeros((3, 3)), nuisance_mod.DEFAULT_MAX_ITER,
-        nuisance_mod.DEFAULT_LL_TOL,
-        nuisance_mod._raw_coef_transform(center, scale), ("c",) * 3)
+        nuisance_mod.DEFAULT_LL_TOL, ("c",) * 3)
     return (nuisance_mod._softmax_information(zt, probs),
             nuisance_mod._raw_transform_matrix(center, scale))
 

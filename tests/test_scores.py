@@ -13,11 +13,13 @@ treatment weight is 4 on its own cell.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 from tridiff.data import AssignmentMechanism, PanelDataset, cell_table
+from tridiff.estimators import METHOD_SCORES, Method, score_contrast
 from tridiff.exceptions import (EstimationError, MissingNuisanceError,
                                 TrimmingError)
 from tridiff.nuisance import LinearModel, NuisanceMode, fit_nuisances
@@ -102,9 +104,8 @@ def test_cross_cell_control_weights(fixture):
 def test_score_vectors_match_hand_computation(fixture, kind):
     expected_values, expected_mean = HAND_VALUES[kind]
     vec = score_vector(kind, FitEvaluation(*fixture))
-    np.testing.assert_allclose(vec.values, expected_values, atol=1e-8)
+    np.testing.assert_allclose(vec, expected_values, atol=1e-8)
     assert vec.mean() == pytest.approx(expected_mean, abs=1e-8)
-    assert vec.kind is kind
     assert len(vec) == 4
 
 
@@ -118,26 +119,58 @@ def test_reweighting_changes_only_the_counterfactual_term(fixture):
 
 def test_or_scores_vanish_outside_their_cells(fixture):
     ev = FitEvaluation(*fixture)
-    or_a = score_vector(ScoreKind.OR_A, ev).values
+    or_a = score_vector(ScoreKind.OR_A, ev)
     assert np.all(or_a[1:] == 0.0)
-    ipw_a = score_vector(ScoreKind.IPW_A, ev).values
+    ipw_a = score_vector(ScoreKind.IPW_A, ev)
     assert np.all(ipw_a[2:] == 0.0)  # group B never contributes
-    wor = score_vector(ScoreKind.WOR, ev).values
+    wor = score_vector(ScoreKind.WOR, ev)
     assert np.all(wor[1:] == 0.0)  # evaluated on (A, Eligible) units only
+
+
+def zeroed_outcomes(nuis):
+    """The same fit with every outcome regression replaced by zero."""
+    zero = LinearModel(coefficients=np.zeros(1), column_names=("intercept",),
+                       residual_variance=0.0, n_obs=1)
+    return dataclasses.replace(
+        nuis, outcome_models={cell: zero for cell in nuis.outcome_models})
 
 
 def test_zeroed_outcome_models_collapse_dr_to_ipw(fixture):
     ds, nuis = fixture
-    zero = LinearModel(coefficients=np.zeros(1), column_names=("intercept",),
-                       residual_variance=0.0, n_obs=1)
-    zeroed = dataclasses.replace(
-        nuis, outcome_models={cell: zero for cell in nuis.outcome_models})
-    ev = FitEvaluation(ds, zeroed)
+    ev = FitEvaluation(ds, zeroed_outcomes(nuis))
     for dr, ipw in ((ScoreKind.DR_A, ScoreKind.IPW_A),
                     (ScoreKind.DR_B, ScoreKind.IPW_B),
                     (ScoreKind.WDR, ScoreKind.WIPW)):
-        np.testing.assert_array_equal(score_vector(dr, ev).values,
-                                      score_vector(ipw, ev).values)
+        np.testing.assert_array_equal(score_vector(dr, ev),
+                                      score_vector(ipw, ev))
+
+
+@pytest.mark.parametrize("zeroed, method, estimate, eta", [
+    # one unit per cell: each fitted DR score sits on its target cell's
+    # unit alone, so recentring by the treatment weight zeroes it
+    (False, Method.DR_REWEIGHTED, -1.5, [0.0, 0.0, 0.0, 0.0]),
+    (False, Method.DR_NAIVE_DIFFERENCE, -1.5, [0.0, 0.0, 0.0, 0.0]),
+    # zeroed regressions leave the IPW values: DR_A - WDR is
+    # [12, -4, -16, 2], mean -1.5, less 4 * -1.5 on u1; the naive parts
+    # are [12, -4, 0, 0] - 4 * 2 on u1 and -([0, 0, 16, -2] - 4 * 3.5 on
+    # u3)
+    (True, Method.DR_REWEIGHTED, -1.5, [18.0, -4.0, -16.0, 2.0]),
+    (True, Method.DR_NAIVE_DIFFERENCE, -1.5, [4.0, -4.0, -2.0, 2.0]),
+], ids=["fitted-reweighted", "fitted-naive", "zeroed-reweighted",
+        "zeroed-naive"])
+def test_score_contrast_hand_arithmetic(fixture, zeroed, method, estimate,
+                                        eta):
+    ds, nuis = fixture
+    ev = FitEvaluation(ds, zeroed_outcomes(nuis) if zeroed else nuis)
+    psi = score_vectors(list(ScoreKind), ev)
+    got, se, got_eta = score_contrast(ev, psi, METHOD_SCORES[method])
+    assert got == pytest.approx(estimate, abs=1e-8)
+    np.testing.assert_allclose(got_eta, eta, atol=1e-8)
+    assert se == pytest.approx(math.sqrt(np.mean(np.square(eta)) / 4),
+                               abs=1e-8)
+    # a row with any score that is not doubly robust has no SE
+    assert score_contrast(ev, psi, ((1, ScoreKind.IPW_A),))[1:] == (None,
+                                                                   None)
 
 
 def test_score_vectors_equal_score_vector(fixture):
@@ -148,8 +181,8 @@ def test_score_vectors_equal_score_vector(fixture):
     assert list(built) == kinds
     for kind in kinds:
         np.testing.assert_array_equal(
-            built[kind].values,
-            score_vector(kind, FitEvaluation(*fixture)).values)
+            built[kind],
+            score_vector(kind, FitEvaluation(*fixture)))
 
 
 def test_evaluation_computes_each_weight_once(fixture):
@@ -168,9 +201,13 @@ def test_structural_zero_augmentation_rejects_nonzero_multiplier(fixture):
     # an explicit check, not an assert, so it also holds under python -O
     ev = FitEvaluation(*fixture)
     with pytest.raises(EstimationError, match=r"\(A, Eligible\)"):
-        ev.augmentation(np.array([0.0, 1e-300, 0.0, 0.0]), A2)
-    np.testing.assert_array_equal(ev.augmentation(np.zeros(4), A2),
+        ev.augmentation(np.array([0.0, 1e-300, 0.0, 0.0]), A2, A2)
+    np.testing.assert_array_equal(ev.augmentation(np.zeros(4), A2, A2),
                                   np.zeros(4))
+    # a control weight from another cell than the target is no
+    # structural zero: its regression enters as fitted
+    np.testing.assert_allclose(ev.augmentation(np.ones(4), A2, B2),
+                               [4.0, 4.0, 4.0, 4.0], atol=1e-8)
 
 
 def test_trimming_error_names_offending_units(fixture):
@@ -185,7 +222,7 @@ def test_trimming_only_inspects_source_cell_units(fixture):
     # OR scores use no propensity ratio, so even an absurd threshold passes
     ds, nuis = fixture
     vec = score_vector(ScoreKind.OR_A, FitEvaluation(ds, with_trim(nuis, 0.3)))
-    np.testing.assert_allclose(vec.values, HAND_VALUES[ScoreKind.OR_A][0],
+    np.testing.assert_allclose(vec, HAND_VALUES[ScoreKind.OR_A][0],
                                atol=1e-8)
 
 
@@ -225,7 +262,7 @@ def test_normalized_scores_finite_and_close_to_unnormalized(sloped_fixture):
         ds, dataclasses.replace(nuis, fit_options={**nuis.fit_options,
                                                    "normalize": False})))
     hajek = score_vector(ScoreKind.WDR, FitEvaluation(ds, nuis))
-    assert np.all(np.isfinite(hajek.values))
+    assert np.all(np.isfinite(hajek))
     assert hajek.mean() != plain.mean()
     assert hajek.mean() == pytest.approx(plain.mean(), abs=0.5)
 
@@ -237,7 +274,7 @@ def test_unnormalized_dr_needs_no_treated_cell_model(sloped_fixture):
     nuis = fit_nuisances(ds, NuisanceMode.SCORE_SET)
     assert not nuis.has_outcome(A2)
     vec = score_vector(ScoreKind.DR_A, FitEvaluation(ds, nuis))
-    assert np.all(np.isfinite(vec.values))
+    assert np.all(np.isfinite(vec))
 
 
 def test_dump_scores_round_trips_exact_floats(fixture, tmp_path):
@@ -249,7 +286,7 @@ def test_dump_scores_round_trips_exact_floats(fixture, tmp_path):
     with open(path, newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert [row["unit_id"] for row in rows] == ["u1", "u2", "u3", "u4"]
-    dr = score_vector(ScoreKind.DR_A, FitEvaluation(ds, nuis)).values
+    dr = score_vector(ScoreKind.DR_A, FitEvaluation(ds, nuis))
     got = np.array([float(row["score_dr_a"]) for row in rows])
     np.testing.assert_array_equal(got, dr)
 
