@@ -127,6 +127,7 @@ class PanelDataset:
             raise PanelValidationError("non-finite covariate values")
         for arr in (self.ids, self.y1, self.y2, self.group_is_a, self.eligible, self.x):
             arr.setflags(write=False)
+        self._cell_codes = None
 
     # -- basic shape --------------------------------------------------------
 
@@ -150,11 +151,15 @@ class PanelDataset:
         return gmask & emask
 
     def cell_codes(self) -> np.ndarray:
-        """Integer cell label per unit, following CELL_ORDER."""
-        codes = np.zeros(self.n, dtype=np.int64)
-        for k, cell in enumerate(CELL_ORDER):
-            codes[self.cell_mask(cell)] = k
-        return codes
+        """Integer cell label per unit, following CELL_ORDER. Computed on
+        the first call and shared, read-only, by every later one."""
+        if self._cell_codes is None:
+            codes = np.zeros(self.n, dtype=np.int64)
+            for k, cell in enumerate(CELL_ORDER):
+                codes[self.cell_mask(cell)] = k
+            codes.setflags(write=False)
+            self._cell_codes = codes
+        return self._cell_codes
 
     def treated(self) -> np.ndarray:
         """Derived period-2 treatment indicator under the mechanism."""

@@ -299,7 +299,8 @@ def refit_estimates(nuisances: NuisanceSet,
     Each refit's logit Newton iteration starts from the full-sample
     propensity coefficients, near where a resample's optimum lies, so
     it takes fewer iterations than a start from zero and converges to
-    the same optimum up to the convergence tolerance."""
+    the same optimum as a fit given no start, up to the convergence
+    tolerance."""
     options = dict(nuisances.fit_options)
     if nuisances.propensity is not None:
         options["start"] = nuisances.propensity.coefficients

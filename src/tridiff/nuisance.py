@@ -353,6 +353,12 @@ class PropensityModel:
         }
 
 
+# the six non-reference cell pairs k <= l, as row indices into the (4, n)
+# probabilities, and the Kronecker delta of each pair as a column
+_CELL_PAIRS = np.triu_indices(3)
+_CELL_PAIR_DIAGONAL = (_CELL_PAIRS[0] == _CELL_PAIRS[1]).astype(float)[:, None]
+
+
 def _softmax(zt, beta):
     """Softmax over the four cells for the (3, p) coefficients beta and
     the transposed (p, n) design zt, with the reference cell's logit
@@ -363,15 +369,25 @@ def _softmax(zt, beta):
     the operations of max and sum along axis 1 of the (n, 4) row-major
     logits z @ beta.T, so the results are bit for bit equal wherever
     beta @ zt and z @ beta.T are (see the module docstring: measured on
-    OpenBLAS, not guaranteed by every BLAS)."""
-    logits = np.zeros((4, zt.shape[1]))
-    logits[:3] = beta @ zt
-    shift = np.maximum(np.maximum(np.maximum(logits[0], logits[1]),
-                                  logits[2]), logits[3])
-    probs = np.exp(logits - shift)
-    denom = ((probs[0] + probs[1]) + probs[2]) + probs[3]
+    OpenBLAS, not guaranteed by every BLAS). Every step writes in place
+    into one of the four arrays the call allocates: the logits, the
+    shift, the probabilities and the log-normalizer."""
+    n = zt.shape[1]
+    logits = np.empty((4, n))
+    np.matmul(beta, zt, out=logits[:3])
+    logits[3] = 0.0
+    shift = np.maximum(logits[0], logits[1])
+    np.maximum(shift, logits[2], out=shift)
+    np.maximum(shift, logits[3], out=shift)
+    probs = np.subtract(logits, shift)
+    np.exp(probs, out=probs)
+    denom = np.add(probs[0], probs[1])
+    denom += probs[2]
+    denom += probs[3]
     probs /= denom
-    return logits, probs, shift + np.log(denom)
+    np.log(denom, out=denom)
+    denom += shift
+    return logits, probs, denom
 
 
 def _softmax_loglik(zt, own_logit, beta):
@@ -391,21 +407,69 @@ def _softmax_gradient(zt, onehot, probs):
     return ((onehot - probs[:3]) @ zt.T).ravel()
 
 
+def _moment_start(zt, onehot, counts):
+    """Moment-matched (3, p) start for the four-cell softmax model on
+    the standardized transposed design zt (intercept row first): the
+    linear-discriminant coefficients, which are the softmax model's own
+    parameters when the covariates are Gaussian within cells with a
+    common covariance (Efron 1975). With mu_k the cell means, S their
+    pooled within-cell covariance and ref the reference cell, cell k's
+    slopes are S^-1 (mu_k - mu_ref) and its intercept
+    log(n_k / n_ref) - (mu_k' S^-1 mu_k - mu_ref' S^-1 mu_ref) / 2.
+    onehot is the (4, n) cell indicator and counts the cell sizes.
+    None when S is singular, or the start is non-finite or its norm
+    passes SEPARATION_COEF_NORM (as a nearly singular S makes it)."""
+    p, n = zt.shape
+    k1 = len(counts) - 1
+    sums = onehot @ zt[1:].T                        # (4, d) cell sums
+    means = sums / counts[:, None]
+    within = zt[1:] @ zt[1:].T - sums.T @ means     # pooled scatter
+    try:
+        coef = np.linalg.solve(within / (n - k1 - 1), means.T)   # S^-1 mu
+    except np.linalg.LinAlgError:
+        return None
+    quad = np.einsum("kj,jk->k", means, coef)       # mu_k' S^-1 mu_k
+    beta = np.empty((k1, p))
+    beta[:, 0] = (np.log(counts[:k1] / counts[k1])
+                  - 0.5 * (quad[:k1] - quad[k1]))
+    beta[:, 1:] = (coef[:, :k1] - coef[:, k1:]).T
+    if not np.isfinite(beta).all() or np.linalg.norm(beta) > SEPARATION_COEF_NORM:
+        return None
+    return beta
+
+
 def _newton_multinomial(zt, labels, beta, max_iter, tol, column_names):
     """Damped Newton ascent for the four-cell softmax model with the last
-    cell as reference, starting from the (3, p) coefficients beta.
-    Returns (beta, probs, trace, n_iter); probs are the fitted (4, n)
-    cell probabilities at beta. zt is the transposed design (p, n),
-    intercept row first and already standardized. The separation check
-    takes the norm of the standardized coefficients, so a covariate's
-    location and units do not decide whether a fit counts as separated.
+    cell as reference, starting from the (3, p) coefficients beta, or,
+    when beta is None, from _moment_start's. The moment start falls
+    back to zero when it is None or its log-likelihood is below zero's,
+    -n log 4; the start's likelihood evaluation is the first Newton
+    evaluation either way. Returns (beta, probs, trace, n_iter); probs
+    are the fitted (4, n) cell probabilities at beta. zt is the
+    transposed design (p, n), intercept row first and already
+    standardized. The separation check takes the norm of the
+    standardized coefficients, so a covariate's location and units do
+    not decide whether a fit counts as separated.
     """
-    k1, p = beta.shape
-    n = zt.shape[1]
-    onehot = np.arange(k1)[:, None] == labels
+    p, n = zt.shape
+    k1 = 3
+    cells = np.arange(k1 + 1)[:, None] == labels
+    onehot = cells[:k1]
     own_logit = labels * n + np.arange(n)
+    products = _design_products(zt)
 
-    ll, probs = _softmax_loglik(zt, own_logit, beta)
+    ll = None
+    if beta is None:
+        beta = _moment_start(zt, cells.astype(float),
+                             np.count_nonzero(cells, axis=1).astype(float))
+        if beta is not None:
+            ll, probs = _softmax_loglik(zt, own_logit, beta)
+            if not ll >= -n * math.log(k1 + 1):
+                ll = None
+        if ll is None:
+            beta = np.zeros((k1, p))
+    if ll is None:
+        ll, probs = _softmax_loglik(zt, own_logit, beta)
     trace = [ll]
 
     for it in range(1, max_iter + 1):
@@ -414,7 +478,8 @@ def _newton_multinomial(zt, labels, beta, max_iter, tol, column_names):
             return beta, probs, tuple(trace), it - 1
 
         try:
-            step = np.linalg.solve(_softmax_information(zt, probs), grad)
+            step = np.linalg.solve(
+                _softmax_information(zt, probs, products), grad)
         except np.linalg.LinAlgError:
             raise SingularDesignError(
                 "singular information matrix in logit fit; columns: "
@@ -454,28 +519,55 @@ def _newton_multinomial(zt, labels, beta, max_iter, tol, column_names):
         trace=tuple(trace))
 
 
-def _softmax_information(zt, probs):
+@functools.lru_cache(maxsize=16)
+def _information_layout(p):
+    """Index arrays for the information of a p-column design: the
+    column pairs a <= b of its p(p+1)/2 product rows z_a z_b, and the
+    flat index of each (3p, 3p) information entry into the (6, p(p+1)/2)
+    array of cell-pair by column-pair sums. Cell pairs k <= l run
+    (0,0), (0,1), (0,2), (1,1), (1,2), (2,2), as do column pairs."""
+    col_a, col_b = np.triu_indices(p)
+    pair = np.zeros((p, p), dtype=np.intp)
+    pair[col_a, col_b] = pair[col_b, col_a] = np.arange(len(col_a))
+    k, l = _CELL_PAIRS
+    cell = np.zeros((3, 3), dtype=np.intp)
+    cell[k, l] = cell[l, k] = np.arange(len(k))
+    flat = cell[:, None, :, None] * len(col_a) + pair[None, :, None, :]
+    layout = (col_a, col_b, flat.reshape(3 * p, 3 * p))
+    for array in layout:
+        array.setflags(write=False)
+    return layout
+
+
+def _design_products(zt):
+    """The p(p+1)/2 product rows z_a z_b, a <= b, of the transposed
+    (p, n) design: the per-unit entries of z_i z_i' that every
+    information matrix of one fit weights."""
+    col_a, col_b, _ = _information_layout(zt.shape[0])
+    return np.multiply(zt[col_a], zt[col_b])
+
+
+def _softmax_information(zt, probs, products):
     """Observed information (negative Hessian) of the softmax
     log-likelihood over the non-reference categories' stacked
-    coefficients, sum_i (diag pi_i - pi_i pi_i') kron z_i z_i', built
-    one (p, p) block (zt * w) @ zt' per category pair from the (4, n)
-    probabilities' contiguous rows."""
-    p = zt.shape[0]
-    k1 = probs.shape[0] - 1
-    info = np.empty((k1 * p, k1 * p))
-    for k in range(k1):
-        for l in range(k, k1):
-            w = probs[k] * ((1.0 if k == l else 0.0) - probs[l])
-            block = (zt * w) @ zt.T
-            info[k * p:(k + 1) * p, l * p:(l + 1) * p] = block
-            info[l * p:(l + 1) * p, k * p:(k + 1) * p] = block.T
-    return info
+    coefficients, sum_i (diag pi_i - pi_i pi_i') kron z_i z_i'. The six
+    distinct weight rows pi_k (delta_kl - pi_l), k <= l, of the (4, n)
+    probabilities form one (6, n) array, which one product with the
+    design's product rows, products = _design_products(zt) (formed once
+    per fit), turns into every distinct entry; the symmetric (3p, 3p)
+    matrix is gathered from those."""
+    _, _, flat = _information_layout(zt.shape[0])
+    k, l = _CELL_PAIRS
+    weights = probs[k]
+    weights *= _CELL_PAIR_DIAGONAL - probs[l]
+    return (weights @ products.T).ravel().take(flat)
 
 
 def _observed_info_inverse(zt, probs):
     """Inverse observed information, None when it is singular."""
     try:
-        return np.linalg.inv(_softmax_information(zt, probs))
+        return np.linalg.inv(
+            _softmax_information(zt, probs, _design_products(zt)))
     except np.linalg.LinAlgError:
         return None
 
@@ -524,9 +616,12 @@ def fit_logistic_multinomial(covariates, cell_labels,
 
     cell_labels are integer codes following CELL_ORDER. Every cell needs
     d+1 units and the intercept-first design full rank. Newton starts at
-    zero, or at `start`: raw-scale (3, d+1) coefficients such as another
-    fit's, which a bootstrap refit passes so that it begins near its
-    optimum. Converges when the likelihood gain drops below tol or the
+    `start`: raw-scale (3, d+1) coefficients such as another fit's, which
+    a bootstrap refit passes so that it begins near its optimum. Without
+    one it starts at the moment-matched linear-discriminant coefficients
+    of the standardized covariates, or at zero where those are unusable
+    or fit worse than zero (see _moment_start and _newton_multinomial).
+    Converges when the likelihood gain drops below tol or the
     gradient max-norm below 1e-8. Standardized coefficients whose norm
     passes 1e4 with rising likelihood raise SeparationError, whatever
     the covariates' location and units; exhausting max_iter raises
@@ -553,9 +648,8 @@ def fit_logistic_multinomial(covariates, cell_labels,
     names = ("intercept", *covariate_names)
     _full_rank_qr(zt, names, "logit design is rank deficient")
 
-    if start is None:
-        beta = np.zeros((3, d + 1))
-    else:
+    beta = None
+    if start is not None:
         beta = np.array(start, dtype=float)
         if beta.shape != (3, d + 1):
             raise ValueError(f"start has shape {beta.shape}; the model's "
@@ -702,8 +796,10 @@ def fit_nuisances(dataset: PanelDataset,
 
     Covariate subsets name columns of the dataset's covariate matrix;
     default is all columns for both families. `start` is passed to
-    fit_logistic_multinomial as its Newton start; it changes where the
-    iteration begins, not the model, so fit_options does not record it.
+    fit_logistic_multinomial as its Newton start; without one Newton
+    starts from the cell moments of the covariates (or zero). A start
+    changes where the iteration begins, not the model, so fit_options
+    does not record it.
     """
     fit_options = dict(mode=mode, trim_epsilon=trim_epsilon,
                        normalize=normalize,

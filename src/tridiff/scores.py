@@ -123,10 +123,34 @@ class FitEvaluation:
         return out
 
     @_per_evaluation
+    def own_propensity(self) -> np.ndarray:
+        """Every unit's propensity for its own cell."""
+        n = self.dataset.n
+        # the (n, 4) propensities are the transpose of cell-major rows,
+        # so the flat index of unit i's own cell is code * n + i
+        return self.propensities().T.ravel().take(
+            self.dataset.cell_codes() * n + np.arange(n))
+
+    @_per_evaluation
+    def odds(self, numerator_cell: Cell) -> np.ndarray:
+        """p(numerator, x) / p(own cell, x) * (1 / share(numerator)) for
+        every unit: the control weight of each source cell before its
+        mask. A unit whose own-cell propensity underflowed to zero gets
+        inf or NaN here without a warning; weight_c masks it away
+        outside the source, and inside it the trimming threshold or the
+        scores' finiteness check rejects it."""
+        p_num = self.propensities()[:, cell_index(numerator_cell)]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = np.divide(p_num, self.own_propensity())
+        out *= 1.0 / self.cells.share(numerator_cell)
+        return out
+
+    @_per_evaluation
     def weight_c(self, numerator_cell: Cell, source_cell: Cell) -> np.ndarray:
         """Control weights: [1{unit in source} / share(numerator)] times the
         propensity ratio p(numerator, x) / p(source, x), normalized when
-        the evaluation normalizes.
+        the evaluation normalizes: the odds row of the numerator masked
+        to the source.
 
         Source-cell units whose source-cell propensity falls below the
         fit's trim threshold raise TrimmingError listing the unit ids.
@@ -141,11 +165,8 @@ class FitEvaluation:
         mask = dataset.cell_mask(source_cell)
         out = np.zeros(dataset.n)
         if np.any(mask):
-            probs = self.propensities()
-            p_num = probs[:, cell_index(numerator_cell)]
-            p_src = probs[:, cell_index(source_cell)]
             eps = self.nuisances.fit_options["trim_epsilon"]
-            low = mask & (p_src < eps)
+            low = mask & (self.own_propensity() < eps)
             if np.any(low):
                 ids = tuple(dataset.ids[low])
                 raise TrimmingError(
@@ -154,8 +175,7 @@ class FitEvaluation:
                     f"{', '.join(repr(i) for i in ids[:10])}"
                     + ("…" if len(ids) > 10 else ""),
                     unit_ids=ids)
-            np.divide(p_num, p_src, out=out, where=mask)
-            np.multiply(out, 1.0 / share, out=out, where=mask)
+            out = np.where(mask, self.odds(numerator_cell), 0.0)
         if self.normalize:
             mean = float(np.mean(out))
             if mean <= 0:

@@ -7,12 +7,12 @@ use the fitted standard errors as their own yardstick.
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import tridiff.nuisance as nuisance_mod
 from tridiff.data import (AssignmentMechanism, Eligibility, Group,
                           PanelDataset)
-from tridiff.dgp import DgpSpec, simulate_sample
+from tridiff.dgp import DgpSpec, simulate_replicate, simulate_sample
 from tridiff.estimators import estimate_doubly_robust
 from tridiff.exceptions import (ConvergenceError, InsufficientDataError,
                                 MissingNuisanceError, SeparationError,
@@ -217,14 +217,16 @@ def cells_from_probs(r, n, probs):
 
 
 def test_intercept_only_logit_reproduces_shares():
+    # the moment start's intercepts log(n_k / n_ref) are the maximum
+    # likelihood estimate, so Newton stops before its first step
     r = rng(7)
     n = 4000
     labels = cells_from_probs(r, n, [0.4, 0.3, 0.2, 0.1])
     shares = np.bincount(labels, minlength=4) / n
     model = fit_logistic_multinomial(np.empty((n, 0)), labels)
     probs = model.predict(np.empty((1, 0)))[0]
-    np.testing.assert_allclose(probs, shares, atol=1e-8)
-    assert model.n_iter >= 1
+    np.testing.assert_allclose(probs, shares, rtol=0, atol=1e-15)
+    assert model.n_iter == 0
 
 
 def test_logit_probabilities_sum_to_one_and_match_pointwise():
@@ -348,7 +350,8 @@ def test_logit_standardization_is_invisible():
 
 def test_information_inverse_built_once_per_fit(monkeypatch):
     # the stored covariance needs one inverse at convergence; Newton
-    # solves its steps without inverting, from zero or a warm start
+    # solves its steps without inverting, from its own start or a given
+    # one
     r = rng(16)
     x = r.normal(size=(500, 1))
     labels = cells_from_probs(r, 500, [0.3, 0.25, 0.25, 0.2])
@@ -378,15 +381,16 @@ def coef_cov_case():
 
 
 def converged_information(x, labels):
-    """The observed information at a cold fit's final Newton
-    probabilities, and the map of one cell's coefficients to the raw
-    scale."""
+    """The observed information at a fit's final Newton probabilities,
+    Newton started where a fit given no start starts it, and the map of
+    one cell's coefficients to the raw scale."""
     zx, center, scale = nuisance_mod._standardize(x)
     zt = nuisance_mod._transposed_design(zx)
     _, probs, _, _ = nuisance_mod._newton_multinomial(
-        zt, labels, np.zeros((3, 3)), nuisance_mod.DEFAULT_MAX_ITER,
+        zt, labels, None, nuisance_mod.DEFAULT_MAX_ITER,
         nuisance_mod.DEFAULT_LL_TOL, ("c",) * 3)
-    return (nuisance_mod._softmax_information(zt, probs),
+    return (nuisance_mod._softmax_information(
+                zt, probs, nuisance_mod._design_products(zt)),
             nuisance_mod._raw_transform_matrix(center, scale))
 
 
@@ -513,7 +517,8 @@ def test_cell_major_information_and_gradient_are_per_unit_sums(n, d, scale,
         info_abs += np.kron(np.diag(pi) + np.outer(pi, pi), np.abs(zz))
         grad += np.kron(onehot[:, i] - pi, zi)
         grad_abs += np.kron(onehot[:, i] + pi, np.abs(zi))
-    got_info = nuisance_mod._softmax_information(zt, probs)
+    got_info = nuisance_mod._softmax_information(
+        zt, probs, nuisance_mod._design_products(zt))
     got_grad = nuisance_mod._softmax_gradient(zt, onehot, probs)
     assert np.all(np.abs(got_info - info) <= 1e-12 * info_abs)
     assert np.all(np.abs(got_grad - grad) <= 1e-12 * grad_abs)
@@ -544,7 +549,8 @@ def test_warm_start_matches_cold_fit_on_resamples():
     warm_iters = cold_iters = 0
     for _ in range(8):
         idx = r.integers(0, len(x), size=len(x))
-        cold = fit_logistic_multinomial(x[idx], labels[idx])
+        cold = fit_logistic_multinomial(x[idx], labels[idx],
+                                        start=np.zeros((3, 3)))
         warm = fit_logistic_multinomial(x[idx], labels[idx],
                                         start=full.coefficients)
         np.testing.assert_allclose(warm.coefficients, cold.coefficients,
@@ -580,6 +586,85 @@ def test_fit_nuisances_start_is_not_a_fit_option():
     assert warm.fit_options == cold.fit_options
     np.testing.assert_allclose(warm.propensity.coefficients,
                                cold.propensity.coefficients, atol=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# Moment-matched start
+# ---------------------------------------------------------------------------
+
+def draw_covariate(r, kind, n):
+    if kind == "gaussian":
+        return r.normal(size=n)
+    if kind == "lognormal":
+        return r.lognormal(size=n)
+    if kind == "binary":
+        return (r.random(n) < 0.5).astype(float)
+    return r.standard_t(3, size=n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kinds=st.lists(st.sampled_from(["gaussian", "lognormal", "binary",
+                                       "t"]), max_size=3),
+       odds=st.lists(st.floats(0.1, 1.0), min_size=4, max_size=4),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_moment_start_reaches_the_zero_start_optimum(kinds, odds, seed):
+    # cells drawn from a softmax model of the standardized covariates
+    # with unbalanced intercepts, so the smallest cell may hold 3%
+    r = rng(seed)
+    n, d = 1000, len(kinds)
+    x = np.column_stack([draw_covariate(r, kind, n) for kind in kinds]
+                        + [np.empty((n, 0))])
+    zx = nuisance_mod._standardize(x)[0]
+    logits = np.log(odds) + zx @ (0.4 * r.normal(size=(d, 4)))
+    p = np.exp(logits - logits.max(axis=1, keepdims=True))
+    p /= p.sum(axis=1, keepdims=True)
+    labels = (r.random(n)[:, None] > p.cumsum(axis=1)[:, :3]).sum(axis=1)
+    # a binary covariate missing a level in some cell separates it
+    for j, kind in enumerate(kinds):
+        if kind == "binary":
+            assume(all(0 < x[labels == k, j].sum() < np.sum(labels == k)
+                       for k in range(4)))
+    default = fit_logistic_multinomial(x, labels)
+    zero = fit_logistic_multinomial(x, labels, start=np.zeros((3, d + 1)))
+    np.testing.assert_allclose(default.coefficients, zero.coefficients,
+                               rtol=0, atol=1e-8)
+    assert default.loglik_trace[0] >= zero.loglik_trace[0]
+
+
+@pytest.mark.parametrize("mu_b", [1.5, 3.0])
+def test_moment_start_takes_no_more_iterations_than_zero(mu_b):
+    spec = DgpSpec(n=2000, seed=1, mu_b=mu_b)
+    for replication in range(5):
+        ds = simulate_replicate(spec, replication)
+        default = fit_logistic_multinomial(ds.x, ds.cell_codes())
+        zero = fit_logistic_multinomial(ds.x, ds.cell_codes(),
+                                        start=np.zeros((3, ds.d + 1)))
+        assert default.n_iter <= zero.n_iter
+
+
+def fit_outcome(x, labels, start):
+    """What a fit returns, or the type and text of what it raises."""
+    try:
+        model = fit_logistic_multinomial(x, labels, start=start)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return model.coefficients.tolist(), model.n_iter, model.loglik_trace
+
+
+@pytest.mark.parametrize("levels", [[0.0, 1.0, 2.0, 3.0],
+                                    [1.0, 1.0, 0.0, 0.0],
+                                    [0.3, 0.1, 0.7, 0.1]])
+def test_singular_within_cell_covariance_falls_back_to_zero(levels):
+    # a covariate constant within every cell leaves no pooled within-cell
+    # variance: the moment start is unusable and Newton starts at zero
+    r = rng(34)
+    labels = r.integers(0, 4, size=400)
+    x = np.column_stack([r.normal(size=400), np.array(levels)[labels]])
+    zt = nuisance_mod._transposed_design(nuisance_mod._standardize(x)[0])
+    cells = (np.arange(4)[:, None] == labels).astype(float)
+    assert nuisance_mod._moment_start(zt, cells, cells.sum(axis=1)) is None
+    assert (fit_outcome(x, labels, None)
+            == fit_outcome(x, labels, np.zeros((3, 3))))
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,9 @@ import math
 import numpy as np
 import pytest
 
-from tridiff.data import AssignmentMechanism, PanelDataset, cell_table
+from tridiff.data import (AssignmentMechanism, PanelDataset, cell_index,
+                          cell_name, cell_table)
+from tridiff.dgp import DgpSpec, simulate_sample
 from tridiff.estimators import METHOD_SCORES, Method, score_contrast
 from tridiff.exceptions import (EstimationError, MissingNuisanceError,
                                 TrimmingError)
@@ -296,3 +298,75 @@ def test_score_vector_rejects_missing_donor_model(fixture):
     stripped = dataclasses.replace(nuis, outcome_models={})
     with pytest.raises(MissingNuisanceError):
         score_vector(ScoreKind.OR_A, FitEvaluation(ds, stripped))
+
+
+# ---------------------------------------------------------------------------
+# Control weights as odds rows: bit for bit the masked divide
+# ---------------------------------------------------------------------------
+
+class MaskedDivideEvaluation(FitEvaluation):
+    """Control weights built source by source: the propensity ratio
+    divided and scaled only where the unit is in the source cell, with
+    the source cell's own propensity column as divisor. The odds rows
+    of FitEvaluation.weight_c must reproduce it bit for bit."""
+
+    def weight_c(self, numerator_cell, source_cell):
+        share = self.cells.share(numerator_cell)
+        mask = self.dataset.cell_mask(source_cell)
+        out = np.zeros(self.dataset.n)
+        probs = self.propensities()
+        p_num = probs[:, cell_index(numerator_cell)]
+        p_src = probs[:, cell_index(source_cell)]
+        eps = self.nuisances.fit_options["trim_epsilon"]
+        low = mask & (p_src < eps)
+        if np.any(low):
+            raise TrimmingError(f"{cell_name(source_cell)}",
+                                unit_ids=tuple(self.dataset.ids[low]))
+        np.divide(p_num, p_src, out=out, where=mask)
+        np.multiply(out, 1.0 / share, out=out, where=mask)
+        if self.normalize:
+            mean = float(np.mean(out))
+            if mean <= 0:
+                raise EstimationError(f"non-positive mean {mean:g}")
+            out = out / mean
+        return out
+
+
+DGP_FITS = [(seed, mu_b, normalize) for seed in (1, 2, 3, 4)
+            for mu_b in (1.5, 3.0) for normalize in (False, True)]
+
+
+@pytest.mark.parametrize("seed, mu_b, normalize", DGP_FITS)
+def test_control_weights_match_masked_divide(seed, mu_b, normalize):
+    ds = simulate_sample(DgpSpec(n=2000, seed=seed, mu_b=mu_b))
+    nuis = fit_nuisances(ds, trim_epsilon=0.0, normalize=normalize)
+    odds, masked = FitEvaluation(ds, nuis), MaskedDivideEvaluation(ds, nuis)
+    for kind in ScoreKind:
+        assert np.array_equal(score_vector(kind, odds),
+                              score_vector(kind, masked)), kind
+
+
+def test_trimming_error_matches_masked_divide():
+    # thin overlap: (A, Eligible) units fall below a 0.05 threshold
+    ds = simulate_sample(DgpSpec(n=2000, seed=1, mu_b=3.0))
+    nuis = fit_nuisances(ds, trim_epsilon=0.05)
+    errors = []
+    for evaluation in (FitEvaluation, MaskedDivideEvaluation):
+        with pytest.raises(TrimmingError) as err:
+            score_vector(ScoreKind.DR_A, evaluation(ds, nuis))
+        errors.append(err.value)
+    got, want = errors
+    assert len(want.unit_ids) > 1
+    assert got.unit_ids == want.unit_ids
+    assert str(got).split(" have ")[0].endswith(str(want))
+
+
+def test_normalizing_an_empty_source_raises(sloped_fixture):
+    # a fit evaluated on units of three cells: the (B, Never) control
+    # weight is all zero and cannot be normalized
+    ds = sloped_fixture
+    nuis = fit_nuisances(ds, normalize=True)
+    kept = ds.subset(np.flatnonzero(~ds.cell_mask(B_NEVER)))
+    for evaluation in (FitEvaluation, MaskedDivideEvaluation):
+        with pytest.raises(EstimationError, match="non-positive mean 0"):
+            evaluation(kept, nuis).weight_c(A2, B_NEVER)
