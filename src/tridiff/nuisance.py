@@ -353,12 +353,6 @@ class PropensityModel:
         }
 
 
-# the six non-reference cell pairs k <= l, as row indices into the (4, n)
-# probabilities, and the Kronecker delta of each pair as a column
-_CELL_PAIRS = np.triu_indices(3)
-_CELL_PAIR_DIAGONAL = (_CELL_PAIRS[0] == _CELL_PAIRS[1]).astype(float)[:, None]
-
-
 def _softmax(zt, beta):
     """Softmax over the four cells for the (3, p) coefficients beta and
     the transposed (p, n) design zt, with the reference cell's logit
@@ -519,32 +513,38 @@ def _newton_multinomial(zt, labels, beta, max_iter, tol, column_names):
         trace=tuple(trace))
 
 
+# the six pairs k <= l of non-reference cells, in the order of the rows
+# of the information's weight array
+_CELL_PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
+
+
 @functools.lru_cache(maxsize=16)
 def _information_layout(p):
-    """Index arrays for the information of a p-column design: the
-    column pairs a <= b of its p(p+1)/2 product rows z_a z_b, and the
-    flat index of each (3p, 3p) information entry into the (6, p(p+1)/2)
-    array of cell-pair by column-pair sums. Cell pairs k <= l run
-    (0,0), (0,1), (0,2), (1,1), (1,2), (2,2), as do column pairs."""
+    """The column pairs a <= b of a p-column design's p(p+1)/2 product
+    rows z_a z_b, and the read-only (3p, 3p) flat index of each
+    information entry into the (6, p(p+1)/2) array of cell-pair by
+    column-pair sums."""
     col_a, col_b = np.triu_indices(p)
     pair = np.zeros((p, p), dtype=np.intp)
     pair[col_a, col_b] = pair[col_b, col_a] = np.arange(len(col_a))
-    k, l = _CELL_PAIRS
     cell = np.zeros((3, 3), dtype=np.intp)
-    cell[k, l] = cell[l, k] = np.arange(len(k))
+    for row, (k, l) in enumerate(_CELL_PAIRS):
+        cell[k, l] = cell[l, k] = row
     flat = cell[:, None, :, None] * len(col_a) + pair[None, :, None, :]
-    layout = (col_a, col_b, flat.reshape(3 * p, 3 * p))
-    for array in layout:
-        array.setflags(write=False)
-    return layout
+    flat = flat.reshape(3 * p, 3 * p)
+    flat.setflags(write=False)
+    return tuple(zip(col_a.tolist(), col_b.tolist())), flat
 
 
 def _design_products(zt):
     """The p(p+1)/2 product rows z_a z_b, a <= b, of the transposed
     (p, n) design: the per-unit entries of z_i z_i' that every
     information matrix of one fit weights."""
-    col_a, col_b, _ = _information_layout(zt.shape[0])
-    return np.multiply(zt[col_a], zt[col_b])
+    column_pairs, _ = _information_layout(zt.shape[0])
+    products = np.empty((len(column_pairs), zt.shape[1]))
+    for row, (a, b) in zip(products, column_pairs):
+        np.multiply(zt[a], zt[b], out=row)
+    return products
 
 
 def _softmax_information(zt, probs, products):
@@ -552,14 +552,18 @@ def _softmax_information(zt, probs, products):
     log-likelihood over the non-reference categories' stacked
     coefficients, sum_i (diag pi_i - pi_i pi_i') kron z_i z_i'. The six
     distinct weight rows pi_k (delta_kl - pi_l), k <= l, of the (4, n)
-    probabilities form one (6, n) array, which one product with the
+    probabilities fill one (6, n) array, which one product with the
     design's product rows, products = _design_products(zt) (formed once
     per fit), turns into every distinct entry; the symmetric (3p, 3p)
-    matrix is gathered from those."""
-    _, _, flat = _information_layout(zt.shape[0])
-    k, l = _CELL_PAIRS
-    weights = probs[k]
-    weights *= _CELL_PAIR_DIAGONAL - probs[l]
+    matrix is gathered from those. The weights are built row by row in
+    place, with no fancy-indexed (6, n) temporaries: at n = 5000 those
+    made glibc's malloc hand memory back and fault it in again on every
+    call, doubling the call's time."""
+    _, flat = _information_layout(zt.shape[0])
+    weights = np.empty((len(_CELL_PAIRS), probs.shape[1]))
+    for row, (k, l) in zip(weights, _CELL_PAIRS):
+        np.subtract(1.0 if k == l else 0.0, probs[l], out=row)
+        row *= probs[k]
     return (weights @ products.T).ravel().take(flat)
 
 
