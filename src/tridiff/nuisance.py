@@ -427,7 +427,8 @@ def _moment_start(zt, onehot, counts):
     beta[:, 0] = (np.log(counts[:k1] / counts[k1])
                   - 0.5 * (quad[:k1] - quad[k1]))
     beta[:, 1:] = (coef[:, :k1] - coef[:, k1:]).T
-    if not np.isfinite(beta).all() or np.linalg.norm(beta) > SEPARATION_COEF_NORM:
+    if (not np.isfinite(beta).all()
+            or np.linalg.norm(beta) > SEPARATION_COEF_NORM):
         return None
     return beta
 
@@ -558,7 +559,7 @@ def _softmax_information(zt, probs, products):
     matrix is gathered from those. The weights are built row by row in
     place, with no fancy-indexed (6, n) temporaries: at n = 5000 those
     made glibc's malloc hand memory back and fault it in again on every
-    call, doubling the call's time."""
+    call, which cost more than the arithmetic."""
     _, flat = _information_layout(zt.shape[0])
     weights = np.empty((len(_CELL_PAIRS), probs.shape[1]))
     for row, (k, l) in zip(weights, _CELL_PAIRS):

@@ -633,13 +633,33 @@ def test_moment_start_reaches_the_zero_start_optimum(kinds, odds, seed):
 
 @pytest.mark.parametrize("mu_b", [1.5, 3.0])
 def test_moment_start_takes_no_more_iterations_than_zero(mu_b):
+    # Gaussian covariates within cells: the moment start is used (its
+    # likelihood beats zero's) and saves iterations
     spec = DgpSpec(n=2000, seed=1, mu_b=mu_b)
+    default_iters = zero_iters = 0
     for replication in range(5):
         ds = simulate_replicate(spec, replication)
         default = fit_logistic_multinomial(ds.x, ds.cell_codes())
         zero = fit_logistic_multinomial(ds.x, ds.cell_codes(),
                                         start=np.zeros((3, ds.d + 1)))
         assert default.n_iter <= zero.n_iter
+        assert default.loglik_trace[0] > zero.loglik_trace[0]
+        default_iters += default.n_iter
+        zero_iters += zero.n_iter
+    assert default_iters < zero_iters
+
+
+def test_moment_start_below_zero_likelihood_falls_back(monkeypatch):
+    # a start whose log-likelihood is below zero's -n log 4 is dropped:
+    # the fit is the zero-start fit, bit for bit
+    _, x, labels = logit_sample(35, n=500)
+    monkeypatch.setattr(nuisance_mod, "_moment_start",
+                        lambda *args: np.full((3, 3), 20.0))
+    default = fit_logistic_multinomial(x, labels)
+    zero = fit_logistic_multinomial(x, labels, start=np.zeros((3, 3)))
+    assert default.loglik_trace == zero.loglik_trace
+    assert default.loglik_trace[0] == pytest.approx(-500 * np.log(4))
+    assert np.array_equal(default.coefficients, zero.coefficients)
 
 
 def fit_outcome(x, labels, start):
