@@ -31,7 +31,7 @@ from .estimators import (OR_METHODS, BootstrapConfig, EstimateResult, Method,
 from .exceptions import (EstimationError, FittingError, IngestionError,
                          SchemaError, TridiffError, TrimmingError)
 from .nuisance import (DEFAULT_TRIM_EPSILON, NuisanceMode, fit_nuisances)
-from .parallel import default_jobs
+from .parallel import _retain_freed_heap, default_jobs
 from .scores import FitEvaluation, ScoreKind, dump_scores
 
 EXIT_OK = 0
@@ -578,6 +578,7 @@ def _write_error(ns, exc: BaseException, code: int) -> None:
 def main(argv=None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
+    _retain_freed_heap()  # bootstrap refits reuse the heap they free
     try:
         _apply_config_file(ns)
         return ns.func(ns)

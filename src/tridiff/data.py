@@ -204,8 +204,8 @@ class CellTable:
 
 def cell_table(dataset: PanelDataset) -> CellTable:
     """Exact cell counts and shares (share = count / n; 0 when n = 0)."""
-    counts = {cell: int(np.count_nonzero(dataset.cell_mask(cell)))
-              for cell in CELL_ORDER}
+    counts = dict(zip(CELL_ORDER, np.bincount(
+        dataset.cell_codes(), minlength=4).tolist()))
     n = dataset.n
     shares = {cell: counts[cell] / n if n else 0.0 for cell in CELL_ORDER}
     return CellTable(counts=counts, shares=shares, n=n)

@@ -319,21 +319,22 @@ def _refit(options: dict, methods: Tuple[Method, ...],
 # ---------------------------------------------------------------------------
 
 def _stacked(dataset: PanelDataset, mask: np.ndarray):
-    """Long form: one row per unit-period, all period-1 rows first.
-    Returns (y, eligible, group_a, x, unit_index)."""
+    """Long form: one row per unit-period, all period-1 rows first, so
+    unit i's rows are i and m + i. Returns (y, eligible, group_a, x,
+    period2)."""
     m = int(np.count_nonzero(mask))
     y = np.concatenate([dataset.y1[mask], dataset.y2[mask]])
     e = np.tile(dataset.eligible[mask].astype(float), 2)
     g = np.tile(dataset.group_is_a[mask].astype(float), 2)
     x = np.vstack([dataset.x[mask], dataset.x[mask]])
     t = np.concatenate([np.zeros(m), np.ones(m)])
-    unit = np.tile(np.arange(m), 2)
-    return y, e, g, x, t, unit
+    return y, e, g, x, t
 
 
 def _regression_se(model: LinearModel, design: np.ndarray, y: np.ndarray,
-                   unit_index: np.ndarray, kind: SeKind) -> np.ndarray:
-    """Coefficient standard errors for a fitted stacked regression."""
+                   kind: SeKind) -> np.ndarray:
+    """Coefficient standard errors for a fitted regression on _stacked's
+    rows."""
     if kind is SeKind.CLASSICAL:
         return model.coef_se
     resid = y - design @ model.coefficients
@@ -343,11 +344,10 @@ def _regression_se(model: LinearModel, design: np.ndarray, y: np.ndarray,
         meat = design.T @ (design * (resid * resid)[:, None])
         factor = n_rows / (n_rows - p) if n_rows > p else 1.0
         cov = factor * gram_inv @ meat @ gram_inv
-    else:  # CLUSTER by unit
+    else:  # CLUSTER by unit: its period-1 and period-2 rows
         scores = design * resid[:, None]
-        n_clusters = int(unit_index.max()) + 1 if len(unit_index) else 0
-        sums = np.zeros((n_clusters, p))
-        np.add.at(sums, unit_index, scores)
+        n_clusters = n_rows // 2
+        sums = scores[:n_clusters] + scores[n_clusters:]
         meat = sums.T @ sums
         if n_clusters > 1 and n_rows > p:
             factor = (n_clusters / (n_clusters - 1)) * ((n_rows - 1) / (n_rows - p))
@@ -367,7 +367,7 @@ def ols_did(dataset: PanelDataset, group: Group, with_controls: bool,
             raise EstimationError(
                 f"group {group.name} lacks {'eligible' if elig else 'never-eligible'} "
                 "units; DID regression undefined")
-    y, e, _, x, t, unit = _stacked(dataset, mask)
+    y, e, _, x, t = _stacked(dataset, mask)
     columns = [np.ones_like(y), e, t, e * t]
     names = ["intercept", "eligible", "period2", "eligible_x_period2"]
     if with_controls:
@@ -376,7 +376,7 @@ def ols_did(dataset: PanelDataset, group: Group, with_controls: bool,
     design = np.column_stack(columns)
     model = fit_ols(design, y, names,
                     fitted_on=f"stacked DID, group {group.name}")
-    se = _regression_se(model, design, y, unit, se_kind)
+    se = _regression_se(model, design, y, se_kind)
     return EstimateResult(
         estimate=float(model.coefficients[3]), se=float(se[3]),
         n=int(np.count_nonzero(mask)),
@@ -389,7 +389,7 @@ def ols_tdid(dataset: PanelDataset, with_controls: bool,
     """Three-way interaction regression on all stacked rows; the
     eligible-by-period-2-by-group-A coefficient is the triple
     difference."""
-    y, e, g, x, t, unit = _stacked(dataset, np.ones(dataset.n, dtype=bool))
+    y, e, g, x, t = _stacked(dataset, np.ones(dataset.n, dtype=bool))
     columns = [np.ones_like(y), e, t, g, e * t, e * g, t * g, e * t * g]
     names = ["intercept", "eligible", "period2", "group_a",
              "eligible_x_period2", "eligible_x_group_a",
@@ -399,7 +399,7 @@ def ols_tdid(dataset: PanelDataset, with_controls: bool,
         names.extend(dataset.covariate_names)
     design = np.column_stack(columns)
     model = fit_ols(design, y, names, fitted_on="stacked TDID")
-    se = _regression_se(model, design, y, unit, se_kind)
+    se = _regression_se(model, design, y, se_kind)
     return EstimateResult(
         estimate=float(model.coefficients[7]), se=float(se[7]), n=dataset.n,
         estimand_label=EstimandLabel.DESCRIPTIVE, method=Method.OLS_TDID)

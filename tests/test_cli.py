@@ -2,10 +2,16 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tridiff
+import tridiff.parallel as parallel
 from tridiff.cli import main
 
 
@@ -455,6 +461,47 @@ def test_estimate_bootstrap_in_workers_is_byte_identical(panel_csv, tmp_path):
     for name in ("results.json", "results.txt"):
         assert ((tmp_path / "1" / name).read_bytes()
                 == (tmp_path / "2" / name).read_bytes())
+
+
+def test_estimate_without_mallopt_writes_the_same_results(panel_csv,
+                                                         tmp_path,
+                                                         monkeypatch):
+    args = ["estimate", "--input", panel_csv, "--schema", SCHEMA,
+            "--methods", "dr,naive,ols-tdid,or-diffs", "--trim", "0",
+            "--bootstrap-reps", "9", "--seed", "6", "--jobs", "1"]
+    assert run(args + ["--out", tmp_path / "kept"]) == 0
+
+    def failing_loader(name):
+        raise OSError("cannot load the C library")
+
+    monkeypatch.setattr(parallel.ctypes, "CDLL", failing_loader)
+    assert parallel._retain_freed_heap() is False
+    assert run(args + ["--out", tmp_path / "trimmed"]) == 0
+    assert ((tmp_path / "kept" / "results.json").read_bytes()
+            == (tmp_path / "trimmed" / "results.json").read_bytes())
+
+
+def test_estimate_bootstrap_in_spawned_workers_is_byte_identical(panel_csv,
+                                                                tmp_path):
+    # spawned (and forkserver) workers import tridiff afresh and get the
+    # callable, with its dataset, by pickle
+    args = ["estimate", "--input", str(panel_csv), "--schema", SCHEMA,
+            "--methods", "dr,naive,ols-tdid,or-diffs", "--trim", "0",
+            "--bootstrap-reps", "19", "--seed", "6"]
+    assert run(args + ["--jobs", "1", "--out", tmp_path / "serial"]) == 0
+    code = ("import multiprocessing, sys\n"
+            "multiprocessing.set_start_method('spawn')\n"
+            "from tridiff.cli import main\n"
+            f"sys.exit(main({args + ['--jobs', '2', '--out', 'spawn']!r}))\n")
+    src = str(Path(tridiff.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=tmp_path, capture_output=True,
+        text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"})
+    assert proc.returncode == 0, proc.stderr
+    for name in ("results.json", "results.txt"):
+        assert ((tmp_path / "serial" / name).read_bytes()
+                == (tmp_path / "spawn" / name).read_bytes())
 
 
 @pytest.mark.parametrize("command", ["estimate", "replicate", "simulate"])

@@ -384,6 +384,42 @@ def test_regression_se_kinds_all_positive_and_distinct(small_sample):
     assert ses[SeKind.CLUSTER] != pytest.approx(ses[SeKind.ROBUST], rel=1e-6)
 
 
+def add_at_cluster_se(model, design, y):
+    """The unit-clustered SEs with each unit's score sums gathered by
+    np.add.at over an explicit unit index (rows i and m + i)."""
+    resid = y - design @ model.coefficients
+    n_rows, p = design.shape
+    m = n_rows // 2
+    sums = np.zeros((m, p))
+    np.add.at(sums, np.tile(np.arange(m), 2), design * resid[:, None])
+    factor = (m / (m - 1)) * ((n_rows - 1) / (n_rows - p))
+    gram_inv = model.gram_inverse
+    cov = factor * gram_inv @ (sums.T @ sums) @ gram_inv
+    return np.sqrt(np.maximum(np.diag(cov), 0.0))
+
+
+@pytest.mark.parametrize("regression", [
+    lambda ds, controls: ols_tdid(ds, controls, SeKind.CLUSTER),
+    lambda ds, controls: ols_did(ds, Group.A, controls, SeKind.CLUSTER),
+    lambda ds, controls: ols_did(ds, Group.B, controls, SeKind.CLUSTER)])
+@pytest.mark.parametrize("controls", [True, False])
+def test_cluster_se_equals_add_at_reference(small_sample, monkeypatch,
+                                            regression, controls):
+    ds, _ = small_sample
+    calls = []
+    regression_se = est_mod._regression_se
+
+    def recording(model, design, y, kind):
+        se = regression_se(model, design, y, kind)
+        calls.append((se, add_at_cluster_se(model, design, y)))
+        return se
+
+    monkeypatch.setattr(est_mod, "_regression_se", recording)
+    regression(ds, controls)
+    ((se, reference),) = calls
+    assert np.array_equal(se, reference)
+
+
 def test_ols_recovers_simulated_interaction(big_sample):
     # with unequal covariate means the no-controls TDID regression centres
     # on the naive contrast, not the reweighted one
