@@ -316,6 +316,8 @@ def cmd_simulate(ns: argparse.Namespace) -> int:
           mu_b=3.0, mechanism="both", seed=7, bins=50, trim=0.0,
           normalize_weights=False, out="tridiff-sim")
     jobs = _jobs(ns)
+    if int(ns.bins) < 1:  # checked before any replication runs
+        raise ValueError(f"--bins must be ≥ 1, got {ns.bins}")
     spec = DgpSpec(n=int(ns.n), seed=int(ns.seed), mu_a=float(ns.mu_a),
                    mu_b=float(ns.mu_b), effect_case=EffectCase(ns.case),
                    mechanism=_mechanism(ns))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -24,11 +25,13 @@ NA_TOKENS = frozenset({"", "na", "n/a", "nan", "null", "none", "."})
 class Group(enum.Enum):
     A = "a"
     B = "b"
+    __hash__ = object.__hash__  # by identity, in C: Enum's is a Python call
 
 
 class Eligibility(enum.Enum):
     ELIGIBLE = "eligible"   # becomes eligible in period 2
     NEVER = "never"         # never eligible
+    __hash__ = object.__hash__  # as Group's
 
 
 class MissingPolicy(enum.Enum):
@@ -145,21 +148,23 @@ class PanelDataset:
     # -- cells --------------------------------------------------------------
 
     def cell_mask(self, cell: Cell) -> np.ndarray:
-        group, elig = cell
-        gmask = self.group_is_a if group is Group.A else ~self.group_is_a
-        emask = self.eligible if elig is Eligibility.ELIGIBLE else ~self.eligible
-        return gmask & emask
+        return self.cell_masks[cell_index(cell)]
 
     def cell_codes(self) -> np.ndarray:
         """Integer cell label per unit, following CELL_ORDER. Computed on
         the first call and shared, read-only, by every later one."""
         if self._cell_codes is None:
-            codes = np.zeros(self.n, dtype=np.int64)
-            for k, cell in enumerate(CELL_ORDER):
-                codes[self.cell_mask(cell)] = k
+            codes = 2 * ~self.group_is_a + ~self.eligible  # as in CELL_ORDER
             codes.setflags(write=False)
             self._cell_codes = codes
         return self._cell_codes
+
+    @functools.cached_property
+    def cell_masks(self) -> np.ndarray:
+        """Read-only (4, n) cell masks, row k for cell code k, by cell_codes()."""
+        masks = np.arange(len(CELL_ORDER))[:, None] == self.cell_codes()
+        masks.setflags(write=False)
+        return masks
 
     def treated(self) -> np.ndarray:
         """Derived period-2 treatment indicator under the mechanism."""

@@ -112,23 +112,24 @@ def score_contrast(ev: FitEvaluation, psi: dict, row
     values eta sum each part minus its cell's treatment weight times its
     mean, so se = sqrt(mean(eta^2) / n). Only a row of doubly robust
     kinds gets eta and se; for any other row both are None."""
-    parts = {}
+    parts = {}  # by target cell code
     for sign, kind in row:
-        target, score = kind.target, psi[kind]
+        target, score = kind.codes[0], psi[kind]
         if target not in parts:
             parts[target] = score if sign > 0 else -score
         elif sign > 0:
             parts[target] = parts[target] + score
         else:
             parts[target] = parts[target] - score
-    means = {target: float(np.mean(part)) for target, part in parts.items()}
+    n = ev.dataset.n  # sum() / n: np.mean's reduction, without its wrappers
+    means = {target: float(part.sum() / n) for target, part in parts.items()}
     estimate = functools.reduce(operator.add, means.values())
     if any(kind.form is not ScoreForm.DOUBLY_ROBUST for _, kind in row):
         return estimate, None, None
     eta = functools.reduce(operator.add, (
-        part - ev.weight_t(target) * means[target]
+        part - ev._weight_t(target) * means[target]
         for target, part in parts.items()))
-    return estimate, math.sqrt(float(np.mean(eta * eta)) / ev.dataset.n), eta
+    return estimate, math.sqrt(float((eta * eta).sum() / n) / n), eta
 
 
 def _score_result(ev: FitEvaluation, psi: dict,

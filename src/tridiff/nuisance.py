@@ -215,6 +215,14 @@ def fit_ols(design, response, column_names: Optional[Sequence[str]] = None,
     InsufficientDataError. Columns are rescaled to unit norm internally
     for pivoting; coefficients are reported on the original scale.
     """
+    return LinearModel(*_least_squares(design, response, column_names,
+                                       fitted_on))
+
+
+def _least_squares(design, response, column_names, fitted_on,
+                   transform=None):
+    """fit_ols's fit as LinearModel's fields, in order. A `transform` (from
+    standardized to raw coefficients) maps the coefficients, kept in state."""
     design = np.asarray(design, dtype=float)
     y = np.asarray(response, dtype=float)
     if design.ndim != 2:
@@ -231,7 +239,7 @@ def fit_ols(design, response, column_names: Optional[Sequence[str]] = None,
             f"{n} observations for {p} coefficients"
             + (f" ({fitted_on})" if fitted_on is not None else ""))
 
-    norms = np.sqrt(np.sum(design * design, axis=0))
+    norms = np.sqrt(np.add.reduce(design * design, axis=0))
     safe = np.where(norms > 0, norms, 1.0)
 
     r, piv, qty = _full_rank_qr(design.T / safe[:, None], column_names,
@@ -246,10 +254,8 @@ def fit_ols(design, response, column_names: Optional[Sequence[str]] = None,
     dof = n - p
     rss = float(residuals @ residuals)
     residual_variance = rss / dof if dof > 0 else 0.0
-
-    return LinearModel(coefficients=coef, column_names=column_names,
-                       residual_variance=residual_variance, n_obs=n,
-                       fitted_on=fitted_on, fit_state=(r, piv, safe, None))
+    return (coef if transform is None else transform @ coef, column_names,
+            residual_variance, n, fitted_on, (r, piv, safe, transform))
 
 
 def fit_linear(x, y, covariate_names: Optional[Sequence[str]] = None,
@@ -266,20 +272,13 @@ def fit_linear(x, y, covariate_names: Optional[Sequence[str]] = None,
     n, d = x.shape
     if covariate_names is None:
         covariate_names = tuple(f"x{j}" for j in range(d))
-    names = ("intercept", *covariate_names)
 
-    z, center, scale = _standardize(x)
-    design = np.hstack([np.ones((n, 1)), z])
-    std_model = fit_ols(design, y, names, fitted_on=fitted_on)
-
-    t = _raw_transform_matrix(center, scale)
-    coef = t @ std_model.coefficients
-    r, piv, safe, _ = std_model.fit_state
-
-    return LinearModel(coefficients=coef, column_names=names,
-                       residual_variance=std_model.residual_variance,
-                       n_obs=n, fitted_on=fitted_on,
-                       fit_state=(r, piv, safe, t))
+    design = np.empty((n, d + 1))  # the intercept, then the standardized x
+    design[:, 0] = 1.0
+    _, center, scale = _standardize(x, out=design[:, 1:])
+    return LinearModel(*_least_squares(
+        design, y, ("intercept", *covariate_names), fitted_on,
+        _raw_transform_matrix(center, scale)))
 
 
 # ---------------------------------------------------------------------------
@@ -586,13 +585,17 @@ def _transposed_design(x):
     return zt
 
 
-def _standardize(x):
-    """Center/scale columns; returns (z, center, scale). Zero-variance
-    columns keep scale 1 and surface later as rank problems."""
-    center = x.mean(axis=0) if x.size else np.zeros(x.shape[1])
-    scale = x.std(axis=0) if x.size else np.ones(x.shape[1])
+def _standardize(x, out=None):
+    """Center/scale columns into `out` (default: a new array); returns
+    (z, center, scale), the last two by x.mean(axis=0)'s and x.std(axis=0)'s
+    own reductions. Zero-variance columns keep scale 1: rank errors later."""
+    n, d = x.shape
+    center = np.add.reduce(x, axis=0) / n if x.size else np.zeros(d)
+    z = np.subtract(x, center, out=out)
+    scale = np.sqrt(np.add.reduce(z * z, axis=0) / n) if x.size else np.ones(d)
     scale = np.where(scale > 0, scale, 1.0)
-    return (x - center) / scale, center, scale
+    z /= scale
+    return z, center, scale
 
 
 def _raw_transform_matrix(center, scale):
@@ -794,10 +797,10 @@ def fit_nuisances(dataset: PanelDataset,
     model: the outcome-regression scores need nothing else, and a logit
     that separates cannot fail them.
 
-    trim_epsilon and normalize say how the fit is evaluated (see
-    scores.FitEvaluation). Normalized weights give the (A, Eligible)
-    regression a nonzero multiplier in the DR scores, so SCORE_SET then
-    fits it too.
+    trim_epsilon, in [0, 1) (else ValueError), and normalize say how
+    the fit is evaluated (see scores.FitEvaluation). Normalized weights
+    give the (A, Eligible) regression a nonzero multiplier in the DR
+    scores, so SCORE_SET then fits it too.
 
     Covariate subsets name columns of the dataset's covariate matrix;
     default is all columns for both families. `start` is passed to
@@ -806,6 +809,8 @@ def fit_nuisances(dataset: PanelDataset,
     changes where the iteration begins, not the model, so fit_options
     does not record it.
     """
+    if not 0.0 <= trim_epsilon < 1.0:  # NaN fails too
+        raise ValueError(f"trim_epsilon must be in [0, 1), got {trim_epsilon}")
     fit_options = dict(mode=mode, trim_epsilon=trim_epsilon,
                        normalize=normalize,
                        propensity_covariates=propensity_covariates,

@@ -19,15 +19,12 @@ from typing import Dict, Sequence
 
 import numpy as np
 
-from .data import (Cell, Eligibility, Group, PanelDataset, cell_index,
-                   cell_name, cell_table)
+from .data import (CELL_ORDER, Cell, Eligibility, Group, PanelDataset,
+                   cell_index, cell_name)
 from .exceptions import EstimationError, MissingNuisanceError, TrimmingError
 from .nuisance import NuisanceSet
 
-A2: Cell = (Group.A, Eligibility.ELIGIBLE)
-A_NEVER: Cell = (Group.A, Eligibility.NEVER)
-B2: Cell = (Group.B, Eligibility.ELIGIBLE)
-B_NEVER: Cell = (Group.B, Eligibility.NEVER)
+A2, A_NEVER, B2, B_NEVER = CELL_ORDER
 
 
 class ScoreForm(enum.Enum):
@@ -40,7 +37,8 @@ class ScoreKind(enum.Enum):
     """The nine score functions, as a table: value, form, the cell whose
     covariate distribution the score targets, and the group whose
     eligible and never-eligible changes it contrasts. The W-prefixed
-    kinds take group B's contrast at group A's covariates."""
+    kinds take group B's contrast at group A's covariates. `codes` are
+    the cell codes of the target, the group's eligible and never cells."""
 
     OR_A = ("or_a", ScoreForm.REGRESSION, A2, Group.A)
     OR_B = ("or_b", ScoreForm.REGRESSION, B2, Group.B)
@@ -52,10 +50,14 @@ class ScoreKind(enum.Enum):
     WIPW = ("weighted_ipw", ScoreForm.WEIGHTING, A2, Group.B)
     WDR = ("weighted_dr", ScoreForm.DOUBLY_ROBUST, A2, Group.B)
 
+    __hash__ = object.__hash__  # in C, as data.Group's
+
     def __new__(cls, value: str, form: ScoreForm, target: Cell, group: Group):
         kind = object.__new__(cls)
         kind._value_ = value
         kind.form, kind.target, kind.group = form, target, group
+        kind.codes = tuple(cell_index(cell) for cell in (
+            target, (group, Eligibility.ELIGIBLE), (group, Eligibility.NEVER)))
         return kind
 
 
@@ -81,24 +83,43 @@ def _per_evaluation(method):
 class FitEvaluation:
     """A fitted NuisanceSet evaluated on one dataset's units.
 
-    Holds the cell table and the outcome changes, and computes the
-    propensity matrix, each outcome-change prediction, each treatment
-    weight and each control weight once, on first request. Every score
-    kind, estimator and bias diagnostic built from one evaluation thus
-    shares a single prediction per model. The fit's options set the
-    trim threshold and the weighting: with "normalize" each control
-    weight is rescaled by its full-sample mean (the treatment weight
-    already averages to one by construction); without it the weights
-    stay exactly as defined.
+    Holds the cell shares and masks and the outcome changes, and
+    computes the propensity matrix, each outcome-change prediction, each
+    treatment weight, odds row and control weight once, on first
+    request. Every score kind, estimator and bias diagnostic built from
+    one evaluation thus shares a single prediction per model. The fit's
+    options set the trim threshold and the weighting: with "normalize"
+    each control weight is rescaled by its full-sample mean (the
+    treatment weight already averages to one by construction); without
+    it the weights stay exactly as defined. Per-cell quantities sit in
+    slots indexed by cell code, the cell's position in CELL_ORDER: the
+    `shares` and `masks` sequences and the memo, which keys by method
+    name and codes. The score functions call the code-indexed methods
+    (_outcome, _weight_t, _odds, _weight_c); the public ones take Cells.
     """
 
     def __init__(self, dataset: PanelDataset, nuisances: NuisanceSet):
         self.dataset = dataset
         self.nuisances = nuisances
         self.normalize = nuisances.fit_options["normalize"]
-        self.cells = cell_table(dataset)
+        counts = np.bincount(dataset.cell_codes(), minlength=4)
+        self.shares = (counts / max(dataset.n, 1)).tolist()  # as cell_table's
+        self.masks = dataset.cell_masks
         self.delta = dataset.delta_y()
         self._memo: dict = {}
+
+    def outcome(self, cell: Cell) -> np.ndarray:
+        """Outcome-change regression of `cell` at every unit's covariates."""
+        return self._outcome(cell_index(cell))
+
+    def weight_t(self, target_cell: Cell) -> np.ndarray:
+        """Treatment weights 1{unit in cell} / share(cell) for all units."""
+        return self._weight_t(cell_index(target_cell))
+
+    def weight_c(self, numerator_cell: Cell, source_cell: Cell) -> np.ndarray:
+        """Control weights from `source_cell` (see _weight_c)."""
+        return self._weight_c(cell_index(numerator_cell),
+                              cell_index(source_cell))
 
     @_per_evaluation
     def propensities(self) -> np.ndarray:
@@ -106,21 +127,17 @@ class FitEvaluation:
         return self.nuisances.propensities(self.dataset.x)
 
     @_per_evaluation
-    def outcome(self, cell: Cell) -> np.ndarray:
-        """Outcome-change regression of `cell` at every unit's covariates."""
-        return np.asarray(self.nuisances.outcome_mean(cell, self.dataset.x),
-                          dtype=float)
+    def _outcome(self, k: int) -> np.ndarray:
+        return np.asarray(self.nuisances.outcome_mean(
+            CELL_ORDER[k], self.dataset.x), dtype=float)
 
     @_per_evaluation
-    def weight_t(self, target_cell: Cell) -> np.ndarray:
-        """Treatment weights 1{unit in cell} / share(cell) for all units."""
-        share = self.cells.share(target_cell)
+    def _weight_t(self, k: int) -> np.ndarray:
+        share = self.shares[k]
         if share == 0:
-            raise EstimationError(f"cell {cell_name(target_cell)} is empty; "
+            raise EstimationError(f"cell {cell_name(CELL_ORDER[k])} is empty; "
                                   "treatment weight undefined")
-        out = np.zeros(self.dataset.n)
-        out[self.dataset.cell_mask(target_cell)] = 1.0 / share
-        return out
+        return self.masks[k] * (1.0 / share)  # +0 outside the cell
 
     @_per_evaluation
     def own_propensity(self) -> np.ndarray:
@@ -132,21 +149,21 @@ class FitEvaluation:
             self.dataset.cell_codes() * n + np.arange(n))
 
     @_per_evaluation
-    def odds(self, numerator_cell: Cell) -> np.ndarray:
+    def _odds(self, num: int) -> np.ndarray:
         """p(numerator, x) / p(own cell, x) * (1 / share(numerator)) for
         every unit: the control weight of each source cell before its
         mask. A unit whose own-cell propensity underflowed to zero gets
-        inf or NaN here without a warning; weight_c masks it away
+        inf or NaN here without a warning; _weight_c masks it away
         outside the source, and inside it the trimming threshold or the
         scores' finiteness check rejects it."""
-        p_num = self.propensities()[:, cell_index(numerator_cell)]
         with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.divide(p_num, self.own_propensity())
-        out *= 1.0 / self.cells.share(numerator_cell)
+            out = np.divide(self.propensities()[:, num],
+                            self.own_propensity())
+        out *= 1.0 / self.shares[num]
         return out
 
     @_per_evaluation
-    def weight_c(self, numerator_cell: Cell, source_cell: Cell) -> np.ndarray:
+    def _weight_c(self, num: int, src: int) -> np.ndarray:
         """Control weights: [1{unit in source} / share(numerator)] times the
         propensity ratio p(numerator, x) / p(source, x), normalized when
         the evaluation normalizes: the odds row of the numerator masked
@@ -157,31 +174,30 @@ class FitEvaluation:
         When numerator and source coincide the ratio is exactly one and
         the unnormalized weight equals the treatment weight bit-for-bit.
         """
-        dataset = self.dataset
-        share = self.cells.share(numerator_cell)
-        if share == 0:
-            raise EstimationError(f"cell {cell_name(numerator_cell)} is "
+        if self.shares[num] == 0:
+            raise EstimationError(f"cell {cell_name(CELL_ORDER[num])} is "
                                   "empty; control weight undefined")
-        mask = dataset.cell_mask(source_cell)
-        out = np.zeros(dataset.n)
-        if np.any(mask):
+        mask = self.masks[src]
+        out = np.zeros(mask.shape)
+        if self.shares[src]:  # the source cell has units
             eps = self.nuisances.fit_options["trim_epsilon"]
             low = mask & (self.own_propensity() < eps)
-            if np.any(low):
-                ids = tuple(dataset.ids[low])
+            if low.any():
+                name = cell_name(CELL_ORDER[src])
+                ids = tuple(self.dataset.ids[low])
                 raise TrimmingError(
-                    f"{len(ids)} unit(s) in {cell_name(source_cell)} have "
-                    f"p{cell_name(source_cell)} below trim threshold {eps:g}: "
+                    f"{len(ids)} unit(s) in {name} have p{name} below trim "
+                    f"threshold {eps:g}: "
                     f"{', '.join(repr(i) for i in ids[:10])}"
                     + ("…" if len(ids) > 10 else ""),
                     unit_ids=ids)
-            out = np.where(mask, self.odds(numerator_cell), 0.0)
+            out = np.where(mask, self._odds(num), 0.0)
         if self.normalize:
-            mean = float(np.mean(out))
+            mean = float(out.sum() / len(out))  # np.mean's sum and divide
             if mean <= 0:
                 raise EstimationError(
-                    f"control weight for source {cell_name(source_cell)} has "
-                    f"non-positive mean {mean:g}; cannot normalize")
+                    f"control weight for source {cell_name(CELL_ORDER[src])} "
+                    f"has non-positive mean {mean:g}; cannot normalize")
             out = out / mean
         return out
 
@@ -195,7 +211,7 @@ class FitEvaluation:
         need not be fitted. Normalizing breaks the identity, making the
         model mandatory."""
         if cell == target and not self.normalize:
-            if np.any(multiplier):
+            if multiplier.any():
                 raise EstimationError(
                     f"augmentation multiplier for m{cell_name(cell)} should "
                     "be identically zero with unnormalized weights but is not")
@@ -215,9 +231,8 @@ def score_vector(kind: ScoreKind, ev: FitEvaluation) -> np.ndarray:
     """All units' values of one score function of an evaluated fit: the
     contrast of the kind's group's eligible and never-eligible cells at
     its target cell's covariate distribution, in the kind's form."""
-    target, group = kind.target, kind.group
-    eligible, never = (group, Eligibility.ELIGIBLE), (group, Eligibility.NEVER)
-    delta, wt, wc, m = ev.delta, ev.weight_t, ev.weight_c, ev.outcome
+    target, eligible, never = kind.codes
+    delta, wt, wc, m = ev.delta, ev._weight_t, ev._weight_c, ev._outcome
 
     if kind.form is ScoreForm.REGRESSION:
         # the observed change on the target's own cell, else the regression
@@ -229,10 +244,11 @@ def score_vector(kind: ScoreKind, ev: FitEvaluation) -> np.ndarray:
         w_treat = wt(target)  # first, so an empty target cell raises first
         w_elig, w_never = wc(target, eligible), wc(target, never)
         values = (w_elig - w_never) * delta
-        values = values + ev.augmentation(w_treat - w_elig, target, eligible)
+        values = values + ev.augmentation(w_treat - w_elig, CELL_ORDER[target],
+                                          CELL_ORDER[eligible])
         values = values - (w_treat - w_never) * m(never)
 
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         raise EstimationError(
             f"non-finite {kind.value} score values; check overlap and "
             "nuisance fits")

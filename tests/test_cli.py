@@ -174,6 +174,31 @@ def test_estimate_aggressive_trim_is_exit_4(panel_csv, tmp_path):
     assert code == 4
 
 
+@pytest.mark.parametrize("trim", ["nan", "-1", "1.5"])
+def test_estimate_trim_outside_0_1_is_exit_2(trim, panel_csv, tmp_path):
+    # a threshold that cannot be a propensity: not trimming silently
+    # off (nan, -1), nor an overlap failure (1.5)
+    out = tmp_path / "o"
+    code = run(["estimate", "--input", panel_csv, "--schema", SCHEMA,
+                "--trim", trim, "--out", out])
+    assert code == 2
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "ValueError" and "trim_epsilon" in err["message"]
+    assert not (out / "results.json").exists()
+
+
+@pytest.mark.parametrize("trim", ["nan", "-1", "1.5"])
+def test_simulate_trim_outside_0_1_is_exit_2(trim, tmp_path):
+    out = tmp_path / "o"
+    code = run(["simulate", "--n", "100", "--replications", "3",
+                "--trim", trim, "--jobs", "1", "--out", out])
+    assert code == 2
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "ValueError" and "trim_epsilon" in err["message"]
+    assert not (out / "summary.json").exists()
+    assert not (out / "histogram.csv").exists()
+
+
 def test_estimate_paired_bootstrap_equals_separate_passes(panel_csv,
                                                           tmp_path):
     # dr and naive share one resample pass; each SE must still equal the
@@ -620,6 +645,31 @@ def test_simulate_small_run(tmp_path):
     assert summary["replications"] == 5
     assert summary["oracle"]["reweighted_diff"] == 3.0
     assert (out / "histogram.csv").exists()
+
+
+@pytest.mark.parametrize("bins", ["0", "-3"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_simulate_bins_below_one_is_exit_2_before_any_replication(
+        bins, source, tmp_path, monkeypatch):
+    import tridiff.cli as cli
+
+    def no_replications(*args, **kwargs):
+        raise AssertionError("a replication ran")
+    monkeypatch.setattr(cli, "run_monte_carlo", no_replications)
+    out = tmp_path / "o"
+    args = ["simulate", "--n", "100", "--replications", "3", "--jobs", "1",
+            "--out", out]
+    if source == "flag":
+        args += ["--bins", bins]
+    else:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"bins": int(bins)}))
+        args += ["--config", config]
+    assert run(args) == 2
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "ValueError" and "--bins" in err["message"]
+    assert not (out / "summary.json").exists()
+    assert not (out / "histogram.csv").exists()
 
 
 def test_simulate_normalized_weights(tmp_path):

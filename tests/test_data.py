@@ -95,6 +95,32 @@ def test_load_wide(wide_csv):
     assert table.share((Group.B, Eligibility.NEVER)) == pytest.approx(0.2)
 
 
+def test_cell_codes_and_masks_follow_cell_order():
+    # every (group, eligibility) pair, twice, in scrambled order
+    group_is_a = [False, True, True, False, True, False, False, True]
+    eligible = [True, False, True, False, True, True, False, False]
+    ds = PanelDataset(ids=range(8), y1=np.zeros(8), y2=np.zeros(8),
+                      group_is_a=group_is_a, eligible=eligible,
+                      x=np.empty((8, 0)), covariate_names=(),
+                      mechanism=AssignmentMechanism.BOTH_GROUPS)
+    for i, (a, e) in enumerate(zip(group_is_a, eligible)):
+        cell = (Group.A if a else Group.B,
+                Eligibility.ELIGIBLE if e else Eligibility.NEVER)
+        assert ds.cell_codes()[i] == cell_index(cell) == CELL_ORDER.index(cell)
+    assert ds.cell_codes().dtype == np.int64
+    assert ds.cell_masks.shape == (4, 8)
+    for k, cell in enumerate(CELL_ORDER):
+        group, elig = cell
+        want = ((np.array(group_is_a) == (group is Group.A))
+                & (np.array(eligible) == (elig is Eligibility.ELIGIBLE)))
+        assert np.array_equal(ds.cell_masks[k], want)
+        assert np.array_equal(ds.cell_mask(cell), want)
+    # built once and shared, so read-only
+    assert ds.cell_masks is ds.cell_masks
+    with pytest.raises(ValueError):
+        ds.cell_mask(CELL_ORDER[0])[0] = False
+
+
 def test_save_load_round_trip(tmp_path, wide_csv):
     ds = load_csv(wide_csv, Schema.from_dict(WIDE_SCHEMA),
                   AssignmentMechanism.BOTH_GROUPS)

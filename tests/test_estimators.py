@@ -7,8 +7,10 @@ the default means), so every tolerance is a sampling band around an
 independently known number, not a snapshot.
 """
 
+import cProfile
 import dataclasses
 import math
+import pstats
 
 import numpy as np
 import pytest
@@ -260,6 +262,25 @@ def test_bias_diagnostic_builds_only_its_kinds(counted):
     assert counted["predict"] == 1
     assert counted["outcome_predict"] == 2
     assert counted["kinds"] == [ScoreKind.WDR, ScoreKind.DR_B]
+
+
+# the Python-level calls cProfile counts in one evaluation of a fit
+# (dr and naive, n=2000) are about 255; a Python-level hash per
+# (Group, Eligibility) lookup and np.mean-style wrappers on the hot path
+# take them to about 900
+MAX_EVALUATION_CALLS = 300
+
+
+def test_evaluation_call_count_stays_low():
+    # deterministic, like the Newton-iteration guards: a helper call
+    # added per cell or per unit of work shows up here at once
+    ds = simulate_sample(DgpSpec(n=2000, seed=1))
+    nuis = fit_nuisances(ds, NuisanceMode.SCORE_SET, trim_epsilon=0.0)
+    estimate_doubly_robust(ds, nuis)  # warm-up: first-call imports
+    profile = cProfile.Profile()
+    profile.runcall(estimate_doubly_robust, ds, nuis)
+    calls = pstats.Stats(profile).total_calls
+    assert calls <= MAX_EVALUATION_CALLS, calls
 
 
 def test_evaluation_of_another_fit_or_dataset_is_rejected():

@@ -5,6 +5,8 @@ saturated designs whose solutions are cell means; statistical checks
 use the fitted standard errors as their own yardstick.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -194,6 +196,59 @@ def test_fit_linear_constant_column_is_reported_dependent():
     x = np.column_stack([r.normal(size=40), np.full(40, 7.0)])
     with pytest.raises(SingularDesignError):
         fit_linear(x, r.normal(size=40), covariate_names=["a", "const"])
+
+
+@st.composite
+def covariate_matrices(draw):
+    """(n, d) matrices, d = 0 to 4, of gaussian, shifted and scaled,
+    binary or constant columns."""
+    n, d = draw(st.integers(1, 300)), draw(st.integers(0, 4))
+    r = rng(draw(st.integers(0, 2 ** 32 - 1)))
+    columns = []
+    for kind in draw(st.lists(st.sampled_from(
+            ["gaussian", "shifted", "binary", "constant"]),
+            min_size=d, max_size=d)):
+        if kind == "gaussian":
+            columns.append(r.normal(size=n))
+        elif kind == "shifted":
+            columns.append(1e4 + 1e-3 * r.normal(size=n))
+        elif kind == "binary":
+            columns.append((r.random(n) < 0.3).astype(float))
+        else:
+            columns.append(np.full(n, draw(st.floats(-1e6, 1e6))))
+    return np.column_stack(columns) if d else np.empty((n, 0))
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(x=covariate_matrices())
+def test_standardize_is_numpy_mean_and_std_bit_for_bit(x):
+    # center and scale come from the reductions x.mean(axis=0) and
+    # x.std(axis=0) make, without their wrappers; a numpy whose mean or
+    # std reduce differently fails here, not in a downstream digit
+    std = x.std(axis=0)
+    scale = np.where(std > 0, std, 1.0)
+    z, center, got_scale = nuisance_mod._standardize(x)
+    assert same_bits(center, x.mean(axis=0))
+    assert same_bits(got_scale, scale)
+    assert same_bits(z, (x - x.mean(axis=0)) / scale)
+    # written into a strided view, as fit_linear writes its design
+    design = np.empty((len(x), x.shape[1] + 1))
+    written = nuisance_mod._standardize(x, out=design[:, 1:])
+    assert written[0].base is design
+    assert same_bits(design[:, 1:].copy(), z)
+    assert same_bits(written[1], center) and same_bits(written[2], scale)
+
+
+def test_standardize_without_units_centers_at_zero():
+    # x.mean(axis=0) of no rows is NaN, with a warning; no units keep
+    # center 0 and scale 1
+    z, center, scale = nuisance_mod._standardize(np.empty((0, 3)))
+    assert z.shape == (0, 3)
+    assert same_bits(center, np.zeros(3)) and same_bits(scale, np.ones(3))
 
 
 def test_linear_model_row_permutation_invariance():
@@ -764,6 +819,18 @@ def test_fit_nuisances_records_fit_options():
     refit = fit_nuisances(ds, **nuis.fit_options)
     np.testing.assert_array_equal(refit.propensity.coefficients,
                                   nuis.propensity.coefficients)
+
+
+@pytest.mark.parametrize("trim", [math.nan, -1.0, -1e-300, 1.0, 1.5,
+                                  math.inf, -math.inf])
+def test_fit_nuisances_rejects_a_trim_threshold_outside_0_1(trim):
+    ds = toy_dataset()
+    with pytest.raises(ValueError, match=r"trim_epsilon must be in \[0, 1\)"):
+        fit_nuisances(ds, NuisanceMode.SCORE_SET, trim_epsilon=trim)
+    # 0 turns trimming off; anything below 1 is a threshold
+    for trim in (0.0, 0.5):
+        assert fit_nuisances(ds, trim_epsilon=trim).fit_options[
+            "trim_epsilon"] == trim
 
 
 def test_fit_nuisances_covariate_subsets():

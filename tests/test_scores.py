@@ -13,20 +13,25 @@ treatment weight is 4 on its own cell.
 """
 
 import dataclasses
+import functools
 import math
+import operator
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from tridiff.data import (AssignmentMechanism, PanelDataset, cell_index,
-                          cell_name, cell_table)
+from tridiff.data import (CELL_ORDER, AssignmentMechanism, Eligibility,
+                          Group, PanelDataset, cell_index, cell_name,
+                          cell_table)
 from tridiff.dgp import DgpSpec, simulate_sample
-from tridiff.estimators import METHOD_SCORES, Method, score_contrast
-from tridiff.exceptions import (EstimationError, MissingNuisanceError,
-                                TrimmingError)
+from tridiff.estimators import (METHOD_SCORES, Method, bias_diagnostic,
+                                estimate_doubly_robust, score_contrast)
+from tridiff.exceptions import (EstimationError, FittingError,
+                                MissingNuisanceError, TrimmingError)
 from tridiff.nuisance import LinearModel, NuisanceMode, fit_nuisances
 from tridiff.scores import (A2, A_NEVER, B2, B_NEVER, FitEvaluation,
-                            ScoreKind, dump_scores, score_vector,
+                            ScoreForm, ScoreKind, dump_scores, score_vector,
                             score_vectors)
 
 
@@ -301,35 +306,187 @@ def test_score_vector_rejects_missing_donor_model(fixture):
 
 
 # ---------------------------------------------------------------------------
-# Control weights as odds rows: bit for bit the masked divide
+# The code-indexed evaluation against a reference of the cell-keyed one
 # ---------------------------------------------------------------------------
 
-class MaskedDivideEvaluation(FitEvaluation):
-    """Control weights built source by source: the propensity ratio
-    divided and scaled only where the unit is in the source cell, with
-    the source cell's own propensity column as divisor. The odds rows
-    of FitEvaluation.weight_c must reproduce it bit for bit."""
+def _reference_mask(dataset, cell):
+    group, elig = cell
+    return ((dataset.group_is_a == (group is Group.A))
+            & (dataset.eligible == (elig is Eligibility.ELIGIBLE)))
+
+
+class ReferenceEvaluation:
+    """A test-only reference evaluation keyed by cells, not by cell
+    codes: every array is stored under a (Group, Eligibility) key and
+    built with the numpy wrappers (np.mean, np.any, np.all), the cell
+    masks come straight from the group and eligibility columns, and each
+    control weight is built source by source with a masked divide (the
+    propensity ratio divided and scaled only where the unit is in the
+    source cell, with the source cell's own propensity column as
+    divisor). FitEvaluation must give its arrays, estimates and
+    exceptions bit for bit."""
+
+    def __init__(self, dataset, nuisances):
+        self.dataset, self.nuisances = dataset, nuisances
+        self.normalize = nuisances.fit_options["normalize"]
+        self.cells = cell_table(dataset)
+        self.delta = dataset.delta_y()
+        self.memo = {}
+
+    def _stored(self, key, build):
+        if key not in self.memo:
+            self.memo[key] = build()
+        return self.memo[key]
+
+    def propensities(self):
+        return self._stored("p", lambda: self.nuisances.propensities(
+            self.dataset.x))
+
+    def outcome(self, cell):
+        return self._stored(("m", cell), lambda: np.asarray(
+            self.nuisances.outcome_mean(cell, self.dataset.x), dtype=float))
+
+    def weight_t(self, cell):
+        def build():
+            share = self.cells.share(cell)
+            if share == 0:
+                raise EstimationError(f"cell {cell_name(cell)} is empty; "
+                                      "treatment weight undefined")
+            out = np.zeros(self.dataset.n)
+            out[_reference_mask(self.dataset, cell)] = 1.0 / share
+            return out
+        return self._stored(("t", cell), build)
 
     def weight_c(self, numerator_cell, source_cell):
+        return self._stored(("c", numerator_cell, source_cell),
+                            lambda: self._weight_c(numerator_cell,
+                                                   source_cell))
+
+    def _weight_c(self, numerator_cell, source_cell):
         share = self.cells.share(numerator_cell)
-        mask = self.dataset.cell_mask(source_cell)
+        if share == 0:
+            raise EstimationError(f"cell {cell_name(numerator_cell)} is "
+                                  "empty; control weight undefined")
+        mask = _reference_mask(self.dataset, source_cell)
         out = np.zeros(self.dataset.n)
-        probs = self.propensities()
-        p_num = probs[:, cell_index(numerator_cell)]
-        p_src = probs[:, cell_index(source_cell)]
-        eps = self.nuisances.fit_options["trim_epsilon"]
-        low = mask & (p_src < eps)
-        if np.any(low):
-            raise TrimmingError(f"{cell_name(source_cell)}",
-                                unit_ids=tuple(self.dataset.ids[low]))
-        np.divide(p_num, p_src, out=out, where=mask)
-        np.multiply(out, 1.0 / share, out=out, where=mask)
+        if np.any(mask):
+            probs = self.propensities()
+            p_num = probs[:, cell_index(numerator_cell)]
+            p_src = probs[:, cell_index(source_cell)]
+            eps = self.nuisances.fit_options["trim_epsilon"]
+            low = mask & (p_src < eps)
+            if np.any(low):
+                ids = tuple(self.dataset.ids[low])
+                raise TrimmingError(
+                    f"{len(ids)} unit(s) in {cell_name(source_cell)} have "
+                    f"p{cell_name(source_cell)} below trim threshold "
+                    f"{eps:g}: {', '.join(repr(i) for i in ids[:10])}"
+                    + ("…" if len(ids) > 10 else ""), unit_ids=ids)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                np.divide(p_num, p_src, out=out, where=mask)
+            np.multiply(out, 1.0 / share, out=out, where=mask)
         if self.normalize:
             mean = float(np.mean(out))
             if mean <= 0:
-                raise EstimationError(f"non-positive mean {mean:g}")
+                raise EstimationError(
+                    f"control weight for source {cell_name(source_cell)} "
+                    f"has non-positive mean {mean:g}; cannot normalize")
             out = out / mean
         return out
+
+    def augmentation(self, multiplier, target, cell):
+        if cell == target and not self.normalize:
+            if np.any(multiplier):
+                raise EstimationError(
+                    f"augmentation multiplier for m{cell_name(cell)} should "
+                    "be identically zero with unnormalized weights but is not")
+            return np.zeros(len(multiplier))
+        if cell == target and not self.nuisances.has_outcome(cell):
+            raise MissingNuisanceError(
+                f"score needs outcome model m{cell_name(cell)} because "
+                "normalized weights give it a nonzero multiplier")
+        return multiplier * self.outcome(cell)
+
+
+def reference_score(kind, ev):
+    target, group = kind.target, kind.group
+    eligible, never = (group, Eligibility.ELIGIBLE), (group, Eligibility.NEVER)
+    delta, wt, wc, m = ev.delta, ev.weight_t, ev.weight_c, ev.outcome
+    if kind.form is ScoreForm.REGRESSION:
+        values = wt(target) * ((delta if target == eligible
+                                else m(eligible)) - m(never))
+    elif kind.form is ScoreForm.WEIGHTING:
+        values = (wc(target, eligible) - wc(target, never)) * delta
+    else:
+        w_treat = wt(target)
+        w_elig, w_never = wc(target, eligible), wc(target, never)
+        values = (w_elig - w_never) * delta
+        values = values + ev.augmentation(w_treat - w_elig, target, eligible)
+        values = values - (w_treat - w_never) * m(never)
+    if not np.all(np.isfinite(values)):
+        raise EstimationError(
+            f"non-finite {kind.value} score values; check overlap and "
+            "nuisance fits")
+    return values
+
+
+def reference_contrast(ev, row):
+    """(estimate, se, eta) of a row of signed score kinds, each part keyed
+    by its target cell and averaged with np.mean."""
+    psi = {kind: reference_score(kind, ev)
+           for kind in dict.fromkeys(kind for _, kind in row)}
+    parts = {}
+    for sign, kind in row:
+        score = psi[kind]
+        if kind.target not in parts:
+            parts[kind.target] = score if sign > 0 else -score
+        elif sign > 0:
+            parts[kind.target] = parts[kind.target] + score
+        else:
+            parts[kind.target] = parts[kind.target] - score
+    means = {target: float(np.mean(part)) for target, part in parts.items()}
+    estimate = functools.reduce(operator.add, means.values())
+    if any(kind.form is not ScoreForm.DOUBLY_ROBUST for _, kind in row):
+        return estimate, None, None
+    eta = functools.reduce(operator.add, (
+        part - ev.weight_t(target) * means[target]
+        for target, part in parts.items()))
+    return estimate, math.sqrt(float(np.mean(eta * eta)) / ev.dataset.n), eta
+
+
+def outcome_of(call):
+    """call()'s value, or the type, message and unit ids of what it
+    raised. A non-finite outcome model makes NaN scores, which the
+    finiteness check is to reject, so that arithmetic may not warn."""
+    try:
+        with np.errstate(invalid="ignore"):
+            return call()
+    except (EstimationError, TrimmingError) as exc:
+        return (type(exc), str(exc), getattr(exc, "unit_ids", None))
+
+
+def assert_same(got, want):
+    """Bit for bit: arrays and floats by their bytes, the rest by ==."""
+    if isinstance(want, np.ndarray):
+        assert isinstance(got, np.ndarray) and got.dtype == want.dtype
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    elif isinstance(want, float):
+        assert isinstance(got, float) and got.hex() == want.hex()
+    elif isinstance(want, tuple) and not isinstance(want[0], type):
+        assert isinstance(got, tuple) and len(got) == len(want)
+        for g, w in zip(got, want):
+            assert_same(g, w)
+    else:
+        assert got == want  # None, or an exception's type, text and ids
+
+
+def reference_dump(ev, kinds):
+    columns = {kind: reference_score(kind, ev) for kind in kinds}
+    lines = ["unit_id," + ",".join(f"score_{k.value}" for k in kinds)]
+    for i in range(ev.dataset.n):
+        lines.append(",".join([str(ev.dataset.ids[i]), *(
+            repr(float(columns[k][i])) for k in kinds)]))
+    return ("\r\n".join(lines) + "\r\n").encode()
 
 
 DGP_FITS = [(seed, mu_b, normalize) for seed in (1, 2, 3, 4)
@@ -340,25 +497,27 @@ DGP_FITS = [(seed, mu_b, normalize) for seed in (1, 2, 3, 4)
 def test_control_weights_match_masked_divide(seed, mu_b, normalize):
     ds = simulate_sample(DgpSpec(n=2000, seed=seed, mu_b=mu_b))
     nuis = fit_nuisances(ds, trim_epsilon=0.0, normalize=normalize)
-    odds, masked = FitEvaluation(ds, nuis), MaskedDivideEvaluation(ds, nuis)
+    ev, ref = FitEvaluation(ds, nuis), ReferenceEvaluation(ds, nuis)
+    for numerator in CELL_ORDER:
+        for source in CELL_ORDER:
+            assert np.array_equal(ev.weight_c(numerator, source),
+                                  ref.weight_c(numerator, source))
     for kind in ScoreKind:
-        assert np.array_equal(score_vector(kind, odds),
-                              score_vector(kind, masked)), kind
+        assert np.array_equal(score_vector(kind, ev),
+                              reference_score(kind, ref)), kind
 
 
 def test_trimming_error_matches_masked_divide():
     # thin overlap: (A, Eligible) units fall below a 0.05 threshold
     ds = simulate_sample(DgpSpec(n=2000, seed=1, mu_b=3.0))
     nuis = fit_nuisances(ds, trim_epsilon=0.05)
-    errors = []
-    for evaluation in (FitEvaluation, MaskedDivideEvaluation):
-        with pytest.raises(TrimmingError) as err:
-            score_vector(ScoreKind.DR_A, evaluation(ds, nuis))
-        errors.append(err.value)
-    got, want = errors
-    assert len(want.unit_ids) > 1
-    assert got.unit_ids == want.unit_ids
-    assert str(got).split(" have ")[0].endswith(str(want))
+    with pytest.raises(TrimmingError) as err:
+        score_vector(ScoreKind.DR_A, FitEvaluation(ds, nuis))
+    with pytest.raises(TrimmingError) as reference:
+        reference_score(ScoreKind.DR_A, ReferenceEvaluation(ds, nuis))
+    assert len(reference.value.unit_ids) > 1
+    assert err.value.unit_ids == reference.value.unit_ids
+    assert str(err.value) == str(reference.value)
 
 
 def test_normalizing_an_empty_source_raises(sloped_fixture):
@@ -367,6 +526,94 @@ def test_normalizing_an_empty_source_raises(sloped_fixture):
     ds = sloped_fixture
     nuis = fit_nuisances(ds, normalize=True)
     kept = ds.subset(np.flatnonzero(~ds.cell_mask(B_NEVER)))
-    for evaluation in (FitEvaluation, MaskedDivideEvaluation):
+    for evaluation in (FitEvaluation, ReferenceEvaluation):
         with pytest.raises(EstimationError, match="non-positive mean 0"):
             evaluation(kept, nuis).weight_c(A2, B_NEVER)
+
+
+@st.composite
+def evaluated_fits(draw):
+    """(dataset, fit) with the fit evaluated on the dataset: simulated
+    panels with d = 0 to 3 covariates (the simulated one, then noise
+    columns of growing scale), either mechanism, plain or normalized
+    weights, trim 0 or 0.01, and all or a subset of the columns for each
+    model family. Some fits are evaluated on the panel less one cell, or
+    lose the (A, Eligible) model, or get a non-finite outcome model, so
+    the failures are compared too."""
+    mechanism = draw(st.sampled_from(list(AssignmentMechanism)))
+    base = simulate_sample(DgpSpec(
+        n=draw(st.integers(200, 900)), seed=draw(st.integers(0, 2 ** 32 - 1)),
+        mu_b=draw(st.sampled_from([1.5, 3.0])), mechanism=mechanism))
+    d = draw(st.integers(0, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    x = np.column_stack([base.x[:, 0]] + [
+        rng.normal(size=base.n) * 4.0 ** j for j in range(1, d)]
+    ) if d else np.empty((base.n, 0))
+    names = tuple(f"x{j}" for j in range(d))
+    ds = PanelDataset(base.ids, base.y1, base.y2, base.group_is_a,
+                      base.eligible, x, names, mechanism)
+    subsets = (st.none() | st.lists(st.sampled_from(names), unique=True)
+               if names else st.none())
+    normalize = draw(st.booleans())
+    try:
+        nuis = fit_nuisances(ds, trim_epsilon=draw(st.sampled_from([0.0,
+                                                                    0.01])),
+                             normalize=normalize,
+                             propensity_covariates=draw(subsets),
+                             outcome_covariates=draw(subsets))
+    except FittingError:
+        return ds, None
+    damage = draw(st.sampled_from(["none", "drop cell", "no (A, Eligible) "
+                                   "model", "non-finite outcome model"]))
+    if damage == "drop cell":
+        dropped = draw(st.sampled_from(CELL_ORDER))
+        ds = ds.subset(np.flatnonzero(~_reference_mask(ds, dropped)))
+    elif damage == "no (A, Eligible) model":
+        nuis = dataclasses.replace(nuis, outcome_models={
+            cell: model for cell, model in nuis.outcome_models.items()
+            if cell != A2})
+    elif damage == "non-finite outcome model":
+        cell = draw(st.sampled_from(sorted(nuis.outcome_models,
+                                           key=cell_index)))
+        model = nuis.outcome_models[cell]
+        nuis = dataclasses.replace(nuis, outcome_models={
+            **nuis.outcome_models, cell: dataclasses.replace(
+                model, coefficients=np.full_like(model.coefficients,
+                                                 np.inf))})
+    return ds, nuis
+
+
+BIAS_ROW = ((1, ScoreKind.WDR), (-1, ScoreKind.DR_B))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=evaluated_fits())
+def test_code_indexed_evaluation_is_bitwise_the_reference(tmp_path_factory,
+                                                          case):
+    ds, nuis = case
+    if nuis is None:
+        return  # the logit or a regression could not be fitted
+    ev, ref = FitEvaluation(ds, nuis), ReferenceEvaluation(ds, nuis)
+    wanted = {kind: outcome_of(lambda: reference_score(kind, ref))
+              for kind in ScoreKind}
+    for kind in ScoreKind:
+        assert_same(outcome_of(lambda: score_vector(kind, ev)), wanted[kind])
+
+    def contrast(result):
+        return result.estimate, result.se, result.influence_values
+    for method, row in METHOD_SCORES.items():
+        assert_same(
+            outcome_of(lambda: contrast(estimate_doubly_robust(
+                ds, nuis, (method,), ev=FitEvaluation(ds, nuis))[0])),
+            outcome_of(lambda: reference_contrast(
+                ReferenceEvaluation(ds, nuis), row)))
+    if ds.mechanism is AssignmentMechanism.ONLY_GROUP_A:
+        assert_same(
+            outcome_of(lambda: bias_diagnostic(ds, nuis,
+                                               ev=FitEvaluation(ds, nuis))),
+            outcome_of(lambda: reference_contrast(
+                ReferenceEvaluation(ds, nuis), BIAS_ROW)[:2]))
+    if all(isinstance(value, np.ndarray) for value in wanted.values()):
+        path = tmp_path_factory.mktemp("dump") / "scores.csv"
+        dump_scores(FitEvaluation(ds, nuis), list(ScoreKind), path)
+        assert path.read_bytes() == reference_dump(ref, list(ScoreKind))
