@@ -170,7 +170,8 @@ class FitEvaluation:
         to the source.
 
         Source-cell units whose source-cell propensity falls below the
-        fit's trim threshold raise TrimmingError listing the unit ids.
+        fit's trim threshold raise TrimmingError listing the unit ids; no
+        propensity is below a threshold of 0, so that one is not checked.
         When numerator and source coincide the ratio is exactly one and
         the unnormalized weight equals the treatment weight bit-for-bit.
         """
@@ -181,8 +182,7 @@ class FitEvaluation:
         out = np.zeros(mask.shape)
         if self.shares[src]:  # the source cell has units
             eps = self.nuisances.fit_options["trim_epsilon"]
-            low = mask & (self.own_propensity() < eps)
-            if low.any():
+            if eps > 0 and (low := mask & (self.own_propensity() < eps)).any():
                 name = cell_name(CELL_ORDER[src])
                 ids = tuple(self.dataset.ids[low])
                 raise TrimmingError(

@@ -265,7 +265,7 @@ def test_bias_diagnostic_builds_only_its_kinds(counted):
 
 
 # the Python-level calls cProfile counts in one evaluation of a fit
-# (dr and naive, n=2000) are about 255; a Python-level hash per
+# (dr and naive, n=2000) are about 230; a Python-level hash per
 # (Group, Eligibility) lookup and np.mean-style wrappers on the hot path
 # take them to about 900
 MAX_EVALUATION_CALLS = 300
