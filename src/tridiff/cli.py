@@ -163,6 +163,13 @@ def _jobs(ns) -> int:
     return ns.jobs
 
 
+def _trim(ns) -> float:
+    trim = float(ns.trim)
+    if not 0.0 <= trim < 1.0:  # NaN fails too; checked for every method set
+        raise ValueError(f"trim_epsilon must be in [0, 1), got {trim}")
+    return trim
+
+
 def _mechanism(ns) -> AssignmentMechanism:
     return AssignmentMechanism(ns.mechanism)
 
@@ -224,6 +231,10 @@ def cmd_estimate(ns: argparse.Namespace) -> int:
     if ns.schema is None:
         raise SchemaError("estimate needs --schema (JSON mapping or file)")
 
+    reps = int(ns.bootstrap_reps)
+    boot = BootstrapConfig(replications=reps, seed=int(ns.seed)) if reps else None
+    trim = _trim(ns)
+
     schema = Schema.from_dict(_parse_schema_arg(ns.schema))
     dataset = load_csv(ns.input, schema, _mechanism(ns),
                        MissingPolicy(ns.missing_policy))
@@ -231,9 +242,6 @@ def cmd_estimate(ns: argparse.Namespace) -> int:
     out = _out_dir(ns)
     _echo_config(ns, out, "estimate")
 
-    reps = int(ns.bootstrap_reps)
-    boot = BootstrapConfig(replications=reps, seed=int(ns.seed)) if reps else None
-    trim = float(ns.trim)
     normalize = bool(ns.normalize_weights)
     se_kind = SeKind(ns.se)
 
@@ -318,14 +326,16 @@ def cmd_simulate(ns: argparse.Namespace) -> int:
     jobs = _jobs(ns)
     if int(ns.bins) < 1:  # checked before any replication runs
         raise ValueError(f"--bins must be ≥ 1, got {ns.bins}")
+    if int(ns.replications) < 1:
+        raise ValueError("replications must be ≥ 1")
     spec = DgpSpec(n=int(ns.n), seed=int(ns.seed), mu_a=float(ns.mu_a),
                    mu_b=float(ns.mu_b), effect_case=EffectCase(ns.case),
                    mechanism=_mechanism(ns))
+    fit_options = {"trim_epsilon": _trim(ns),
+                   "normalize": bool(ns.normalize_weights)}
     out = _out_dir(ns)
     _echo_config(ns, out, "simulate")
 
-    fit_options = {"trim_epsilon": float(ns.trim),
-                   "normalize": bool(ns.normalize_weights)}
     result = run_monte_carlo(spec, int(ns.replications), fit_options,
                              n_jobs=jobs)
     oracle = closed_form_oracle(spec)

@@ -12,6 +12,7 @@ import csv
 import enum
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -361,10 +362,6 @@ class Schema:
             raise SchemaError(str(exc)) from None
 
 
-def _is_missing(value: str) -> bool:
-    return value.strip().lower() in NA_TOKENS
-
-
 def _to_float(value: str, row: int, column: str) -> float:
     try:
         number = float(value)
@@ -385,62 +382,91 @@ def _require_every_cell(dataset: PanelDataset) -> PanelDataset:
     return dataset
 
 
-def _binary_level(value: str, positive: str, column: str, seen: set) -> bool:
-    v = value.strip()
-    seen.add(v)
-    if len(seen) > 2:
-        raise SchemaError(f"column {column!r} has more than two levels: "
-                          f"{sorted(seen)}")
-    return v == str(positive).strip()
-
-
-def _read_records(path, delimiter: str, columns,
+def _read_columns(path, delimiter: str, columns,
                   missing_policy: MissingPolicy):
-    """Read the named columns of a delimited file, returning
-    (records, n_dropped).
-
-    Each record maps a column to its raw field and "_row" to its data
-    row (1-based, blank lines counted). Every named column must be in
-    the header. Lines holding nothing but delimiters and whitespace are
+    """(fields, rows, n_dropped): each named column's raw fields in the
+    kept rows, as an object array, and those rows' data row numbers
+    (1-based, blank lines counted). Every named column must be in the
+    header. Lines holding nothing but delimiters and whitespace are
     skipped; a row whose field in a named column is absent (a short row)
     or an NA token is dropped and counted (DROP_ROW) or rejected (ERROR).
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
         try:
-            header = next(reader)
+            header = [h.strip() for h in next(reader)]
         except StopIteration:
             raise SchemaError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        col_idx = {}
         for col in columns:
             if col not in header:
                 raise SchemaError(f"column {col!r} not found in header {header}")
-            col_idx[col] = header.index(col)
+        rows = list(reader)
+    col_idx = {col: header.index(col) for col in columns}
+    width = max(col_idx.values()) + 1
+    if rows and min(map(len, rows)) < width:  # an absent field is missing
+        rows = [row + [""] * (width - len(row)) for row in rows]
+    raw = {col: list(map(operator.itemgetter(j), rows))
+           for col, j in col_idx.items()}
+    missing = np.array([np.fromiter(map(NA_TOKENS.__contains__, map(
+        str.lower, map(str.strip, values))), bool, len(rows))
+        for values in raw.values()]).reshape(len(raw), len(rows))
+    # a row missing every named field may be blank, which is skipped
+    counted = missing.any(axis=0)
+    for i in np.flatnonzero(missing.all(axis=0)):
+        counted[i] = any(map(str.strip, rows[i]))
+    del rows  # frees the row lists; raw holds the fields
+    if missing_policy is MissingPolicy.ERROR and counted.any():
+        row = int(np.argmax(counted))
+        bad = [col for col, m in zip(raw, missing) if m[row]]
+        raise ParseError(f"missing value(s) in column(s) {bad} at "
+                         f"data row {row + 1}", row=row + 1)
+    keep = np.flatnonzero(~missing.any(axis=0))
+    return ({col: np.array(values, dtype=object)[keep]
+             for col, values in raw.items()},
+            keep + 1, int(np.count_nonzero(counted)))
 
-        records = []
-        n_dropped = 0
-        for row_no, raw in enumerate(reader, start=1):
-            if not raw or all(not c.strip() for c in raw):
+
+def _matches(values, level) -> np.ndarray:
+    """Whether each value, stripped, equals str(level) stripped."""
+    level = str(level).strip()
+    hits = {v for v in set(values) if v.strip() == level}
+    return np.fromiter(map(hits.__contains__, values), bool, len(values))
+
+
+def _convert(fields) -> list:
+    """Each (column, values, rows, level) field of a table of units,
+    converted in one operation: to floats, all finite, when level is
+    None, else to whether each value is the level, of at most two. If a
+    field fails, the units are walked in order, each unit's fields in
+    order, to raise the error that converting value by value raises
+    first."""
+    columns = []
+    for _, values, _, level in fields:
+        if level is not None:
+            if len({v.strip() for v in set(values)}) > 2:
+                break
+            columns.append(_matches(values, level))
+            continue
+        try:
+            numbers = values.astype(float)  # float() of each value
+        except ValueError:
+            break
+        if not np.isfinite(numbers).all():
+            break
+        columns.append(numbers)
+    else:
+        return columns
+    seen = [set() for _ in fields]
+    for k in range(len(fields[0][1])):
+        for (column, values, rows, level), levels in zip(fields, seen):
+            if level is None:
+                _to_float(values[k], int(rows[k]), column)
                 continue
-            record = {}
-            missing = False
-            for col, j in col_idx.items():
-                if j >= len(raw) or _is_missing(raw[j]):
-                    missing = True
-                    record[col] = None
-                else:
-                    record[col] = raw[j]
-            if missing:
-                if missing_policy is MissingPolicy.ERROR:
-                    bad = [c for c, v in record.items() if v is None]
-                    raise ParseError(f"missing value(s) in column(s) {bad} at "
-                                     f"data row {row_no}", row=row_no)
-                n_dropped += 1
-                continue
-            record["_row"] = row_no
-            records.append(record)
-    return records, n_dropped
+            levels.add(values[k].strip())
+            if len(levels) > 2:
+                raise SchemaError(f"column {column!r} has more than two "
+                                  f"levels: {sorted(levels)}")
+    raise AssertionError("a column failed that no value fails")
 
 
 def load_csv(path, schema: Schema, mechanism: AssignmentMechanism,
@@ -451,83 +477,84 @@ def load_csv(path, schema: Schema, mechanism: AssignmentMechanism,
     kept on the dataset) or rejected (ERROR). Retained rows keep file
     order. Raises SchemaError for unmapped columns, ParseError with the
     offending data row for non-numeric fields, and PanelValidationError
-    if any (group, eligibility) cell ends up empty.
+    if any (group, eligibility) cell ends up empty; the first error by
+    unit, and within a unit by field.
     """
-    rows, n_dropped = _read_records(path, schema.delimiter,
-                                    schema.mapped_columns(), missing_policy)
-    group_seen: set = set()
-    elig_seen: set = set()
-
-    def convert(uid, r1, y1_col, r2, y2_col) -> tuple:
-        """One unit's fields in PanelDataset order: each outcome from its
-        own record; group, eligibility and covariates from the period-1
-        record; the observed treatment from the period-2 record."""
-        return (uid,
-                _to_float(r1[y1_col], r1["_row"], y1_col),
-                _to_float(r2[y2_col], r2["_row"], y2_col),
-                _binary_level(r1[schema.group], schema.group_a_value,
-                              schema.group, group_seen),
-                _binary_level(r1[schema.eligibility], schema.eligible_value,
-                              schema.eligibility, elig_seen),
-                [_to_float(r1[c], r1["_row"], c) for c in schema.covariates],
-                schema.treatment is not None
-                and r2[schema.treatment].strip() == str(schema.treated_value).strip())
-
+    fields, rows, n_dropped = _read_columns(
+        path, schema.delimiter, schema.mapped_columns(), missing_policy)
+    pending = None
     if schema.is_long:
-        units, n_incomplete = _pivot_long(rows, schema, missing_policy, convert)
+        ids, first, second, n_incomplete, pending = _pair_periods(
+            fields, rows, schema, missing_policy)
         n_dropped += n_incomplete
+        y1_col = y2_col = schema.y
     else:
-        units = [convert(rec[schema.id] if schema.id is not None else k,
-                         rec, schema.y1, rec, schema.y2)
-                 for k, rec in enumerate(rows)]
-    ids, y1, y2, group_is_a, eligible, x, observed = (zip(*units) if units
-                                                      else [()] * 7)
+        first = second = slice(None)
+        ids = range(len(rows)) if schema.id is None else fields[schema.id]
+        y1_col, y2_col = schema.y1, schema.y2
 
+    def field(col, level=None, at=first):  # from the unit's row `at`
+        return col, fields[col][at], rows[at], level
+
+    y1, y2, group_is_a, eligible, *x = _convert([
+        field(y1_col), field(y2_col, at=second),
+        field(schema.group, schema.group_a_value),
+        field(schema.eligibility, schema.eligible_value),
+        *map(field, schema.covariates)])
+    if pending is not None:
+        raise pending
     return _require_every_cell(PanelDataset(
         ids=ids, y1=y1, y2=y2, group_is_a=group_is_a, eligible=eligible,
-        x=np.array(x, dtype=float).reshape(len(ids), len(schema.covariates)),
+        x=np.column_stack(x) if x else np.empty((len(y1), 0)),
         covariate_names=schema.covariates, mechanism=mechanism,
         n_dropped=n_dropped,
-        observed_treated=observed if schema.treatment is not None else None,
+        observed_treated=None if schema.treatment is None else _matches(
+            fields[schema.treatment][second], schema.treated_value),
     ))
 
 
-def _pivot_long(rows, schema: Schema, missing_policy: MissingPolicy,
-                convert) -> tuple[list, int]:
-    """Two rows per unit (one per period) to one converted unit each, in
-    the order of the units' first rows. Returns (units, n_dropped), where
-    n_dropped counts the units that lack a period."""
+def _pair_periods(fields, rows, schema: Schema,
+                  missing_policy: MissingPolicy) -> tuple:
+    """(ids, first, second, n_dropped, pending): a long table's units by
+    first row, their period-1 and period-2 rows, and the count lacking a
+    period. A bad period label raises; a unit lacking a period (ERROR)
+    or differing across periods ends the units, its error pending."""
     p1 = str(schema.period_1_value).strip()
     p2 = str(schema.period_2_value).strip()
     per_unit: dict = {}
-    for rec in rows:
-        row_no = rec["_row"]
-        uid = rec[schema.unit].strip()
-        period = rec[schema.period].strip()
+    for pos, (unit, period) in enumerate(zip(fields[schema.unit],
+                                             fields[schema.period])):
+        uid, period = unit.strip(), period.strip()
         if period not in (p1, p2):
             raise SchemaError(f"unexpected period label {period!r} at data row "
-                              f"{row_no}; expected {p1!r} or {p2!r}")
+                              f"{rows[pos]}; expected {p1!r} or {p2!r}")
         periods = per_unit.setdefault(uid, {})
         if period in periods:
             raise SchemaError(f"duplicate period {period!r} for unit {uid!r} "
-                              f"at data row {row_no}")
-        periods[period] = rec
+                              f"at data row {rows[pos]}")
+        periods[period] = pos
 
-    units = []
-    n_dropped = 0
+    ids, first, second = [], [], []
+    pending = None
     for uid, periods in per_unit.items():
-        if set(periods) != {p1, p2}:
-            if missing_policy is MissingPolicy.ERROR:
-                raise ParseError(f"unit {uid!r} lacks one of the two periods")
-            n_dropped += 1
-            continue
-        r1, r2 = periods[p1], periods[p2]
-        for col in (schema.group, schema.eligibility, *schema.covariates):
-            if r1[col].strip() != r2[col].strip():
-                raise SchemaError(f"unit {uid!r}: column {col!r} differs across "
-                                  f"periods ({r1[col]!r} vs {r2[col]!r})")
-        units.append(convert(uid, r1, schema.y, r2, schema.y))
-    return units, n_dropped
+        if set(periods) == {p1, p2}:
+            ids.append(uid)
+            first.append(periods[p1])
+            second.append(periods[p2])
+        elif missing_policy is MissingPolicy.ERROR:
+            pending = ParseError(f"unit {uid!r} lacks one of the two periods")
+            break
+    n_dropped = len(per_unit) - len(ids)
+    first, second = np.array(first, dtype=int), np.array(second, dtype=int)
+    for col in (schema.group, schema.eligibility, *schema.covariates):
+        v1, v2 = fields[col][first], fields[col][second]
+        differs = np.flatnonzero(list(map(str.__ne__, map(str.strip, v1),
+                                          map(str.strip, v2))))
+        for k in differs[:1]:  # the first unit that differs
+            pending = SchemaError(f"unit {ids[k]!r}: column {col!r} differs "
+                                  f"across periods ({v1[k]!r} vs {v2[k]!r})")
+            ids, first, second = ids[:k], first[:k], second[:k]
+    return ids, first, second, n_dropped, pending
 
 
 def save_csv(dataset: PanelDataset, path) -> Schema:
@@ -598,33 +625,26 @@ def load_replication_csv(path, overrides=None) -> PanelDataset:
     y2_components = ([[schema["y2"], 1.0]] if "y2" in schema
                      else schema["y2_components"])
     cutoff = float(schema["wage_cutoff"])
-    eligible_value = str(schema["eligible_value"]).strip()
-    columns = [schema["wage"],
-               *(c for parts in (y1_components, y2_components) for c, _ in parts),
-               *schema["covariates"], schema["state"]]
-    if schema["id"] is not None:
-        columns.append(schema["id"])
-    records, n_dropped = _read_records(path, ",", columns, MissingPolicy.DROP_ROW)
-    if not records:
+    numeric = [schema["wage"], *(c for parts in (y1_components, y2_components)
+                                 for c, _ in parts), *schema["covariates"]]
+    fields, rows, n_dropped = _read_columns(
+        path, ",", [*numeric, schema["state"]] + (
+            [] if schema["id"] is None else [schema["id"]]),
+        MissingPolicy.DROP_ROW)
+    if not len(rows):
         raise SchemaError(f"{path}: no usable rows; {REPLICATION_FORMAT}")
 
-    def composite(rec, components):
-        total = 0.0
-        for column, weight in components:
-            total += weight * _to_float(rec[column], rec["_row"], column)
-        return total
-
-    ids, y1, y2, group_a, eligible, x = [], [], [], [], [], []
-    for rec in records:
-        wage = _to_float(rec[schema["wage"]], rec["_row"], schema["wage"])
-        y1.append(composite(rec, y1_components))
-        y2.append(composite(rec, y2_components))
-        x.append([_to_float(rec[c], rec["_row"], c) for c in schema["covariates"]])
-        ids.append(rec["_row"] if schema["id"] is None else rec[schema["id"]])
-        group_a.append(wage <= cutoff)
-        eligible.append(rec[schema["state"]].strip() == eligible_value)
+    wage, *values = _convert([(c, fields[c], rows, None) for c in numeric])
+    values = iter(values)
+    with np.errstate(all="ignore"):  # an overflow fails as non-finite
+        y1, y2 = (functools.reduce(  # 0.0 + w1 * c1 + w2 * c2 ..., in order
+            lambda total, part: total + part[1] * next(values), parts, 0.0)
+            for parts in (y1_components, y2_components))
+    x = list(values)
     return _require_every_cell(PanelDataset(
-        ids=ids, y1=y1, y2=y2, group_is_a=group_a, eligible=eligible,
-        x=np.array(x, dtype=float),
+        ids=rows.tolist() if schema["id"] is None else fields[schema["id"]],
+        y1=y1, y2=y2, group_is_a=wage <= cutoff,
+        eligible=_matches(fields[schema["state"]], schema["eligible_value"]),
+        x=np.column_stack(x) if x else np.empty((len(rows), 0)),
         covariate_names=tuple(schema["covariates"]),
         mechanism=AssignmentMechanism.BOTH_GROUPS, n_dropped=n_dropped))

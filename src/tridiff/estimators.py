@@ -223,11 +223,6 @@ class BootstrapConfig:
                              f"{self.replications}")
 
 
-def _all_cells_present(cells: np.ndarray) -> bool:
-    """True when a resample's cell codes cover all four cells."""
-    return bool(np.bincount(cells, minlength=4).all())
-
-
 def _draw_indices(n: int, seed: int, counter: int) -> np.ndarray:
     """Unit indices of bootstrap draw `counter`: n draws with replacement
     from the draw's own counter-derived stream."""
@@ -236,43 +231,56 @@ def _draw_indices(n: int, seed: int, counter: int) -> np.ndarray:
     return rng.integers(0, n, size=n)
 
 
-def _usable_draws(dataset: PanelDataset, config: BootstrapConfig) -> list:
-    """Counters of the first config.replications draws whose resample has
-    every (group, eligibility) cell; a draw that empties a cell is
-    redrawn under the next counter. After 10 * replications total draws
-    the run aborts."""
-    cells = dataset.cell_codes()
-    cap = 10 * config.replications
-    usable = []
-    draws = 0
-    while len(usable) < config.replications:
-        if draws >= cap:
-            raise ResamplingError(
-                f"exceeded {cap} resampling attempts with only "
-                f"{len(usable)} usable replicates; cells are too sparse to "
-                f"bootstrap")
-        idx = _draw_indices(dataset.n, config.seed, draws)
-        if _all_cells_present(cells[idx]):
-            usable.append(draws)
-        draws += 1
-    return usable
+class _Draw(enum.Enum):
+    LACKS_CELL = "lacks a cell"  # a member keeps its identity when pickled
 
 
 def _estimate_draw(dataset: PanelDataset, estimator, seed: int,
                    counter: int):
-    return estimator(dataset.subset(_draw_indices(dataset.n, seed, counter)))
+    """The outcome of bootstrap draw `counter`: the estimator's value on
+    its resample, _Draw.LACKS_CELL when the resample empties a (group,
+    eligibility) cell, or the exception the estimator raised."""
+    idx = _draw_indices(dataset.n, seed, counter)
+    if not np.bincount(dataset.cell_codes()[idx], minlength=4).all():
+        return _Draw.LACKS_CELL
+    try:
+        return estimator(dataset.subset(idx))
+    except Exception as exc:  # re-raised by the parent if the draw is kept
+        return exc
 
 
 def bootstrap_replicates(dataset: PanelDataset,
                          estimator: Callable[[PanelDataset], float],
                          config: BootstrapConfig,
                          n_jobs: int = 1) -> np.ndarray:
-    """Estimator values over unit-level resamples with replacement, in
-    draw order. This process picks the usable draws; the resamples are
-    rebuilt from their counters and estimated by n_jobs worker processes
-    (n_jobs=1: here), so the values are the same for any n_jobs."""
+    """Estimator values on the first config.replications resamples, by
+    draw counter, with every (group, eligibility) cell. n_jobs worker
+    processes (1: this one) draw, screen and estimate each draw once;
+    this process maps the counters in rounds, in order, so the values
+    are the same for any n_jobs. 10 * replications draws without enough
+    usable ones raise ResamplingError; else the exception of the first
+    kept draw that raised one is raised; draws past the last kept one
+    are dropped, errors and all."""
     task = functools.partial(_estimate_draw, dataset, estimator, config.seed)
-    return np.array(map_ordered(task, _usable_draws(dataset, config), n_jobs))
+    wanted, cap = config.replications, 10 * config.replications
+    kept, counter = [], 0
+    while len(kept) < wanted:
+        if counter >= cap:
+            raise ResamplingError(
+                f"exceeded {cap} resampling attempts with only "
+                f"{len(kept)} usable replicates; cells are too sparse to "
+                f"bootstrap")
+        size = wanted - len(kept)
+        if counter:  # scaled by the usable share so far; if none, the rest
+            size = -(-size * counter // len(kept)) if kept else cap
+        outcomes = map_ordered(task, range(  # a draw per job at least
+            counter, min(counter + max(size, n_jobs), cap)), n_jobs)
+        counter += len(outcomes)
+        kept += [o for o in outcomes if o is not _Draw.LACKS_CELL]
+    for outcome in kept[:wanted]:
+        if isinstance(outcome, Exception):
+            raise outcome
+    return np.array(kept[:wanted])
 
 
 def bootstrap_ses(dataset: PanelDataset,

@@ -47,7 +47,9 @@ def worker_count(n_items: int, n_jobs: int) -> int:
 
 def map_ordered(task: Callable, items: Sequence, n_jobs: int = 1) -> list:
     """[task(item) for item in items], computed by up to n_jobs worker
-    processes; n_jobs=1 runs in this process.
+    processes; n_jobs=1 runs in this process. The first failing item's
+    exception is raised here; a task returns failures as values where
+    every item's outcome counts, as in the bootstrap's rounds of draws.
 
     Workers start by the platform's default method. On Linux up to
     Python 3.13 that is fork: a worker shares the modules and data

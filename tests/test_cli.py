@@ -308,6 +308,26 @@ def test_one_bootstrap_draw_is_exit_2(command, panel_csv, wage_csv,
     assert not (out / "results.json").exists()
 
 
+@pytest.mark.parametrize("args", [
+    ["estimate", "--methods", "ols-tdid", "--trim", "nan"],
+    ["estimate", "--methods", "ols-tdid", "--trim", "-5"],
+    ["estimate", "--bootstrap-reps", "1"],
+    ["simulate", "--trim", "nan"],
+    ["simulate", "--replications", "0"],
+], ids=["estimate-trim-nan", "estimate-trim-negative", "estimate-one-draw",
+        "simulate-trim-nan", "simulate-no-replications"])
+def test_bad_option_is_exit_2_before_any_file_is_written(args, panel_csv,
+                                                         tmp_path):
+    # checked before the config echo, so no file holds the bad value
+    out = tmp_path / "o"
+    data = (["--input", panel_csv, "--schema", SCHEMA] if args[0] == "estimate"
+            else ["--n", "100", "--replications", "3", "--jobs", "1"])
+    assert run(args[:1] + data + args[1:] + ["--out", out]) == 2
+    assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "ValueError" and err["exit_code"] == 2
+
+
 def test_estimate_or_only_fits_no_logit(tmp_path, monkeypatch):
     # each cell holds its own stretch of the covariate, with razor-thin
     # gaps between them, so the four-cell logit separates
@@ -527,6 +547,28 @@ def test_estimate_bootstrap_in_spawned_workers_is_byte_identical(panel_csv,
     for name in ("results.json", "results.txt"):
         assert ((tmp_path / "serial" / name).read_bytes()
                 == (tmp_path / "spawn" / name).read_bytes())
+
+
+def test_bootstrap_workers_leave_numpy_random_out_of_the_parent(panel_csv,
+                                                                tmp_path):
+    # the workers draw and screen every resample; a draw in this process
+    # would import numpy.random, about 5.5 MB resident that each worker
+    # forked after it would start with
+    args = ["estimate", "--input", str(panel_csv), "--schema", SCHEMA,
+            "--methods", "dr,naive,or-diffs", "--bootstrap-reps", "9",
+            "--jobs", "2", "--out", str(tmp_path / "o")]
+    code = ("import sys\n"
+            "from tridiff.cli import main\n"
+            f"code = main({args!r})\n"
+            "print('numpy.random' in sys.modules)\n"
+            "sys.exit(code)\n")
+    src = str(Path(tridiff.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        timeout=300,
+        env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[-1] == "False"
 
 
 @pytest.mark.parametrize("command", ["estimate", "replicate", "simulate"])

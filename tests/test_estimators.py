@@ -9,8 +9,10 @@ independently known number, not a snapshot.
 
 import cProfile
 import dataclasses
+import functools
 import math
 import pstats
+import re
 
 import numpy as np
 import pytest
@@ -632,20 +634,48 @@ def test_normalized_refit_reproduces_the_fit(small_sample):
 def test_degenerate_resamples_redrawn_then_capped(small_sample, monkeypatch):
     ds, nuis = small_sample
     runner = refit_estimates(nuis)
-    monkeypatch.setattr(est_mod, "_all_cells_present", lambda d: False)
+    # every resample repeats unit 0, so it holds one cell
+    monkeypatch.setattr(est_mod, "_draw_indices",
+                        lambda n, seed, counter: np.zeros(n, dtype=int))
     with pytest.raises(ResamplingError):
         bootstrap_ses(ds, runner, BootstrapConfig(replications=3, seed=0))
 
 
-def test_resampling_cap_raises_before_any_worker_starts(small_sample,
-                                                        monkeypatch):
-    # the draws are picked in this process, so the cap holds however
-    # many workers would refit them
-    ds, nuis = small_sample
-    monkeypatch.setattr(est_mod, "_all_cells_present", lambda d: False)
-    with pytest.raises(ResamplingError, match="exceeded 30"):
-        bootstrap_ses(ds, refit_estimates(nuis),
-                      BootstrapConfig(replications=3, seed=0), n_jobs=2)
+def only_some_draws_usable(usable, draw_indices, n, seed, counter):
+    """Draw `counter`'s units if it is in `usable`, else unit 0 n times,
+    which leaves three cells empty."""
+    if counter in usable:
+        return draw_indices(n, seed, counter)
+    return np.zeros(n, dtype=int)
+
+
+def failing_estimator(d):
+    raise EstimationError(f"the refit on units {d.ids[:4].tolist()} fails")
+
+
+@pytest.mark.parametrize("n_jobs", [1, 2])
+def test_resampling_cap_beats_a_failing_refit(small_sample, monkeypatch,
+                                              n_jobs):
+    # only draws 3 and 17 of the first 30 are usable, and both would fail
+    # to refit: the cap is raised, as when every draw was screened before
+    # any refit, however many workers refit them
+    ds, _ = small_sample
+    monkeypatch.setattr(est_mod, "_draw_indices", functools.partial(
+        only_some_draws_usable, (3, 17), est_mod._draw_indices))
+    with pytest.raises(ResamplingError, match="exceeded 30 resampling "
+                                              "attempts with only 2 usable"):
+        bootstrap_ses(ds, failing_estimator,
+                      BootstrapConfig(replications=3, seed=0), n_jobs=n_jobs)
+
+
+@pytest.mark.parametrize("n_jobs", [1, 2])
+def test_the_first_failing_kept_draw_is_raised(small_sample, n_jobs):
+    ds, _ = small_sample
+    first = ds.ids[est_mod._draw_indices(ds.n, 0, 0)[:4]].tolist()
+    with pytest.raises(EstimationError,
+                       match=re.escape(f"units {first} fails")):
+        bootstrap_ses(ds, failing_estimator,
+                      BootstrapConfig(replications=4, seed=0), n_jobs=n_jobs)
 
 
 def cell_gap(d):
@@ -654,23 +684,77 @@ def cell_gap(d):
                   - dd[d.group_is_a & ~d.eligible].mean()),)
 
 
-def test_bootstrap_empty_cell_redraw_is_deterministic():
+def resample_ids(d):
+    """A fingerprint of the resample: its unit ids, in draw order."""
+    return tuple(float(i) for i in d.ids)
+
+
+def usable_draws(dataset, config):
+    """Reference selection rule: the counters of the first
+    config.replications draws whose resample has every (group,
+    eligibility) cell, found by drawing each resample in turn."""
+    cells = dataset.cell_codes()
+    usable = []
+    counter = 0
+    while len(usable) < config.replications:
+        idx = est_mod._draw_indices(dataset.n, config.seed, counter)
+        if np.bincount(cells[idx], minlength=4).all():
+            usable.append(counter)
+        counter += 1
+    return usable
+
+
+@pytest.fixture(scope="module")
+def sparse_panel():
     # tiny cells make degenerate resamples likely, exercising the redraw
     r = np.random.default_rng(55)
     n = 24
     group = np.arange(n) % 2 == 0
     elig = np.repeat([True] * 2 + [False] * 10, 2)
-    ds = PanelDataset(ids=np.arange(n), y1=r.normal(size=n),
-                      y2=r.normal(size=n), group_is_a=group, eligible=elig,
-                      x=np.empty((n, 0)), covariate_names=(),
-                      mechanism=AssignmentMechanism.BOTH_GROUPS)
+    return PanelDataset(ids=np.arange(n), y1=r.normal(size=n),
+                        y2=r.normal(size=n), group_is_a=group, eligible=elig,
+                        x=np.empty((n, 0)), covariate_names=(),
+                        mechanism=AssignmentMechanism.BOTH_GROUPS)
 
+
+def test_bootstrap_empty_cell_redraw_is_deterministic(sparse_panel):
+    ds = sparse_panel
     config = BootstrapConfig(replications=40, seed=6)
-    assert est_mod._usable_draws(ds, config)[-1] >= 40  # some were redrawn
+    assert usable_draws(ds, config)[-1] >= 40  # some were redrawn
     serial = bootstrap_ses(ds, cell_gap, config)
     assert serial == bootstrap_ses(ds, cell_gap, config)
     # worker processes get the same draws, redraws included
     assert serial == bootstrap_ses(ds, cell_gap, config, n_jobs=2)
+
+
+@pytest.mark.parametrize("n_jobs", [1, 2])
+def test_bootstrap_evaluates_the_first_usable_draws_in_order(sparse_panel,
+                                                             n_jobs):
+    ds = sparse_panel
+    config = BootstrapConfig(replications=40, seed=6)
+    expected = [list(resample_ids(ds.subset(est_mod._draw_indices(
+        ds.n, config.seed, counter)))) for counter in usable_draws(ds, config)]
+    assert bootstrap_replicates(ds, resample_ids, config,
+                                n_jobs).tolist() == expected
+
+
+def fails_on(fingerprint, d):
+    if resample_ids(d) == fingerprint:
+        raise EstimationError("this refit fails")
+    return resample_ids(d)
+
+
+@pytest.mark.parametrize("n_jobs", [1, 2])
+def test_draws_past_the_last_kept_one_are_dropped(sparse_panel, n_jobs):
+    # the second round takes the 41st usable draw too: its failure is
+    # dropped with it
+    ds = sparse_panel
+    config = BootstrapConfig(replications=40, seed=6)
+    extra = usable_draws(ds, BootstrapConfig(replications=41, seed=6))[-1]
+    estimator = functools.partial(fails_on, resample_ids(ds.subset(
+        est_mod._draw_indices(ds.n, config.seed, extra))))
+    assert np.array_equal(bootstrap_replicates(ds, estimator, config, n_jobs),
+                          bootstrap_replicates(ds, resample_ids, config))
 
 
 def test_bootstrap_refits_in_workers_equal_serial(small_sample):
