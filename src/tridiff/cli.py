@@ -19,17 +19,17 @@ import math
 import sys
 from pathlib import Path
 
-from .data import (AssignmentMechanism, Group, MissingPolicy,
+from .data import (AssignmentMechanism, Group, MissingPolicy, PanelDataset,
                    REPLICATION_FORMAT, Schema, load_csv, load_replication_csv,
                    validate)
-from .dgp import (DgpSpec, EffectCase, closed_form_oracle, export_histogram,
-                  run_monte_carlo)
-from .estimators import (OR_METHODS, BootstrapConfig, EstimateResult, Method,
-                         SeKind, bias_diagnostic, bootstrap_ses,
-                         estimate_doubly_robust, ols_did, ols_tdid,
-                         refit_estimates)
-from .exceptions import (EstimationError, FittingError, IngestionError,
-                         SchemaError, TridiffError, TrimmingError)
+from .dgp import (HISTOGRAM_BINS, DgpSpec, EffectCase, closed_form_oracle,
+                  export_histogram, run_monte_carlo)
+from .estimators import (DEFAULT_BOOTSTRAP_REPS, OR_METHODS, BootstrapConfig,
+                         EstimateResult, Method, SeKind, bias_diagnostic,
+                         bootstrap_ses, estimate_doubly_robust, ols_did,
+                         ols_tdid, refit_estimates)
+from .exceptions import (FittingError, IngestionError, SchemaError,
+                         TridiffError, TrimmingError)
 from .nuisance import (DEFAULT_TRIM_EPSILON, NuisanceMode, fit_nuisances)
 from .parallel import _retain_freed_heap, default_jobs
 from .scores import FitEvaluation, ScoreKind, dump_scores
@@ -60,20 +60,15 @@ REFERENCE_TABLE = {
 }
 
 
+# exception family -> exit code; the first family an error belongs to wins
+EXIT_CODES = ((TrimmingError, EXIT_TRIMMING), (IngestionError, EXIT_INGESTION),
+              (FittingError, EXIT_NUISANCE), (TridiffError, EXIT_ESTIMATION),
+              (OSError, EXIT_IO), (ValueError, EXIT_INGESTION))
+
+
 def exit_code_for(exc: BaseException) -> int:
-    if isinstance(exc, TrimmingError):
-        return EXIT_TRIMMING
-    if isinstance(exc, IngestionError):
-        return EXIT_INGESTION
-    if isinstance(exc, FittingError):
-        return EXIT_NUISANCE
-    if isinstance(exc, (EstimationError, TridiffError)):
-        return EXIT_ESTIMATION
-    if isinstance(exc, OSError):
-        return EXIT_IO
-    if isinstance(exc, ValueError):
-        return EXIT_INGESTION
-    return EXIT_ESTIMATION
+    return next((code for family, code in EXIT_CODES
+                 if isinstance(exc, family)), EXIT_ESTIMATION)
 
 
 # ---------------------------------------------------------------------------
@@ -115,32 +110,85 @@ def _result_row(name: str, result: EstimateResult):
 # Configuration resolution
 # ---------------------------------------------------------------------------
 
-def _apply_config_file(ns: argparse.Namespace) -> None:
-    """Fill unset options from --config; command-line values win."""
-    if getattr(ns, "config", None) is None:
-        return
+class _CommandParser(argparse.ArgumentParser):
+    """A command's parser: a bad option raises ValueError (exit 2)."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
+def _read_early(args: list, ns: argparse.Namespace) -> None:
+    """Set ns.out and ns.config from args before args are parsed, so
+    that an error in args is reported in --out."""
+    probe = _CommandParser(add_help=False)
+    probe.add_argument("--out")
+    probe.add_argument("--config")
+    probe.parse_known_args(args, ns)
+
+
+def _config_args(ns: argparse.Namespace) -> list:
+    """--config's values as the flags that would give them: a switch
+    takes true or false, --schema also a JSON object, and null keeps the
+    default. A config echo names its command, which must be this one."""
     with open(ns.config, encoding="utf-8") as fh:
         loaded = json.load(fh)
     if not isinstance(loaded, dict):
         raise SchemaError("config file must hold a JSON object")
+    args = []
     for key, value in loaded.items():
-        attr = key.replace("-", "_")
-        if not hasattr(ns, attr):
+        dest = key.replace("-", "_")
+        if value is None or (dest == "command" and value == ns.command):
+            continue
+        if dest in ("command", "config", "func") or not hasattr(ns, dest):
             raise SchemaError(f"unknown config key {key!r}")
-        if getattr(ns, attr) is None:
-            setattr(ns, attr, value)
+        switch = isinstance(getattr(ns, dest), bool)
+        if dest == "schema" and isinstance(value, dict):
+            value = json.dumps(value)
+        if (switch != isinstance(value, bool)
+                or isinstance(value, (list, dict))):
+            wanted = "true or false" if switch else "a string or a number"
+            raise ValueError(f"config key {key!r} takes {wanted}, got "
+                             f"{value!r}")
+        flag = "--" + dest.replace("_", "-")
+        if value is not False:  # a switch set to false stays off
+            args.append(flag if switch else f"{flag}={value}")
+    return args
 
 
-def _fill(ns: argparse.Namespace, **defaults) -> None:
-    for attr, value in defaults.items():
-        if getattr(ns, attr, None) is None:
-            setattr(ns, attr, value)
+# (rule, test) by option, or by (command, option), checked after the
+# --config merge and before a command reads or writes a file
+OPTION_RULES = {
+    "seed": ("≥ 0", lambda v: v is None or v >= 0),
+    "jobs": ("≥ 1", lambda v: v >= 1),
+    "trim": ("a trim_epsilon in [0, 1)", lambda v: 0.0 <= v < 1.0),
+    "bins": ("≥ 1", lambda v: v >= 1),
+    "replications": ("≥ 1", lambda v: v >= 1),
+    "bootstrap_reps": ("0 or ≥ 2", lambda v: v == 0 or v >= 2),
+    ("replicate", "bootstrap_reps"): ("≥ 2", lambda v: v >= 2),
+}
 
 
-def _parse_schema_arg(raw) -> dict:
+def _resolve(parser: argparse.ArgumentParser, argv: list,
+             ns: argparse.Namespace) -> None:
+    """Fill ns (the command's defaults) from argv's flags over --config's
+    values, each parsed as its flag's text, then check OPTION_RULES."""
+    _read_early(argv, ns)
+    if ns.config is not None:
+        argv = argv[:1] + _config_args(ns) + argv[1:]
+        _read_early(argv, ns)
+    extras = parser.parse_known_args(argv, ns)[1]
+    if extras:
+        raise ValueError(f"unrecognized arguments: {' '.join(extras)}")
+    for dest, value in vars(ns).items():
+        rule, test = OPTION_RULES.get((ns.command, dest),
+                                      OPTION_RULES.get(dest, (None, None)))
+        if test is not None and not test(value):
+            raise ValueError(f"--{dest.replace('_', '-')} must be {rule}, "
+                             f"got {value}")
+
+
+def _parse_schema_arg(raw: str) -> dict:
     """--schema takes inline JSON or a path to a JSON file."""
-    if isinstance(raw, dict):
-        return raw
     text = raw.strip()
     if not text.startswith("{"):
         with open(raw, encoding="utf-8") as fh:
@@ -154,44 +202,27 @@ def _parse_schema_arg(raw) -> dict:
     return mapping
 
 
-def _jobs(ns) -> int:
-    """--jobs, by default the cores this process may use; at least 1."""
-    _fill(ns, jobs=default_jobs())
-    ns.jobs = int(ns.jobs)
-    if ns.jobs < 1:
-        raise ValueError(f"--jobs must be ≥ 1, got {ns.jobs}")
-    return ns.jobs
-
-
-def _trim(ns) -> float:
-    trim = float(ns.trim)
-    if not 0.0 <= trim < 1.0:  # NaN fails too; checked for every method set
-        raise ValueError(f"trim_epsilon must be in [0, 1), got {trim}")
-    return trim
-
-
-def _mechanism(ns) -> AssignmentMechanism:
-    return AssignmentMechanism(ns.mechanism)
+def _load_panel(ns) -> PanelDataset:
+    """estimate's and validate's --input, read with --schema."""
+    if ns.input is None:
+        raise SchemaError(f"{ns.command} needs --input CSV")
+    if ns.schema is None:
+        raise SchemaError(
+            f"{ns.command} needs --schema (JSON mapping or file)")
+    return load_csv(ns.input, Schema.from_dict(_parse_schema_arg(ns.schema)),
+                    AssignmentMechanism(ns.mechanism),
+                    MissingPolicy(ns.missing_policy))
 
 
 def _out_dir(ns) -> Path:
+    """Make --out, drop a stale error.json and echo the configuration."""
     out = Path(ns.out)
     out.mkdir(parents=True, exist_ok=True)
-    stale = out / "error.json"
-    if stale.exists():
-        stale.unlink()
+    (out / "error.json").unlink(missing_ok=True)
+    _write_json(out / "config_echo.json", {
+        key: value for key, value in vars(ns).items()
+        if key not in ("config", "func")})
     return out
-
-
-def _echo_config(ns, out: Path, command: str) -> dict:
-    echo = {"command": command}
-    skip = {"config", "func"}
-    for key, value in sorted(vars(ns).items()):
-        if key in skip or callable(value):
-            continue
-        echo[key] = value
-    _write_json(out / "config_echo.json", echo)
-    return echo
 
 
 # ---------------------------------------------------------------------------
@@ -209,40 +240,21 @@ SCORE_METHODS = {"dr": Method.DR_REWEIGHTED,
                  "or-diff-awb": Method.OR_REWEIGHTED_DIFFERENCE}
 
 
-def _parse_methods(raw: str) -> list:
-    methods = [m.strip() for m in raw.split(",") if m.strip()]
-    bad = [m for m in methods if m not in METHOD_CHOICES]
-    if bad:
-        raise ValueError(f"unknown method(s) {bad}; choose from "
-                         f"{', '.join(METHOD_CHOICES)}")
-    if not methods:
-        raise ValueError("empty method list")
-    return methods
+def _methods(text: str) -> str:
+    """--methods' type: a comma list from METHOD_CHOICES, as "a,b"."""
+    methods = [m.strip() for m in text.split(",") if m.strip()]
+    if not methods or not set(methods) <= set(METHOD_CHOICES):
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a comma list from {', '.join(METHOD_CHOICES)}")
+    return ",".join(methods)
 
 
 def cmd_estimate(ns: argparse.Namespace) -> int:
-    _fill(ns, schema=None, mechanism="both", methods="dr,naive",
-          trim=DEFAULT_TRIM_EPSILON, normalize_weights=False,
-          bootstrap_reps=0, seed=0, out="tridiff-out", se="hc1",
-          missing_policy="drop_row", dump_scores=False, dump_nuisances=False)
-    jobs = _jobs(ns)
-    if ns.input is None:
-        raise SchemaError("estimate needs --input CSV")
-    if ns.schema is None:
-        raise SchemaError("estimate needs --schema (JSON mapping or file)")
-
-    reps = int(ns.bootstrap_reps)
-    boot = BootstrapConfig(replications=reps, seed=int(ns.seed)) if reps else None
-    trim = _trim(ns)
-
-    schema = Schema.from_dict(_parse_schema_arg(ns.schema))
-    dataset = load_csv(ns.input, schema, _mechanism(ns),
-                       MissingPolicy(ns.missing_policy))
-    methods = _parse_methods(ns.methods)
+    boot = (BootstrapConfig(replications=ns.bootstrap_reps, seed=ns.seed)
+            if ns.bootstrap_reps else None)
+    dataset = _load_panel(ns)
+    methods = ns.methods.split(",")
     out = _out_dir(ns)
-    _echo_config(ns, out, "estimate")
-
-    normalize = bool(ns.normalize_weights)
     se_kind = SeKind(ns.se)
 
     keys = [key for method in methods for key in (
@@ -256,7 +268,7 @@ def cmd_estimate(ns: argparse.Namespace) -> int:
         nuis = fit_nuisances(
             dataset, NuisanceMode.SCORE_SET if need_logit
             else NuisanceMode.OUTCOME_ONLY,
-            trim_epsilon=trim, normalize=normalize)
+            trim_epsilon=ns.trim, normalize=ns.normalize_weights)
 
     # every score method, the bias diagnostic and the score dump come from
     # one evaluation of the fit and, with a bootstrap, every score method
@@ -269,7 +281,7 @@ def cmd_estimate(ns: argparse.Namespace) -> int:
     extras = {}
     if score_keys and boot is not None:
         for key, se in zip(score_keys, bootstrap_ses(dataset, refit_estimates(
-                nuis, score_methods), boot, jobs)):
+                nuis, score_methods), boot, ns.jobs)):
             if results[key].se is None:
                 results[key] = dataclasses.replace(results[key], se=se)
             else:
@@ -320,29 +332,19 @@ def cmd_estimate(ns: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_simulate(ns: argparse.Namespace) -> int:
-    _fill(ns, n=2000, replications=2000, case="heterogeneous", mu_a=1.0,
-          mu_b=3.0, mechanism="both", seed=7, bins=50, trim=0.0,
-          normalize_weights=False, out="tridiff-sim")
-    jobs = _jobs(ns)
-    if int(ns.bins) < 1:  # checked before any replication runs
-        raise ValueError(f"--bins must be ≥ 1, got {ns.bins}")
-    if int(ns.replications) < 1:
-        raise ValueError("replications must be ≥ 1")
-    spec = DgpSpec(n=int(ns.n), seed=int(ns.seed), mu_a=float(ns.mu_a),
-                   mu_b=float(ns.mu_b), effect_case=EffectCase(ns.case),
-                   mechanism=_mechanism(ns))
-    fit_options = {"trim_epsilon": _trim(ns),
-                   "normalize": bool(ns.normalize_weights)}
+    spec = DgpSpec(n=ns.n, seed=ns.seed, mu_a=ns.mu_a, mu_b=ns.mu_b,
+                   effect_case=EffectCase(ns.case),
+                   mechanism=AssignmentMechanism(ns.mechanism))
     out = _out_dir(ns)
-    _echo_config(ns, out, "simulate")
 
-    result = run_monte_carlo(spec, int(ns.replications), fit_options,
-                             n_jobs=jobs)
+    result = run_monte_carlo(spec, ns.replications, {
+        "trim_epsilon": ns.trim, "normalize": ns.normalize_weights},
+        n_jobs=ns.jobs)
     oracle = closed_form_oracle(spec)
     summary = result.summary()
     summary["oracle"] = oracle.to_dict()
     _write_json(out / "summary.json", summary)
-    export_histogram(result, out / "histogram.csv", bins=int(ns.bins))
+    export_histogram(result, out / "histogram.csv", bins=ns.bins)
 
     rows = [
         ["naive difference", _fmt(summary["naive"]["mean"]),
@@ -364,9 +366,6 @@ OR_QUANTITIES = ("did_a", "did_b", "wdid_b", "diff_ab", "diff_awb")
 
 
 def cmd_replicate(ns: argparse.Namespace) -> int:
-    _fill(ns, schema=None, bootstrap_reps=999, seed=0, out="tridiff-replication",
-          se="hc1")
-    jobs = _jobs(ns)
     if ns.input is None:
         raise SchemaError("replicate needs --input pointing at the "
                           "minimum-wage CSV (not distributed with this "
@@ -374,7 +373,6 @@ def cmd_replicate(ns: argparse.Namespace) -> int:
     overrides = _parse_schema_arg(ns.schema) if ns.schema else None
     dataset = load_replication_csv(ns.input, overrides)
     out = _out_dir(ns)
-    _echo_config(ns, out, "replicate")
 
     warnings = []
     if dataset.n != EXPECTED_REPLICATION_ROWS:
@@ -382,8 +380,7 @@ def cmd_replicate(ns: argparse.Namespace) -> int:
                         f"{EXPECTED_REPLICATION_ROWS} after drops")
 
     se_kind = SeKind(ns.se)
-    boot = BootstrapConfig(replications=int(ns.bootstrap_reps),
-                           seed=int(ns.seed))
+    boot = BootstrapConfig(replications=ns.bootstrap_reps, seed=ns.seed)
     computed = {}
     for with_controls in (False, True):
         computed[("ols", with_controls)] = {
@@ -394,7 +391,7 @@ def cmd_replicate(ns: argparse.Namespace) -> int:
         ds = dataset if with_controls else dataset.without_covariates()
         nuis = fit_nuisances(ds, NuisanceMode.OUTCOME_ONLY)
         ses = bootstrap_ses(ds, refit_estimates(nuis, methods=OR_METHODS),
-                            boot, jobs)
+                            boot, ns.jobs)
         computed[("or", with_controls)] = {
             key: dataclasses.replace(res, se=se) for key, res, se in zip(
                 OR_QUANTITIES, estimate_doubly_robust(
@@ -468,17 +465,8 @@ def cmd_replicate(ns: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_validate(ns: argparse.Namespace) -> int:
-    _fill(ns, schema=None, mechanism="both", missing_policy="drop_row",
-          out="tridiff-validate")
-    if ns.input is None:
-        raise SchemaError("validate needs --input CSV")
-    if ns.schema is None:
-        raise SchemaError("validate needs --schema (JSON mapping or file)")
-    schema = Schema.from_dict(_parse_schema_arg(ns.schema))
-    dataset = load_csv(ns.input, schema, _mechanism(ns),
-                       MissingPolicy(ns.missing_policy))
+    dataset = _load_panel(ns)
     out = _out_dir(ns)
-    _echo_config(ns, out, "validate")
 
     report = validate(dataset)
     _write_json(out / "validation.json", report.to_dict())
@@ -491,86 +479,95 @@ def cmd_validate(ns: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
+    """The parser: each option's type, choices and default, declared once."""
     parser = argparse.ArgumentParser(
         prog="tridiff",
         description="Triple difference-in-differences estimation with "
                     "covariate reweighting")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=_CommandParser)
+    # options that several commands declare alike, built for each: parsers
+    # sharing an argument through parents= share its default
+    shared = {
+        "--input": dict(help="panel CSV path"),
+        "--schema": dict(help="column mapping, inline JSON or a file path"),
+        "--mechanism": dict(choices=[m.value for m in AssignmentMechanism],
+                            default=AssignmentMechanism.BOTH_GROUPS.value,
+                            help="which eligible units are treated"),
+        "--missing-policy": dict(choices=[m.value for m in MissingPolicy],
+                                 default=MissingPolicy.DROP_ROW.value,
+                                 help="handling of rows with missing fields"),
+        "--jobs": dict(type=int, default=default_jobs(),
+                       help="processes for bootstrap draws or Monte Carlo "
+                            "replications, one per usable core by default; "
+                            "1 runs in-process; outputs do not depend on it"),
+        "--normalize-weights": dict(action="store_true", help="rescale "
+                                    "control weights by their sample mean"),
+        "--se": dict(choices=[k.value for k in SeKind],
+                     default=SeKind.ROBUST.value,
+                     help="regression standard errors"),
+    }
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON config file; command-line "
-                                         "flags override its keys")
-    common.add_argument("--out", help="output directory")
-    common.add_argument("--seed", type=int, help="master seed")
+    def command(name, func, help, out, seed, *flags):
+        p = sub.add_parser(name, help=help, formatter_class=argparse.
+                           ArgumentDefaultsHelpFormatter)
+        p.set_defaults(func=func)
+        p.add_argument("--config", help="JSON file of options; flags win")
+        p.add_argument("--out", default=out, help="output directory")
+        p.add_argument("--seed", type=int, default=seed, help="master seed")
+        for flag in flags:
+            p.add_argument(flag, **shared[flag])
+        return p
 
-    data_args = argparse.ArgumentParser(add_help=False)
-    data_args.add_argument("--input", help="panel CSV path")
-    data_args.add_argument("--schema", help="column mapping, inline JSON or "
-                                            "a JSON file path")
-    data_args.add_argument("--mechanism", choices=["only-a", "both"],
-                           help="which eligible units are treated "
-                                "(default both)")
-    data_args.add_argument("--missing-policy", choices=["drop_row", "error"],
-                           help="handling of rows with missing fields")
-
-    jobs_args = argparse.ArgumentParser(add_help=False)
-    jobs_args.add_argument("--jobs", type=int,
-                           help="worker processes for bootstrap draws or "
-                                "Monte Carlo replications, at least 1 "
-                                "(default: the cores this process may use; "
-                                "1 runs in-process); outputs do not depend "
-                                "on it")
-
-    p_est = sub.add_parser("estimate", parents=[common, data_args, jobs_args],
-                           help="run estimators on a panel CSV")
-    p_est.add_argument("--methods", help="comma list from: "
-                                         + ", ".join(METHOD_CHOICES))
-    p_est.add_argument("--trim", type=float,
-                       help="propensity trimming threshold (default 0.01)")
-    p_est.add_argument("--normalize-weights", action="store_const", const=True,
-                       help="rescale control weights by their sample mean")
-    p_est.add_argument("--bootstrap-reps", type=int,
-                       help="pairs-bootstrap replications, at least 2 "
-                            "(0 = analytic only)")
-    p_est.add_argument("--se", choices=[k.value for k in SeKind],
-                       help="regression standard errors (default hc1)")
-    p_est.add_argument("--dump-scores", action="store_const", const=True,
+    p_est = command("estimate", cmd_estimate, "run estimators on a panel CSV",
+                    "tridiff-out", 0, "--input", "--schema", "--mechanism",
+                    "--missing-policy", "--jobs", "--normalize-weights",
+                    "--se")
+    p_est.add_argument("--methods", type=_methods, default="dr,naive",
+                       help="comma list from: " + ", ".join(METHOD_CHOICES))
+    p_est.add_argument("--trim", type=float, default=DEFAULT_TRIM_EPSILON,
+                       help="propensity trimming threshold in [0, 1); 0 "
+                            "turns trimming off")
+    p_est.add_argument("--bootstrap-reps", type=int, default=0,
+                       help="pairs-bootstrap replications: 0 for analytic "
+                            "SEs only, else at least 2")
+    p_est.add_argument("--dump-scores", action="store_true",
                        help="write per-unit score values to scores.csv")
-    p_est.add_argument("--dump-nuisances", action="store_const", const=True,
+    p_est.add_argument("--dump-nuisances", action="store_true",
                        help="write fitted nuisance models as JSON")
-    p_est.set_defaults(func=cmd_estimate)
 
-    p_sim = sub.add_parser("simulate", parents=[common, jobs_args],
-                           help="Monte Carlo study against closed-form truth")
-    p_sim.add_argument("--n", type=int, help="sample size per replication")
-    p_sim.add_argument("--replications", type=int, help="number of samples")
+    p_sim = command("simulate", cmd_simulate,
+                    "Monte Carlo study against closed-form truth",
+                    "tridiff-sim", 7, "--jobs", "--mechanism",
+                    "--normalize-weights")
+    p_sim.add_argument("--n", type=int, default=2000, help="sample size")
+    p_sim.add_argument("--replications", type=int, default=2000,
+                       help="number of samples")
     p_sim.add_argument("--case", choices=[c.value for c in EffectCase],
+                       default=DgpSpec.effect_case.value,
                        help="treatment effect form")
-    p_sim.add_argument("--mu-a", type=float, help="group A covariate mean")
-    p_sim.add_argument("--mu-b", type=float, help="group B covariate mean")
-    p_sim.add_argument("--mechanism", choices=["only-a", "both"])
-    p_sim.add_argument("--bins", type=int, help="histogram bins")
-    p_sim.add_argument("--trim", type=float,
-                       help="propensity trimming threshold (default 0: the "
-                            "simulated covariate has unbounded support)")
-    p_sim.add_argument("--normalize-weights", action="store_const", const=True)
-    p_sim.set_defaults(func=cmd_simulate)
+    p_sim.add_argument("--mu-a", type=float, default=DgpSpec.mu_a,
+                       help="group A covariate mean")
+    p_sim.add_argument("--mu-b", type=float, default=DgpSpec.mu_b,
+                       help="group B covariate mean")
+    p_sim.add_argument("--bins", type=int, default=HISTOGRAM_BINS,
+                       help="histogram bins")
+    p_sim.add_argument("--trim", type=float, default=0.0,
+                       help="propensity trimming threshold; the simulated "
+                            "covariate has unbounded support")
 
-    p_rep = sub.add_parser("replicate", parents=[common, jobs_args],
-                           help="minimum-wage application comparison table")
+    p_rep = command("replicate", cmd_replicate,
+                    "minimum-wage application comparison table",
+                    "tridiff-replication", 0, "--jobs", "--se")
     p_rep.add_argument("--input", help="replication CSV (user supplied)")
-    p_rep.add_argument("--schema", help="replication schema overrides, "
-                                        "inline JSON or file")
+    p_rep.add_argument("--schema", help="schema overrides, JSON or a file")
     p_rep.add_argument("--bootstrap-reps", type=int,
-                       help="bootstrap replications, at least 2 "
-                            "(default 999)")
-    p_rep.add_argument("--se", choices=[k.value for k in SeKind])
-    p_rep.set_defaults(func=cmd_replicate)
+                       default=DEFAULT_BOOTSTRAP_REPS,
+                       help="bootstrap replications, at least 2")
 
-    p_val = sub.add_parser("validate", parents=[common, data_args],
-                           help="ingest a CSV and report structural checks")
-    p_val.set_defaults(func=cmd_validate)
-
+    command("validate", cmd_validate,
+            "ingest a CSV and report structural checks", "tridiff-validate",
+            None, "--input", "--schema", "--mechanism", "--missing-policy")
     return parser
 
 
@@ -580,7 +577,7 @@ def _write_error(ns, exc: BaseException, code: int) -> None:
                "exit_code": code}
     print(f"error: {message}", file=sys.stderr)
     try:
-        out = Path(getattr(ns, "out", None) or ".")
+        out = Path(ns.out)
         out.mkdir(parents=True, exist_ok=True)
         _write_json(out / "error.json", payload)
     except OSError:
@@ -589,10 +586,12 @@ def _write_error(ns, exc: BaseException, code: int) -> None:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    ns = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the command's defaults; help or a bad command name exits here
+    ns = parser.parse_args(argv[:1])
     _retain_freed_heap()  # bootstrap refits reuse the heap they free
     try:
-        _apply_config_file(ns)
+        _resolve(parser, argv, ns)
         return ns.func(ns)
     except (TridiffError, OSError, ValueError) as exc:
         code = exit_code_for(exc)

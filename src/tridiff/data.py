@@ -51,13 +51,6 @@ class AssignmentMechanism(enum.Enum):
     ONLY_GROUP_A = "only-a"
     BOTH_GROUPS = "both"
 
-    def treated(self, group: Group, eligibility: Eligibility) -> bool:
-        if eligibility is not Eligibility.ELIGIBLE:
-            return False
-        if self is AssignmentMechanism.ONLY_GROUP_A:
-            return group is Group.A
-        return True
-
 
 Cell = tuple[Group, Eligibility]
 

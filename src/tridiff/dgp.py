@@ -36,6 +36,7 @@ BETA_A_SLOPE = 4.0
 BETA_B_SLOPE = 1.0
 MIN_SAMPLE_SIZE = 40
 MAX_FAILURE_SHARE = 0.01
+HISTOGRAM_BINS = 50
 
 # inverse-CDF input clipped to the largest exactly representable open
 # interval so the quantile never sees 0 or 1
@@ -356,7 +357,8 @@ def run_monte_carlo(spec: DgpSpec, replications: int,
                             ok=ok, failure_reasons=reasons)
 
 
-def export_histogram(result: MonteCarloResult, path, bins: int = 50) -> None:
+def export_histogram(result: MonteCarloResult, path,
+                     bins: int = HISTOGRAM_BINS) -> None:
     """Binned counts of both estimators' sampling distributions, one row
     per bin: estimator_label, bin_left, bin_right, count."""
     if result.replications == 0:

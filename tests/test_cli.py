@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -24,6 +25,30 @@ SCHEMA = json.dumps({
     "eligibility": "eligibility", "eligible_value": "2",
     "id": "id", "y1": "y1", "y2": "y2", "covariates": ["x"],
 })
+
+
+# every JSON file the CLI writes
+CLI_JSON = ("config_echo.json", "error.json", "nuisances_scores.json",
+            "results.json", "summary.json", "validation.json")
+
+
+def reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def load_json(path):
+    """A file the CLI wrote, read by a strict parser: NaN and Infinity,
+    which json.dump writes but JSON lacks, fail."""
+    return json.loads(Path(path).read_text(encoding="utf-8"),
+                      parse_constant=reject_constant)
+
+
+@pytest.fixture(autouse=True)
+def cli_json_is_strict(tmp_path):
+    yield
+    for name in CLI_JSON:
+        for path in tmp_path.rglob(name):
+            load_json(path)
 
 
 @pytest.fixture(scope="module")
@@ -308,23 +333,44 @@ def test_one_bootstrap_draw_is_exit_2(command, panel_csv, wage_csv,
     assert not (out / "results.json").exists()
 
 
-@pytest.mark.parametrize("args", [
-    ["estimate", "--methods", "ols-tdid", "--trim", "nan"],
-    ["estimate", "--methods", "ols-tdid", "--trim", "-5"],
-    ["estimate", "--bootstrap-reps", "1"],
-    ["simulate", "--trim", "nan"],
-    ["simulate", "--replications", "0"],
+@pytest.mark.parametrize("args, config", [
+    (["estimate", "--methods", "ols-tdid", "--trim", "nan"], None),
+    (["estimate", "--methods", "ols-tdid", "--trim", "-5"], None),
+    (["estimate", "--bootstrap-reps", "1"], None),
+    (["simulate", "--trim", "nan"], None),
+    (["simulate", "--replications", "0"], None),
+    (["estimate"], {"normalize_weights": "false"}),
+    (["estimate"], {"methods": ["dr"]}),
+    (["estimate"], {"jobs": 1.7}),
+    (["estimate"], {"bootstrap_reps": 2.9}),
+    (["estimate"], {"seed": "abc"}),
+    (["estimate"], {"se": "bogus"}),
+    (["simulate"], {"trim": None, "bins": True}),
+    (["simulate", "--seed", "-1"], None),
+    (["replicate", "--bootstrap-reps", "0"], None),
+    (["replicate", "--jobs", "two"], None),
 ], ids=["estimate-trim-nan", "estimate-trim-negative", "estimate-one-draw",
-        "simulate-trim-nan", "simulate-no-replications"])
-def test_bad_option_is_exit_2_before_any_file_is_written(args, panel_csv,
+        "simulate-trim-nan", "simulate-no-replications",
+        "config-switch-as-string", "config-methods-as-list",
+        "config-fractional-jobs", "config-fractional-bootstrap-reps",
+        "config-non-integer-seed", "config-unknown-se", "config-bool-bins",
+        "simulate-negative-seed", "replicate-no-bootstrap-draws",
+        "replicate-word-jobs"])
+def test_bad_option_is_exit_2_before_any_file_is_written(args, config,
+                                                         panel_csv, wage_csv,
                                                          tmp_path):
-    # checked before the config echo, so no file holds the bad value
+    # checked before the config echo, so no file holds the bad value; a
+    # --config value is read as its flag's text would be
     out = tmp_path / "o"
-    data = (["--input", panel_csv, "--schema", SCHEMA] if args[0] == "estimate"
-            else ["--n", "100", "--replications", "3", "--jobs", "1"])
+    data = {"estimate": ["--input", panel_csv, "--schema", SCHEMA],
+            "simulate": ["--n", "100", "--replications", "3", "--jobs", "1"],
+            "replicate": ["--input", wage_csv]}[args[0]]
+    if config is not None:
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        data = data + ["--config", tmp_path / "config.json"]
     assert run(args[:1] + data + args[1:] + ["--out", out]) == 2
     assert sorted(p.name for p in out.iterdir()) == ["error.json"]
-    err = json.loads((out / "error.json").read_text())
+    err = load_json(out / "error.json")
     assert err["error"] == "ValueError" and err["exit_code"] == 2
 
 
@@ -455,6 +501,96 @@ def test_config_file_fills_only_unset_options(panel_csv, tmp_path):
     assert echo["seed"] == 1          # command line wins
     assert echo["methods"] == "dr"    # config fills the gap
     assert echo["trim"] == 0.0
+
+
+@pytest.mark.parametrize("command", ["estimate", "simulate", "replicate",
+                                     "validate"])
+def test_rerun_from_config_echo_is_byte_identical(command, panel_csv,
+                                                  wage_csv, tmp_path):
+    args = {"estimate": ["--input", panel_csv, "--schema", SCHEMA,
+                         "--methods", "dr,naive,ols-tdid", "--trim", "0",
+                         "--bootstrap-reps", "5", "--seed", "3"],
+            "simulate": ["--n", "100", "--replications", "3", "--bins", "4",
+                         "--normalize-weights", "--jobs", "1"],
+            "replicate": ["--input", wage_csv, "--bootstrap-reps", "5",
+                          "--seed", "2", "--jobs", "1"],
+            "validate": ["--input", panel_csv, "--schema", SCHEMA,
+                         "--mechanism", "only-a"]}[command]
+    first, rerun = tmp_path / "first", tmp_path / "rerun"
+    assert run([command] + args + ["--out", first]) == 0
+    assert run([command, "--config", first / "config_echo.json",
+                "--out", rerun]) == 0
+    names = sorted(p.name for p in first.iterdir())
+    assert names == sorted(p.name for p in rerun.iterdir())
+    for name in names:
+        if name != "config_echo.json":
+            assert (first / name).read_bytes() == (rerun / name).read_bytes()
+    echo = load_json(rerun / "config_echo.json")
+    first_echo = load_json(first / "config_echo.json")
+    assert (echo.pop("out"), first_echo.pop("out")) == (str(rerun),
+                                                         str(first))
+    assert echo == first_echo
+
+
+def test_config_echo_of_another_command_is_refused(panel_csv, tmp_path):
+    (tmp_path / "config.json").write_text(json.dumps({"command": "simulate"}))
+    out = tmp_path / "o"
+    assert run(["estimate", "--input", panel_csv, "--schema", SCHEMA,
+                "--config", tmp_path / "config.json", "--out", out]) == 2
+    assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+
+
+def test_config_values_read_as_their_flags(panel_csv, tmp_path):
+    # an object schema, a dashed key, a switch, a null and a number for a
+    # float option give the results and echo of the same flags
+    flags = ["--schema", SCHEMA, "--methods", "dr", "--normalize-weights",
+             "--trim", "0.0"]
+    assert run(["estimate", "--input", panel_csv] + flags
+               + ["--out", tmp_path / "flags"]) == 0
+    (tmp_path / "config.json").write_text(json.dumps({
+        "command": "estimate", "schema": json.loads(SCHEMA),
+        "methods": "dr", "normalize-weights": True, "dump_scores": False,
+        "seed": None, "trim": 0}))
+    assert run(["estimate", "--input", panel_csv, "--config",
+                tmp_path / "config.json", "--out", tmp_path / "config"]) == 0
+    for name in ("results.json", "results.txt"):
+        assert ((tmp_path / "flags" / name).read_bytes()
+                == (tmp_path / "config" / name).read_bytes())
+    by_flags = load_json(tmp_path / "flags" / "config_echo.json")
+    by_config = load_json(tmp_path / "config" / "config_echo.json")
+    assert by_config.pop("schema") == json.dumps(json.loads(SCHEMA))
+    assert by_flags.pop("schema") == SCHEMA
+    assert by_config.pop("out") != by_flags.pop("out")
+    assert by_config == by_flags
+    echo_text = (tmp_path / "config" / "config_echo.json").read_text()
+    assert '"trim": 0.0' in echo_text
+    assert by_config["seed"] == 0
+
+
+# the options each command's --help lists
+COMMAND_OPTIONS = {
+    "estimate": ["--bootstrap-reps", "--config", "--dump-nuisances",
+                 "--dump-scores", "--input", "--jobs", "--mechanism",
+                 "--methods", "--missing-policy", "--normalize-weights",
+                 "--out", "--schema", "--se", "--seed", "--trim"],
+    "simulate": ["--bins", "--case", "--config", "--jobs", "--mechanism",
+                 "--mu-a", "--mu-b", "--n", "--normalize-weights", "--out",
+                 "--replications", "--seed", "--trim"],
+    "replicate": ["--bootstrap-reps", "--config", "--input", "--jobs",
+                  "--out", "--schema", "--se", "--seed"],
+    "validate": ["--config", "--input", "--mechanism", "--missing-policy",
+                 "--out", "--schema", "--seed"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_OPTIONS))
+def test_every_command_prints_its_help(command, capsys):
+    # a stray % in a help string fails only when help is printed
+    with pytest.raises(SystemExit) as exit_:
+        main([command, "--help"])
+    assert exit_.value.code == 0
+    listed = re.findall(r"(?m)^  (--[\w-]+)", capsys.readouterr().out)
+    assert sorted(listed) == COMMAND_OPTIONS[command]
 
 
 def test_config_file_unknown_key(panel_csv, tmp_path):

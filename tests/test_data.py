@@ -69,14 +69,17 @@ def test_cell_vocabulary():
 
 
 def test_mechanism_treatment_rule():
-    only_a = AssignmentMechanism.ONLY_GROUP_A
-    both = AssignmentMechanism.BOTH_GROUPS
-    assert only_a.treated(Group.A, Eligibility.ELIGIBLE)
-    assert not only_a.treated(Group.B, Eligibility.ELIGIBLE)
-    assert both.treated(Group.B, Eligibility.ELIGIBLE)
-    for mech in (only_a, both):
-        assert not mech.treated(Group.A, Eligibility.NEVER)
-        assert not mech.treated(Group.B, Eligibility.NEVER)
+    # one unit per cell, in CELL_ORDER: (A, eligible), (A, never),
+    # (B, eligible), (B, never)
+    def treated(mechanism):
+        return PanelDataset(
+            ["a1", "a0", "b1", "b0"], [0.0] * 4, [0.0] * 4,
+            [True, True, False, False], [True, False, True, False],
+            np.empty((4, 0)), (), mechanism).treated().tolist()
+    assert treated(AssignmentMechanism.ONLY_GROUP_A) == [True, False, False,
+                                                         False]
+    assert treated(AssignmentMechanism.BOTH_GROUPS) == [True, False, True,
+                                                        False]
 
 
 def test_load_wide(wide_csv):
