@@ -12,8 +12,8 @@ from pathlib import Path
 
 import numpy as np
 
-from tridiff import (AssignmentMechanism, PanelDataset, cell_name,
-                     cell_table, load_csv, save_csv, validate)
+from tridiff import (AssignmentMechanism, Cell, PanelDataset, load_csv,
+                     save_csv, validate)
 
 rng = np.random.default_rng(8)
 n = 48
@@ -31,9 +31,9 @@ panel = PanelDataset(
     mechanism=AssignmentMechanism.ONLY_GROUP_A)
 
 print(f"{panel.n} units, {panel.d} covariate(s)")
-cells = cell_table(panel)
-for cell, count in cells.counts.items():
-    print(f"  {cell_name(cell)}: {count} units ({cells.shares[cell]:.2f})")
+for cell in Cell:
+    count = panel.cell_counts[cell]
+    print(f"  {cell.label}: {count} units ({count / panel.n:.2f})")
 print(f"treated units: {int(panel.treated().sum())} "
       "(eligible group A only under this mechanism)")
 

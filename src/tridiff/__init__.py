@@ -10,10 +10,9 @@ regression-based benchmarks, a simulation harness with closed-form
 truths, and a command line driver.
 """
 
-from .data import (AssignmentMechanism, CELL_ORDER, Cell, CellTable,
-                   Eligibility, Group, MissingPolicy, PanelDataset,
-                   REFERENCE_CELL, Schema, ValidationReport, cell_index,
-                   cell_name, cell_table, load_csv, save_csv, validate)
+from .data import (AssignmentMechanism, Cell, Group, MissingPolicy,
+                   PanelDataset, Schema, ValidationReport, load_csv,
+                   save_csv, validate)
 from .dgp import (DgpSpec, EffectCase, MonteCarloResult, OracleValues,
                   closed_form_oracle, export_histogram, run_monte_carlo,
                   simulate_replicate, simulate_sample)
@@ -37,23 +36,20 @@ from .scores import (FitEvaluation, ScoreKind, dump_scores, score_vector,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AssignmentMechanism", "BootstrapConfig", "CELL_ORDER", "Cell",
-    "CellTable", "ConvergenceError", "DgpSpec", "EffectCase",
-    "Eligibility", "EstimandLabel", "EstimateResult", "EstimationError",
-    "FitEvaluation", "FittingError", "Group", "IngestionError",
-    "InsufficientDataError", "LinearModel", "Method",
+    "AssignmentMechanism", "BootstrapConfig", "Cell", "ConvergenceError",
+    "DgpSpec", "EffectCase", "EstimandLabel", "EstimateResult",
+    "EstimationError", "FitEvaluation", "FittingError", "Group",
+    "IngestionError", "InsufficientDataError", "LinearModel", "Method",
     "MissingNuisanceError", "MissingPolicy", "MonteCarloResult",
     "NuisanceMode", "NuisanceSet", "OracleValues", "PanelDataset",
     "PanelValidationError", "ParseError", "PropensityModel",
-    "REFERENCE_CELL", "ResamplingError", "Schema", "SchemaError",
-    "ScoreKind", "SeKind", "SeparationError", "SingularDesignError",
-    "TridiffError", "TrimmingError", "UnsupportedMechanismError",
-    "ValidationReport", "bias_diagnostic", "bootstrap_replicates",
-    "bootstrap_ses", "cell_index", "cell_name", "cell_table",
+    "ResamplingError", "Schema", "SchemaError", "ScoreKind", "SeKind",
+    "SeparationError", "SingularDesignError", "TridiffError",
+    "TrimmingError", "UnsupportedMechanismError", "ValidationReport",
+    "bias_diagnostic", "bootstrap_replicates", "bootstrap_ses",
     "closed_form_oracle", "dump_scores", "estimate_doubly_robust",
     "export_histogram", "fit_linear", "fit_logistic_multinomial",
     "fit_nuisances", "fit_ols", "load_csv", "ols_did", "ols_tdid",
     "refit_estimates", "run_monte_carlo", "save_csv", "score_vector",
-    "score_vectors", "simulate_replicate", "simulate_sample",
-    "validate",
+    "score_vectors", "simulate_replicate", "simulate_sample", "validate",
 ]

@@ -76,9 +76,11 @@ def exit_code_for(exc: BaseException) -> int:
 # ---------------------------------------------------------------------------
 
 def _write_json(path: Path, payload: dict) -> None:
+    """Write payload as strict JSON. A NaN or infinity raises ValueError
+    before the file is opened, so no partial file is left behind."""
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _format_table(headers, rows) -> str:
@@ -158,7 +160,7 @@ def _config_args(ns: argparse.Namespace) -> list:
 # (rule, test) by option, or by (command, option), checked after the
 # --config merge and before a command reads or writes a file
 OPTION_RULES = {
-    "seed": ("≥ 0", lambda v: v is None or v >= 0),
+    "seed": ("≥ 0", lambda v: v >= 0),
     "jobs": ("≥ 1", lambda v: v >= 1),
     "trim": ("a trim_epsilon in [0, 1)", lambda v: 0.0 <= v < 1.0),
     "bins": ("≥ 1", lambda v: v >= 1),
@@ -514,7 +516,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
         p.add_argument("--config", help="JSON file of options; flags win")
         p.add_argument("--out", default=out, help="output directory")
-        p.add_argument("--seed", type=int, default=seed, help="master seed")
+        if seed is not None:  # validate draws nothing
+            p.add_argument("--seed", type=int, default=seed,
+                           help="master seed")
         for flag in flags:
             p.add_argument(flag, **shared[flag])
         return p

@@ -26,13 +26,6 @@ NA_TOKENS = frozenset({"", "na", "n/a", "nan", "null", "none", "."})
 class Group(enum.Enum):
     A = "a"
     B = "b"
-    __hash__ = object.__hash__  # by identity, in C: Enum's is a Python call
-
-
-class Eligibility(enum.Enum):
-    ELIGIBLE = "eligible"   # becomes eligible in period 2
-    NEVER = "never"         # never eligible
-    __hash__ = object.__hash__  # as Group's
 
 
 class MissingPolicy(enum.Enum):
@@ -52,25 +45,26 @@ class AssignmentMechanism(enum.Enum):
     BOTH_GROUPS = "both"
 
 
-Cell = tuple[Group, Eligibility]
+class Cell(enum.IntEnum):
+    """The four (group, eligibility) cells. A cell is its own integer
+    code, the value cell_codes() gives its units, so it indexes the
+    cell masks, counts and propensity columns directly; (B, Never) is
+    the logit's reference cell. `eligible` says whether the cell becomes
+    eligible in period 2, and `label` names the cell in messages and
+    outputs; render a cell only through it, as str() and format() of an
+    IntEnum member differ across Python versions."""
 
-CELL_ORDER: tuple[Cell, ...] = (
-    (Group.A, Eligibility.ELIGIBLE),
-    (Group.A, Eligibility.NEVER),
-    (Group.B, Eligibility.ELIGIBLE),
-    (Group.B, Eligibility.NEVER),
-)
+    A_ELIGIBLE = (0, Group.A, True)
+    A_NEVER = (1, Group.A, False)
+    B_ELIGIBLE = (2, Group.B, True)
+    B_NEVER = (3, Group.B, False)
 
-REFERENCE_CELL: Cell = (Group.B, Eligibility.NEVER)
-
-
-def cell_name(cell: Cell) -> str:
-    group, elig = cell
-    return f"({group.name}, {'Eligible' if elig is Eligibility.ELIGIBLE else 'Never'})"
-
-
-def cell_index(cell: Cell) -> int:
-    return CELL_ORDER.index(cell)
+    def __new__(cls, code: int, group: Group, eligible: bool):
+        cell = int.__new__(cls, code)
+        cell._value_ = code
+        cell.group, cell.eligible = group, eligible
+        cell.label = f"({group.name}, {'Eligible' if eligible else 'Never'})"
+        return cell
 
 
 class PanelDataset:
@@ -141,24 +135,26 @@ class PanelDataset:
 
     # -- cells --------------------------------------------------------------
 
-    def cell_mask(self, cell: Cell) -> np.ndarray:
-        return self.cell_masks[cell_index(cell)]
-
     def cell_codes(self) -> np.ndarray:
-        """Integer cell label per unit, following CELL_ORDER. Computed on
-        the first call and shared, read-only, by every later one."""
+        """Every unit's Cell, as its integer code. Computed on the first
+        call and shared, read-only, by every later one."""
         if self._cell_codes is None:
-            codes = 2 * ~self.group_is_a + ~self.eligible  # as in CELL_ORDER
+            codes = 2 * ~self.group_is_a + ~self.eligible  # as Cell numbers
             codes.setflags(write=False)
             self._cell_codes = codes
         return self._cell_codes
 
     @functools.cached_property
     def cell_masks(self) -> np.ndarray:
-        """Read-only (4, n) cell masks, row k for cell code k, by cell_codes()."""
-        masks = np.arange(len(CELL_ORDER))[:, None] == self.cell_codes()
+        """Read-only (4, n) cell masks, indexed by Cell."""
+        masks = np.arange(len(Cell))[:, None] == self.cell_codes()
         masks.setflags(write=False)
         return masks
+
+    @functools.cached_property
+    def cell_counts(self) -> tuple:
+        """Units per cell, indexed by Cell."""
+        return tuple(np.bincount(self.cell_codes(), minlength=4).tolist())
 
     def treated(self) -> np.ndarray:
         """Derived period-2 treatment indicator under the mechanism."""
@@ -186,30 +182,6 @@ class PanelDataset:
                             self.mechanism, 0, obs)
 
 
-@dataclass(frozen=True)
-class CellTable:
-    """Counts and full-sample shares of the four (group, eligibility) cells."""
-
-    counts: dict
-    shares: dict
-    n: int
-
-    def count(self, cell: Cell) -> int:
-        return self.counts[cell]
-
-    def share(self, cell: Cell) -> float:
-        return self.shares[cell]
-
-
-def cell_table(dataset: PanelDataset) -> CellTable:
-    """Exact cell counts and shares (share = count / n; 0 when n = 0)."""
-    counts = dict(zip(CELL_ORDER, np.bincount(
-        dataset.cell_codes(), minlength=4).tolist()))
-    n = dataset.n
-    shares = {cell: counts[cell] / n if n else 0.0 for cell in CELL_ORDER}
-    return CellTable(counts=counts, shares=shares, n=n)
-
-
 # ---------------------------------------------------------------------------
 # Validation
 # ---------------------------------------------------------------------------
@@ -217,8 +189,8 @@ def cell_table(dataset: PanelDataset) -> CellTable:
 @dataclass
 class ValidationReport:
     n: int
-    cell_counts: dict
-    covariate_stats: dict      # cell -> list of per-covariate dicts
+    cell_counts: dict          # Cell -> units
+    covariate_stats: dict      # Cell -> list of per-covariate dicts
     failures: list = field(default_factory=list)
     warnings: list = field(default_factory=list)
 
@@ -230,9 +202,11 @@ class ValidationReport:
         return {
             "n": self.n,
             "passed": self.passed,
-            "cell_counts": {cell_name(c): v for c, v in self.cell_counts.items()},
-            "covariate_stats": {
-                cell_name(c): stats for c, stats in self.covariate_stats.items()
+            "cell_counts": {c.label: v for c, v in self.cell_counts.items()},
+            "covariate_stats": {  # an empty cell's NaN stats as null
+                c.label: [{k: None if isinstance(v, float) and math.isnan(v)
+                           else v for k, v in cov.items()} for cov in stats]
+                for c, stats in self.covariate_stats.items()
             },
             "failures": list(self.failures),
             "warnings": list(self.warnings),
@@ -240,8 +214,8 @@ class ValidationReport:
 
     def render(self) -> str:
         lines = [f"panel validation: {'PASS' if self.passed else 'FAIL'} (n={self.n})"]
-        for cell in CELL_ORDER:
-            lines.append(f"  {cell_name(cell)}: {self.cell_counts[cell]} units")
+        for cell in Cell:
+            lines.append(f"  {cell.label}: {self.cell_counts[cell]} units")
         for msg in self.failures:
             lines.append(f"  FAIL: {msg}")
         for msg in self.warnings:
@@ -251,10 +225,10 @@ class ValidationReport:
 
 def validate(dataset: PanelDataset) -> ValidationReport:
     """Report-only structural checks; never mutates or raises."""
-    counts = cell_table(dataset).counts
+    counts = dict(zip(Cell, dataset.cell_counts))
     stats: dict = {}
-    for cell in CELL_ORDER:
-        mask = dataset.cell_mask(cell)
+    for cell in Cell:
+        mask = dataset.cell_masks[cell]
         per_cov = []
         for j, name in enumerate(dataset.covariate_names):
             col = dataset.x[mask, j]
@@ -272,9 +246,9 @@ def validate(dataset: PanelDataset) -> ValidationReport:
         stats[cell] = per_cov
 
     report = ValidationReport(n=dataset.n, cell_counts=counts, covariate_stats=stats)
-    for cell in CELL_ORDER:
+    for cell in Cell:
         if counts[cell] == 0:
-            report.failures.append(f"empty cell {cell_name(cell)}")
+            report.failures.append(f"empty cell {cell.label}")
     min_n = 4 * (dataset.d + 1)
     if dataset.n < min_n:
         report.failures.append(
@@ -368,8 +342,7 @@ def _to_float(value: str, row: int, column: str) -> float:
 
 
 def _require_every_cell(dataset: PanelDataset) -> PanelDataset:
-    empty = [cell_name(c) for c in CELL_ORDER
-             if not np.any(dataset.cell_mask(c))]
+    empty = [c.label for c in Cell if not dataset.cell_counts[c]]
     if empty:
         raise PanelValidationError("empty cell " + ", ".join(empty))
     return dataset

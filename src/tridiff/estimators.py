@@ -112,9 +112,9 @@ def score_contrast(ev: FitEvaluation, psi: dict, row
     values eta sum each part minus its cell's treatment weight times its
     mean, so se = sqrt(mean(eta^2) / n). Only a row of doubly robust
     kinds gets eta and se; for any other row both are None."""
-    parts = {}  # by target cell code
+    parts = {}  # by target cell
     for sign, kind in row:
-        target, score = kind.codes[0], psi[kind]
+        target, score = kind.cells[0], psi[kind]
         if target not in parts:
             parts[target] = score if sign > 0 else -score
         elif sign > 0:
@@ -127,7 +127,7 @@ def score_contrast(ev: FitEvaluation, psi: dict, row
     if any(kind.form is not ScoreForm.DOUBLY_ROBUST for _, kind in row):
         return estimate, None, None
     eta = functools.reduce(operator.add, (
-        part - ev._weight_t(target) * means[target]
+        part - ev.weight_t(target) * means[target]
         for target, part in parts.items()))
     return estimate, math.sqrt(float((eta * eta).sum() / n) / n), eta
 

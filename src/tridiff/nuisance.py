@@ -30,8 +30,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .data import (CELL_ORDER, Cell, Eligibility, Group, PanelDataset,
-                   cell_index, cell_name)
+from .data import Cell, PanelDataset
 from .exceptions import (ConvergenceError, InsufficientDataError,
                          MissingNuisanceError, SeparationError,
                          SingularDesignError)
@@ -288,7 +287,7 @@ def fit_linear(x, y, covariate_names: Optional[Sequence[str]] = None,
 @dataclass(frozen=True)
 class PropensityModel:
     """Fitted four-cell softmax model over the (group, eligibility)
-    cells, in CELL_ORDER with (B, Never) the reference.
+    cells, in Cell order with (B, Never) the reference.
 
     coefficients: (3, d+1), cells 0..2 against the reference, on the
     raw covariate scale with the intercept first. n_iter and
@@ -345,7 +344,7 @@ class PropensityModel:
             "kind": "multinomial4",
             "coefficients": [[float(v) for v in row] for row in self.coefficients],
             "covariate_names": list(self.covariate_names),
-            "reference_cell": cell_name(CELL_ORDER[3]),
+            "reference_cell": Cell.B_NEVER.label,
             "n_obs": int(self.n_obs),
             "n_iter": int(self.n_iter),
             "final_loglik": float(self.loglik_trace[-1]) if self.loglik_trace else None,
@@ -622,7 +621,7 @@ def fit_logistic_multinomial(covariates, cell_labels,
                              start=None) -> PropensityModel:
     """Four-cell softmax model by damped Newton, reference cell (B, Never).
 
-    cell_labels are integer codes following CELL_ORDER. Every cell needs
+    cell_labels are integer codes, the Cell numbers. Every cell needs
     d+1 units and the intercept-first design full rank. Newton starts at
     `start`: raw-scale (3, d+1) coefficients such as another fit's, which
     a bootstrap refit passes so that it begins near its optimum. Without
@@ -646,10 +645,10 @@ def fit_logistic_multinomial(covariates, cell_labels,
         covariate_names = tuple(covariate_names)
 
     counts = np.bincount(labels, minlength=4)
-    for k, cell in enumerate(CELL_ORDER):
-        if counts[k] < d + 1:
+    for cell in Cell:
+        if counts[cell] < d + 1:
             raise InsufficientDataError(
-                f"cell {cell_name(cell)} has {counts[k]} units, needs ≥ {d + 1}")
+                f"cell {cell.label} has {counts[cell]} units, needs ≥ {d + 1}")
 
     zx, center, scale = _standardize(x)
     zt = _transposed_design(zx)
@@ -685,14 +684,10 @@ class NuisanceMode(enum.Enum):
     OUTCOME_ONLY = "outcome-only"   # the same change regressions, no logit
 
 
-# change regressions the score functions consume; (a,2) enters a score
-# with a nonzero multiplier only under normalized weights, so it is
+# change regressions the score functions consume; (A, Eligible) enters a
+# score with a nonzero multiplier only under normalized weights, so it is
 # fitted for those alone
-SCORE_SET_CELLS: tuple[Cell, ...] = (
-    (Group.A, Eligibility.NEVER),
-    (Group.B, Eligibility.ELIGIBLE),
-    (Group.B, Eligibility.NEVER),
-)
+SCORE_SET_CELLS = (Cell.A_NEVER, Cell.B_ELIGIBLE, Cell.B_NEVER)
 
 
 @dataclass(frozen=True)
@@ -709,7 +704,7 @@ class NuisanceSet:
     covariate_names: tuple
     fit_options: dict
     propensity: Optional[PropensityModel] = None
-    outcome_models: dict = field(default_factory=dict)
+    outcome_models: dict = field(default_factory=dict)  # Cell -> model
     propensity_columns: Optional[tuple] = None
     outcome_columns: Optional[tuple] = None
 
@@ -731,7 +726,7 @@ class NuisanceSet:
     def outcome_mean(self, cell: Cell, x_raw) -> np.ndarray:
         if cell not in self.outcome_models:
             raise MissingNuisanceError(
-                f"no outcome-change model for cell {cell_name(cell)}")
+                f"no outcome-change model for cell {cell.label}")
         return self.outcome_models[cell].predict(
             self._features(x_raw, self.outcome_columns))
 
@@ -745,16 +740,18 @@ class NuisanceSet:
             "covariate_names": list(self.covariate_names),
             "propensity": propensity,
             "outcome_models": {
-                cell_name(cell): model.to_dict()
-                for cell, model in sorted(self.outcome_models.items(),
-                                          key=lambda kv: cell_index(kv[0]))
+                cell.label: model.to_dict()
+                for cell, model in sorted(self.outcome_models.items())
             },
         }
 
     def save_json(self, path) -> None:
+        """Write to_dict() as strict JSON, as the CLI's other outputs: a
+        NaN or infinity raises ValueError and leaves no file."""
+        text = json.dumps(self.to_dict(), indent=2, sort_keys=True,
+                          allow_nan=False)
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(text + "\n")
 
 
 def _reraise_for_cell(exc, label):
@@ -836,19 +833,19 @@ def fit_nuisances(dataset: PanelDataset,
         except Exception as exc:
             raise _reraise_for_cell(exc, "propensity model") from exc
 
-    cells = SCORE_SET_CELLS + (((Group.A, Eligibility.ELIGIBLE),)
+    cells = SCORE_SET_CELLS + ((Cell.A_ELIGIBLE,)
                                if normalize and mode is NuisanceMode.SCORE_SET
                                else ())
     outcome_models = {}
     delta = dataset.delta_y()
     for cell in cells:
-        mask = dataset.cell_mask(cell)
+        mask = dataset.cell_masks[cell]
         try:
             outcome_models[cell] = fit_linear(
                 out_x[mask], delta[mask], out_names,
-                fitted_on=cell_name(cell))
+                fitted_on=cell.label)
         except Exception as exc:
-            raise _reraise_for_cell(exc, cell_name(cell)) from exc
+            raise _reraise_for_cell(exc, cell.label) from exc
 
     return NuisanceSet(covariate_names=dataset.covariate_names,
                        fit_options=fit_options, propensity=propensity,

@@ -19,12 +19,9 @@ from typing import Dict, Sequence
 
 import numpy as np
 
-from .data import (CELL_ORDER, Cell, Eligibility, Group, PanelDataset,
-                   cell_index, cell_name)
+from .data import Cell, Group, PanelDataset
 from .exceptions import EstimationError, MissingNuisanceError, TrimmingError
 from .nuisance import NuisanceSet
-
-A2, A_NEVER, B2, B_NEVER = CELL_ORDER
 
 
 class ScoreForm(enum.Enum):
@@ -37,27 +34,26 @@ class ScoreKind(enum.Enum):
     """The nine score functions, as a table: value, form, the cell whose
     covariate distribution the score targets, and the group whose
     eligible and never-eligible changes it contrasts. The W-prefixed
-    kinds take group B's contrast at group A's covariates. `codes` are
-    the cell codes of the target, the group's eligible and never cells."""
+    kinds take group B's contrast at group A's covariates. `cells` are
+    the target, the group's eligible and its never-eligible cell."""
 
-    OR_A = ("or_a", ScoreForm.REGRESSION, A2, Group.A)
-    OR_B = ("or_b", ScoreForm.REGRESSION, B2, Group.B)
-    IPW_A = ("ipw_a", ScoreForm.WEIGHTING, A2, Group.A)
-    IPW_B = ("ipw_b", ScoreForm.WEIGHTING, B2, Group.B)
-    DR_A = ("dr_a", ScoreForm.DOUBLY_ROBUST, A2, Group.A)
-    DR_B = ("dr_b", ScoreForm.DOUBLY_ROBUST, B2, Group.B)
-    WOR = ("weighted_or", ScoreForm.REGRESSION, A2, Group.B)
-    WIPW = ("weighted_ipw", ScoreForm.WEIGHTING, A2, Group.B)
-    WDR = ("weighted_dr", ScoreForm.DOUBLY_ROBUST, A2, Group.B)
+    OR_A = ("or_a", ScoreForm.REGRESSION, Cell.A_ELIGIBLE, Group.A)
+    OR_B = ("or_b", ScoreForm.REGRESSION, Cell.B_ELIGIBLE, Group.B)
+    IPW_A = ("ipw_a", ScoreForm.WEIGHTING, Cell.A_ELIGIBLE, Group.A)
+    IPW_B = ("ipw_b", ScoreForm.WEIGHTING, Cell.B_ELIGIBLE, Group.B)
+    DR_A = ("dr_a", ScoreForm.DOUBLY_ROBUST, Cell.A_ELIGIBLE, Group.A)
+    DR_B = ("dr_b", ScoreForm.DOUBLY_ROBUST, Cell.B_ELIGIBLE, Group.B)
+    WOR = ("weighted_or", ScoreForm.REGRESSION, Cell.A_ELIGIBLE, Group.B)
+    WIPW = ("weighted_ipw", ScoreForm.WEIGHTING, Cell.A_ELIGIBLE, Group.B)
+    WDR = ("weighted_dr", ScoreForm.DOUBLY_ROBUST, Cell.A_ELIGIBLE, Group.B)
 
-    __hash__ = object.__hash__  # in C, as data.Group's
+    __hash__ = object.__hash__  # by identity, in C: Enum's is a Python call
 
     def __new__(cls, value: str, form: ScoreForm, target: Cell, group: Group):
         kind = object.__new__(cls)
         kind._value_ = value
         kind.form, kind.target, kind.group = form, target, group
-        kind.codes = tuple(cell_index(cell) for cell in (
-            target, (group, Eligibility.ELIGIBLE), (group, Eligibility.NEVER)))
+        kind.cells = (target, *(cell for cell in Cell if cell.group is group))
         return kind
 
 
@@ -92,34 +88,19 @@ class FitEvaluation:
     each control weight is rescaled by its full-sample mean (the
     treatment weight already averages to one by construction); without
     it the weights stay exactly as defined. Per-cell quantities sit in
-    slots indexed by cell code, the cell's position in CELL_ORDER: the
-    `shares` and `masks` sequences and the memo, which keys by method
-    name and codes. The score functions call the code-indexed methods
-    (_outcome, _weight_t, _odds, _weight_c); the public ones take Cells.
+    slots indexed by Cell: the `shares` and `masks` sequences and the
+    memo, which keys by method name and cells.
     """
 
     def __init__(self, dataset: PanelDataset, nuisances: NuisanceSet):
         self.dataset = dataset
         self.nuisances = nuisances
         self.normalize = nuisances.fit_options["normalize"]
-        counts = np.bincount(dataset.cell_codes(), minlength=4)
-        self.shares = (counts / max(dataset.n, 1)).tolist()  # as cell_table's
+        self.shares = np.divide(dataset.cell_counts,
+                                max(dataset.n, 1)).tolist()
         self.masks = dataset.cell_masks
         self.delta = dataset.delta_y()
         self._memo: dict = {}
-
-    def outcome(self, cell: Cell) -> np.ndarray:
-        """Outcome-change regression of `cell` at every unit's covariates."""
-        return self._outcome(cell_index(cell))
-
-    def weight_t(self, target_cell: Cell) -> np.ndarray:
-        """Treatment weights 1{unit in cell} / share(cell) for all units."""
-        return self._weight_t(cell_index(target_cell))
-
-    def weight_c(self, numerator_cell: Cell, source_cell: Cell) -> np.ndarray:
-        """Control weights from `source_cell` (see _weight_c)."""
-        return self._weight_c(cell_index(numerator_cell),
-                              cell_index(source_cell))
 
     @_per_evaluation
     def propensities(self) -> np.ndarray:
@@ -127,33 +108,36 @@ class FitEvaluation:
         return self.nuisances.propensities(self.dataset.x)
 
     @_per_evaluation
-    def _outcome(self, k: int) -> np.ndarray:
+    def outcome(self, cell: Cell) -> np.ndarray:
+        """Outcome-change regression of `cell` at every unit's covariates."""
         return np.asarray(self.nuisances.outcome_mean(
-            CELL_ORDER[k], self.dataset.x), dtype=float)
+            cell, self.dataset.x), dtype=float)
 
     @_per_evaluation
-    def _weight_t(self, k: int) -> np.ndarray:
-        share = self.shares[k]
+    def weight_t(self, target: Cell) -> np.ndarray:
+        """Treatment weights 1{unit in target} / share(target) for all
+        units."""
+        share = self.shares[target]
         if share == 0:
-            raise EstimationError(f"cell {cell_name(CELL_ORDER[k])} is empty; "
+            raise EstimationError(f"cell {target.label} is empty; "
                                   "treatment weight undefined")
-        return self.masks[k] * (1.0 / share)  # +0 outside the cell
+        return self.masks[target] * (1.0 / share)  # +0 outside the cell
 
     @_per_evaluation
     def own_propensity(self) -> np.ndarray:
         """Every unit's propensity for its own cell."""
         n = self.dataset.n
         # the (n, 4) propensities are the transpose of cell-major rows,
-        # so the flat index of unit i's own cell is code * n + i
+        # so the flat index of unit i's own cell is its code * n + i
         return self.propensities().T.ravel().take(
             self.dataset.cell_codes() * n + np.arange(n))
 
     @_per_evaluation
-    def _odds(self, num: int) -> np.ndarray:
+    def _odds(self, num: Cell) -> np.ndarray:
         """p(numerator, x) / p(own cell, x) * (1 / share(numerator)) for
         every unit: the control weight of each source cell before its
         mask. A unit whose own-cell propensity underflowed to zero gets
-        inf or NaN here without a warning; _weight_c masks it away
+        inf or NaN here without a warning; weight_c masks it away
         outside the source, and inside it the trimming threshold or the
         scores' finiteness check rejects it."""
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -163,7 +147,7 @@ class FitEvaluation:
         return out
 
     @_per_evaluation
-    def _weight_c(self, num: int, src: int) -> np.ndarray:
+    def weight_c(self, num: Cell, src: Cell) -> np.ndarray:
         """Control weights: [1{unit in source} / share(numerator)] times the
         propensity ratio p(numerator, x) / p(source, x), normalized when
         the evaluation normalizes: the odds row of the numerator masked
@@ -176,18 +160,17 @@ class FitEvaluation:
         the unnormalized weight equals the treatment weight bit-for-bit.
         """
         if self.shares[num] == 0:
-            raise EstimationError(f"cell {cell_name(CELL_ORDER[num])} is "
-                                  "empty; control weight undefined")
+            raise EstimationError(f"cell {num.label} is empty; control "
+                                  "weight undefined")
         mask = self.masks[src]
         out = np.zeros(mask.shape)
         if self.shares[src]:  # the source cell has units
             eps = self.nuisances.fit_options["trim_epsilon"]
             if eps > 0 and (low := mask & (self.own_propensity() < eps)).any():
-                name = cell_name(CELL_ORDER[src])
                 ids = tuple(self.dataset.ids[low])
                 raise TrimmingError(
-                    f"{len(ids)} unit(s) in {name} have p{name} below trim "
-                    f"threshold {eps:g}: "
+                    f"{len(ids)} unit(s) in {src.label} have p{src.label} "
+                    f"below trim threshold {eps:g}: "
                     f"{', '.join(repr(i) for i in ids[:10])}"
                     + ("…" if len(ids) > 10 else ""),
                     unit_ids=ids)
@@ -196,7 +179,7 @@ class FitEvaluation:
             mean = float(out.sum() / len(out))  # np.mean's sum and divide
             if mean <= 0:
                 raise EstimationError(
-                    f"control weight for source {cell_name(CELL_ORDER[src])} "
+                    f"control weight for source {src.label} "
                     f"has non-positive mean {mean:g}; cannot normalize")
             out = out / mean
         return out
@@ -213,12 +196,12 @@ class FitEvaluation:
         if cell == target and not self.normalize:
             if multiplier.any():
                 raise EstimationError(
-                    f"augmentation multiplier for m{cell_name(cell)} should "
+                    f"augmentation multiplier for m{cell.label} should "
                     "be identically zero with unnormalized weights but is not")
             return np.zeros(len(multiplier))
         if cell == target and not self.nuisances.has_outcome(cell):
             raise MissingNuisanceError(
-                f"score needs outcome model m{cell_name(cell)} because "
+                f"score needs outcome model m{cell.label} because "
                 "normalized weights give it a nonzero multiplier")
         return multiplier * self.outcome(cell)
 
@@ -231,8 +214,8 @@ def score_vector(kind: ScoreKind, ev: FitEvaluation) -> np.ndarray:
     """All units' values of one score function of an evaluated fit: the
     contrast of the kind's group's eligible and never-eligible cells at
     its target cell's covariate distribution, in the kind's form."""
-    target, eligible, never = kind.codes
-    delta, wt, wc, m = ev.delta, ev._weight_t, ev._weight_c, ev._outcome
+    target, eligible, never = kind.cells
+    delta, wt, wc, m = ev.delta, ev.weight_t, ev.weight_c, ev.outcome
 
     if kind.form is ScoreForm.REGRESSION:
         # the observed change on the target's own cell, else the regression
@@ -244,8 +227,7 @@ def score_vector(kind: ScoreKind, ev: FitEvaluation) -> np.ndarray:
         w_treat = wt(target)  # first, so an empty target cell raises first
         w_elig, w_never = wc(target, eligible), wc(target, never)
         values = (w_elig - w_never) * delta
-        values = values + ev.augmentation(w_treat - w_elig, CELL_ORDER[target],
-                                          CELL_ORDER[eligible])
+        values = values + ev.augmentation(w_treat - w_elig, target, eligible)
         values = values - (w_treat - w_never) * m(never)
 
     if not np.isfinite(values).all():

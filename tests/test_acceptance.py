@@ -17,7 +17,7 @@ import pytest
 
 from tridiff.cli import (POINT_TOLERANCE, REFERENCE_TABLE,
                          SE_RELATIVE_TOLERANCE, load_replication_csv, main)
-from tridiff.data import Eligibility, Group, PanelDataset, save_csv
+from tridiff.data import Cell, PanelDataset, save_csv
 from tridiff.dgp import (DgpSpec, EffectCase, closed_form_oracle,
                          run_monte_carlo, simulate_sample)
 from tridiff.estimators import (OR_METHODS, BootstrapConfig, SeKind,
@@ -223,8 +223,7 @@ def test_criterion_6_exact_identities(big_sample):
     ds, nuis = big_sample
     failures = []
 
-    for cell in ((Group.A, Eligibility.ELIGIBLE),
-                 (Group.B, Eligibility.ELIGIBLE)):
+    for cell in (Cell.A_ELIGIBLE, Cell.B_ELIGIBLE):
         gap = abs(float(np.mean(FitEvaluation(ds, nuis).weight_t(cell)))
                   - 1.0)
         if gap > 1e-12:

@@ -13,7 +13,7 @@ import pytest
 
 import tridiff
 import tridiff.parallel as parallel
-from tridiff.cli import main
+from tridiff.cli import _write_json, main
 
 
 def run(args):
@@ -579,7 +579,7 @@ COMMAND_OPTIONS = {
     "replicate": ["--bootstrap-reps", "--config", "--input", "--jobs",
                   "--out", "--schema", "--se", "--seed"],
     "validate": ["--config", "--input", "--mechanism", "--missing-policy",
-                 "--out", "--schema", "--seed"],
+                 "--out", "--schema"],
 }
 
 
@@ -612,6 +612,44 @@ def test_validate_pass(panel_csv, tmp_path):
     doc = json.loads((out / "validation.json").read_text())
     assert doc["passed"] is True
     assert doc["n"] == 400
+
+
+@pytest.mark.parametrize("how", ["flag", "config"])
+def test_validate_takes_no_seed(panel_csv, tmp_path, how):
+    # validate draws nothing at random, so a seed is an unknown option
+    args = ["validate", "--input", panel_csv, "--schema", SCHEMA,
+            "--out", tmp_path / "v"]
+    if how == "flag":
+        args += ["--seed", "1"]
+    else:
+        (tmp_path / "config.json").write_text(json.dumps({"seed": 1}))
+        args += ["--config", tmp_path / "config.json"]
+    assert run(args) == 2
+    assert sorted(p.name for p in (tmp_path / "v").iterdir()) == [
+        "error.json"]
+
+
+def test_validate_reruns_an_echo_holding_a_null_seed(panel_csv, tmp_path):
+    # an echo written when validate still took --seed held "seed": null,
+    # and a null keeps the default, so the echo still reruns
+    first = tmp_path / "first"
+    assert run(["validate", "--input", panel_csv, "--schema", SCHEMA,
+                "--out", first]) == 0
+    echo = load_json(first / "config_echo.json")
+    assert "seed" not in echo
+    (tmp_path / "old.json").write_text(json.dumps({**echo, "seed": None}))
+    rerun = tmp_path / "rerun"
+    assert run(["validate", "--config", tmp_path / "old.json",
+                "--out", rerun]) == 0
+    assert ((first / "validation.json").read_bytes()
+            == (rerun / "validation.json").read_bytes())
+
+
+def test_json_output_refuses_nan_and_leaves_no_file(tmp_path):
+    path = tmp_path / "out.json"
+    with pytest.raises(ValueError):
+        _write_json(path, {"x": float("nan")})
+    assert not path.exists()
 
 
 def test_validate_fail_small_sample(tmp_path):

@@ -44,8 +44,7 @@ OPTIONS = {
                  "mechanism": MECHANISMS, "normalize_weights": "switch"},
     "replicate": {"seed": "int", "jobs": "int", "bootstrap_reps": "int",
                   "se": SE_KINDS},
-    "validate": {"seed": "int", "mechanism": MECHANISMS,
-                 "missing_policy": POLICIES},
+    "validate": {"mechanism": MECHANISMS, "missing_policy": POLICIES},
 }
 METHODS = ("dr", "naive", "bias", "ols-did-a", "ols-did-b", "ols-tdid",
            "or-did-a", "or-did-b", "or-wdid-b", "or-diffs")

@@ -2,15 +2,15 @@
 
 import csv
 import functools
+import json
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from tridiff.data import (AssignmentMechanism, CELL_ORDER, Eligibility, Group,
-                          MissingPolicy, PanelDataset, REFERENCE_CELL, Schema,
-                          cell_index, cell_name, cell_table, load_csv,
+from tridiff.data import (AssignmentMechanism, Cell, Group, MissingPolicy,
+                          PanelDataset, Schema, load_csv,
                           load_replication_csv, save_csv, validate)
 from tridiff.exceptions import (PanelValidationError, ParseError, SchemaError)
 
@@ -60,16 +60,22 @@ def wide_csv(tmp_path):
 
 
 def test_cell_vocabulary():
-    assert len(CELL_ORDER) == 4
-    assert REFERENCE_CELL == (Group.B, Eligibility.NEVER)
-    assert cell_index(REFERENCE_CELL) == 3
-    assert cell_name((Group.A, Eligibility.ELIGIBLE)) == "(A, Eligible)"
-    for i, cell in enumerate(CELL_ORDER):
-        assert cell_index(cell) == i
+    # each member: (value, group, eligible, label)
+    assert [(cell.value, cell.group, cell.eligible, cell.label)
+            for cell in Cell] == [
+        (0, Group.A, True, "(A, Eligible)"),
+        (1, Group.A, False, "(A, Never)"),
+        (2, Group.B, True, "(B, Eligible)"),
+        (3, Group.B, False, "(B, Never)"),
+    ]
+    assert [Cell(i) for i in range(4)] == list(Cell)
+    # a cell is its own code: it indexes and compares as that integer
+    assert Cell.B_NEVER == 3 and "abcd"[Cell.B_NEVER] == "d"
+    assert {Cell.A_NEVER: 1}[1] == 1
 
 
 def test_mechanism_treatment_rule():
-    # one unit per cell, in CELL_ORDER: (A, eligible), (A, never),
+    # one unit per cell, in Cell order: (A, eligible), (A, never),
     # (B, eligible), (B, never)
     def treated(mechanism):
         return PanelDataset(
@@ -91,12 +97,11 @@ def test_load_wide(wide_csv):
     assert ds.ids[0] == "s1"
     assert ds.group_is_a[0]
     assert ds.eligible[0]
-    assert ds.cell_codes()[0] == cell_index((Group.A, Eligibility.ELIGIBLE))
+    assert ds.cell_codes()[0] == Cell.A_ELIGIBLE
     assert ds.delta_y()[0] == pytest.approx(4.0)
     np.testing.assert_allclose(ds.delta_y(), [4.0, 1.0, 5.0, 1.0, 5.0])
-    table = cell_table(ds)
-    assert table.count((Group.A, Eligibility.ELIGIBLE)) == 2
-    assert table.share((Group.B, Eligibility.NEVER)) == pytest.approx(0.2)
+    assert ds.cell_counts == (2, 1, 1, 1)
+    assert ds.cell_counts[Cell.B_NEVER] / ds.n == pytest.approx(0.2)
 
 
 def test_cell_codes_and_masks_follow_cell_order():
@@ -108,21 +113,21 @@ def test_cell_codes_and_masks_follow_cell_order():
                       x=np.empty((8, 0)), covariate_names=(),
                       mechanism=AssignmentMechanism.BOTH_GROUPS)
     for i, (a, e) in enumerate(zip(group_is_a, eligible)):
-        cell = (Group.A if a else Group.B,
-                Eligibility.ELIGIBLE if e else Eligibility.NEVER)
-        assert ds.cell_codes()[i] == cell_index(cell) == CELL_ORDER.index(cell)
+        cell, = (c for c in Cell
+                 if (c.group is Group.A) == a and c.eligible == e)
+        assert ds.cell_codes()[i] == cell
     assert ds.cell_codes().dtype == np.int64
     assert ds.cell_masks.shape == (4, 8)
-    for k, cell in enumerate(CELL_ORDER):
-        group, elig = cell
-        want = ((np.array(group_is_a) == (group is Group.A))
-                & (np.array(eligible) == (elig is Eligibility.ELIGIBLE)))
-        assert np.array_equal(ds.cell_masks[k], want)
-        assert np.array_equal(ds.cell_mask(cell), want)
+    for cell in Cell:
+        want = ((np.array(group_is_a) == (cell.group is Group.A))
+                & (np.array(eligible) == cell.eligible))
+        assert np.array_equal(ds.cell_masks[cell], want)
+        assert ds.cell_counts[cell] == 2
     # built once and shared, so read-only
     assert ds.cell_masks is ds.cell_masks
+    assert ds.cell_counts is ds.cell_counts
     with pytest.raises(ValueError):
-        ds.cell_mask(CELL_ORDER[0])[0] = False
+        ds.cell_masks[Cell.A_ELIGIBLE][0] = False
 
 
 def test_save_load_round_trip(tmp_path, wide_csv):
@@ -301,6 +306,28 @@ def test_validate_reports_an_empty_panel():
     assert not report.passed
     assert set(report.cell_counts.values()) == {0}
     assert sum("empty cell" in f for f in report.failures) == 4
+
+
+def test_validation_of_an_empty_cell_is_strict_json():
+    # the library's validate() takes any in-memory panel, so a cell may
+    # be empty: its covariate summaries are NaN, written as null
+    ds = PanelDataset(ids=range(6), y1=np.zeros(6), y2=np.ones(6),
+                      group_is_a=[True, True, False, True, True, False],
+                      eligible=[True, False, True, True, False, True],
+                      x=np.arange(6.0).reshape(6, 1), covariate_names=("x",),
+                      mechanism=AssignmentMechanism.BOTH_GROUPS)
+    report = validate(ds)
+    assert math.isnan(report.covariate_stats[Cell.B_NEVER][0]["mean"])
+
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+    doc = json.loads(json.dumps(report.to_dict()), parse_constant=reject)
+    assert doc["cell_counts"]["(B, Never)"] == 0
+    assert doc["covariate_stats"]["(B, Never)"] == [
+        {"name": "x", "mean": None, "sd": None, "min": None, "max": None}]
+    assert doc["covariate_stats"]["(A, Never)"] == [
+        {"name": "x", "mean": 2.5, "sd": math.sqrt(4.5), "min": 1.0,
+         "max": 4.0}]
 
 
 def test_validate_warns_without_covariates(wide_csv):

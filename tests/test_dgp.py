@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from tridiff.data import AssignmentMechanism, Eligibility, Group
+from tridiff.data import AssignmentMechanism, Cell, Group
 from tridiff.dgp import (DgpSpec, EffectCase, closed_form_oracle,
                          export_histogram, run_monte_carlo,
                          simulate_replicate, simulate_sample)
@@ -125,9 +125,8 @@ def test_group_covariate_means():
 def test_cell_shares_near_quarter():
     ds = simulate_sample(spec())
     bound = 4 * math.sqrt(0.25 * 0.75 / ds.n)
-    for cell in ((Group.A, Eligibility.ELIGIBLE),
-                 (Group.B, Eligibility.NEVER)):
-        share = np.count_nonzero(ds.cell_mask(cell)) / ds.n
+    for cell in (Cell.A_ELIGIBLE, Cell.B_NEVER):
+        share = ds.cell_counts[cell] / ds.n
         assert share == pytest.approx(0.25, abs=bound)
 
 

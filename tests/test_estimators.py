@@ -19,7 +19,7 @@ import pytest
 
 import tridiff.estimators as est_mod
 import tridiff.scores as scores_mod
-from tridiff.data import AssignmentMechanism, Eligibility, Group, PanelDataset
+from tridiff.data import AssignmentMechanism, Cell, Group, PanelDataset
 from tridiff.dgp import DgpSpec, closed_form_oracle, simulate_sample
 from tridiff.estimators import (DR_METHODS, OR_METHODS, BootstrapConfig,
                                 EstimandLabel, EstimateResult, Method, SeKind,
@@ -30,8 +30,7 @@ from tridiff.exceptions import (EstimationError, ResamplingError,
                                 UnsupportedMechanismError)
 from tridiff.nuisance import (LinearModel, NuisanceMode, PropensityModel,
                               fit_linear, fit_nuisances)
-from tridiff.scores import (A2, B2, FitEvaluation, ScoreKind, dump_scores,
-                            score_vector)
+from tridiff.scores import FitEvaluation, ScoreKind, dump_scores, score_vector
 
 REWEIGHTED = (Method.DR_REWEIGHTED,)
 NAIVE = (Method.DR_NAIVE_DIFFERENCE,)
@@ -69,7 +68,7 @@ def test_reweighted_se_is_influence_formula(small_sample):
     ev = FitEvaluation(ds, nuis)
     diff = score_vector(ScoreKind.DR_A, ev) - score_vector(ScoreKind.WDR, ev)
     tau = float(np.mean(diff))
-    eta = diff - ev.weight_t(A2) * tau
+    eta = diff - ev.weight_t(Cell.A_ELIGIBLE) * tau
     assert res.estimate == tau
     assert res.se == math.sqrt(float(np.mean(eta * eta)) / ds.n)
     assert np.array_equal(res.influence_values, eta)
@@ -83,8 +82,8 @@ def difference_of_means(ev, first, second):
     eta)."""
     psi_a, psi_b = score_vector(first, ev), score_vector(second, ev)
     mean_a, mean_b = float(np.mean(psi_a)), float(np.mean(psi_b))
-    eta = ((psi_a - ev.weight_t(A2) * mean_a)
-           - (psi_b - ev.weight_t(B2) * mean_b))
+    eta = ((psi_a - ev.weight_t(Cell.A_ELIGIBLE) * mean_a)
+           - (psi_b - ev.weight_t(Cell.B_ELIGIBLE) * mean_b))
     se = math.sqrt(float(np.mean(eta * eta)) / ev.dataset.n)
     return mean_a - mean_b, se, eta
 
@@ -267,9 +266,9 @@ def test_bias_diagnostic_builds_only_its_kinds(counted):
 
 
 # the Python-level calls cProfile counts in one evaluation of a fit
-# (dr and naive, n=2000) are about 230; a Python-level hash per
-# (Group, Eligibility) lookup and np.mean-style wrappers on the hot path
-# take them to about 900
+# (dr and naive, n=2000) are about 230; a Python-level hash per cell
+# key lookup and np.mean-style wrappers on the hot path take them to
+# about 900
 MAX_EVALUATION_CALLS = 300
 
 
@@ -490,17 +489,19 @@ def level_model_or_quantities(ds):
     y2 on the covariates within each cell, then average one group's DID
     contrast of fitted levels over a target cell."""
     def did_of(group, target):
-        x_target = ds.x[ds.cell_mask(target)]
+        x_target = ds.x[ds.cell_masks[target]]
         contrast = np.zeros(len(x_target))
-        for elig, sign in ((Eligibility.ELIGIBLE, 1.0),
-                           (Eligibility.NEVER, -1.0)):
-            mask = ds.cell_mask((group, elig))
+        for cell in (c for c in Cell if c.group is group):
+            sign = 1.0 if cell.eligible else -1.0
+            mask = ds.cell_masks[cell]
             for y, period_sign in ((ds.y2, 1.0), (ds.y1, -1.0)):
                 model = fit_linear(ds.x[mask], y[mask])
                 contrast += sign * period_sign * model.predict(x_target)
         return float(np.mean(contrast))
 
-    a, b, wb = did_of(Group.A, A2), did_of(Group.B, B2), did_of(Group.B, A2)
+    a, b, wb = (did_of(Group.A, Cell.A_ELIGIBLE),
+                did_of(Group.B, Cell.B_ELIGIBLE),
+                did_of(Group.B, Cell.A_ELIGIBLE))
     return {"did_a": a, "did_b": b, "wdid_b": wb, "diff_ab": a - b,
             "diff_awb": a - wb}
 

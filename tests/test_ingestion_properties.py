@@ -10,10 +10,9 @@ from pathlib import Path
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
-from tridiff.data import (CELL_ORDER, NA_TOKENS, REPLICATION_FORMAT,
-                          AssignmentMechanism, MissingPolicy, PanelDataset,
-                          Schema, cell_name, load_csv, load_replication_csv,
-                          save_csv)
+from tridiff.data import (NA_TOKENS, REPLICATION_FORMAT, AssignmentMechanism,
+                          Cell, Group, MissingPolicy, PanelDataset, Schema,
+                          load_csv, load_replication_csv, save_csv)
 from tridiff.exceptions import (PanelValidationError, ParseError, SchemaError,
                                 TridiffError)
 
@@ -143,8 +142,9 @@ def ref_binary_level(value, positive, column, seen):
 
 
 def ref_require_every_cell(dataset):
-    empty = [cell_name(c) for c in CELL_ORDER
-             if not np.any(dataset.cell_mask(c))]
+    empty = [c.label for c in Cell if not np.any(
+        (dataset.group_is_a == (c.group is Group.A))
+        & (dataset.eligible == c.eligible))]
     if empty:
         raise PanelValidationError("empty cell " + ", ".join(empty))
     return dataset

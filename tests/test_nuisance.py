@@ -5,6 +5,7 @@ saturated designs whose solutions are cell means; statistical checks
 use the fitted standard errors as their own yardstick.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -12,8 +13,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import tridiff.nuisance as nuisance_mod
-from tridiff.data import (AssignmentMechanism, Eligibility, Group,
-                          PanelDataset)
+from tridiff.data import AssignmentMechanism, Cell, Group, PanelDataset
 from tridiff.dgp import DgpSpec, simulate_replicate, simulate_sample
 from tridiff.estimators import estimate_doubly_robust
 from tridiff.exceptions import (ConvergenceError, InsufficientDataError,
@@ -764,21 +764,19 @@ def test_fit_nuisances_score_set():
     nuis = fit_nuisances(ds, NuisanceMode.SCORE_SET)
     assert nuis.propensity is not None
     fitted_cells = set(nuis.outcome_models)
-    assert fitted_cells == {(Group.A, Eligibility.NEVER),
-                           (Group.B, Eligibility.ELIGIBLE),
-                           (Group.B, Eligibility.NEVER)}
+    assert fitted_cells == {Cell.A_NEVER, Cell.B_ELIGIBLE, Cell.B_NEVER}
     probs = nuis.propensities(ds.x)
     assert probs.shape == (ds.n, 4)
     np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-10)
     # fitted change regressions predict on the raw covariate scale
-    m = nuis.outcome_mean((Group.B, Eligibility.NEVER), ds.x[:5])
+    m = nuis.outcome_mean(Cell.B_NEVER, ds.x[:5])
     assert m.shape == (5,)
 
 
 def test_fit_nuisances_score_set_with_a2():
     ds = toy_dataset()
     nuis = fit_nuisances(ds, NuisanceMode.SCORE_SET, normalize=True)
-    assert nuis.has_outcome((Group.A, Eligibility.ELIGIBLE))
+    assert nuis.has_outcome(Cell.A_ELIGIBLE)
     assert len(nuis.outcome_models) == 4
 
 
@@ -786,12 +784,11 @@ def test_normalized_fit_needs_a2_only_with_the_logit():
     # normalized weights revive m(A, Eligible) in the DR scores; the
     # outcome-regression scores never weight by the propensity
     ds = toy_dataset()
-    a2 = (Group.A, Eligibility.ELIGIBLE)
     assert fit_nuisances(ds, NuisanceMode.SCORE_SET,
-                         normalize=True).has_outcome(a2)
+                         normalize=True).has_outcome(Cell.A_ELIGIBLE)
     outcome_only = fit_nuisances(ds, NuisanceMode.OUTCOME_ONLY,
                                  normalize=True)
-    assert not outcome_only.has_outcome(a2)
+    assert not outcome_only.has_outcome(Cell.A_ELIGIBLE)
     assert outcome_only.fit_options["normalize"] is True
 
 
@@ -839,7 +836,7 @@ def test_fit_nuisances_covariate_subsets():
                          propensity_covariates=["x0"],
                          outcome_covariates=["x0", "x1"])
     assert nuis.propensity.covariate_names == ("x0",)
-    model = nuis.outcome_models[(Group.B, Eligibility.NEVER)]
+    model = nuis.outcome_models[Cell.B_NEVER]
     assert model.column_names == ("intercept", "x0", "x1")
     probs = nuis.propensities(ds.x)  # subset applied internally
     assert probs.shape == (ds.n, 4)
@@ -867,6 +864,14 @@ def test_nuisance_set_serialization(tmp_path):
     import json
     loaded = json.loads(path.read_text())
     assert loaded["mode"] == "score-set"
+    # a non-finite coefficient is refused before the file is opened
+    model = nuis.outcome_models[Cell.B_NEVER]
+    broken = dataclasses.replace(nuis, outcome_models={
+        **nuis.outcome_models, Cell.B_NEVER: dataclasses.replace(
+            model, coefficients=np.full_like(model.coefficients, np.nan))})
+    with pytest.raises(ValueError):
+        broken.save_json(tmp_path / "broken.json")
+    assert not (tmp_path / "broken.json").exists()
 
 
 def test_linear_model_to_dict():

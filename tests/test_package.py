@@ -21,6 +21,31 @@ def test_all_has_no_duplicates():
     assert len(tridiff.__all__) == len(set(tridiff.__all__))
 
 
+# the public names; a removal or an addition shows up in this diff
+PUBLIC_NAMES = [
+    "AssignmentMechanism", "BootstrapConfig", "Cell", "ConvergenceError",
+    "DgpSpec", "EffectCase", "EstimandLabel", "EstimateResult",
+    "EstimationError", "FitEvaluation", "FittingError", "Group",
+    "IngestionError", "InsufficientDataError", "LinearModel", "Method",
+    "MissingNuisanceError", "MissingPolicy", "MonteCarloResult",
+    "NuisanceMode", "NuisanceSet", "OracleValues", "PanelDataset",
+    "PanelValidationError", "ParseError", "PropensityModel",
+    "ResamplingError", "Schema", "SchemaError", "ScoreKind", "SeKind",
+    "SeparationError", "SingularDesignError", "TridiffError",
+    "TrimmingError", "UnsupportedMechanismError", "ValidationReport",
+    "bias_diagnostic", "bootstrap_replicates", "bootstrap_ses",
+    "closed_form_oracle", "dump_scores", "estimate_doubly_robust",
+    "export_histogram", "fit_linear", "fit_logistic_multinomial",
+    "fit_nuisances", "fit_ols", "load_csv", "ols_did", "ols_tdid",
+    "refit_estimates", "run_monte_carlo", "save_csv", "score_vector",
+    "score_vectors", "simulate_replicate", "simulate_sample", "validate",
+]
+
+
+def test_public_names_are_pinned():
+    assert sorted(tridiff.__all__) == PUBLIC_NAMES
+
+
 def run_python(code, cwd):
     return subprocess.run([sys.executable, "-c", textwrap.dedent(code)],
                           cwd=cwd, env={**os.environ, "PYTHONPATH": SRC,

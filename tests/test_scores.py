@@ -21,18 +21,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tridiff.data import (CELL_ORDER, AssignmentMechanism, Eligibility,
-                          Group, PanelDataset, cell_index, cell_name,
-                          cell_table)
+from tridiff.data import AssignmentMechanism, Cell, Group, PanelDataset
 from tridiff.dgp import DgpSpec, simulate_sample
 from tridiff.estimators import (METHOD_SCORES, Method, bias_diagnostic,
                                 estimate_doubly_robust, score_contrast)
 from tridiff.exceptions import (EstimationError, FittingError,
                                 MissingNuisanceError, TrimmingError)
 from tridiff.nuisance import LinearModel, NuisanceMode, fit_nuisances
-from tridiff.scores import (A2, A_NEVER, B2, B_NEVER, FitEvaluation,
-                            ScoreForm, ScoreKind, dump_scores, score_vector,
-                            score_vectors)
+from tridiff.scores import (FitEvaluation, ScoreForm, ScoreKind, dump_scores,
+                            score_vector, score_vectors)
+
+A2, A_NEVER, B2, B_NEVER = Cell
 
 
 @pytest.fixture(scope="module")
@@ -72,14 +71,13 @@ HAND_VALUES = {
 
 def test_fixture_nuisances_are_as_stated(fixture):
     ds, nuis = fixture
-    cells = cell_table(ds)
     probs = nuis.propensities(ds.x)
     np.testing.assert_allclose(probs, 0.25, atol=1e-8)
     assert nuis.outcome_mean(A_NEVER, ds.x)[0] == pytest.approx(1.0)
     assert nuis.outcome_mean(B2, ds.x)[0] == pytest.approx(4.0)
     assert nuis.outcome_mean(B_NEVER, ds.x)[0] == pytest.approx(0.5)
-    for cell in (A2, A_NEVER, B2, B_NEVER):
-        assert cells.share(cell) == 0.25
+    for cell in Cell:
+        assert ds.cell_counts[cell] / ds.n == 0.25
 
 
 def test_weight_t_values(fixture):
@@ -306,30 +304,36 @@ def test_score_vector_rejects_missing_donor_model(fixture):
 
 
 # ---------------------------------------------------------------------------
-# The code-indexed evaluation against a reference of the cell-keyed one
+# The evaluation against an independent reference
 # ---------------------------------------------------------------------------
 
 def _reference_mask(dataset, cell):
-    group, elig = cell
-    return ((dataset.group_is_a == (group is Group.A))
-            & (dataset.eligible == (elig is Eligibility.ELIGIBLE)))
+    return ((dataset.group_is_a == (cell.group is Group.A))
+            & (dataset.eligible == cell.eligible))
+
+
+def _cell_of(group, eligible):
+    cell, = (c for c in Cell if c.group is group and c.eligible == eligible)
+    return cell
 
 
 class ReferenceEvaluation:
-    """A test-only reference evaluation keyed by cells, not by cell
-    codes: every array is stored under a (Group, Eligibility) key and
-    built with the numpy wrappers (np.mean, np.any, np.all), the cell
-    masks come straight from the group and eligibility columns, and each
-    control weight is built source by source with a masked divide (the
-    propensity ratio divided and scaled only where the unit is in the
-    source cell, with the source cell's own propensity column as
-    divisor). FitEvaluation must give its arrays, estimates and
-    exceptions bit for bit."""
+    """A test-only reference evaluation that shares none of the panel's
+    cell caches: every array is stored under a Cell key and built with
+    the numpy wrappers (np.mean, np.any, np.all), each cell's mask and
+    share come straight from the group and eligibility columns, not from
+    cell_codes(), and each control weight is built source by source with
+    a masked divide (the propensity ratio divided and scaled only where
+    the unit is in the source cell, with the source cell's own
+    propensity column as divisor). FitEvaluation must give its arrays,
+    estimates and exceptions bit for bit."""
 
     def __init__(self, dataset, nuisances):
         self.dataset, self.nuisances = dataset, nuisances
         self.normalize = nuisances.fit_options["normalize"]
-        self.cells = cell_table(dataset)
+        n = dataset.n
+        self.shares = {cell: (np.count_nonzero(_reference_mask(dataset, cell))
+                              / n if n else 0.0) for cell in Cell}
         self.delta = dataset.delta_y()
         self.memo = {}
 
@@ -348,9 +352,9 @@ class ReferenceEvaluation:
 
     def weight_t(self, cell):
         def build():
-            share = self.cells.share(cell)
+            share = self.shares[cell]
             if share == 0:
-                raise EstimationError(f"cell {cell_name(cell)} is empty; "
+                raise EstimationError(f"cell {cell.label} is empty; "
                                       "treatment weight undefined")
             out = np.zeros(self.dataset.n)
             out[_reference_mask(self.dataset, cell)] = 1.0 / share
@@ -363,23 +367,23 @@ class ReferenceEvaluation:
                                                    source_cell))
 
     def _weight_c(self, numerator_cell, source_cell):
-        share = self.cells.share(numerator_cell)
+        share = self.shares[numerator_cell]
         if share == 0:
-            raise EstimationError(f"cell {cell_name(numerator_cell)} is "
+            raise EstimationError(f"cell {numerator_cell.label} is "
                                   "empty; control weight undefined")
         mask = _reference_mask(self.dataset, source_cell)
         out = np.zeros(self.dataset.n)
         if np.any(mask):
             probs = self.propensities()
-            p_num = probs[:, cell_index(numerator_cell)]
-            p_src = probs[:, cell_index(source_cell)]
+            p_num = probs[:, numerator_cell]
+            p_src = probs[:, source_cell]
             eps = self.nuisances.fit_options["trim_epsilon"]
             low = mask & (p_src < eps)
             if np.any(low):
                 ids = tuple(self.dataset.ids[low])
                 raise TrimmingError(
-                    f"{len(ids)} unit(s) in {cell_name(source_cell)} have "
-                    f"p{cell_name(source_cell)} below trim threshold "
+                    f"{len(ids)} unit(s) in {source_cell.label} have "
+                    f"p{source_cell.label} below trim threshold "
                     f"{eps:g}: {', '.join(repr(i) for i in ids[:10])}"
                     + ("…" if len(ids) > 10 else ""), unit_ids=ids)
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -389,7 +393,7 @@ class ReferenceEvaluation:
             mean = float(np.mean(out))
             if mean <= 0:
                 raise EstimationError(
-                    f"control weight for source {cell_name(source_cell)} "
+                    f"control weight for source {source_cell.label} "
                     f"has non-positive mean {mean:g}; cannot normalize")
             out = out / mean
         return out
@@ -398,19 +402,19 @@ class ReferenceEvaluation:
         if cell == target and not self.normalize:
             if np.any(multiplier):
                 raise EstimationError(
-                    f"augmentation multiplier for m{cell_name(cell)} should "
+                    f"augmentation multiplier for m{cell.label} should "
                     "be identically zero with unnormalized weights but is not")
             return np.zeros(len(multiplier))
         if cell == target and not self.nuisances.has_outcome(cell):
             raise MissingNuisanceError(
-                f"score needs outcome model m{cell_name(cell)} because "
+                f"score needs outcome model m{cell.label} because "
                 "normalized weights give it a nonzero multiplier")
         return multiplier * self.outcome(cell)
 
 
 def reference_score(kind, ev):
     target, group = kind.target, kind.group
-    eligible, never = (group, Eligibility.ELIGIBLE), (group, Eligibility.NEVER)
+    eligible, never = _cell_of(group, True), _cell_of(group, False)
     delta, wt, wc, m = ev.delta, ev.weight_t, ev.weight_c, ev.outcome
     if kind.form is ScoreForm.REGRESSION:
         values = wt(target) * ((delta if target == eligible
@@ -498,8 +502,8 @@ def test_control_weights_match_masked_divide(seed, mu_b, normalize):
     ds = simulate_sample(DgpSpec(n=2000, seed=seed, mu_b=mu_b))
     nuis = fit_nuisances(ds, trim_epsilon=0.0, normalize=normalize)
     ev, ref = FitEvaluation(ds, nuis), ReferenceEvaluation(ds, nuis)
-    for numerator in CELL_ORDER:
-        for source in CELL_ORDER:
+    for numerator in Cell:
+        for source in Cell:
             assert np.array_equal(ev.weight_c(numerator, source),
                                   ref.weight_c(numerator, source))
     for kind in ScoreKind:
@@ -525,7 +529,7 @@ def test_normalizing_an_empty_source_raises(sloped_fixture):
     # weight is all zero and cannot be normalized
     ds = sloped_fixture
     nuis = fit_nuisances(ds, normalize=True)
-    kept = ds.subset(np.flatnonzero(~ds.cell_mask(B_NEVER)))
+    kept = ds.subset(np.flatnonzero(~ds.cell_masks[B_NEVER]))
     for evaluation in (FitEvaluation, ReferenceEvaluation):
         with pytest.raises(EstimationError, match="non-positive mean 0"):
             evaluation(kept, nuis).weight_c(A2, B_NEVER)
@@ -566,15 +570,14 @@ def evaluated_fits(draw):
     damage = draw(st.sampled_from(["none", "drop cell", "no (A, Eligible) "
                                    "model", "non-finite outcome model"]))
     if damage == "drop cell":
-        dropped = draw(st.sampled_from(CELL_ORDER))
+        dropped = draw(st.sampled_from(list(Cell)))
         ds = ds.subset(np.flatnonzero(~_reference_mask(ds, dropped)))
     elif damage == "no (A, Eligible) model":
         nuis = dataclasses.replace(nuis, outcome_models={
             cell: model for cell, model in nuis.outcome_models.items()
             if cell != A2})
     elif damage == "non-finite outcome model":
-        cell = draw(st.sampled_from(sorted(nuis.outcome_models,
-                                           key=cell_index)))
+        cell = draw(st.sampled_from(sorted(nuis.outcome_models)))
         model = nuis.outcome_models[cell]
         nuis = dataclasses.replace(nuis, outcome_models={
             **nuis.outcome_models, cell: dataclasses.replace(
