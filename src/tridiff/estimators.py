@@ -26,7 +26,7 @@ from .data import AssignmentMechanism, Group, PanelDataset
 from .exceptions import (EstimationError, ResamplingError,
                          UnsupportedMechanismError)
 from .nuisance import LinearModel, NuisanceSet, fit_nuisances, fit_ols
-from .parallel import map_ordered
+from .parallel import OrderedPool
 from .scores import FitEvaluation, ScoreForm, ScoreKind, score_vectors
 
 DEFAULT_BOOTSTRAP_REPS = 999
@@ -260,23 +260,25 @@ def bootstrap_replicates(dataset: PanelDataset,
     are the same for any n_jobs. 10 * replications draws without enough
     usable ones raise ResamplingError; else the exception of the first
     kept draw that raised one is raised; draws past the last kept one
-    are dropped, errors and all."""
+    are dropped, errors and all. Every round goes to the same worker
+    processes, started once for the whole bootstrap."""
     task = functools.partial(_estimate_draw, dataset, estimator, config.seed)
     wanted, cap = config.replications, 10 * config.replications
     kept, counter = [], 0
-    while len(kept) < wanted:
-        if counter >= cap:
-            raise ResamplingError(
-                f"exceeded {cap} resampling attempts with only "
-                f"{len(kept)} usable replicates; cells are too sparse to "
-                f"bootstrap")
-        size = wanted - len(kept)
-        if counter:  # scaled by the usable share so far; if none, the rest
-            size = -(-size * counter // len(kept)) if kept else cap
-        outcomes = map_ordered(task, range(  # a draw per job at least
-            counter, min(counter + max(size, n_jobs), cap)), n_jobs)
-        counter += len(outcomes)
-        kept += [o for o in outcomes if o is not _Draw.LACKS_CELL]
+    with OrderedPool(task, n_jobs) as pool:
+        while len(kept) < wanted:
+            if counter >= cap:
+                raise ResamplingError(
+                    f"exceeded {cap} resampling attempts with only "
+                    f"{len(kept)} usable replicates; cells are too sparse "
+                    f"to bootstrap")
+            size = wanted - len(kept)
+            if counter:  # scaled by the usable share so far; if none, the rest
+                size = -(-size * counter // len(kept)) if kept else cap
+            outcomes = pool.map(range(  # a draw per job at least
+                counter, min(counter + max(size, n_jobs), cap)))
+            counter += len(outcomes)
+            kept += [o for o in outcomes if o is not _Draw.LACKS_CELL]
     for outcome in kept[:wanted]:
         if isinstance(outcome, Exception):
             raise outcome
@@ -305,15 +307,13 @@ def refit_estimates(nuisances: NuisanceSet,
     estimate_doubly_robust's `methods`.
     The callable pickles, so it can be sent to worker processes.
 
-    Each refit's logit Newton iteration starts from the full-sample
-    propensity coefficients, near where a resample's optimum lies, so
-    it takes fewer iterations than a start from zero and converges to
-    the same optimum as a fit given no start, up to the convergence
-    tolerance."""
-    options = dict(nuisances.fit_options)
-    if nuisances.propensity is not None:
-        options["start"] = nuisances.propensity.coefficients
-    return functools.partial(_refit, options, methods)
+    A refit is the full-sample fit on the resample, nothing carried over:
+    its logit Newton iteration starts from the resample's own cell
+    moments, as every fit does, which on the benchmark panel takes two
+    iterations where a start from the full-sample coefficients takes
+    three, and its evaluation reads the propensities the fit converged
+    to (see FitEvaluation)."""
+    return functools.partial(_refit, dict(nuisances.fit_options), methods)
 
 
 def _refit(options: dict, methods: Tuple[Method, ...],

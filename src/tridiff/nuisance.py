@@ -623,11 +623,11 @@ def fit_logistic_multinomial(covariates, cell_labels,
 
     cell_labels are integer codes, the Cell numbers. Every cell needs
     d+1 units and the intercept-first design full rank. Newton starts at
-    `start`: raw-scale (3, d+1) coefficients such as another fit's, which
-    a bootstrap refit passes so that it begins near its optimum. Without
-    one it starts at the moment-matched linear-discriminant coefficients
-    of the standardized covariates, or at zero where those are unusable
-    or fit worse than zero (see _moment_start and _newton_multinomial).
+    the moment-matched linear-discriminant coefficients of the
+    standardized covariates, or at zero where those are unusable or fit
+    worse than zero (see _moment_start and _newton_multinomial); a
+    `start`, raw-scale (3, d+1) coefficients such as another fit's,
+    replaces that start.
     Converges when the likelihood gain drops below tol or the
     gradient max-norm below 1e-8. Standardized coefficients whose norm
     passes 1e4 with rising likelihood raise SeparationError, whatever
@@ -699,7 +699,9 @@ class NuisanceSet:
     fit_options holds fit_nuisances' keyword arguments, which reproduce
     this fit on another dataset (bootstrap and Monte Carlo refits use
     exactly these) and say how it is evaluated: its mode, the trim
-    threshold and whether the control weights are normalized."""
+    threshold and whether the control weights are normalized.
+    fitted_x is the covariate array the models were fitted on, the
+    dataset's read-only x, so that propensities() knows it by identity."""
 
     covariate_names: tuple
     fit_options: dict
@@ -707,6 +709,8 @@ class NuisanceSet:
     outcome_models: dict = field(default_factory=dict)  # Cell -> model
     propensity_columns: Optional[tuple] = None
     outcome_columns: Optional[tuple] = None
+    fitted_x: Optional[np.ndarray] = field(default=None, repr=False,
+                                           compare=False)
 
     def _features(self, x_raw, columns) -> np.ndarray:
         x = np.asarray(x_raw, dtype=float)
@@ -715,8 +719,16 @@ class NuisanceSet:
         return x if columns is None else x[:, list(columns)]
 
     def propensities(self, x_raw) -> np.ndarray:
+        """Cell probabilities at the raw covariates, shape (n, 4). On the
+        fitted array itself they are the fit's own converged ones, the
+        transposed fit_state probabilities computed in the standardized
+        space, read-only; any other array is predicted."""
         if self.propensity is None:
             raise MissingNuisanceError("no propensity model fitted")
+        if x_raw is self.fitted_x and self.propensity.fit_state is not None:
+            probs = self.propensity.fit_state[1].T
+            probs.setflags(write=False)
+            return probs
         return self.propensity.predict(
             self._features(x_raw, self.propensity_columns))
 
@@ -784,8 +796,7 @@ def fit_nuisances(dataset: PanelDataset,
                   propensity_covariates: Optional[Sequence[str]] = None,
                   outcome_covariates: Optional[Sequence[str]] = None,
                   max_iter: int = DEFAULT_MAX_ITER,
-                  tol: float = DEFAULT_LL_TOL,
-                  start=None) -> NuisanceSet:
+                  tol: float = DEFAULT_LL_TOL) -> NuisanceSet:
     """Fit the nuisance models an estimator needs.
 
     SCORE_SET fits the four-cell propensity model on all units plus the
@@ -800,11 +811,12 @@ def fit_nuisances(dataset: PanelDataset,
     scores, so SCORE_SET then fits it too.
 
     Covariate subsets name columns of the dataset's covariate matrix;
-    default is all columns for both families. `start` is passed to
-    fit_logistic_multinomial as its Newton start; without one Newton
-    starts from the cell moments of the covariates (or zero). A start
-    changes where the iteration begins, not the model, so fit_options
-    does not record it.
+    default is all columns for both families. The logit's Newton
+    iteration starts from the cell moments of the covariates (or zero),
+    so a fit depends on the dataset and fit_options alone. The set
+    records the dataset's x as fitted_x, so that an evaluation of this
+    dataset reads the probabilities the logit converged to instead of
+    predicting them.
     """
     if not 0.0 <= trim_epsilon < 1.0:  # NaN fails too
         raise ValueError(f"trim_epsilon must be in [0, 1), got {trim_epsilon}")
@@ -829,7 +841,7 @@ def fit_nuisances(dataset: PanelDataset,
         try:
             propensity = fit_logistic_multinomial(
                 prop_x, dataset.cell_codes(), max_iter=max_iter, tol=tol,
-                covariate_names=prop_names, start=start)
+                covariate_names=prop_names)
         except Exception as exc:
             raise _reraise_for_cell(exc, "propensity model") from exc
 
@@ -839,10 +851,10 @@ def fit_nuisances(dataset: PanelDataset,
     outcome_models = {}
     delta = dataset.delta_y()
     for cell in cells:
-        mask = dataset.cell_masks[cell]
+        rows = np.flatnonzero(dataset.cell_masks[cell])
         try:
             outcome_models[cell] = fit_linear(
-                out_x[mask], delta[mask], out_names,
+                out_x.take(rows, axis=0), delta.take(rows), out_names,
                 fitted_on=cell.label)
         except Exception as exc:
             raise _reraise_for_cell(exc, cell.label) from exc
@@ -850,4 +862,5 @@ def fit_nuisances(dataset: PanelDataset,
     return NuisanceSet(covariate_names=dataset.covariate_names,
                        fit_options=fit_options, propensity=propensity,
                        outcome_models=outcome_models,
-                       propensity_columns=prop_cols, outcome_columns=out_cols)
+                       propensity_columns=prop_cols, outcome_columns=out_cols,
+                       fitted_x=dataset.x)

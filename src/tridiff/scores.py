@@ -83,11 +83,15 @@ class FitEvaluation:
     computes the propensity matrix, each outcome-change prediction, each
     treatment weight, odds row and control weight once, on first
     request. Every score kind, estimator and bias diagnostic built from
-    one evaluation thus shares a single prediction per model. The fit's
-    options set the trim threshold and the weighting: with "normalize"
-    each control weight is rescaled by its full-sample mean (the
-    treatment weight already averages to one by construction); without
-    it the weights stay exactly as defined. Per-cell quantities sit in
+    one evaluation thus shares a single prediction per model. On the
+    dataset the fit was fitted on, the propensity matrix is not
+    predicted at all: it is the logit's own converged probabilities
+    (NuisanceSet.propensities), so a bootstrap refit or a Monte Carlo
+    replication predicts no propensity. The fit's options set the trim
+    threshold and the weighting: with "normalize" each control weight is
+    rescaled by its full-sample mean (the treatment weight already
+    averages to one by construction); without it the weights stay
+    exactly as defined. Per-cell quantities sit in
     slots indexed by Cell: the `shares` and `masks` sequences and the
     memo, which keys by method name and cells.
     """
@@ -104,7 +108,8 @@ class FitEvaluation:
 
     @_per_evaluation
     def propensities(self) -> np.ndarray:
-        """Cell probabilities of every unit, shape (n, 4)."""
+        """Cell probabilities of every unit, shape (n, 4): the fit's own
+        on its fitted dataset, else predicted."""
         return self.nuisances.propensities(self.dataset.x)
 
     @_per_evaluation

@@ -290,33 +290,37 @@ def test_estimate_one_refit_per_draw_serves_every_score_method(
 
 def test_estimate_warm_started_bootstrap_matches_cold_start(
         panel_csv, tmp_path, monkeypatch):
-    # each refit starts Newton from the full-sample logit; a pass whose
-    # refits start from zero must give the same SEs up to the
-    # convergence tolerance
+    # each refit starts Newton from its own cell moments; a pass whose
+    # refits start from the full-sample logit must give the same SEs up
+    # to the convergence tolerance
     out = tmp_path / "o"
     args = ["estimate", "--input", panel_csv, "--schema", SCHEMA,
             "--methods", "dr,naive", "--trim", "0", "--bootstrap-reps", "30",
             "--seed", "3", "--jobs", "1"]
     assert run(args + ["--out", out]) == 0
-    warm = json.loads((out / "results.json").read_text())
+    cold = json.loads((out / "results.json").read_text())
 
-    import tridiff.estimators as est_mod
-    from tridiff.nuisance import fit_nuisances
-    starts = []
+    import tridiff.nuisance as nuisance_mod
+    fit = nuisance_mod.fit_logistic_multinomial
+    fits = []
 
-    def cold(*args, **kwargs):
-        starts.append(kwargs.pop("start", None))
-        return fit_nuisances(*args, **kwargs)
+    def warm(*args, **kwargs):
+        # the first fit is the full sample's; every refit starts there
+        assert "start" not in kwargs
+        if fits:
+            kwargs["start"] = fits[0].coefficients
+        fits.append(fit(*args, **kwargs))
+        return fits[-1]
 
-    monkeypatch.setattr(est_mod, "fit_nuisances", cold)
-    cold_out = tmp_path / "cold"
-    assert run(args + ["--out", cold_out]) == 0
-    assert len(starts) == 30 and all(s is not None for s in starts)
-    cold_doc = json.loads((cold_out / "results.json").read_text())
-    assert cold_doc["results"] == warm["results"]
+    monkeypatch.setattr(nuisance_mod, "fit_logistic_multinomial", warm)
+    warm_out = tmp_path / "warm"
+    assert run(args + ["--out", warm_out]) == 0
+    assert len(fits) == 31
+    warm_doc = json.loads((warm_out / "results.json").read_text())
+    assert warm_doc["results"] == cold["results"]
     for key in ("dr", "naive"):
-        assert cold_doc["extras"][key]["bootstrap_se"] == pytest.approx(
-            warm["extras"][key]["bootstrap_se"], rel=1e-9, abs=0)
+        assert warm_doc["extras"][key]["bootstrap_se"] == pytest.approx(
+            cold["extras"][key]["bootstrap_se"], rel=1e-9, abs=0)
 
 
 @pytest.mark.parametrize("command", ["estimate", "replicate"])
@@ -470,22 +474,29 @@ def test_estimate_bias_method_requires_only_a(panel_csv, tmp_path):
 
 def test_estimate_evaluates_the_fit_once(panel_csv, tmp_path, monkeypatch):
     # the estimators, the bias diagnostic and the score dump share one
-    # evaluation of the fit: the propensity model is predicted once
-    from tridiff.nuisance import PropensityModel
-    calls = []
-    predict = PropensityModel.predict
+    # evaluation of the fit, on the fitted panel: it predicts each
+    # outcome model once and the propensity model not at all, since it
+    # reads the logit's own probabilities
+    from tridiff.nuisance import LinearModel, PropensityModel
+    calls = {PropensityModel: [], LinearModel: []}
 
-    def counted(self, x):
-        calls.append(len(x))
-        return predict(self, x)
+    def counted(model_type):
+        predict = model_type.predict
 
-    monkeypatch.setattr(PropensityModel, "predict", counted)
+        def counted_predict(self, x):
+            calls[model_type].append(len(x))
+            return predict(self, x)
+        monkeypatch.setattr(model_type, "predict", counted_predict)
+
+    counted(PropensityModel)
+    counted(LinearModel)
     out = tmp_path / "o"
     assert run(["estimate", "--input", panel_csv, "--schema", SCHEMA,
                 "--methods", "dr,naive,bias", "--mechanism", "only-a",
                 "--trim", "0", "--dump-scores", "--jobs", "1",
                 "--out", out]) == 0
-    assert calls == [400]
+    assert calls[PropensityModel] == []
+    assert calls[LinearModel] == [400] * 3
     assert "bias" in json.loads((out / "results.json").read_text())["extras"]
     assert (out / "scores.csv").exists()
 

@@ -7,6 +7,7 @@ the default means), so every tolerance is a sampling band around an
 independently known number, not a snapshot.
 """
 
+import concurrent.futures
 import cProfile
 import dataclasses
 import functools
@@ -235,10 +236,10 @@ def test_one_prediction_per_evaluation(small_sample, counted, methods,
                                        kinds, outcome_predictions):
     ds, nuis = small_sample
     estimate_doubly_robust(ds, nuis, methods=methods)
-    # one propensity prediction, one per outcome model the kinds use
-    # (DR_A uses m(A, Never); WDR m(B, Eligible) and m(B, Never); DR_B
-    # m(B, Never))
-    assert counted["predict"] == 1
+    # no propensity prediction on the fitted sample, whose probabilities
+    # the fit holds; one per outcome model the kinds use (DR_A uses
+    # m(A, Never); WDR m(B, Eligible) and m(B, Never); DR_B m(B, Never))
+    assert counted["predict"] == 0
     assert counted["outcome_predict"] == outcome_predictions
     # each kind once, and only the kinds the estimator needs
     assert counted["kinds"] == kinds
@@ -246,11 +247,12 @@ def test_one_prediction_per_evaluation(small_sample, counted, methods,
 
 def test_dump_scores_predicts_each_model_once(small_sample, counted,
                                               tmp_path):
-    # all nine kinds together use the three fitted outcome models
+    # all nine kinds together use the three fitted outcome models, and
+    # the fitted sample's propensities are the fit's own
     ds, nuis = small_sample
     dump_scores(FitEvaluation(ds, nuis), list(ScoreKind),
                 tmp_path / "scores.csv")
-    assert counted["predict"] == 1
+    assert counted["predict"] == 0
     assert counted["outcome_predict"] == 3
     assert counted["kinds"] == list(ScoreKind)
 
@@ -260,9 +262,20 @@ def test_bias_diagnostic_builds_only_its_kinds(counted):
                                  mechanism=AssignmentMechanism.ONLY_GROUP_A))
     nuis = fit_nuisances(ds, NuisanceMode.SCORE_SET, trim_epsilon=0.0)
     bias_diagnostic(ds, nuis)
-    assert counted["predict"] == 1
+    assert counted["predict"] == 0
     assert counted["outcome_predict"] == 2
     assert counted["kinds"] == [ScoreKind.WDR, ScoreKind.DR_B]
+
+
+def test_evaluation_of_another_dataset_predicts_once(small_sample, counted):
+    # a fit evaluated on units it was not fitted on predicts their
+    # propensities, once per evaluation, exactly as the model does
+    ds, nuis = small_sample
+    other = simulate_sample(DgpSpec(n=400, seed=9))
+    ev = FitEvaluation(other, nuis)
+    estimate_doubly_robust(other, nuis, ev=ev)
+    assert counted["predict"] == 1
+    assert np.array_equal(ev.propensities(), nuis.propensity.predict(other.x))
 
 
 # the Python-level calls cProfile counts in one evaluation of a fit
@@ -598,8 +611,9 @@ def test_naive_refit_runner_differs(small_sample):
 def test_naive_refit_is_a_view_on_the_joint_refit(small_sample, counted):
     ds, nuis = small_sample
     (naive,) = refit_estimates(nuis, methods=NAIVE)(ds)
-    # one refit, one prediction, and no WDR score for a naive-only view
-    assert counted["predict"] == 1
+    # one refit, evaluated on the sample it was fitted on, so with no
+    # prediction, and no WDR score for a naive-only view
+    assert counted["predict"] == 0
     assert counted["kinds"] == [ScoreKind.DR_A, ScoreKind.DR_B]
     both = refit_estimates(nuis)(ds)
     assert both == (
@@ -739,6 +753,30 @@ def test_bootstrap_evaluates_the_first_usable_draws_in_order(sparse_panel,
                                 n_jobs).tolist() == expected
 
 
+def test_bootstrap_rounds_share_one_worker_pool(sparse_panel, monkeypatch):
+    # the redraws take a second round, which goes to the workers the
+    # first round started; the draws are the serial ones
+    ds = sparse_panel
+    config = BootstrapConfig(replications=40, seed=6)
+    serial = bootstrap_replicates(ds, resample_ids, config)
+    started, rounds = [], []
+
+    class CountedPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            started.append(kwargs["max_workers"])
+            super().__init__(*args, **kwargs)
+
+        def map(self, *args, **kwargs):
+            rounds.append(len(args[1]))
+            return super().map(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        CountedPool)
+    assert np.array_equal(bootstrap_replicates(ds, resample_ids, config,
+                                               n_jobs=2), serial)
+    assert started == [2] and len(rounds) == 2
+
+
 def fails_on(fingerprint, d):
     if resample_ids(d) == fingerprint:
         raise EstimationError("this refit fails")
@@ -768,26 +806,30 @@ def test_bootstrap_refits_in_workers_equal_serial(small_sample):
                           serial)
 
 
-def test_warm_started_refits_take_fewer_newton_iterations(small_sample,
-                                                          monkeypatch):
-    # every refit starts Newton from the full-sample logit; replacing the
-    # start by zero must cost iterations, so a lost warm start shows here
-    ds, nuis = small_sample
-    config = BootstrapConfig(replications=15, seed=2)
-    iters = {"warm": [], "cold": []}
+# Newton iterations of 30 bootstrap refits of an n=5000 panel with good
+# overlap: each refit starts from its own cell moments and takes 2
+# (60 in all); a start from the full-sample coefficients takes about 3
+# (about 92 in all)
+MAX_REFIT_NEWTON_ITERS = 75
+
+
+def test_bootstrap_refits_take_few_newton_iterations(monkeypatch):
+    # deterministic, like the traced Newton-iteration guards: a refit
+    # that loses the moment-matched start shows here at once
+    ds = simulate_sample(DgpSpec(n=5000, seed=1, mu_b=1.5))
+    nuis = fit_nuisances(ds, NuisanceMode.SCORE_SET, trim_epsilon=0.0)
+    iters = []
 
     def counted(*args, **kwargs):
-        if label == "cold":
-            kwargs["start"] = np.zeros_like(kwargs["start"])
         fit = fit_nuisances(*args, **kwargs)
-        iters[label].append(fit.propensity.n_iter)
+        iters.append(fit.propensity.n_iter)
         return fit
 
     monkeypatch.setattr(est_mod, "fit_nuisances", counted)
-    for label in iters:
-        bootstrap_ses(ds, refit_estimates(nuis), config, n_jobs=1)
-    assert len(iters["warm"]) == len(iters["cold"]) == 15
-    assert sum(iters["warm"]) < sum(iters["cold"])
+    bootstrap_ses(ds, refit_estimates(nuis),
+                  BootstrapConfig(replications=30, seed=1), n_jobs=1)
+    assert len(iters) == 30
+    assert sum(iters) < MAX_REFIT_NEWTON_ITERS, iters
 
 
 def test_bootstrap_config_validation():

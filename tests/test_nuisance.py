@@ -633,16 +633,6 @@ def test_warm_start_shape_is_checked():
         fit_logistic_multinomial(x, labels, start=np.zeros((3, 2)))
 
 
-def test_fit_nuisances_start_is_not_a_fit_option():
-    ds = toy_dataset()
-    cold = fit_nuisances(ds)
-    warm = fit_nuisances(ds, start=cold.propensity.coefficients)
-    assert "start" not in warm.fit_options
-    assert warm.fit_options == cold.fit_options
-    np.testing.assert_allclose(warm.propensity.coefficients,
-                               cold.propensity.coefficients, atol=1e-10)
-
-
 # ---------------------------------------------------------------------------
 # Moment-matched start
 # ---------------------------------------------------------------------------
@@ -840,6 +830,21 @@ def test_fit_nuisances_covariate_subsets():
     assert model.column_names == ("intercept", "x0", "x1")
     probs = nuis.propensities(ds.x)  # subset applied internally
     assert probs.shape == (ds.n, 4)
+
+
+def test_fitted_sample_reads_the_fit_own_probabilities():
+    # the fitted covariate array gets the logit's converged probabilities,
+    # read-only; an equal copy of it is predicted, column subset and all,
+    # and agrees to rounding
+    ds = toy_dataset(d=2)
+    nuis = fit_nuisances(ds, propensity_covariates=["x1"])
+    probs = nuis.propensities(ds.x)
+    assert np.array_equal(probs, nuis.propensity.fit_state[1].T)
+    assert not probs.flags.writeable
+    copy = ds.x.copy()
+    predicted = nuis.propensities(copy)
+    assert np.array_equal(predicted, nuis.propensity.predict(copy[:, [1]]))
+    np.testing.assert_allclose(probs, predicted, rtol=1e-12, atol=1e-15)
 
 
 def test_fit_nuisances_error_names_cell():

@@ -99,6 +99,17 @@ def test_serial_runs_start_no_pool(inline_pool):
     assert inline_pool.started == []
 
 
+def test_ordered_pool_starts_one_pool_for_many_maps(inline_pool):
+    with parallel.OrderedPool(square, n_jobs=2) as pool:
+        assert pool.map([3]) == [9]  # one item and no pool yet: here
+        assert pool.map(range(5)) == [0, 1, 4, 9, 16]
+        assert pool.map([4]) == [16]  # the open pool takes it
+        assert pool.map([]) == []
+    assert inline_pool.started == [2]
+    assert [[k for chunk in chunks for k in chunk]
+            for chunks in inline_pool.chunks] == [list(range(5)), [4]]
+
+
 def test_worker_processes_return_results_in_item_order():
     assert map_ordered(square, range(23), n_jobs=2) == [
         k * k for k in range(23)]

@@ -325,8 +325,11 @@ class ReferenceEvaluation:
     cell_codes(), and each control weight is built source by source with
     a masked divide (the propensity ratio divided and scaled only where
     the unit is in the source cell, with the source cell's own
-    propensity column as divisor). FitEvaluation must give its arrays,
-    estimates and exceptions bit for bit."""
+    propensity column as divisor). The propensities follow the fitted
+    sample rule by hand: the logit's own fit_state probabilities on the
+    covariate array it was fitted on, a prediction on any other.
+    FitEvaluation must give its arrays, estimates and exceptions bit for
+    bit."""
 
     def __init__(self, dataset, nuisances):
         self.dataset, self.nuisances = dataset, nuisances
@@ -343,8 +346,17 @@ class ReferenceEvaluation:
         return self.memo[key]
 
     def propensities(self):
-        return self._stored("p", lambda: self.nuisances.propensities(
-            self.dataset.x))
+        # the fitted sample's are the logit's converged probabilities,
+        # any other sample's are predicted from the model's columns
+        def build():
+            model = self.nuisances.propensity
+            if model is None:
+                raise MissingNuisanceError("no propensity model fitted")
+            if self.dataset.x is self.nuisances.fitted_x:
+                return model.fit_state[1].T
+            x, cols = self.dataset.x, self.nuisances.propensity_columns
+            return model.predict(x if cols is None else x[:, list(cols)])
+        return self._stored("p", build)
 
     def outcome(self, cell):
         return self._stored(("m", cell), lambda: np.asarray(
