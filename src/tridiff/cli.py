@@ -275,12 +275,17 @@ def cmd_estimate(ns: argparse.Namespace) -> int:
     # every score method, the bias diagnostic and the score dump come from
     # one evaluation of the fit and, with a bootstrap, every score method
     # from one refit per resample; a bootstrap SE is the se of an OR
-    # result, which has no analytic one, and an extra otherwise
+    # result, which has no analytic one, and an extra otherwise. The bias
+    # diagnostic, which fails under both mechanisms, comes before the
+    # bootstrap, so that a failing run draws no resamples
     ev = FitEvaluation(dataset, nuis) if nuis is not None else None
     score_methods = tuple(score_keys.values())
     results = (dict(zip(score_keys, estimate_doubly_robust(
         dataset, nuis, score_methods, ev=ev))) if score_keys else {})
     extras = {}
+    if "bias" in methods:
+        bias_hat, bias_se = bias_diagnostic(dataset, nuis, ev=ev)
+        extras["bias"] = {"bias_hat": bias_hat, "se": bias_se}
     if score_keys and boot is not None:
         for key, se in zip(score_keys, bootstrap_ses(dataset, refit_estimates(
                 nuis, score_methods), boot, ns.jobs)):
@@ -289,10 +294,7 @@ def cmd_estimate(ns: argparse.Namespace) -> int:
             else:
                 extras[key] = {"bootstrap_se": se}
     for method in methods:
-        if method == "bias":
-            bias_hat, bias_se = bias_diagnostic(dataset, nuis, ev=ev)
-            extras["bias"] = {"bias_hat": bias_hat, "se": bias_se}
-        elif method == "ols-did-a":
+        if method == "ols-did-a":
             results[method] = ols_did(dataset, Group.A, bool(dataset.d), se_kind)
         elif method == "ols-did-b":
             results[method] = ols_did(dataset, Group.B, bool(dataset.d), se_kind)

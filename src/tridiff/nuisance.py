@@ -25,7 +25,7 @@ import enum
 import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -96,9 +96,7 @@ class LinearModel:
 
     def predict(self, x) -> np.ndarray:
         """Evaluate intercept + slopes . x on a raw (n, d) matrix."""
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            x = x.reshape(1, -1)
+        x, _ = _covariates(x, row=True)
         if x.shape[1] != len(self.coefficients) - 1:
             raise ValueError(
                 f"expected {len(self.coefficients) - 1} covariate columns, "
@@ -212,16 +210,9 @@ def fit_ols(design, response, column_names: Optional[Sequence[str]] = None,
     Rank deficiency raises SingularDesignError naming the columns that
     the pivoting identifies as dependent; n < p raises
     InsufficientDataError. Columns are rescaled to unit norm internally
-    for pivoting; coefficients are reported on the original scale.
+    for pivoting; coefficients are reported on the design's own scale,
+    so fit_state holds no raw-scale transform (fit_linear adds one).
     """
-    return LinearModel(*_least_squares(design, response, column_names,
-                                       fitted_on))
-
-
-def _least_squares(design, response, column_names, fitted_on,
-                   transform=None):
-    """fit_ols's fit as LinearModel's fields, in order. A `transform` (from
-    standardized to raw coefficients) maps the coefficients, kept in state."""
     design = np.asarray(design, dtype=float)
     y = np.asarray(response, dtype=float)
     if design.ndim != 2:
@@ -253,31 +244,39 @@ def _least_squares(design, response, column_names, fitted_on,
     dof = n - p
     rss = float(residuals @ residuals)
     residual_variance = rss / dof if dof > 0 else 0.0
-    return (coef if transform is None else transform @ coef, column_names,
-            residual_variance, n, fitted_on, (r, piv, safe, transform))
+    return LinearModel(coef, column_names, residual_variance, n, fitted_on,
+                       (r, piv, safe, None))
 
 
 def fit_linear(x, y, covariate_names: Optional[Sequence[str]] = None,
                fitted_on=None) -> LinearModel:
     """Regression of y on an intercept and raw covariates.
 
-    Covariates are centered and scaled internally; coefficients and the
-    gram inverse are back-transformed to the raw parameterization, so
-    callers never see the standardized space.
+    Covariates are centered and scaled internally and fitted by fit_ols;
+    its coefficients become t @ coefficients with t the raw-scale
+    transform, which fit_state keeps for the gram inverse, so callers
+    never see the standardized space.
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        x = x.reshape(-1, 1)
+    x, covariate_names = _covariates(x, covariate_names)
     n, d = x.shape
-    if covariate_names is None:
-        covariate_names = tuple(f"x{j}" for j in range(d))
-
     design = np.empty((n, d + 1))  # the intercept, then the standardized x
     design[:, 0] = 1.0
     _, center, scale = _standardize(x, out=design[:, 1:])
-    return LinearModel(*_least_squares(
-        design, y, ("intercept", *covariate_names), fitted_on,
-        _raw_transform_matrix(center, scale)))
+    model = fit_ols(design, y, ("intercept", *covariate_names), fitted_on)
+    t = _raw_transform_matrix(center, scale)
+    return replace(model, coefficients=t @ model.coefficients,
+                   fit_state=(*model.fit_state[:3], t))
+
+
+def _covariates(x, names=None, *, row=False):
+    """Covariates as a float (n, d) matrix and their names, by default
+    x0, x1, ...: a 1-d x is one covariate's column, or with `row` one
+    unit's row (to predict at one point)."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 1:
+        x = x.reshape((1, -1) if row else (-1, 1))
+    return x, (tuple(f"x{j}" for j in range(x.shape[1])) if names is None
+               else tuple(names))
 
 
 # ---------------------------------------------------------------------------
@@ -328,9 +327,7 @@ class PropensityModel:
         """Probabilities, shape (n, 4), rows summing to one: the
         transpose of the cell-major softmax, so each cell's column is
         contiguous."""
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            x = x.reshape(1, -1)
+        x, _ = _covariates(x, row=True)
         return _softmax(_transposed_design(x), self.coefficients)[1].T
 
     def coef_se(self) -> np.ndarray:
@@ -431,14 +428,13 @@ def _moment_start(zt, onehot, counts):
     return beta
 
 
-def _newton_multinomial(zt, labels, beta, max_iter, tol, column_names):
+def _newton_multinomial(zt, labels, max_iter, tol, column_names):
     """Damped Newton ascent for the four-cell softmax model with the last
-    cell as reference, starting from the (3, p) coefficients beta, or,
-    when beta is None, from _moment_start's. The moment start falls
-    back to zero when it is None or its log-likelihood is below zero's,
-    -n log 4; the start's likelihood evaluation is the first Newton
-    evaluation either way. Returns (beta, probs, trace, n_iter); probs
-    are the fitted (4, n) cell probabilities at beta. zt is the
+    cell as reference, starting from _moment_start's coefficients, or
+    from zero when those are None or their log-likelihood is below
+    zero's, -n log 4; the start's likelihood evaluation is the first
+    Newton evaluation either way. Returns (beta, probs, trace, n_iter);
+    probs are the fitted (4, n) cell probabilities at beta. zt is the
     transposed design (p, n), intercept row first and already
     standardized. The separation check takes the norm of the
     standardized coefficients, so a covariate's location and units do
@@ -452,16 +448,14 @@ def _newton_multinomial(zt, labels, beta, max_iter, tol, column_names):
     products = _design_products(zt)
 
     ll = None
-    if beta is None:
-        beta = _moment_start(zt, cells.astype(float),
-                             np.count_nonzero(cells, axis=1).astype(float))
-        if beta is not None:
-            ll, probs = _softmax_loglik(zt, own_logit, beta)
-            if not ll >= -n * math.log(k1 + 1):
-                ll = None
-        if ll is None:
-            beta = np.zeros((k1, p))
+    beta = _moment_start(zt, cells.astype(float),
+                         np.count_nonzero(cells, axis=1).astype(float))
+    if beta is not None:
+        ll, probs = _softmax_loglik(zt, own_logit, beta)
+        if not ll >= -n * math.log(k1 + 1):
+            ll = None
     if ll is None:
+        beta = np.zeros((k1, p))
         ll, probs = _softmax_loglik(zt, own_logit, beta)
     trace = [ll]
 
@@ -617,32 +611,24 @@ def _raw_coefficients(beta_std, center, scale):
 def fit_logistic_multinomial(covariates, cell_labels,
                              max_iter: int = DEFAULT_MAX_ITER,
                              tol: float = DEFAULT_LL_TOL,
-                             covariate_names: Optional[Sequence[str]] = None,
-                             start=None) -> PropensityModel:
+                             covariate_names: Optional[Sequence[str]] = None
+                             ) -> PropensityModel:
     """Four-cell softmax model by damped Newton, reference cell (B, Never).
 
     cell_labels are integer codes, the Cell numbers. Every cell needs
     d+1 units and the intercept-first design full rank. Newton starts at
     the moment-matched linear-discriminant coefficients of the
     standardized covariates, or at zero where those are unusable or fit
-    worse than zero (see _moment_start and _newton_multinomial); a
-    `start`, raw-scale (3, d+1) coefficients such as another fit's,
-    replaces that start.
+    worse than zero (see _moment_start and _newton_multinomial).
     Converges when the likelihood gain drops below tol or the
     gradient max-norm below 1e-8. Standardized coefficients whose norm
     passes 1e4 with rising likelihood raise SeparationError, whatever
     the covariates' location and units; exhausting max_iter raises
     ConvergenceError with the likelihood trace attached.
     """
-    x = np.asarray(covariates, dtype=float)
-    if x.ndim == 1:
-        x = x.reshape(-1, 1)
+    x, covariate_names = _covariates(covariates, covariate_names)
     labels = np.asarray(cell_labels, dtype=int)
     n, d = x.shape
-    if covariate_names is None:
-        covariate_names = tuple(f"x{j}" for j in range(d))
-    else:
-        covariate_names = tuple(covariate_names)
 
     counts = np.bincount(labels, minlength=4)
     for cell in Cell:
@@ -655,18 +641,8 @@ def fit_logistic_multinomial(covariates, cell_labels,
     names = ("intercept", *covariate_names)
     _full_rank_qr(zt, names, "logit design is rank deficient")
 
-    beta = None
-    if start is not None:
-        beta = np.array(start, dtype=float)
-        if beta.shape != (3, d + 1):
-            raise ValueError(f"start has shape {beta.shape}; the model's "
-                             f"coefficients are (3, {d + 1})")
-        # raw to standardized: the inverse of _raw_coefficients
-        beta[:, 0] += beta[:, 1:] @ center
-        beta[:, 1:] *= scale
-
     beta_std, probs, trace, n_iter = _newton_multinomial(
-        zt, labels, beta, max_iter, tol, names)
+        zt, labels, max_iter, tol, names)
 
     return PropensityModel(coefficients=_raw_coefficients(beta_std, center,
                                                           scale),
@@ -696,10 +672,12 @@ class NuisanceSet:
     were trained with, so that prediction always reuses the training
     features.
 
-    fit_options holds fit_nuisances' keyword arguments, which reproduce
-    this fit on another dataset (bootstrap and Monte Carlo refits use
-    exactly these) and say how it is evaluated: its mode, the trim
-    threshold and whether the control weights are normalized.
+    fit_options holds fit_nuisances' five keyword arguments (mode,
+    trim_epsilon, normalize, propensity_covariates, outcome_covariates),
+    which reproduce this fit on another dataset (bootstrap and Monte
+    Carlo refits use exactly these) and say how it is evaluated: its
+    mode, the trim threshold and whether the control weights are
+    normalized.
     fitted_x is the covariate array the models were fitted on, the
     dataset's read-only x, so that propensities() knows it by identity."""
 
@@ -713,9 +691,7 @@ class NuisanceSet:
                                            compare=False)
 
     def _features(self, x_raw, columns) -> np.ndarray:
-        x = np.asarray(x_raw, dtype=float)
-        if x.ndim == 1:
-            x = x.reshape(1, -1)
+        x, _ = _covariates(x_raw, row=True)
         return x if columns is None else x[:, list(columns)]
 
     def propensities(self, x_raw) -> np.ndarray:
@@ -766,16 +742,6 @@ class NuisanceSet:
             fh.write(text + "\n")
 
 
-def _reraise_for_cell(exc, label):
-    message = f"{label}: {exc.args[0] if exc.args else exc}"
-    if isinstance(exc, SingularDesignError):
-        return SingularDesignError(message,
-                                   dependent_columns=exc.dependent_columns)
-    if isinstance(exc, ConvergenceError):
-        return ConvergenceError(message, trace=exc.trace)
-    return type(exc)(message)
-
-
 def _column_subset(names, requested):
     if requested is None:
         return None
@@ -794,9 +760,8 @@ def fit_nuisances(dataset: PanelDataset,
                   trim_epsilon: float = DEFAULT_TRIM_EPSILON,
                   normalize: bool = False,
                   propensity_covariates: Optional[Sequence[str]] = None,
-                  outcome_covariates: Optional[Sequence[str]] = None,
-                  max_iter: int = DEFAULT_MAX_ITER,
-                  tol: float = DEFAULT_LL_TOL) -> NuisanceSet:
+                  outcome_covariates: Optional[Sequence[str]] = None
+                  ) -> NuisanceSet:
     """Fit the nuisance models an estimator needs.
 
     SCORE_SET fits the four-cell propensity model on all units plus the
@@ -813,8 +778,11 @@ def fit_nuisances(dataset: PanelDataset,
     Covariate subsets name columns of the dataset's covariate matrix;
     default is all columns for both families. The logit's Newton
     iteration starts from the cell moments of the covariates (or zero),
-    so a fit depends on the dataset and fit_options alone. The set
-    records the dataset's x as fitted_x, so that an evaluation of this
+    with fit_logistic_multinomial's default iteration limit and
+    tolerance, so a fit depends on the dataset and fit_options alone. A
+    model that fails raises its own exception, with the model's label
+    ("propensity model" or the cell's) put in front of its message. The
+    set records the dataset's x as fitted_x, so that an evaluation of this
     dataset reads the probabilities the logit converged to instead of
     predicting them.
     """
@@ -823,8 +791,7 @@ def fit_nuisances(dataset: PanelDataset,
     fit_options = dict(mode=mode, trim_epsilon=trim_epsilon,
                        normalize=normalize,
                        propensity_covariates=propensity_covariates,
-                       outcome_covariates=outcome_covariates,
-                       max_iter=max_iter, tol=tol)
+                       outcome_covariates=outcome_covariates)
 
     features = np.asarray(dataset.x, dtype=float)
     names = dataset.covariate_names
@@ -836,28 +803,28 @@ def fit_nuisances(dataset: PanelDataset,
     prop_names = names if prop_cols is None else tuple(names[j] for j in prop_cols)
     out_names = names if out_cols is None else tuple(names[j] for j in out_cols)
 
-    propensity = None
-    if mode is NuisanceMode.SCORE_SET:
-        try:
-            propensity = fit_logistic_multinomial(
-                prop_x, dataset.cell_codes(), max_iter=max_iter, tol=tol,
-                covariate_names=prop_names)
-        except Exception as exc:
-            raise _reraise_for_cell(exc, "propensity model") from exc
-
     cells = SCORE_SET_CELLS + ((Cell.A_ELIGIBLE,)
                                if normalize and mode is NuisanceMode.SCORE_SET
                                else ())
+    propensity = None
     outcome_models = {}
     delta = dataset.delta_y()
-    for cell in cells:
-        rows = np.flatnonzero(dataset.cell_masks[cell])
-        try:
+    label = "propensity model"
+    try:
+        if mode is NuisanceMode.SCORE_SET:
+            propensity = fit_logistic_multinomial(
+                prop_x, dataset.cell_codes(), covariate_names=prop_names)
+        for cell in cells:
+            label = cell.label
+            rows = np.flatnonzero(dataset.cell_masks[cell])
             outcome_models[cell] = fit_linear(
                 out_x.take(rows, axis=0), delta.take(rows), out_names,
                 fitted_on=cell.label)
-        except Exception as exc:
-            raise _reraise_for_cell(exc, cell.label) from exc
+    except Exception as exc:
+        # the failed model's label goes in front of the message of the
+        # exception itself, whose type and attributes are kept
+        exc.args = (f"{label}: {exc.args[0] if exc.args else exc}",)
+        raise
 
     return NuisanceSet(covariate_names=dataset.covariate_names,
                        fit_options=fit_options, propensity=propensity,

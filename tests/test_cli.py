@@ -290,37 +290,40 @@ def test_estimate_one_refit_per_draw_serves_every_score_method(
 
 def test_estimate_warm_started_bootstrap_matches_cold_start(
         panel_csv, tmp_path, monkeypatch):
-    # each refit starts Newton from its own cell moments; a pass whose
-    # refits start from the full-sample logit must give the same SEs up
-    # to the convergence tolerance
+    # each refit starts Newton warm, from its own cell moments; a pass
+    # whose refits start cold, from zero, must give the same SEs up to
+    # the convergence tolerance
     out = tmp_path / "o"
     args = ["estimate", "--input", panel_csv, "--schema", SCHEMA,
             "--methods", "dr,naive", "--trim", "0", "--bootstrap-reps", "30",
             "--seed", "3", "--jobs", "1"]
     assert run(args + ["--out", out]) == 0
-    cold = json.loads((out / "results.json").read_text())
+    warm = json.loads((out / "results.json").read_text())
 
     import tridiff.nuisance as nuisance_mod
     fit = nuisance_mod.fit_logistic_multinomial
     fits = []
 
-    def warm(*args, **kwargs):
-        # the first fit is the full sample's; every refit starts there
-        assert "start" not in kwargs
-        if fits:
-            kwargs["start"] = fits[0].coefficients
+    def cold_refits(*args, **kwargs):
+        # the first fit is the full sample's, from its cell moments; with
+        # no moment start every later one, a refit, starts at zero
         fits.append(fit(*args, **kwargs))
+        monkeypatch.setattr(nuisance_mod, "_moment_start", lambda *a: None)
         return fits[-1]
 
-    monkeypatch.setattr(nuisance_mod, "fit_logistic_multinomial", warm)
-    warm_out = tmp_path / "warm"
-    assert run(args + ["--out", warm_out]) == 0
+    monkeypatch.setattr(nuisance_mod, "fit_logistic_multinomial", cold_refits)
+    cold_out = tmp_path / "cold"
+    assert run(args + ["--out", cold_out]) == 0
     assert len(fits) == 31
-    warm_doc = json.loads((warm_out / "results.json").read_text())
-    assert warm_doc["results"] == cold["results"]
+    zero_loglik = [-f.n_obs * np.log(4) for f in fits]
+    assert fits[0].loglik_trace[0] > zero_loglik[0]
+    assert [f.loglik_trace[0] for f in fits[1:]] == pytest.approx(
+        zero_loglik[1:])
+    cold_doc = json.loads((cold_out / "results.json").read_text())
+    assert cold_doc["results"] == warm["results"]
     for key in ("dr", "naive"):
-        assert warm_doc["extras"][key]["bootstrap_se"] == pytest.approx(
-            cold["extras"][key]["bootstrap_se"], rel=1e-9, abs=0)
+        assert cold_doc["extras"][key]["bootstrap_se"] == pytest.approx(
+            warm["extras"][key]["bootstrap_se"], rel=1e-9, abs=0)
 
 
 @pytest.mark.parametrize("command", ["estimate", "replicate"])
@@ -470,6 +473,27 @@ def test_estimate_bias_method_requires_only_a(panel_csv, tmp_path):
     results = json.loads((out / "results.json").read_text())
     assert "bias" in results["extras"]
     assert not (out / "error.json").exists()  # stale report was removed
+
+
+def test_estimate_bias_fails_before_the_bootstrap(panel_csv, tmp_path,
+                                                  monkeypatch):
+    # the bias diagnostic is undefined under both mechanisms; the run
+    # fails with it before drawing a resample, with the error a run
+    # without a bootstrap gives
+    import tridiff.cli as cli_mod
+    args = ["estimate", "--input", panel_csv, "--schema", SCHEMA,
+            "--methods", "dr,bias", "--trim", "0", "--jobs", "1"]
+    assert run(args + ["--out", tmp_path / "plain"]) == 5
+
+    def no_bootstrap(*args, **kwargs):
+        raise AssertionError("the bootstrap ran")
+
+    monkeypatch.setattr(cli_mod, "bootstrap_ses", no_bootstrap)
+    out = tmp_path / "boot"
+    assert run(args + ["--bootstrap-reps", "49", "--out", out]) == 5
+    err = (out / "error.json").read_text()
+    assert json.loads(err)["error"] == "UnsupportedMechanismError"
+    assert err == (tmp_path / "plain" / "error.json").read_text()
 
 
 def test_estimate_evaluates_the_fit_once(panel_csv, tmp_path, monkeypatch):

@@ -238,10 +238,11 @@ def test_monte_carlo_refits_with_a_fits_options():
 
 
 def test_monte_carlo_aborts_when_all_replications_fail():
-    # max_iter 0 exhausts the optimizer instantly in every replication
-    with pytest.raises(EstimationError, match="replications failed"):
+    # a trim threshold of 0.5 leaves every replication a propensity below it
+    with pytest.raises(EstimationError,
+                       match="5 of 5 replications failed.*TrimmingError"):
         run_monte_carlo(spec(n=500, seed=1), replications=5,
-                        fit_options={"max_iter": 0})
+                        fit_options={"trim_epsilon": 0.5})
 
 
 def test_monte_carlo_rejects_zero_replications():

@@ -808,8 +808,8 @@ def test_bootstrap_refits_in_workers_equal_serial(small_sample):
 
 # Newton iterations of 30 bootstrap refits of an n=5000 panel with good
 # overlap: each refit starts from its own cell moments and takes 2
-# (60 in all); a start from the full-sample coefficients takes about 3
-# (about 92 in all)
+# (60 in all); the zero start, the fallback for an unusable moment
+# start, takes 4 (120 in all)
 MAX_REFIT_NEWTON_ITERS = 75
 
 

@@ -16,9 +16,9 @@ import tridiff.nuisance as nuisance_mod
 from tridiff.data import AssignmentMechanism, Cell, Group, PanelDataset
 from tridiff.dgp import DgpSpec, simulate_replicate, simulate_sample
 from tridiff.estimators import estimate_doubly_robust
-from tridiff.exceptions import (ConvergenceError, InsufficientDataError,
-                                MissingNuisanceError, SeparationError,
-                                SingularDesignError)
+from tridiff.exceptions import (ConvergenceError, FittingError,
+                                InsufficientDataError, MissingNuisanceError,
+                                SeparationError, SingularDesignError)
 from tridiff.nuisance import (NuisanceMode, PropensityModel, fit_linear,
                               fit_logistic_multinomial, fit_nuisances,
                               fit_ols)
@@ -405,8 +405,7 @@ def test_logit_standardization_is_invisible():
 
 def test_information_inverse_built_once_per_fit(monkeypatch):
     # the stored covariance needs one inverse at convergence; Newton
-    # solves its steps without inverting, from its own start or a given
-    # one
+    # solves its steps without inverting, on this sample or another
     r = rng(16)
     x = r.normal(size=(500, 1))
     labels = cells_from_probs(r, 500, [0.3, 0.25, 0.25, 0.2])
@@ -419,12 +418,11 @@ def test_information_inverse_built_once_per_fit(monkeypatch):
 
     monkeypatch.setattr(nuisance_mod, "_observed_info_inverse",
                         counted_inverse)
-    cold = fit_logistic_multinomial(x, labels)
-    assert cold.coef_cov is not None
+    first = fit_logistic_multinomial(x, labels)
+    assert first.coef_cov is not None
     assert len(calls) == 1
-    warm = fit_logistic_multinomial(x[::-1], labels[::-1],
-                                    start=cold.coefficients)
-    assert warm.coef_cov is not None
+    again = fit_logistic_multinomial(x[::-1], labels[::-1])
+    assert again.coef_cov is not None
     assert len(calls) == 2
 
 
@@ -437,12 +435,12 @@ def coef_cov_case():
 
 def converged_information(x, labels):
     """The observed information at a fit's final Newton probabilities,
-    Newton started where a fit given no start starts it, and the map of
-    one cell's coefficients to the raw scale."""
+    Newton started where a fit starts it, and the map of one cell's
+    coefficients to the raw scale."""
     zx, center, scale = nuisance_mod._standardize(x)
     zt = nuisance_mod._transposed_design(zx)
     _, probs, _, _ = nuisance_mod._newton_multinomial(
-        zt, labels, None, nuisance_mod.DEFAULT_MAX_ITER,
+        zt, labels, nuisance_mod.DEFAULT_MAX_ITER,
         nuisance_mod.DEFAULT_LL_TOL, ("c",) * 3)
     return (nuisance_mod._softmax_information(
                 zt, probs, nuisance_mod._design_products(zt)),
@@ -580,8 +578,17 @@ def test_cell_major_information_and_gradient_are_per_unit_sums(n, d, scale,
 
 
 # ---------------------------------------------------------------------------
-# Warm-started Newton
+# Moment-matched start
 # ---------------------------------------------------------------------------
+
+def zero_start_fit(x, labels):
+    """fit_logistic_multinomial with Newton started at zero, as a fit
+    whose moment start is unusable is: the reference for the moment
+    start."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(nuisance_mod, "_moment_start", lambda *args: None)
+        return fit_logistic_multinomial(x, labels)
+
 
 def logit_sample(seed, n=3000):
     """Two covariates far from zero mean and unit scale, cells drawn
@@ -597,45 +604,6 @@ def logit_sample(seed, n=3000):
     labels = (r.random(n)[:, None] > p.cumsum(axis=1)).sum(axis=1)
     return r, x, labels
 
-
-def test_warm_start_matches_cold_fit_on_resamples():
-    r, x, labels = logit_sample(31)
-    full = fit_logistic_multinomial(x, labels)
-    warm_iters = cold_iters = 0
-    for _ in range(8):
-        idx = r.integers(0, len(x), size=len(x))
-        cold = fit_logistic_multinomial(x[idx], labels[idx],
-                                        start=np.zeros((3, 3)))
-        warm = fit_logistic_multinomial(x[idx], labels[idx],
-                                        start=full.coefficients)
-        np.testing.assert_allclose(warm.coefficients, cold.coefficients,
-                                   rtol=0, atol=1e-8)
-        assert warm.n_iter <= cold.n_iter
-        warm_iters += warm.n_iter
-        cold_iters += cold.n_iter
-    assert warm_iters < cold_iters
-
-
-def test_warm_start_at_the_optimum_stops_at_once():
-    # the raw-scale start must land on the standardized optimum: a
-    # misplaced intercept or slope would cost further Newton steps
-    _, x, labels = logit_sample(32)
-    full = fit_logistic_multinomial(x, labels)
-    again = fit_logistic_multinomial(x, labels, start=full.coefficients)
-    assert full.n_iter > 2 and again.n_iter <= 1
-    np.testing.assert_allclose(again.coefficients, full.coefficients,
-                               rtol=0, atol=1e-10)
-
-
-def test_warm_start_shape_is_checked():
-    _, x, labels = logit_sample(33)
-    with pytest.raises(ValueError, match="shape"):
-        fit_logistic_multinomial(x, labels, start=np.zeros((3, 2)))
-
-
-# ---------------------------------------------------------------------------
-# Moment-matched start
-# ---------------------------------------------------------------------------
 
 def draw_covariate(r, kind, n):
     if kind == "gaussian":
@@ -670,7 +638,7 @@ def test_moment_start_reaches_the_zero_start_optimum(kinds, odds, seed):
             assume(all(0 < x[labels == k, j].sum() < np.sum(labels == k)
                        for k in range(4)))
     default = fit_logistic_multinomial(x, labels)
-    zero = fit_logistic_multinomial(x, labels, start=np.zeros((3, d + 1)))
+    zero = zero_start_fit(x, labels)
     np.testing.assert_allclose(default.coefficients, zero.coefficients,
                                rtol=0, atol=1e-8)
     assert default.loglik_trace[0] >= zero.loglik_trace[0]
@@ -685,8 +653,7 @@ def test_moment_start_takes_no_more_iterations_than_zero(mu_b):
     for replication in range(5):
         ds = simulate_replicate(spec, replication)
         default = fit_logistic_multinomial(ds.x, ds.cell_codes())
-        zero = fit_logistic_multinomial(ds.x, ds.cell_codes(),
-                                        start=np.zeros((3, ds.d + 1)))
+        zero = zero_start_fit(ds.x, ds.cell_codes())
         assert default.n_iter <= zero.n_iter
         assert default.loglik_trace[0] > zero.loglik_trace[0]
         default_iters += default.n_iter
@@ -701,17 +668,19 @@ def test_moment_start_below_zero_likelihood_falls_back(monkeypatch):
     monkeypatch.setattr(nuisance_mod, "_moment_start",
                         lambda *args: np.full((3, 3), 20.0))
     default = fit_logistic_multinomial(x, labels)
-    zero = fit_logistic_multinomial(x, labels, start=np.zeros((3, 3)))
+    zero = zero_start_fit(x, labels)
     assert default.loglik_trace == zero.loglik_trace
     assert default.loglik_trace[0] == pytest.approx(-500 * np.log(4))
     assert np.array_equal(default.coefficients, zero.coefficients)
 
 
-def fit_outcome(x, labels, start):
-    """What a fit returns, or the type and text of what it raises."""
+def fit_outcome(fit, x, labels):
+    """What fit(x, labels) returns, or the type and text of the fitting
+    error it raises; any other exception propagates, so that two fits
+    failing alike on a broken call do not compare equal."""
     try:
-        model = fit_logistic_multinomial(x, labels, start=start)
-    except Exception as exc:
+        model = fit(x, labels)
+    except FittingError as exc:
         return type(exc), str(exc)
     return model.coefficients.tolist(), model.n_iter, model.loglik_trace
 
@@ -728,8 +697,8 @@ def test_singular_within_cell_covariance_falls_back_to_zero(levels):
     zt = nuisance_mod._transposed_design(nuisance_mod._standardize(x)[0])
     cells = (np.arange(4)[:, None] == labels).astype(float)
     assert nuisance_mod._moment_start(zt, cells, cells.sum(axis=1)) is None
-    assert (fit_outcome(x, labels, None)
-            == fit_outcome(x, labels, np.zeros((3, 3))))
+    assert (fit_outcome(fit_logistic_multinomial, x, labels)
+            == fit_outcome(zero_start_fit, x, labels))
 
 
 # ---------------------------------------------------------------------------
@@ -856,6 +825,42 @@ def test_fit_nuisances_error_names_cell():
                        mechanism=ds.mechanism)
     with pytest.raises(SingularDesignError, match=r"^\(A, Never\): "):
         fit_nuisances(bad, NuisanceMode.OUTCOME_ONLY)
+
+
+class TwoArgumentError(Exception):
+    """Built from two arguments, as numpy's _ArrayMemoryError(shape,
+    dtype) is, so that its type cannot be called with a message alone."""
+
+    def __init__(self, shape, dtype):
+        super().__init__(f"cannot allocate {shape} of {dtype}")
+        self.shape, self.dtype = shape, dtype
+
+
+@pytest.mark.parametrize("fitter, label", [
+    ("fit_logistic_multinomial", "propensity model"),
+    ("fit_linear", "(A, Never)")], ids=["logit", "regression"])
+@pytest.mark.parametrize("error, attribute", [
+    (lambda: TwoArgumentError((10 ** 9, 4), "float64"), "shape"),
+    (lambda: SingularDesignError("rank 1 of 2", dependent_columns=("x0",)),
+     "dependent_columns"),
+    (lambda: ConvergenceError("no ascent step", trace=(-3.0, -2.5)),
+     "trace")], ids=["two-argument", "singular", "convergence"])
+def test_failed_fit_raises_its_own_exception(monkeypatch, fitter, label,
+                                             error, attribute):
+    # the exception a model raises comes out of fit_nuisances itself,
+    # type and attributes kept, with the model's label before its message
+    raised = error()
+    message, value = str(raised), getattr(raised, attribute)
+
+    def fail(*args, **kwargs):
+        raise raised
+
+    monkeypatch.setattr(nuisance_mod, fitter, fail)
+    with pytest.raises(type(raised)) as caught:
+        fit_nuisances(toy_dataset())
+    assert caught.value is raised
+    assert str(caught.value) == f"{label}: {message}"
+    assert getattr(caught.value, attribute) == value
 
 
 def test_nuisance_set_serialization(tmp_path):
