@@ -6,7 +6,7 @@ file beats defaults), writes a config echo next to its outputs so the
 run can be repeated bit-for-bit, and emits machine-readable JSON plus
 an aligned text rendering. Failures map to exit codes by family:
 2 ingestion, 3 nuisance fitting, 4 overlap/trimming, 5 estimation,
-6 input/output.
+6 input/output, 7 out of memory.
 """
 
 from __future__ import annotations
@@ -22,12 +22,12 @@ from pathlib import Path
 from .data import (AssignmentMechanism, Group, MissingPolicy, PanelDataset,
                    REPLICATION_FORMAT, Schema, load_csv, load_replication_csv,
                    validate)
-from .dgp import (HISTOGRAM_BINS, DgpSpec, EffectCase, closed_form_oracle,
-                  export_histogram, run_monte_carlo)
-from .estimators import (DEFAULT_BOOTSTRAP_REPS, OR_METHODS, BootstrapConfig,
-                         EstimateResult, Method, SeKind, bias_diagnostic,
-                         bootstrap_ses, estimate_doubly_robust, ols_did,
-                         ols_tdid, refit_estimates)
+from .dgp import (HISTOGRAM_BINS, MONTE_CARLO_METHODS, DgpSpec, EffectCase,
+                  closed_form_oracle, export_histogram, run_monte_carlo)
+from .estimators import (DEFAULT_BOOTSTRAP_REPS, BootstrapConfig, Method,
+                         SeKind, bias_diagnostic, bootstrap_ses,
+                         estimate_doubly_robust, ols_did, ols_tdid,
+                         refit_estimates)
 from .exceptions import (FittingError, IngestionError, SchemaError,
                          TridiffError, TrimmingError)
 from .nuisance import (DEFAULT_TRIM_EPSILON, NuisanceMode, fit_nuisances)
@@ -40,6 +40,7 @@ EXIT_NUISANCE = 3
 EXIT_TRIMMING = 4
 EXIT_ESTIMATION = 5
 EXIT_IO = 6
+EXIT_MEMORY = 7
 
 POINT_TOLERANCE = 0.01
 SE_RELATIVE_TOLERANCE = 0.15
@@ -63,7 +64,8 @@ REFERENCE_TABLE = {
 # exception family -> exit code; the first family an error belongs to wins
 EXIT_CODES = ((TrimmingError, EXIT_TRIMMING), (IngestionError, EXIT_INGESTION),
               (FittingError, EXIT_NUISANCE), (TridiffError, EXIT_ESTIMATION),
-              (OSError, EXIT_IO), (ValueError, EXIT_INGESTION))
+              (OSError, EXIT_IO), (ValueError, EXIT_INGESTION),
+              (MemoryError, EXIT_MEMORY))
 
 
 def exit_code_for(exc: BaseException) -> int:
@@ -101,11 +103,6 @@ def _fmt(value, digits=4) -> str:
     if isinstance(value, float) and math.isnan(value):
         return "-"
     return f"{value:.{digits}f}" if isinstance(value, float) else str(value)
-
-
-def _result_row(name: str, result: EstimateResult):
-    return [name, _fmt(result.estimate), _fmt(result.se),
-            result.estimand_label.value, result.n]
 
 
 # ---------------------------------------------------------------------------
@@ -251,55 +248,61 @@ def _methods(text: str) -> str:
     return ",".join(methods)
 
 
-def cmd_estimate(ns: argparse.Namespace) -> int:
-    boot = (BootstrapConfig(replications=ns.bootstrap_reps, seed=ns.seed)
-            if ns.bootstrap_reps else None)
-    dataset = _load_panel(ns)
-    methods = ns.methods.split(",")
-    out = _out_dir(ns)
-    se_kind = SeKind(ns.se)
-
+def _run_methods(dataset: PanelDataset, methods, se_kind: SeKind,
+                 boot, jobs: int, trim: float = DEFAULT_TRIM_EPSILON,
+                 normalize: bool = False):
+    """(results by key, extras by key, the fit's evaluation or None) of
+    `methods` from METHOD_CHOICES; or-diffs gives or-diff-ab and
+    or-diff-awb. The score methods and the bias diagnostic share one fit
+    and its evaluation, and a bootstrap (`boot`) one refit per resample;
+    its SE is the se of an OR result, which has none, else an extra. The
+    regressions take the dataset's covariates as controls. They and the
+    bias diagnostic run before the bootstrap, so a failing run draws no
+    resamples."""
     keys = [key for method in methods for key in (
         ("or-diff-ab", "or-diff-awb") if method == "or-diffs" else (method,))]
     score_keys = {key: SCORE_METHODS[key] for key in keys
                   if key in SCORE_METHODS}
-    need_logit = bool({"dr", "naive", "bias"} & set(methods))
-    nuis = None
+    need_logit = bool({"dr", "naive", "bias"} & set(keys))
+    ev = None
     if score_keys or need_logit:
         # OR-only runs fit no logit, which could fail on separation
-        nuis = fit_nuisances(
+        ev = FitEvaluation(dataset, fit_nuisances(
             dataset, NuisanceMode.SCORE_SET if need_logit
             else NuisanceMode.OUTCOME_ONLY,
-            trim_epsilon=ns.trim, normalize=ns.normalize_weights)
-
-    # every score method, the bias diagnostic and the score dump come from
-    # one evaluation of the fit and, with a bootstrap, every score method
-    # from one refit per resample; a bootstrap SE is the se of an OR
-    # result, which has no analytic one, and an extra otherwise. The bias
-    # diagnostic, which fails under both mechanisms, comes before the
-    # bootstrap, so that a failing run draws no resamples
-    ev = FitEvaluation(dataset, nuis) if nuis is not None else None
+            trim_epsilon=trim, normalize=normalize))
     score_methods = tuple(score_keys.values())
     results = (dict(zip(score_keys, estimate_doubly_robust(
-        dataset, nuis, score_methods, ev=ev))) if score_keys else {})
+        dataset, ev.nuisances, score_methods, ev=ev))) if score_keys else {})
     extras = {}
-    if "bias" in methods:
-        bias_hat, bias_se = bias_diagnostic(dataset, nuis, ev=ev)
+    if "bias" in keys:
+        bias_hat, bias_se = bias_diagnostic(dataset, ev.nuisances, ev=ev)
         extras["bias"] = {"bias_hat": bias_hat, "se": bias_se}
+    controls = bool(dataset.d)
+    for key in keys:
+        if key in ("ols-did-a", "ols-did-b"):
+            group = Group.A if key == "ols-did-a" else Group.B
+            results[key] = ols_did(dataset, group, controls, se_kind)
+        elif key == "ols-tdid":
+            results[key] = ols_tdid(dataset, controls, se_kind)
     if score_keys and boot is not None:
         for key, se in zip(score_keys, bootstrap_ses(dataset, refit_estimates(
-                nuis, score_methods), boot, ns.jobs)):
+                ev.nuisances, score_methods), boot, jobs)):
             if results[key].se is None:
                 results[key] = dataclasses.replace(results[key], se=se)
             else:
                 extras[key] = {"bootstrap_se": se}
-    for method in methods:
-        if method == "ols-did-a":
-            results[method] = ols_did(dataset, Group.A, bool(dataset.d), se_kind)
-        elif method == "ols-did-b":
-            results[method] = ols_did(dataset, Group.B, bool(dataset.d), se_kind)
-        elif method == "ols-tdid":
-            results[method] = ols_tdid(dataset, bool(dataset.d), se_kind)
+    return results, extras, ev
+
+
+def cmd_estimate(ns: argparse.Namespace) -> int:
+    boot = (BootstrapConfig(replications=ns.bootstrap_reps, seed=ns.seed)
+            if ns.bootstrap_reps else None)
+    dataset = _load_panel(ns)
+    out = _out_dir(ns)
+    results, extras, ev = _run_methods(
+        dataset, ns.methods.split(","), SeKind(ns.se), boot, ns.jobs,
+        trim=ns.trim, normalize=ns.normalize_weights)
 
     payload = {
         "n": dataset.n,
@@ -313,16 +316,18 @@ def cmd_estimate(ns: argparse.Namespace) -> int:
             for k, v in doc.items()}
     _write_json(out / "results.json", payload)
 
-    if ns.dump_scores and nuis is not None and nuis.propensity is not None:
+    if (ns.dump_scores and ev is not None
+            and ev.nuisances.propensity is not None):
         dump_scores(ev, list(ScoreKind), out / "scores.csv")
-    if ns.dump_nuisances and nuis is not None:
-        nuis.save_json(out / "nuisances_scores.json")
+    if ns.dump_nuisances and ev is not None:
+        ev.nuisances.save_json(out / "nuisances_scores.json")
 
-    rows = [_result_row(key, res) for key, res in sorted(results.items())]
-    for key, doc in sorted(extras.items()):
-        if key == "bias":
-            rows.append(["bias-diagnostic", _fmt(doc["bias_hat"]),
-                         _fmt(doc["se"]), "trend-gap difference", dataset.n])
+    rows = [[key, _fmt(res.estimate), _fmt(res.se), res.estimand_label.value,
+             res.n] for key, res in sorted(results.items())]
+    if "bias" in extras:
+        rows.append(["bias-diagnostic", _fmt(extras["bias"]["bias_hat"]),
+                     _fmt(extras["bias"]["se"]), "trend-gap difference",
+                     dataset.n])
     table = _format_table(["method", "estimate", "se", "estimand", "n"], rows)
     text = table + "\n"
     with open(out / "results.txt", "w", encoding="utf-8") as fh:
@@ -350,12 +355,9 @@ def cmd_simulate(ns: argparse.Namespace) -> int:
     _write_json(out / "summary.json", summary)
     export_histogram(result, out / "histogram.csv", bins=ns.bins)
 
-    rows = [
-        ["naive difference", _fmt(summary["naive"]["mean"]),
-         _fmt(summary["naive"]["sd"]), _fmt(oracle.naive_diff)],
-        ["reweighted difference", _fmt(summary["reweighted"]["mean"]),
-         _fmt(summary["reweighted"]["sd"]), _fmt(oracle.reweighted_diff)],
-    ]
+    rows = [[f"{key} difference", _fmt(summary[key]["mean"]),
+             _fmt(summary[key]["sd"]), _fmt(getattr(oracle, field))]
+            for _, key, field in MONTE_CARLO_METHODS]
     print(_format_table(["estimator", "mean", "sd", "closed form"], rows))
     print(f"replications: {result.replications}  failed: {result.n_failed}")
     return EXIT_OK
@@ -365,8 +367,15 @@ def cmd_simulate(ns: argparse.Namespace) -> int:
 # replicate
 # ---------------------------------------------------------------------------
 
-# reference-table names of the OR_METHODS, in their order
-OR_QUANTITIES = ("did_a", "did_b", "wdid_b", "diff_ab", "diff_awb")
+# replicate's methods, each run without and with controls, and the
+# comparison table's (block, quantity) row of each result key
+REPLICATE_METHODS = ("ols-did-a", "ols-did-b", "ols-tdid", "or-did-a",
+                     "or-did-b", "or-wdid-b", "or-diffs")
+TABLE_ROWS = {"ols-did-a": ("ols", "did_a"), "ols-did-b": ("ols", "did_b"),
+              "ols-tdid": ("ols", "diff_ab"), "or-did-a": ("or", "did_a"),
+              "or-did-b": ("or", "did_b"), "or-wdid-b": ("or", "wdid_b"),
+              "or-diff-ab": ("or", "diff_ab"),
+              "or-diff-awb": ("or", "diff_awb")}
 
 
 def cmd_replicate(ns: argparse.Namespace) -> int:
@@ -383,31 +392,15 @@ def cmd_replicate(ns: argparse.Namespace) -> int:
         warnings.append(f"sample size {dataset.n} differs from the expected "
                         f"{EXPECTED_REPLICATION_ROWS} after drops")
 
-    se_kind = SeKind(ns.se)
     boot = BootstrapConfig(replications=ns.bootstrap_reps, seed=ns.seed)
-    computed = {}
-    for with_controls in (False, True):
-        computed[("ols", with_controls)] = {
-            "did_a": ols_did(dataset, Group.A, with_controls, se_kind),
-            "did_b": ols_did(dataset, Group.B, with_controls, se_kind),
-            "diff_ab": ols_tdid(dataset, with_controls, se_kind),
-        }
-        ds = dataset if with_controls else dataset.without_covariates()
-        nuis = fit_nuisances(ds, NuisanceMode.OUTCOME_ONLY)
-        ses = bootstrap_ses(ds, refit_estimates(nuis, methods=OR_METHODS),
-                            boot, ns.jobs)
-        computed[("or", with_controls)] = {
-            key: dataclasses.replace(res, se=se) for key, res, se in zip(
-                OR_QUANTITIES, estimate_doubly_robust(
-                    ds, nuis, methods=OR_METHODS), ses)}
-
-    rows = []
     comparisons = []
-    for block, with_controls in (("ols", False), ("ols", True),
-                                 ("or", False), ("or", True)):
-        reference = REFERENCE_TABLE[(block, with_controls)]
-        for quantity, result in computed[(block, with_controls)].items():
-            ref = reference.get(quantity)
+    for with_controls, ds in ((False, dataset.without_covariates()),
+                              (True, dataset)):
+        results = _run_methods(ds, REPLICATE_METHODS, SeKind(ns.se), boot,
+                               ns.jobs)[0]
+        for key, (block, quantity) in TABLE_ROWS.items():
+            result = results[key]
+            ref = REFERENCE_TABLE[(block, with_controls)].get(quantity)
             note = ""
             point_ok = se_ok = None
             if ref is None:
@@ -416,7 +409,7 @@ def cmd_replicate(ns: argparse.Namespace) -> int:
                 point_ok = abs(result.estimate - ref[0]) <= POINT_TOLERANCE
                 if result.se is not None:
                     se_ok = abs(result.se - ref[1]) <= SE_RELATIVE_TOLERANCE * ref[1]
-            entry = {
+            comparisons.append({
                 "block": block,
                 "controls": "with" if with_controls else "none",
                 "quantity": quantity,
@@ -427,19 +420,15 @@ def cmd_replicate(ns: argparse.Namespace) -> int:
                 "point_within_tolerance": point_ok,
                 "se_within_tolerance": se_ok,
                 "note": note,
-            }
-            comparisons.append(entry)
-            rows.append([
-                block.upper(),
-                "with" if with_controls else "none",
-                quantity,
-                _fmt(result.estimate, 2), _fmt(result.se, 2),
-                _fmt(entry["reference_estimate"], 2),
-                _fmt(entry["reference_se"], 2),
-                {True: "yes", False: "NO", None: "-"}[point_ok],
-                {True: "yes", False: "NO", None: "-"}[se_ok],
-                note,
-            ])
+            })
+    comparisons.sort(key=lambda c: c["block"])  # stable: OLS rows first
+    verdict = {True: "yes", False: "NO", None: "-"}
+    rows = [[c["block"].upper(), c["controls"], c["quantity"],
+             *(_fmt(c[k], 2) for k in ("estimate", "se", "reference_estimate",
+                                       "reference_se")),
+             verdict[c["point_within_tolerance"]],
+             verdict[c["se_within_tolerance"]], c["note"]]
+            for c in comparisons]
 
     with open(out / "table_comparison.csv", "w", newline="",
               encoding="utf-8") as fh:
@@ -599,7 +588,7 @@ def main(argv=None) -> int:
     try:
         _resolve(parser, argv, ns)
         return ns.func(ns)
-    except (TridiffError, OSError, ValueError) as exc:
+    except (TridiffError, OSError, ValueError, MemoryError) as exc:
         code = exit_code_for(exc)
         _write_error(ns, exc, code)
         return code

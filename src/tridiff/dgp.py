@@ -26,7 +26,7 @@ import numpy as np
 
 from .data import AssignmentMechanism, PanelDataset
 from .exceptions import EstimationError, TridiffError
-from .estimators import estimate_doubly_robust
+from .estimators import Method, estimate_doubly_robust
 from .nuisance import fit_nuisances
 from .parallel import map_ordered
 
@@ -257,22 +257,30 @@ def closed_form_oracle(spec: DgpSpec) -> OracleValues:
 # Monte Carlo study
 # ---------------------------------------------------------------------------
 
+# the methods a Monte Carlo replication estimates, in the order of
+# MonteCarloResult's rows: (method, its key in summary(), the
+# OracleValues field it is compared with)
+MONTE_CARLO_METHODS = (
+    (Method.DR_NAIVE_DIFFERENCE, "naive", "naive_diff"),
+    (Method.DR_REWEIGHTED, "reweighted", "reweighted_diff"),
+)
+
+
 @dataclass(frozen=True)
 class MonteCarloResult:
-    """Per-replication estimates of the naive and reweighted contrasts,
-    their analytic standard errors, and success flags."""
+    """Per-replication estimates and analytic standard errors, each a
+    (methods, replications) array with one row per MONTE_CARLO_METHODS
+    entry, and success flags."""
 
     spec: DgpSpec
-    naive: np.ndarray
-    reweighted: np.ndarray
-    se_naive: np.ndarray
-    se_reweighted: np.ndarray
+    estimates: np.ndarray
+    ses: np.ndarray
     ok: np.ndarray
     failure_reasons: tuple
 
     @property
     def replications(self) -> int:
-        return len(self.naive)
+        return len(self.ok)
 
     @property
     def n_failed(self) -> int:
@@ -285,31 +293,31 @@ class MonteCarloResult:
             "replications": self.replications,
             "n_failed": self.n_failed,
             "spec": self.spec.to_dict(),
-            "naive": {
-                "mean": float(np.mean(self.naive[ok])),
-                "sd": 0.0 if degenerate else float(np.std(self.naive[ok], ddof=1)),
-                "mean_analytic_se": float(np.mean(self.se_naive[ok])),
-            },
-            "reweighted": {
-                "mean": float(np.mean(self.reweighted[ok])),
-                "sd": 0.0 if degenerate else float(np.std(self.reweighted[ok], ddof=1)),
-                "mean_analytic_se": float(np.mean(self.se_reweighted[ok])),
-            },
         }
+        for (_, key, _), values, ses in zip(MONTE_CARLO_METHODS,
+                                            self.estimates, self.ses):
+            out[key] = {
+                "mean": float(np.mean(values[ok])),
+                "sd": 0.0 if degenerate else float(np.std(values[ok], ddof=1)),
+                "mean_analytic_se": float(np.mean(ses[ok])),
+            }
         if degenerate:
             out["degenerate"] = True
         return out
 
 
 def _run_one(spec: DgpSpec, replication: int, fit_options: dict):
+    """((estimate, se) per MONTE_CARLO_METHODS entry, failure reason or
+    "") of one replication."""
     sample = simulate_replicate(spec, replication)
     try:
         nuisances = fit_nuisances(sample, **fit_options)
-        rew, naive = estimate_doubly_robust(sample, nuisances)
+        results = estimate_doubly_robust(sample, nuisances, tuple(
+            method for method, _, _ in MONTE_CARLO_METHODS))
     except TridiffError as exc:
-        return (math.nan, math.nan, math.nan, math.nan, False,
+        return (((math.nan, math.nan),) * len(MONTE_CARLO_METHODS),
                 f"{type(exc).__name__}: {exc}")
-    return (naive.estimate, naive.se, rew.estimate, rew.se, True, "")
+    return tuple((res.estimate, res.se) for res in results), ""
 
 
 def run_monte_carlo(spec: DgpSpec, replications: int,
@@ -338,12 +346,10 @@ def run_monte_carlo(spec: DgpSpec, replications: int,
     rows = map_ordered(functools.partial(_run_one, spec, fit_options=options),
                        range(replications), n_jobs)
 
-    naive = np.array([r[0] for r in rows])
-    se_naive = np.array([r[1] for r in rows])
-    rew = np.array([r[2] for r in rows])
-    se_rew = np.array([r[3] for r in rows])
-    ok = np.array([r[4] for r in rows], dtype=bool)
-    reasons = tuple(r[5] for r in rows)
+    # (estimate or se, method, replication)
+    estimates, ses = np.array([values for values, _ in rows]).T
+    reasons = tuple(reason for _, reason in rows)
+    ok = np.array([not reason for reason in reasons], dtype=bool)
 
     n_failed = int(np.count_nonzero(~ok))
     if n_failed > MAX_FAILURE_SHARE * replications:
@@ -352,23 +358,23 @@ def run_monte_carlo(spec: DgpSpec, replications: int,
             f"{n_failed} of {replications} replications failed "
             f"(limit {MAX_FAILURE_SHARE:.0%}); e.g. {'; '.join(examples)}")
 
-    return MonteCarloResult(spec=spec, naive=naive, reweighted=rew,
-                            se_naive=se_naive, se_reweighted=se_rew,
-                            ok=ok, failure_reasons=reasons)
+    return MonteCarloResult(spec=spec, estimates=estimates, ses=ses, ok=ok,
+                            failure_reasons=reasons)
 
 
 def export_histogram(result: MonteCarloResult, path,
                      bins: int = HISTOGRAM_BINS) -> None:
-    """Binned counts of both estimators' sampling distributions, one row
-    per bin: estimator_label, bin_left, bin_right, count."""
+    """Binned counts of each method's sampling distribution, one row per
+    bin: estimator_label (the Method's value), bin_left, bin_right,
+    count."""
     if result.replications == 0:
         raise ValueError("empty Monte Carlo result")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["estimator_label", "bin_left", "bin_right", "count"])
-        for label, values in (("dr_naive_difference", result.naive[result.ok]),
-                              ("dr_reweighted", result.reweighted[result.ok])):
-            counts, edges = np.histogram(values, bins=bins)
+        for (method, _, _), values in zip(MONTE_CARLO_METHODS,
+                                          result.estimates):
+            counts, edges = np.histogram(values[result.ok], bins=bins)
             for k in range(len(counts)):
-                writer.writerow([label, repr(float(edges[k])),
+                writer.writerow([method.value, repr(float(edges[k])),
                                  repr(float(edges[k + 1])), int(counts[k])])

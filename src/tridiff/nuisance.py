@@ -609,8 +609,6 @@ def _raw_coefficients(beta_std, center, scale):
 
 
 def fit_logistic_multinomial(covariates, cell_labels,
-                             max_iter: int = DEFAULT_MAX_ITER,
-                             tol: float = DEFAULT_LL_TOL,
                              covariate_names: Optional[Sequence[str]] = None
                              ) -> PropensityModel:
     """Four-cell softmax model by damped Newton, reference cell (B, Never).
@@ -620,11 +618,12 @@ def fit_logistic_multinomial(covariates, cell_labels,
     the moment-matched linear-discriminant coefficients of the
     standardized covariates, or at zero where those are unusable or fit
     worse than zero (see _moment_start and _newton_multinomial).
-    Converges when the likelihood gain drops below tol or the
+    Converges when the likelihood gain drops below DEFAULT_LL_TOL or the
     gradient max-norm below 1e-8. Standardized coefficients whose norm
     passes 1e4 with rising likelihood raise SeparationError, whatever
-    the covariates' location and units; exhausting max_iter raises
-    ConvergenceError with the likelihood trace attached.
+    the covariates' location and units; DEFAULT_MAX_ITER iterations
+    without convergence raise ConvergenceError with the likelihood trace
+    attached.
     """
     x, covariate_names = _covariates(covariates, covariate_names)
     labels = np.asarray(cell_labels, dtype=int)
@@ -642,7 +641,7 @@ def fit_logistic_multinomial(covariates, cell_labels,
     _full_rank_qr(zt, names, "logit design is rank deficient")
 
     beta_std, probs, trace, n_iter = _newton_multinomial(
-        zt, labels, max_iter, tol, names)
+        zt, labels, DEFAULT_MAX_ITER, DEFAULT_LL_TOL, names)
 
     return PropensityModel(coefficients=_raw_coefficients(beta_std, center,
                                                           scale),
@@ -778,10 +777,11 @@ def fit_nuisances(dataset: PanelDataset,
     Covariate subsets name columns of the dataset's covariate matrix;
     default is all columns for both families. The logit's Newton
     iteration starts from the cell moments of the covariates (or zero),
-    with fit_logistic_multinomial's default iteration limit and
-    tolerance, so a fit depends on the dataset and fit_options alone. A
-    model that fails raises its own exception, with the model's label
-    ("propensity model" or the cell's) put in front of its message. The
+    with DEFAULT_MAX_ITER and DEFAULT_LL_TOL, so a fit depends on the
+    dataset and fit_options alone. A model that fails raises its own
+    exception, with the model's label ("propensity model" or the cell's)
+    put in front of its message; a MemoryError is raised as a plain one
+    with that message, since numpy's ignores its args. The
     set records the dataset's x as fitted_x, so that an evaluation of this
     dataset reads the probabilities the logit converged to instead of
     predicting them.
@@ -820,6 +820,10 @@ def fit_nuisances(dataset: PanelDataset,
             outcome_models[cell] = fit_linear(
                 out_x.take(rows, axis=0), delta.take(rows), out_names,
                 fitted_on=cell.label)
+    except MemoryError as exc:
+        # numpy's formats its message from the failed allocation and
+        # ignores args, so the label rides on a plain MemoryError
+        raise MemoryError(f"{label}: {exc}") from exc
     except Exception as exc:
         # the failed model's label goes in front of the message of the
         # exception itself, whose type and attributes are kept

@@ -43,7 +43,8 @@ def _inputs(work: Path) -> dict:
     """The cases' input files, written into `work`: a simulated panel
     and tests/test_cli.py's synthetic wage survey, whole and with every
     store in the eligible state."""
-    sys.path.insert(0, str(HERE.parent))
+    if str(HERE.parent) not in sys.path:
+        sys.path.insert(0, str(HERE.parent))
     from test_cli import wage_rows, write_rows
     from tridiff.data import save_csv
     from tridiff.dgp import DgpSpec, simulate_sample
@@ -134,10 +135,9 @@ def golden_files(root: Path) -> dict:
 # ---------------------------------------------------------------------------
 
 def _number(value):
+    """value as a float, or None where it is not a number."""
     if isinstance(value, bool):
         return None
-    if isinstance(value, (int, float)):
-        return float(value)
     try:
         return float(value)
     except (TypeError, ValueError):
@@ -206,7 +206,6 @@ def report(old_root: Path, new_root: Path) -> list:
 
 
 def main() -> int:
-    sys.path.insert(0, str(HERE.parents[1] / "src"))
     with tempfile.TemporaryDirectory() as tmp:
         fresh = Path(tmp) / "golden"
         generate(fresh)

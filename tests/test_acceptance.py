@@ -335,10 +335,8 @@ def test_criterion_8_determinism(tmp_path):
     spec = DgpSpec(n=200, seed=19)
     serial = run_monte_carlo(spec, 6)
     parallel = run_monte_carlo(spec, 6, n_jobs=2)
-    same = (np.array_equal(serial.naive, parallel.naive)
-            and np.array_equal(serial.reweighted, parallel.reweighted)
-            and np.array_equal(serial.se_naive, parallel.se_naive)
-            and np.array_equal(serial.se_reweighted, parallel.se_reweighted))
+    same = (np.array_equal(serial.estimates, parallel.estimates)
+            and np.array_equal(serial.ses, parallel.ses))
     if not same:
         failures.append("parallel and serial simulation runs differ")
     report(8, "byte-identical reruns, parallel equals serial", failures)

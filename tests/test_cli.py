@@ -461,6 +461,29 @@ def test_estimate_constant_covariate_is_exit_3(tmp_path):
     assert code == 3
 
 
+def test_estimate_out_of_memory_in_a_fit_is_exit_7(panel_csv, tmp_path,
+                                                   monkeypatch):
+    # numpy's MemoryError formats its own message and ignores args; the
+    # failed model's label must still reach error.json
+    try:
+        from numpy._core._exceptions import _ArrayMemoryError
+    except ImportError:  # numpy < 2
+        from numpy.core._exceptions import _ArrayMemoryError
+    import tridiff.nuisance as nuisance_mod
+
+    def no_memory(*args, **kwargs):
+        raise _ArrayMemoryError((10**7, 10**7), np.dtype(float))
+
+    monkeypatch.setattr(nuisance_mod, "fit_linear", no_memory)
+    out = tmp_path / "o"
+    assert run(["estimate", "--input", panel_csv, "--schema", SCHEMA,
+                "--methods", "dr", "--trim", "0", "--out", out]) == 7
+    err = load_json(out / "error.json")
+    assert err["error"] == "MemoryError" and err["exit_code"] == 7
+    assert err["message"].startswith("(A, Never): Unable to allocate 728.")
+    assert not (out / "results.json").exists()
+
+
 def test_estimate_bias_method_requires_only_a(panel_csv, tmp_path):
     out = tmp_path / "o"
     code = run(["estimate", "--input", panel_csv, "--schema", SCHEMA,

@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 
 from tridiff.data import AssignmentMechanism, Cell, Group
-from tridiff.dgp import (DgpSpec, EffectCase, closed_form_oracle,
-                         export_histogram, run_monte_carlo,
+from tridiff.dgp import (MONTE_CARLO_METHODS, DgpSpec, EffectCase,
+                         closed_form_oracle, export_histogram,
+                         run_monte_carlo,
                          simulate_replicate, simulate_sample)
 from tridiff.estimators import estimate_doubly_robust
 from tridiff.exceptions import EstimationError
@@ -182,10 +183,10 @@ def test_monte_carlo_shapes_and_determinism():
     s = spec(n=500, seed=7)
     run1 = run_monte_carlo(s, replications=6)
     run2 = run_monte_carlo(s, replications=6)
-    assert len(run1.naive) == len(run1.reweighted) == 6
+    assert run1.estimates.shape == run1.ses.shape == (2, 6)
     assert run1.ok.all()
-    np.testing.assert_array_equal(run1.naive, run2.naive)
-    np.testing.assert_array_equal(run1.reweighted, run2.reweighted)
+    np.testing.assert_array_equal(run1.estimates, run2.estimates)
+    np.testing.assert_array_equal(run1.ses, run2.ses)
     summary = run1.summary()
     assert summary["replications"] == 6
     assert summary["n_failed"] == 0
@@ -196,17 +197,22 @@ def test_monte_carlo_single_replication():
     s = spec(n=500, seed=3)
     one = run_monte_carlo(s, replications=1)
     again = run_monte_carlo(s, replications=1)
-    assert one.naive[0] == again.naive[0]
-    assert one.reweighted[0] == again.reweighted[0]
+    np.testing.assert_array_equal(one.estimates, again.estimates)
 
 
 def test_monte_carlo_parallel_equals_serial():
     s = spec(n=400, seed=13)
     serial = run_monte_carlo(s, replications=8, n_jobs=1)
     parallel = run_monte_carlo(s, replications=8, n_jobs=2)
-    np.testing.assert_array_equal(serial.naive, parallel.naive)
-    np.testing.assert_array_equal(serial.reweighted, parallel.reweighted)
-    np.testing.assert_array_equal(serial.se_naive, parallel.se_naive)
+    np.testing.assert_array_equal(serial.estimates, parallel.estimates)
+    np.testing.assert_array_equal(serial.ses, parallel.ses)
+
+
+def _table_estimates(sample, nuisances):
+    """Each MONTE_CARLO_METHODS method's estimate on the sample, in order."""
+    methods = tuple(method for method, _, _ in MONTE_CARLO_METHODS)
+    return [res.estimate
+            for res in estimate_doubly_robust(sample, nuisances, methods)]
 
 
 def test_monte_carlo_normalized_weights():
@@ -218,9 +224,7 @@ def test_monte_carlo_normalized_weights():
     sample = simulate_replicate(s, 2)
     nuisances = fit_nuisances(sample, NuisanceMode.SCORE_SET,
                               trim_epsilon=0.0, normalize=True)
-    rew, naive = estimate_doubly_robust(sample, nuisances)
-    assert result.reweighted[2] == rew.estimate
-    assert result.naive[2] == naive.estimate
+    assert list(result.estimates[:, 2]) == _table_estimates(sample, nuisances)
 
 
 def test_monte_carlo_refits_with_a_fits_options():
@@ -232,9 +236,7 @@ def test_monte_carlo_refits_with_a_fits_options():
                               trim_epsilon=0.0)
     result = run_monte_carlo(s, replications=2,
                              fit_options=nuisances.fit_options)
-    rew, naive = estimate_doubly_robust(sample, nuisances)
-    assert (result.reweighted[1], result.naive[1]) == (rew.estimate,
-                                                       naive.estimate)
+    assert list(result.estimates[:, 1]) == _table_estimates(sample, nuisances)
 
 
 def test_monte_carlo_aborts_when_all_replications_fail():

@@ -361,13 +361,15 @@ def test_separation_guard_ignores_covariate_location():
     assert moved.estimate == pytest.approx(base.estimate, rel=1e-10)
 
 
-def test_logit_max_iter_exhaustion_raises_with_trace():
+def test_logit_max_iter_exhaustion_raises_with_trace(monkeypatch):
     r = rng(11)
     n = 500
     x = r.normal(size=(n, 1))
     labels = cells_from_probs(r, n, [0.3, 0.3, 0.2, 0.2])
+    monkeypatch.setattr(nuisance_mod, "DEFAULT_MAX_ITER", 1)
+    monkeypatch.setattr(nuisance_mod, "DEFAULT_LL_TOL", 1e-300)
     with pytest.raises(ConvergenceError) as err:
-        fit_logistic_multinomial(x, labels, max_iter=1, tol=1e-300)
+        fit_logistic_multinomial(x, labels)
     assert len(err.value.trace) >= 1
 
 
