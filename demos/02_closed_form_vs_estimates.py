@@ -37,9 +37,9 @@ rows = [
     ("reweighted difference", reweighted.estimate, reweighted.se,
      oracle.reweighted_diff),
     ("naive difference", naive.estimate, naive.se, oracle.naive_diff),
-    ("stacked regression, group A", did_a.estimate, did_a.se,
+    ("change regression, group A", did_a.estimate, did_a.se,
      oracle.did_a_on_a),
-    ("stacked regression, group B", did_b.estimate, did_b.se,
+    ("change regression, group B", did_b.estimate, did_b.se,
      oracle.did_b_on_b),
     ("three-way interaction", tdid.estimate, tdid.se, oracle.naive_diff),
     ("regression contrast, group A", or_a.estimate, None, oracle.did_a_on_a),

@@ -5,7 +5,8 @@ DR change contrast minus group B's contrast reweighted to group A's
 covariate distribution), with influence-function and bootstrap
 inference. The conventional estimators the framework argues against
 are implemented alongside for contrast: the naive DR difference, the
-two-way and three-way interaction regressions, and the
+two-way and three-way interaction regressions (fitted on each unit's
+outcome change, one row per unit, with covariates as controls), and the
 outcome-regression benchmarks (each group's regression DID and their
 differences), which are means of the regression scores of the same
 fit.
@@ -56,7 +57,7 @@ class Method(enum.Enum):
 class SeKind(enum.Enum):
     ROBUST = "hc1"          # heteroskedasticity-robust sandwich, HC1
     CLASSICAL = "classical"
-    CLUSTER = "cluster"     # clustered by unit over the two stacked rows
+    CLUSTER = "cluster"     # clustered by unit; with one row per unit, HC1
 
 
 @dataclass(frozen=True)
@@ -324,91 +325,79 @@ def _refit(options: dict, methods: Tuple[Method, ...],
 
 
 # ---------------------------------------------------------------------------
-# Interaction regressions on the stacked two-period layout
+# Interaction regressions on the outcome change, one row per unit
 # ---------------------------------------------------------------------------
 
-def _stacked(dataset: PanelDataset, mask: np.ndarray):
-    """Long form: one row per unit-period, all period-1 rows first, so
-    unit i's rows are i and m + i. Returns (y, eligible, group_a, x,
-    period2)."""
-    m = int(np.count_nonzero(mask))
-    y = np.concatenate([dataset.y1[mask], dataset.y2[mask]])
-    e = np.tile(dataset.eligible[mask].astype(float), 2)
-    g = np.tile(dataset.group_is_a[mask].astype(float), 2)
-    x = np.vstack([dataset.x[mask], dataset.x[mask]])
-    t = np.concatenate([np.zeros(m), np.ones(m)])
-    return y, e, g, x, t
-
-
-def _regression_se(model: LinearModel, design: np.ndarray, y: np.ndarray,
+def _regression_se(model: LinearModel, design: np.ndarray, dy: np.ndarray,
                    kind: SeKind) -> np.ndarray:
-    """Coefficient standard errors for a fitted regression on _stacked's
-    rows."""
+    """Coefficient standard errors of a regression with one row per unit:
+    classical, or the HC1 sandwich, which is also the unit-clustered one
+    since each unit is its own cluster (CR1's G/(G-1) (N-1)/(N-p) is
+    HC1's N/(N-p) at G = N)."""
     if kind is SeKind.CLASSICAL:
         return model.coef_se
-    resid = y - design @ model.coefficients
-    n_rows, p = design.shape
+    resid = dy - design @ model.coefficients
+    n, p = design.shape
     gram_inv = model.gram_inverse
-    if kind is SeKind.ROBUST:
-        meat = design.T @ (design * (resid * resid)[:, None])
-        factor = n_rows / (n_rows - p) if n_rows > p else 1.0
-        cov = factor * gram_inv @ meat @ gram_inv
-    else:  # CLUSTER by unit: its period-1 and period-2 rows
-        scores = design * resid[:, None]
-        n_clusters = n_rows // 2
-        sums = scores[:n_clusters] + scores[n_clusters:]
-        meat = sums.T @ sums
-        if n_clusters > 1 and n_rows > p:
-            factor = (n_clusters / (n_clusters - 1)) * ((n_rows - 1) / (n_rows - p))
-        else:
-            factor = 1.0
-        cov = factor * gram_inv @ meat @ gram_inv
+    meat = design.T @ (design * (resid * resid)[:, None])
+    factor = n / (n - p) if n > p else 1.0
+    cov = factor * gram_inv @ meat @ gram_inv
     return np.sqrt(np.maximum(np.diag(cov), 0.0))
+
+
+def _change_regression(dataset: PanelDataset, mask: np.ndarray, columns,
+                       names, with_controls: bool, se_kind: SeKind,
+                       fitted_on: str) -> Tuple[float, float]:
+    """(coefficient, se) of the last of `columns` in the regression of
+    the outcome change of the units in `mask` on `columns`, plus, with
+    controls, the covariates with one common slope each. On the change,
+    a time-invariant covariate enters as it does in the two-period
+    regression in levels with covariate-by-period terms, so the
+    coefficients are that regression's period-2 interactions."""
+    k = len(columns) - 1
+    if with_controls:
+        columns = [*columns, *dataset.x[mask].T]
+        names = [*names, *dataset.covariate_names]
+    design = np.column_stack(columns)
+    dy = dataset.delta_y()[mask]
+    model = fit_ols(design, dy, names, fitted_on=fitted_on)
+    se = _regression_se(model, design, dy, se_kind)
+    return float(model.coefficients[k]), float(se[k])
 
 
 def ols_did(dataset: PanelDataset, group: Group, with_controls: bool,
             se_kind: SeKind = SeKind.ROBUST) -> EstimateResult:
-    """Two-way interaction regression on one group's stacked rows; the
-    eligible-by-period-2 coefficient is the group's DID."""
+    """Two-way interaction regression on one group's units: their outcome
+    change on an intercept and eligibility; the eligibility coefficient
+    is the group's DID."""
     mask = dataset.group_is_a if group is Group.A else ~dataset.group_is_a
     for elig in (True, False):
         if not np.any(mask & (dataset.eligible == elig)):
             raise EstimationError(
                 f"group {group.name} lacks {'eligible' if elig else 'never-eligible'} "
                 "units; DID regression undefined")
-    y, e, _, x, t = _stacked(dataset, mask)
-    columns = [np.ones_like(y), e, t, e * t]
-    names = ["intercept", "eligible", "period2", "eligible_x_period2"]
-    if with_controls:
-        columns.extend(x.T)
-        names.extend(dataset.covariate_names)
-    design = np.column_stack(columns)
-    model = fit_ols(design, y, names,
-                    fitted_on=f"stacked DID, group {group.name}")
-    se = _regression_se(model, design, y, se_kind)
+    m = int(np.count_nonzero(mask))
+    estimate, se = _change_regression(
+        dataset, mask, [np.ones(m), dataset.eligible[mask]],
+        ["intercept", "eligible"], with_controls, se_kind,
+        f"change DID, group {group.name}")
     return EstimateResult(
-        estimate=float(model.coefficients[3]), se=float(se[3]),
-        n=int(np.count_nonzero(mask)),
+        estimate=estimate, se=se, n=m,
         estimand_label=EstimandLabel.DESCRIPTIVE,
         method=Method.OLS_DID_A if group is Group.A else Method.OLS_DID_B)
 
 
 def ols_tdid(dataset: PanelDataset, with_controls: bool,
              se_kind: SeKind = SeKind.ROBUST) -> EstimateResult:
-    """Three-way interaction regression on all stacked rows; the
-    eligible-by-period-2-by-group-A coefficient is the triple
-    difference."""
-    y, e, g, x, t = _stacked(dataset, np.ones(dataset.n, dtype=bool))
-    columns = [np.ones_like(y), e, t, g, e * t, e * g, t * g, e * t * g]
-    names = ["intercept", "eligible", "period2", "group_a",
-             "eligible_x_period2", "eligible_x_group_a",
-             "period2_x_group_a", "eligible_x_period2_x_group_a"]
-    if with_controls:
-        columns.extend(x.T)
-        names.extend(dataset.covariate_names)
-    design = np.column_stack(columns)
-    model = fit_ols(design, y, names, fitted_on="stacked TDID")
-    se = _regression_se(model, design, y, se_kind)
+    """Three-way interaction regression on all units: their outcome
+    change on an intercept, eligibility, group A and their product; the
+    eligible-by-group-A coefficient is the triple difference."""
+    e, g = dataset.eligible, dataset.group_is_a
+    estimate, se = _change_regression(
+        dataset, np.ones(dataset.n, dtype=bool),
+        [np.ones(dataset.n), e, g, e & g],
+        ["intercept", "eligible", "group_a", "eligible_x_group_a"],
+        with_controls, se_kind, "change TDID")
     return EstimateResult(
-        estimate=float(model.coefficients[7]), se=float(se[7]), n=dataset.n,
+        estimate=estimate, se=se, n=dataset.n,
         estimand_label=EstimandLabel.DESCRIPTIVE, method=Method.OLS_TDID)

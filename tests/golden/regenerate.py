@@ -1,8 +1,8 @@
 """Golden result files of the tridiff CLI, and the report of how a
 regeneration moved them.
 
-Each case runs one CLI command in this process, with ``--jobs 1``, on
-inputs built from fixed seeds at small n. Its result files, and what
+Each case runs one CLI command in this process, with ``--jobs 1`` where
+the command takes it, on inputs built from fixed seeds at small n. Its result files, and what
 it printed on standard output, go under ``tests/golden/<case>/``; every
 case's exit code goes to ``tests/golden/exit_codes.json``.
 ``config_echo.json`` is left out: it records ``--out``.
@@ -85,6 +85,8 @@ def _cases(inputs: dict) -> dict:
             "simulate", "--n", "300", "--replications", "20", "--seed", "11",
             "--bins", "6", "--case", "constant", "--mechanism", "only-a",
             "--normalize-weights"],
+        "validate": ["validate", "--input", inputs["panel"],
+                     "--schema", SCHEMA],
         "error-trimming": estimate + ["--methods", "dr", "--trim", "0.4"],
         "error-empty-cell": ["replicate", "--input", inputs["one_state"],
                              "--bootstrap-reps", "5"],
@@ -101,11 +103,12 @@ def generate(dest: Path) -> None:
         work = Path(tmp)
         for name, args in _cases(_inputs(work)).items():
             out = work / name
+            jobs = [] if args[0] == "validate" else ["--jobs", "1"]
             stdout = io.StringIO()
             with contextlib.redirect_stdout(stdout), \
                     contextlib.redirect_stderr(io.StringIO()):
                 codes[name] = main([str(a) for a in args]
-                                   + ["--jobs", "1", "--out", str(out)])
+                                   + jobs + ["--out", str(out)])
             case = dest / name
             case.mkdir()
             (case / "stdout.txt").write_text(stdout.getvalue(),

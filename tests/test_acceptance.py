@@ -6,6 +6,7 @@ tests). Tolerances are fixed here on purpose; loosening them is not a
 fix for a failing criterion.
 """
 
+import csv
 import dataclasses
 import json
 import math
@@ -16,13 +17,13 @@ import numpy as np
 import pytest
 
 from tridiff.cli import (POINT_TOLERANCE, REFERENCE_TABLE,
-                         SE_RELATIVE_TOLERANCE, load_replication_csv, main)
+                         SE_RELATIVE_TOLERANCE, main)
 from tridiff.data import Cell, PanelDataset, save_csv
 from tridiff.dgp import (DgpSpec, EffectCase, closed_form_oracle,
                          run_monte_carlo, simulate_sample)
-from tridiff.estimators import (OR_METHODS, BootstrapConfig, SeKind,
-                                bootstrap_ses, estimate_doubly_robust,
-                                ols_did, ols_tdid, refit_estimates)
+from tridiff.estimators import (OR_METHODS, BootstrapConfig, bootstrap_ses,
+                                estimate_doubly_robust, ols_tdid,
+                                refit_estimates)
 from tridiff.nuisance import LinearModel, NuisanceMode, fit_nuisances
 from tridiff.scores import FitEvaluation, ScoreKind, score_vector
 
@@ -185,33 +186,33 @@ def _replication_csv():
     return None
 
 
-def test_criterion_5_reference_table_replication():
+def test_criterion_5_reference_table_replication(tmp_path):
     path = _replication_csv()
     if path is None:
         print("criterion 5 (minimum-wage reference table): SKIPPED "
               "(no replication CSV; set TRIDIFF_REPLICATION_CSV)")
         pytest.skip("replication data not supplied")
-    ds = load_replication_csv(path)
-    boot = BootstrapConfig(replications=999, seed=0)
+    out = tmp_path / "replication"
+    assert main(["replicate", "--input", str(path), "--seed", "0",
+                 "--out", str(out)]) == 0
+    with open(out / "table_comparison.csv", newline="",
+              encoding="utf-8") as fh:
+        rows = {(row["block"], row["controls"] == "with", row["quantity"]):
+                row for row in csv.DictReader(fh)}
     failures = []
-    for with_controls in (False, True):
-        computed = {
-            "did_a": ols_did(ds, Group.A, with_controls, SeKind.ROBUST),
-            "did_b": ols_did(ds, Group.B, with_controls, SeKind.ROBUST),
-            "diff_ab": ols_tdid(ds, with_controls, SeKind.ROBUST),
-        }
-        block = ds if with_controls else ds.without_covariates()
-        computed_or = or_table(block, boot)
-        for kind, values in (("ols", computed), ("or", computed_or)):
-            for quantity, (point, se) in REFERENCE_TABLE[
-                    (kind, with_controls)].items():
-                res = values[quantity]
-                tag = f"{kind} {quantity} ({'with' if with_controls else 'no'}"\
-                      " controls)"
-                if abs(res.estimate - point) > POINT_TOLERANCE:
-                    failures.append(f"{tag}: {res.estimate:.3f} vs {point}")
-                if abs(res.se - se) > SE_RELATIVE_TOLERANCE * se:
-                    failures.append(f"{tag} se: {res.se:.3f} vs {se}")
+    for (kind, with_controls), quantities in REFERENCE_TABLE.items():
+        for quantity, (point, se) in quantities.items():
+            tag = (f"{kind} {quantity} "
+                   f"({'with' if with_controls else 'no'} controls)")
+            row = rows.get((kind, with_controls, quantity))
+            if row is None:
+                failures.append(f"{tag}: not in table_comparison.csv")
+                continue
+            estimate, est_se = float(row["estimate"]), float(row["se"])
+            if abs(estimate - point) > POINT_TOLERANCE:
+                failures.append(f"{tag}: {estimate:.3f} vs {point}")
+            if abs(est_se - se) > SE_RELATIVE_TOLERANCE * se:
+                failures.append(f"{tag} se: {est_se:.3f} vs {se}")
     report(5, "minimum-wage reference table", failures)
 
 

@@ -127,6 +127,18 @@ def test_estimate_rerun_byte_identical(panel_csv, tmp_path):
             == (tmp_path / "b" / "results.json").read_bytes())
 
 
+def test_estimate_hc1_and_cluster_write_the_same_results(panel_csv,
+                                                        tmp_path):
+    # the regressions fit one row per unit, so the unit-clustered
+    # sandwich is the HC1 one
+    args = ["estimate", "--input", panel_csv, "--schema", SCHEMA,
+            "--methods", "ols-did-a,ols-did-b,ols-tdid"]
+    for se in ("hc1", "cluster"):
+        assert run(args + ["--se", se, "--out", tmp_path / se]) == 0
+    assert ((tmp_path / "hc1" / "results.json").read_bytes()
+            == (tmp_path / "cluster" / "results.json").read_bytes())
+
+
 def test_estimate_normalized_weights(panel_csv, tmp_path):
     out = tmp_path / "norm"
     code = run(["estimate", "--input", panel_csv, "--schema", SCHEMA,

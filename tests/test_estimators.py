@@ -21,7 +21,8 @@ import pytest
 import tridiff.estimators as est_mod
 import tridiff.scores as scores_mod
 from tridiff.data import AssignmentMechanism, Cell, Group, PanelDataset
-from tridiff.dgp import DgpSpec, closed_form_oracle, simulate_sample
+from tridiff.dgp import (DgpSpec, closed_form_oracle, simulate_replicate,
+                         simulate_sample)
 from tridiff.estimators import (DR_METHODS, OR_METHODS, BootstrapConfig,
                                 EstimandLabel, EstimateResult, Method, SeKind,
                                 bias_diagnostic, bootstrap_replicates,
@@ -366,7 +367,7 @@ def test_row_permutation_invariance(small_sample):
 
 
 # ---------------------------------------------------------------------------
-# Stacked regressions
+# Interaction regressions on the outcome change
 # ---------------------------------------------------------------------------
 
 def cell_mean_did(ds, group_is_a_value):
@@ -409,50 +410,104 @@ def test_ols_missing_side_raises():
         ols_did(only_b, Group.A, with_controls=False)
 
 
-def test_regression_se_kinds_all_positive_and_distinct(small_sample):
-    ds, _ = small_sample
-    ses = {kind: ols_tdid(ds, True, kind).se
-           for kind in (SeKind.ROBUST, SeKind.CLASSICAL, SeKind.CLUSTER)}
-    assert all(se > 0 for se in ses.values())
-    # stacked rows of one unit are dependent, so the cluster estimate
-    # must not coincide with the row-independent one
-    assert ses[SeKind.CLUSTER] != pytest.approx(ses[SeKind.ROBUST], rel=1e-6)
+REGRESSIONS = {  # each regression, its units and its estimate's column
+    "tdid": (lambda ds, c, kind: ols_tdid(ds, c, kind),
+             lambda ds: np.ones(ds.n, dtype=bool), 3),
+    "did_a": (lambda ds, c, kind: ols_did(ds, Group.A, c, kind),
+              lambda ds: ds.group_is_a, 1),
+    "did_b": (lambda ds, c, kind: ols_did(ds, Group.B, c, kind),
+              lambda ds: ~ds.group_is_a, 1)}
 
 
-def add_at_cluster_se(model, design, y):
-    """The unit-clustered SEs with each unit's score sums gathered by
-    np.add.at over an explicit unit index (rows i and m + i)."""
-    resid = y - design @ model.coefficients
-    n_rows, p = design.shape
-    m = n_rows // 2
-    sums = np.zeros((m, p))
-    np.add.at(sums, np.tile(np.arange(m), 2), design * resid[:, None])
-    factor = (m / (m - 1)) * ((n_rows - 1) / (n_rows - p))
-    gram_inv = model.gram_inverse
-    cov = factor * gram_inv @ (sums.T @ sums) @ gram_inv
-    return np.sqrt(np.maximum(np.diag(cov), 0.0))
-
-
-@pytest.mark.parametrize("regression", [
-    lambda ds, controls: ols_tdid(ds, controls, SeKind.CLUSTER),
-    lambda ds, controls: ols_did(ds, Group.A, controls, SeKind.CLUSTER),
-    lambda ds, controls: ols_did(ds, Group.B, controls, SeKind.CLUSTER)])
+@pytest.mark.parametrize("name", REGRESSIONS)
 @pytest.mark.parametrize("controls", [True, False])
-def test_cluster_se_equals_add_at_reference(small_sample, monkeypatch,
-                                            regression, controls):
+def test_hc1_and_cluster_ses_coincide(small_sample, name, controls):
+    # one row per unit: every unit is its own cluster, and the CR1
+    # factor G/(G-1) (N-1)/(N-p) is HC1's N/(N-p) at G = N
     ds, _ = small_sample
-    calls = []
-    regression_se = est_mod._regression_se
+    regression = REGRESSIONS[name][0]
+    ses = {kind: regression(ds, controls, kind).se for kind in SeKind}
+    assert all(se > 0 for se in ses.values())
+    assert ses[SeKind.CLUSTER] == ses[SeKind.ROBUST]
+    assert ses[SeKind.CLASSICAL] != pytest.approx(ses[SeKind.ROBUST],
+                                                  rel=1e-6)
 
-    def recording(model, design, y, kind):
-        se = regression_se(model, design, y, kind)
-        calls.append((se, add_at_cluster_se(model, design, y)))
-        return se
 
-    monkeypatch.setattr(est_mod, "_regression_se", recording)
-    regression(ds, controls)
-    ((se, reference),) = calls
-    assert np.array_equal(se, reference)
+@pytest.mark.parametrize("name", REGRESSIONS)
+@pytest.mark.parametrize("controls", [True, False])
+def test_sandwich_se_equals_by_hand_reference(small_sample, name,
+                                              controls):
+    # the outcome change on the cell columns (and x), fitted by lstsq,
+    # with the meat summed unit by unit: sum_i x_i x_i' e_i^2
+    ds, _ = small_sample
+    regression, units, column = REGRESSIONS[name]
+    mask = units(ds)
+    e, g = ds.eligible[mask].astype(float), ds.group_is_a[mask].astype(float)
+    cells = [np.ones_like(e), e] if name != "tdid" else [
+        np.ones_like(e), e, g, e * g]
+    design = np.column_stack(cells + ([ds.x[mask]] if controls else []))
+    dy = ds.y2[mask] - ds.y1[mask]
+    beta = np.linalg.lstsq(design, dy, rcond=None)[0]
+    resid = dy - design @ beta
+    n, p = design.shape
+    meat = sum(np.outer(row, row) * r * r for row, r in zip(design, resid))
+    bread = np.linalg.inv(design.T @ design)
+    cov = n / (n - p) * bread @ meat @ bread
+    res = regression(ds, controls, SeKind.ROBUST)
+    assert res.estimate == pytest.approx(beta[column], rel=1e-12)
+    assert res.se == pytest.approx(math.sqrt(cov[column, column]), rel=1e-12)
+
+
+def test_controls_move_the_tdid_regression():
+    # x shifted by 1 for (A, Eligible) units: the cell means of x now
+    # differ by eligibility, so the controlled TDID is the cell-mean TDID
+    # of the change minus the pooled within-cell slope times the cell-mean
+    # TDID of x (Frisch-Waugh-Lovell on the saturated cell columns)
+    ds = simulate_sample(DgpSpec(n=2000, seed=1, mu_b=1.5))
+    shifted = PanelDataset(
+        ids=ds.ids, y1=ds.y1, y2=ds.y2, group_is_a=ds.group_is_a,
+        eligible=ds.eligible,
+        x=ds.x + (ds.group_is_a & ds.eligible)[:, None],
+        covariate_names=ds.covariate_names, mechanism=ds.mechanism)
+    without = ols_tdid(shifted, with_controls=False).estimate
+    with_x = ols_tdid(shifted, with_controls=True).estimate
+    assert without == ols_tdid(ds, with_controls=False).estimate
+    assert abs(with_x - without) > 1.0
+
+    x, dy, codes = shifted.x[:, 0], shifted.delta_y(), shifted.cell_codes()
+    x_within, dy_within = x.copy(), dy.copy()
+    for cell in Cell:
+        in_cell = codes == cell
+        x_within[in_cell] -= x[in_cell].mean()
+        dy_within[in_cell] -= dy[in_cell].mean()
+    slope = (x_within @ dy_within) / (x_within @ x_within)
+
+    def cell_tdid(values):
+        mean = {cell: values[codes == cell].mean() for cell in Cell}
+        return (mean[Cell.A_ELIGIBLE] - mean[Cell.A_NEVER]
+                - mean[Cell.B_ELIGIBLE] + mean[Cell.B_NEVER])
+
+    assert with_x == pytest.approx(cell_tdid(dy) - slope * cell_tdid(x),
+                                   abs=1e-10)
+
+
+def test_tdid_regression_se_is_calibrated():
+    # under this process eligibility is independent of x within a group,
+    # so with or without controls the regression's limit is naive_diff;
+    # 1,000 replications at n=2000 and good overlap
+    spec = DgpSpec(n=2000, seed=12, mu_b=1.5)
+    reps = 1000
+    results = [[ols_tdid(ds, controls) for controls in (False, True)]
+               for ds in (simulate_replicate(spec, r) for r in range(reps))]
+    estimates = np.array([[res.estimate for res in row] for row in results])
+    ses = np.array([[res.se for res in row] for row in results])
+    sd = estimates.std(axis=0, ddof=1)
+    naive_diff = closed_form_oracle(spec).naive_diff
+    for j, controls in enumerate(("without", "with")):
+        ratio = ses[:, j].mean() / sd[j]
+        assert 0.9 <= ratio <= 1.1, f"{controls} controls: SE/sd {ratio:.3f}"
+        z = (estimates[:, j].mean() - naive_diff) / (sd[j] / math.sqrt(reps))
+        assert abs(z) <= 4, f"{controls} controls: mean {z:.2f} MC SE off"
 
 
 def test_ols_recovers_simulated_interaction(big_sample):
