@@ -320,7 +320,7 @@ def cmd_estimate(ns: argparse.Namespace) -> int:
             and ev.nuisances.propensity is not None):
         dump_scores(ev, list(ScoreKind), out / "scores.csv")
     if ns.dump_nuisances and ev is not None:
-        ev.nuisances.save_json(out / "nuisances_scores.json")
+        _write_json(out / "nuisances_scores.json", ev.nuisances.to_dict())
 
     rows = [[key, _fmt(res.estimate), _fmt(res.se), res.estimand_label.value,
              res.n] for key, res in sorted(results.items())]

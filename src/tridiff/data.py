@@ -44,6 +44,14 @@ class AssignmentMechanism(enum.Enum):
     ONLY_GROUP_A = "only-a"
     BOTH_GROUPS = "both"
 
+    def treated(self, group_is_a: np.ndarray,
+                eligible: np.ndarray) -> np.ndarray:
+        """Period-2 treatment indicator of units with these groups and
+        eligibilities, a new array."""
+        if self is AssignmentMechanism.ONLY_GROUP_A:
+            return eligible & group_is_a
+        return eligible.copy()
+
 
 class Cell(enum.IntEnum):
     """The four (group, eligibility) cells. A cell is its own integer
@@ -158,9 +166,7 @@ class PanelDataset:
 
     def treated(self) -> np.ndarray:
         """Derived period-2 treatment indicator under the mechanism."""
-        if self.mechanism is AssignmentMechanism.ONLY_GROUP_A:
-            return self.eligible & self.group_is_a
-        return self.eligible.copy()
+        return self.mechanism.treated(self.group_is_a, self.eligible)
 
     # -- views --------------------------------------------------------------
 

@@ -63,7 +63,9 @@ class SeKind(enum.Enum):
 @dataclass(frozen=True)
 class EstimateResult:
     """One estimator's output. se is None when no variance method was
-    requested (outcome-regression estimators without a bootstrap)."""
+    requested (outcome-regression estimators without a bootstrap) or
+    when an interaction regression is saturated, with as many units as
+    coefficients and so no residual to estimate a variance from."""
 
     estimate: float
     se: Optional[float]
@@ -330,30 +332,30 @@ def _refit(options: dict, methods: Tuple[Method, ...],
 
 def _regression_se(model: LinearModel, design: np.ndarray, dy: np.ndarray,
                    kind: SeKind) -> np.ndarray:
-    """Coefficient standard errors of a regression with one row per unit:
-    classical, or the HC1 sandwich, which is also the unit-clustered one
-    since each unit is its own cluster (CR1's G/(G-1) (N-1)/(N-p) is
-    HC1's N/(N-p) at G = N)."""
+    """Coefficient standard errors of a regression with one row per unit
+    and more units than coefficients: classical, or the HC1 sandwich,
+    which is also the unit-clustered one since each unit is its own
+    cluster (CR1's G/(G-1) (N-1)/(N-p) is HC1's N/(N-p) at G = N)."""
     if kind is SeKind.CLASSICAL:
         return model.coef_se
     resid = dy - design @ model.coefficients
     n, p = design.shape
     gram_inv = model.gram_inverse
     meat = design.T @ (design * (resid * resid)[:, None])
-    factor = n / (n - p) if n > p else 1.0
-    cov = factor * gram_inv @ meat @ gram_inv
+    cov = n / (n - p) * gram_inv @ meat @ gram_inv
     return np.sqrt(np.maximum(np.diag(cov), 0.0))
 
 
 def _change_regression(dataset: PanelDataset, mask: np.ndarray, columns,
                        names, with_controls: bool, se_kind: SeKind,
-                       fitted_on: str) -> Tuple[float, float]:
+                       fitted_on: str) -> Tuple[float, Optional[float]]:
     """(coefficient, se) of the last of `columns` in the regression of
     the outcome change of the units in `mask` on `columns`, plus, with
     controls, the covariates with one common slope each. On the change,
     a time-invariant covariate enters as it does in the two-period
     regression in levels with covariate-by-period terms, so the
-    coefficients are that regression's period-2 interactions."""
+    coefficients are that regression's period-2 interactions. se is None
+    when the regression is saturated."""
     k = len(columns) - 1
     if with_controls:
         columns = [*columns, *dataset.x[mask].T]
@@ -361,6 +363,8 @@ def _change_regression(dataset: PanelDataset, mask: np.ndarray, columns,
     design = np.column_stack(columns)
     dy = dataset.delta_y()[mask]
     model = fit_ols(design, dy, names, fitted_on=fitted_on)
+    if len(dy) == design.shape[1]:
+        return float(model.coefficients[k]), None
     se = _regression_se(model, design, dy, se_kind)
     return float(model.coefficients[k]), float(se[k])
 

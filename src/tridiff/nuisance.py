@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import enum
 import functools
-import json
 import math
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
@@ -731,14 +730,6 @@ class NuisanceSet:
                 for cell, model in sorted(self.outcome_models.items())
             },
         }
-
-    def save_json(self, path) -> None:
-        """Write to_dict() as strict JSON, as the CLI's other outputs: a
-        NaN or infinity raises ValueError and leaves no file."""
-        text = json.dumps(self.to_dict(), indent=2, sort_keys=True,
-                          allow_nan=False)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
 
 
 def _column_subset(names, requested):

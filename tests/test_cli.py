@@ -139,6 +139,29 @@ def test_estimate_hc1_and_cluster_write_the_same_results(panel_csv,
             == (tmp_path / "cluster" / "results.json").read_bytes())
 
 
+def test_estimate_saturated_regression_reports_no_se(tmp_path):
+    # group A has three units, as many as its DID regression's
+    # coefficients (intercept, eligibility and the covariate x): no se,
+    # where group B's regression has one
+    from tridiff.data import save_csv
+    from tridiff.dgp import DgpSpec, simulate_sample
+    ds = simulate_sample(DgpSpec(n=200, seed=3))
+    keep = [*np.flatnonzero(ds.group_is_a & ds.eligible)[:2],
+            np.flatnonzero(ds.group_is_a & ~ds.eligible)[0],
+            *np.flatnonzero(~ds.group_is_a)]
+    panel = tmp_path / "panel.csv"
+    save_csv(ds.subset(np.array(keep)), panel)
+    out = tmp_path / "o"
+    assert run(["estimate", "--input", panel, "--schema", SCHEMA,
+                "--methods", "ols-did-a,ols-did-b", "--out", out]) == 0
+    results = load_json(out / "results.json")["results"]
+    assert results["ols-did-a"]["se"] is None
+    assert results["ols-did-b"]["se"] > 0
+    rows = {line.split()[0]: line.split()
+            for line in (out / "results.txt").read_text().splitlines()}
+    assert rows["ols-did-a"][2] == "-"
+
+
 def test_estimate_normalized_weights(panel_csv, tmp_path):
     out = tmp_path / "norm"
     code = run(["estimate", "--input", panel_csv, "--schema", SCHEMA,
@@ -797,10 +820,12 @@ def test_bootstrap_workers_leave_numpy_random_out_of_the_parent(panel_csv,
                                                                 tmp_path):
     # the workers draw and screen every resample; a draw in this process
     # would import numpy.random, about 5.5 MB resident that each worker
-    # forked after it would start with
+    # forked after it would start with. Trimming is not under test, and
+    # the panel has a unit below the default threshold
     args = ["estimate", "--input", str(panel_csv), "--schema", SCHEMA,
-            "--methods", "dr,naive,or-diffs", "--bootstrap-reps", "9",
-            "--jobs", "2", "--out", str(tmp_path / "o")]
+            "--methods", "dr,naive,or-diffs", "--trim", "0",
+            "--bootstrap-reps", "9", "--jobs", "2",
+            "--out", str(tmp_path / "o")]
     code = ("import sys\n"
             "from tridiff.cli import main\n"
             f"code = main({args!r})\n"

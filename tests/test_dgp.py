@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 
 from tridiff.data import AssignmentMechanism, Cell, Group
-from tridiff.dgp import (MONTE_CARLO_METHODS, DgpSpec, EffectCase,
-                         closed_form_oracle, export_histogram,
-                         run_monte_carlo,
+from tridiff.dgp import (BETA_A_SLOPE, BETA_B_SLOPE, MONTE_CARLO_METHODS,
+                         DgpSpec, EffectCase, closed_form_oracle,
+                         export_histogram, run_monte_carlo,
                          simulate_replicate, simulate_sample)
 from tridiff.estimators import estimate_doubly_robust
 from tridiff.exceptions import EstimationError
@@ -129,6 +129,28 @@ def test_cell_shares_near_quarter():
     for cell in (Cell.A_ELIGIBLE, Cell.B_NEVER):
         share = ds.cell_counts[cell] / ds.n
         assert share == pytest.approx(0.25, abs=bound)
+
+
+def test_noise_terms_are_independent_standard_normals():
+    # each draw recovered from the panel and the generating equations:
+    # the covariate's deviation from its group mean, the period-1 error,
+    # and the period-2 error past the trend break and the treatment
+    # effect. Each must follow N(0, 1), and the three errors, the group
+    # and the eligibility must be pairwise uncorrelated
+    stats = pytest.importorskip("scipy.stats")
+    ds = simulate_sample(spec(n=100_000, seed=7))
+    x = ds.x[:, 0]
+    slope = np.where(ds.group_is_a, BETA_A_SLOPE, BETA_B_SLOPE)
+    noise = {
+        "x": x - np.where(ds.group_is_a, 1.0, 3.0),
+        "e1": ds.y1 - x,
+        "e2": ds.y2 - x - ds.eligible * x - ds.treated() * slope * x,
+    }
+    for name, z in noise.items():
+        assert stats.kstest(z, "norm").pvalue > 1e-3, name
+    draws = np.vstack([*noise.values(), ds.group_is_a, ds.eligible])
+    off_diagonal = np.corrcoef(draws)[~np.eye(len(draws), dtype=bool)]
+    assert np.max(np.abs(off_diagonal)) < 4 / math.sqrt(ds.n)
 
 
 def test_treatment_assignment_per_mechanism():

@@ -403,6 +403,30 @@ def test_ols_did_counts_group_units(small_sample):
     assert res.method is Method.OLS_DID_A
 
 
+def one_unit_per_cell(ds):
+    """The rows of the first unit of each cell, in Cell order."""
+    return ds.subset(np.array([np.flatnonzero(mask)[0]
+                               for mask in ds.cell_masks]))
+
+
+@pytest.mark.parametrize("kind", list(SeKind))
+def test_saturated_regressions_have_no_se(kind):
+    # one unit per cell: group A's DID regression has two units for two
+    # coefficients and the TDID one four for four, so they fit exactly
+    # and leave no residual to estimate a variance from
+    ds = one_unit_per_cell(simulate_sample(DgpSpec(n=200, seed=3)))
+    dy = ds.delta_y()
+    did_a = ols_did(ds, Group.A, False, kind)
+    assert did_a.se is None and did_a.to_dict()["se"] is None
+    assert did_a.estimate == pytest.approx(dy[Cell.A_ELIGIBLE]
+                                           - dy[Cell.A_NEVER])
+    tdid = ols_tdid(ds, False, kind)
+    assert tdid.se is None
+    assert tdid.estimate == pytest.approx(
+        dy[Cell.A_ELIGIBLE] - dy[Cell.A_NEVER]
+        - dy[Cell.B_ELIGIBLE] + dy[Cell.B_NEVER])
+
+
 def test_ols_missing_side_raises():
     ds = simulate_sample(DgpSpec(n=200, seed=3))
     only_b = ds.subset(np.flatnonzero(~ds.group_is_a))

@@ -6,6 +6,7 @@ use the fitted standard errors as their own yardstick.
 """
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import tridiff.nuisance as nuisance_mod
+from tridiff.cli import _write_json
 from tridiff.data import AssignmentMechanism, Cell, Group, PanelDataset
 from tridiff.dgp import DgpSpec, simulate_replicate, simulate_sample
 from tridiff.estimators import estimate_doubly_robust
@@ -871,9 +873,9 @@ def test_nuisance_set_serialization(tmp_path):
     doc = nuis.to_dict()
     assert doc["mode"] == "score-set"
     assert "propensity" in doc and "outcome_models" in doc
+    # the CLI writes the dict through its strict-JSON writer
     path = tmp_path / "nuis.json"
-    nuis.save_json(path)
-    import json
+    _write_json(path, doc)
     loaded = json.loads(path.read_text())
     assert loaded["mode"] == "score-set"
     # a non-finite coefficient is refused before the file is opened
@@ -882,7 +884,7 @@ def test_nuisance_set_serialization(tmp_path):
         **nuis.outcome_models, Cell.B_NEVER: dataclasses.replace(
             model, coefficients=np.full_like(model.coefficients, np.nan))})
     with pytest.raises(ValueError):
-        broken.save_json(tmp_path / "broken.json")
+        _write_json(tmp_path / "broken.json", broken.to_dict())
     assert not (tmp_path / "broken.json").exists()
 
 

@@ -1,18 +1,13 @@
-"""The numpy kernels that stand in for LAPACK and a special-function
-library, checked against them: the column-pivoted QR against
-scipy.linalg.qr and the normal quantile against scipy.special.ndtri and
-the standard library's NormalDist. scipy is a test-only reference; the
-tests that need it skip without it.
+"""The numpy kernel that stands in for LAPACK, checked against it: the
+column-pivoted QR against scipy.linalg.qr. scipy is a test-only
+reference; the tests that need it skip without it.
 """
-
-import statistics
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import tridiff.nuisance as nuisance_mod
-from tridiff.dgp import _normal_quantile
 from tridiff.nuisance import fit_ols
 
 
@@ -139,37 +134,3 @@ def test_pivoted_qr_matches_lapack_on_full_rank_designs(p, n, seed,
     np.testing.assert_array_less(np.abs(coef - ref) * norms,
                                  1e-12 * np.max(np.abs(ref) * norms))
 
-
-def quantile_points():
-    """A uniform grid over the inverse-CDF input range the generator
-    clips to, and log-spaced points deep in both tails."""
-    eps = 2.0 ** -53
-    grid = np.linspace(eps, 1.0 - eps, 2_000_000)
-    lower = np.logspace(-300.0, -1.0, 2000)
-    upper = 1.0 - np.logspace(-16.0, -1.0, 2000)
-    return grid, np.concatenate([lower, upper])
-
-
-def test_normal_quantile_matches_ndtri():
-    special = pytest.importorskip("scipy.special")
-    for points in quantile_points():
-        np.testing.assert_allclose(_normal_quantile(points),
-                                   special.ndtri(points), rtol=4e-15)
-
-
-def test_normal_quantile_matches_the_standard_library():
-    # NormalDist.inv_cdf is AS241 too, one value at a time
-    grid, tails = quantile_points()
-    points = np.concatenate([grid[::97], tails])
-    want = [statistics.NormalDist().inv_cdf(float(p)) for p in points]
-    np.testing.assert_allclose(_normal_quantile(points), want, rtol=2e-15)
-
-
-def test_normal_quantile_keeps_the_input_shape():
-    # the generator passes a (3, n) block; the tails are patched in place
-    u = np.array([[1e-20, 0.3, 0.5], [0.97, 0.01, 1.0 - 1e-12]])
-    z = _normal_quantile(u)
-    assert z.shape == u.shape
-    np.testing.assert_array_equal(z.ravel(), _normal_quantile(u.ravel()))
-    assert z[0, 2] == 0.0
-    assert np.all(np.sign(z) == np.sign(u - 0.5))
