@@ -14,6 +14,7 @@ fit.
 
 from __future__ import annotations
 
+import collections
 import enum
 import functools
 import math
@@ -24,7 +25,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .data import AssignmentMechanism, Group, PanelDataset
-from .exceptions import (EstimationError, ResamplingError,
+from .exceptions import (EstimationError, ResamplingError, TridiffError,
                          UnsupportedMechanismError)
 from .nuisance import LinearModel, NuisanceSet, fit_nuisances, fit_ols
 from .parallel import OrderedPool
@@ -235,21 +236,26 @@ def _draw_indices(n: int, seed: int, counter: int) -> np.ndarray:
 
 
 class _Draw(enum.Enum):
-    LACKS_CELL = "lacks a cell"  # a member keeps its identity when pickled
+    # members keep their identity when pickled
+    LACKS_CELL = "lacks a cell"
+    REFIT_FAILED = "refit failed"
 
 
 def _estimate_draw(dataset: PanelDataset, estimator, seed: int,
                    counter: int):
     """The outcome of bootstrap draw `counter`: the estimator's value on
     its resample, _Draw.LACKS_CELL when the resample empties a (group,
-    eligibility) cell, or the exception the estimator raised."""
+    eligibility) cell, or _Draw.REFIT_FAILED when the estimator raises a
+    TridiffError (a rank-deficient or separated refit, a propensity
+    below the trim threshold). Any other exception is a bug and
+    propagates."""
     idx = _draw_indices(dataset.n, seed, counter)
     if not np.bincount(dataset.cell_codes()[idx], minlength=4).all():
         return _Draw.LACKS_CELL
     try:
         return estimator(dataset.subset(idx))
-    except Exception as exc:  # re-raised by the parent if the draw is kept
-        return exc
+    except TridiffError:
+        return _Draw.REFIT_FAILED
 
 
 def bootstrap_replicates(dataset: PanelDataset,
@@ -257,34 +263,36 @@ def bootstrap_replicates(dataset: PanelDataset,
                          config: BootstrapConfig,
                          n_jobs: int = 1) -> np.ndarray:
     """Estimator values on the first config.replications resamples, by
-    draw counter, with every (group, eligibility) cell. n_jobs worker
-    processes (1: this one) draw, screen and estimate each draw once;
-    this process maps the counters in rounds, in order, so the values
-    are the same for any n_jobs. 10 * replications draws without enough
-    usable ones raise ResamplingError; else the exception of the first
-    kept draw that raised one is raised; draws past the last kept one
-    are dropped, errors and all. Every round goes to the same worker
-    processes, started once for the whole bootstrap."""
+    draw counter, that have every (group, eligibility) cell and whose
+    estimator raises no TridiffError; the others are redrawn. n_jobs
+    worker processes (1: this one) draw, screen and estimate each draw
+    once; this process maps the counters in rounds, in order, so the
+    values are the same for any n_jobs. 10 * replications draws without
+    enough usable ones raise ResamplingError, counting the draws that
+    lacked a cell and the refits that failed; draws past the last kept
+    one are dropped. Every round goes to the same worker processes,
+    started once for the whole bootstrap."""
     task = functools.partial(_estimate_draw, dataset, estimator, config.seed)
     wanted, cap = config.replications, 10 * config.replications
     kept, counter = [], 0
+    redrawn = collections.Counter()
     with OrderedPool(task, n_jobs) as pool:
         while len(kept) < wanted:
             if counter >= cap:
                 raise ResamplingError(
                     f"exceeded {cap} resampling attempts with only "
-                    f"{len(kept)} usable replicates; cells are too sparse "
-                    f"to bootstrap")
+                    f"{len(kept)} usable replicates: "
+                    f"{redrawn[_Draw.LACKS_CELL]} resample(s) lacked a "
+                    f"cell and {redrawn[_Draw.REFIT_FAILED]} refit(s) "
+                    f"failed")
             size = wanted - len(kept)
             if counter:  # scaled by the usable share so far; if none, the rest
                 size = -(-size * counter // len(kept)) if kept else cap
             outcomes = pool.map(range(  # a draw per job at least
                 counter, min(counter + max(size, n_jobs), cap)))
             counter += len(outcomes)
-            kept += [o for o in outcomes if o is not _Draw.LACKS_CELL]
-    for outcome in kept[:wanted]:
-        if isinstance(outcome, Exception):
-            raise outcome
+            redrawn.update(o for o in outcomes if isinstance(o, _Draw))
+            kept += [o for o in outcomes if not isinstance(o, _Draw)]
     return np.array(kept[:wanted])
 
 

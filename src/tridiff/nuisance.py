@@ -1,5 +1,7 @@
-"""Nuisance model fitting: least-squares outcome regressions and
-maximum-likelihood logit propensity models, implemented in-house.
+"""Nuisance model fitting: least-squares outcome regressions on
+numpy's QR (LAPACK's unpivoted Householder factorization) and
+maximum-likelihood logit propensity models by an in-house Newton
+iteration.
 
 The estimation engine consumes a NuisanceSet holding a four-cell
 propensity model p(g,e,x) and outcome-change regressions m(g,e,x). The
@@ -40,9 +42,6 @@ DEFAULT_LL_TOL = 1e-10
 GRADIENT_TOL = 1e-8
 SEPARATION_COEF_NORM = 1e4
 MIN_STEP = 2.0 ** -30
-# a pivoted QR recomputes a partial column norm when downdating would
-# have cancelled more than half its digits (LAPACK's tol3z)
-_NORM_RECOMPUTE = math.sqrt(np.finfo(float).eps)
 
 
 # ---------------------------------------------------------------------------
@@ -58,8 +57,8 @@ class LinearModel:
     raw d-column covariate matrix. `gram_inverse` is (X'X)^{-1} of the
     design actually fitted (after back-transform), so the classical
     coefficient covariance is residual_variance * gram_inverse. It is
-    built from `fit_state` (the QR factor r, its column pivots, the
-    column norms and, for fit_linear, the raw-scale transform) on first
+    built from `fit_state` (the QR factor r of the unit-norm columns,
+    their norms and, for fit_linear, the raw-scale transform) on first
     read, so a fit whose covariance nobody reads never builds it.
     """
 
@@ -76,13 +75,9 @@ class LinearModel:
         """(X'X)^{-1}; None when there is no fit_state."""
         if self.fit_state is None:
             return None
-        r, piv, safe, t = self.fit_state
-        p = len(piv)
-        r_inv = _back_substitute(r, np.eye(p))
-        gram_piv = r_inv @ r_inv.T                 # (A'A)^{-1} in pivot order
-        gram_scaled = np.empty((p, p))
-        gram_scaled[np.ix_(piv, piv)] = gram_piv
-        gram = gram_scaled / np.outer(safe, safe)
+        r, safe, t = self.fit_state
+        r_inv = np.linalg.inv(r)
+        gram = (r_inv @ r_inv.T) / np.outer(safe, safe)
         return gram if t is None else t @ gram @ t.T
 
     @property
@@ -112,105 +107,41 @@ class LinearModel:
         }
 
 
-def _pivoted_qr(at, y=None):
-    """Householder QR with column pivoting of the (n, p) design whose
-    transpose `at` (p, n) is given, so each design column is one
-    contiguous row. Returns (r, piv, qty): the (min(n, p), p) upper
-    triangle r, the column pivots piv, and Q'y for a response y, which
-    rides along as one more row and gets each reflection in turn (None
-    without y); Q itself is never formed. The pivot rule is LAPACK's
-    dgeqp3: the largest partial column norm, downdated after each step
-    and recomputed where downdating would lose too many digits."""
-    p, n = at.shape
-    w = np.empty((p + (y is not None), n))
-    w[:p] = at
-    if y is not None:
-        w[p] = y
-    norms = np.sqrt(np.add.reduce(w[:p] * w[:p], axis=1)).tolist()
-    ref_norms = list(norms)
-    piv = list(range(p))
-    m = min(n, p)
-    buf = np.empty(n)
-    for k in range(m):
-        j = max(range(k, p), key=norms.__getitem__)
-        if j != k:
-            row = w[k].copy()
-            w[k] = w[j]
-            w[j] = row
-            piv[k], piv[j] = piv[j], piv[k]
-            norms[j], ref_norms[j] = norms[k], ref_norms[k]
-        # reflector I - tau v v' with v = (1, v[1:]) taking the pivot
-        # column's w[k, k:] to (beta, 0, ..., 0); none if already there
-        v = w[k, k:]
-        alpha = float(v[0])
-        xnorm = math.sqrt(v[1:] @ v[1:])
-        if xnorm != 0.0:
-            beta = -math.copysign(math.hypot(alpha, xnorm), alpha)
-            v *= 1.0 / (alpha - beta)
-            v[0] = 1.0
-            tau = (beta - alpha) / beta
-            tmp = buf[:len(v)]
-            # row by row: each row's arithmetic is then the same whether
-            # or not the response rides along below it
-            for row in w[k + 1:, k:]:
-                np.multiply(v, tau * (row @ v), out=tmp)
-                row -= tmp
-            v[0] = beta
-        for i in range(k + 1, p):
-            if norms[i] != 0.0:
-                t = max(1.0 - (abs(w[i, k]) / norms[i]) ** 2, 0.0)
-                if t * (norms[i] / ref_norms[i]) ** 2 <= _NORM_RECOMPUTE:
-                    seg = w[i, k + 1:]
-                    norms[i] = ref_norms[i] = math.sqrt(seg @ seg)
-                else:
-                    norms[i] *= math.sqrt(t)
-    r = np.zeros((m, p))
-    for i in range(m):
-        r[i, i:] = w[i:p, i]
-    return r, np.array(piv), (w[p, :m] if y is not None else None)
-
-
-def _full_rank_qr(at, column_names, message, y=None):
-    """_pivoted_qr(at, y) of the design with transpose `at`; the rank
-    counts the |diag(r)| above lead * max(n, p) * eps. Below full rank it
-    raises SingularDesignError naming the columns the pivoting leaves
-    dependent, its text opened by `message` formatted with {rank} and
-    {p}. A design holding an inf or a NaN raises ValueError."""
-    if not np.isfinite(at).all():
+def _full_rank_r(a, column_names, message):
+    """The upper triangle r of numpy's QR (LAPACK's unpivoted Householder
+    factorization) of the (n, q) matrix a whose first p = len(column_names)
+    columns are a design; a response appended as column p rides along, so
+    r[:, p] is Q'y and Q is never formed. Columns whose |r_kk| is at most
+    lead * max(n, p) * eps, lead the largest design column norm, raise
+    SingularDesignError naming them in declared order: each is the later
+    column of a collinear set, as R's lm names aliased terms. Its text
+    opens with `message` formatted with {rank} and {p}. A design holding
+    an inf or a NaN raises ValueError."""
+    p = len(column_names)
+    design = a[:, :p]
+    if not np.isfinite(design).all():
         raise ValueError("array must not contain infs or NaNs")
-    r, piv, qty = _pivoted_qr(at, y)
-    diag = np.abs(np.diag(r))
-    lead = diag[0] if diag.size else 0.0
-    tol = lead * max(at.shape) * np.finfo(float).eps
-    rank = int(np.count_nonzero(diag > tol))
-    p = at.shape[0]
-    if rank < p:
-        dep = tuple(column_names[j] for j in sorted(piv[rank:]))
+    r = np.linalg.qr(a, mode="r")
+    lead = np.sqrt(np.einsum("ij,ij->j", design, design)).max(initial=0.0)
+    tol = lead * max(len(a), p) * np.finfo(float).eps
+    dependent = np.abs(np.diagonal(r)[:p]) <= tol
+    if dependent.any():
+        dep = tuple(name for name, d in zip(column_names, dependent) if d)
         raise SingularDesignError(
-            f"{message.format(rank=rank, p=p)}; dependent column(s): "
-            f"{', '.join(dep)}", dependent_columns=dep)
-    return r, piv, qty
-
-
-def _back_substitute(r, b):
-    """Solve r x = b for the upper-triangular r, b a vector or a matrix
-    of right-hand-side columns."""
-    x = np.array(b, dtype=float)
-    for i in range(len(r) - 1, -1, -1):
-        x[i] -= r[i, i + 1:] @ x[i + 1:]
-        x[i] /= r[i, i]
-    return x
+            f"{message.format(rank=p - len(dep), p=p)}; dependent "
+            f"column(s): {', '.join(dep)}", dependent_columns=dep)
+    return r
 
 
 def fit_ols(design, response, column_names: Optional[Sequence[str]] = None,
             fitted_on=None) -> LinearModel:
-    """Least squares via column-pivoted orthogonal factorization.
+    """Least squares via numpy's QR of the unit-norm columns.
 
-    Rank deficiency raises SingularDesignError naming the columns that
-    the pivoting identifies as dependent; n < p raises
-    InsufficientDataError. Columns are rescaled to unit norm internally
-    for pivoting; coefficients are reported on the design's own scale,
-    so fit_state holds no raw-scale transform (fit_linear adds one).
+    Rank deficiency raises SingularDesignError naming the dependent
+    columns, each the later column of a collinear set (see
+    _full_rank_r); n < p raises InsufficientDataError. Coefficients are
+    reported on the design's own scale, so fit_state holds no raw-scale
+    transform (fit_linear adds one).
     """
     design = np.asarray(design, dtype=float)
     y = np.asarray(response, dtype=float)
@@ -228,23 +159,22 @@ def fit_ols(design, response, column_names: Optional[Sequence[str]] = None,
             f"{n} observations for {p} coefficients"
             + (f" ({fitted_on})" if fitted_on is not None else ""))
 
-    norms = np.sqrt(np.add.reduce(design * design, axis=0))
+    norms = np.sqrt(np.einsum("ij,ij->j", design, design))
     safe = np.where(norms > 0, norms, 1.0)
-
-    r, piv, qty = _full_rank_qr(design.T / safe[:, None], column_names,
-                                "design is rank deficient (rank {rank} of {p})",
-                                y)
-    coef_piv = _back_substitute(r, qty)
-    coef_scaled = np.empty(p)
-    coef_scaled[piv] = coef_piv
-    coef = coef_scaled / safe
+    scaled = np.empty((n, p + 1), order="F")  # the response rides along
+    np.divide(design, safe, out=scaled[:, :p])
+    scaled[:, p] = y
+    r = _full_rank_r(scaled, column_names,
+                     "design is rank deficient (rank {rank} of {p})")
+    r, qty = r[:p, :p], r[:p, p]
+    coef = np.linalg.solve(r, qty) / safe
 
     residuals = y - design @ coef
     dof = n - p
     rss = float(residuals @ residuals)
     residual_variance = rss / dof if dof > 0 else 0.0
     return LinearModel(coef, column_names, residual_variance, n, fitted_on,
-                       (r, piv, safe, None))
+                       (r, safe, None))
 
 
 def fit_linear(x, y, covariate_names: Optional[Sequence[str]] = None,
@@ -264,7 +194,7 @@ def fit_linear(x, y, covariate_names: Optional[Sequence[str]] = None,
     model = fit_ols(design, y, ("intercept", *covariate_names), fitted_on)
     t = _raw_transform_matrix(center, scale)
     return replace(model, coefficients=t @ model.coefficients,
-                   fit_state=(*model.fit_state[:3], t))
+                   fit_state=(*model.fit_state[:2], t))
 
 
 def _covariates(x, names=None, *, row=False):
@@ -315,11 +245,8 @@ class PropensityModel:
         cov_std = _observed_info_inverse(zt, probs)
         if cov_std is None:
             return None
-        t = _raw_transform_matrix(center, scale)
-        q = len(t)
-        t_full = np.zeros((3 * q, 3 * q))   # block diagonal, one t per cell
-        for k in range(3):
-            t_full[k * q:(k + 1) * q, k * q:(k + 1) * q] = t
+        # block diagonal, one raw-scale transform per non-reference cell
+        t_full = np.kron(np.eye(3), _raw_transform_matrix(center, scale))
         return t_full @ cov_std @ t_full.T
 
     def predict(self, x) -> np.ndarray:
@@ -599,14 +526,6 @@ def _raw_transform_matrix(center, scale):
     return t
 
 
-def _raw_coefficients(beta_std, center, scale):
-    """Standardized-space (K-1, d+1) coefficients on the raw scale."""
-    raw = beta_std.copy()
-    raw[:, 0] = beta_std[:, 0] - beta_std[:, 1:] @ (center / scale)
-    raw[:, 1:] = beta_std[:, 1:] / scale
-    return raw
-
-
 def fit_logistic_multinomial(covariates, cell_labels,
                              covariate_names: Optional[Sequence[str]] = None
                              ) -> PropensityModel:
@@ -637,13 +556,13 @@ def fit_logistic_multinomial(covariates, cell_labels,
     zx, center, scale = _standardize(x)
     zt = _transposed_design(zx)
     names = ("intercept", *covariate_names)
-    _full_rank_qr(zt, names, "logit design is rank deficient")
+    _full_rank_r(zt.T, names, "logit design is rank deficient")
 
     beta_std, probs, trace, n_iter = _newton_multinomial(
         zt, labels, DEFAULT_MAX_ITER, DEFAULT_LL_TOL, names)
 
-    return PropensityModel(coefficients=_raw_coefficients(beta_std, center,
-                                                          scale),
+    raw = beta_std @ _raw_transform_matrix(center, scale).T
+    return PropensityModel(coefficients=raw,
                            covariate_names=covariate_names, n_obs=n,
                            n_iter=n_iter, loglik_trace=trace,
                            fit_state=(zt, probs, center, scale))

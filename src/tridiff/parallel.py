@@ -50,8 +50,8 @@ def worker_count(n_items: int, n_jobs: int) -> int:
 def map_ordered(task: Callable, items: Sequence, n_jobs: int = 1) -> list:
     """[task(item) for item in items], computed by up to n_jobs worker
     processes; n_jobs=1 runs in this process. The first failing item's
-    exception is raised here; a task returns failures as values where
-    every item's outcome counts, as in the bootstrap's rounds of draws.
+    exception is raised here; a task returns the failures it expects as
+    values, as a bootstrap draw returns a redraw marker.
     One OrderedPool.map call: see there for the workers."""
     with OrderedPool(task, n_jobs) as pool:
         return pool.map(items)

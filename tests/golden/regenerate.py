@@ -9,11 +9,13 @@ case's exit code goes to ``tests/golden/exit_codes.json``.
 
     PYTHONPATH=src python tests/golden/regenerate.py
 
-rewrites the set and prints, for every numeric field of a JSON or CSV
-file, the largest relative change against the files it replaced. The
-tier-1 test ``tests/test_golden.py`` regenerates the set in a temporary
-directory and requires the same bytes. A change that moves these files
-on purpose regenerates them and quotes the report.
+rewrites the set and prints what moved against the files it replaced:
+each file that changed, appeared or went, the largest relative change
+of each numeric field that moved in a changed JSON or CSV file, and the
+count of byte-identical files. The tier-1 test ``tests/test_golden.py``
+regenerates the set in a temporary directory and requires the same
+bytes. A change that moves these files on purpose regenerates them and
+quotes the report.
 """
 
 from __future__ import annotations
@@ -183,17 +185,20 @@ def _relative_change(old: float, new: float) -> float:
 
 
 def report(old_root: Path, new_root: Path) -> list:
-    """Lines of the largest relative change per numeric field, one per
-    field of each JSON or CSV file, and one per other file that changed,
-    appeared or went."""
+    """Lines of what moved: one per file that changed, appeared or went,
+    and under a changed JSON or CSV file one per numeric field that
+    moved, with its largest relative change; then one line counting the
+    byte-identical files."""
     old, new = golden_files(old_root), golden_files(new_root)
-    lines = []
+    lines, identical = [], 0
     for rel in sorted(set(old) | set(new)):
         if rel not in old or rel not in new:
             lines.append(f"{rel}: {'added' if rel not in old else 'removed'}")
             continue
-        same = old[rel].read_bytes() == new[rel].read_bytes()
-        lines.append(f"{rel}: {'byte-identical' if same else 'changed'}")
+        if old[rel].read_bytes() == new[rel].read_bytes():
+            identical += 1
+            continue
+        lines.append(f"{rel}: changed")
         if old[rel].suffix not in (".json", ".csv"):
             continue
         before, after = _fields(old[rel]), _fields(new[rel])
@@ -204,7 +209,9 @@ def report(old_root: Path, new_root: Path) -> list:
                 continue
             worst = max((_relative_change(x, y) for x, y in zip(a, b)),
                         default=0.0)
-            lines.append(f"{rel} {field}: {worst:.3g}")
+            if worst:
+                lines.append(f"{rel} {field}: {worst:.3g}")
+    lines.append(f"{identical} file(s) byte-identical")
     return lines
 
 

@@ -895,6 +895,13 @@ def test_replicate_happy_path(wage_csv, tmp_path):
     assert len(matched) < 14
 
 
+def test_replicate_at_its_defaults_exits_0(wage_csv, tmp_path):
+    # 999 draws from seed 0: a few with-controls resamples leave NMGRS
+    # collinear in the (A, Never) cell, and those refits are redrawn
+    # instead of failing the command
+    assert run(["replicate", "--input", wage_csv, "--out", tmp_path / "r"]) == 0
+
+
 def test_replicate_schema_overrides(wage_csv, tmp_path):
     # single-column outcomes instead of the weighted composite
     overrides = json.dumps({"y1": "EMPFT", "y2": "EMPFT2",

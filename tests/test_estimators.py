@@ -750,25 +750,32 @@ def failing_estimator(d):
 @pytest.mark.parametrize("n_jobs", [1, 2])
 def test_resampling_cap_beats_a_failing_refit(small_sample, monkeypatch,
                                               n_jobs):
-    # only draws 3 and 17 of the first 30 are usable, and both would fail
-    # to refit: the cap is raised, as when every draw was screened before
-    # any refit, however many workers refit them
+    # only draws 3 and 17 of the first 30 have every cell, and both fail
+    # to refit, so they are redrawn too: the cap is raised, counting
+    # both kinds of redraw, however many workers refit them
     ds, _ = small_sample
     monkeypatch.setattr(est_mod, "_draw_indices", functools.partial(
         only_some_draws_usable, (3, 17), est_mod._draw_indices))
-    with pytest.raises(ResamplingError, match="exceeded 30 resampling "
-                                              "attempts with only 2 usable"):
+    with pytest.raises(ResamplingError, match=re.escape(
+            "exceeded 30 resampling attempts with only 0 usable replicates: "
+            "28 resample(s) lacked a cell and 2 refit(s) failed")):
         bootstrap_ses(ds, failing_estimator,
                       BootstrapConfig(replications=3, seed=0), n_jobs=n_jobs)
 
 
+def buggy_estimator(d):
+    raise ZeroDivisionError(f"the refit on units {d.ids[:4].tolist()} fails")
+
+
 @pytest.mark.parametrize("n_jobs", [1, 2])
 def test_the_first_failing_kept_draw_is_raised(small_sample, n_jobs):
+    # an exception that is no TridiffError is a bug, not a redraw: the
+    # first draw's is raised as it is
     ds, _ = small_sample
     first = ds.ids[est_mod._draw_indices(ds.n, 0, 0)[:4]].tolist()
-    with pytest.raises(EstimationError,
+    with pytest.raises(ZeroDivisionError,
                        match=re.escape(f"units {first} fails")):
-        bootstrap_ses(ds, failing_estimator,
+        bootstrap_ses(ds, buggy_estimator,
                       BootstrapConfig(replications=4, seed=0), n_jobs=n_jobs)
 
 
@@ -873,6 +880,21 @@ def test_draws_past_the_last_kept_one_are_dropped(sparse_panel, n_jobs):
         est_mod._draw_indices(ds.n, config.seed, extra))))
     assert np.array_equal(bootstrap_replicates(ds, estimator, config, n_jobs),
                           bootstrap_replicates(ds, resample_ids, config))
+
+
+@pytest.mark.parametrize("n_jobs", [1, 2])
+def test_refits_that_fail_are_redrawn(sparse_panel, n_jobs):
+    # the third usable draw's refit raises a TridiffError: it is redrawn
+    # as a draw that lacks a cell is, and the 41st usable draw takes its
+    # place
+    ds = sparse_panel
+    config = BootstrapConfig(replications=40, seed=6)
+    counters = usable_draws(ds, BootstrapConfig(replications=41, seed=6))
+    fingerprints = [resample_ids(ds.subset(est_mod._draw_indices(
+        ds.n, config.seed, counter))) for counter in counters]
+    estimator = functools.partial(fails_on, fingerprints[2])
+    assert bootstrap_replicates(ds, estimator, config, n_jobs).tolist() == [
+        list(f) for f in fingerprints[:2] + fingerprints[3:]]
 
 
 def test_bootstrap_refits_in_workers_equal_serial(small_sample):

@@ -26,5 +26,4 @@ def test_result_files_match_the_golden_set(tmp_path):
     assert not changed, (
         "result files differ from tests/golden (run "
         "tests/golden/regenerate.py for the report):\n"
-        + "\n".join(line for line in regenerate.report(GOLDEN, tmp_path)
-                    if not line.endswith((": 0", "byte-identical"))))
+        + "\n".join(regenerate.report(GOLDEN, tmp_path)))

@@ -1,6 +1,7 @@
-"""The numpy kernel that stands in for LAPACK, checked against it: the
-column-pivoted QR against scipy.linalg.qr. scipy is a test-only
-reference; the tests that need it skip without it.
+"""Least squares on numpy's unpivoted QR, checked against LAPACK's
+column-pivoted one (scipy.linalg.qr): the numerical rank, the dependent
+columns and the coefficients. scipy is a test-only reference; the tests
+that need it skip without it.
 """
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import tridiff.nuisance as nuisance_mod
+from tridiff.exceptions import SingularDesignError
 from tridiff.nuisance import fit_ols
 
 
@@ -51,38 +53,36 @@ def rank_test_designs():
 RANK_DESIGNS = rank_test_designs()
 
 
-def lapack_qr(at):
+def lapack_rank(at):
+    """The numerical rank by LAPACK's pivoted QR of the design with
+    transpose `at`: the |diag r| above the largest (the lead column
+    norm) times max(n, p) * eps, fit_ols's threshold."""
     scipy_linalg = pytest.importorskip("scipy.linalg")
-    _, r, piv = scipy_linalg.qr(at.T, mode="economic", pivoting=True)
-    return r, piv
+    r = scipy_linalg.qr(at.T, mode="r", pivoting=True)[0]
+    diag = np.abs(np.diag(r))
+    return int(np.count_nonzero(
+        diag > diag[0] * max(at.shape) * np.finfo(float).eps))
 
 
-# unit-norm and standardized columns tie in norm up to rounding; here
-# the first pivot's tie (the intercept against the first covariate) is
-# broken the other way by the two norm computations' summation orders
-TIED_FIRST_PIVOT = {"ols-ill-conditioned"}
+def dependent_columns(at):
+    """The columns that fit_ols's factorization finds dependent in the
+    design with transpose `at`."""
+    try:
+        nuisance_mod._full_rank_r(at.T, [f"c{j}" for j in range(len(at))],
+                                  "rank {rank} of {p}")
+    except SingularDesignError as err:
+        return err.dependent_columns
+    return ()
 
 
 @pytest.mark.parametrize("name", sorted(RANK_DESIGNS))
-def test_pivoted_qr_matches_lapack_on_rank_test_designs(name):
-    # the same pivots (bar a rounding-level tie), numerical rank and
-    # dependent columns, and the same |diag r| relative to its lead up
-    # to the rank; past it the entries are rounding noise of either
-    # factorization
+def test_rank_matches_lapack(name):
+    # the unpivoted factorization leaves as many columns dependent as
+    # the numerical rank of LAPACK's pivoted one leaves out; which
+    # column of a collinear set is named may differ, as the pivoting
+    # orders the columns by norm
     at = RANK_DESIGNS[name]
-    r, piv, qty = nuisance_mod._pivoted_qr(at)
-    r_ref, piv_ref = lapack_qr(at)
-    assert qty is None
-    assert r.shape == r_ref.shape
-    assert np.array_equal(piv, piv_ref) == (name not in TIED_FIRST_PIVOT)
-    diag, diag_ref = np.abs(np.diag(r)), np.abs(np.diag(r_ref))
-    tol = diag_ref[0] * max(at.shape) * np.finfo(float).eps
-    rank = int(np.count_nonzero(diag_ref > tol))
-    assert int(np.count_nonzero(diag > tol)) == rank
-    np.testing.assert_allclose(diag[:rank], diag_ref[:rank], rtol=0.0,
-                               atol=1e-13 * diag_ref[0])
-    np.testing.assert_array_less(diag[rank:], tol)
-    assert sorted(piv[rank:]) == sorted(piv_ref[rank:])
+    assert len(dependent_columns(at)) == len(at) - lapack_rank(at)
 
 
 def lapack_ols(design, y):
@@ -102,11 +102,12 @@ def lapack_ols(design, y):
 @given(p=st.integers(1, 9), n=st.integers(18, 5000),
        seed=st.integers(0, 2 ** 32 - 1), intercept=st.booleans(),
        log_scales=st.lists(st.floats(-3.0, 3.0), min_size=9, max_size=9))
-def test_pivoted_qr_matches_lapack_on_full_rank_designs(p, n, seed,
-                                                        intercept,
-                                                        log_scales):
+def test_fit_ols_matches_lapack_on_full_rank_designs(p, n, seed, intercept,
+                                                     log_scales):
     # n >= 2p keeps the drawn designs well conditioned, so that both
-    # factorizations agree to a few units of rounding
+    # factorizations agree to a few units of rounding; compared on the
+    # unit-norm scale that fit_ols solves on, where a column's scale
+    # does not weight its coefficient's error
     r = np.random.default_rng(seed)
     n = max(n, 2 * p)
     design = r.normal(size=(n, p)) * 10.0 ** np.array(log_scales[:p])
@@ -114,23 +115,31 @@ def test_pivoted_qr_matches_lapack_on_full_rank_designs(p, n, seed,
         design[:, 0] = 1.0
     y = design @ r.normal(size=p) + r.normal(size=n)
 
-    at = np.ascontiguousarray(design.T)
-    r_qr, piv, qty = nuisance_mod._pivoted_qr(at, y)
-    r_ref, piv_ref = lapack_qr(at)
-    assert np.array_equal(piv, piv_ref)
-    np.testing.assert_allclose(np.abs(np.diag(r_qr)),
-                               np.abs(np.diag(r_ref)), rtol=1e-13)
-    # the carried row is Q'y: the triangle solves to the coefficients
-    coef_piv = nuisance_mod._back_substitute(r_qr, qty)
-    lstsq = np.linalg.lstsq(design, y, rcond=None)[0]
-    np.testing.assert_allclose(coef_piv, lstsq[piv], rtol=1e-9,
-                               atol=1e-9 * np.max(np.abs(lstsq)))
-
-    # compared on the unit-norm scale that fit_ols solves on, where a
-    # column's scale does not weight its coefficient's error
     coef = fit_ols(design, y).coefficients
     ref = lapack_ols(design, y)
     norms = np.sqrt(np.sum(design * design, axis=0))
     np.testing.assert_array_less(np.abs(coef - ref) * norms,
                                  1e-12 * np.max(np.abs(ref) * norms))
 
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.integers(2, 8), n=st.integers(10, 400),
+       seed=st.integers(0, 2 ** 32 - 1), data=st.data(),
+       log_scales=st.lists(st.floats(-6.0, 6.0), min_size=8, max_size=8))
+def test_a_planted_combination_is_named(p, n, seed, data, log_scales):
+    # column k an exact combination of earlier columns (up to the
+    # rounding of its weighted sum), the columns at random scales: the
+    # error names column k alone, which is the later column of every
+    # collinear set the combination forms
+    k = data.draw(st.integers(1, p - 1), label="k")
+    r = np.random.default_rng(seed)
+    n = max(n, 2 * p)
+    design = r.normal(size=(n, p))
+    weights = r.normal(size=k)
+    weights[r.integers(0, k)] = 1.0  # at least one earlier column enters
+    design[:, k] = design[:, :k] @ weights
+    design *= 10.0 ** np.array(log_scales[:p])
+    names = [f"c{j}" for j in range(p)]
+    with pytest.raises(SingularDesignError) as err:
+        fit_ols(design, r.normal(size=n), column_names=names)
+    assert err.value.dependent_columns == (names[k],)
