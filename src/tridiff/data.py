@@ -329,10 +329,20 @@ class Schema:
         unknown = set(mapping) - known
         if unknown:
             raise SchemaError(f"unknown schema keys: {sorted(unknown)}")
+        _check_covariates(mapping)
         try:
             return cls(**mapping)
         except TypeError as exc:
             raise SchemaError(str(exc)) from None
+
+
+def _check_covariates(mapping: dict) -> None:
+    """A "covariates" string would be read as one name per letter."""
+    value = mapping.get("covariates", [])
+    if not isinstance(value, (list, tuple)) or not all(
+            isinstance(name, str) for name in value):
+        raise SchemaError('schema key "covariates" must be a list of '
+                          f'column names, got {value!r}')
 
 
 def _to_float(value: str, row: int, column: str) -> float:
@@ -590,6 +600,7 @@ def load_replication_csv(path, overrides=None) -> PanelDataset:
         unknown = set(overrides) - set(schema) - {"y1", "y2"}
         if unknown:
             raise SchemaError(f"unknown replication schema keys: {sorted(unknown)}")
+        _check_covariates(overrides)
         schema.update(overrides)
 
     y1_components = ([[schema["y1"], 1.0]] if "y1" in schema

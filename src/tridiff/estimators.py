@@ -28,7 +28,7 @@ from .data import AssignmentMechanism, Group, PanelDataset
 from .exceptions import (EstimationError, ResamplingError, TridiffError,
                          UnsupportedMechanismError)
 from .nuisance import LinearModel, NuisanceSet, fit_nuisances, fit_ols
-from .parallel import OrderedPool
+from .parallel import map_ordered
 from .scores import FitEvaluation, ScoreForm, ScoreKind, score_vectors
 
 DEFAULT_BOOTSTRAP_REPS = 999
@@ -270,29 +270,27 @@ def bootstrap_replicates(dataset: PanelDataset,
     values are the same for any n_jobs. 10 * replications draws without
     enough usable ones raise ResamplingError, counting the draws that
     lacked a cell and the refits that failed; draws past the last kept
-    one are dropped. Every round goes to the same worker processes,
-    started once for the whole bootstrap."""
+    one are dropped. Each round is one map_ordered call: its new pool
+    (8-23 ms) is paid again only by the rounds that redraw."""
     task = functools.partial(_estimate_draw, dataset, estimator, config.seed)
     wanted, cap = config.replications, 10 * config.replications
     kept, counter = [], 0
     redrawn = collections.Counter()
-    with OrderedPool(task, n_jobs) as pool:
-        while len(kept) < wanted:
-            if counter >= cap:
-                raise ResamplingError(
-                    f"exceeded {cap} resampling attempts with only "
-                    f"{len(kept)} usable replicates: "
-                    f"{redrawn[_Draw.LACKS_CELL]} resample(s) lacked a "
-                    f"cell and {redrawn[_Draw.REFIT_FAILED]} refit(s) "
-                    f"failed")
-            size = wanted - len(kept)
-            if counter:  # scaled by the usable share so far; if none, the rest
-                size = -(-size * counter // len(kept)) if kept else cap
-            outcomes = pool.map(range(  # a draw per job at least
-                counter, min(counter + max(size, n_jobs), cap)))
-            counter += len(outcomes)
-            redrawn.update(o for o in outcomes if isinstance(o, _Draw))
-            kept += [o for o in outcomes if not isinstance(o, _Draw)]
+    while len(kept) < wanted:
+        if counter >= cap:
+            raise ResamplingError(
+                f"exceeded {cap} resampling attempts with only "
+                f"{len(kept)} usable replicates: "
+                f"{redrawn[_Draw.LACKS_CELL]} resample(s) lacked a "
+                f"cell and {redrawn[_Draw.REFIT_FAILED]} refit(s) failed")
+        size = wanted - len(kept)
+        if counter:  # scaled by the usable share so far; if none, the rest
+            size = -(-size * counter // len(kept)) if kept else cap
+        outcomes = map_ordered(
+            task, range(counter, min(counter + size, cap)), n_jobs)
+        counter += len(outcomes)
+        redrawn.update(o for o in outcomes if isinstance(o, _Draw))
+        kept += [o for o in outcomes if not isinstance(o, _Draw)]
     return np.array(kept[:wanted])
 
 

@@ -496,6 +496,42 @@ def test_estimate_constant_covariate_is_exit_3(tmp_path):
     assert code == 3
 
 
+def test_failed_cell_fit_names_its_cell_once(tmp_path):
+    # one (A, Never) unit for an intercept and two covariates
+    path = tmp_path / "thin.csv"
+    rng = np.random.default_rng(0)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["id", "group", "eligibility", "y1", "y2", "x", "w"])
+        for i in range(61):
+            group = "ab"[i % 2]  # (A, Never) is unit 0 alone
+            elig = 0 if i == 0 else 2 * (group == "a" or i % 4 == 1)
+            writer.writerow([i, group, elig, *rng.normal(size=4)])
+    schema = json.dumps({**json.loads(SCHEMA), "covariates": ["x", "w"]})
+    out = tmp_path / "o"
+    assert run(["estimate", "--input", path, "--schema", schema,
+                "--methods", "or-did-a", "--out", out]) == 3
+    err = load_json(out / "error.json")
+    assert err["error"] == "InsufficientDataError"
+    assert err["message"] == "(A, Never): 1 observations for 3 coefficients"
+
+
+@pytest.mark.parametrize("command", ["estimate", "replicate"])
+def test_covariates_given_as_a_string_is_exit_2(command, panel_csv, wage_csv,
+                                                tmp_path):
+    # "x" names a real column, so a string read letter by letter would
+    # have passed by accident
+    schema = ({**json.loads(SCHEMA), "covariates": "x"}
+              if command == "estimate" else {"covariates": "PSODA"})
+    out = tmp_path / "o"
+    assert run([command, "--input",
+                panel_csv if command == "estimate" else wage_csv,
+                "--schema", json.dumps(schema), "--out", out]) == 2
+    err = load_json(out / "error.json")
+    assert err["error"] == "SchemaError"
+    assert '"covariates" must be a list' in err["message"]
+
+
 def test_estimate_out_of_memory_in_a_fit_is_exit_7(panel_csv, tmp_path,
                                                    monkeypatch):
     # numpy's MemoryError formats its own message and ignores args; the

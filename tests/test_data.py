@@ -212,6 +212,13 @@ def test_unknown_schema_key_rejected():
         Schema.from_dict({**WIDE_SCHEMA, "wages": "w"})
 
 
+@pytest.mark.parametrize("covariates", ["size", ["size", 3], {"size": 1}])
+def test_covariates_that_are_no_list_of_names_are_rejected(covariates):
+    # a bare string would otherwise be looked up one letter at a time
+    with pytest.raises(SchemaError, match='"covariates" must be a list'):
+        Schema.from_dict({**WIDE_SCHEMA, "covariates": covariates})
+
+
 def test_missing_column_named(tmp_path):
     path = tmp_path / "cols.csv"
     write_csv(path, ["store", "grp", "state", "emp_before", "emp_after",
@@ -462,6 +469,12 @@ def test_non_finite_value_reports_row_and_column(tmp_path, token, loader,
 def test_replication_unknown_override_key(tmp_path):
     with pytest.raises(SchemaError, match="wages"):
         load_replication_csv(replication_csv(tmp_path), {"wages": "WAGE_ST"})
+
+
+def test_replication_covariates_override_must_be_a_list(tmp_path):
+    with pytest.raises(SchemaError, match='"covariates" must be a list'):
+        load_replication_csv(replication_csv(tmp_path),
+                             {"covariates": "HRSOPEN"})
 
 
 def test_replication_single_column_outcomes(tmp_path):

@@ -839,28 +839,36 @@ def test_bootstrap_evaluates_the_first_usable_draws_in_order(sparse_panel,
                                 n_jobs).tolist() == expected
 
 
-def test_bootstrap_rounds_share_one_worker_pool(sparse_panel, monkeypatch):
-    # the redraws take a second round, which goes to the workers the
-    # first round started; the draws are the serial ones
+def test_each_bootstrap_round_has_its_own_worker_pool(sparse_panel,
+                                                      monkeypatch):
+    # the redraws take a second round, which starts two workers of its
+    # own once the first round's are shut down; the draws are the serial
+    # ones
     ds = sparse_panel
     config = BootstrapConfig(replications=40, seed=6)
     serial = bootstrap_replicates(ds, resample_ids, config)
-    started, rounds = [], []
+    events = []
 
     class CountedPool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, *args, **kwargs):
-            started.append(kwargs["max_workers"])
+            events.append(("start", kwargs["max_workers"]))
             super().__init__(*args, **kwargs)
 
         def map(self, *args, **kwargs):
-            rounds.append(len(args[1]))
+            events.append(("map", sum(map(len, args[1]))))
             return super().map(*args, **kwargs)
+
+        def shutdown(self, *args, **kwargs):
+            super().shutdown(*args, **kwargs)
+            events.append(("shutdown",))
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                         CountedPool)
     assert np.array_equal(bootstrap_replicates(ds, resample_ids, config,
                                                n_jobs=2), serial)
-    assert started == [2] and len(rounds) == 2
+    assert [event[0] for event in events] == ["start", "map", "shutdown"] * 2
+    assert events[0] == events[3] == ("start", 2)
+    assert events[1] == ("map", 40)
 
 
 def fails_on(fingerprint, d):

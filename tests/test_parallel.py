@@ -1,7 +1,7 @@
 """The ordered process-pool map behind the bootstrap and the Monte Carlo
-harness: chunking, worker counts and the n_jobs contract. Worker counts
-for large n_jobs are checked on a stand-in pool, so no test starts more
-than two processes."""
+harness: chunking, worker counts, the bootstrap's rounds and the n_jobs
+contract. Worker counts for large n_jobs are checked on a stand-in pool,
+so no test starts more than two processes."""
 
 import concurrent.futures
 import os
@@ -15,7 +15,8 @@ import pytest
 import tridiff
 import tridiff.cli as cli
 import tridiff.parallel as parallel
-from tridiff.dgp import DgpSpec, run_monte_carlo
+from tridiff.dgp import DgpSpec, run_monte_carlo, simulate_sample
+from tridiff.estimators import BootstrapConfig, bootstrap_replicates
 from tridiff.parallel import default_jobs, map_ordered, worker_count
 
 SRC = str(Path(tridiff.__file__).resolve().parent.parent)
@@ -99,15 +100,21 @@ def test_serial_runs_start_no_pool(inline_pool):
     assert inline_pool.started == []
 
 
-def test_ordered_pool_starts_one_pool_for_many_maps(inline_pool):
-    with parallel.OrderedPool(square, n_jobs=2) as pool:
-        assert pool.map([3]) == [9]  # one item and no pool yet: here
-        assert pool.map(range(5)) == [0, 1, 4, 9, 16]
-        assert pool.map([4]) == [16]  # the open pool takes it
-        assert pool.map([]) == []
-    assert inline_pool.started == [2]
-    assert [[k for chunk in chunks for k in chunk]
-            for chunks in inline_pool.chunks] == [list(range(5)), [4]]
+def mean_change(d):
+    return float(d.delta_y().mean())
+
+
+def test_a_bootstrap_round_maps_only_the_draws_it_needs(inline_pool):
+    # far more jobs than draws: the round still maps its 40 draws, to
+    # one worker each at most
+    ds = simulate_sample(DgpSpec(n=100, seed=1))
+    draws = bootstrap_replicates(ds, mean_change,
+                                 BootstrapConfig(replications=40, seed=0),
+                                 n_jobs=10 ** 6)
+    assert len(draws) == 40
+    assert [k for chunk in inline_pool.chunks[0] for k in chunk] == list(
+        range(40))
+    assert inline_pool.started[0] <= 40
 
 
 def test_worker_processes_return_results_in_item_order():
