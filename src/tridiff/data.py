@@ -80,7 +80,7 @@ class PanelDataset:
 
     Attributes
     ----------
-    ids : object ndarray, shape (n,)
+    ids : object ndarray, shape (n,), built on first read (see ids)
     y1, y2 : float ndarray, shape (n,)
     x : float ndarray, shape (n, d)
     covariate_names : tuple of str, length d
@@ -95,23 +95,23 @@ class PanelDataset:
                  mechanism: AssignmentMechanism,
                  n_dropped: int = 0,
                  observed_treated=None):
-        self.ids = np.asarray(ids, dtype=object)
-        self.y1 = np.asarray(y1, dtype=float)
-        self.y2 = np.asarray(y2, dtype=float)
-        self.group_is_a = np.asarray(group_is_a, dtype=bool)
-        self.eligible = np.asarray(eligible, dtype=bool)
-        x = np.asarray(x, dtype=float)
+        # numeric ids, as a simulated panel's, become objects when read
+        source = (np.array(ids) if isinstance(ids, np.ndarray)
+                  and ids.dtype != object else np.asarray(ids, dtype=object))
+        source.setflags(write=False)
+        self._ids = source, None
+        y1, x = np.asarray(y1, dtype=float), np.asarray(x, dtype=float)
         if x.ndim == 1:
-            x = x.reshape(len(self.y1), -1)
-        self.x = x
-        self.covariate_names = tuple(covariate_names)
-        self.mechanism = mechanism
-        self.n_dropped = int(n_dropped)
-        self.observed_treated = (None if observed_treated is None
-                                 else np.asarray(observed_treated, dtype=bool))
+            x = x.reshape(len(y1), -1)
+        self._set_columns(
+            y1, np.asarray(y2, dtype=float),
+            np.asarray(group_is_a, dtype=bool),
+            np.asarray(eligible, dtype=bool), x, tuple(covariate_names),
+            mechanism, int(n_dropped), None if observed_treated is None
+            else np.asarray(observed_treated, dtype=bool))
 
         n = len(self.y1)
-        for name, arr in (("ids", self.ids), ("y1", self.y1), ("y2", self.y2),
+        for name, arr in (("ids", source), ("y1", self.y1), ("y2", self.y2),
                           ("group_is_a", self.group_is_a),
                           ("eligible", self.eligible)):
             if len(arr) != n:
@@ -120,13 +120,34 @@ class PanelDataset:
             raise PanelValidationError(
                 f"covariate matrix shape {self.x.shape} does not match "
                 f"n={n}, d={len(self.covariate_names)}")
-        if not (np.all(np.isfinite(self.y1)) and np.all(np.isfinite(self.y2))):
+        if not (np.isfinite(self.y1).all() and np.isfinite(self.y2).all()):
             raise PanelValidationError("non-finite outcome values")
-        if self.x.size and not np.all(np.isfinite(self.x)):
+        if self.x.size and not np.isfinite(self.x).all():
             raise PanelValidationError("non-finite covariate values")
-        for arr in (self.ids, self.y1, self.y2, self.group_is_a, self.eligible, self.x):
+
+    def _set_columns(self, y1, y2, group_is_a, eligible, x, covariate_names,
+                     mechanism, n_dropped, observed_treated) -> None:
+        """Store the columns, read-only, and the rest of the dataset."""
+        self.y1, self.y2, self.x = y1, y2, x
+        self.group_is_a, self.eligible = group_is_a, eligible
+        self.covariate_names, self.mechanism = covariate_names, mechanism
+        self.n_dropped, self.observed_treated = n_dropped, observed_treated
+        for arr in (y1, y2, group_is_a, eligible, x):
             arr.setflags(write=False)
         self._cell_codes = None
+
+    @functools.cached_property
+    def ids(self) -> np.ndarray:
+        """Each unit's id, a read-only object array built on first read:
+        the ids given, or those of the dataset a subset was drawn from at
+        its rows. Only a validation warning, a trimming error, a score
+        dump or a CSV export reads them, so a bootstrap resample or a
+        simulated panel never builds them unless it fails."""
+        source, rows = self._ids
+        ids = np.asarray(source if rows is None else source.take(rows),
+                         dtype=object)
+        ids.setflags(write=False)
+        return ids
 
     # -- basic shape --------------------------------------------------------
 
@@ -173,19 +194,34 @@ class PanelDataset:
     def without_covariates(self) -> "PanelDataset":
         """Copy of the dataset with d=0: estimators on it use intercept-only
         nuisance models, which is how 'no controls' variants are produced."""
-        return PanelDataset(self.ids, self.y1, self.y2, self.group_is_a,
-                            self.eligible, np.empty((self.n, 0)), (),
-                            self.mechanism, self.n_dropped,
-                            self.observed_treated)
+        return self._derived(self._ids, self.y1, self.y2, self.group_is_a,
+                             self.eligible, np.empty((self.n, 0)), (),
+                             self.mechanism, self.n_dropped,
+                             self.observed_treated)
 
     def subset(self, idx) -> "PanelDataset":
-        """Row subset / resample (used by the bootstrap)."""
+        """Row subset / resample at the integer positions idx (used by the
+        bootstrap). Each column is gathered by one take; the ids are not
+        gathered but kept as rows of this dataset's id source (see ids).
+        Nothing this dataset's construction checked is checked again."""
         idx = np.asarray(idx)
-        obs = None if self.observed_treated is None else self.observed_treated[idx]
-        return PanelDataset(self.ids[idx], self.y1[idx], self.y2[idx],
-                            self.group_is_a[idx], self.eligible[idx],
-                            self.x[idx], self.covariate_names,
-                            self.mechanism, 0, obs)
+        source, rows = self._ids
+        return self._derived(
+            (source, idx if rows is None else rows.take(idx)),
+            self.y1.take(idx), self.y2.take(idx), self.group_is_a.take(idx),
+            self.eligible.take(idx), self.x.take(idx, axis=0),
+            self.covariate_names, self.mechanism, 0,
+            None if self.observed_treated is None
+            else self.observed_treated.take(idx))
+
+    @classmethod
+    def _derived(cls, ids, *columns) -> "PanelDataset":
+        """A dataset of columns of a checked one, with ids its (source,
+        rows) pair, built without checking them again."""
+        derived = cls.__new__(cls)
+        derived._ids = ids
+        derived._set_columns(*columns)
+        return derived
 
 
 # ---------------------------------------------------------------------------
@@ -330,6 +366,18 @@ class Schema:
         if unknown:
             raise SchemaError(f"unknown schema keys: {sorted(unknown)}")
         _check_covariates(mapping)
+        for key, value in mapping.items():  # a column name or a level
+            optional = cls.__dataclass_fields__[key].default is None
+            if key != "covariates" and not (
+                    isinstance(value, str) or optional and value is None):
+                raise SchemaError(
+                    f'schema key "{key}" must be a string'
+                    f'{" or null" if optional else ""}, got {value!r}')
+        try:
+            csv.reader((), delimiter=mapping.get("delimiter", ","))
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(f'schema key "delimiter" cannot split a CSV '
+                              f'file: {exc}') from None
         try:
             return cls(**mapping)
         except TypeError as exc:

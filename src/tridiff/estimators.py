@@ -117,8 +117,10 @@ def score_contrast(ev: FitEvaluation, psi: dict, row
     mean, so se = sqrt(mean(eta^2) / n). Only a row of doubly robust
     kinds gets eta and se; for any other row both are None."""
     parts = {}  # by target cell
+    doubly_robust = True
     for sign, kind in row:
         target, score = kind.cells[0], psi[kind]
+        doubly_robust = doubly_robust and kind.form is ScoreForm.DOUBLY_ROBUST
         if target not in parts:
             parts[target] = score if sign > 0 else -score
         elif sign > 0:
@@ -128,7 +130,7 @@ def score_contrast(ev: FitEvaluation, psi: dict, row
     n = ev.dataset.n  # sum() / n: np.mean's reduction, without its wrappers
     means = {target: float(part.sum() / n) for target, part in parts.items()}
     estimate = functools.reduce(operator.add, means.values())
-    if any(kind.form is not ScoreForm.DOUBLY_ROBUST for _, kind in row):
+    if not doubly_robust:
         return estimate, None, None
     eta = functools.reduce(operator.add, (
         part - ev.weight_t(target) * means[target]
@@ -182,7 +184,7 @@ def estimate_doubly_robust(dataset: PanelDataset, nuisances: NuisanceSet,
     the panel regression DID of Sant'Anna & Zhao (2020, J. Econometrics
     219, §2); they need no propensity model."""
     kinds = tuple(dict.fromkeys(
-        kind for method in methods for _, kind in METHOD_SCORES[method]))
+        [kind for method in methods for _, kind in METHOD_SCORES[method]]))
     ev = _evaluation(dataset, nuisances, ev)
     psi = score_vectors(kinds, ev)
     return tuple(_score_result(ev, psi, method) for method in methods)

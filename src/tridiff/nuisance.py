@@ -4,7 +4,8 @@ maximum-likelihood logit propensity models by an in-house Newton
 iteration.
 
 The estimation engine consumes a NuisanceSet holding a four-cell
-propensity model p(g,e,x) and outcome-change regressions m(g,e,x). The
+propensity model p(g,e,x) and outcome-change regressions m(g,e,x), the
+latter fitted together as one stack of cells. The
 outcome-regression benchmarks need the change regressions only, so
 they can be fitted without the propensity model.
 
@@ -26,7 +27,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -42,6 +43,7 @@ DEFAULT_LL_TOL = 1e-10
 GRADIENT_TOL = 1e-8
 SEPARATION_COEF_NORM = 1e4
 MIN_STEP = 2.0 ** -30
+_EPS = np.finfo(float).eps
 
 
 # ---------------------------------------------------------------------------
@@ -107,41 +109,99 @@ class LinearModel:
         }
 
 
-def _full_rank_r(a, column_names, message):
-    """The upper triangle r of numpy's QR (LAPACK's unpivoted Householder
-    factorization) of the (n, q) matrix a whose first p = len(column_names)
-    columns are a design; a response appended as column p rides along, so
-    r[:, p] is Q'y and Q is never formed. Columns whose |r_kk| is at most
-    lead * max(n, p) * eps, lead the largest design column norm, raise
-    SingularDesignError naming them in declared order: each is the later
-    column of a collinear set, as R's lm names aliased terms. Its text
-    opens with `message` formatted with {rank} and {p}. A design holding
-    an inf or a NaN raises ValueError."""
-    p = len(column_names)
-    design = a[:, :p]
-    if not np.isfinite(design).all():
-        raise ValueError("array must not contain infs or NaNs")
+def _qr_rank(a, p, rows, lead):
+    """(r, dependent) of numpy's QR (LAPACK's unpivoted Householder
+    factorization) of each (m, q) matrix of the (k, m, q) stack a, whose
+    first p columns are a design; a response appended as column p rides
+    along, so r[:, :p, p] is Q'y and Q is never formed. dependent, (k, p),
+    marks the columns whose |r_jj| is at most lead * max(rows, p) * eps,
+    with lead each matrix's largest design column norm and rows its
+    observations: each is the later column of a collinear set, as R's lm
+    names aliased terms."""
     r = np.linalg.qr(a, mode="r")
-    lead = np.sqrt(np.einsum("ij,ij->j", design, design)).max(initial=0.0)
-    tol = lead * max(len(a), p) * np.finfo(float).eps
-    dependent = np.abs(np.diagonal(r)[:p]) <= tol
-    if dependent.any():
-        dep = tuple(name for name, d in zip(column_names, dependent) if d)
-        raise SingularDesignError(
-            f"{message.format(rank=p - len(dep), p=p)}; dependent "
-            f"column(s): {', '.join(dep)}", dependent_columns=dep)
-    return r
+    tol = np.multiply(lead, np.maximum(rows, p)) * _EPS
+    dependent = np.abs(r.diagonal(axis1=1, axis2=2)[:, :p]) <= tol[:, None]
+    return r, dependent
+
+
+def _rank_error(column_names, dependent, message) -> SingularDesignError:
+    """The error of a design whose `dependent` columns are named in
+    declared order; its text opens with `message` formatted with {rank}
+    and {p}."""
+    p = len(column_names)
+    dep = tuple(name for name, d in zip(column_names, dependent) if d)
+    return SingularDesignError(
+        f"{message.format(rank=p - len(dep), p=p)}; dependent column(s): "
+        f"{', '.join(dep)}", dependent_columns=dep)
+
+
+def _least_squares(design_t, y, rows, column_names):
+    """Least squares of every entry of a stack at once, on numpy's QR of
+    each entry's unit-norm columns: one QR call and one solve call
+    whatever the number of entries.
+
+    design_t, (k, p, m), holds each entry's design transposed, one row
+    per column, and y, (k, m), its response: entry j's observations are
+    its first rows[j] units and zeros follow, which leave its r, Q'y and
+    residuals as they are. Every elementwise step runs along the units,
+    so none has a p-long inner loop. Returns (fits, failure). failure is
+    None, or (j, error) for the first entry in stack order that fails,
+    with the error it raises fitted alone: InsufficientDataError when it
+    has fewer observations than coefficients, ValueError when its design
+    holds an inf or a NaN, SingularDesignError naming its dependent
+    columns (see _qr_rank); fits is then None. Else fits is
+    (coefficients, r, safe, residual_variance), one row per entry: the
+    coefficients on the design's own scale, the QR factor of the
+    unit-norm columns and their norms (a LinearModel's fit_state), and
+    rss / (rows - p), or 0 for a saturated entry. The norms are known,
+    so the unit-norm columns' lead norm is 1 (0 for a design of zero
+    columns) and is not taken again, and an entry whose norms are all
+    finite holds no inf or NaN.
+    """
+    k, p, m = design_t.shape
+    rows = np.asarray(rows)
+    norms = np.sqrt(np.einsum("kji,kji->kj", design_t, design_t))
+    safe = np.where(norms > 0, norms, 1.0)
+    # the response rides along; zero units past m keep r square
+    scaled = np.zeros((k, p + 1, max(m, p + 1)))
+    np.divide(design_t, safe[..., None], out=scaled[:, :p, :m])
+    scaled[:, p, :m] = y
+    r, dependent = _qr_rank(scaled.transpose(0, 2, 1), p, rows,
+                            (norms > 0).any(axis=1))
+    failed = (rows < p) | ~np.isfinite(norms).all(axis=1) | dependent.any(axis=1)
+    for j in failed.nonzero()[0]:
+        if rows[j] < p:
+            error = InsufficientDataError(
+                f"{rows[j]} observations for {p} coefficients")
+        elif not np.isfinite(scaled[j, :p]).all():
+            error = ValueError("array must not contain infs or NaNs")
+        elif dependent[j].any():  # else its norms overflowed, a full-rank design
+            error = _rank_error(column_names, dependent[j],
+                                "design is rank deficient (rank {rank} of {p})")
+        else:
+            continue
+        return None, (int(j), error)
+
+    r = r[:, :p]
+    coef = np.linalg.solve(r[..., :p], r[..., p:])[..., 0] / safe
+    residuals = y - np.matmul(coef[:, None], design_t)[:, 0]
+    rss = np.matmul(residuals[:, None], residuals[..., None])[:, 0, 0]
+    residual_variance = [float(rss_j / (n_j - p)) if n_j > p else 0.0
+                         for rss_j, n_j in zip(rss, rows.tolist())]
+    return (coef, r[..., :p], safe, residual_variance), None
 
 
 def fit_ols(design, response, column_names: Optional[Sequence[str]] = None,
             fitted_on=None) -> LinearModel:
-    """Least squares via numpy's QR of the unit-norm columns.
+    """Least squares via numpy's QR of the unit-norm columns: the
+    one-entry case of _least_squares, on the transposed view of the
+    design.
 
     Rank deficiency raises SingularDesignError naming the dependent
-    columns, each the later column of a collinear set (see
-    _full_rank_r); n < p raises InsufficientDataError. Coefficients are
-    reported on the design's own scale, so fit_state holds no raw-scale
-    transform (fit_linear adds one).
+    columns, each the later column of a collinear set (see _qr_rank);
+    n < p raises InsufficientDataError. Coefficients are reported on the
+    design's own scale, so fit_state holds no raw-scale transform
+    (fit_linear adds one).
     """
     design = np.asarray(design, dtype=float)
     y = np.asarray(response, dtype=float)
@@ -159,43 +219,70 @@ def fit_ols(design, response, column_names: Optional[Sequence[str]] = None,
             f"{n} observations for {p} coefficients"
             + (f" ({fitted_on})" if fitted_on is not None else ""))
 
-    norms = np.sqrt(np.einsum("ij,ij->j", design, design))
-    safe = np.where(norms > 0, norms, 1.0)
-    scaled = np.empty((n, p + 1), order="F")  # the response rides along
-    np.divide(design, safe, out=scaled[:, :p])
-    scaled[:, p] = y
-    r = _full_rank_r(scaled, column_names,
-                     "design is rank deficient (rank {rank} of {p})")
-    r, qty = r[:p, :p], r[:p, p]
-    coef = np.linalg.solve(r, qty) / safe
+    fits, failure = _least_squares(design.T[None], y[None], (n,),
+                                   column_names)
+    if failure:
+        raise failure[1]
+    coef, r, safe, residual_variance = fits
+    return LinearModel(coef[0], column_names, residual_variance[0], n,
+                       fitted_on, (r[0], safe[0], None))
 
-    residuals = y - design @ coef
-    dof = n - p
-    rss = float(residuals @ residuals)
-    residual_variance = rss / dof if dof > 0 else 0.0
-    return LinearModel(coef, column_names, residual_variance, n, fitted_on,
-                       (r, safe, None))
+
+def _linear_fits(x, y, rows, covariate_names, fitted_on):
+    """Regressions of y on an intercept and the raw covariates x for
+    every entry of a stack, by one _least_squares pass: x, (k, m, d), and
+    y, (k, m), hold entry j's observations in their first rows[j] units,
+    and the finite values after them are zeroed; fitted_on labels each
+    entry's model.
+
+    Each entry's covariates are centered and scaled over its own units
+    (see _standardize) into the transposed design, and its coefficients
+    mapped back by its raw-scale transform t, which fit_state keeps for
+    the gram inverse, so callers never see the standardized space.
+    Returns (models, failure) as _least_squares returns (fits, failure),
+    with one LinearModel per entry in place of the fits. A fit's three
+    change regressions take 278 us and 137 Python calls this way at
+    n=2,000, against 477 us and 480 calls as one fit per cell, and 348
+    against 565 us on n=5,000 bootstrap resamples (medians of 12
+    interleaved blocks of 40 fresh panels, faster in 12; one OpenBLAS
+    thread, 2-core x86-64).
+    """
+    k, m, d = x.shape
+    present = np.arange(m) < np.asarray(rows)[:, None]
+    x, y = x * present[..., None], y * present
+    design_t = np.empty((k, d + 1, m))  # the intercept, then standardized x
+    design_t[:, 0] = present
+    _, center, scale = _standardize(
+        x, out=design_t[:, 1:].transpose(0, 2, 1), present=present[..., None])
+    names = ("intercept", *covariate_names)
+    fits, failure = _least_squares(design_t, y, rows, names)
+    if failure:
+        return None, failure
+    coef, r, safe, residual_variance = fits
+    t = _raw_transform_matrix(center, scale)
+    coef = np.matmul(t, coef[..., None])[..., 0]
+    return [LinearModel(c, names, v, n_obs, label, (r_j, safe_j, t_j))
+            for c, v, n_obs, label, r_j, safe_j, t_j in zip(
+                coef, residual_variance, rows, fitted_on, r, safe, t)
+            ], None
 
 
 def fit_linear(x, y, covariate_names: Optional[Sequence[str]] = None,
                fitted_on=None) -> LinearModel:
-    """Regression of y on an intercept and raw covariates.
-
-    Covariates are centered and scaled internally and fitted by fit_ols;
-    its coefficients become t @ coefficients with t the raw-scale
-    transform, which fit_state keeps for the gram inverse, so callers
-    never see the standardized space. fitted_on labels the model, not
-    its errors, whose label fit_nuisances puts in front.
+    """Regression of y on an intercept and raw covariates: the one-entry
+    case of _linear_fits. Covariates are centered and scaled internally;
+    coefficients are reported on the raw scale. fitted_on labels the
+    model, not its errors, whose label fit_nuisances puts in front.
     """
     x, covariate_names = _covariates(x, covariate_names)
-    n, d = x.shape
-    design = np.empty((n, d + 1))  # the intercept, then the standardized x
-    design[:, 0] = 1.0
-    _, center, scale = _standardize(x, out=design[:, 1:])
-    model = fit_ols(design, y, ("intercept", *covariate_names))
-    t = _raw_transform_matrix(center, scale)
-    return replace(model, coefficients=t @ model.coefficients,
-                   fitted_on=fitted_on, fit_state=(*model.fit_state[:2], t))
+    y = np.asarray(y, dtype=float)
+    if len(y) != len(x):
+        raise ValueError(f"response length {len(y)} != design rows {len(x)}")
+    models, failure = _linear_fits(x[None], y[None], (len(x),),
+                                   covariate_names, (fitted_on,))
+    if failure:
+        raise failure[1]
+    return models[0]
 
 
 def _covariates(x, names=None, *, row=False):
@@ -297,13 +384,20 @@ def _softmax(zt, beta):
     return logits, probs, denom
 
 
+def _norm(beta) -> float:
+    """np.linalg.norm(beta) without its wrappers: the square root of the
+    flattened coefficients' dot product with themselves."""
+    flat = beta.ravel()
+    return math.sqrt(flat.dot(flat))
+
+
 def _softmax_loglik(zt, own_logit, beta):
     """Log-likelihood, probabilities for coefficient matrix beta (3, p).
     own_logit holds each unit's flat index into the (4, n) logits,
     label * n + row, so the take gathers the units' own logits in row
     order."""
     logits, probs, log_norm = _softmax(zt, beta)
-    return float(np.sum(logits.ravel().take(own_logit) - log_norm)), probs
+    return float((logits.ravel().take(own_logit) - log_norm).sum()), probs
 
 
 def _softmax_gradient(zt, onehot, probs):
@@ -343,7 +437,7 @@ def _moment_start(zt, onehot, counts):
                   - 0.5 * (quad[:k1] - quad[k1]))
     beta[:, 1:] = (coef[:, :k1] - coef[:, k1:]).T
     if (not np.isfinite(beta).all()
-            or np.linalg.norm(beta) > SEPARATION_COEF_NORM):
+            or _norm(beta) > SEPARATION_COEF_NORM):
         return None
     return beta
 
@@ -368,8 +462,7 @@ def _newton_multinomial(zt, labels, max_iter, tol, column_names):
     products = _design_products(zt)
 
     ll = None
-    beta = _moment_start(zt, cells.astype(float),
-                         np.count_nonzero(cells, axis=1).astype(float))
+    beta = _moment_start(zt, cells.astype(float), cells.sum(axis=1, dtype=float))
     if beta is not None:
         ll, probs = _softmax_loglik(zt, own_logit, beta)
         if not ll >= -n * math.log(k1 + 1):
@@ -381,7 +474,7 @@ def _newton_multinomial(zt, labels, max_iter, tol, column_names):
 
     for it in range(1, max_iter + 1):
         grad = _softmax_gradient(zt, onehot, probs)
-        if np.max(np.abs(grad)) < GRADIENT_TOL:
+        if np.abs(grad).max() < GRADIENT_TOL:
             return beta, probs, tuple(trace), it - 1
 
         try:
@@ -412,7 +505,7 @@ def _newton_multinomial(zt, labels, max_iter, tol, column_names):
                 f"no ascent step found at iteration {it}", trace=tuple(trace))
         trace.append(ll)
 
-        norm = float(np.linalg.norm(beta))
+        norm = _norm(beta)
         if norm > SEPARATION_COEF_NORM:
             raise SeparationError(
                 f"standardized coefficient norm {norm:.3g} exceeds "
@@ -501,25 +594,38 @@ def _transposed_design(x):
     return zt
 
 
-def _standardize(x, out=None):
-    """Center/scale columns into `out` (default: a new array); returns
-    (z, center, scale), the last two by x.mean(axis=0)'s and x.std(axis=0)'s
-    own reductions. Zero-variance columns keep scale 1: rank errors later."""
-    n, d = x.shape
-    center = np.add.reduce(x, axis=0) / n if x.size else np.zeros(d)
+def _standardize(x, out=None, present=None):
+    """Center/scale the columns of x over its rows into `out` (default: a
+    new array); returns (z, center, scale), the last two by
+    x.mean(axis=-2)'s and x.std(axis=-2)'s own reductions. x is (n, d),
+    or a (k, m, d) stack whose entry j has the rows where the (k, m, 1)
+    `present` is true and zeros elsewhere: each entry is centered and
+    scaled over its own rows, and its other rows stay zero. Zero-variance
+    columns keep scale 1: rank errors later. No rows center at 0."""
+    if present is None:
+        count = max(x.shape[-2], 1)
+    else:
+        count = np.maximum(np.add.reduce(present, axis=-2, keepdims=True), 1)
+    center = np.add.reduce(x, axis=-2, keepdims=True) / count
     z = np.subtract(x, center, out=out)
-    scale = np.sqrt(np.add.reduce(z * z, axis=0) / n) if x.size else np.ones(d)
+    if present is not None:
+        z *= present
+    scale = np.sqrt(np.add.reduce(z * z, axis=-2, keepdims=True) / count)
     scale = np.where(scale > 0, scale, 1.0)
     z /= scale
-    return z, center, scale
+    return z, center[..., 0, :], scale[..., 0, :]
 
 
 def _raw_transform_matrix(center, scale):
-    """T with beta_raw = T beta_std for one intercept-first coefficient
-    vector fitted on (x - center) / scale."""
-    t = np.eye(len(center) + 1)
-    t[0, 1:] = -center / scale
-    t[1:, 1:] = np.diag(1.0 / scale)
+    """T with beta_raw = T beta_std for each intercept-first coefficient
+    vector fitted on (x - center) / scale; center and scale are (d,), or
+    (k, d) for a stack of k transforms."""
+    d = center.shape[-1]
+    t = np.zeros((*center.shape[:-1], d + 1, d + 1))
+    diagonal = t.reshape(*center.shape[:-1], -1)[..., ::d + 2]  # a view
+    diagonal[..., 0] = 1.0
+    diagonal[..., 1:] = 1.0 / scale
+    t[..., 0, 1:] = -center / scale
     return t
 
 
@@ -545,15 +651,21 @@ def fit_logistic_multinomial(covariates, cell_labels,
     n, d = x.shape
 
     counts = np.bincount(labels, minlength=4)
-    for cell in Cell:
-        if counts[cell] < d + 1:
-            raise InsufficientDataError(
-                f"cell {cell.label} has {counts[cell]} units, needs ≥ {d + 1}")
+    short = counts < d + 1
+    if short.any():
+        cell = Cell(int(short.argmax()))
+        raise InsufficientDataError(
+            f"cell {cell.label} has {counts[cell]} units, needs ≥ {d + 1}")
 
     zx, center, scale = _standardize(x)
     zt = _transposed_design(zx)
     names = ("intercept", *covariate_names)
-    _full_rank_r(zt.T, names, "logit design is rank deficient")
+    if not np.isfinite(zt).all():
+        raise ValueError("array must not contain infs or NaNs")
+    lead = np.sqrt(np.einsum("ij,ij->i", zt, zt)).max(initial=0.0)
+    _, dependent = _qr_rank(zt.T[None], d + 1, (n,), (lead,))
+    if dependent.any():
+        raise _rank_error(names, dependent[0], "logit design is rank deficient")
 
     beta_std, probs, trace, n_iter = _newton_multinomial(
         zt, labels, DEFAULT_MAX_ITER, DEFAULT_LL_TOL, names)
@@ -632,6 +744,24 @@ class NuisanceSet:
         return self.outcome_models[cell].predict(
             self._features(x_raw, self.outcome_columns))
 
+    def outcome_means(self, x_raw) -> tuple:
+        """(cells, values): the cells with an outcome-change model and,
+        row by row, each one's predictions at the raw covariates, a
+        (k, n) array. One batched product of k (1, d) @ (d, n) slope
+        rows: each row has the bits of its model's predict, where the
+        (k, d) @ (d, n) product rounds differently once d >= 2."""
+        x = self._features(x_raw, self.outcome_columns)
+        if not self.outcome_models:
+            return (), np.empty((0, len(x)))
+        coef = np.array([model.coefficients
+                         for model in self.outcome_models.values()])
+        if coef.shape[1] != x.shape[1] + 1:
+            raise ValueError(f"expected {coef.shape[1] - 1} covariate "
+                             f"columns, got {x.shape[1]}")
+        values = np.matmul(coef[:, None, 1:], x.T)[:, 0]
+        values += coef[:, :1]
+        return tuple(self.outcome_models), values
+
     def to_dict(self) -> dict:
         propensity = None
         if self.propensity is not None:
@@ -660,6 +790,18 @@ def _column_subset(names, requested):
     return tuple(idx)
 
 
+def _cell_stack(dataset: PanelDataset, x, cells):
+    """(x, y, rows) for _linear_fits: the (k, m, d) covariates and the
+    (k, m) outcome changes of each cell's units, in row order, in the
+    first of m places, m the largest cell's unit count, and each cell's
+    unit count. Gathered by one take from x and one from the changes."""
+    rows = tuple(dataset.cell_counts[cell] for cell in cells)
+    units = np.zeros((len(cells), max(rows)), dtype=np.intp)
+    for row, cell, count in zip(units, cells, rows):
+        row[:count] = dataset.cell_masks[cell].nonzero()[0]
+    return x.take(units, axis=0), dataset.delta_y().take(units), rows
+
+
 def fit_nuisances(dataset: PanelDataset,
                   mode: NuisanceMode = NuisanceMode.SCORE_SET,
                   *,
@@ -685,10 +827,14 @@ def fit_nuisances(dataset: PanelDataset,
     default is all columns for both families. The logit's Newton
     iteration starts from the cell moments of the covariates (or zero),
     with DEFAULT_MAX_ITER and DEFAULT_LL_TOL, so a fit depends on the
-    dataset and fit_options alone. A model that fails raises its own
-    exception, with the model's label ("propensity model" or the cell's)
-    put in front of its message; a MemoryError is raised as a plain one
-    with that message, since numpy's ignores its args. The
+    dataset and fit_options alone. The change regressions of all the
+    cells are fitted as one stack (see _cell_stack and _linear_fits).
+    A model that fails raises its own exception, with the model's label
+    put in front of its message: "propensity model", or the first
+    failing cell's in SCORE_SET_CELLS order, or "outcome-change
+    regressions" for an error of the stacked pass as a whole; a
+    MemoryError is raised as a plain one with that message, since
+    numpy's ignores its args. The
     set records the dataset's x as fitted_x, so that an evaluation of this
     dataset reads the probabilities the logit converged to instead of
     predicting them.
@@ -714,19 +860,18 @@ def fit_nuisances(dataset: PanelDataset,
                                if normalize and mode is NuisanceMode.SCORE_SET
                                else ())
     propensity = None
-    outcome_models = {}
-    delta = dataset.delta_y()
     label = "propensity model"
     try:
         if mode is NuisanceMode.SCORE_SET:
             propensity = fit_logistic_multinomial(
                 prop_x, dataset.cell_codes(), covariate_names=prop_names)
-        for cell in cells:
-            label = cell.label
-            rows = np.flatnonzero(dataset.cell_masks[cell])
-            outcome_models[cell] = fit_linear(
-                out_x.take(rows, axis=0), delta.take(rows), out_names,
-                fitted_on=cell.label)
+        label = "outcome-change regressions"
+        models, failure = _linear_fits(
+            *_cell_stack(dataset, out_x, cells), out_names,
+            [cell.label for cell in cells])
+        if failure:
+            label = cells[failure[0]].label
+            raise failure[1]
     except MemoryError as exc:
         # numpy's formats its message from the failed allocation and
         # ignores args, so the label rides on a plain MemoryError
@@ -739,6 +884,6 @@ def fit_nuisances(dataset: PanelDataset,
 
     return NuisanceSet(covariate_names=dataset.covariate_names,
                        fit_options=fit_options, propensity=propensity,
-                       outcome_models=outcome_models,
+                       outcome_models=dict(zip(cells, models)),
                        propensity_columns=prop_cols, outcome_columns=out_cols,
                        fitted_x=dataset.x)

@@ -545,13 +545,14 @@ def test_estimate_out_of_memory_in_a_fit_is_exit_7(panel_csv, tmp_path,
     def no_memory(*args, **kwargs):
         raise _ArrayMemoryError((10**7, 10**7), np.dtype(float))
 
-    monkeypatch.setattr(nuisance_mod, "fit_linear", no_memory)
+    monkeypatch.setattr(nuisance_mod, "_linear_fits", no_memory)
     out = tmp_path / "o"
     assert run(["estimate", "--input", panel_csv, "--schema", SCHEMA,
                 "--methods", "dr", "--trim", "0", "--out", out]) == 7
     err = load_json(out / "error.json")
     assert err["error"] == "MemoryError" and err["exit_code"] == 7
-    assert err["message"].startswith("(A, Never): Unable to allocate 728.")
+    assert err["message"].startswith(
+        "outcome-change regressions: Unable to allocate 728.")
     assert not (out / "results.json").exists()
 
 
@@ -592,29 +593,32 @@ def test_estimate_bias_fails_before_the_bootstrap(panel_csv, tmp_path,
 
 def test_estimate_evaluates_the_fit_once(panel_csv, tmp_path, monkeypatch):
     # the estimators, the bias diagnostic and the score dump share one
-    # evaluation of the fit, on the fitted panel: it predicts each
-    # outcome model once and the propensity model not at all, since it
-    # reads the logit's own probabilities
-    from tridiff.nuisance import LinearModel, PropensityModel
-    calls = {PropensityModel: [], LinearModel: []}
+    # evaluation of the fit, on the fitted panel: it predicts the three
+    # outcome models once, in one batch, and the propensity model not at
+    # all, since it reads the logit's own probabilities
+    from tridiff.nuisance import LinearModel, NuisanceSet, PropensityModel
+    calls = {PropensityModel: [], LinearModel: [], NuisanceSet: []}
 
-    def counted(model_type):
-        predict = model_type.predict
+    def counted(model_type, name, size):
+        predict = getattr(model_type, name)
 
         def counted_predict(self, x):
-            calls[model_type].append(len(x))
+            calls[model_type].append(size(self, x))
             return predict(self, x)
-        monkeypatch.setattr(model_type, "predict", counted_predict)
+        monkeypatch.setattr(model_type, name, counted_predict)
 
-    counted(PropensityModel)
-    counted(LinearModel)
+    counted(PropensityModel, "predict", lambda model, x: len(x))
+    counted(LinearModel, "predict", lambda model, x: len(x))
+    counted(NuisanceSet, "outcome_means",
+            lambda fit, x: (len(fit.outcome_models), len(x)))
     out = tmp_path / "o"
     assert run(["estimate", "--input", panel_csv, "--schema", SCHEMA,
                 "--methods", "dr,naive,bias", "--mechanism", "only-a",
                 "--trim", "0", "--dump-scores", "--jobs", "1",
                 "--out", out]) == 0
     assert calls[PropensityModel] == []
-    assert calls[LinearModel] == [400] * 3
+    assert calls[LinearModel] == []
+    assert calls[NuisanceSet] == [(3, 400)]
     assert "bias" in json.loads((out / "results.json").read_text())["extras"]
     assert (out / "scores.csv").exists()
 
@@ -732,6 +736,23 @@ def test_config_file_unknown_key(panel_csv, tmp_path):
 # ---------------------------------------------------------------------------
 # validate
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("key, value", [
+    ("delimiter", ";;"), ("group_a_value", 1), ("y1", 3)])
+def test_validate_with_a_bad_schema_value_is_exit_2(panel_csv, tmp_path,
+                                                    key, value):
+    # a two-character delimiter once reached csv.reader, whose TypeError
+    # exited 1 with a traceback and no error.json; a number for a level
+    # or a column once read as an empty cell or a missing column
+    out = tmp_path / "o"
+    schema = json.dumps({**json.loads(SCHEMA), key: value})
+    assert run(["validate", "--input", panel_csv, "--schema", schema,
+                "--out", out]) == 2
+    err = load_json(out / "error.json")
+    assert err["error"] == "SchemaError" and err["exit_code"] == 2
+    assert err["message"].startswith(f'schema key "{key}" ')
+    assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+
 
 def test_validate_pass(panel_csv, tmp_path):
     out = tmp_path / "v"

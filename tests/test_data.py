@@ -212,6 +212,33 @@ def test_unknown_schema_key_rejected():
         Schema.from_dict({**WIDE_SCHEMA, "wages": "w"})
 
 
+@pytest.mark.parametrize("key, value, wanted", [
+    ("group_a_value", 1, "a string, got 1"),
+    ("y1", 3, "a string or null, got 3"),
+    ("group", None, "a string, got None"),
+    ("id", ["store"], "a string or null, got ['store']"),
+    ("delimiter", 59, "a string, got 59")])
+def test_schema_values_that_are_no_strings_are_rejected(key, value, wanted):
+    # a number never equals a field read as text: it would surface as an
+    # empty cell or a missing column instead of naming the key
+    with pytest.raises(SchemaError) as err:
+        Schema.from_dict({**WIDE_SCHEMA, key: value})
+    assert str(err.value) == f'schema key "{key}" must be {wanted}'
+
+
+@pytest.mark.parametrize("delimiter", [";;", ""])
+def test_a_delimiter_csv_cannot_split_on_is_rejected(delimiter):
+    with pytest.raises(SchemaError) as err:
+        Schema.from_dict({**WIDE_SCHEMA, "delimiter": delimiter})
+    assert str(err.value) == ('schema key "delimiter" cannot split a CSV '
+                              'file: "delimiter" must be a 1-character string')
+
+
+def test_schema_takes_null_for_an_optional_column():
+    schema = Schema.from_dict({**WIDE_SCHEMA, "id": None, "delimiter": ";"})
+    assert schema.id is None and schema.delimiter == ";"
+
+
 @pytest.mark.parametrize("covariates", ["size", ["size", 3], {"size": 1}])
 def test_covariates_that_are_no_list_of_names_are_rejected(covariates):
     # a bare string would otherwise be looked up one letter at a time

@@ -163,9 +163,12 @@ def test_gram_inverse_built_on_first_read():
 
     linear = fit_linear(x, y)
     assert "gram_inverse" not in vars(linear)
-    zx, center, scale = nuisance_mod._standardize(x)
+    # standardized into one row per covariate, as fit_linear lays out
+    # its transposed design
+    zt = np.empty((x.shape[1], n))
+    _, center, scale = nuisance_mod._standardize(x, out=zt.T)
     t = nuisance_mod._raw_transform_matrix(center, scale)
-    standardized = fit_ols(np.hstack([np.ones((n, 1)), zx]), y)
+    standardized = fit_ols(np.hstack([np.ones((n, 1)), zt.T]), y)
     assert np.array_equal(linear.gram_inverse,
                           t @ standardized.gram_inverse @ t.T)
 
@@ -713,6 +716,85 @@ def toy_dataset(n=400, seed=21, d=1):
                         mechanism=AssignmentMechanism.BOTH_GROUPS)
 
 
+@st.composite
+def cell_panels(draw):
+    """(panel, flawed cells): units in the four cells at random sizes of
+    p = d+1 to 300, d = 0 to 3 covariates at scales 1e-3 to 1e3 and
+    offsets up to 1e4, in shuffled order. Each flawed cell has fewer
+    units than coefficients or, with covariates, one covariate constant
+    within it, collinear with the intercept."""
+    d = draw(st.integers(0, 3), label="d")
+    sizes = [draw(st.integers(d + 1, 300)) for _ in Cell]
+    flaws = draw(st.dictionaries(
+        st.sampled_from(nuisance_mod.SCORE_SET_CELLS),
+        st.sampled_from(["undersized", "collinear"] if d else
+                        ["undersized"]), max_size=2), label="flaws")
+    for cell, flaw in flaws.items():
+        if flaw == "undersized":
+            sizes[cell] = draw(st.integers(0, d))
+    r = rng(draw(st.integers(0, 2 ** 32 - 1)))
+    codes = np.repeat(np.arange(len(Cell)), sizes)
+    r.shuffle(codes)
+    scale = 10.0 ** r.uniform(-3.0, 3.0, d)
+    offset = r.uniform(-1e4, 1e4, d)
+    x = r.normal(size=(len(codes), d)) * scale + offset
+    for cell, flaw in flaws.items():
+        if flaw == "collinear":
+            x[codes == cell, d - 1] = offset[d - 1]
+    y2 = ((x - offset) @ (r.normal(size=d) / scale)
+          + r.normal(size=len(codes)) * 10.0 ** r.uniform(-3.0, 3.0))
+    panel = PanelDataset(np.arange(len(codes)), np.zeros(len(codes)), y2,
+                         codes < 2, codes % 2 == 0, x,
+                         tuple(f"x{j}" for j in range(d)),
+                         AssignmentMechanism.BOTH_GROUPS)
+    return panel, set(flaws)
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=cell_panels())
+def test_stacked_cell_fits_are_each_cells_own(case):
+    # every cell's regression from the one stacked pass is its own least
+    # squares fit: its fitted values, and so its residual norm, lie within
+    # the backward-error bound 10 eps kappa(A) |y| of LAPACK's SVD
+    # solution on the cell's design A alone (at most 1.3 eps kappa |y| in
+    # 1,500 draws); and the first cell in SCORE_SET_CELLS order that
+    # cannot be fitted raises what fitting it alone raises, its label in
+    # front
+    panel, flawed = case
+    delta = panel.delta_y()
+    try:
+        fit = fit_nuisances(panel, NuisanceMode.OUTCOME_ONLY)
+    except FittingError as err:
+        for cell in nuisance_mod.SCORE_SET_CELLS:
+            rows = panel.cell_masks[cell]
+            try:
+                fit_linear(panel.x[rows], delta[rows], panel.covariate_names)
+            except FittingError as alone:
+                assert type(err) is type(alone)
+                assert str(err) == f"{cell.label}: {alone}"
+                assert getattr(err, "dependent_columns", ()) == getattr(
+                    alone, "dependent_columns", ())
+                return
+        pytest.fail(f"no cell fails alone, but the stack raised {err!r}")
+    assert not flawed
+    for cell, model in fit.outcome_models.items():
+        rows = panel.cell_masks[cell]
+        design = np.column_stack([np.ones(np.count_nonzero(rows)),
+                                  panel.x[rows]])
+        reference = np.linalg.lstsq(design, delta[rows], rcond=None)[0]
+        bound = (10 * np.finfo(float).eps * np.linalg.cond(design)
+                 * np.linalg.norm(delta[rows]))
+        assert np.linalg.norm(
+            design @ (model.coefficients - reference)) <= bound
+        # so does its residual norm, which the fitted values bound
+        dof = len(design) - len(reference)
+        if dof:
+            residual = np.linalg.norm(delta[rows] - design @ reference)
+            assert abs(math.sqrt(model.residual_variance * dof)
+                       - residual) <= 2 * bound
+        assert model.n_obs == len(design) and model.fitted_on == cell.label
+
+
 def test_fit_nuisances_score_set():
     ds = toy_dataset()
     nuis = fit_nuisances(ds, NuisanceMode.SCORE_SET)
@@ -833,7 +915,9 @@ class TwoArgumentError(Exception):
 
 @pytest.mark.parametrize("fitter, label", [
     ("fit_logistic_multinomial", "propensity model"),
-    ("fit_linear", "(A, Never)")], ids=["logit", "regression"])
+    ("_linear_fits", "(A, Never)"),
+    ("_linear_fits", "outcome-change regressions")],
+    ids=["logit", "regression", "stacked-regressions"])
 @pytest.mark.parametrize("error, attribute", [
     (lambda: TwoArgumentError((10 ** 9, 4), "float64"), "shape"),
     (lambda: SingularDesignError("rank 1 of 2", dependent_columns=("x0",)),
@@ -843,11 +927,15 @@ class TwoArgumentError(Exception):
 def test_failed_fit_raises_its_own_exception(monkeypatch, fitter, label,
                                              error, attribute):
     # the exception a model raises comes out of fit_nuisances itself,
-    # type and attributes kept, with the model's label before its message
+    # type and attributes kept, with the model's label before its message:
+    # a cell's when the stacked regressions report that cell's entry as
+    # failed, the stack's when the stacked pass itself raises
     raised = error()
     message, value = str(raised), getattr(raised, attribute)
 
     def fail(*args, **kwargs):
+        if label == "(A, Never)":
+            return None, (0, raised)
         raise raised
 
     monkeypatch.setattr(nuisance_mod, fitter, fail)

@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import tridiff.estimators as est_mod
 from tridiff.data import AssignmentMechanism, Cell, Group, PanelDataset
 from tridiff.dgp import DgpSpec, simulate_sample
 from tridiff.estimators import (METHOD_SCORES, Method, bias_diagnostic,
@@ -534,6 +535,29 @@ def test_trimming_error_matches_masked_divide():
     assert len(reference.value.unit_ids) > 1
     assert err.value.unit_ids == reference.value.unit_ids
     assert str(err.value) == str(reference.value)
+
+
+@pytest.mark.parametrize("string_ids, ids", [
+    (False, (462, 416, 462, 161, 27, 72)),
+    (True, ("u462", "u416", "u462", "u161", "u27", "u72"))],
+    ids=["simulated-ids", "string-ids"])
+def test_trimming_error_of_a_resample_names_its_units(string_ids, ids):
+    # a resample of a resample keeps its ids as rows of the panel's own
+    # until they are read; the error names the drawn units, repeats and
+    # order included, in the text and unit ids the gathered ids gave
+    base = simulate_sample(DgpSpec(n=600, seed=2, mu_b=3.0))
+    ds = base if not string_ids else PanelDataset(
+        [f"u{k}" for k in range(base.n)], base.y1, base.y2, base.group_is_a,
+        base.eligible, base.x, base.covariate_names, base.mechanism)
+    resample = ds.subset(est_mod._draw_indices(ds.n, 7, 3)).subset(
+        np.arange(ds.n - 1, -1, -1))
+    with pytest.raises(TrimmingError) as err:
+        estimate_doubly_robust(resample,
+                               fit_nuisances(resample, trim_epsilon=0.1))
+    assert err.value.unit_ids == ids
+    assert str(err.value) == (
+        "6 unit(s) in (A, Eligible) have p(A, Eligible) below trim "
+        f"threshold 0.1: {', '.join(map(repr, ids))}")
 
 
 def test_normalizing_an_empty_source_raises(sloped_fixture):
