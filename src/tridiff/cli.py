@@ -496,9 +496,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "1 runs in-process; outputs do not depend on it"),
         "--normalize-weights": dict(action="store_true", help="rescale "
                                     "control weights by their sample mean"),
-        "--se": dict(choices=[k.value for k in SeKind],
+        "--se": dict(choices=[*(k.value for k in SeKind), "cluster"],
                      default=SeKind.ROBUST.value,
-                     help="regression standard errors"),
+                     help="regression standard errors; cluster is hc1"),
     }
 
     def command(name, func, help, out, seed, *flags):

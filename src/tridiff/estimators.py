@@ -27,7 +27,7 @@ import numpy as np
 from .data import AssignmentMechanism, Group, PanelDataset
 from .exceptions import (EstimationError, ResamplingError, TridiffError,
                          UnsupportedMechanismError)
-from .nuisance import LinearModel, NuisanceSet, fit_nuisances, fit_ols
+from .nuisance import NuisanceSet, fit_nuisances, fit_ols
 from .parallel import map_ordered
 from .scores import FitEvaluation, ScoreForm, ScoreKind, score_vectors
 
@@ -56,9 +56,18 @@ class Method(enum.Enum):
 
 
 class SeKind(enum.Enum):
-    ROBUST = "hc1"          # heteroskedasticity-robust sandwich, HC1
+    """Standard errors of the interaction regressions: hc1, the
+    heteroskedasticity-robust one from each unit's influence value with
+    factor n/(n - p) (see _influence_se), or classical. "cluster" names
+    hc1: with one row per unit every unit is its own cluster, and CR1's
+    G/(G-1) (N-1)/(N-p) is HC1's N/(N-p) at G = N."""
+
+    ROBUST = "hc1"
     CLASSICAL = "classical"
-    CLUSTER = "cluster"     # clustered by unit; with one row per unit, HC1
+
+    @classmethod
+    def _missing_(cls, value):
+        return cls.ROBUST if value == "cluster" else None
 
 
 @dataclass(frozen=True)
@@ -66,7 +75,10 @@ class EstimateResult:
     """One estimator's output. se is None when no variance method was
     requested (outcome-regression estimators without a bootstrap) or
     when an interaction regression is saturated, with as many units as
-    coefficients and so no residual to estimate a variance from."""
+    coefficients and so no residual to estimate a variance from.
+    influence_values holds one value per unit the estimate averages
+    over, in the panel's unit order: for the doubly robust rows and the
+    interaction regressions that are not saturated, else None."""
 
     estimate: float
     se: Optional[float]
@@ -114,8 +126,9 @@ def score_contrast(ev: FitEvaluation, psi: dict, row
     values `psi`. The signed scores of each target cell sum to that
     cell's part; the estimate sums the parts' means, and the influence
     values eta sum each part minus its cell's treatment weight times its
-    mean, so se = sqrt(mean(eta^2) / n). Only a row of doubly robust
-    kinds gets eta and se; for any other row both are None."""
+    mean, so se = _influence_se(eta) = sqrt(mean(eta^2) / n). Only a row
+    of doubly robust kinds gets eta and se; for any other row both are
+    None."""
     parts = {}  # by target cell
     doubly_robust = True
     for sign, kind in row:
@@ -135,7 +148,16 @@ def score_contrast(ev: FitEvaluation, psi: dict, row
     eta = functools.reduce(operator.add, (
         part - ev.weight_t(target) * means[target]
         for target, part in parts.items()))
-    return estimate, math.sqrt(float((eta * eta).sum() / n) / n), eta
+    return estimate, _influence_se(eta), eta
+
+
+def _influence_se(eta: np.ndarray, dof: int = 0) -> float:
+    """The standard error sqrt(sum(eta^2) / (n - dof) / n) of an estimate
+    from its n influence values: dof = 0 for a score contrast, whose eta
+    average to zero, and the p coefficients of a regression for its HC1
+    factor n/(n - p)."""
+    n = eta.size
+    return math.sqrt(float((eta * eta).sum() / (n - dof)) / n)
 
 
 def _score_result(ev: FitEvaluation, psi: dict,
@@ -338,32 +360,20 @@ def _refit(options: dict, methods: Tuple[Method, ...],
 # Interaction regressions on the outcome change, one row per unit
 # ---------------------------------------------------------------------------
 
-def _regression_se(model: LinearModel, design: np.ndarray, dy: np.ndarray,
-                   kind: SeKind) -> np.ndarray:
-    """Coefficient standard errors of a regression with one row per unit
-    and more units than coefficients: classical, or the HC1 sandwich,
-    which is also the unit-clustered one since each unit is its own
-    cluster (CR1's G/(G-1) (N-1)/(N-p) is HC1's N/(N-p) at G = N)."""
-    if kind is SeKind.CLASSICAL:
-        return model.coef_se
-    resid = dy - design @ model.coefficients
-    n, p = design.shape
-    gram_inv = model.gram_inverse
-    meat = design.T @ (design * (resid * resid)[:, None])
-    cov = n / (n - p) * gram_inv @ meat @ gram_inv
-    return np.sqrt(np.maximum(np.diag(cov), 0.0))
-
-
-def _change_regression(dataset: PanelDataset, mask: np.ndarray, columns,
-                       names, with_controls: bool, se_kind: SeKind,
-                       fitted_on: str) -> Tuple[float, Optional[float]]:
-    """(coefficient, se) of the last of `columns` in the regression of
-    the outcome change of the units in `mask` on `columns`, plus, with
-    controls, the covariates with one common slope each. On the change,
-    a time-invariant covariate enters as it does in the two-period
-    regression in levels with covariate-by-period terms, so the
-    coefficients are that regression's period-2 interactions. se is None
-    when the regression is saturated."""
+def _change_regression(dataset: PanelDataset, method: Method,
+                       mask: np.ndarray, columns, names, with_controls: bool,
+                       se_kind: SeKind, fitted_on: str) -> EstimateResult:
+    """`method`'s result: the coefficient of the last of `columns` in the
+    regression of the outcome change of the units in `mask` on `columns`,
+    plus, with controls, the covariates with one common slope each. On
+    the change, a time-invariant covariate enters as it does in the
+    two-period regression in levels with covariate-by-period terms, so
+    the coefficients are that regression's period-2 interactions. Its
+    influence values over the regression's n units, in panel order, are
+    eta_i = n [(X'X)^{-1} x_i]_k e_i for column k and residual e_i; they
+    sum to zero by the normal equations, and the hc1 se is
+    _influence_se(eta, p), the classical one the model's. A saturated
+    regression gets neither se nor eta."""
     k = len(columns) - 1
     if with_controls:
         columns = [*columns, *dataset.x[mask].T]
@@ -371,10 +381,15 @@ def _change_regression(dataset: PanelDataset, mask: np.ndarray, columns,
     design = np.column_stack(columns)
     dy = dataset.delta_y()[mask]
     model = fit_ols(design, dy, names, fitted_on=fitted_on)
-    if len(dy) == design.shape[1]:
-        return float(model.coefficients[k]), None
-    se = _regression_se(model, design, dy, se_kind)
-    return float(model.coefficients[k]), float(se[k])
+    n, p = design.shape
+    se = eta = None
+    if n > p:  # a saturated fit leaves no residual
+        eta = n * (design @ model.gram_inverse[k]) * (
+            dy - design @ model.coefficients)
+        se = float(model.coef_se[k] if se_kind is SeKind.CLASSICAL
+                   else _influence_se(eta, p))
+    return EstimateResult(float(model.coefficients[k]), se, n,
+                          EstimandLabel.DESCRIPTIVE, method, eta)
 
 
 def ols_did(dataset: PanelDataset, group: Group, with_controls: bool,
@@ -389,14 +404,11 @@ def ols_did(dataset: PanelDataset, group: Group, with_controls: bool,
                 f"group {group.name} lacks {'eligible' if elig else 'never-eligible'} "
                 "units; DID regression undefined")
     m = int(np.count_nonzero(mask))
-    estimate, se = _change_regression(
-        dataset, mask, [np.ones(m), dataset.eligible[mask]],
+    return _change_regression(
+        dataset, Method.OLS_DID_A if group is Group.A else Method.OLS_DID_B,
+        mask, [np.ones(m), dataset.eligible[mask]],
         ["intercept", "eligible"], with_controls, se_kind,
         f"change DID, group {group.name}")
-    return EstimateResult(
-        estimate=estimate, se=se, n=m,
-        estimand_label=EstimandLabel.DESCRIPTIVE,
-        method=Method.OLS_DID_A if group is Group.A else Method.OLS_DID_B)
 
 
 def ols_tdid(dataset: PanelDataset, with_controls: bool,
@@ -405,11 +417,8 @@ def ols_tdid(dataset: PanelDataset, with_controls: bool,
     change on an intercept, eligibility, group A and their product; the
     eligible-by-group-A coefficient is the triple difference."""
     e, g = dataset.eligible, dataset.group_is_a
-    estimate, se = _change_regression(
-        dataset, np.ones(dataset.n, dtype=bool),
+    return _change_regression(
+        dataset, Method.OLS_TDID, np.ones(dataset.n, dtype=bool),
         [np.ones(dataset.n), e, g, e & g],
         ["intercept", "eligible", "group_a", "eligible_x_group_a"],
         with_controls, se_kind, "change TDID")
-    return EstimateResult(
-        estimate=estimate, se=se, n=dataset.n,
-        estimand_label=EstimandLabel.DESCRIPTIVE, method=Method.OLS_TDID)

@@ -129,14 +129,22 @@ def test_estimate_rerun_byte_identical(panel_csv, tmp_path):
 
 def test_estimate_hc1_and_cluster_write_the_same_results(panel_csv,
                                                         tmp_path):
-    # the regressions fit one row per unit, so the unit-clustered
-    # sandwich is the HC1 one
+    # the regressions fit one row per unit, so the unit-clustered SE is
+    # the HC1 one and cluster is another name for hc1, as a flag and in
+    # --config; the echo keeps the name given
     args = ["estimate", "--input", panel_csv, "--schema", SCHEMA,
             "--methods", "ols-did-a,ols-did-b,ols-tdid"]
-    for se in ("hc1", "cluster"):
-        assert run(args + ["--se", se, "--out", tmp_path / se]) == 0
-    assert ((tmp_path / "hc1" / "results.json").read_bytes()
-            == (tmp_path / "cluster" / "results.json").read_bytes())
+    conf = tmp_path / "cluster.json"
+    conf.write_text(json.dumps({"se": "cluster"}))
+    for name, extra in (("hc1", ["--se", "hc1"]),
+                        ("cluster", ["--se", "cluster"]),
+                        ("config", ["--config", conf])):
+        assert run(args + extra + ["--out", tmp_path / name]) == 0
+    hc1 = (tmp_path / "hc1" / "results.json").read_bytes()
+    for name in ("cluster", "config"):
+        assert (tmp_path / name / "results.json").read_bytes() == hc1
+        echo = json.loads((tmp_path / name / "config_echo.json").read_text())
+        assert echo["se"] == "cluster"
 
 
 def test_estimate_saturated_regression_reports_no_se(tmp_path):

@@ -1,6 +1,7 @@
 """Property tests for the seven score estimators: relabelling the ids,
 permuting the rows and an affine map of the covariate must not change
-what they estimate.
+what they estimate. Permuting the rows must not change what the
+interaction regressions estimate either.
 
 Panels come from the simulation design, n from 200 to 900, with either
 assignment mechanism, plain or normalized weights, and no trimming.
@@ -10,9 +11,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tridiff.data import AssignmentMechanism, PanelDataset
+from tridiff.data import AssignmentMechanism, Group, PanelDataset
 from tridiff.dgp import DgpSpec, simulate_sample
-from tridiff.estimators import DR_METHODS, OR_METHODS, estimate_doubly_robust
+from tridiff.estimators import (DR_METHODS, OR_METHODS, estimate_doubly_robust,
+                                ols_did, ols_tdid)
 from tridiff.nuisance import NuisanceMode, fit_nuisances
 
 METHODS = DR_METHODS + OR_METHODS
@@ -32,6 +34,15 @@ def estimates(ds, normalize):
     nuis = fit_nuisances(ds, NuisanceMode.SCORE_SET, trim_epsilon=0.0,
                          normalize=normalize)
     return estimate_doubly_robust(ds, nuis, METHODS)
+
+
+def regressions(ds):
+    """Each interaction regression's result, with and without controls,
+    and the units it fits."""
+    for controls in (False, True):
+        yield ols_tdid(ds, controls), np.ones(ds.n, dtype=bool)
+        yield ols_did(ds, Group.A, controls), ds.group_is_a
+        yield ols_did(ds, Group.B, controls), ~ds.group_is_a
 
 
 def replaced(ds, **fields):
@@ -75,6 +86,16 @@ def test_row_order_changes_estimates_only_by_rounding(design):
         eta = want.influence_values
         np.testing.assert_allclose(got.influence_values, eta[perm], rtol=0,
                                    atol=1e-10 * np.max(np.abs(eta)))
+    # a regression's eta covers its own units only: compare each value
+    # at its unit's place in the panel
+    for (got, got_units), (want, want_units) in zip(
+            regressions(ds.subset(perm)), regressions(ds)):
+        assert got.estimate == pytest.approx(want.estimate, rel=1e-12)
+        assert got.se == pytest.approx(want.se, rel=1e-12)
+        eta = np.zeros(ds.n)
+        eta[want_units] = want.influence_values
+        np.testing.assert_allclose(got.influence_values, eta[perm][got_units],
+                                   rtol=0, atol=1e-10 * np.max(np.abs(eta)))
 
 
 @settings(max_examples=40, deadline=None)

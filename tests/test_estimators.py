@@ -468,10 +468,11 @@ def test_saturated_regressions_have_no_se(kind):
     dy = ds.delta_y()
     did_a = ols_did(ds, Group.A, False, kind)
     assert did_a.se is None and did_a.to_dict()["se"] is None
+    assert did_a.influence_values is None
     assert did_a.estimate == pytest.approx(dy[Cell.A_ELIGIBLE]
                                            - dy[Cell.A_NEVER])
     tdid = ols_tdid(ds, False, kind)
-    assert tdid.se is None
+    assert tdid.se is None and tdid.influence_values is None
     assert tdid.estimate == pytest.approx(
         dy[Cell.A_ELIGIBLE] - dy[Cell.A_NEVER]
         - dy[Cell.B_ELIGIBLE] + dy[Cell.B_NEVER])
@@ -495,16 +496,24 @@ REGRESSIONS = {  # each regression, its units and its estimate's column
 
 @pytest.mark.parametrize("name", REGRESSIONS)
 @pytest.mark.parametrize("controls", [True, False])
-def test_hc1_and_cluster_ses_coincide(small_sample, name, controls):
-    # one row per unit: every unit is its own cluster, and the CR1
-    # factor G/(G-1) (N-1)/(N-p) is HC1's N/(N-p) at G = N
+def test_regression_influence_values_give_the_hc1_se(small_sample, name,
+                                                     controls):
+    # one eta_i = n [(X'X)^{-1} x_i]_k e_i per regression unit, whatever
+    # the SE kind; they sum to zero by the normal equations, and the hc1
+    # se is sqrt(sum(eta^2) / (n - p) / n) of them bit for bit
     ds, _ = small_sample
-    regression = REGRESSIONS[name][0]
-    ses = {kind: regression(ds, controls, kind).se for kind in SeKind}
-    assert all(se > 0 for se in ses.values())
-    assert ses[SeKind.CLUSTER] == ses[SeKind.ROBUST]
-    assert ses[SeKind.CLASSICAL] != pytest.approx(ses[SeKind.ROBUST],
-                                                  rel=1e-6)
+    regression, units, _ = REGRESSIONS[name]
+    robust = regression(ds, controls, SeKind.ROBUST)
+    classical = regression(ds, controls, SeKind.CLASSICAL)
+    eta = robust.influence_values
+    n = int(np.count_nonzero(units(ds)))
+    p = (4 if name == "tdid" else 2) + (ds.d if controls else 0)
+    assert robust.n == n and eta.shape == (n,)
+    assert abs(eta.sum()) <= 1e-12 * n * np.max(np.abs(eta))
+    assert robust.se == est_mod._influence_se(eta, p)
+    assert np.array_equal(classical.influence_values, eta)
+    assert classical.se > 0
+    assert classical.se != pytest.approx(robust.se, rel=1e-6)
 
 
 @pytest.mark.parametrize("name", REGRESSIONS)
@@ -530,6 +539,30 @@ def test_sandwich_se_equals_by_hand_reference(small_sample, name,
     res = regression(ds, controls, SeKind.ROBUST)
     assert res.estimate == pytest.approx(beta[column], rel=1e-12)
     assert res.se == pytest.approx(math.sqrt(cov[column, column]), rel=1e-12)
+    eta = n * (design @ bread[column]) * resid
+    np.testing.assert_allclose(res.influence_values, eta, rtol=0,
+                               atol=1e-10 * np.max(np.abs(eta)))
+
+
+def test_ols_tdid_and_dr_influence_values_pair_unit_by_unit(small_sample):
+    # the paired contrast of ols-tdid against dr reads both estimators'
+    # influence values unit by unit: one per panel unit each, in the
+    # panel's unit order, so that permuting the panel permutes both
+    ds, nuis = small_sample
+    ols = ols_tdid(ds, True).influence_values
+    dr = dr_reweighted(ds, nuis).influence_values
+    assert ols.shape == dr.shape == (ds.n,)
+    perm = np.random.default_rng(4).permutation(ds.n)
+    moved = ds.subset(perm)
+    for got, want in (
+            (ols_tdid(moved, True).influence_values, ols),
+            (dr_reweighted(moved, fit_nuisances(
+                moved, NuisanceMode.SCORE_SET,
+                trim_epsilon=0.0)).influence_values, dr)):
+        np.testing.assert_allclose(got, want[perm], rtol=0,
+                                   atol=1e-10 * np.max(np.abs(want)))
+    paired_se = math.sqrt(float(np.mean((ols - dr) ** 2)) / ds.n)
+    assert math.isfinite(paired_se) and paired_se > 0
 
 
 def test_controls_move_the_tdid_regression():

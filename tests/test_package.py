@@ -65,9 +65,9 @@ def test_cli_import_loads_no_scipy(tmp_path):
 
 def test_commands_run_with_scipy_blocked(tmp_path):
     # with scipy unimportable, an estimate that reads the interaction
-    # regressions' gram inverse (cluster SEs), bootstraps and dumps its
-    # nuisances, a logit's coefficient covariance and a Monte Carlo
-    # study all succeed
+    # regressions' gram inverse (hc1 SEs, named cluster), bootstraps and
+    # dumps its nuisances, a logit's coefficient covariance and a Monte
+    # Carlo study all succeed
     proc = run_python("""
         import json, sys
         sys.modules["scipy"] = None
