@@ -128,8 +128,9 @@ def _read_early(args: list, ns: argparse.Namespace) -> None:
 def _config_args(ns: argparse.Namespace) -> list:
     """--config's values as the flags that would give them: a switch
     takes true or false, --schema also a JSON object, and null keeps the
-    default. A config echo names its command, which must be this one."""
-    with open(ns.config, encoding="utf-8") as fh:
+    default. A config echo names its command, which must be this one.
+    The file is UTF-8, a byte-order mark allowed, as --schema's."""
+    with open(ns.config, encoding="utf-8-sig") as fh:
         loaded = json.load(fh)
     if not isinstance(loaded, dict):
         raise SchemaError("config file must hold a JSON object")
@@ -187,10 +188,11 @@ def _resolve(parser: argparse.ArgumentParser, argv: list,
 
 
 def _parse_schema_arg(raw: str) -> dict:
-    """--schema takes inline JSON or a path to a JSON file."""
+    """--schema takes inline JSON or a path to a JSON file, UTF-8 with or
+    without a byte-order mark."""
     text = raw.strip()
     if not text.startswith("{"):
-        with open(raw, encoding="utf-8") as fh:
+        with open(raw, encoding="utf-8-sig") as fh:
             text = fh.read()
     try:
         mapping = json.loads(text)

@@ -417,19 +417,25 @@ def _read_columns(path, delimiter: str, columns,
     """(fields, rows, n_dropped): each named column's raw fields in the
     kept rows, as an object array, and those rows' data row numbers
     (1-based, blank lines counted). Every named column must be in the
-    header. Lines holding nothing but delimiters and whitespace are
-    skipped; a row whose field in a named column is absent (a short row)
-    or an NA token is dropped and counted (DROP_ROW) or rejected (ERROR).
+    header exactly once. The file is UTF-8, with or without the
+    byte-order mark that spreadsheet programs write. Lines holding
+    nothing but delimiters and whitespace are skipped; a row whose field
+    in a named column is absent (a short row) or an NA token is dropped
+    and counted (DROP_ROW) or rejected (ERROR).
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
         try:
             header = [h.strip() for h in next(reader)]
         except StopIteration:
             raise SchemaError(f"{path}: empty file") from None
         for col in columns:
-            if col not in header:
+            copies = header.count(col)
+            if not copies:
                 raise SchemaError(f"column {col!r} not found in header {header}")
+            if copies > 1:
+                raise SchemaError(f"column {col!r} appears {copies} times "
+                                  f"in header {header}")
         rows = list(reader)
     col_idx = {col: header.index(col) for col in columns}
     width = max(col_idx.values()) + 1

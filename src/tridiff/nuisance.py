@@ -737,12 +737,15 @@ class NuisanceSet:
     def has_outcome(self, cell: Cell) -> bool:
         return cell in self.outcome_models
 
+    def outcome_features(self, x_raw) -> np.ndarray:
+        """The columns of the raw covariates the change regressions read."""
+        return self._features(x_raw, self.outcome_columns)
+
     def outcome_mean(self, cell: Cell, x_raw) -> np.ndarray:
         if cell not in self.outcome_models:
             raise MissingNuisanceError(
                 f"no outcome-change model for cell {cell.label}")
-        return self.outcome_models[cell].predict(
-            self._features(x_raw, self.outcome_columns))
+        return self.outcome_models[cell].predict(self.outcome_features(x_raw))
 
     def outcome_means(self, x_raw) -> tuple:
         """(cells, values): the cells with an outcome-change model and,
@@ -750,7 +753,7 @@ class NuisanceSet:
         (k, n) array. One batched product of k (1, d) @ (d, n) slope
         rows: each row has the bits of its model's predict, where the
         (k, d) @ (d, n) product rounds differently once d >= 2."""
-        x = self._features(x_raw, self.outcome_columns)
+        x = self.outcome_features(x_raw)
         if not self.outcome_models:
             return (), np.empty((0, len(x)))
         coef = np.array([model.coefficients

@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import enum
 import functools
+import math
 from typing import Dict, Sequence
 
 import numpy as np
@@ -105,6 +106,14 @@ class FitEvaluation:
     was predicted on its own and the trimming checked per source cell
     (medians of 12 interleaved blocks of 40 fits, faster in 12; one
     OpenBLAS thread, 2-core x86-64).
+
+    score_means gives the scores' means without those per-unit arrays,
+    from a small table of weighted cell sums (see _moments) combined
+    with the shares and the regressions' coefficients; it builds one
+    (d+2, n) array of [1, x, Δy] and, per weight block, the odds row
+    and a (4, n) weight array. A bootstrap refit needs only those means.
+    The per-unit arrays stay for everything that reads values per unit:
+    influence values and SEs, bias_diagnostic and dump_scores.
     """
 
     def __init__(self, dataset: PanelDataset, nuisances: NuisanceSet):
@@ -138,8 +147,7 @@ class FitEvaluation:
         """Outcome-change regression of `cell` at every unit's covariates."""
         values = self._outcomes[cell]
         if values is None:
-            raise MissingNuisanceError(
-                f"no outcome-change model for cell {cell.label}")
+            raise _missing_outcome(cell)
         return values
 
     @_per_evaluation
@@ -148,8 +156,7 @@ class FitEvaluation:
         units."""
         share = self.shares[target]
         if share == 0:
-            raise EstimationError(f"cell {target.label} is empty; "
-                                  "treatment weight undefined")
+            raise _empty(target, "treatment")
         return self.masks[target] * (1.0 / share)  # +0 outside the cell
 
     @functools.cached_property
@@ -185,65 +192,212 @@ class FitEvaluation:
         below = self._own < self.nuisances.fit_options["trim_epsilon"]
         return (self.masks & below).any(axis=1)
 
+    def _control_source(self, num: Cell, src: Cell) -> bool:
+        """Whether the control weight from `src` toward `num` has a unit,
+        after its checks: an empty numerator raises EstimationError, and
+        source-cell units whose source-cell propensity falls below the
+        fit's trim threshold raise TrimmingError listing the unit ids; no
+        propensity is below a threshold of 0, so that one is not checked."""
+        if self.shares[num] == 0:
+            raise _empty(num, "control")
+        if not self.shares[src]:  # no unit of the source cell
+            return False
+        eps = self.nuisances.fit_options["trim_epsilon"]
+        if eps > 0 and self._trimmed[src]:
+            ids = tuple(self.dataset.ids[self.masks[src] & (self._own < eps)])
+            raise TrimmingError(
+                f"{len(ids)} unit(s) in {src.label} have p{src.label} "
+                f"below trim threshold {eps:g}: "
+                f"{', '.join(repr(i) for i in ids[:10])}"
+                + ("…" if len(ids) > 10 else ""),
+                unit_ids=ids)
+        return True
+
+    @staticmethod
+    def _normalizer(mean: float, src: Cell) -> float:
+        """A control weight's mean, which normalizing divides it by."""
+        if mean <= 0:
+            raise EstimationError(
+                f"control weight for source {src.label} "
+                f"has non-positive mean {mean:g}; cannot normalize")
+        return mean
+
     @_per_evaluation
     def weight_c(self, num: Cell, src: Cell) -> np.ndarray:
         """Control weights: [1{unit in source} / share(numerator)] times the
         propensity ratio p(numerator, x) / p(source, x), normalized when
         the evaluation normalizes: the odds row of the numerator masked
-        to the source.
+        to the source. Raises as _control_source says.
 
-        Source-cell units whose source-cell propensity falls below the
-        fit's trim threshold raise TrimmingError listing the unit ids; no
-        propensity is below a threshold of 0, so that one is not checked.
         When numerator and source coincide the ratio is exactly one and
         the unnormalized weight equals the treatment weight bit-for-bit.
         """
-        if self.shares[num] == 0:
-            raise EstimationError(f"cell {num.label} is empty; control "
-                                  "weight undefined")
         mask = self.masks[src]
-        if not self.shares[src]:  # no unit of the source cell
-            out = np.zeros(mask.shape)
-        else:
-            eps = self.nuisances.fit_options["trim_epsilon"]
-            if eps > 0 and self._trimmed[src]:
-                ids = tuple(self.dataset.ids[mask & (self._own < eps)])
-                raise TrimmingError(
-                    f"{len(ids)} unit(s) in {src.label} have p{src.label} "
-                    f"below trim threshold {eps:g}: "
-                    f"{', '.join(repr(i) for i in ids[:10])}"
-                    + ("…" if len(ids) > 10 else ""),
-                    unit_ids=ids)
+        if self._control_source(num, src):
             out = np.where(mask, self._odds(num), 0.0)
+        else:
+            out = np.zeros(mask.shape)
         if self.normalize:
-            mean = float(out.sum() / len(out))  # np.mean's sum and divide
-            if mean <= 0:
-                raise EstimationError(
-                    f"control weight for source {src.label} "
-                    f"has non-positive mean {mean:g}; cannot normalize")
-            out = out / mean
+            # np.mean's sum and divide
+            out = out / self._normalizer(float(out.sum() / len(out)), src)
         return out
 
-    def augmentation(self, multiplier: np.ndarray, target: Cell,
-                     cell: Cell) -> np.ndarray:
-        """(w_T - w_C) * m(cell, x) for the treatment weight of `target`
-        and the control weight from `cell`. When the two cells coincide
-        and the weights are unnormalized, the control weight repeats the
-        treatment weight's arithmetic operation for operation, so this
-        multiplier is identically zero and the regression for `cell`
-        need not be fitted. Normalizing breaks the identity, making the
-        model mandatory."""
+    def _augments(self, target: Cell, cell: Cell, multiplier) -> bool:
+        """Whether a doubly robust score adds (w_T - w_C) * m(cell) for
+        the treatment weight of `target` and the control weight from
+        `cell`. Not when the two cells coincide and the weights are
+        unnormalized: the control weight then repeats the treatment
+        weight's arithmetic operation for operation, so the multiplier is
+        identically zero (else EstimationError; `multiplier` is anything
+        that is all zero exactly when the multiplier is) and the
+        regression for `cell` need not be fitted. Normalizing breaks the
+        identity, making the model mandatory (else MissingNuisanceError)."""
         if cell == target and not self.normalize:
             if multiplier.any():
                 raise EstimationError(
                     f"augmentation multiplier for m{cell.label} should "
                     "be identically zero with unnormalized weights but is not")
-            return np.zeros(len(multiplier))
+            return False
         if cell == target and not self.nuisances.has_outcome(cell):
             raise MissingNuisanceError(
                 f"score needs outcome model m{cell.label} because "
                 "normalized weights give it a nonzero multiplier")
+        return True
+
+    def augmentation(self, multiplier: np.ndarray, target: Cell,
+                     cell: Cell) -> np.ndarray:
+        """(w_T - w_C) * m(cell, x) for the treatment weight of `target`
+        and the control weight from `cell`, `multiplier` being w_T - w_C;
+        zero where _augments says the score adds none."""
+        if not self._augments(target, cell, multiplier):
+            return np.zeros(len(multiplier))
         return multiplier * self.outcome(cell)
+
+    # -- score means from weighted cell sums ---------------------------------
+
+    @functools.cached_property
+    def _moment_columns(self) -> np.ndarray:
+        """The rows 1, x and Δy of every unit, a (d+2, n) array, with x
+        the covariates the outcome-change models read."""
+        x = self.nuisances.outcome_features(self.dataset.x)
+        columns = np.empty((x.shape[1] + 2, self.dataset.n))
+        columns[0] = 1.0
+        columns[1:-1] = x.T
+        columns[-1] = self.delta
+        return columns
+
+    @functools.cached_property
+    def _float_masks(self) -> np.ndarray:
+        """The (4, n) cell masks as 1.0 and 0.0."""
+        return self.masks.astype(float)
+
+    @_per_evaluation
+    def _moments(self, num) -> np.ndarray:
+        """One weight block's table, (4, d+2): each source cell's sums of
+        [1, x, Δy] over its units, weighted by the odds row of numerator
+        `num`, or by one when `num` is None. A block is its own product,
+        so it has the same bits whichever other blocks are built. Finite
+        odds are masked by a product, which gives np.where's bits (the
+        odds are not negative) in a third of its time at n=5,000; a
+        non-finite odds, from an own-cell propensity that underflowed,
+        is kept to its own cell's row by np.where."""
+        if num is None:
+            weights = self._float_masks
+        else:
+            odds = self._odds(num)
+            weights = (self._float_masks * odds if np.isfinite(odds).all()
+                       else np.where(self.masks, odds, 0.0))
+        return weights @ self._moment_columns.T
+
+    def _treatment_sums(self, target: Cell) -> np.ndarray:
+        """Sum over units of w_T(i) [1, x_i, Δy_i] for the treatment
+        weight of `target`, with weight_t's check."""
+        share = self.shares[target]
+        if share == 0:
+            raise _empty(target, "treatment")
+        return self._moments(None)[target] * (1.0 / share)
+
+    def _control_sums(self, num: Cell, src: Cell) -> np.ndarray:
+        """Sum over units of w_C(i) [1, x_i, Δy_i] for the control weight
+        from `src` toward `num`, with weight_c's checks; normalizing
+        divides by the weight's mean, the count column over n."""
+        if self._control_source(num, src):
+            sums = self._moments(num)[src]
+        else:
+            sums = np.zeros(len(self._moment_columns))
+        if self.normalize:
+            sums = sums / self._normalizer(
+                float(sums[0] / self.dataset.n), src)
+        return sums
+
+    def _coefficients(self, cell: Cell) -> np.ndarray:
+        """Intercept and slopes of the outcome-change regression of
+        `cell`, MissingNuisanceError as outcome() when there is none."""
+        model = self.nuisances.outcome_models.get(cell)
+        if model is None:
+            raise _missing_outcome(cell)
+        return model.coefficients
+
+    def score_means(self, kinds: Sequence[ScoreKind]
+                    ) -> Dict[ScoreKind, float]:
+        """The mean of each score kind, in the order given, without any
+        per-unit score vector. Each score is linear in the fitted change
+        regressions m(c, x) = a_c + b_c'x, so its mean is a fixed
+        combination of the weighted cell sums of [1, x, Δy] (see
+        _moments): one block for the treatment weights and one per
+        numerator's control weights, with the shares and the models'
+        coefficients. A kind raises the exception type score_vector
+        raises for it, in the same cases and the same order of checks:
+        empty target, trimmed source, non-positive normalizer, missing
+        model, and a non-finite weight or coefficient it reads. The
+        means agree with those of score_vector's values up to rounding,
+        since the two sum in different orders, and a kind's mean has the
+        same bits whichever other kinds the evaluation is asked for."""
+        return {kind: self._score_mean(kind) for kind in kinds}
+
+    def _score_mean(self, kind: ScoreKind) -> float:
+        target, eligible, never = kind.cells
+        if kind.form is not ScoreForm.WEIGHTING:
+            treat = self._treatment_sums(target)
+        if kind.form is ScoreForm.REGRESSION:
+            total = (treat[-1] if target == eligible
+                     else self._coefficients(eligible) @ treat[:-1])
+            total = total - self._coefficients(never) @ treat[:-1]
+        else:
+            w_elig = self._control_sums(target, eligible)
+            w_never = self._control_sums(target, never)
+            total = w_elig[-1] - w_never[-1]
+        if kind.form is ScoreForm.DOUBLY_ROBUST:
+            # a unit's multiplier 1/share - 1/share is 0, or NaN where its
+            # own-cell propensity underflowed, which makes the sums NaN
+            if self._augments(target, eligible, np.isnan(w_elig)):
+                total = total + self._coefficients(eligible) @ (
+                    treat - w_elig)[:-1]
+            total = total - self._coefficients(never) @ (
+                treat - w_never)[:-1]
+        # a non-finite weight or coefficient the score reads gives a
+        # non-finite sum, as it gives score_vector a non-finite value
+        mean = float(total / self.dataset.n)
+        if not math.isfinite(mean):
+            raise _nonfinite(kind)
+        return mean
+
+
+# the errors both evaluation paths raise, built only when raised
+
+def _empty(cell: Cell, weight: str) -> EstimationError:
+    return EstimationError(f"cell {cell.label} is empty; {weight} weight "
+                           "undefined")
+
+
+def _missing_outcome(cell: Cell) -> MissingNuisanceError:
+    return MissingNuisanceError(
+        f"no outcome-change model for cell {cell.label}")
+
+
+def _nonfinite(kind: ScoreKind) -> EstimationError:
+    return EstimationError(f"non-finite {kind.value} score values; check "
+                           "overlap and nuisance fits")
 
 
 # ---------------------------------------------------------------------------
@@ -271,9 +425,7 @@ def score_vector(kind: ScoreKind, ev: FitEvaluation) -> np.ndarray:
         values = values - (w_treat - w_never) * m(never)
 
     if not np.isfinite(values).all():
-        raise EstimationError(
-            f"non-finite {kind.value} score values; check overlap and "
-            "nuisance fits")
+        raise _nonfinite(kind)
     return values
 
 

@@ -1,5 +1,6 @@
 """Command line driver: exit codes, outputs, determinism."""
 
+import codecs
 import csv
 import json
 import os
@@ -785,6 +786,40 @@ def test_validate_takes_no_seed(panel_csv, tmp_path, how):
     assert run(args) == 2
     assert sorted(p.name for p in (tmp_path / "v").iterdir()) == [
         "error.json"]
+
+
+def with_bom(path, text):
+    """Write text as UTF-8 behind a byte-order mark, as Excel's "CSV
+    UTF-8" and some editors save files, and return the path."""
+    path.write_bytes(codecs.BOM_UTF8 + text.encode("utf-8"))
+    return path
+
+
+def test_validate_reads_a_csv_with_a_byte_order_mark(panel_csv, tmp_path):
+    marked = with_bom(tmp_path / "bom.csv", panel_csv.read_text())
+    out = tmp_path / "v"
+    assert run(["validate", "--input", marked, "--schema", SCHEMA,
+                "--out", out]) == 0
+    doc = load_json(out / "validation.json")
+    assert doc["passed"] is True and doc["n"] == 400
+
+
+def test_schema_file_with_a_byte_order_mark(panel_csv, tmp_path):
+    schema = with_bom(tmp_path / "schema.json", SCHEMA)
+    out = tmp_path / "v"
+    assert run(["validate", "--input", panel_csv, "--schema", schema,
+                "--out", out]) == 0
+    assert load_json(out / "validation.json")["n"] == 400
+
+
+def test_config_file_with_a_byte_order_mark(panel_csv, tmp_path):
+    conf = with_bom(tmp_path / "conf.json", json.dumps(
+        {"schema": json.loads(SCHEMA), "methods": "dr", "trim": 0.0}))
+    out = tmp_path / "o"
+    assert run(["estimate", "--input", panel_csv, "--config", conf,
+                "--out", out]) == 0
+    echo = load_json(out / "config_echo.json")
+    assert (echo["methods"], echo["trim"]) == ("dr", 0.0)
 
 
 def test_validate_reruns_an_echo_holding_a_null_seed(panel_csv, tmp_path):

@@ -255,6 +255,27 @@ def test_missing_column_named(tmp_path):
                  AssignmentMechanism.BOTH_GROUPS)
 
 
+@pytest.mark.parametrize("column", ["store", "soda", "hours"])
+def test_mapped_column_named_twice_in_header(tmp_path, column):
+    # which copy holds the data is unknowable, so neither is read
+    path = tmp_path / "twice.csv"
+    write_csv(path, WIDE_HEADER + [column],
+              [row + [0.0] for row in wide_rows()])
+    with pytest.raises(SchemaError,
+                       match=f"column '{column}' appears 2 times in header"):
+        load_csv(path, Schema.from_dict(WIDE_SCHEMA),
+                 AssignmentMechanism.BOTH_GROUPS)
+
+
+def test_unmapped_column_named_twice_is_ignored(tmp_path):
+    path = tmp_path / "twice.csv"
+    write_csv(path, WIDE_HEADER + ["note", "note"],
+              [row + ["a", "b"] for row in wide_rows()])
+    ds = load_csv(path, Schema.from_dict(WIDE_SCHEMA),
+                  AssignmentMechanism.BOTH_GROUPS)
+    assert ds.n == 5
+
+
 def test_non_numeric_value_reports_row_and_column(tmp_path):
     rows = wide_rows()
     rows[2][3] = "twenty"
@@ -540,6 +561,16 @@ def test_replication_column_missing_from_header(tmp_path, column):
     rows = [row[:j] + row[j + 1:] for row in replication_rows()]
     with pytest.raises(SchemaError, match=f"column '{column}' not found in header"):
         load_replication_csv(replication_csv(tmp_path, rows, header))
+
+
+@pytest.mark.parametrize("column", ["SHEET", "STATE", "EMPPT2", "HRSOPEN"])
+def test_replication_column_named_twice_in_header(tmp_path, column):
+    rows = [row + [row[REPLICATION_HEADER.index(column)]]
+            for row in replication_rows()]
+    with pytest.raises(SchemaError,
+                       match=f"column '{column}' appears 2 times in header"):
+        load_replication_csv(replication_csv(
+            tmp_path, rows, REPLICATION_HEADER + [column]))
 
 
 def test_replication_row_with_missing_field_is_not_parsed(tmp_path):

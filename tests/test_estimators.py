@@ -24,8 +24,9 @@ import tridiff.scores as scores_mod
 from tridiff.data import AssignmentMechanism, Cell, Group, PanelDataset
 from tridiff.dgp import (DgpSpec, closed_form_oracle, simulate_replicate,
                          simulate_sample)
-from tridiff.estimators import (DR_METHODS, OR_METHODS, BootstrapConfig,
-                                EstimandLabel, EstimateResult, Method, SeKind,
+from tridiff.estimators import (DR_METHODS, METHOD_SCORES, OR_METHODS,
+                                BootstrapConfig, EstimandLabel,
+                                EstimateResult, Method, SeKind,
                                 bias_diagnostic, bootstrap_replicates,
                                 bootstrap_ses, estimate_doubly_robust,
                                 ols_did, ols_tdid, refit_estimates)
@@ -299,16 +300,18 @@ def test_evaluation_of_another_dataset_predicts_once(small_sample, counted):
 
 # Python-level call budgets, as cProfile counts calls, each about 10%
 # above the count of the cell-major evaluation and the stacked cell
-# regressions. One evaluation of a fit (dr and naive, n=2000) makes 193
-# calls; it made 237 when each model was predicted on its own,
-# and a Python-level hash per cell key lookup and np.mean-style wrappers
-# on the hot path took it to about 900. One Monte Carlo replication
-# (n=2000) makes 735 calls, 1,202 when each cell's regression was its
-# own fit; one bootstrap draw of the benchmark's n=5000 panel makes
-# 732, 1,232 before.
+# regressions when set. One evaluation of a fit (dr and naive, n=2000)
+# makes 206 calls, 195 before its weight checks became helpers shared
+# with the cell-sum means; it made 237 when each model was predicted on
+# its own, and a Python-level hash per cell key lookup and np.mean-style
+# wrappers on the hot path took it to about 900. One Monte Carlo
+# replication (n=2000) makes 748 calls, 1,202 when each cell's
+# regression was its own fit. One bootstrap draw of the benchmark's
+# n=5000 panel makes 662 from its cell sums, 734 from per-unit score
+# vectors and 1,232 before that.
 MAX_EVALUATION_CALLS = 212
 MAX_REPLICATION_CALLS = 800
-MAX_DRAW_CALLS = 805
+MAX_DRAW_CALLS = 728
 
 
 def profiled_calls(function, *args):
@@ -725,7 +728,9 @@ def test_or_table_consistency(small_sample):
     # a full-sample refit reproduces the points: the fit options carry
     # the outcome-only mode
     assert nuis.fit_options["mode"] is NuisanceMode.OUTCOME_ONLY
-    assert runner(ds) == tuple(res.estimate for res in table.values())
+    assert runner(ds) == moment_estimates(ds, nuis, OR_METHODS)
+    assert runner(ds) == pytest.approx(
+        tuple(res.estimate for res in table.values()), rel=1e-12, abs=0)
 
 
 # ---------------------------------------------------------------------------
@@ -774,9 +779,10 @@ def test_naive_refit_is_a_view_on_the_joint_refit(small_sample, counted):
     ds, nuis = small_sample
     (naive,) = refit_estimates(nuis, methods=NAIVE)(ds)
     # one refit, evaluated on the sample it was fitted on, so with no
-    # prediction, and no WDR score for a naive-only view
+    # prediction, and from its cell sums, so with no per-unit score
     assert counted["predict"] == 0
-    assert counted["kinds"] == [ScoreKind.DR_A, ScoreKind.DR_B]
+    assert counted["kinds"] == []
+    assert counted["outcome_batches"] == counted["outcome_predict"] == 0
     both = refit_estimates(nuis)(ds)
     assert both == (
         refit_estimates(nuis, methods=REWEIGHTED)(ds)[0], naive)
@@ -796,16 +802,29 @@ def test_paired_bootstrap_ses_equal_separate_passes(small_sample, normalize):
         bootstrap_ses(ds, refit_estimates(nuis, NAIVE), config)[0])
 
 
+def moment_estimates(ds, nuis, methods):
+    """Each method's estimate as its METHOD_SCORES row's signed score
+    means of the fit evaluated on ds, from the evaluation's cell sums."""
+    means = FitEvaluation(ds, nuis).score_means(
+        [kind for method in methods for _, kind in METHOD_SCORES[method]])
+    return tuple(sum(sign * means[kind] for sign, kind in METHOD_SCORES[m])
+                 for m in methods)
+
+
 def test_normalized_refit_reproduces_the_fit(small_sample):
     # a refit takes normalization from the fit's options: on the fitted
-    # sample itself it gives the fit's estimates bit for bit, which an
+    # sample itself it gives the fit's score means bit for bit, and its
+    # estimates up to the rounding of the per-unit sums, which an
     # unnormalized refit would miss by a few hundredths
     ds, _ = small_sample
     nuis = fit_nuisances(ds, NuisanceMode.SCORE_SET, trim_epsilon=0.0,
                          normalize=True)
     methods = DR_METHODS + OR_METHODS
-    assert refit_estimates(nuis, methods)(ds) == tuple(
-        res.estimate for res in estimate_doubly_robust(ds, nuis, methods))
+    refit = refit_estimates(nuis, methods)(ds)
+    assert refit == moment_estimates(ds, nuis, methods)
+    assert refit == pytest.approx(tuple(
+        res.estimate for res in estimate_doubly_robust(ds, nuis, methods)),
+        rel=1e-12, abs=0)
 
 
 def test_degenerate_resamples_redrawn_then_capped(small_sample, monkeypatch):

@@ -571,6 +571,18 @@ def test_normalizing_an_empty_source_raises(sloped_fixture):
             evaluation(kept, nuis).weight_c(A2, B_NEVER)
 
 
+def with_covariates(base, d, seed):
+    """The simulated panel with d covariates: its own, then noise columns
+    of growing scale drawn from `seed`."""
+    rng = np.random.default_rng(seed)
+    x = np.column_stack([base.x[:, 0]] + [
+        rng.normal(size=base.n) * 4.0 ** j for j in range(1, d)]
+    ) if d else np.empty((base.n, 0))
+    return PanelDataset(base.ids, base.y1, base.y2, base.group_is_a,
+                        base.eligible, x, tuple(f"x{j}" for j in range(d)),
+                        base.mechanism)
+
+
 @st.composite
 def evaluated_fits(draw):
     """(dataset, fit) with the fit evaluated on the dataset: simulated
@@ -584,14 +596,9 @@ def evaluated_fits(draw):
     base = simulate_sample(DgpSpec(
         n=draw(st.integers(200, 900)), seed=draw(st.integers(0, 2 ** 32 - 1)),
         mu_b=draw(st.sampled_from([1.5, 3.0])), mechanism=mechanism))
-    d = draw(st.integers(0, 3))
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    x = np.column_stack([base.x[:, 0]] + [
-        rng.normal(size=base.n) * 4.0 ** j for j in range(1, d)]
-    ) if d else np.empty((base.n, 0))
-    names = tuple(f"x{j}" for j in range(d))
-    ds = PanelDataset(base.ids, base.y1, base.y2, base.group_is_a,
-                      base.eligible, x, names, mechanism)
+    ds = with_covariates(base, draw(st.integers(0, 3)),
+                         draw(st.integers(0, 2 ** 32 - 1)))
+    names = ds.covariate_names
     subsets = (st.none() | st.lists(st.sampled_from(names), unique=True)
                if names else st.none())
     normalize = draw(st.booleans())
@@ -656,3 +663,119 @@ def test_code_indexed_evaluation_is_bitwise_the_reference(tmp_path_factory,
         path = tmp_path_factory.mktemp("dump") / "scores.csv"
         dump_scores(FitEvaluation(ds, nuis), list(ScoreKind), path)
         assert path.read_bytes() == reference_dump(ref, list(ScoreKind))
+
+
+# ---------------------------------------------------------------------------
+# Score means from weighted cell sums against the per-unit scores
+# ---------------------------------------------------------------------------
+
+ROW_KINDS = tuple(dict.fromkeys(kind for row in METHOD_SCORES.values()
+                                for _, kind in row))
+
+
+def assert_same_failure(got, want):
+    """Both calls raised, the same exception type with the same unit ids."""
+    assert isinstance(got, tuple) and isinstance(want, tuple), (got, want)
+    assert got[0] is want[0] and got[2] == want[2], (got, want)
+
+
+def assert_means_match(ds, nuis):
+    """Each kind of a METHOD_SCORES row: FitEvaluation.score_means gives
+    the mean of score_vector's values within 1e-12 of its mean |score|,
+    or raises what it raises; a kind's mean has the same bits evaluated
+    alone or with the others. Returns the kinds that raised."""
+    together = outcome_of(
+        lambda: FitEvaluation(ds, nuis).score_means(ROW_KINDS))
+    wanted = outcome_of(lambda: score_vectors(ROW_KINDS, FitEvaluation(
+        ds, nuis)))
+    if isinstance(wanted, dict):
+        assert isinstance(together, dict) and list(together) == list(ROW_KINDS)
+    else:
+        assert_same_failure(together, wanted)
+    raised = []
+    for kind in ROW_KINDS:
+        want = outcome_of(lambda: score_vector(kind, FitEvaluation(ds, nuis)))
+        got = outcome_of(
+            lambda: FitEvaluation(ds, nuis).score_means([kind])[kind])
+        if isinstance(want, np.ndarray):
+            assert isinstance(got, float), (kind, got)
+            assert abs(got - want.mean()) <= 1e-12 * np.abs(want).mean(), kind
+            if isinstance(together, dict):
+                assert_same(together[kind], got)
+        else:
+            assert_same_failure(got, want)
+            raised.append(kind)
+    return raised
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=evaluated_fits())
+def test_score_means_are_the_score_vectors_means(case):
+    ds, nuis = case
+    if nuis is None:
+        return  # the logit or a regression could not be fitted
+    assert_means_match(ds, nuis)
+
+
+@pytest.mark.parametrize("mechanism", list(AssignmentMechanism))
+@pytest.mark.parametrize("d, outcome_covariates", [
+    (0, None), (1, None), (3, None), (3, ["x0", "x2"])])
+@pytest.mark.parametrize("trim", [0.0, 0.01])
+@pytest.mark.parametrize("normalize", [False, True])
+def test_score_means_over_the_fit_options(normalize, trim, d,
+                                          outcome_covariates, mechanism):
+    # every option the property draws, each at least once
+    ds = with_covariates(simulate_sample(DgpSpec(
+        n=500, seed=9, mu_b=1.5, mechanism=mechanism)), d, 4)
+    nuis = fit_nuisances(ds, trim_epsilon=trim, normalize=normalize,
+                         outcome_covariates=outcome_covariates)
+    assert assert_means_match(ds, nuis) == []
+
+
+def underflowed(ds, nuis):
+    """(panel, cell): ds with one unit of the cell moved so far out in x
+    that its own-cell propensity is exactly 0, for each such cell at
+    x = -1e4 and at 1e4."""
+    for x in (-1e4, 1e4):
+        probs = nuis.propensity.predict(np.array([[x]]))[0]
+        for cell in Cell:
+            if probs[cell] == 0:
+                unit = int(np.flatnonzero(_reference_mask(ds, cell))[0])
+                moved = ds.x.copy()
+                moved[unit] = x
+                yield PanelDataset(ds.ids, ds.y1, ds.y2, ds.group_is_a,
+                                   ds.eligible, moved, ds.covariate_names,
+                                   ds.mechanism), cell
+
+
+def test_score_means_raise_what_score_vectors_raise():
+    base = simulate_sample(DgpSpec(n=600, seed=5))
+    fit = fit_nuisances(base, trim_epsilon=0.0)
+    normalized = fit_nuisances(base, trim_epsilon=0.0, normalize=True)
+    # a fit evaluated on the panel less one cell: an empty target raises,
+    # and so does an empty source whose weight is normalized
+    for cell in Cell:
+        kept = base.subset(np.flatnonzero(~_reference_mask(base, cell)))
+        assert bool(assert_means_match(kept, fit)) == cell.eligible
+        assert assert_means_match(kept, normalized)
+    # an own-cell propensity that underflows to 0 at trim 0: NaN odds in
+    # its own cell's weights, inf or NaN ones in other cells'
+    cells = []
+    for moved, cell in underflowed(base, fit):
+        assert fit.propensities(moved.x)[:, cell].min() == 0
+        raised = assert_means_match(moved, fit)
+        assert raised and raised != list(ROW_KINDS)
+        cells.append(cell)
+    assert A2 in cells and B_NEVER in cells
+    # source units below the trim threshold
+    thin = simulate_sample(DgpSpec(n=2000, seed=1, mu_b=3.0))
+    raised = assert_means_match(thin, fit_nuisances(thin, trim_epsilon=0.05))
+    assert raised and raised != list(ROW_KINDS)
+    with pytest.raises(TrimmingError):
+        FitEvaluation(thin, fit_nuisances(thin, trim_epsilon=0.05)
+                      ).score_means([ScoreKind.DR_A])
+    # a normalized fit without the (A, Eligible) model
+    stripped = dataclasses.replace(normalized, outcome_models={
+        cell: model for cell, model in normalized.outcome_models.items()
+        if cell != A2})
+    assert assert_means_match(base, stripped) == [ScoreKind.DR_A]
