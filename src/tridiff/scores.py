@@ -286,27 +286,19 @@ class FitEvaluation:
         columns[-1] = self.delta
         return columns
 
-    @functools.cached_property
-    def _float_masks(self) -> np.ndarray:
-        """The (4, n) cell masks as 1.0 and 0.0."""
-        return self.masks.astype(float)
-
     @_per_evaluation
     def _moments(self, num) -> np.ndarray:
         """One weight block's table, (4, d+2): each source cell's sums of
         [1, x, Δy] over its units, weighted by the odds row of numerator
         `num`, or by one when `num` is None. A block is its own product,
-        so it has the same bits whichever other blocks are built. Finite
-        odds are masked by a product, which gives np.where's bits (the
-        odds are not negative) in a third of its time at n=5,000; a
+        so it has the same bits whichever other blocks are built. The
+        odds are masked to each cell as weight_c masks them, so a
         non-finite odds, from an own-cell propensity that underflowed,
-        is kept to its own cell's row by np.where."""
+        stays in its own cell's row."""
         if num is None:
-            weights = self._float_masks
+            weights = self.masks.astype(float)
         else:
-            odds = self._odds(num)
-            weights = (self._float_masks * odds if np.isfinite(odds).all()
-                       else np.where(self.masks, odds, 0.0))
+            weights = np.where(self.masks, self._odds(num), 0.0)
         return weights @ self._moment_columns.T
 
     def _treatment_sums(self, target: Cell) -> np.ndarray:

@@ -24,9 +24,8 @@ import tridiff.scores as scores_mod
 from tridiff.data import AssignmentMechanism, Cell, Group, PanelDataset
 from tridiff.dgp import (DgpSpec, closed_form_oracle, simulate_replicate,
                          simulate_sample)
-from tridiff.estimators import (DR_METHODS, METHOD_SCORES, OR_METHODS,
-                                BootstrapConfig, EstimandLabel,
-                                EstimateResult, Method, SeKind,
+from tridiff.estimators import (DR_METHODS, OR_METHODS, BootstrapConfig,
+                                EstimandLabel, EstimateResult, Method, SeKind,
                                 bias_diagnostic, bootstrap_replicates,
                                 bootstrap_ses, estimate_doubly_robust,
                                 ols_did, ols_tdid, refit_estimates)
@@ -298,20 +297,20 @@ def test_evaluation_of_another_dataset_predicts_once(small_sample, counted):
     assert np.array_equal(ev.propensities(), nuis.propensity.predict(other.x))
 
 
-# Python-level call budgets, as cProfile counts calls, each about 10%
-# above the count of the cell-major evaluation and the stacked cell
-# regressions when set. One evaluation of a fit (dr and naive, n=2000)
-# makes 206 calls, 195 before its weight checks became helpers shared
-# with the cell-sum means; it made 237 when each model was predicted on
-# its own, and a Python-level hash per cell key lookup and np.mean-style
-# wrappers on the hot path took it to about 900. One Monte Carlo
-# replication (n=2000) makes 748 calls, 1,202 when each cell's
-# regression was its own fit. One bootstrap draw of the benchmark's
-# n=5000 panel makes 662 from its cell sums, 734 from per-unit score
-# vectors and 1,232 before that.
+# Python-level call budgets, as cProfile counts calls, each set about
+# 10% above the count of its time. One evaluation of a fit (dr and
+# naive, n=2000) makes 206 calls, so its budget, set when it made 193,
+# has about 3% headroom left: the weight checks it shares with the
+# cell-sum means are helper calls, 11 in all; it made 237 calls when
+# each model was predicted on its own, and a Python-level hash per cell
+# key lookup and np.mean-style wrappers on the hot path took it to
+# about 900. One Monte Carlo replication (n=2000) makes 747 calls,
+# 1,202 when each cell's regression was its own fit. One bootstrap
+# draw of the benchmark's n=5000 panel makes 651 from its cell sums,
+# 734 from per-unit score vectors and 1,232 before that.
 MAX_EVALUATION_CALLS = 212
 MAX_REPLICATION_CALLS = 800
-MAX_DRAW_CALLS = 728
+MAX_DRAW_CALLS = 716
 
 
 def profiled_calls(function, *args):
@@ -728,7 +727,11 @@ def test_or_table_consistency(small_sample):
     # a full-sample refit reproduces the points: the fit options carry
     # the outcome-only mode
     assert nuis.fit_options["mode"] is NuisanceMode.OUTCOME_ONLY
-    assert runner(ds) == moment_estimates(ds, nuis, OR_METHODS)
+    # bit for bit the OR rows of the fit's own score means; the table
+    # averages per-unit scores, so only up to that sum's rounding
+    a, b, wb = FitEvaluation(ds, nuis).score_means(
+        [ScoreKind.OR_A, ScoreKind.OR_B, ScoreKind.WOR]).values()
+    assert runner(ds) == (a, b, wb, a - b, a - wb)
     assert runner(ds) == pytest.approx(
         tuple(res.estimate for res in table.values()), rel=1e-12, abs=0)
 
@@ -802,15 +805,6 @@ def test_paired_bootstrap_ses_equal_separate_passes(small_sample, normalize):
         bootstrap_ses(ds, refit_estimates(nuis, NAIVE), config)[0])
 
 
-def moment_estimates(ds, nuis, methods):
-    """Each method's estimate as its METHOD_SCORES row's signed score
-    means of the fit evaluated on ds, from the evaluation's cell sums."""
-    means = FitEvaluation(ds, nuis).score_means(
-        [kind for method in methods for _, kind in METHOD_SCORES[method]])
-    return tuple(sum(sign * means[kind] for sign, kind in METHOD_SCORES[m])
-                 for m in methods)
-
-
 def test_normalized_refit_reproduces_the_fit(small_sample):
     # a refit takes normalization from the fit's options: on the fitted
     # sample itself it gives the fit's score means bit for bit, and its
@@ -821,7 +815,11 @@ def test_normalized_refit_reproduces_the_fit(small_sample):
                          normalize=True)
     methods = DR_METHODS + OR_METHODS
     refit = refit_estimates(nuis, methods)(ds)
-    assert refit == moment_estimates(ds, nuis, methods)
+    dr_a, wdr, dr_b, or_a, or_b, wor = FitEvaluation(ds, nuis).score_means(
+        [ScoreKind.DR_A, ScoreKind.WDR, ScoreKind.DR_B, ScoreKind.OR_A,
+         ScoreKind.OR_B, ScoreKind.WOR]).values()
+    assert refit == (dr_a - wdr, dr_a - dr_b, or_a, or_b, wor, or_a - or_b,
+                     or_a - wor)
     assert refit == pytest.approx(tuple(
         res.estimate for res in estimate_doubly_robust(ds, nuis, methods)),
         rel=1e-12, abs=0)

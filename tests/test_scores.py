@@ -669,8 +669,7 @@ def test_code_indexed_evaluation_is_bitwise_the_reference(tmp_path_factory,
 # Score means from weighted cell sums against the per-unit scores
 # ---------------------------------------------------------------------------
 
-ROW_KINDS = tuple(dict.fromkeys(kind for row in METHOD_SCORES.values()
-                                for _, kind in row))
+KINDS = tuple(ScoreKind)
 
 
 def assert_same_failure(got, want):
@@ -680,20 +679,20 @@ def assert_same_failure(got, want):
 
 
 def assert_means_match(ds, nuis):
-    """Each kind of a METHOD_SCORES row: FitEvaluation.score_means gives
-    the mean of score_vector's values within 1e-12 of its mean |score|,
-    or raises what it raises; a kind's mean has the same bits evaluated
-    alone or with the others. Returns the kinds that raised."""
+    """Every score kind: FitEvaluation.score_means gives the mean of
+    score_vector's values within 1e-12 of its mean |score|, or raises
+    what it raises; a kind's mean has the same bits evaluated alone or
+    with the others. Returns the kinds that raised."""
     together = outcome_of(
-        lambda: FitEvaluation(ds, nuis).score_means(ROW_KINDS))
-    wanted = outcome_of(lambda: score_vectors(ROW_KINDS, FitEvaluation(
+        lambda: FitEvaluation(ds, nuis).score_means(KINDS))
+    wanted = outcome_of(lambda: score_vectors(KINDS, FitEvaluation(
         ds, nuis)))
     if isinstance(wanted, dict):
-        assert isinstance(together, dict) and list(together) == list(ROW_KINDS)
+        assert isinstance(together, dict) and list(together) == list(KINDS)
     else:
         assert_same_failure(together, wanted)
     raised = []
-    for kind in ROW_KINDS:
+    for kind in KINDS:
         want = outcome_of(lambda: score_vector(kind, FitEvaluation(ds, nuis)))
         got = outcome_of(
             lambda: FitEvaluation(ds, nuis).score_means([kind])[kind])
@@ -764,13 +763,13 @@ def test_score_means_raise_what_score_vectors_raise():
     for moved, cell in underflowed(base, fit):
         assert fit.propensities(moved.x)[:, cell].min() == 0
         raised = assert_means_match(moved, fit)
-        assert raised and raised != list(ROW_KINDS)
+        assert raised and raised != list(KINDS)
         cells.append(cell)
     assert A2 in cells and B_NEVER in cells
     # source units below the trim threshold
     thin = simulate_sample(DgpSpec(n=2000, seed=1, mu_b=3.0))
     raised = assert_means_match(thin, fit_nuisances(thin, trim_epsilon=0.05))
-    assert raised and raised != list(ROW_KINDS)
+    assert raised and raised != list(KINDS)
     with pytest.raises(TrimmingError):
         FitEvaluation(thin, fit_nuisances(thin, trim_epsilon=0.05)
                       ).score_means([ScoreKind.DR_A])
