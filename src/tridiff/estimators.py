@@ -357,10 +357,11 @@ def refit_estimates(nuisances: NuisanceSet,
     per-unit score vector; they raise as estimate_doubly_robust would,
     and agree with its estimates up to rounding (within 1e-12 relative
     on the fitted sample). At n=5,000 this took a draw's evaluation of
-    the dr, naive and two outcome-regression differences from 510-580
-    to 133-150 us, and the whole draw from 1.82-1.88 to 1.38-1.44 ms
-    (fastest blocks of 50 evaluations and of 40 draws, two runs a side;
-    one OpenBLAS thread, 2-core x86-64)."""
+    the dr, naive and two outcome-regression differences from 385-479
+    to 176-183 us, and the whole draw from 1.53-1.92 to 1.34-1.36 ms
+    (fastest of 7 blocks of 50 evaluations and of 40 draws, three runs
+    a side, the CLI's heap setting on; one OpenBLAS thread, 2-core
+    x86-64)."""
     return functools.partial(_refit, dict(nuisances.fit_options), methods)
 
 
