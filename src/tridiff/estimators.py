@@ -351,14 +351,14 @@ def refit_estimates(nuisances: NuisanceSet,
     moments, as every fit does, which on the benchmark panel takes two
     iterations where a start from the full-sample coefficients takes
     three, and its evaluation reads the propensities the fit converged
-    to (see FitEvaluation). A draw needs no influence value or SE, so the
-    score means come from the evaluation's weighted cell sums
-    (FitEvaluation.score_means), without an outcome prediction or a
-    per-unit score vector; they raise as estimate_doubly_robust would,
-    and agree with its estimates up to rounding (within 1e-12 relative
-    on the fitted sample). At n=5,000 this took a draw's evaluation of
-    the dr, naive and two outcome-regression differences from 385-479
-    to 176-183 us, and the whole draw from 1.53-1.92 to 1.34-1.36 ms
+    to (see FitEvaluation). A draw needs no influence value or SE, so
+    FitEvaluation.score_means runs each score's formula on weighted cell
+    sums, without an outcome prediction or a per-unit score vector; the
+    means raise as estimate_doubly_robust would, through the same
+    checks, and agree with its estimates up to rounding (within 1e-12
+    relative on the fitted sample). At n=5,000 this took a draw's
+    evaluation of the dr, naive and two outcome-regression differences
+    from 385-479 to 176-183 us, and the whole draw from 1.53-1.92 to 1.34-1.36 ms
     (fastest of 7 blocks of 50 evaluations and of 40 draws, three runs
     a side, the CLI's heap setting on; one OpenBLAS thread, 2-core
     x86-64)."""

@@ -741,12 +741,6 @@ class NuisanceSet:
         """The columns of the raw covariates the change regressions read."""
         return self._features(x_raw, self.outcome_columns)
 
-    def outcome_mean(self, cell: Cell, x_raw) -> np.ndarray:
-        if cell not in self.outcome_models:
-            raise MissingNuisanceError(
-                f"no outcome-change model for cell {cell.label}")
-        return self.outcome_models[cell].predict(self.outcome_features(x_raw))
-
     def outcome_means(self, x_raw) -> tuple:
         """(cells, values): the cells with an outcome-change model and,
         row by row, each one's predictions at the raw covariates, a

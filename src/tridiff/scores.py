@@ -16,6 +16,7 @@ import csv
 import enum
 import functools
 import math
+import operator
 from typing import Dict, Sequence
 
 import numpy as np
@@ -107,13 +108,13 @@ class FitEvaluation:
     (medians of 12 interleaved blocks of 40 fits, faster in 12; one
     OpenBLAS thread, 2-core x86-64).
 
-    score_means gives the scores' means without those per-unit arrays,
-    from a small table of weighted cell sums (see _moments) combined
-    with the shares and the regressions' coefficients; it builds one
-    (d+2, n) array of [1, x, Δy] and, per weight block, the odds row
-    and a (4, n) weight array. A bootstrap refit needs only those means.
-    The per-unit arrays stay for everything that reads values per unit:
-    influence values and SEs, bias_diagnostic and dump_scores.
+    score_means gives the scores' means without those per-unit arrays:
+    it runs the same score formulas and weight checks on weighted cell
+    sums instead (see _CellSums), building one (d+2, n) array of
+    [1, x, Δy] and, per weight block, the odds row and a (4, n) weight
+    array. A bootstrap refit needs only those means. The per-unit
+    arrays stay for everything that reads values per unit: influence
+    values and SEs, bias_diagnostic and dump_scores.
     """
 
     def __init__(self, dataset: PanelDataset, nuisances: NuisanceSet):
@@ -157,7 +158,18 @@ class FitEvaluation:
         share = self.shares[target]
         if share == 0:
             raise _empty(target, "treatment")
-        return self.masks[target] * (1.0 / share)  # +0 outside the cell
+        return self._weights(None, target) * (1.0 / share)  # +0 outside
+
+    def _weights(self, num, cells) -> np.ndarray:
+        """The weights of the units of `cells` toward numerator `num`
+        before their scale, checks and normalizing: the odds row of `num`
+        masked to them, or their mask when `num` is None. `cells` is a
+        Cell, or ... for all four cells' rows."""
+        mask = self.masks[cells]
+        return mask if num is None else np.where(mask, self._odds(num), 0.0)
+
+    # a weight's sum over units, which normalizing divides by n
+    _total = staticmethod(np.add.reduce)
 
     @functools.cached_property
     def _own(self) -> np.ndarray:
@@ -192,68 +204,59 @@ class FitEvaluation:
         below = self._own < self.nuisances.fit_options["trim_epsilon"]
         return (self.masks & below).any(axis=1)
 
-    def _control_source(self, num: Cell, src: Cell) -> bool:
-        """Whether the control weight from `src` toward `num` has a unit,
-        after its checks: an empty numerator raises EstimationError, and
-        source-cell units whose source-cell propensity falls below the
-        fit's trim threshold raise TrimmingError listing the unit ids; no
-        propensity is below a threshold of 0, so that one is not checked."""
-        if self.shares[num] == 0:
-            raise _empty(num, "control")
-        if not self.shares[src]:  # no unit of the source cell
-            return False
-        eps = self.nuisances.fit_options["trim_epsilon"]
-        if eps > 0 and self._trimmed[src]:
-            ids = tuple(self.dataset.ids[self.masks[src] & (self._own < eps)])
-            raise TrimmingError(
-                f"{len(ids)} unit(s) in {src.label} have p{src.label} "
-                f"below trim threshold {eps:g}: "
-                f"{', '.join(repr(i) for i in ids[:10])}"
-                + ("…" if len(ids) > 10 else ""),
-                unit_ids=ids)
-        return True
-
-    @staticmethod
-    def _normalizer(mean: float, src: Cell) -> float:
-        """A control weight's mean, which normalizing divides it by."""
-        if mean <= 0:
-            raise EstimationError(
-                f"control weight for source {src.label} "
-                f"has non-positive mean {mean:g}; cannot normalize")
-        return mean
-
     @_per_evaluation
     def weight_c(self, num: Cell, src: Cell) -> np.ndarray:
         """Control weights: [1{unit in source} / share(numerator)] times the
         propensity ratio p(numerator, x) / p(source, x), normalized when
         the evaluation normalizes: the odds row of the numerator masked
-        to the source. Raises as _control_source says.
+        to the source. An empty numerator raises EstimationError, and
+        source-cell units whose source-cell propensity falls below the
+        fit's trim threshold raise TrimmingError listing the unit ids; no
+        propensity is below a threshold of 0, so that one is not checked.
 
         When numerator and source coincide the ratio is exactly one and
         the unnormalized weight equals the treatment weight bit-for-bit.
         """
-        mask = self.masks[src]
-        if self._control_source(num, src):
-            out = np.where(mask, self._odds(num), 0.0)
+        if self.shares[num] == 0:
+            raise _empty(num, "control")
+        if self.shares[src]:  # a unit of the source cell
+            eps = self.nuisances.fit_options["trim_epsilon"]
+            if eps > 0 and self._trimmed[src]:
+                ids = tuple(
+                    self.dataset.ids[self.masks[src] & (self._own < eps)])
+                raise TrimmingError(
+                    f"{len(ids)} unit(s) in {src.label} have p{src.label} "
+                    f"below trim threshold {eps:g}: "
+                    f"{', '.join(repr(i) for i in ids[:10])}"
+                    + ("…" if len(ids) > 10 else ""),
+                    unit_ids=ids)
+            out = self._weights(num, src)
         else:
-            out = np.zeros(mask.shape)
+            out = np.zeros(len(self.delta))
         if self.normalize:
             # np.mean's sum and divide
-            out = out / self._normalizer(float(out.sum() / len(out)), src)
+            mean = float(self._total(out) / self.dataset.n)
+            if mean <= 0:
+                raise EstimationError(
+                    f"control weight for source {src.label} "
+                    f"has non-positive mean {mean:g}; cannot normalize")
+            out = out / mean
         return out
 
-    def _augments(self, target: Cell, cell: Cell, multiplier) -> bool:
+    def _augments(self, target: Cell, cell: Cell, nan_weight) -> bool:
         """Whether a doubly robust score adds (w_T - w_C) * m(cell) for
         the treatment weight of `target` and the control weight from
         `cell`. Not when the two cells coincide and the weights are
         unnormalized: the control weight then repeats the treatment
         weight's arithmetic operation for operation, so the multiplier is
-        identically zero (else EstimationError; `multiplier` is anything
-        that is all zero exactly when the multiplier is) and the
-        regression for `cell` need not be fitted. Normalizing breaks the
-        identity, making the model mandatory (else MissingNuisanceError)."""
+        identically zero and the regression for `cell` need not be
+        fitted. It is nonzero exactly where the control weight is NaN, an
+        own-cell propensity that underflowed to 0 giving 0/0, so
+        `nan_weight`, np.isnan of the control weight, must be all False
+        (else EstimationError). Normalizing breaks the identity, making
+        the model mandatory (else MissingNuisanceError)."""
         if cell == target and not self.normalize:
-            if multiplier.any():
+            if nan_weight.any():
                 raise EstimationError(
                     f"augmentation multiplier for m{cell.label} should "
                     "be identically zero with unnormalized weights but is not")
@@ -264,115 +267,81 @@ class FitEvaluation:
                 "normalized weights give it a nonzero multiplier")
         return True
 
-    def augmentation(self, multiplier: np.ndarray, target: Cell,
-                     cell: Cell) -> np.ndarray:
-        """(w_T - w_C) * m(cell, x) for the treatment weight of `target`
-        and the control weight from `cell`, `multiplier` being w_T - w_C;
-        zero where _augments says the score adds none."""
-        if not self._augments(target, cell, multiplier):
-            return np.zeros(len(multiplier))
-        return multiplier * self.outcome(cell)
+    def score_means(self, kinds: Sequence[ScoreKind]
+                    ) -> Dict[ScoreKind, float]:
+        """The mean of each score kind, in the order given, without any
+        per-unit score vector, weight or outcome prediction: each kind's
+        own formula (_score) evaluated on the weighted cell sums of
+        _CellSums, whose sum is n times the mean. Since the formula and
+        the weights' checks are the code score_vector runs, a kind
+        raises what score_vector raises for it, in the same cases and
+        order: empty target, trimmed source, non-positive normalizer,
+        non-zero augmentation multiplier, missing model, non-finite
+        values. The means agree with those of score_vector's values up
+        to rounding, since the two sum in different orders, and a
+        kind's mean has the same bits whichever other kinds the
+        evaluation is asked for. A bootstrap refit needs only these."""
+        sums, means = _CellSums(self.dataset, self.nuisances), {}
+        for kind in kinds:
+            means[kind] = float(np.add.reduce(_score(kind, sums))
+                                / self.dataset.n)
+            # a non-finite weight or coefficient the score reads gives a
+            # non-finite sum, as it gives score_vector a non-finite value
+            if not math.isfinite(means[kind]):
+                raise _nonfinite(kind)
+        return means
 
-    # -- score means from weighted cell sums ---------------------------------
+
+class _CellSums(FitEvaluation):
+    """A FitEvaluation in the cell-sum algebra, for score_means.
+
+    Each score is a sum of products of weights with the outcome change
+    Δy or with change regressions m(c, x) = a_c + b_c'x, so its sum over
+    units is linear in each weight's sums of w_i [1, x_i, Δy_i], with x
+    the covariates the regressions read. Here a weight is that (d+2,)
+    row (weight_t, weight_c), Δy is the unit vector on its last entry
+    (delta), and m(c) is [a_c, b_c, 0] (outcome): the products and
+    differences that give a score's per-unit values on a FitEvaluation
+    give, on these operands, a (d+2,) vector whose sum is the sum of
+    those values. The weights keep their checks; each numerator's rows
+    come from one product of its masked odds block (see _moments), so a
+    kind has the same bits whichever other kinds are evaluated."""
+
+    # a weight's sum over units is its count column
+    _total = staticmethod(operator.itemgetter(0))
+
+    def __init__(self, dataset: PanelDataset, nuisances: NuisanceSet):
+        super().__init__(dataset, nuisances)
+        x = nuisances.outcome_features(dataset.x)
+        self._columns = np.empty((x.shape[1] + 2, dataset.n))
+        self._columns[0] = 1.0
+        self._columns[1:-1] = x.T
+        self._columns[-1] = self.delta
+        self.delta = np.zeros(len(self._columns))
+        self.delta[-1] = 1.0
 
     @functools.cached_property
-    def _moment_columns(self) -> np.ndarray:
-        """The rows 1, x and Δy of every unit, a (d+2, n) array, with x
-        the covariates the outcome-change models read."""
-        x = self.nuisances.outcome_features(self.dataset.x)
-        columns = np.empty((x.shape[1] + 2, self.dataset.n))
-        columns[0] = 1.0
-        columns[1:-1] = x.T
-        columns[-1] = self.delta
-        return columns
+    def _outcomes(self) -> list:
+        """Each Cell's slot holds its regression's coefficients padded
+        with a 0 for Δy, or None for a cell without one."""
+        slots = [None] * len(Cell)
+        for cell, model in self.nuisances.outcome_models.items():
+            slots[cell] = padded = np.zeros(len(self.delta))
+            padded[:-1] = model.coefficients
+        return slots
+
+    def _weights(self, num, cells) -> np.ndarray:
+        """The rows of `cells` in the table of numerator `num`."""
+        return self._moments(num)[cells]
 
     @_per_evaluation
     def _moments(self, num) -> np.ndarray:
         """One weight block's table, (4, d+2): each source cell's sums of
         [1, x, Δy] over its units, weighted by the odds row of numerator
-        `num`, or by one when `num` is None. A block is its own product,
-        so it has the same bits whichever other blocks are built. The
-        odds are masked to each cell as weight_c masks them, so a
-        non-finite odds, from an own-cell propensity that underflowed,
-        stays in its own cell's row."""
-        if num is None:
-            weights = self.masks.astype(float)
-        else:
-            weights = np.where(self.masks, self._odds(num), 0.0)
-        return weights @ self._moment_columns.T
-
-    def _treatment_sums(self, target: Cell) -> np.ndarray:
-        """Sum over units of w_T(i) [1, x_i, Δy_i] for the treatment
-        weight of `target`, with weight_t's check."""
-        share = self.shares[target]
-        if share == 0:
-            raise _empty(target, "treatment")
-        return self._moments(None)[target] * (1.0 / share)
-
-    def _control_sums(self, num: Cell, src: Cell) -> np.ndarray:
-        """Sum over units of w_C(i) [1, x_i, Δy_i] for the control weight
-        from `src` toward `num`, with weight_c's checks; normalizing
-        divides by the weight's mean, the count column over n."""
-        if self._control_source(num, src):
-            sums = self._moments(num)[src]
-        else:
-            sums = np.zeros(len(self._moment_columns))
-        if self.normalize:
-            sums = sums / self._normalizer(
-                float(sums[0] / self.dataset.n), src)
-        return sums
-
-    def _coefficients(self, cell: Cell) -> np.ndarray:
-        """Intercept and slopes of the outcome-change regression of
-        `cell`, MissingNuisanceError as outcome() when there is none."""
-        model = self.nuisances.outcome_models.get(cell)
-        if model is None:
-            raise _missing_outcome(cell)
-        return model.coefficients
-
-    def score_means(self, kinds: Sequence[ScoreKind]
-                    ) -> Dict[ScoreKind, float]:
-        """The mean of each score kind, in the order given, without any
-        per-unit score vector. Each score is linear in the fitted change
-        regressions m(c, x) = a_c + b_c'x, so its mean is a fixed
-        combination of the weighted cell sums of [1, x, Δy] (see
-        _moments): one block for the treatment weights and one per
-        numerator's control weights, with the shares and the models'
-        coefficients. A kind raises the exception type score_vector
-        raises for it, in the same cases and the same order of checks:
-        empty target, trimmed source, non-positive normalizer, missing
-        model, and a non-finite weight or coefficient it reads. The
-        means agree with those of score_vector's values up to rounding,
-        since the two sum in different orders, and a kind's mean has the
-        same bits whichever other kinds the evaluation is asked for."""
-        return {kind: self._score_mean(kind) for kind in kinds}
-
-    def _score_mean(self, kind: ScoreKind) -> float:
-        target, eligible, never = kind.cells
-        if kind.form is not ScoreForm.WEIGHTING:
-            treat = self._treatment_sums(target)
-        if kind.form is ScoreForm.REGRESSION:
-            total = (treat[-1] if target == eligible
-                     else self._coefficients(eligible) @ treat[:-1])
-            total = total - self._coefficients(never) @ treat[:-1]
-        else:
-            w_elig = self._control_sums(target, eligible)
-            w_never = self._control_sums(target, never)
-            total = w_elig[-1] - w_never[-1]
-        if kind.form is ScoreForm.DOUBLY_ROBUST:
-            # a unit's multiplier 1/share - 1/share is 0, or NaN where its
-            # own-cell propensity underflowed, which makes the sums NaN
-            if self._augments(target, eligible, np.isnan(w_elig)):
-                total = total + self._coefficients(eligible) @ (
-                    treat - w_elig)[:-1]
-            total = total - self._coefficients(never) @ (
-                treat - w_never)[:-1]
-        # a non-finite weight or coefficient the score reads gives a
-        # non-finite sum, as it gives score_vector a non-finite value
-        mean = float(total / self.dataset.n)
-        if not math.isfinite(mean):
-            raise _nonfinite(kind)
-        return mean
+        `num` masked to the cell, or by one when `num` is None. The
+        masking keeps a non-finite odds, from an own-cell propensity
+        that underflowed, in its own cell's row."""
+        return super()._weights(num, ...) @ self._columns.T
 
 
 # the errors both evaluation paths raise, built only when raised
@@ -396,10 +365,12 @@ def _nonfinite(kind: ScoreKind) -> EstimationError:
 # Scores
 # ---------------------------------------------------------------------------
 
-def score_vector(kind: ScoreKind, ev: FitEvaluation) -> np.ndarray:
-    """All units' values of one score function of an evaluated fit: the
-    contrast of the kind's group's eligible and never-eligible cells at
-    its target cell's covariate distribution, in the kind's form."""
+def _score(kind: ScoreKind, ev: FitEvaluation) -> np.ndarray:
+    """One score kind's formula on the operands of `ev`: every unit's
+    value on a FitEvaluation, a vector that sums to their sum on its
+    _CellSums. The doubly robust form is the DR DiD score of Sant'Anna
+    and Zhao (2020), w_T (m_e - m_n) + w_e (Δy - m_e) - w_n (Δy - m_n),
+    grouped so that the m_e term drops out where _augments says."""
     target, eligible, never = kind.cells
     delta, wt, wc, m = ev.delta, ev.weight_t, ev.weight_c, ev.outcome
 
@@ -413,9 +384,19 @@ def score_vector(kind: ScoreKind, ev: FitEvaluation) -> np.ndarray:
         w_treat = wt(target)  # first, so an empty target cell raises first
         w_elig, w_never = wc(target, eligible), wc(target, never)
         values = (w_elig - w_never) * delta
-        values = values + ev.augmentation(w_treat - w_elig, target, eligible)
+        # + 0.0 without the term turns a -0.0 into 0.0, as adding the
+        # term's zeros did
+        values = values + ((w_treat - w_elig) * m(eligible) if ev._augments(
+            target, eligible, np.isnan(w_elig)) else 0.0)
         values = values - (w_treat - w_never) * m(never)
+    return values
 
+
+def score_vector(kind: ScoreKind, ev: FitEvaluation) -> np.ndarray:
+    """All units' values of one score function of an evaluated fit: the
+    contrast of the kind's group's eligible and never-eligible cells at
+    its target cell's covariate distribution, in the kind's form."""
+    values = _score(kind, ev)
     if not np.isfinite(values).all():
         raise _nonfinite(kind)
     return values

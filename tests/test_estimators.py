@@ -299,15 +299,16 @@ def test_evaluation_of_another_dataset_predicts_once(small_sample, counted):
 
 # Python-level call budgets, as cProfile counts calls, each set about
 # 10% above the count of its time. One evaluation of a fit (dr and
-# naive, n=2000) makes 206 calls, so its budget, set when it made 193,
-# has about 3% headroom left: the weight checks it shares with the
-# cell-sum means are helper calls, 11 in all; it made 237 calls when
-# each model was predicted on its own, and a Python-level hash per cell
-# key lookup and np.mean-style wrappers on the hot path took it to
-# about 900. One Monte Carlo replication (n=2000) makes 747 calls,
+# naive, n=2000) makes 204 calls, so its budget, set when it made 193,
+# has about 4% headroom left: 11 of its calls are the score formula and
+# weight operands it shares with the cell-sum means; it made 237 calls
+# when each model was predicted on its own, and a Python-level hash per
+# cell key lookup and np.mean-style wrappers on the hot path took it to
+# about 900. One Monte Carlo replication (n=2000) makes 745 calls,
 # 1,202 when each cell's regression was its own fit. One bootstrap
-# draw of the benchmark's n=5000 panel makes 651 from its cell sums,
-# 734 from per-unit score vectors and 1,232 before that.
+# draw of the benchmark's n=5000 panel makes 683 from its cell sums
+# (651 when the means had formulas of their own), 734 from per-unit
+# score vectors and 1,232 before that.
 MAX_EVALUATION_CALLS = 212
 MAX_REPLICATION_CALLS = 800
 MAX_DRAW_CALLS = 716

@@ -805,7 +805,8 @@ def test_fit_nuisances_score_set():
     assert probs.shape == (ds.n, 4)
     np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-10)
     # fitted change regressions predict on the raw covariate scale
-    m = nuis.outcome_mean(Cell.B_NEVER, ds.x[:5])
+    m = nuis.outcome_models[Cell.B_NEVER].predict(
+        nuis.outcome_features(ds.x[:5]))
     assert m.shape == (5,)
 
 

@@ -74,9 +74,10 @@ def test_fixture_nuisances_are_as_stated(fixture):
     ds, nuis = fixture
     probs = nuis.propensities(ds.x)
     np.testing.assert_allclose(probs, 0.25, atol=1e-8)
-    assert nuis.outcome_mean(A_NEVER, ds.x)[0] == pytest.approx(1.0)
-    assert nuis.outcome_mean(B2, ds.x)[0] == pytest.approx(4.0)
-    assert nuis.outcome_mean(B_NEVER, ds.x)[0] == pytest.approx(0.5)
+    x = nuis.outcome_features(ds.x)
+    for cell, value in ((A_NEVER, 1.0), (B2, 4.0), (B_NEVER, 0.5)):
+        assert nuis.outcome_models[cell].predict(x)[0] == pytest.approx(
+            value)
     for cell in Cell:
         assert ds.cell_counts[cell] / ds.n == 0.25
 
@@ -201,19 +202,6 @@ def test_evaluation_computes_each_weight_once(fixture):
     # shared by every score built from the evaluation, so not writable
     with pytest.raises(ValueError):
         ev.weight_t(A2)[0] = 0.0
-
-
-def test_structural_zero_augmentation_rejects_nonzero_multiplier(fixture):
-    # an explicit check, not an assert, so it also holds under python -O
-    ev = FitEvaluation(*fixture)
-    with pytest.raises(EstimationError, match=r"\(A, Eligible\)"):
-        ev.augmentation(np.array([0.0, 1e-300, 0.0, 0.0]), A2, A2)
-    np.testing.assert_array_equal(ev.augmentation(np.zeros(4), A2, A2),
-                                  np.zeros(4))
-    # a control weight from another cell than the target is no
-    # structural zero: its regression enters as fitted
-    np.testing.assert_allclose(ev.augmentation(np.ones(4), A2, B2),
-                               [4.0, 4.0, 4.0, 4.0], atol=1e-8)
 
 
 def test_trimming_error_names_offending_units(fixture):
@@ -360,8 +348,15 @@ class ReferenceEvaluation:
         return self._stored("p", build)
 
     def outcome(self, cell):
-        return self._stored(("m", cell), lambda: np.asarray(
-            self.nuisances.outcome_mean(cell, self.dataset.x), dtype=float))
+        # each model's own predict, not the evaluation's batched product
+        def build():
+            model = self.nuisances.outcome_models.get(cell)
+            if model is None:
+                raise MissingNuisanceError(
+                    f"no outcome-change model for cell {cell.label}")
+            return model.predict(
+                self.nuisances.outcome_features(self.dataset.x))
+        return self._stored(("m", cell), build)
 
     def weight_t(self, cell):
         def build():
@@ -673,9 +668,10 @@ KINDS = tuple(ScoreKind)
 
 
 def assert_same_failure(got, want):
-    """Both calls raised, the same exception type with the same unit ids."""
+    """Both calls raised, the same exception type with the same message
+    and unit ids."""
     assert isinstance(got, tuple) and isinstance(want, tuple), (got, want)
-    assert got[0] is want[0] and got[2] == want[2], (got, want)
+    assert got[0] is want[0] and got[1:] == want[1:], (got, want)
 
 
 def assert_means_match(ds, nuis):
@@ -745,6 +741,23 @@ def underflowed(ds, nuis):
                 yield PanelDataset(ds.ids, ds.y1, ds.y2, ds.group_is_a,
                                    ds.eligible, moved, ds.covariate_names,
                                    ds.mechanism), cell
+
+
+def test_structural_zero_augmentation_rejects_nonzero_multiplier():
+    # an explicit check, not an assert, so it also holds under python -O:
+    # at trim 0 an (A, Eligible) unit whose own-cell propensity underflows
+    # to 0 gets a 0/0 same-cell control weight, so the multiplier that
+    # unnormalized weights make identically zero is not, in either path
+    base = simulate_sample(DgpSpec(n=600, seed=5))
+    fit = fit_nuisances(base, trim_epsilon=0.0)
+    moved = next(panel for panel, cell in underflowed(base, fit)
+                 if cell == A2)
+    message = (r"augmentation multiplier for m\(A, Eligible\) should be "
+               "identically zero")
+    with pytest.raises(EstimationError, match=message):
+        score_vector(ScoreKind.DR_A, FitEvaluation(moved, fit))
+    with pytest.raises(EstimationError, match=message):
+        FitEvaluation(moved, fit).score_means([ScoreKind.DR_A])
 
 
 def test_score_means_raise_what_score_vectors_raise():
