@@ -344,7 +344,7 @@ class _CellSums(FitEvaluation):
         return super()._weights(num, ...) @ self._columns.T
 
 
-# the errors both evaluation paths raise, built only when raised
+# errors of the evaluation and the scores, built only when raised
 
 def _empty(cell: Cell, weight: str) -> EstimationError:
     return EstimationError(f"cell {cell.label} is empty; {weight} weight "
