@@ -12,6 +12,7 @@ import csv
 import enum
 import functools
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -639,6 +640,34 @@ REPLICATION_FORMAT = (
 )
 
 
+def _reads_as_float(value) -> bool:
+    try:
+        float(value)
+    except (TypeError, ValueError):
+        return False
+    return True
+
+
+def _components(value) -> bool:
+    return isinstance(value, (list, tuple)) and all(
+        isinstance(part, (list, tuple)) and len(part) == 2
+        and isinstance(part[0], str) and isinstance(part[1], numbers.Real)
+        for part in value)
+
+
+# each override key but "covariates": (what it must be, its test)
+_REPLICATION_TYPES = {
+    "id": ("a column name or null", lambda v: v is None or isinstance(v, str)),
+    **{key: ("a column name", lambda v: isinstance(v, str))
+       for key in ("state", "wage", "y1", "y2")},
+    "eligible_value": ("a string or a number",
+                       lambda v: isinstance(v, (str, numbers.Real))),
+    "wage_cutoff": ("a number", _reads_as_float),
+    "y1_components": ("a list of [column, weight] pairs", _components),
+    "y2_components": ("a list of [column, weight] pairs", _components),
+}
+
+
 def load_replication_csv(path, overrides=None) -> PanelDataset:
     """Ingest the minimum-wage panel: group from a starting-wage split,
     eligibility from the state column, composite employment outcomes.
@@ -647,7 +676,8 @@ def load_replication_csv(path, overrides=None) -> PanelDataset:
     load_csv does with DROP_ROW. `overrides`
     replaces entries of DEFAULT_REPLICATION_SCHEMA; "y1"/"y2" name
     single-column outcomes in place of the composites, and "id": None
-    numbers the units by data row.
+    numbers the units by data row. An unknown key, or a value of the
+    wrong type for its key, raises SchemaError naming the key.
     """
     schema = dict(DEFAULT_REPLICATION_SCHEMA)
     if overrides:
@@ -655,6 +685,10 @@ def load_replication_csv(path, overrides=None) -> PanelDataset:
         if unknown:
             raise SchemaError(f"unknown replication schema keys: {sorted(unknown)}")
         _check_covariates(overrides)
+        for key, (want, fits) in _REPLICATION_TYPES.items():
+            if key in overrides and not fits(overrides[key]):
+                raise SchemaError(f'replication schema key "{key}" must be '
+                                  f'{want}, got {overrides[key]!r}')
         schema.update(overrides)
 
     y1_components = ([[schema["y1"], 1.0]] if "y1" in schema

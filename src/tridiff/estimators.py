@@ -29,7 +29,8 @@ from .exceptions import (EstimationError, ResamplingError, TridiffError,
                          UnsupportedMechanismError)
 from .nuisance import NuisanceSet, fit_nuisances, fit_ols
 from .parallel import map_ordered
-from .scores import FitEvaluation, ScoreForm, ScoreKind, score_vectors
+from .scores import (FitEvaluation, ScoreForm, ScoreKind, score_means,
+                     score_vectors)
 
 DEFAULT_BOOTSTRAP_REPS = 999
 
@@ -53,6 +54,8 @@ class Method(enum.Enum):
     OR_WDID_B = "or_wdid_b"
     OR_DIFFERENCE = "or_difference"
     OR_REWEIGHTED_DIFFERENCE = "or_reweighted_difference"
+
+    __hash__ = object.__hash__  # by identity, in C: Enum's is a Python call
 
 
 class SeKind(enum.Enum):
@@ -351,24 +354,23 @@ def refit_estimates(nuisances: NuisanceSet,
     moments, as every fit does, which on the benchmark panel takes two
     iterations where a start from the full-sample coefficients takes
     three, and its evaluation reads the propensities the fit converged
-    to (see FitEvaluation). A draw needs no influence value or SE, so
-    FitEvaluation.score_means runs each score's formula on weighted cell
-    sums, without an outcome prediction or a per-unit score vector; the
-    means raise as estimate_doubly_robust would, through the same
-    checks, and agree with its estimates up to rounding (within 1e-12
-    relative on the fitted sample). At n=5,000 this took a draw's
-    evaluation of the dr, naive and two outcome-regression differences
-    from 385-479 to 176-183 us, and the whole draw from 1.53-1.92 to 1.34-1.36 ms
-    (fastest of 7 blocks of 50 evaluations and of 40 draws, three runs
-    a side, the CLI's heap setting on; one OpenBLAS thread, 2-core
-    x86-64)."""
+    to (see FitEvaluation). A draw needs no influence value or SE, so it
+    builds no per-unit FitEvaluation: score_means runs each score's
+    formula on the resample's weighted cell sums alone. The means raise
+    as estimate_doubly_robust would, through the same checks, and agree
+    with its estimates up to rounding (within 1e-12 relative on the
+    fitted sample). At n=5,000 the cell sums took a draw's evaluation of
+    the dr, naive and two outcome-regression differences from 385-479 to
+    176-183 us, and the whole draw from 1.53-1.92 to 1.34-1.36 ms
+    (fastest of 7 blocks of 50 evaluations and of 40 draws, three runs a
+    side, the CLI's heap setting on; one OpenBLAS thread, 2-core x86-64)."""
     return functools.partial(_refit, dict(nuisances.fit_options), methods)
 
 
 def _refit(options: dict, methods: Tuple[Method, ...],
            ds: PanelDataset) -> Tuple[float, ...]:
-    means = FitEvaluation(ds, fit_nuisances(ds, **options)).score_means(
-        _method_kinds(methods))
+    means = score_means(ds, fit_nuisances(ds, **options),
+                        _method_kinds(methods))
     return tuple(sum(sign * means[kind] for sign, kind in METHOD_SCORES[m])
                  for m in methods)
 

@@ -42,6 +42,11 @@ DEFAULT_MAX_ITER = 100
 DEFAULT_LL_TOL = 1e-10
 GRADIENT_TOL = 1e-8
 SEPARATION_COEF_NORM = 1e4
+# a converged log-likelihood above -SEPARATION_LOGLIK puts every unit's
+# own-cell probability above exp(-1e-6): complete separation. Separated
+# fits end at -5e-8 to -1e-13 (n 50 to 20,000); the benchmark's seed-1
+# Monte Carlo fits end at most at -1.01 per unit
+SEPARATION_LOGLIK = 1e-6
 MIN_STEP = 2.0 ** -30
 _EPS = np.finfo(float).eps
 
@@ -642,7 +647,9 @@ def fit_logistic_multinomial(covariates, cell_labels,
     Converges when the likelihood gain drops below DEFAULT_LL_TOL or the
     gradient max-norm below 1e-8. Standardized coefficients whose norm
     passes 1e4 with rising likelihood raise SeparationError, whatever
-    the covariates' location and units; DEFAULT_MAX_ITER iterations
+    the covariates' location and units, and so does a converged fit
+    whose log-likelihood is within SEPARATION_LOGLIK of 0, where the
+    cells are completely separated; DEFAULT_MAX_ITER iterations
     without convergence raise ConvergenceError with the likelihood trace
     attached.
     """
@@ -669,6 +676,11 @@ def fit_logistic_multinomial(covariates, cell_labels,
 
     beta_std, probs, trace, n_iter = _newton_multinomial(
         zt, labels, DEFAULT_MAX_ITER, DEFAULT_LL_TOL, names)
+    if trace[-1] > -SEPARATION_LOGLIK:
+        raise SeparationError(
+            f"log-likelihood {trace[-1]:.3g} is within "
+            f"{SEPARATION_LOGLIK:g} of 0: the covariates separate the "
+            "cells completely; trim the sample or drop covariates")
 
     raw = beta_std @ _raw_transform_matrix(center, scale).T
     return PropensityModel(coefficients=raw,

@@ -108,13 +108,9 @@ class FitEvaluation:
     (medians of 12 interleaved blocks of 40 fits, faster in 12; one
     OpenBLAS thread, 2-core x86-64).
 
-    score_means gives the scores' means without those per-unit arrays:
-    it runs the same score formulas and weight checks on weighted cell
-    sums instead (see _CellSums), building one (d+2, n) array of
-    [1, x, Δy] and, per weight block, the odds row and a (4, n) weight
-    array. A bootstrap refit needs only those means. The per-unit
-    arrays stay for everything that reads values per unit: influence
-    values and SEs, bias_diagnostic and dump_scores.
+    Only what reads values per unit builds one: estimates, influence
+    values and SEs, bias_diagnostic and dump_scores. A bootstrap refit's
+    score_means builds a _CellSums evaluation alone.
     """
 
     def __init__(self, dataset: PanelDataset, nuisances: NuisanceSet):
@@ -267,33 +263,11 @@ class FitEvaluation:
                 "normalized weights give it a nonzero multiplier")
         return True
 
-    def score_means(self, kinds: Sequence[ScoreKind]
-                    ) -> Dict[ScoreKind, float]:
-        """The mean of each score kind, in the order given, without any
-        per-unit score vector, weight or outcome prediction: each kind's
-        own formula (_score) evaluated on the weighted cell sums of
-        _CellSums, whose sum is n times the mean. Since the formula and
-        the weights' checks are the code score_vector runs, a kind
-        raises what score_vector raises for it, in the same cases and
-        order: empty target, trimmed source, non-positive normalizer,
-        non-zero augmentation multiplier, missing model, non-finite
-        values. The means agree with those of score_vector's values up
-        to rounding, since the two sum in different orders, and a
-        kind's mean has the same bits whichever other kinds the
-        evaluation is asked for. A bootstrap refit needs only these."""
-        sums, means = _CellSums(self.dataset, self.nuisances), {}
-        for kind in kinds:
-            means[kind] = float(np.add.reduce(_score(kind, sums))
-                                / self.dataset.n)
-            # a non-finite weight or coefficient the score reads gives a
-            # non-finite sum, as it gives score_vector a non-finite value
-            if not math.isfinite(means[kind]):
-                raise _nonfinite(kind)
-        return means
-
 
 class _CellSums(FitEvaluation):
-    """A FitEvaluation in the cell-sum algebra, for score_means.
+    """A FitEvaluation in the cell-sum algebra, the one score_means
+    builds: one (d+2, n) array of [1, x, Δy] and, per weight block, the
+    odds row and a (4, n) weight array.
 
     Each score is a sum of products of weights with the outcome change
     Δy or with change regressions m(c, x) = a_c + b_c'x, so its sum over
@@ -408,6 +382,29 @@ def score_vectors(kinds: Sequence[ScoreKind], ev: FitEvaluation
     the order given, so the first failing kind raises exactly what
     score_vector would."""
     return {kind: score_vector(kind, ev) for kind in kinds}
+
+
+def score_means(dataset: PanelDataset, nuisances: NuisanceSet,
+                kinds: Sequence[ScoreKind]) -> Dict[ScoreKind, float]:
+    """The mean of each score kind of the fit on the dataset, in the
+    order given, without any per-unit score vector, weight or outcome
+    prediction: each kind's formula (_score) on one _CellSums
+    evaluation, whose sum is n times the mean. Since the formula and
+    the weights' checks are the code score_vector runs, a kind raises
+    what score_vector raises for it, in the same cases and order: empty
+    target, trimmed source, non-positive normalizer, non-zero
+    augmentation multiplier, missing model, non-finite values. The
+    means agree with those of score_vector's values up to rounding,
+    since the two sum in different orders, and a kind's mean has the
+    same bits whichever other kinds are asked for."""
+    sums, means = _CellSums(dataset, nuisances), {}
+    for kind in kinds:
+        means[kind] = float(np.add.reduce(_score(kind, sums)) / dataset.n)
+        # a non-finite weight or coefficient the score reads gives a
+        # non-finite sum, as it gives score_vector a non-finite value
+        if not math.isfinite(means[kind]):
+            raise _nonfinite(kind)
+    return means
 
 
 def dump_scores(ev: FitEvaluation, kinds: Sequence[ScoreKind],

@@ -425,6 +425,24 @@ def test_bad_option_is_exit_2_before_any_file_is_written(args, config,
     assert err["error"] == "ValueError" and err["exit_code"] == 2
 
 
+def test_estimate_on_completely_separated_cells_is_exit_3(tmp_path):
+    # the covariate is each unit's cell code, so the logit converges to
+    # a log-likelihood of almost 0 with every own-cell probability ~1
+    labels = np.random.default_rng(0).integers(0, 4, 2000)
+    path = tmp_path / "separated.csv"
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["id", "group", "eligibility", "y1", "y2", "x"])
+        for i, code in enumerate(labels):
+            writer.writerow([i, "ab"[code // 2], 2 * (1 - code % 2), 0.0,
+                             float(code), float(code)])
+    out = tmp_path / "o"
+    assert run(["estimate", "--input", path, "--schema", SCHEMA,
+                "--methods", "dr", "--out", out]) == 3
+    err = load_json(out / "error.json")
+    assert err["error"] == "SeparationError" and err["exit_code"] == 3
+
+
 def test_estimate_or_only_fits_no_logit(tmp_path, monkeypatch):
     # each cell holds its own stretch of the covariate, with razor-thin
     # gaps between them, so the four-cell logit separates
@@ -1016,6 +1034,21 @@ def test_replicate_unknown_override_key(wage_csv, tmp_path):
     assert run(["replicate", "--input", wage_csv,
                 "--schema", json.dumps({"wages": "x"}),
                 "--out", tmp_path / "r"]) == 2
+
+
+@pytest.mark.parametrize("key, value", [
+    ("wage_cutoff", [4.5]), ("y1_components", [["EMPFT", "a"]])],
+    ids=["list-cutoff", "string-weight"])
+def test_replicate_override_of_the_wrong_type_is_exit_2(wage_csv, tmp_path,
+                                                        key, value):
+    # checked before float() or numpy's multiply sees the value: their
+    # TypeErrors belong to no exit-code family
+    out = tmp_path / "r"
+    assert run(["replicate", "--input", wage_csv,
+                "--schema", json.dumps({key: value}), "--out", out]) == 2
+    err = load_json(out / "error.json")
+    assert err["error"] == "SchemaError" and err["exit_code"] == 2
+    assert f'"{key}" must be' in err["message"]
 
 
 def test_replicate_empty_cell_is_exit_2(tmp_path):

@@ -525,6 +525,32 @@ def test_replication_covariates_override_must_be_a_list(tmp_path):
                              {"covariates": "HRSOPEN"})
 
 
+@pytest.mark.parametrize("overrides, same_as", [
+    ({"wage_cutoff": "4.5"}, {"wage_cutoff": 4.5}),
+    ({"eligible_value": 1}, {"eligible_value": "1"}),
+    ({"y1_components": (("EMPFT", 1), ("EMPPT", 0.5), ("NMGRS", True))},
+     {"y1_components": [["EMPFT", 1.0], ["EMPPT", 0.5], ["NMGRS", 1.0]]})],
+    ids=["numeric-string", "int-level", "tuples"])
+def test_replication_overrides_of_every_accepted_type_load(tmp_path,
+                                                           overrides,
+                                                           same_as):
+    # the type checks keep every spelling the loader reads
+    got, want = (load_replication_csv(replication_csv(tmp_path), o)
+                 for o in (overrides, same_as))
+    for column in ("ids", "y1", "y2", "group_is_a", "eligible", "x"):
+        assert np.array_equal(getattr(got, column), getattr(want, column))
+
+
+@pytest.mark.parametrize("key, value", [
+    ("wage_cutoff", [4.5]), ("wage_cutoff", "low"), ("wage_cutoff", None),
+    ("y1_components", [["EMPFT", "a"]]), ("y2_components", [["EMPFT2"]]),
+    ("y1_components", "EMPFT"), ("state", 1), ("id", ["SHEET"]),
+    ("eligible_value", None)])
+def test_replication_override_of_the_wrong_type(tmp_path, key, value):
+    with pytest.raises(SchemaError, match=f'"{key}" must be'):
+        load_replication_csv(replication_csv(tmp_path), {key: value})
+
+
 def test_replication_single_column_outcomes(tmp_path):
     ds = load_replication_csv(replication_csv(tmp_path),
                               {"y1": "EMPFT", "y2": "EMPFT2",

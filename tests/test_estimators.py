@@ -33,7 +33,8 @@ from tridiff.exceptions import (EstimationError, ResamplingError,
                                 UnsupportedMechanismError)
 from tridiff.nuisance import (LinearModel, NuisanceMode, NuisanceSet,
                               PropensityModel, fit_linear, fit_nuisances)
-from tridiff.scores import FitEvaluation, ScoreKind, dump_scores, score_vector
+from tridiff.scores import (FitEvaluation, ScoreKind, dump_scores,
+                            score_means, score_vector)
 
 REWEIGHTED = (Method.DR_REWEIGHTED,)
 NAIVE = (Method.DR_NAIVE_DIFFERENCE,)
@@ -297,21 +298,21 @@ def test_evaluation_of_another_dataset_predicts_once(small_sample, counted):
     assert np.array_equal(ev.propensities(), nuis.propensity.predict(other.x))
 
 
-# Python-level call budgets, as cProfile counts calls, each set about
-# 10% above the count of its time. One evaluation of a fit (dr and
-# naive, n=2000) makes 204 calls, so its budget, set when it made 193,
-# has about 4% headroom left: 11 of its calls are the score formula and
-# weight operands it shares with the cell-sum means; it made 237 calls
-# when each model was predicted on its own, and a Python-level hash per
-# cell key lookup and np.mean-style wrappers on the hot path took it to
-# about 900. One Monte Carlo replication (n=2000) makes 745 calls,
-# 1,202 when each cell's regression was its own fit. One bootstrap
-# draw of the benchmark's n=5000 panel makes 683 from its cell sums
-# (651 when the means had formulas of their own), 734 from per-unit
-# score vectors and 1,232 before that.
-MAX_EVALUATION_CALLS = 212
-MAX_REPLICATION_CALLS = 800
-MAX_DRAW_CALLS = 716
+# Python-level call budgets, as cProfile counts calls, each about 5%
+# above its count. One evaluation of a fit (dr and naive, n=2000) makes
+# 196 calls: 11 are the score formula and weight operands it shares
+# with the cell-sum means; it made 237 calls when each model was
+# predicted on its own, and a Python-level hash per cell key lookup and
+# np.mean-style wrappers on the hot path took it to about 900. One
+# Monte Carlo replication (n=2000) makes 738 calls, 1,202 when each
+# cell's regression was its own fit. One bootstrap draw of the
+# benchmark's n=5000 panel makes 663 from the one cell-sum evaluation
+# (685 when a per-unit evaluation was built around it and Method keys
+# hashed in Python, 651 when the means had formulas of their own), 734
+# from per-unit score vectors and 1,232 before that.
+MAX_EVALUATION_CALLS = 206
+MAX_REPLICATION_CALLS = 775
+MAX_DRAW_CALLS = 696
 
 
 def profiled_calls(function, *args):
@@ -349,6 +350,23 @@ def test_bootstrap_draw_call_count_stays_low():
         Method.OR_DIFFERENCE, Method.OR_REWEIGHTED_DIFFERENCE))
     calls = profiled_calls(est_mod._estimate_draw, ds, refit, 1, 1)
     assert calls <= MAX_DRAW_CALLS, calls
+
+
+def test_bootstrap_draw_builds_one_cell_sum_evaluation(monkeypatch):
+    # a draw of the benchmark panel reads only score means, so it builds
+    # no per-unit evaluation
+    ds = simulate_sample(DgpSpec(n=5000, seed=1, mu_b=1.5))
+    refit = refit_estimates(fit_nuisances(ds), DR_METHODS + OR_METHODS)
+    built = []
+    init = FitEvaluation.__init__
+
+    def counted_init(self, *args):
+        built.append(type(self))
+        init(self, *args)
+    monkeypatch.setattr(FitEvaluation, "__init__", counted_init)
+    assert not isinstance(est_mod._estimate_draw(ds, refit, 1, 1),
+                          est_mod._Draw)
+    assert built == [scores_mod._CellSums]
 
 
 def test_evaluation_of_another_fit_or_dataset_is_rejected():
@@ -730,8 +748,8 @@ def test_or_table_consistency(small_sample):
     assert nuis.fit_options["mode"] is NuisanceMode.OUTCOME_ONLY
     # bit for bit the OR rows of the fit's own score means; the table
     # averages per-unit scores, so only up to that sum's rounding
-    a, b, wb = FitEvaluation(ds, nuis).score_means(
-        [ScoreKind.OR_A, ScoreKind.OR_B, ScoreKind.WOR]).values()
+    a, b, wb = score_means(
+        ds, nuis, [ScoreKind.OR_A, ScoreKind.OR_B, ScoreKind.WOR]).values()
     assert runner(ds) == (a, b, wb, a - b, a - wb)
     assert runner(ds) == pytest.approx(
         tuple(res.estimate for res in table.values()), rel=1e-12, abs=0)
@@ -816,9 +834,9 @@ def test_normalized_refit_reproduces_the_fit(small_sample):
                          normalize=True)
     methods = DR_METHODS + OR_METHODS
     refit = refit_estimates(nuis, methods)(ds)
-    dr_a, wdr, dr_b, or_a, or_b, wor = FitEvaluation(ds, nuis).score_means(
-        [ScoreKind.DR_A, ScoreKind.WDR, ScoreKind.DR_B, ScoreKind.OR_A,
-         ScoreKind.OR_B, ScoreKind.WOR]).values()
+    dr_a, wdr, dr_b, or_a, or_b, wor = score_means(ds, nuis, [
+        ScoreKind.DR_A, ScoreKind.WDR, ScoreKind.DR_B, ScoreKind.OR_A,
+        ScoreKind.OR_B, ScoreKind.WOR]).values()
     assert refit == (dr_a - wdr, dr_a - dr_b, or_a, or_b, wor, or_a - or_b,
                      or_a - wor)
     assert refit == pytest.approx(tuple(

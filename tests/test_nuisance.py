@@ -340,6 +340,28 @@ def test_logit_separation_detected():
         fit_logistic_multinomial(x.reshape(-1, 1), labels)
 
 
+def test_complete_separation_detected():
+    # the covariate is the cell label: Newton converges in 26 iterations
+    # to a log-likelihood of -3.6e-8, every own-cell probability above
+    # 1 - 2.5e-11, before the coefficient norm guard fires
+    labels = rng(0).integers(0, 4, 2000)
+    with pytest.raises(SeparationError, match="separate the cells"):
+        fit_logistic_multinomial(labels.reshape(-1, 1).astype(float), labels)
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(200, 2000), d=st.integers(1, 3),
+       means=st.lists(st.floats(0.0, 2.0), min_size=4, max_size=4),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_overlapping_cells_are_not_separated(n, d, means, seed):
+    # Gaussian covariates whose cell means lie within 2 sd of each other
+    r = rng(seed)
+    labels = r.integers(0, 4, n)
+    x = r.normal(size=(n, d)) + np.array(means)[labels, None]
+    model = fit_logistic_multinomial(x, labels)
+    assert model.loglik_trace[-1] < -nuisance_mod.SEPARATION_LOGLIK
+
+
 def test_separation_guard_ignores_covariate_location():
     # shifting x by 2e4 leaves the standardized fit as it was, though its
     # raw intercepts grow past the guard's 1e4 norm; the guard keys to

@@ -30,7 +30,7 @@ from tridiff.exceptions import (EstimationError, FittingError,
                                 MissingNuisanceError, TrimmingError)
 from tridiff.nuisance import LinearModel, NuisanceMode, fit_nuisances
 from tridiff.scores import (FitEvaluation, ScoreForm, ScoreKind, dump_scores,
-                            score_vector, score_vectors)
+                            score_means, score_vector, score_vectors)
 
 A2, A_NEVER, B2, B_NEVER = Cell
 
@@ -675,12 +675,11 @@ def assert_same_failure(got, want):
 
 
 def assert_means_match(ds, nuis):
-    """Every score kind: FitEvaluation.score_means gives the mean of
+    """Every score kind: score_means gives the mean of
     score_vector's values within 1e-12 of its mean |score|, or raises
     what it raises; a kind's mean has the same bits evaluated alone or
     with the others. Returns the kinds that raised."""
-    together = outcome_of(
-        lambda: FitEvaluation(ds, nuis).score_means(KINDS))
+    together = outcome_of(lambda: score_means(ds, nuis, KINDS))
     wanted = outcome_of(lambda: score_vectors(KINDS, FitEvaluation(
         ds, nuis)))
     if isinstance(wanted, dict):
@@ -690,8 +689,7 @@ def assert_means_match(ds, nuis):
     raised = []
     for kind in KINDS:
         want = outcome_of(lambda: score_vector(kind, FitEvaluation(ds, nuis)))
-        got = outcome_of(
-            lambda: FitEvaluation(ds, nuis).score_means([kind])[kind])
+        got = outcome_of(lambda: score_means(ds, nuis, [kind])[kind])
         if isinstance(want, np.ndarray):
             assert isinstance(got, float), (kind, got)
             assert abs(got - want.mean()) <= 1e-12 * np.abs(want).mean(), kind
@@ -757,7 +755,7 @@ def test_structural_zero_augmentation_rejects_nonzero_multiplier():
     with pytest.raises(EstimationError, match=message):
         score_vector(ScoreKind.DR_A, FitEvaluation(moved, fit))
     with pytest.raises(EstimationError, match=message):
-        FitEvaluation(moved, fit).score_means([ScoreKind.DR_A])
+        score_means(moved, fit, [ScoreKind.DR_A])
 
 
 def test_score_means_raise_what_score_vectors_raise():
@@ -784,8 +782,8 @@ def test_score_means_raise_what_score_vectors_raise():
     raised = assert_means_match(thin, fit_nuisances(thin, trim_epsilon=0.05))
     assert raised and raised != list(KINDS)
     with pytest.raises(TrimmingError):
-        FitEvaluation(thin, fit_nuisances(thin, trim_epsilon=0.05)
-                      ).score_means([ScoreKind.DR_A])
+        score_means(thin, fit_nuisances(thin, trim_epsilon=0.05),
+                    [ScoreKind.DR_A])
     # a normalized fit without the (A, Eligible) model
     stripped = dataclasses.replace(normalized, outcome_models={
         cell: model for cell, model in normalized.outcome_models.items()
